@@ -386,7 +386,6 @@ void RunPerQueryWallClock(const ssb::Database& db,
   auto make_engine = [&](bool encoded) {
     EngineConfig config = BaseConfig(encoded);
     config.executor = ExecutorKind::kMorselStealing;
-    config.vectorized = true;
     return std::make_unique<SsbEngine>(&db, &model, config);
   };
   auto raw_engine = make_engine(false);

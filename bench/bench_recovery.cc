@@ -332,9 +332,6 @@ SsbSweep RunSsb(const ssb::Database& db, const MemSystemModel& model,
   config.media = Media::kPmem;
   config.threads = 36;
   config.project_to_sf = 50.0;
-  // Durable mode forces the scalar path; the baseline matches it so the
-  // comparison isolates durability, not vectorization.
-  config.vectorized = false;
   config.governor = &governor;
   config.durable = durable;
   SsbEngine engine(&db, &model, config);
@@ -410,7 +407,6 @@ void RunSsbTax(const ssb::Database& db, const MemSystemModel& model,
     config.media = Media::kPmem;
     config.threads = 36;
     config.project_to_sf = 50.0;
-    config.vectorized = false;
     config.governor = &governor;
     config.durable = idle_table->get();
     SsbEngine engine(&db, &model, config);

@@ -7,8 +7,9 @@
 //    index (§6.1): a probe chases bucket-head and node pointers, i.e.
 //    several dependent sub-256 B random reads that amplify on PMEM.
 //
-// Both store uint64 payloads encoding the dimension attributes the queries
-// need, and count their probe traffic for the timing layer.
+// Both map keys to uint64 values and count their probe traffic. The engine
+// builds them to price probes (ProbeCost, StorageBytes — neither depends
+// on the values); the kernels resolve keys through dense arrays.
 #pragma once
 
 #include <atomic>
@@ -42,10 +43,10 @@ class DimensionIndex {
   Status Insert(uint64_t key, uint64_t payload);
   std::optional<uint64_t> Get(uint64_t key) const;
 
-  /// Batched probe for the vectorized kernels: looks up `n` keys into
-  /// `out` (0 for absent keys) and counts the n probes with a single
-  /// atomic add — per-row counter increments from 36 workers turn the
-  /// shared probe counter into a coherence hot spot.
+  /// Batched probe: looks up `n` keys into `out` (0 for absent keys) and
+  /// counts the n probes with a single atomic add — per-row counter
+  /// increments from 36 workers turn the shared probe counter into a
+  /// coherence hot spot.
   void ProbeBatch(const uint64_t* keys, size_t n, uint64_t* out) const;
 
   uint64_t size() const;

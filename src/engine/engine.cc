@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <thread>
+#include <numeric>
 
 #include "encoding/encoding.h"
 #include "governor/telemetry.h"
@@ -11,16 +11,6 @@
 namespace pmemolap {
 
 using ssb::QueryId;
-
-namespace {
-
-constexpr int kUnitedStates = 9;
-constexpr int kUnitedKingdom = 19;
-constexpr int kRegionAmerica = 1;
-constexpr int kRegionAsia = 2;
-constexpr int kRegionEurope = 3;
-
-}  // namespace
 
 const char* EngineModeName(EngineMode mode) {
   switch (mode) {
@@ -36,8 +26,6 @@ const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSerial:
       return "serial";
-    case ExecutorKind::kStaticThreads:
-      return "static-threads";
     case ExecutorKind::kMorselStealing:
       return "morsel-stealing";
   }
@@ -117,100 +105,90 @@ Status SsbEngine::Prepare() {
                          config_.numa_aware_placement
                      ? sockets_used
                      : 1;
-  // In fault mode the indexes map keys to dense positions; the payloads
-  // themselves live in guarded per-socket replicas built below, so every
-  // probe goes through the poison-aware failover path.
-  const bool guarded = config_.fault != nullptr;
-  auto build = [&](ReplicatedIndex* index, auto&& fill) -> Status {
+  // The indexes only price probes (ProbeCost, StorageBytes): every entry
+  // holds its row's position. The kernels resolve keys through the dense
+  // maps built below.
+  auto build = [&](ReplicatedIndex* index, const auto& rows,
+                   auto key_of) -> Status {
     index->copies.clear();
     for (int r = 0; r < replicas; ++r) {
       index->copies.push_back(std::make_unique<DimensionIndex>(kind));
-      PMEMOLAP_RETURN_NOT_OK(fill(index->copies.back().get()));
+      uint64_t pos = 0;
+      for (const auto& row : rows) {
+        PMEMOLAP_RETURN_NOT_OK(index->copies.back()->Insert(
+            static_cast<uint64_t>(key_of(row)), pos++));
+      }
     }
     return Status::OK();
   };
-  PMEMOLAP_RETURN_NOT_OK(build(&date_index_, [&](DimensionIndex* index) {
-    uint64_t pos = 0;
-    for (const ssb::DateRow& d : db_->date) {
-      PMEMOLAP_RETURN_NOT_OK(index->Insert(
-          static_cast<uint64_t>(d.datekey),
-          guarded ? pos++ : EncodeDate(d)));
+  auto date_key = [](const ssb::DateRow& d) { return d.datekey; };
+  auto customer_key = [](const ssb::CustomerRow& c) { return c.custkey; };
+  auto supplier_key = [](const ssb::SupplierRow& s) { return s.suppkey; };
+  auto part_key = [](const ssb::PartRow& p) { return p.partkey; };
+  PMEMOLAP_RETURN_NOT_OK(build(&date_index_, db_->date, date_key));
+  PMEMOLAP_RETURN_NOT_OK(build(&customer_index_, db_->customer, customer_key));
+  PMEMOLAP_RETURN_NOT_OK(build(&supplier_index_, db_->supplier, supplier_key));
+  PMEMOLAP_RETURN_NOT_OK(build(&part_index_, db_->part, part_key));
+
+  // Dense key maps for the kernels. In fault mode the payloads live in
+  // guarded per-socket replicas and the maps hold each key's position in
+  // them, so every probe goes through the poison-aware failover path.
+  const bool guarded = config_.fault != nullptr;
+  PmemSpace* space = guarded ? config_.fault->space : nullptr;
+  FaultInjector* injector = guarded ? config_.fault->injector : nullptr;
+  if (guarded && (space == nullptr || injector == nullptr)) {
+    return Status::InvalidArgument(
+        "fault domain needs a space and an injector");
+  }
+  std::vector<int32_t> keys;
+  std::vector<uint64_t> values;
+  auto dense = [&](DenseDimMap* map, std::unique_ptr<GuardedDimension>* store,
+                   const auto& rows, auto key_of, auto payload_of) -> Status {
+    keys.clear();
+    values.clear();
+    keys.reserve(rows.size());
+    values.reserve(rows.size());
+    for (const auto& row : rows) {
+      keys.push_back(key_of(row));
+      values.push_back(payload_of(row));
     }
+    store->reset();
+    if (guarded) {
+      PMEMOLAP_ASSIGN_OR_RETURN(
+          *store,
+          GuardedDimension::Create(space, injector, values, config_.media));
+      std::iota(values.begin(), values.end(), uint64_t{0});
+    }
+    map->Build(keys, values);
     return Status::OK();
-  }));
+  };
   PMEMOLAP_RETURN_NOT_OK(
-      build(&customer_index_, [&](DimensionIndex* index) {
-        uint64_t pos = 0;
-        for (const ssb::CustomerRow& c : db_->customer) {
-          PMEMOLAP_RETURN_NOT_OK(index->Insert(
-              static_cast<uint64_t>(c.custkey),
-              guarded ? pos++ : EncodeGeo(c.nation, c.region, c.city)));
-        }
-        return Status::OK();
+      dense(&date_dense_, &guarded_date_, db_->date, date_key,
+            [](const ssb::DateRow& d) { return EncodeDate(d); }));
+  PMEMOLAP_RETURN_NOT_OK(dense(
+      &customer_dense_, &guarded_customer_, db_->customer, customer_key,
+      [](const ssb::CustomerRow& c) {
+        return EncodeGeo(c.nation, c.region, c.city);
+      }));
+  PMEMOLAP_RETURN_NOT_OK(dense(
+      &supplier_dense_, &guarded_supplier_, db_->supplier, supplier_key,
+      [](const ssb::SupplierRow& s) {
+        return EncodeGeo(s.nation, s.region, s.city);
       }));
   PMEMOLAP_RETURN_NOT_OK(
-      build(&supplier_index_, [&](DimensionIndex* index) {
-        uint64_t pos = 0;
-        for (const ssb::SupplierRow& s : db_->supplier) {
-          PMEMOLAP_RETURN_NOT_OK(index->Insert(
-              static_cast<uint64_t>(s.suppkey),
-              guarded ? pos++ : EncodeGeo(s.nation, s.region, s.city)));
-        }
-        return Status::OK();
-      }));
-  PMEMOLAP_RETURN_NOT_OK(build(&part_index_, [&](DimensionIndex* index) {
-    uint64_t pos = 0;
-    for (const ssb::PartRow& p : db_->part) {
-      PMEMOLAP_RETURN_NOT_OK(index->Insert(
-          static_cast<uint64_t>(p.partkey),
-          guarded ? pos++ : EncodePart(p)));
-    }
-    return Status::OK();
-  }));
+      dense(&part_dense_, &guarded_part_, db_->part, part_key,
+            [](const ssb::PartRow& p) { return EncodePart(p); }));
+  if (config_.governor != nullptr) {
+    // Payload-identical DRAM replicas for the staging actuator: probing
+    // a staged copy returns the same values as the base map, so results
+    // never depend on the governor's staging state.
+    date_staged_ = date_dense_;
+    customer_staged_ = customer_dense_;
+    supplier_staged_ = supplier_dense_;
+    part_staged_ = part_dense_;
+  }
   guarded_fact_.reset();
-  guarded_date_.reset();
-  guarded_customer_.reset();
-  guarded_supplier_.reset();
-  guarded_part_.reset();
   if (guarded) {
-    PmemSpace* space = config_.fault->space;
-    FaultInjector* injector = config_.fault->injector;
-    if (space == nullptr || injector == nullptr) {
-      return Status::InvalidArgument(
-          "fault domain needs a space and an injector");
-    }
-    auto guard_dimension = [&](std::vector<uint64_t> payloads) {
-      return GuardedDimension::Create(space, injector, std::move(payloads),
-                                      config_.media);
-    };
-    std::vector<uint64_t> payloads;
-    payloads.reserve(db_->date.size());
-    for (const ssb::DateRow& d : db_->date) {
-      payloads.push_back(EncodeDate(d));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_date_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->customer.size());
-    for (const ssb::CustomerRow& c : db_->customer) {
-      payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_customer_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->supplier.size());
-    for (const ssb::SupplierRow& s : db_->supplier) {
-      payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_supplier_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->part.size());
-    for (const ssb::PartRow& p : db_->part) {
-      payloads.push_back(EncodePart(p));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_part_,
-                              guard_dimension(std::move(payloads)));
     // The fact table's byte image, striped and CRC-chunked; db_ stays the
     // repair source (the stand-in for reloading from primary storage).
     PMEMOLAP_ASSIGN_OR_RETURN(
@@ -260,53 +238,13 @@ Status SsbEngine::Prepare() {
     }
     partitions_ = {std::move(all)};
   }
-  // Host-execution structures: the columnar projection + dense date map
-  // for the vectorized kernels (fault mode always reads through the
-  // guarded scalar path), and the persistent work-stealing pool. The
-  // encoded store is built even when `vectorized` is off: modeled scan
-  // pricing must be a function of the config alone, identical across all
-  // executor modes, so the scalar path prices encoded scans too.
+  // The column store backs the kernels unless a row image (durable or
+  // fault mode) holds the fact rows.
+  columns_ = ssb::ColumnStore();
   encoded_ = ssb::EncodedColumnStore();
-  if ((config_.vectorized || config_.encoding) && !guarded &&
-      config_.durable == nullptr) {
+  if (!guarded && config_.durable == nullptr) {
     columns_ = ssb::ColumnStore(db_->lineorder);
     if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
-    date_dense_.Build(db_->date);
-    std::vector<int32_t> keys;
-    std::vector<uint64_t> payloads;
-    auto reset = [&](size_t n) {
-      keys.clear();
-      payloads.clear();
-      keys.reserve(n);
-      payloads.reserve(n);
-    };
-    reset(db_->customer.size());
-    for (const ssb::CustomerRow& c : db_->customer) {
-      keys.push_back(c.custkey);
-      payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
-    }
-    customer_dense_.Build(keys, payloads);
-    reset(db_->supplier.size());
-    for (const ssb::SupplierRow& s : db_->supplier) {
-      keys.push_back(s.suppkey);
-      payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
-    }
-    supplier_dense_.Build(keys, payloads);
-    reset(db_->part.size());
-    for (const ssb::PartRow& p : db_->part) {
-      keys.push_back(p.partkey);
-      payloads.push_back(EncodePart(p));
-    }
-    part_dense_.Build(keys, payloads);
-    if (config_.governor != nullptr) {
-      // Payload-identical DRAM replicas for the staging actuator: probing
-      // a staged copy returns the same values as the base map, so results
-      // never depend on the governor's staging state.
-      date_staged_ = date_dense_;
-      customer_staged_ = customer_dense_;
-      supplier_staged_ = supplier_dense_;
-      part_staged_ = part_dense_;
-    }
   }
   pool_.reset();
   if (config_.parallel_execution &&
@@ -319,213 +257,6 @@ Status SsbEngine::Prepare() {
         static_cast<int>(partitions_.size()));
   }
   prepared_ = true;
-  return Status::OK();
-}
-
-Status SsbEngine::ExecuteRange(QueryId query, int socket,
-                               const TupleRange& range,
-                               uint64_t snapshot_epoch, ssb::QueryOutput* out,
-                               ProbeCounters* probes, uint64_t* qualifying,
-                               const CancelCheck& cancel) const {
-  const bool guarded = guarded_fact_ != nullptr;
-  const bool durable = config_.durable != nullptr;
-  // Probe lambdas stay infallible for the 13-query switch below; a fault
-  // that survives failover and repair is parked in `fault_status` and
-  // aborts the range at the end of the row.
-  Status fault_status = Status::OK();
-  auto lookup = [&](const ReplicatedIndex& index, GuardedDimension* dim,
-                    int32_t key) -> uint64_t {
-    uint64_t value = *index.Near(socket).Get(static_cast<uint64_t>(key));
-    if (dim == nullptr) return value;
-    Result<uint64_t> payload = dim->Payload(socket, value);
-    if (!payload.ok()) {
-      if (fault_status.ok()) fault_status = payload.status();
-      return 0;
-    }
-    return payload.value();
-  };
-  auto probe_date = [&](int32_t datekey) {
-    ++probes->date;
-    return DecodeDate(lookup(date_index_, guarded_date_.get(), datekey));
-  };
-  auto probe_customer = [&](int32_t custkey) {
-    ++probes->customer;
-    return DecodeGeo(
-        lookup(customer_index_, guarded_customer_.get(), custkey));
-  };
-  auto probe_supplier = [&](int32_t suppkey) {
-    ++probes->supplier;
-    return DecodeGeo(
-        lookup(supplier_index_, guarded_supplier_.get(), suppkey));
-  };
-  auto probe_part = [&](int32_t partkey) {
-    ++probes->part;
-    return DecodePart(lookup(part_index_, guarded_part_.get(), partkey));
-  };
-
-  ssb::LineorderRow scratch{};
-  for (uint64_t i = range.begin; i < range.end; ++i) {
-    if (guarded) {
-      // The row comes off the guarded PMEM image — retried, scrubbed or
-      // repaired as needed — not out of the in-DRAM source vector.
-      PMEMOLAP_RETURN_NOT_OK(guarded_fact_->Read(
-          i * sizeof(ssb::LineorderRow), sizeof(ssb::LineorderRow),
-          reinterpret_cast<std::byte*>(&scratch), cancel));
-    } else if (durable) {
-      // Durable mode: the row is served from the pinned committed
-      // snapshot — ranges were clamped to it, so the read cannot run
-      // past the epoch's bytes even while ingest keeps committing.
-      PMEMOLAP_RETURN_NOT_OK(config_.durable->ReadSnapshot(
-          snapshot_epoch, i * sizeof(ssb::LineorderRow),
-          sizeof(ssb::LineorderRow),
-          reinterpret_cast<std::byte*>(&scratch)));
-    }
-    const ssb::LineorderRow& lo =
-        guarded || durable ? scratch : db_->lineorder[i];
-    switch (query) {
-      // --- Flight 1: cheap tuple filters first, then one date probe --------
-      case QueryId::kQ1_1: {
-        out->scalar = true;
-        if (lo.discount < 1 || lo.discount > 3 || lo.quantity >= 25) break;
-        if (probe_date(lo.orderdate).year != 1993) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ1_2: {
-        out->scalar = true;
-        if (lo.discount < 4 || lo.discount > 6 || lo.quantity < 26 ||
-            lo.quantity > 35) {
-          break;
-        }
-        if (probe_date(lo.orderdate).yearmonthnum != 199401) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ1_3: {
-        out->scalar = true;
-        if (lo.discount < 5 || lo.discount > 7 || lo.quantity < 26 ||
-            lo.quantity > 35) {
-          break;
-        }
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.week != 6 || d.year != 1994) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 2: part (most selective) -> supplier -> date -------------
-      case QueryId::kQ2_1:
-      case QueryId::kQ2_2:
-      case QueryId::kQ2_3: {
-        PartAttrs p = probe_part(lo.partkey);
-        bool part_ok = query == QueryId::kQ2_1
-                           ? p.category_id == 12
-                           : (query == QueryId::kQ2_2
-                                  ? p.brand_id >= 2221 && p.brand_id <= 2228
-                                  : p.brand_id == 2239);
-        if (!part_ok) break;
-        int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
-                            : query == QueryId::kQ2_2 ? kRegionAsia
-                                                      : kRegionEurope;
-        if (probe_supplier(lo.suppkey).region != wanted_region) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        out->groups[{d.year, p.brand_id, 0}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 3: customer -> supplier -> date --------------------------
-      case QueryId::kQ3_1: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAsia) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAsia) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year < 1992 || d.year > 1997) break;
-        out->groups[{c.nation, s.nation, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ3_2: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.nation != kUnitedStates) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.nation != kUnitedStates) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year < 1992 || d.year > 1997) break;
-        out->groups[{c.city_id, s.city_id, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ3_3:
-      case QueryId::kQ3_4: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.city_id != ssb::CityId(kUnitedKingdom, 1) &&
-            c.city_id != ssb::CityId(kUnitedKingdom, 5)) {
-          break;
-        }
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.city_id != ssb::CityId(kUnitedKingdom, 1) &&
-            s.city_id != ssb::CityId(kUnitedKingdom, 5)) {
-          break;
-        }
-        DateAttrs d = probe_date(lo.orderdate);
-        if (query == QueryId::kQ3_3) {
-          if (d.year < 1992 || d.year > 1997) break;
-        } else if (d.yearmonthnum != 199712) {
-          break;
-        }
-        out->groups[{c.city_id, s.city_id, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 4: profit across all dimensions --------------------------
-      case QueryId::kQ4_1: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAmerica) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAmerica) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.mfgr != 1 && p.mfgr != 2) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        out->groups[{d.year, c.nation, 0}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ4_2: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAmerica) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAmerica) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.mfgr != 1 && p.mfgr != 2) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year != 1997 && d.year != 1998) break;
-        out->groups[{d.year, s.nation, p.category_id}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ4_3: {
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.nation != kUnitedStates) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.category_id != 14) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year != 1997 && d.year != 1998) break;
-        out->groups[{d.year, s.city_id, p.brand_id}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-    }
-    PMEMOLAP_RETURN_NOT_OK(fault_status);
-  }
   return Status::OK();
 }
 
@@ -746,7 +477,7 @@ void SsbEngine::RecordSocketTraffic(
 }
 
 Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
-                                   const TupleRange& range, bool vectorized,
+                                   const TupleRange& range,
                                    uint64_t snapshot_epoch,
                                    const governor::GovernorDecision* decision,
                                    WorkerState* state,
@@ -754,12 +485,6 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   if (state->probes.size() < partitions_.size()) {
     state->probes.resize(partitions_.size());
     state->qualifying.resize(partitions_.size(), 0);
-  }
-  const SocketPartition& partition = partitions_[slot];
-  if (!vectorized) {
-    return ExecuteRange(query, partition.socket, range, snapshot_epoch,
-                        &state->output, &state->probes[slot],
-                        &state->qualifying[slot], cancel);
   }
   // Staged dimensions probe the DRAM replica; the payloads are identical
   // copies, so eviction (falling back to the base map) cannot change any
@@ -783,10 +508,34 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   ctx.part = decision != nullptr && decision->IsStaged("part")
                  ? &part_staged_
                  : &part_dense_;
+  // Fault mode reads payloads from the replicas near the slot's socket.
+  GuardedDims guarded;
+  if (guarded_fact_ != nullptr) {
+    guarded.date = guarded_date_.get();
+    guarded.customer = guarded_customer_.get();
+    guarded.supplier = guarded_supplier_.get();
+    guarded.part = guarded_part_.get();
+    guarded.socket = partitions_[slot].socket;
+    ctx.guarded = &guarded;
+  }
   KernelCounters counters;
-  ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
-                      &state->groups, &state->scalar_sum, &state->scalar,
-                      &counters);
+  if (guarded_fact_ == nullptr && config_.durable == nullptr) {
+    ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
+                        &state->groups, &state->scalar_sum, &state->scalar,
+                        &counters);
+  } else {
+    for (uint64_t begin = range.begin; begin < range.end;
+         begin += kRowBlockTuples) {
+      const uint64_t end = std::min(range.end, begin + kRowBlockTuples);
+      PMEMOLAP_RETURN_NOT_OK(
+          ReadRows(begin, end, snapshot_epoch, cancel, &state->rows));
+      ctx.rows = state->rows.data();
+      ExecuteMorselKernel(query, ctx, begin, end, &state->scratch,
+                          &state->groups, &state->scalar_sum, &state->scalar,
+                          &counters);
+      PMEMOLAP_RETURN_NOT_OK(guarded.status);
+    }
+  }
   ProbeCounters& probes = state->probes[slot];
   probes.date += counters.date_probes;
   probes.customer += counters.customer_probes;
@@ -796,12 +545,32 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   return Status::OK();
 }
 
-ssb::QueryOutput SsbEngine::DrainWorkerOutput(WorkerState* state) {
-  ssb::QueryOutput out = std::move(state->output);
-  if (state->scalar) {
-    out.scalar = true;
-    out.value += state->scalar_sum;
+Status SsbEngine::ReadRows(uint64_t begin, uint64_t end,
+                           uint64_t snapshot_epoch, const CancelCheck& cancel,
+                           std::vector<ssb::LineorderRow>* rows) const {
+  constexpr uint64_t kRowBytes = sizeof(ssb::LineorderRow);
+  rows->resize(end - begin);
+  std::byte* dst = reinterpret_cast<std::byte*>(rows->data());
+  if (guarded_fact_ == nullptr) {
+    // Durable mode: the block is served from the pinned committed
+    // snapshot — ranges were clamped to it, so the read cannot run past
+    // the epoch's bytes even while ingest keeps committing.
+    return config_.durable->ReadSnapshot(snapshot_epoch, begin * kRowBytes,
+                                         (end - begin) * kRowBytes, dst);
   }
+  // Fault mode: each row comes off the guarded PMEM image — retried,
+  // scrubbed or repaired as needed — one read per tuple.
+  for (uint64_t i = begin; i < end; ++i) {
+    PMEMOLAP_RETURN_NOT_OK(guarded_fact_->Read(
+        i * kRowBytes, kRowBytes, dst + (i - begin) * kRowBytes, cancel));
+  }
+  return Status::OK();
+}
+
+ssb::QueryOutput SsbEngine::DrainWorkerOutput(WorkerState* state) {
+  ssb::QueryOutput out;
+  out.scalar = state->scalar;
+  out.value = state->scalar_sum;
   state->groups.MergeInto(&out.groups);
   return out;
 }
@@ -813,6 +582,7 @@ Result<uint64_t> SsbEngine::Ingest(const ssb::LineorderRow* rows,
         "Ingest requires a durable table (EngineConfig::durable)");
   }
   if (count == 0) return Status::InvalidArgument("empty ingest batch");
+  PMEMOLAP_RETURN_NOT_OK(ssb::CheckForeignKeys(*db_, rows, count));
   PMEMOLAP_ASSIGN_OR_RETURN(
       uint64_t epoch,
       config_.durable->Append(reinterpret_cast<const std::byte*>(rows),
@@ -946,7 +716,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       1, config_.threads / std::max<int>(1, static_cast<int>(
                                                 partitions_.size())));
 
-  const bool guarded = guarded_fact_ != nullptr;
   const bool durable = config_.durable != nullptr;
   // Durable mode pins the snapshot once, post-admission: however many
   // epochs commit while the query runs, every range reads the same
@@ -971,7 +740,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     return TupleRange{std::clamp(range.begin, window_begin, window_end),
                       std::clamp(range.end, window_begin, window_end)};
   };
-  const bool vectorized = config_.vectorized && !guarded && !durable;
   const ExecutorKind executor = config_.parallel_execution
                                     ? config_.executor
                                     : ExecutorKind::kSerial;
@@ -1060,61 +828,14 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
           }
           return ExecuteRangeInto(
               query, slot_of_socket[static_cast<size_t>(morsel.socket)],
-              {morsel.begin, morsel.end}, vectorized, snapshot_epoch,
-              decision_ptr, &states[static_cast<size_t>(worker)],
-              cancel_check);
+              {morsel.begin, morsel.end}, snapshot_epoch, decision_ptr,
+              &states[static_cast<size_t>(worker)], cancel_check);
         },
         control);
     progress.units_executed = stats.executed;
     progress.units_stolen = stats.stolen;
     progress.units_dropped = stats.dropped;
     PMEMOLAP_RETURN_NOT_OK(pool_status);
-  } else if (executor == ExecutorKind::kStaticThreads) {
-    // The legacy path: one fresh std::thread per static worker range,
-    // joined per socket. Kept as the wall-clock baseline. Deadlines are
-    // checked between sockets (the coarsest cancellation granularity of
-    // the three executors — static ranges can't stop mid-socket).
-    progress.units_total = slots;
-    for (size_t slot = 0; slot < slots; ++slot) {
-      PMEMOLAP_RETURN_NOT_OK(token.Check());
-      const SocketPartition& partition = partitions_[slot];
-      if (tiered) {
-        const TupleRange touched = clamp_range(partition.tuples);
-        config_.tiering->Touch(touched.begin, touched.end);
-      }
-      const size_t workers = partition.worker_ranges.size();
-      if (workers <= 1) {
-        states.emplace_back();
-        PMEMOLAP_RETURN_NOT_OK(
-            ExecuteRangeInto(query, slot, clamp_range(partition.tuples),
-                             vectorized, snapshot_epoch, decision_ptr,
-                             &states.back(), cancel_check));
-        ++progress.units_executed;
-        continue;
-      }
-      const size_t base = states.size();
-      states.resize(base + workers);
-      std::vector<Status> statuses(workers);
-      // lint:allow(raw-thread): kStaticThreads IS the legacy
-      // spawn-per-query baseline the pool is benchmarked against; it
-      // must not route through WorkStealingPool.
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        threads.emplace_back([&, slot, w, base] {
-          statuses[w] = ExecuteRangeInto(
-              query, slot, clamp_range(partitions_[slot].worker_ranges[w]),
-              vectorized, snapshot_epoch, decision_ptr, &states[base + w],
-              cancel_check);
-        });
-      }
-      // lint:allow(raw-thread): join of the baseline executor above.
-      for (std::thread& thread : threads) thread.join();
-      for (const Status& status : statuses) {
-        PMEMOLAP_RETURN_NOT_OK(status);
-      }
-      ++progress.units_executed;
-    }
   } else {
     // Serial: one socket range at a time, deadline checked between them.
     progress.units_total = slots;
@@ -1123,9 +844,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       PMEMOLAP_RETURN_NOT_OK(token.Check());
       const TupleRange range = clamp_range(partitions_[slot].tuples);
       if (tiered) config_.tiering->Touch(range.begin, range.end);
-      PMEMOLAP_RETURN_NOT_OK(
-          ExecuteRangeInto(query, slot, range, vectorized, snapshot_epoch,
-                           decision_ptr, &states[0], cancel_check));
+      PMEMOLAP_RETURN_NOT_OK(ExecuteRangeInto(query, slot, range,
+                                              snapshot_epoch, decision_ptr,
+                                              &states[0], cancel_check));
       ++progress.units_executed;
     }
   }

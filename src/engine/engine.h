@@ -56,9 +56,6 @@ const char* EngineModeName(EngineMode mode);
 enum class ExecutorKind {
   /// No threads: each socket's range executes inline.
   kSerial,
-  /// The legacy path: one fresh std::thread per static worker range,
-  /// spawned and joined per query.
-  kStaticThreads,
   /// The persistent work-stealing pool with per-socket run queues and
   /// morsel-granular dispatch.
   kMorselStealing,
@@ -92,27 +89,24 @@ struct EngineConfig {
   double project_to_sf = 0.0;
   /// The handcrafted SSB runs on fsdax (Dash needs a filesystem, §6.2).
   bool devdax = false;
-  /// Execute worker ranges on real host threads. The modeled runtime is
-  /// unaffected; this exercises the engine's concurrency (thread-safe
-  /// probes, disjoint ranges, result merging). False forces kSerial.
+  /// Execute morsels on the persistent pool's host threads. The modeled
+  /// runtime is unaffected; this exercises the engine's concurrency
+  /// (thread-safe probes, disjoint ranges, result merging). False forces
+  /// kSerial.
   bool parallel_execution = true;
   /// Host execution strategy when parallel_execution is on.
   ExecutorKind executor = ExecutorKind::kMorselStealing;
-  /// Use the vectorized columnar kernels (selection vectors, batched
-  /// probes, flat per-worker aggregation) instead of the row-at-a-time
-  /// interpreter. Fault mode always takes the scalar guarded read path.
-  bool vectorized = true;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
-  /// whichever is smallest — at Prepare; the vectorized kernels
-  /// block-decode frames on scan (flight-1 predicates run against the
-  /// encoded frames directly) and fact-scan traffic is priced at the
-  /// per-column *encoded* byte widths, so modeled seconds drop by the
-  /// bytes the encodings save. Requires `columnar` (encoded pricing is a
+  /// whichever is smallest — at Prepare; the kernels block-decode frames
+  /// on scan (flight-1 predicates run against the encoded frames
+  /// directly) and fact-scan traffic is priced at the per-column
+  /// *encoded* byte widths, so modeled seconds drop by the bytes the
+  /// encodings save. Requires `columnar` (encoded pricing is a
   /// column-width refinement); incompatible with fault/durable modes
-  /// (both read the guarded/durable row image). Results are bit-identical
-  /// to the raw path in every executor mode; off reproduces today's
-  /// modeled seconds exactly.
+  /// (both read a row image instead of the column store). Results are
+  /// bit-identical to the raw path in every executor mode; off
+  /// reproduces today's modeled seconds exactly.
   bool encoding = false;
   /// Tuples per morsel for the work-stealing executor (0 = default).
   uint64_t morsel_tuples = kDefaultMorselTuples;
@@ -149,8 +143,8 @@ struct EngineConfig {
   /// standing ingest write traffic joins the query's background classes —
   /// so log writes show up at the governor's write knee. Queries scan
   /// only committed rows: a crash mid-epoch can never surface torn data
-  /// to a reader. Mutually exclusive with `fault` guarded mode; forces
-  /// the scalar path. Must outlive the engine.
+  /// to a reader. Mutually exclusive with `fault` guarded mode. Must
+  /// outlive the engine.
   DurableTable* durable = nullptr;
   /// Non-null enables three-tier DRAM↔PMEM↔SSD placement of the fact
   /// table (larger-than-memory mode): Prepare attaches the manager's
@@ -203,9 +197,12 @@ class SsbEngine {
 
   /// Durable mode: appends `count` rows as one crash-consistent ingest
   /// epoch and returns the committed epoch id. The rows become visible to
-  /// queries whose snapshot is at or past that epoch. For results to stay
-  /// validatable against the reference executor, ingest must follow
-  /// db->lineorder prefix order (epoch k extends the ingested prefix).
+  /// queries whose snapshot is at or past that epoch. A row whose
+  /// orderdate, custkey, suppkey or partkey matches no dimension row
+  /// fails the batch with InvalidArgument before anything is logged. For
+  /// results to stay validatable against the reference executor, ingest
+  /// must follow db->lineorder prefix order (epoch k extends the ingested
+  /// prefix).
   Result<uint64_t> Ingest(const ssb::LineorderRow* rows, uint64_t count);
 
   /// Durable mode: runs crash recovery over the redo log. While recovery
@@ -235,45 +232,47 @@ class SsbEngine {
     uint64_t total() const { return date + customer + supplier + part; }
   };
 
-  /// Runs the query over one contiguous tuple range (probing `socket`'s
-  /// index replicas), accumulating results and probe counts. In fault
-  /// mode rows and dimension payloads come through the guarded read path
-  /// and an unrecoverable fault surfaces as the returned Status. In
-  /// durable mode rows come out of the DurableTable's pinned
-  /// `snapshot_epoch` (ignored otherwise).
-  Status ExecuteRange(ssb::QueryId query, int socket,
-                      const TupleRange& range, uint64_t snapshot_epoch,
-                      ssb::QueryOutput* out, ProbeCounters* probes,
-                      uint64_t* qualifying,
-                      const CancelCheck& cancel = CancelCheck()) const;
+  /// Row-image modes read and transpose the fact rows in blocks of this
+  /// many tuples, so no buffer grows with the range a worker executes.
+  static constexpr uint64_t kRowBlockTuples = 4096;
 
   /// Accumulator of one host worker. A worker may execute morsels of
   /// several sockets (stealing), so probe/qualifying counts are kept per
   /// partition slot — the per-socket traffic records stay deterministic
   /// under any steal schedule.
   struct WorkerState {
-    ssb::QueryOutput output;  ///< scalar-path partial result
-    AggTable groups;          ///< vectorized grouped sums
-    int64_t scalar_sum = 0;   ///< vectorized flight-1 sum
+    AggTable groups;         ///< grouped sums
+    int64_t scalar_sum = 0;  ///< flight-1 sum
     bool scalar = false;
     std::vector<ProbeCounters> probes;  ///< per partition slot
     std::vector<uint64_t> qualifying;   ///< per partition slot
     KernelScratch scratch;
+    /// One block of fact rows read from the row image (durable, fault).
+    std::vector<ssb::LineorderRow> rows;
   };
 
-  /// Executes tuples [range) of partition slot `slot` into `state`,
-  /// through the vectorized kernels or the scalar (guarded-capable) path.
-  /// A non-null `decision` routes probes of governor-staged dimensions to
-  /// the DRAM replicas (identical payloads: results are bit-identical).
+  /// Executes tuples [range) of partition slot `slot` into `state`
+  /// through the kernels. Durable and fault modes read the range from the
+  /// row image in blocks of at most kRowBlockTuples; the first failed
+  /// fact or dimension read becomes the returned Status. A non-null
+  /// `decision` routes probes of governor-staged dimensions to the DRAM
+  /// replicas (identical payloads: results are bit-identical).
   Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
-                          const TupleRange& range, bool vectorized,
-                          uint64_t snapshot_epoch,
+                          const TupleRange& range, uint64_t snapshot_epoch,
                           const governor::GovernorDecision* decision,
                           WorkerState* state,
                           const CancelCheck& cancel = CancelCheck()) const;
 
+  /// Reads fact rows [begin, end) of the row image into `rows`: one
+  /// snapshot read at `snapshot_epoch` in durable mode; in fault mode one
+  /// GuardedTable::Read per row, in ascending order, each bound to
+  /// `cancel`.
+  Status ReadRows(uint64_t begin, uint64_t end, uint64_t snapshot_epoch,
+                  const CancelCheck& cancel,
+                  std::vector<ssb::LineorderRow>* rows) const;
+
   /// The partial QueryOutput a worker contributed (merges the flat agg
-  /// table into the ordered map for the vectorized path).
+  /// table into the ordered map).
   static ssb::QueryOutput DrainWorkerOutput(WorkerState* state);
 
   /// Emits the traffic records for one socket's share of the work —
@@ -318,13 +317,14 @@ class SsbEngine {
   ReplicatedIndex supplier_index_;
   ReplicatedIndex part_index_;
   std::vector<SocketPartition> partitions_;
-  /// Columnar projection + dense dimension maps for the vectorized
-  /// kernels (built in Prepare unless running in fault mode).
+  /// Columnar projection of the fact table for the kernels (built in
+  /// Prepare unless a row image — durable or fault mode — holds the rows).
   ssb::ColumnStore columns_;
   /// Compressed view of columns_ (EngineConfig::encoding): scheme picked
-  /// per column at Prepare. Built in every executor mode so encoded scan
-  /// pricing is identical whether or not the kernels actually decode.
+  /// per column at Prepare.
   ssb::EncodedColumnStore encoded_;
+  /// Key -> payload maps the kernels probe; in fault mode key -> position
+  /// in the guarded payload stores below.
   DenseDimMap date_dense_;
   DenseDimMap customer_dense_;
   DenseDimMap supplier_dense_;
@@ -341,8 +341,7 @@ class SsbEngine {
   /// spawned once in Prepare, reused by every Execute.
   std::unique_ptr<WorkStealingPool> pool_;
   // Fault mode: the fact byte image lives in a CRC-guarded striped table
-  // and the indexes map keys to dense positions into these guarded
-  // payload arrays (instead of holding the payloads inline).
+  // and the dimension payloads in guarded per-socket replicas.
   std::unique_ptr<GuardedTable> guarded_fact_;
   std::unique_ptr<GuardedDimension> guarded_date_;
   std::unique_ptr<GuardedDimension> guarded_customer_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "fault/guarded_table.h"
+
 namespace pmemolap {
 
 namespace {
@@ -41,19 +43,68 @@ const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
   return columns.orderdate();
 }
 
+/// The row field behind each lineorder column, in LineorderColumn order.
+constexpr int32_t ssb::LineorderRow::*kRowFields[ssb::kNumLineorderColumns] = {
+    &ssb::LineorderRow::orderdate,     &ssb::LineorderRow::custkey,
+    &ssb::LineorderRow::partkey,       &ssb::LineorderRow::suppkey,
+    &ssb::LineorderRow::quantity,      &ssb::LineorderRow::discount,
+    &ssb::LineorderRow::extendedprice, &ssb::LineorderRow::revenue,
+    &ssb::LineorderRow::supplycost,
+};
+
 /// The morsel's view of one column: a zero-copy slice of the raw vector,
-/// or (encoded path) a block decode of [begin, end) into the scratch
-/// buffer for that column — the vectorized decode-on-scan step.
+/// or a fill of [begin, end) into the scratch buffer for that column —
+/// a block decode (encoded path) or a transposition of the morsel's rows
+/// (row-image path).
 ColumnSlice SliceFor(const KernelContext& ctx, LineorderColumn column,
                      uint64_t begin, uint64_t end, KernelScratch* s) {
-  if (ctx.encoded == nullptr) {
+  if (ctx.encoded == nullptr && ctx.rows == nullptr) {
     return ColumnSlice{RawColumn(*ctx.columns, column).data(), 0};
   }
   std::vector<int32_t>& buffer = s->decoded[static_cast<size_t>(column)];
   buffer.resize(end - begin);
-  ctx.encoded->column(column).Decode(begin, end, buffer.data());
+  if (ctx.rows != nullptr) {
+    int32_t ssb::LineorderRow::*field =
+        kRowFields[static_cast<size_t>(column)];
+    for (uint64_t i = 0; i < end - begin; ++i) {
+      buffer[i] = ctx.rows[i].*field;
+    }
+  } else {
+    ctx.encoded->column(column).Decode(begin, end, buffer.data());
+  }
   return ColumnSlice{buffer.data(), begin};
 }
+
+/// A probe in the plain and durable modes: one dense payload load.
+struct DenseLookup {
+  const DenseDimMap* map;
+  uint64_t operator()(int32_t key) const { return map->Lookup(key); }
+};
+
+/// A probe in fault mode: the dense map gives the key's position, the
+/// payload comes through the guarded replicas (GuardedDims).
+struct GuardedLookup {
+  const DenseDimMap* map;
+  GuardedDimension* dim;
+  GuardedDims* sink;
+  uint64_t operator()(int32_t key) const {
+    Result<uint64_t> payload = dim->Payload(sink->socket, map->Lookup(key));
+    if (payload.ok()) return payload.value();
+    if (sink->status.ok()) sink->status = payload.status();
+    return 0;
+  }
+};
+
+/// The four dimension probes of one morsel. The flights are templates
+/// over the lookup, so the plain hot loops inline a dense load and only
+/// fault mode pays for the guarded read.
+template <typename Lookup>
+struct Dims {
+  Lookup date;
+  Lookup customer;
+  Lookup supplier;
+  Lookup part;
+};
 
 /// Loads sel with every tuple of the morsel (stage-1 "probe all rows").
 void SelectAll(uint64_t begin, uint64_t end, KernelScratch* s) {
@@ -61,15 +112,16 @@ void SelectAll(uint64_t begin, uint64_t end, KernelScratch* s) {
   for (uint64_t i = begin; i < end; ++i) s->sel[i - begin] = i;
 }
 
-/// Gathers `col` at the sel positions through the dense dimension map,
+/// Gathers `col` at the sel positions through the dimension lookup,
 /// leaving payloads aligned with sel. Counts |sel| probes into `count`.
-void ProbeSelected(const DenseDimMap& dim, ColumnSlice col,
-                   KernelScratch* s, uint64_t* count) {
+template <typename Lookup>
+void ProbeSelected(Lookup dim, ColumnSlice col, KernelScratch* s,
+                   uint64_t* count) {
   const size_t n = s->sel.size();
   *count += n;
   s->payloads.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    s->payloads[i] = dim.Lookup(col[s->sel[i]]);
+    s->payloads[i] = dim(col[s->sel[i]]);
   }
 }
 
@@ -101,15 +153,14 @@ constexpr auto kNoCarry = [](uint64_t) { return 0; };
 
 /// Final stage of the join flights: dense date lookup per survivor,
 /// year filter, group-aggregate update.
-template <typename Keep, typename Key, typename Value>
-void DateAggregate(const KernelContext& ctx, ColumnSlice orderdate,
-                   KernelScratch* s, AggTable* groups,
-                   KernelCounters* counters, Keep keep, Key key,
-                   Value value) {
+template <typename Lookup, typename Keep, typename Key, typename Value>
+void DateAggregate(Lookup date, ColumnSlice orderdate, KernelScratch* s,
+                   AggTable* groups, KernelCounters* counters, Keep keep,
+                   Key key, Value value) {
   counters->date_probes += s->sel.size();
   for (size_t i = 0; i < s->sel.size(); ++i) {
     const uint64_t idx = s->sel[i];
-    const DateAttrs d = DecodeDate(ctx.date->Lookup(orderdate[idx]));
+    const DateAttrs d = DecodeDate(date(orderdate[idx]));
     if (!keep(d)) continue;
     groups->Add(key(d, i), value(idx));
     ++counters->qualifying;
@@ -133,19 +184,19 @@ Flight1Predicate Flight1PredicateOf(QueryId query) {
   }
 }
 
-/// Flight-1 date filter + sum over the final selection, shared by the raw
-/// and encoded paths. `orderdate_at`/`price_at`/`discount_at` map a sel
-/// position to the tuple's attribute values.
-template <typename Date, typename Price, typename Discount>
-void Flight1Aggregate(QueryId query, const KernelContext& ctx,
-                      KernelScratch* s, int64_t* scalar_sum,
-                      KernelCounters* counters, Date orderdate_at,
-                      Price price_at, Discount discount_at) {
+/// Flight-1 date filter + sum over the final selection, shared by every
+/// fact image. `orderdate_at`/`price_at`/`discount_at` map a sel position
+/// to the tuple's attribute values.
+template <typename Lookup, typename Date, typename Price, typename Discount>
+void Flight1Aggregate(QueryId query, Lookup date, KernelScratch* s,
+                      int64_t* scalar_sum, KernelCounters* counters,
+                      Date orderdate_at, Price price_at,
+                      Discount discount_at) {
   counters->date_probes += s->sel.size();
   int64_t sum = 0;
   uint64_t qualifying = 0;
   for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t payload = ctx.date->Lookup(orderdate_at(i));
+    const uint64_t payload = date(orderdate_at(i));
     bool keep;
     if (query == QueryId::kQ1_1) {
       keep = (payload >> 40) == 1993;
@@ -169,9 +220,10 @@ void Flight1Aggregate(QueryId query, const KernelContext& ctx,
 /// refinement and the aggregate inputs come through frame-cached gathers
 /// at the surviving positions. Selection order and counts match the raw
 /// loop exactly.
-void Flight1Encoded(QueryId query, const KernelContext& ctx, uint64_t begin,
-                    uint64_t end, KernelScratch* s, int64_t* scalar_sum,
-                    KernelCounters* counters) {
+template <typename Lookup>
+void Flight1Encoded(QueryId query, const KernelContext& ctx, Lookup date,
+                    uint64_t begin, uint64_t end, KernelScratch* s,
+                    int64_t* scalar_sum, KernelCounters* counters) {
   const ssb::EncodedColumnStore& enc = *ctx.encoded;
   const Flight1Predicate pred = Flight1PredicateOf(query);
 
@@ -193,24 +245,19 @@ void Flight1Encoded(QueryId query, const KernelContext& ctx, uint64_t begin,
       .GatherInto(s->sel, &s->attr_b);
   enc.column(LineorderColumn::kDiscount).GatherInto(s->sel, &s->attr_c);
   Flight1Aggregate(
-      query, ctx, s, scalar_sum, counters,
+      query, date, s, scalar_sum, counters,
       [&](size_t i) { return s->attr_a[i]; },
       [&](size_t i) { return s->attr_b[i]; },
       [&](size_t i) { return s->attr_c[i]; });
 }
 
-void Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, int64_t* scalar_sum,
-             KernelCounters* counters) {
-  if (ctx.encoded != nullptr) {
-    Flight1Encoded(query, ctx, begin, end, s, scalar_sum, counters);
-    return;
-  }
-  const std::vector<int32_t>& discount = ctx.columns->discount();
-  const std::vector<int32_t>& quantity = ctx.columns->quantity();
-  const std::vector<int32_t>& orderdate = ctx.columns->orderdate();
-  const std::vector<int32_t>& price = ctx.columns->extendedprice();
-
+/// Flight-1 filter + sum over one column image: raw column pointers, or
+/// ColumnSlices of a row image's transposed buffers.
+template <typename Col, typename Lookup>
+void Flight1Columns(QueryId query, Lookup date, Col discount, Col quantity,
+                    Col orderdate, Col price, uint64_t begin, uint64_t end,
+                    KernelScratch* s, int64_t* scalar_sum,
+                    KernelCounters* counters) {
   s->sel.clear();
   switch (query) {
     case QueryId::kQ1_1:
@@ -239,14 +286,41 @@ void Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
   }
 
   Flight1Aggregate(
-      query, ctx, s, scalar_sum, counters,
+      query, date, s, scalar_sum, counters,
       [&](size_t i) { return orderdate[s->sel[i]]; },
       [&](size_t i) { return price[s->sel[i]]; },
       [&](size_t i) { return discount[s->sel[i]]; });
 }
 
-void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
+template <typename Lookup>
+void Flight1(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
+             uint64_t begin, uint64_t end, KernelScratch* s,
+             int64_t* scalar_sum, KernelCounters* counters) {
+  if (ctx.encoded != nullptr) {
+    Flight1Encoded(query, ctx, dims.date, begin, end, s, scalar_sum,
+                   counters);
+    return;
+  }
+  if (ctx.rows != nullptr) {
+    Flight1Columns(query, dims.date,
+                   SliceFor(ctx, LineorderColumn::kDiscount, begin, end, s),
+                   SliceFor(ctx, LineorderColumn::kQuantity, begin, end, s),
+                   SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s),
+                   SliceFor(ctx, LineorderColumn::kExtendedprice, begin, end,
+                            s),
+                   begin, end, s, scalar_sum, counters);
+    return;
+  }
+  const ssb::ColumnStore& columns = *ctx.columns;
+  Flight1Columns(query, dims.date, columns.discount().data(),
+                 columns.quantity().data(), columns.orderdate().data(),
+                 columns.extendedprice().data(), begin, end, s, scalar_sum,
+                 counters);
+}
+
+template <typename Lookup>
+void Flight2(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
+             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
              KernelCounters* counters) {
   const ColumnSlice partkey =
       SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
@@ -257,7 +331,7 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
   const ColumnSlice revenue =
       SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
   SelectAll(begin, end, s);
-  ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+  ProbeSelected(dims.part, partkey, s, &counters->part_probes);
   auto brand = [](uint64_t payload) {
     return DecodePart(payload).brand_id;
   };
@@ -281,13 +355,13 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
   const int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
                             : query == QueryId::kQ2_2 ? kRegionAsia
                                                       : kRegionEurope;
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
   CompactStage(s, &s->attr_a, nullptr,
                [&](uint64_t p) { return DecodeGeo(p).region == wanted_region; },
                kNoCarry);
 
   DateAggregate(
-      ctx, orderdate, s, groups, counters,
+      dims.date, orderdate, s, groups, counters,
       [](const DateAttrs&) { return true; },
       [&](const DateAttrs& d, size_t i) {
         return ssb::GroupKey{d.year, s->attr_a[i], 0};
@@ -295,8 +369,9 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
       [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
 }
 
-void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
+template <typename Lookup>
+void Flight3(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
+             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
              KernelCounters* counters) {
   const ColumnSlice custkey =
       SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
@@ -307,7 +382,7 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
   const ColumnSlice revenue =
       SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
   SelectAll(begin, end, s);
-  ProbeSelected(*ctx.customer, custkey, s, &counters->customer_probes);
+  ProbeSelected(dims.customer, custkey, s, &counters->customer_probes);
   auto is_uk_city = [](int city_id) {
     return city_id == ssb::CityId(kUnitedKingdom, 1) ||
            city_id == ssb::CityId(kUnitedKingdom, 5);
@@ -328,7 +403,7 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
   }
 
   // Supplier stage: filter + carry the second grouping attribute.
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
   if (query == QueryId::kQ3_1) {
     CompactStage(s, &s->attr_a, &s->attr_b,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
@@ -348,15 +423,16 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
     return d.year >= 1992 && d.year <= 1997;
   };
   DateAggregate(
-      ctx, orderdate, s, groups, counters, keep_date,
+      dims.date, orderdate, s, groups, counters, keep_date,
       [&](const DateAttrs& d, size_t i) {
         return ssb::GroupKey{s->attr_a[i], s->attr_b[i], d.year};
       },
       [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
 }
 
-void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
+template <typename Lookup>
+void Flight4(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
+             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
              KernelCounters* counters) {
   const ColumnSlice suppkey =
       SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
@@ -375,16 +451,16 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
 
   if (query == QueryId::kQ4_3) {
     // supplier (nation, carry city) -> part (category, carry brand) -> date
-    ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+    ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
     CompactStage(s, nullptr, &s->attr_a,
                  [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
                  [](uint64_t p) { return DecodeGeo(p).city_id; });
-    ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+    ProbeSelected(dims.part, partkey, s, &counters->part_probes);
     CompactStage(s, &s->attr_a, &s->attr_b,
                  [](uint64_t p) { return DecodePart(p).category_id == 14; },
                  [](uint64_t p) { return DecodePart(p).brand_id; });
     DateAggregate(
-        ctx, orderdate, s, groups, counters,
+        dims.date, orderdate, s, groups, counters,
         [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
         [&](const DateAttrs& d, size_t i) {
           return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
@@ -396,7 +472,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
   // Q4.1 / Q4.2: customer -> supplier -> part -> date.
   const ColumnSlice custkey =
       SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  ProbeSelected(*ctx.customer, custkey, s, &counters->customer_probes);
+  ProbeSelected(dims.customer, custkey, s, &counters->customer_probes);
   if (query == QueryId::kQ4_1) {
     CompactStage(s, nullptr, &s->attr_a,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
@@ -407,7 +483,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  kNoCarry);
   }
 
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
   if (query == QueryId::kQ4_1) {
     CompactStage(s, &s->attr_a, nullptr,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
@@ -418,7 +494,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  [](uint64_t p) { return DecodeGeo(p).nation; });
   }
 
-  ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+  ProbeSelected(dims.part, partkey, s, &counters->part_probes);
   if (query == QueryId::kQ4_1) {
     CompactStage(s, &s->attr_a, nullptr,
                  [](uint64_t p) {
@@ -427,7 +503,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  },
                  kNoCarry);
     DateAggregate(
-        ctx, orderdate, s, groups, counters,
+        dims.date, orderdate, s, groups, counters,
         [](const DateAttrs&) { return true; },
         [&](const DateAttrs& d, size_t i) {
           return ssb::GroupKey{d.year, s->attr_a[i], 0};
@@ -441,12 +517,34 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  },
                  [](uint64_t p) { return DecodePart(p).category_id; });
     DateAggregate(
-        ctx, orderdate, s, groups, counters,
+        dims.date, orderdate, s, groups, counters,
         [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
         [&](const DateAttrs& d, size_t i) {
           return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
         },
         profit);
+  }
+}
+
+template <typename Lookup>
+void RunFlight(ssb::QueryId query, const KernelContext& ctx,
+               const Dims<Lookup>& dims, uint64_t begin, uint64_t end,
+               KernelScratch* scratch, AggTable* groups, int64_t* scalar_sum,
+               bool* scalar, KernelCounters* counters) {
+  switch (ssb::FlightOf(query)) {
+    case 1:
+      *scalar = true;
+      Flight1(query, ctx, dims, begin, end, scratch, scalar_sum, counters);
+      break;
+    case 2:
+      Flight2(query, ctx, dims, begin, end, scratch, groups, counters);
+      break;
+    case 3:
+      Flight3(query, ctx, dims, begin, end, scratch, groups, counters);
+      break;
+    default:
+      Flight4(query, ctx, dims, begin, end, scratch, groups, counters);
+      break;
   }
 }
 
@@ -490,21 +588,20 @@ void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
                          AggTable* groups, int64_t* scalar_sum, bool* scalar,
                          KernelCounters* counters) {
   if (begin >= end) return;
-  switch (ssb::FlightOf(query)) {
-    case 1:
-      *scalar = true;
-      Flight1(query, ctx, begin, end, scratch, scalar_sum, counters);
-      break;
-    case 2:
-      Flight2(query, ctx, begin, end, scratch, groups, counters);
-      break;
-    case 3:
-      Flight3(query, ctx, begin, end, scratch, groups, counters);
-      break;
-    default:
-      Flight4(query, ctx, begin, end, scratch, groups, counters);
-      break;
+  if (ctx.guarded == nullptr) {
+    const Dims<DenseLookup> dims{{ctx.date}, {ctx.customer}, {ctx.supplier},
+                                 {ctx.part}};
+    RunFlight(query, ctx, dims, begin, end, scratch, groups, scalar_sum,
+              scalar, counters);
+    return;
   }
+  GuardedDims* g = ctx.guarded;
+  const Dims<GuardedLookup> dims{{ctx.date, g->date, g},
+                                 {ctx.customer, g->customer, g},
+                                 {ctx.supplier, g->supplier, g},
+                                 {ctx.part, g->part, g}};
+  RunFlight(query, ctx, dims, begin, end, scratch, groups, scalar_sum, scalar,
+            counters);
 }
 
 }  // namespace pmemolap

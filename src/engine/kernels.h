@@ -1,33 +1,35 @@
-// Vectorized columnar kernels for the 13 SSB queries.
+// The vectorized SSB kernels: the engine's one implementation of the 13
+// queries, in every mode. A morsel executes in columnar stages:
 //
-// The scalar engine interprets one tuple at a time through a 13-way
-// switch, probing indexes row-by-row and aggregating into a std::map —
-// wall-clock goes to interpretation overhead, not memory bandwidth. These
-// kernels process a morsel in columnar stages instead:
-//
-//   1. selection-vector predicate evaluation over ssb::ColumnStore arrays
-//      (touches only the filtered columns, not the 128 B row);
-//   2. batched dimension-index probes (DimensionIndex::ProbeBatch — one
-//      probe-counter update per batch) with a dense-key fast path for the
-//      date dimension (datekeys span seven years, so a direct-indexed
-//      payload array replaces the hash probe entirely);
+//   1. selection-vector predicate evaluation over the morsel's columns
+//      (only the columns the flight touches, never the 128 B row);
+//   2. dimension probes through direct-indexed key maps (DenseDimMap —
+//      SSB keys are dense, so a payload array replaces the hash probe on
+//      the host; the Dash/chained indexes only price the probes);
 //   3. flat open-addressing aggregation (AggTable) per worker, merged
 //      once at the end of the query.
 //
-// The kernels mirror the scalar switch's short-circuit semantics exactly:
-// a dimension is probed only for tuples that survived the previous stage,
-// so outputs AND the per-dimension probe counts feeding the traffic model
-// are bit-identical to the scalar path.
+// A dimension is probed only for tuples that survived the previous
+// stage, and the per-dimension probe counts feeding the traffic model
+// follow that short-circuit order exactly: modeled seconds are a
+// function of the data and the config, not of how a morsel is cut.
 //
-// The dimension payload encodings (the uint64 values stored in the
-// indexes) live here so the scalar engine, the guarded fault path, and
-// the vectorized kernels share one definition.
+// The fact columns come from one of three images, chosen per morsel:
+// the raw ColumnStore (zero copy), the encoded store (block decode, and
+// flight-1 predicates on the encoded frames), or a row image the engine
+// read from a durable snapshot or guarded PMEM (transposed per column
+// into the same decode buffers). In fault mode every dimension payload
+// is read through its GuardedDimension.
+//
+// The dimension payload encodings (the uint64 values the dense maps and
+// guarded replicas hold) live here so every mode shares one definition.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/agg_table.h"
 #include "engine/dimension_index.h"
 #include "ssb/column_store.h"
@@ -36,6 +38,8 @@
 #include "ssb/queries.h"
 
 namespace pmemolap {
+
+class GuardedDimension;
 
 // --- Dimension payload encodings -------------------------------------------
 
@@ -98,12 +102,13 @@ inline PartAttrs DecodePart(uint64_t payload) {
 
 // --- Dense dimension fast path ----------------------------------------------
 
-/// Direct-indexed key -> encoded payload map. Every SSB dimension has a
-/// dense key space (custkey/suppkey/partkey run 1..N; datekey spans the
-/// yyyymmdd values of seven years, a ~70k range), so for the read-only
-/// vectorized path a direct-indexed payload array replaces the hash probe
-/// entirely. The probe *counts* are still reported per stage, so the
-/// traffic model sees the same dimension accesses as the scalar engine.
+/// Direct-indexed key -> value map. Every SSB dimension has a dense key
+/// space (custkey/suppkey/partkey run 1..N; datekey spans the yyyymmdd
+/// values of seven years, a ~70k range), so a direct-indexed array
+/// replaces the hash probe entirely. The value is the encoded payload, or
+/// in fault mode the row's position in its GuardedDimension. Keys must
+/// exist: dbgen emits only joinable keys, and ssb::CheckForeignKeys
+/// guards import and ingest.
 class DenseDimMap {
  public:
   /// Build from parallel key/payload arrays (keys need not be sorted).
@@ -126,8 +131,8 @@ class DenseDimMap {
 
 /// One column of a morsel as the kernels see it: a base pointer plus the
 /// global index of its first element. The raw path slices the ColumnStore
-/// vector directly (base 0, zero copy); the encoded path slices a
-/// morsel-local decode buffer (base = morsel begin). The staged flight
+/// vector directly (base 0, zero copy); the encoded and row-image paths
+/// slice a morsel-local buffer (base = morsel begin). The staged flight
 /// code is written once against this view.
 struct ColumnSlice {
   const int32_t* data = nullptr;
@@ -138,12 +143,28 @@ struct ColumnSlice {
   }
 };
 
-/// Everything one worker needs to execute a morsel: the column store plus
-/// the dense dimension lookup arrays. A non-null `encoded` switches the
-/// kernels to decode-on-scan: flight predicates run against the encoded
-/// frames (FoR frame-skipping, dictionary code rewriting) and the staged
-/// kernels read block-decoded morsel buffers instead of the raw columns.
-/// Results and probe counts are bit-identical either way.
+/// Fault mode's dimension payloads: the dense maps give each key's
+/// position, and the payload is read from the guarded replica nearest
+/// `socket` (failover and repair included). The first failed read is
+/// kept in `status`; the stage goes on with payload 0, and the engine
+/// fails the query once the kernel returns.
+struct GuardedDims {
+  GuardedDimension* date = nullptr;
+  GuardedDimension* customer = nullptr;
+  GuardedDimension* supplier = nullptr;
+  GuardedDimension* part = nullptr;
+  int socket = 0;
+  Status status;
+};
+
+/// Everything one worker needs to execute a morsel: the fact image plus
+/// the dense dimension lookup arrays. The fact columns come from
+/// `columns` unless `encoded` (decode-on-scan: flight predicates run on
+/// the encoded frames, the staged kernels read block-decoded buffers) or
+/// `rows` (the morsel's fact rows, rows[0] holding tuple `begin`,
+/// transposed per touched column) is set. A non-null `guarded` reads
+/// every dimension payload through the fault layer. Results and probe
+/// counts are bit-identical whichever image a morsel reads.
 struct KernelContext {
   const ssb::ColumnStore* columns = nullptr;
   const ssb::EncodedColumnStore* encoded = nullptr;
@@ -151,11 +172,12 @@ struct KernelContext {
   const DenseDimMap* customer = nullptr;
   const DenseDimMap* supplier = nullptr;
   const DenseDimMap* part = nullptr;
+  const ssb::LineorderRow* rows = nullptr;
+  GuardedDims* guarded = nullptr;
 };
 
-/// Per-dimension probe counts and qualifying tuples of one kernel run,
-/// matching the scalar engine's short-circuit counting exactly. These
-/// feed RecordSocketTraffic, so the modeled runtime stays identical.
+/// Per-dimension probe counts and qualifying tuples of one kernel run, in
+/// the stages' short-circuit order. These feed RecordSocketTraffic.
 struct KernelCounters {
   uint64_t date_probes = 0;
   uint64_t customer_probes = 0;
@@ -172,8 +194,8 @@ struct KernelScratch {
   std::vector<int32_t> attr_a;     ///< carried attribute, aligned with sel
   std::vector<int32_t> attr_b;     ///< second carried attribute
   std::vector<int32_t> attr_c;     ///< third carried attribute (flight 1)
-  /// Morsel-local decode buffers for the encoded path, one per lineorder
-  /// column (only the flight's touched columns are filled).
+  /// Morsel-local column buffers for the encoded and row-image paths, one
+  /// per lineorder column (only the flight's touched columns are filled).
   std::array<std::vector<int32_t>, ssb::kNumLineorderColumns> decoded;
 };
 

@@ -75,9 +75,9 @@ inline constexpr uint64_t kLatestSnapshot = ~uint64_t{0};
 /// Sentinel for "scan through the end of the fact table".
 inline constexpr uint64_t kScanToEnd = ~uint64_t{0};
 
-/// Per-query lifecycle options accepted by SsbEngine::Execute and
-/// ExecutePlanParallel. Default-constructed options change nothing: no
-/// deadline, normal priority, unlimited retries.
+/// Per-query lifecycle options accepted by SsbEngine::Execute.
+/// Default-constructed options change nothing: no deadline, normal
+/// priority, unlimited retries.
 struct QueryOptions {
   Deadline deadline;
   QueryPriority priority = QueryPriority::kNormal;

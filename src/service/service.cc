@@ -186,10 +186,10 @@ Status QueryService::Prepare() {
   primary.executor = config_.executor;
   primary.project_to_sf = config_.project_to_sf;
   primary.governor = governor_.get();
-  // Guarded/durable modes take the scalar row path; columnar/vectorized
-  // only apply to the plain campaigns.
+  // Guarded/durable modes scan a row image, so their fact scans are
+  // priced as 128 B rows; the columnar layout applies to the plain
+  // campaigns only.
   primary.columnar = config_.columnar && !poison_mode && !durable_mode;
-  primary.vectorized = config_.vectorized && primary.columnar;
   if (poison_mode) primary.fault = &domain_;
   if (durable_mode) primary.durable = table_.get();
   // Admission lives at the service edge (we mirror the wait queues on

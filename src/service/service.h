@@ -88,7 +88,6 @@ struct ServiceConfig {
   int degraded_threads = 2;
   ExecutorKind executor = ExecutorKind::kMorselStealing;
   bool columnar = true;
-  bool vectorized = true;
   /// Price queries at the paper's scale so modeled latencies are in the
   /// same regime as the deadlines/SLOs (0 = the loaded sf).
   double project_to_sf = 50.0;

@@ -272,6 +272,8 @@ Result<Database> ImportDatabase(const std::string& directory) {
   std::ifstream lo;
   PMEMOLAP_RETURN_NOT_OK(open("lineorder", &lo));
   PMEMOLAP_ASSIGN_OR_RETURN(db.lineorder, ReadLineorderCsv(lo));
+  PMEMOLAP_RETURN_NOT_OK(
+      CheckForeignKeys(db, db.lineorder.data(), db.lineorder.size()));
   return db;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/zipf.h"
 
@@ -48,7 +49,67 @@ std::vector<DateRow> GenerateDates() {
   return dates;
 }
 
+/// Membership over one dimension's keys: a bitmap over [lo, hi].
+class KeySet {
+ public:
+  template <typename Rows, typename KeyOf>
+  KeySet(const Rows& rows, KeyOf key_of) {
+    if (rows.empty()) return;
+    int64_t hi = key_of(rows.front());
+    lo_ = hi;
+    for (const auto& row : rows) {
+      lo_ = std::min<int64_t>(lo_, key_of(row));
+      hi = std::max<int64_t>(hi, key_of(row));
+    }
+    present_.assign(static_cast<size_t>(hi - lo_) + 1, false);
+    for (const auto& row : rows) {
+      present_[static_cast<size_t>(key_of(row) - lo_)] = true;
+    }
+  }
+
+  bool Contains(int32_t key) const {
+    const int64_t at = int64_t{key} - lo_;
+    return at >= 0 && at < static_cast<int64_t>(present_.size()) &&
+           present_[static_cast<size_t>(at)];
+  }
+
+ private:
+  int64_t lo_ = 0;
+  std::vector<bool> present_;
+};
+
 }  // namespace
+
+Status CheckForeignKeys(const Database& db, const LineorderRow* rows,
+                        uint64_t count) {
+  const KeySet dates(db.date, [](const DateRow& d) { return d.datekey; });
+  const KeySet customers(db.customer,
+                         [](const CustomerRow& c) { return c.custkey; });
+  const KeySet suppliers(db.supplier,
+                         [](const SupplierRow& s) { return s.suppkey; });
+  const KeySet parts(db.part, [](const PartRow& p) { return p.partkey; });
+  auto dangling = [](uint64_t i, const char* column, int32_t key) {
+    return Status::InvalidArgument(
+        "lineorder row " + std::to_string(i) + ": " + column + " " +
+        std::to_string(key) + " matches no dimension row");
+  };
+  for (uint64_t i = 0; i < count; ++i) {
+    const LineorderRow& row = rows[i];
+    if (!dates.Contains(row.orderdate)) {
+      return dangling(i, "orderdate", row.orderdate);
+    }
+    if (!customers.Contains(row.custkey)) {
+      return dangling(i, "custkey", row.custkey);
+    }
+    if (!suppliers.Contains(row.suppkey)) {
+      return dangling(i, "suppkey", row.suppkey);
+    }
+    if (!parts.Contains(row.partkey)) {
+      return dangling(i, "partkey", row.partkey);
+    }
+  }
+  return Status::OK();
+}
 
 uint64_t Database::DimensionBytes() const {
   return date.size() * sizeof(DateRow) +

@@ -57,4 +57,12 @@ Cardinalities CardinalitiesFor(double scale_factor);
 /// Generates the database. Fails for non-positive scale factors.
 Result<Database> Generate(const DbgenConfig& config);
 
+/// Checks that `rows` join: every row's orderdate, custkey, suppkey and
+/// partkey matches a row of `db`'s date, customer, supplier and part
+/// tables. InvalidArgument names the first row (index into `rows`) that
+/// does not. Import and ingest run it, because the engine resolves keys
+/// by direct indexing.
+Status CheckForeignKeys(const Database& db, const LineorderRow* rows,
+                        uint64_t count);
+
 }  // namespace pmemolap::ssb

@@ -1,12 +1,15 @@
 // End-to-end durable ingest: the engine fed epoch-by-epoch through a
 // crash-consistent DurableTable must answer every SSB query bit-identical
 // to the reference executor, keep pinned snapshots stable while ingest
-// advances, surface a modeled crash as Unavailable until Recover() runs
-// (pausing admission while it replays), and price standing ingest
-// traffic into query runtimes.
+// advances (also while the pool executes concurrently with Ingest),
+// surface a modeled crash as Unavailable until Recover() runs (pausing
+// admission while it replays), reject rows whose keys join nothing, and
+// price standing ingest traffic into query runtimes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "durability/crash_injector.h"
@@ -195,6 +198,105 @@ TEST(EngineDurableTest, StandingIngestTrafficPricesIntoQueries) {
   EXPECT_GT(contended->seconds, solo->seconds)
       << "ingest log writes must show up in the query's modeled runtime";
   EXPECT_EQ(contended->output, solo->output);
+}
+
+// A lineorder row whose key matches no dimension row would index the
+// kernels' dense key maps out of range at the next query: Ingest rejects
+// the batch before anything reaches the log.
+TEST(EngineDurableTest, IngestRejectsDanglingForeignKeys) {
+  DurableEnv& env = DurableEnv::Get();
+  MemSystemModel model;
+  PmemSpace space(model.config().topology);
+  auto table = DurableTable::Create(&space, nullptr, DurableTable::Options());
+  ASSERT_TRUE(table.ok());
+  SsbEngine engine(&env.db(), &model, DurableConfig(table->get()));
+  ASSERT_TRUE(engine.Prepare().ok());
+
+  for (int32_t ssb::LineorderRow::*key :
+       {&ssb::LineorderRow::orderdate, &ssb::LineorderRow::custkey,
+        &ssb::LineorderRow::suppkey, &ssb::LineorderRow::partkey}) {
+    std::vector<ssb::LineorderRow> rows(env.db().lineorder.begin(),
+                                        env.db().lineorder.begin() + 10);
+    rows[5].*key = 1 << 30;
+    Result<uint64_t> epoch = engine.Ingest(rows.data(), rows.size());
+    EXPECT_EQ(epoch.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ((*table)->committed_epoch(), 0u);
+  EXPECT_TRUE((*table)->standing_traffic().empty())
+      << "a rejected batch must not be logged";
+  Result<SsbEngine::QueryRun> run = engine.Execute(QueryId::kQ3_1);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+}
+
+// Morsel-pool queries pinned to epoch k run while another thread commits
+// epochs k+1..n through the same engine: every result equals the
+// reference over the k-epoch prefix, and the durability oracle stays
+// clean.
+TEST(EngineDurableConcurrencyTest, PinnedPoolQueriesRunWhileIngestCommits) {
+  DurableEnv& env = DurableEnv::Get();
+  MemSystemModel model;
+  PmemSpace space(model.config().topology);
+  auto table = DurableTable::Create(&space, nullptr, DurableTable::Options());
+  ASSERT_TRUE(table.ok());
+  EngineConfig config = DurableConfig(table->get());
+  config.threads = 4;
+  config.executor = ExecutorKind::kMorselStealing;
+  config.morsel_tuples = 4096;
+  SsbEngine engine(&env.db(), &model, config);
+  ASSERT_TRUE(engine.Prepare().ok());
+
+  constexpr int kEpochs = 8;
+  constexpr int kPinned = 3;
+  const uint64_t total = env.db().lineorder.size();
+  const uint64_t batch = (total + kEpochs - 1) / kEpochs;
+  for (int e = 0; e < kPinned; ++e) {
+    ASSERT_TRUE(
+        engine.Ingest(env.db().lineorder.data() + e * batch, batch).ok());
+  }
+  Database prefix = env.db();
+  prefix.lineorder.resize(kPinned * batch);
+  const ssb::ReferenceExecutor prefix_reference(&prefix);
+  qos::QueryOptions at_pin;
+  at_pin.snapshot_epoch = (*table)->committed_epoch();
+  ASSERT_EQ(at_pin.snapshot_epoch, static_cast<uint64_t>(kPinned));
+
+  std::vector<Status> ingested;
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    for (uint64_t offset = kPinned * batch; offset < total; offset += batch) {
+      ingested.push_back(
+          engine
+              .Ingest(env.db().lineorder.data() + offset,
+                      std::min(batch, total - offset))
+              .status());
+    }
+    done.store(true);
+  });
+  // Query until ingest has finished, and for at least two rounds.
+  for (int round = 0; round < 2 || !done.load(); ++round) {
+    for (QueryId query : ssb::AllQueries()) {
+      Result<SsbEngine::QueryRun> run = engine.Execute(query, at_pin);
+      if (!run.ok()) {
+        ADD_FAILURE() << ssb::QueryName(query) << ": "
+                      << run.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(run->output, prefix_reference.Execute(query))
+          << ssb::QueryName(query) << " round " << round;
+    }
+  }
+  ingest.join();
+
+  ASSERT_EQ(ingested.size(), static_cast<size_t>(kEpochs - kPinned));
+  for (const Status& status : ingested) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_EQ((*table)->committed_epoch(), static_cast<uint64_t>(kEpochs));
+  ASSERT_NE((*table)->order_checker(), nullptr);
+  EXPECT_TRUE((*table)->order_checker()->clean());
+  Result<SsbEngine::QueryRun> latest = engine.Execute(QueryId::kQ4_1);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->output, env.reference().Execute(QueryId::kQ4_1));
 }
 
 TEST(EngineDurableTest, DurableAndFaultModesAreMutuallyExclusive) {

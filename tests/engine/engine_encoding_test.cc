@@ -70,23 +70,16 @@ uint64_t ScanRecordBytes(const ExecutionProfile& profile) {
   return bytes;
 }
 
-/// The six executor × kernel combinations (serial/static/stealing, each
-/// scalar and vectorized). The encoded store is built in every one, so
-/// modeled seconds must agree across all six.
+/// The two executors (serial, morsel-stealing pool). Modeled seconds of
+/// the encoded engine must agree across both.
 struct ExecCombo {
   const char* name;
   bool parallel;
-  ExecutorKind executor;
-  bool vectorized;
 };
 
 constexpr ExecCombo kCombos[] = {
-    {"serial-scalar", false, ExecutorKind::kSerial, false},
-    {"serial-vectorized", false, ExecutorKind::kSerial, true},
-    {"static-scalar", true, ExecutorKind::kStaticThreads, false},
-    {"static-vectorized", true, ExecutorKind::kStaticThreads, true},
-    {"stealing-scalar", true, ExecutorKind::kMorselStealing, false},
-    {"stealing-vectorized", true, ExecutorKind::kMorselStealing, true},
+    {"serial", false},
+    {"stealing", true},
 };
 
 class EngineEncodingTest : public ::testing::TestWithParam<EngineMode> {};
@@ -100,8 +93,7 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
   for (const ExecCombo& combo : kCombos) {
     EngineConfig config = EncodedConfig(GetParam());
     config.parallel_execution = combo.parallel;
-    config.executor = combo.executor;
-    config.vectorized = combo.vectorized;
+    config.executor = ExecutorKind::kMorselStealing;
     config.morsel_tuples = 4096;  // plenty of stealable units at sf 0.02
     engines.push_back(
         std::make_unique<SsbEngine>(&env.db(), &env.model(), config));
@@ -110,7 +102,6 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
 
   EngineConfig raw = ColumnarConfig(GetParam());
   raw.parallel_execution = false;
-  raw.vectorized = false;
   SsbEngine raw_engine(&env.db(), &env.model(), raw);
   ASSERT_TRUE(raw_engine.Prepare().ok());
 
@@ -131,7 +122,7 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
           << kCombos[i].name << "/" << ssb::QueryName(query)
           << ": encoded vs raw";
       // Probe counts feed the traffic model; the encoded fast paths must
-      // preserve the scalar short-circuit counting exactly.
+      // preserve the raw path's short-circuit counting exactly.
       EXPECT_EQ(run->cpu.probes, raw_run->cpu.probes)
           << kCombos[i].name << "/" << ssb::QueryName(query);
       if (encoded_seconds < 0.0) {

@@ -131,6 +131,26 @@ TEST_F(CsvTest, ExportImportDatabase) {
   std::filesystem::remove_all(dir);
 }
 
+// A lineorder row whose key joins no dimension row would make every later
+// query index the engine's dense key maps out of range: the import
+// refuses the whole database instead.
+TEST_F(CsvTest, ImportRejectsDanglingForeignKeys) {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                              "pmemolap_csv_dangling_key_test";
+  std::filesystem::create_directories(dir);
+  Database db = *db_;
+  db.lineorder.resize(100);
+  db.lineorder[5].custkey = 1 << 30;
+  ASSERT_TRUE(ExportDatabase(db, dir.string()).ok());
+  auto imported = ImportDatabase(dir.string());
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(imported.ok());
+  EXPECT_EQ(imported.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(imported.status().message().find("lineorder row 5"),
+            std::string::npos)
+      << imported.status().ToString();
+}
+
 TEST_F(CsvTest, ImportMissingDirectoryFails) {
   auto imported = ImportDatabase("/nonexistent/pmemolap");
   ASSERT_FALSE(imported.ok());
