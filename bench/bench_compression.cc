@@ -395,11 +395,12 @@ void RunPerQueryWallClock(const ssb::Database& db,
     return;
   }
   auto time_query = [&](SsbEngine* engine, QueryId query) {
-    engine->Execute(query);  // warm up
+    const bool warmed = engine->Execute(query).ok();
     auto start = std::chrono::steady_clock::now();
     auto run = engine->Execute(query);
     const double ms = SecondsSince(start) * 1e3;
-    const bool ok = run.ok() && run->output == reference.Execute(query);
+    const bool ok =
+        warmed && run.ok() && run->output == reference.Execute(query);
     return std::make_pair(ms, ok);
   };
   TablePrinter table({"Query", "Raw [ms]", "Encoded [ms]", "Speedup"});

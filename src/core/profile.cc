@@ -1,8 +1,37 @@
 #include "core/profile.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace pmemolap {
+
+Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
+                                  PinningPolicy pinning,
+                                  const SystemTopology& topology) {
+  const int worker_socket =
+      record.worker_socket >= 0 ? record.worker_socket : record.data_socket;
+  ThreadPlacer placer(topology);
+  PMEMOLAP_ASSIGN_OR_RETURN(
+      ThreadPlacement placement,
+      placer.Place(std::max(threads, 1), pinning, worker_socket));
+  if (pinning != PinningPolicy::kNone) {
+    for (ThreadSlot& slot : placement.slots) {
+      slot.near_data = SystemTopology::IsNear(slot.socket, record.data_socket);
+    }
+  }
+  AccessClass klass;
+  klass.op = record.op;
+  klass.pattern = record.pattern;
+  klass.media = record.media;
+  klass.access_size = std::max<uint64_t>(record.access_size, 64);
+  klass.placement = std::move(placement);
+  klass.data_socket = record.data_socket;
+  klass.region_bytes = record.region_bytes;
+  klass.run_index = 2;  // steady state: the directory is warm
+  klass.label = record.label;
+  return klass;
+}
 
 void ExecutionProfile::RecordSequential(OpType op, Media media, int socket,
                                         uint64_t bytes, uint64_t access_size,

@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "memsys/workload.h"
+#include "topo/pinning.h"
 #include "topo/topology.h"
 
 namespace pmemolap {
@@ -33,6 +35,15 @@ struct TrafficRecord {
   int worker_socket = -1;
   std::string label;
 };
+
+/// The model class for `record` run by `threads` workers placed with
+/// `pinning` on the record's worker socket (its data socket when unset),
+/// with the directory warm (run_index 2). The one record→class
+/// translation: QueryTimer prices these classes and the governor's
+/// telemetry samples the same ones.
+Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
+                                  PinningPolicy pinning,
+                                  const SystemTopology& topology);
 
 /// Accumulates traffic records; mergeable across operators.
 class ExecutionProfile {

@@ -16,13 +16,14 @@ uint32_t RecordCrc(LogRecordHeader header, const std::byte* payload,
   return crc;
 }
 
-std::vector<std::byte> Encode(LogRecordHeader header,
-                              const std::byte* payload) {
-  header.crc = RecordCrc(header, payload, header.payload_bytes);
-  std::vector<std::byte> bytes(LogRecordFootprint(header.payload_bytes));
+std::vector<std::byte> Encode(LogRecordHeader header, const std::byte* payload,
+                              uint32_t payload_bytes) {
+  header.payload_bytes = payload_bytes;
+  header.crc = RecordCrc(header, payload, payload_bytes);
+  std::vector<std::byte> bytes(LogRecordFootprint(payload_bytes));
   std::memcpy(bytes.data(), &header, sizeof(header));
-  if (header.payload_bytes > 0) {
-    std::memcpy(bytes.data() + sizeof(header), payload, header.payload_bytes);
+  if (payload_bytes > 0) {
+    std::memcpy(bytes.data() + sizeof(header), payload, payload_bytes);
   }
   return bytes;  // padding bytes stay zero
 }
@@ -42,8 +43,7 @@ std::vector<std::byte> EncodeDataRecord(uint64_t epoch, uint64_t table_offset,
   header.type = static_cast<uint16_t>(LogRecordType::kData);
   header.epoch = epoch;
   header.table_offset = table_offset;
-  header.payload_bytes = payload_bytes;
-  return Encode(header, payload);
+  return Encode(header, payload, payload_bytes);
 }
 
 std::vector<std::byte> EncodeCommitRecord(uint64_t epoch) {
@@ -51,7 +51,7 @@ std::vector<std::byte> EncodeCommitRecord(uint64_t epoch) {
   header.magic = kLogMagic;
   header.type = static_cast<uint16_t>(LogRecordType::kCommit);
   header.epoch = epoch;
-  return Encode(header, nullptr);
+  return Encode(header, nullptr, 0);
 }
 
 LogScan ScanLog(const std::byte* data, uint64_t size) {

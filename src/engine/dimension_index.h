@@ -2,7 +2,8 @@
 //
 //  - kDash: the PMEM-optimized index of the handcrafted SSB (§6.2). One
 //    probe touches one 256 B bucket (= one Optane internal line); the
-//    index is replicated per socket so probes are always near.
+//    paper replicates it per socket so probes are always near, which the
+//    engine prices as near probes rather than building the copies.
 //  - kChained: a PMEM-unaware chained hash table standing in for Hyrise's
 //    index (§6.1): a probe chases bucket-head and node pointers, i.e.
 //    several dependent sub-256 B random reads that amplify on PMEM.

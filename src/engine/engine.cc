@@ -99,25 +99,18 @@ Status SsbEngine::Prepare() {
                          ? topology.sockets()
                          : 1;
 
-  // Aware mode replicates the dimension indexes per socket (§6.2) so
-  // every worker probes a near copy; the unaware engine keeps one copy.
-  int replicas = config_.mode == EngineMode::kPmemAware &&
-                         config_.numa_aware_placement
-                     ? sockets_used
-                     : 1;
   // The indexes only price probes (ProbeCost, StorageBytes): every entry
   // holds its row's position. The kernels resolve keys through the dense
-  // maps built below.
-  auto build = [&](ReplicatedIndex* index, const auto& rows,
+  // maps built below. Aware mode's per-socket replicas (§6.2) would hold
+  // identical entries, so one index serves every socket and replication
+  // is priced as near probes (RecordSocketTraffic's data_socket).
+  auto build = [&](std::unique_ptr<DimensionIndex>* index, const auto& rows,
                    auto key_of) -> Status {
-    index->copies.clear();
-    for (int r = 0; r < replicas; ++r) {
-      index->copies.push_back(std::make_unique<DimensionIndex>(kind));
-      uint64_t pos = 0;
-      for (const auto& row : rows) {
-        PMEMOLAP_RETURN_NOT_OK(index->copies.back()->Insert(
-            static_cast<uint64_t>(key_of(row)), pos++));
-      }
+    *index = std::make_unique<DimensionIndex>(kind);
+    uint64_t pos = 0;
+    for (const auto& row : rows) {
+      PMEMOLAP_RETURN_NOT_OK(
+          (*index)->Insert(static_cast<uint64_t>(key_of(row)), pos++));
     }
     return Status::OK();
   };
@@ -178,15 +171,6 @@ Status SsbEngine::Prepare() {
   PMEMOLAP_RETURN_NOT_OK(
       dense(&part_dense_, &guarded_part_, db_->part, part_key,
             [](const ssb::PartRow& p) { return EncodePart(p); }));
-  if (config_.governor != nullptr) {
-    // Payload-identical DRAM replicas for the staging actuator: probing
-    // a staged copy returns the same values as the base map, so results
-    // never depend on the governor's staging state.
-    date_staged_ = date_dense_;
-    customer_staged_ = customer_dense_;
-    supplier_staged_ = supplier_dense_;
-    part_staged_ = part_dense_;
-  }
   guarded_fact_.reset();
   if (guarded) {
     // The fact table's byte image, striped and CRC-chunked; db_ stays the
@@ -291,7 +275,7 @@ uint64_t SsbEngine::ScanBytesForTuples(ssb::QueryId query,
 
 void SsbEngine::RecordSocketTraffic(
     ssb::QueryId query, int socket, const TupleRange& scanned,
-    const ProbeCounters& probes, uint64_t qualifying, int threads_per_socket,
+    const KernelCounters& counts, int threads_per_socket,
     const governor::GovernorDecision* decision,
     const tiering::TieringSnapshot* tiers,
     ExecutionProfile* profile) const {
@@ -380,8 +364,9 @@ void SsbEngine::RecordSocketTraffic(
     profile->Record(std::move(scan));
   }
 
-  // Dimension probes. Aware mode replicates indexes per socket (near);
-  // without NUMA-aware placement the single copy lives on socket 0.
+  // Dimension probes. Aware mode prices the paper's per-socket replicas
+  // as near probes; without NUMA-aware placement the single copy lives on
+  // socket 0.
   auto record_probes = [&](const DimensionIndex& index, uint64_t count,
                            const char* label) {
     if (count == 0) return;
@@ -404,10 +389,10 @@ void SsbEngine::RecordSocketTraffic(
     probe.label = std::string("probe-") + label;
     profile->Record(std::move(probe));
   };
-  record_probes(date_index_.Near(socket), probes.date, "date");
-  record_probes(customer_index_.Near(socket), probes.customer, "customer");
-  record_probes(supplier_index_.Near(socket), probes.supplier, "supplier");
-  record_probes(part_index_.Near(socket), probes.part, "part");
+  record_probes(*date_index_, counts.date_probes, "date");
+  record_probes(*customer_index_, counts.customer_probes, "customer");
+  record_probes(*supplier_index_, counts.supplier_probes, "supplier");
+  record_probes(*part_index_, counts.part_probes, "part");
 
   // The unaware engine executes joins Hyrise-style: every join pass fully
   // materializes its intermediate (position lists + output columns) in the
@@ -435,14 +420,15 @@ void SsbEngine::RecordSocketTraffic(
       profile->Record(std::move(write));
       profile->Record(std::move(read));
     };
-    record_materialize(probes.date, "date");
-    record_materialize(probes.customer, "customer");
-    record_materialize(probes.supplier, "supplier");
-    record_materialize(probes.part, "part");
+    record_materialize(counts.date_probes, "date");
+    record_materialize(counts.customer_probes, "customer");
+    record_materialize(counts.supplier_probes, "supplier");
+    record_materialize(counts.part_probes, "part");
   }
 
   // Group-aggregate updates: random read+write into the (small) result
   // hash; intermediates: sequential per-worker writes.
+  const uint64_t qualifying = counts.qualifying;
   if (qualifying > 0) {
     TrafficRecord agg;
     agg.op = OpType::kRead;
@@ -478,17 +464,12 @@ void SsbEngine::RecordSocketTraffic(
 
 Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
                                    const TupleRange& range,
-                                   uint64_t snapshot_epoch,
-                                   const governor::GovernorDecision* decision,
-                                   WorkerState* state,
+                                   uint64_t snapshot_epoch, WorkerState* state,
                                    const CancelCheck& cancel) const {
-  if (state->probes.size() < partitions_.size()) {
-    state->probes.resize(partitions_.size());
-    state->qualifying.resize(partitions_.size(), 0);
+  if (state->counters.size() < partitions_.size()) {
+    state->counters.resize(partitions_.size());
   }
-  // Staged dimensions probe the DRAM replica; the payloads are identical
-  // copies, so eviction (falling back to the base map) cannot change any
-  // query result.
+  KernelCounters* counters = &state->counters[slot];
   KernelContext ctx;
   ctx.columns = &columns_;
   // Decode-on-scan: with encoding on, the kernels read block-decoded
@@ -496,18 +477,12 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   // instead of the raw columns. Same values, bit-identical results.
   ctx.encoded =
       config_.encoding && !encoded_.empty() ? &encoded_ : nullptr;
-  ctx.date = decision != nullptr && decision->IsStaged("date")
-                 ? &date_staged_
-                 : &date_dense_;
-  ctx.customer = decision != nullptr && decision->IsStaged("customer")
-                     ? &customer_staged_
-                     : &customer_dense_;
-  ctx.supplier = decision != nullptr && decision->IsStaged("supplier")
-                     ? &supplier_staged_
-                     : &supplier_dense_;
-  ctx.part = decision != nullptr && decision->IsStaged("part")
-                 ? &part_staged_
-                 : &part_dense_;
+  // Governor staging changes only the media probes are priced at
+  // (RecordSocketTraffic), never the payloads the kernels read.
+  ctx.date = &date_dense_;
+  ctx.customer = &customer_dense_;
+  ctx.supplier = &supplier_dense_;
+  ctx.part = &part_dense_;
   // Fault mode reads payloads from the replicas near the slot's socket.
   GuardedDims guarded;
   if (guarded_fact_ != nullptr) {
@@ -518,11 +493,10 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
     guarded.socket = partitions_[slot].socket;
     ctx.guarded = &guarded;
   }
-  KernelCounters counters;
   if (guarded_fact_ == nullptr && config_.durable == nullptr) {
     ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
                         &state->groups, &state->scalar_sum, &state->scalar,
-                        &counters);
+                        counters);
   } else {
     for (uint64_t begin = range.begin; begin < range.end;
          begin += kRowBlockTuples) {
@@ -532,16 +506,10 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
       ctx.rows = state->rows.data();
       ExecuteMorselKernel(query, ctx, begin, end, &state->scratch,
                           &state->groups, &state->scalar_sum, &state->scalar,
-                          &counters);
+                          counters);
       PMEMOLAP_RETURN_NOT_OK(guarded.status);
     }
   }
-  ProbeCounters& probes = state->probes[slot];
-  probes.date += counters.date_probes;
-  probes.customer += counters.customer_probes;
-  probes.supplier += counters.supplier_probes;
-  probes.part += counters.part_probes;
-  state->qualifying[slot] += counters.qualifying;
   return Status::OK();
 }
 
@@ -828,7 +796,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
           }
           return ExecuteRangeInto(
               query, slot_of_socket[static_cast<size_t>(morsel.socket)],
-              {morsel.begin, morsel.end}, snapshot_epoch, decision_ptr,
+              {morsel.begin, morsel.end}, snapshot_epoch,
               &states[static_cast<size_t>(worker)], cancel_check);
         },
         control);
@@ -845,25 +813,25 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       const TupleRange range = clamp_range(partitions_[slot].tuples);
       if (tiered) config_.tiering->Touch(range.begin, range.end);
       PMEMOLAP_RETURN_NOT_OK(ExecuteRangeInto(query, slot, range,
-                                              snapshot_epoch, decision_ptr,
-                                              &states[0], cancel_check));
+                                              snapshot_epoch, &states[0],
+                                              cancel_check));
       ++progress.units_executed;
     }
   }
 
   // Fold worker states: outputs merge commutatively; probe/qualifying
   // counts roll up per partition slot for the traffic records.
-  std::vector<ProbeCounters> slot_probes(slots);
-  std::vector<uint64_t> slot_qualifying(slots, 0);
+  std::vector<KernelCounters> slot_counts(slots);
   std::vector<ssb::QueryOutput> partials;
   partials.reserve(states.size());
   for (WorkerState& state : states) {
-    for (size_t slot = 0; slot < state.probes.size(); ++slot) {
-      slot_probes[slot].date += state.probes[slot].date;
-      slot_probes[slot].customer += state.probes[slot].customer;
-      slot_probes[slot].supplier += state.probes[slot].supplier;
-      slot_probes[slot].part += state.probes[slot].part;
-      slot_qualifying[slot] += state.qualifying[slot];
+    for (size_t slot = 0; slot < state.counters.size(); ++slot) {
+      const KernelCounters& c = state.counters[slot];
+      slot_counts[slot].date_probes += c.date_probes;
+      slot_counts[slot].customer_probes += c.customer_probes;
+      slot_counts[slot].supplier_probes += c.supplier_probes;
+      slot_counts[slot].part_probes += c.part_probes;
+      slot_counts[slot].qualifying += c.qualifying;
     }
     partials.push_back(DrainWorkerOutput(&state));
   }
@@ -872,12 +840,14 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   for (size_t slot = 0; slot < slots; ++slot) {
     const SocketPartition& partition = partitions_[slot];
     const TupleRange scanned = clamp_range(partition.tuples);
-    RecordSocketTraffic(query, partition.socket, scanned, slot_probes[slot],
-                        slot_qualifying[slot], threads_per_socket,
-                        decision_ptr, tiers_ptr, &run.profile);
+    const KernelCounters& counts = slot_counts[slot];
+    RecordSocketTraffic(query, partition.socket, scanned, counts,
+                        threads_per_socket, decision_ptr, tiers_ptr,
+                        &run.profile);
     run.cpu.tuples_scanned += scanned.size();
-    run.cpu.probes += slot_probes[slot].total();
-    run.cpu.agg_updates += slot_qualifying[slot];
+    run.cpu.probes += counts.date_probes + counts.customer_probes +
+                      counts.supplier_probes + counts.part_probes;
+    run.cpu.agg_updates += counts.qualifying;
   }
 
   if (xpline_amplified_bytes > 0) {

@@ -2,8 +2,10 @@
 //
 //  kPmemAware  (§6.2, "Handcrafted C++"): the fact table is striped across
 //    the PMEM of both sockets, dimension indexes (Dash) are replicated per
-//    socket, workers are pinned and touch only near data, rows are 128 B
-//    aligned, intermediates are written sequentially per worker.
+//    socket (priced as near probes; the replicas would be identical, so
+//    one index is built), workers are pinned and touch only near data,
+//    rows are 128 B aligned, intermediates are written sequentially per
+//    worker.
 //
 //  kUnaware    (§6.1, "Hyrise"): everything lives on one socket, joins use
 //    a chained (pointer-chasing) hash table, no replication, no explicit
@@ -224,14 +226,6 @@ class SsbEngine {
   /// exposed it instead of silently recording violations.
   Status CheckDurabilityOracle() const;
 
-  struct ProbeCounters {
-    uint64_t date = 0;
-    uint64_t customer = 0;
-    uint64_t supplier = 0;
-    uint64_t part = 0;
-    uint64_t total() const { return date + customer + supplier + part; }
-  };
-
   /// Row-image modes read and transpose the fact rows in blocks of this
   /// many tuples, so no buffer grows with the range a worker executes.
   static constexpr uint64_t kRowBlockTuples = 4096;
@@ -244,8 +238,7 @@ class SsbEngine {
     AggTable groups;         ///< grouped sums
     int64_t scalar_sum = 0;  ///< flight-1 sum
     bool scalar = false;
-    std::vector<ProbeCounters> probes;  ///< per partition slot
-    std::vector<uint64_t> qualifying;   ///< per partition slot
+    std::vector<KernelCounters> counters;  ///< per partition slot
     KernelScratch scratch;
     /// One block of fact rows read from the row image (durable, fault).
     std::vector<ssb::LineorderRow> rows;
@@ -254,12 +247,9 @@ class SsbEngine {
   /// Executes tuples [range) of partition slot `slot` into `state`
   /// through the kernels. Durable and fault modes read the range from the
   /// row image in blocks of at most kRowBlockTuples; the first failed
-  /// fact or dimension read becomes the returned Status. A non-null
-  /// `decision` routes probes of governor-staged dimensions to the DRAM
-  /// replicas (identical payloads: results are bit-identical).
+  /// fact or dimension read becomes the returned Status.
   Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
                           const TupleRange& range, uint64_t snapshot_epoch,
-                          const governor::GovernorDecision* decision,
                           WorkerState* state,
                           const CancelCheck& cancel = CancelCheck()) const;
 
@@ -284,7 +274,7 @@ class SsbEngine {
   /// scanned extents occupy (DRAM/PMEM/SSD media records).
   void RecordSocketTraffic(ssb::QueryId query, int socket,
                            const TupleRange& scanned,
-                           const ProbeCounters& probes, uint64_t qualifying,
+                           const KernelCounters& counts,
                            int threads_per_socket,
                            const governor::GovernorDecision* decision,
                            const tiering::TieringSnapshot* tiers,
@@ -299,23 +289,14 @@ class SsbEngine {
   /// widths when encoding is on, tuples * ScanBytesPerTuple otherwise.
   uint64_t ScanBytesForTuples(ssb::QueryId query, uint64_t tuples) const;
 
-  /// One replica per socket in aware multi-socket mode (the paper
-  /// replicates the dimensions so probes stay near, §6.2), one shared
-  /// copy otherwise.
-  struct ReplicatedIndex {
-    std::vector<std::unique_ptr<DimensionIndex>> copies;
-    const DimensionIndex& Near(int socket) const {
-      return *copies[static_cast<size_t>(socket) % copies.size()];
-    }
-  };
-
   const ssb::Database* db_;
   const MemSystemModel* model_;
   EngineConfig config_;
-  ReplicatedIndex date_index_;
-  ReplicatedIndex customer_index_;
-  ReplicatedIndex supplier_index_;
-  ReplicatedIndex part_index_;
+  /// Probe pricing only (ProbeCost, StorageBytes).
+  std::unique_ptr<DimensionIndex> date_index_;
+  std::unique_ptr<DimensionIndex> customer_index_;
+  std::unique_ptr<DimensionIndex> supplier_index_;
+  std::unique_ptr<DimensionIndex> part_index_;
   std::vector<SocketPartition> partitions_;
   /// Columnar projection of the fact table for the kernels (built in
   /// Prepare unless a row image — durable or fault mode — holds the rows).
@@ -324,19 +305,12 @@ class SsbEngine {
   /// per column at Prepare.
   ssb::EncodedColumnStore encoded_;
   /// Key -> payload maps the kernels probe; in fault mode key -> position
-  /// in the guarded payload stores below.
+  /// in the guarded payload stores below. Governor staging reprices
+  /// probes as DRAM reads; the kernels always read these maps.
   DenseDimMap date_dense_;
   DenseDimMap customer_dense_;
   DenseDimMap supplier_dense_;
   DenseDimMap part_dense_;
-  /// Governor-staged DRAM replicas of the dense maps (payload-identical
-  /// copies built in Prepare when a governor is configured): staging
-  /// probes the replica, eviction falls back to the base map — either way
-  /// the same payloads, so outputs stay bit-identical.
-  DenseDimMap date_staged_;
-  DenseDimMap customer_staged_;
-  DenseDimMap supplier_staged_;
-  DenseDimMap part_staged_;
   /// The persistent work-stealing executor (kMorselStealing only):
   /// spawned once in Prepare, reused by every Execute.
   std::unique_ptr<WorkStealingPool> pool_;

@@ -18,6 +18,29 @@ CpuWork CpuWork::Scaled(double factor) const {
   return scaled;
 }
 
+namespace {
+
+/// Within a phase the worker sockets proceed in parallel — except SSD
+/// traffic, which funnels through one shared device regardless of the
+/// issuing socket (bucket -1).
+int SocketBucket(const TrafficRecord& record) {
+  if (record.media == Media::kSsd) return -1;
+  return record.worker_socket >= 0 ? record.worker_socket
+                                   : record.data_socket;
+}
+
+/// A phase lasts as long as its slowest socket bucket.
+double PhaseSeconds(const std::map<int, double>& socket_seconds) {
+  double phase = 0.0;
+  for (const auto& [socket, seconds] : socket_seconds) {
+    (void)socket;
+    phase = std::max(phase, seconds);
+  }
+  return phase;
+}
+
+}  // namespace
+
 double QueryTimer::EffectiveBytes(const TrafficRecord& record) const {
   // Random access against a cache-resident region mostly hits the LLC;
   // only misses reach the devices. (The 2 GB microbenchmark regions of
@@ -32,92 +55,32 @@ double QueryTimer::EffectiveBytes(const TrafficRecord& record) const {
   return effective_bytes;
 }
 
-Result<AccessClass> QueryTimer::BuildClass(const TrafficRecord& record,
-                                           int threads,
-                                           PinningPolicy pinning) const {
-  int worker_socket =
-      record.worker_socket >= 0 ? record.worker_socket : record.data_socket;
-
-  ThreadPlacer placer(model_->config().topology);
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement placement,
-      placer.Place(std::max(threads, 1), pinning, worker_socket));
-  if (pinning != PinningPolicy::kNone) {
-    for (ThreadSlot& slot : placement.slots) {
-      slot.near_data =
-          SystemTopology::IsNear(slot.socket, record.data_socket);
-    }
-  }
-
-  AccessClass klass;
-  klass.op = record.op;
-  klass.pattern = record.pattern;
-  klass.media = record.media;
-  klass.access_size = std::max<uint64_t>(record.access_size, 64);
-  klass.placement = std::move(placement);
-  klass.data_socket = record.data_socket;
-  klass.region_bytes = record.region_bytes;
-  klass.run_index = 2;  // steady state: the directory is warm
-  klass.label = record.label;
-  return klass;
+double QueryTimer::CpuSeconds(const CpuWork& work, int threads) const {
+  const double cpu_ns =
+      static_cast<double>(work.tuples_scanned) * config_.scan_ns_per_tuple +
+      static_cast<double>(work.probes) * config_.probe_ns +
+      static_cast<double>(work.agg_updates) * config_.agg_ns;
+  return cpu_ns / 1e9 / static_cast<double>(std::max(threads, 1));
 }
 
 double QueryTimer::RecordSeconds(const TrafficRecord& record,
                                  PinningPolicy pinning) const {
-  if (record.bytes == 0) return 0.0;
-  Result<AccessClass> klass = BuildClass(record, record.threads, pinning);
-  if (!klass.ok()) return 0.0;
-  WorkloadSpec spec;
-  spec.classes.push_back(std::move(klass.value()));
-  BandwidthResult result = model_->EvaluateOnce(spec);
-  if (result.total_gbps <= 0.0) return 0.0;
-  return EffectiveBytes(record) / 1e9 / result.total_gbps;
+  return RecordSecondsAmong(record, pinning, {});
 }
 
 double QueryTimer::EstimateSeconds(
     const ExecutionProfile& profile, const CpuWork& work, int total_threads,
     PinningPolicy pinning, std::map<std::string, double>* breakdown) const {
-  // Phase = label; within a phase, worker sockets proceed in parallel —
-  // except SSD traffic, which funnels through one shared device
-  // regardless of the issuing socket (bucket key -1).
-  std::map<std::string, std::map<int, double>> phase_socket_seconds;
-  for (const TrafficRecord& record : profile.records()) {
-    int bucket;
-    if (record.media == Media::kSsd) {
-      bucket = -1;
-    } else {
-      bucket = record.worker_socket >= 0 ? record.worker_socket
-                                         : record.data_socket;
-    }
-    phase_socket_seconds[record.label][bucket] +=
-        RecordSeconds(record, pinning);
-  }
-  double memory_seconds = 0.0;
-  for (const auto& [label, socket_seconds] : phase_socket_seconds) {
-    double phase = 0.0;
-    for (const auto& [socket, seconds] : socket_seconds) {
-      (void)socket;
-      phase = std::max(phase, seconds);
-    }
-    if (breakdown != nullptr) (*breakdown)[label] = phase;
-    memory_seconds += phase;
-  }
-
-  double cpu_ns = static_cast<double>(work.tuples_scanned) *
-                      config_.scan_ns_per_tuple +
-                  static_cast<double>(work.probes) * config_.probe_ns +
-                  static_cast<double>(work.agg_updates) * config_.agg_ns;
-  double cpu_seconds =
-      cpu_ns / 1e9 / static_cast<double>(std::max(total_threads, 1));
-  if (breakdown != nullptr) (*breakdown)["cpu"] = cpu_seconds;
-  return memory_seconds + cpu_seconds;
+  return EstimateSecondsWithBackground(profile, work, total_threads, pinning,
+                                       {}, breakdown);
 }
 
 double QueryTimer::RecordSecondsAmong(
     const TrafficRecord& record, PinningPolicy pinning,
     const std::vector<AccessClass>& background) const {
   if (record.bytes == 0) return 0.0;
-  Result<AccessClass> klass = BuildClass(record, record.threads, pinning);
+  Result<AccessClass> klass = ToAccessClass(record, record.threads, pinning,
+                                            model_->config().topology);
   if (!klass.ok()) return 0.0;
   klass->region_id = 1000;  // disjoint from the background's 2000+ regions
   WorkloadSpec spec;
@@ -135,50 +98,33 @@ double QueryTimer::EstimateSecondsWithBackground(
     const ExecutionProfile& profile, const CpuWork& work, int total_threads,
     PinningPolicy pinning, const std::vector<TrafficRecord>& background,
     std::map<std::string, double>* breakdown) const {
-  if (background.empty()) {
-    return EstimateSeconds(profile, work, total_threads, pinning, breakdown);
-  }
   // The standing background classes, built once; disjoint region ids so
   // the query contends for the device pools, not the same bytes.
   std::vector<AccessClass> standing;
   int next_region = 0;
   for (const TrafficRecord& record : background) {
     if (record.bytes == 0) continue;
-    Result<AccessClass> klass = BuildClass(record, record.threads, pinning);
+    Result<AccessClass> klass = ToAccessClass(record, record.threads, pinning,
+                                              model_->config().topology);
     if (!klass.ok()) continue;
     klass->region_id = 2000 + next_region++;
     standing.push_back(std::move(klass.value()));
   }
 
+  // Phase = label; phases run one after another.
   std::map<std::string, std::map<int, double>> phase_socket_seconds;
   for (const TrafficRecord& record : profile.records()) {
-    int bucket;
-    if (record.media == Media::kSsd) {
-      bucket = -1;
-    } else {
-      bucket = record.worker_socket >= 0 ? record.worker_socket
-                                         : record.data_socket;
-    }
-    phase_socket_seconds[record.label][bucket] +=
+    phase_socket_seconds[record.label][SocketBucket(record)] +=
         RecordSecondsAmong(record, pinning, standing);
   }
   double memory_seconds = 0.0;
   for (const auto& [label, socket_seconds] : phase_socket_seconds) {
-    double phase = 0.0;
-    for (const auto& [socket, seconds] : socket_seconds) {
-      (void)socket;
-      phase = std::max(phase, seconds);
-    }
+    const double phase = PhaseSeconds(socket_seconds);
     if (breakdown != nullptr) (*breakdown)[label] = phase;
     memory_seconds += phase;
   }
 
-  double cpu_ns = static_cast<double>(work.tuples_scanned) *
-                      config_.scan_ns_per_tuple +
-                  static_cast<double>(work.probes) * config_.probe_ns +
-                  static_cast<double>(work.agg_updates) * config_.agg_ns;
-  double cpu_seconds =
-      cpu_ns / 1e9 / static_cast<double>(std::max(total_threads, 1));
+  const double cpu_seconds = CpuSeconds(work, total_threads);
   if (breakdown != nullptr) (*breakdown)["cpu"] = cpu_seconds;
   return memory_seconds + cpu_seconds;
 }
@@ -207,8 +153,8 @@ QueryTimer::ThroughputEstimate QueryTimer::EstimateConcurrentStreams(
       for (const TrafficRecord* record : records) {
         // Each stream runs the record with its share of the workers.
         int record_threads = std::max(1, record->threads / streams);
-        Result<AccessClass> klass =
-            BuildClass(*record, record_threads, pinning);
+        Result<AccessClass> klass = ToAccessClass(
+            *record, record_threads, pinning, model_->config().topology);
         if (!klass.ok()) continue;
         // Streams work on disjoint data sets on the same DIMMs.
         klass->region_id = 1000 + stream;
@@ -224,29 +170,14 @@ QueryTimer::ThroughputEstimate QueryTimer::EstimateConcurrentStreams(
     for (size_t i = 0; i < records.size(); ++i) {
       double gbps = result.per_class[i].gbps;
       if (gbps <= 0.0) continue;
-      int bucket = records[i]->media == Media::kSsd
-                       ? -1
-                       : (records[i]->worker_socket >= 0
-                              ? records[i]->worker_socket
-                              : records[i]->data_socket);
-      socket_seconds[bucket] += bytes_per_class[i] / 1e9 / gbps;
+      socket_seconds[SocketBucket(*records[i])] +=
+          bytes_per_class[i] / 1e9 / gbps;
     }
-    double phase = 0.0;
-    for (const auto& [socket, seconds] : socket_seconds) {
-      (void)socket;
-      phase = std::max(phase, seconds);
-    }
-    memory_seconds += phase;
+    memory_seconds += PhaseSeconds(socket_seconds);
   }
 
-  double cpu_ns = static_cast<double>(work.tuples_scanned) *
-                      config_.scan_ns_per_tuple +
-                  static_cast<double>(work.probes) * config_.probe_ns +
-                  static_cast<double>(work.agg_updates) * config_.agg_ns;
-  double cpu_seconds =
-      cpu_ns / 1e9 / static_cast<double>(std::max(threads_per_stream, 1));
-
-  estimate.stream_seconds = memory_seconds + cpu_seconds;
+  estimate.stream_seconds =
+      memory_seconds + CpuSeconds(work, threads_per_stream);
   if (estimate.stream_seconds > 0.0) {
     estimate.queries_per_hour =
         3600.0 * static_cast<double>(streams) / estimate.stream_seconds;

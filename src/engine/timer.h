@@ -50,29 +50,28 @@ class QueryTimer {
 
   const TimerConfig& config() const { return config_; }
 
-  /// Estimated seconds for the profiled traffic and CPU work executed by
-  /// `total_threads` workers placed with `pinning`. When `breakdown` is
-  /// non-null, it receives the per-phase memory seconds (keyed by profile
-  /// label) plus a "cpu" entry — the where-does-the-time-go evidence
-  /// behind Table 1's discussion.
-  double EstimateSeconds(const ExecutionProfile& profile, const CpuWork& work,
-                         int total_threads, PinningPolicy pinning,
-                         std::map<std::string, double>* breakdown =
-                             nullptr) const;
-
-  /// EstimateSeconds under standing `background` traffic (e.g. an ingest
-  /// load running for the whole query): every query record is evaluated
-  /// JOINTLY with the background classes, so records sharing a (socket,
-  /// media) device pool with the load see the contended bandwidth of
-  /// Fig. 11 instead of their solo rate. Background records occupy
-  /// regions disjoint from the query's. An empty `background` reduces to
-  /// EstimateSeconds exactly.
+  /// Seconds for the profiled traffic and CPU work executed by
+  /// `total_threads` workers placed with `pinning`, under standing
+  /// `background` traffic (e.g. an ingest load running for the whole
+  /// query). Every query record is evaluated JOINTLY with the background
+  /// classes, so records sharing a (socket, media) device pool with the
+  /// load see the contended bandwidth of Fig. 11 instead of their solo
+  /// rate; background records occupy regions disjoint from the query's.
+  /// When `breakdown` is non-null, it receives the per-phase memory
+  /// seconds (keyed by profile label) plus a "cpu" entry — the
+  /// where-does-the-time-go evidence behind Table 1's discussion.
   double EstimateSecondsWithBackground(
       const ExecutionProfile& profile, const CpuWork& work, int total_threads,
       PinningPolicy pinning, const std::vector<TrafficRecord>& background,
       std::map<std::string, double>* breakdown = nullptr) const;
 
-  /// Memory time of a single traffic record (seconds).
+  /// The solo query: EstimateSecondsWithBackground with no background.
+  double EstimateSeconds(const ExecutionProfile& profile, const CpuWork& work,
+                         int total_threads, PinningPolicy pinning,
+                         std::map<std::string, double>* breakdown =
+                             nullptr) const;
+
+  /// Memory time of a single traffic record evaluated alone (seconds).
   double RecordSeconds(const TrafficRecord& record,
                        PinningPolicy pinning) const;
 
@@ -94,13 +93,12 @@ class QueryTimer {
  private:
   /// Bytes that actually reach the devices (LLC-filtered for random).
   double EffectiveBytes(const TrafficRecord& record) const;
-  /// RecordSeconds with the record evaluated jointly against the standing
+  /// CPU seconds of `work` spread over `threads` workers.
+  double CpuSeconds(const CpuWork& work, int threads) const;
+  /// Memory time of `record` evaluated jointly against the standing
   /// `background` classes (the record is per_class[0] of the joint spec).
   double RecordSecondsAmong(const TrafficRecord& record, PinningPolicy pinning,
                             const std::vector<AccessClass>& background) const;
-  /// Builds the model class for a record executed by `threads` workers.
-  Result<AccessClass> BuildClass(const TrafficRecord& record, int threads,
-                                 PinningPolicy pinning) const;
 
   const MemSystemModel* model_;
   TimerConfig config_;

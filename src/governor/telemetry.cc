@@ -3,42 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "topo/pinning.h"
-
 namespace pmemolap {
 namespace governor {
-namespace {
-
-/// Builds the model class for a record, mirroring the timing layer's
-/// construction so telemetry sees the same classes the timer costs.
-Result<AccessClass> BuildClass(const MemSystemModel& model,
-                               const TrafficRecord& record,
-                               PinningPolicy pinning) {
-  int worker_socket =
-      record.worker_socket >= 0 ? record.worker_socket : record.data_socket;
-  ThreadPlacer placer(model.config().topology);
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement placement,
-      placer.Place(std::max(record.threads, 1), pinning, worker_socket));
-  if (pinning != PinningPolicy::kNone) {
-    for (ThreadSlot& slot : placement.slots) {
-      slot.near_data = SystemTopology::IsNear(slot.socket, record.data_socket);
-    }
-  }
-  AccessClass klass;
-  klass.op = record.op;
-  klass.pattern = record.pattern;
-  klass.media = record.media;
-  klass.access_size = std::max<uint64_t>(record.access_size, 64);
-  klass.placement = std::move(placement);
-  klass.data_socket = record.data_socket;
-  klass.region_bytes = record.region_bytes;
-  klass.run_index = 2;  // steady state: the directory is warm
-  klass.label = record.label;
-  return klass;
-}
-
-}  // namespace
 
 TelemetrySample BuildTelemetry(const MemSystemModel& model,
                                const std::vector<TrafficRecord>& query,
@@ -62,10 +28,13 @@ TelemetrySample BuildTelemetry(const MemSystemModel& model,
   WorkloadSpec spec;
   std::vector<Origin> origins;
   int next_region = 0;
+  // The same record→class translation QueryTimer prices, so telemetry
+  // samples exactly the classes the run was costed as.
   auto add = [&](const std::vector<TrafficRecord>& records, bool is_bg) {
     for (const TrafficRecord& record : records) {
       if (record.bytes == 0) continue;
-      Result<AccessClass> klass = BuildClass(model, record, pinning);
+      Result<AccessClass> klass = ToAccessClass(
+          record, record.threads, pinning, model.config().topology);
       if (!klass.ok()) continue;
       klass->region_id = (is_bg ? 2000 : 1000) + next_region++;
       spec.classes.push_back(std::move(klass.value()));

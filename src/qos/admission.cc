@@ -53,58 +53,98 @@ int AdmissionController::EffectiveQueueLimit(QueryPriority priority) const {
   return EffectiveQueueLimitLocked(priority);
 }
 
+bool AdmissionController::SlotOpenLocked() const {
+  return !recovery_paused_ && running_ < std::max(1, limits_.max_concurrent);
+}
+
+bool AdmissionController::CanRunLocked(int priority) const {
+  if (!SlotOpenLocked() || StarvedClassLocked() >= 0) return false;
+  for (int p = 0; p <= priority; ++p) {
+    if (!queue_[p].empty()) return false;  // FIFO: queued waiters first
+  }
+  return true;
+}
+
 int AdmissionController::StarvedClassLocked() const {
   if (limits_.aging_grants <= 0) return -1;
   for (int p = 0; p < kNumPriorities; ++p) {
-    if (waiting_[p] > 0 && bypass_grants_[p] >= limits_.aging_grants) {
+    if (!queue_[p].empty() && bypass_grants_[p] >= limits_.aging_grants) {
       return p;
     }
   }
   return -1;
 }
 
-void AdmissionController::NoteGrantLocked(int priority) {
-  bypass_grants_[priority] = 0;
-  for (int p = priority + 1; p < kNumPriorities; ++p) {
-    if (waiting_[p] > 0) ++bypass_grants_[p];
+int AdmissionController::NextClassLocked() const {
+  if (!SlotOpenLocked()) return -1;
+  // An aged class holds the reservation for this slot, even past
+  // higher-priority waiters — this is what bounds every waiter's delay
+  // under sustained high-priority traffic.
+  const int starved = StarvedClassLocked();
+  if (starved >= 0) return starved;
+  for (int p = 0; p < kNumPriorities; ++p) {
+    if (!queue_[p].empty()) return p;
   }
+  return -1;
 }
 
-bool AdmissionController::CanRunLocked(int priority) const {
-  if (recovery_paused_) return false;
-  if (running_ >= std::max(1, limits_.max_concurrent)) return false;
-  // An aged class holds the reservation for this slot: only it may run,
-  // even past higher-priority waiters — this is what bounds every
-  // waiter's delay under sustained high-priority traffic.
-  const int starved = StarvedClassLocked();
-  if (starved >= 0) return priority == starved;
-  for (int p = 0; p < priority; ++p) {
-    if (waiting_[p] > 0) return false;  // higher-priority waiter first
+Status AdmissionController::EnqueueLocked(uint64_t id,
+                                          QueryPriority priority) {
+  const int p = static_cast<int>(priority);
+  const bool must_wait = !CanRunLocked(p);
+  const int limit = EffectiveQueueLimitLocked(priority);
+  if (must_wait && queue_[p].size() >= static_cast<size_t>(limit)) {
+    ++counters_.shed;
+    return Status::ResourceExhausted(
+        std::string("admission queue full for priority ") +
+        QueryPriorityName(priority) + " (limit " + std::to_string(limit) +
+        ")");
   }
-  return true;
+  queue_[p].push_back(id);
+  if (must_wait) {
+    uint64_t total_waiting = 0;
+    for (const std::deque<uint64_t>& queue : queue_) {
+      total_waiting += queue.size();
+    }
+    counters_.peak_waiting = std::max(counters_.peak_waiting, total_waiting);
+  }
+  return Status::OK();
+}
+
+AdmissionTicket AdmissionController::GrantLocked(int priority) {
+  // Only a reservation passes over a queued higher-priority waiter.
+  for (int p = 0; p < priority; ++p) {
+    if (!queue_[p].empty()) {
+      ++counters_.aged_grants;
+      break;
+    }
+  }
+  bypass_grants_[priority] = 0;
+  for (int p = priority + 1; p < kNumPriorities; ++p) {
+    if (!queue_[p].empty()) ++bypass_grants_[p];
+  }
+  ++running_;
+  counters_.peak_running = std::max<uint64_t>(
+      counters_.peak_running, static_cast<uint64_t>(running_));
+  ++counters_.admitted;
+  return AdmissionTicket(this);
 }
 
 Result<AdmissionTicket> AdmissionController::TryAdmit(
     QueryPriority priority) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const int p = static_cast<int>(priority);
   if (recovery_paused_) {
     ++counters_.shed;
     return Status::Unavailable("admission paused (recovery in progress)");
   }
+  const int p = static_cast<int>(priority);
   if (!CanRunLocked(p)) {
     ++counters_.shed;
     return Status::ResourceExhausted(
         std::string("admission refused (no free slot, priority ") +
         QueryPriorityName(priority) + ")");
   }
-  NoteGrantLocked(p);
-  ++running_;
-  counters_.peak_running =
-      std::max<uint64_t>(counters_.peak_running,
-                         static_cast<uint64_t>(running_));
-  ++counters_.admitted;
-  return AdmissionTicket(this);
+  return GrantLocked(p);
 }
 
 Result<AdmissionTicket> AdmissionController::Admit(QueryPriority priority,
@@ -122,49 +162,70 @@ Result<AdmissionTicket> AdmissionController::Admit(QueryPriority priority,
       return expired;
     }
   }
-  if (!CanRunLocked(p)) {
-    if (waiting_[p] >= EffectiveQueueLimitLocked(priority)) {
-      ++counters_.shed;
-      return Status::ResourceExhausted(
-          std::string("admission queue full for priority ") +
-          QueryPriorityName(priority) + " (limit " +
-          std::to_string(EffectiveQueueLimitLocked(priority)) + ")");
-    }
-    ++waiting_[p];
-    uint64_t total_waiting = 0;
-    for (int q = 0; q < kNumPriorities; ++q) {
-      total_waiting += static_cast<uint64_t>(waiting_[q]);
-    }
-    counters_.peak_waiting = std::max(counters_.peak_waiting, total_waiting);
-    while (!CanRunLocked(p)) {
-      if (token != nullptr) {
-        Status expired = token->Check();
-        if (!expired.ok()) {
-          --waiting_[p];
-          // A class with no waiters holds no reservation: a future
-          // waiter must age on its own, not inherit this one's credit.
-          if (waiting_[p] == 0) bypass_grants_[p] = 0;
-          ++counters_.expired_waiting;
-          cv_.notify_all();  // a higher-priority hole may have opened
-          return expired;
-        }
+  const uint64_t id = next_blocking_id_++;
+  PMEMOLAP_RETURN_NOT_OK(EnqueueLocked(id, priority));
+  std::deque<uint64_t>& queue = queue_[p];
+  while (NextClassLocked() != p || queue.front() != id) {
+    if (token != nullptr) {
+      Status expired = token->Check();
+      if (!expired.ok()) {
+        queue.erase(std::find(queue.begin(), queue.end(), id));
+        // A class with no waiters holds no reservation: a future
+        // waiter must age on its own, not inherit this one's credit.
+        if (queue.empty()) bypass_grants_[p] = 0;
+        ++counters_.expired_waiting;
+        cv_.notify_all();  // a higher-priority hole may have opened
+        return expired;
       }
-      // Short slices instead of a wait-until: the token may carry a
-      // modeled deadline no host time_point can represent.
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
-    --waiting_[p];
-    if (limits_.aging_grants > 0 &&
-        bypass_grants_[p] >= limits_.aging_grants) {
-      ++counters_.aged_grants;  // this grant consumed an aging reservation
-    }
+    // Short slices instead of a wait-until: the token may carry a
+    // modeled deadline no host time_point can represent.
+    cv_.wait_for(lock, std::chrono::milliseconds(1));
   }
-  NoteGrantLocked(p);
-  ++running_;
-  counters_.peak_running = std::max<uint64_t>(
-      counters_.peak_running, static_cast<uint64_t>(running_));
-  ++counters_.admitted;
-  return AdmissionTicket(this);
+  queue.pop_front();
+  AdmissionTicket ticket = GrantLocked(p);
+  cv_.notify_all();  // the next head may take another open slot
+  return ticket;
+}
+
+Status AdmissionController::Enqueue(uint64_t id, QueryPriority priority,
+                                    bool expired) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (expired) {
+    ++counters_.expired_waiting;
+    return Status::DeadlineExceeded("deadline passed before admission");
+  }
+  return EnqueueLocked(id, priority);
+}
+
+std::optional<AdmissionGrant> AdmissionController::GrantNext() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const int p = NextClassLocked();
+  if (p < 0) return std::nullopt;
+  const uint64_t id = queue_[p].front();
+  queue_[p].pop_front();
+  return AdmissionGrant{id, GrantLocked(p)};
+}
+
+std::vector<uint64_t> AdmissionController::WithdrawExpired(
+    const std::function<bool(uint64_t)>& expired) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<uint64_t> withdrawn;
+  for (int p = 0; p < kNumPriorities; ++p) {
+    std::deque<uint64_t>& queue = queue_[p];
+    for (auto it = queue.begin(); it != queue.end();) {
+      if (expired(*it)) {
+        withdrawn.push_back(*it);
+        it = queue.erase(it);
+        ++counters_.expired_waiting;
+      } else {
+        ++it;
+      }
+    }
+    // Grants reset the credit of a class they empty; expiry does too.
+    if (queue.empty()) bypass_grants_[p] = 0;
+  }
+  return withdrawn;
 }
 
 void AdmissionController::PauseForRecovery() {
@@ -206,9 +267,9 @@ int AdmissionController::running() const {
 
 int AdmissionController::waiting() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  int total = 0;
-  for (int p = 0; p < kNumPriorities; ++p) total += waiting_[p];
-  return total;
+  size_t total = 0;
+  for (const std::deque<uint64_t>& queue : queue_) total += queue.size();
+  return static_cast<int>(total);
 }
 
 double DegradationEstimate(const FaultInjector& injector) {

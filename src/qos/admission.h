@@ -9,11 +9,21 @@
 // (WorkStealingPool::inflight_runs) plus the fault injector's degradation
 // estimate — so a throttled or fault-ridden platform admits less, and
 // batch work is shed first.
+//
+// The controller owns its wait queues: one FIFO of waiter ids per class.
+// Two kinds of caller share them. Host threads block in Admit. An
+// event-driven caller that keeps its own clock (QueryService, on modeled
+// time) drives the same queues and policy through the event entry —
+// Enqueue, GrantNext, WithdrawExpired — and nothing blocks.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <mutex>
+#include <optional>
+#include <vector>
 
 #include "common/status.h"
 #include "fault/fault_injector.h"
@@ -59,11 +69,15 @@ struct LoadSignal {
 /// Evidence of what the gate did — the overload bench's scorecard.
 struct AdmissionCounters {
   uint64_t admitted = 0;         ///< tickets granted
-  uint64_t shed = 0;             ///< refused with kResourceExhausted
+  uint64_t shed = 0;             ///< refused (class queue full, or
+                                 ///< TryAdmit could not run at once)
   uint64_t expired_waiting = 0;  ///< deadline fired while queued (or at
                                  ///< the gate, before ever running)
   uint64_t completed = 0;        ///< tickets released
-  uint64_t aged_grants = 0;      ///< slots granted via an aging reservation
+  /// Grants that passed over a queued higher-priority waiter — only an
+  /// aging reservation does that. A starved class granted while nobody
+  /// higher waits is not counted.
+  uint64_t aged_grants = 0;
   uint64_t peak_running = 0;
   uint64_t peak_waiting = 0;
 };
@@ -100,6 +114,12 @@ class AdmissionTicket {
   AdmissionController* controller_ = nullptr;
 };
 
+/// One grant of the event entry: the waiter's id and its slot.
+struct AdmissionGrant {
+  uint64_t id = 0;
+  AdmissionTicket ticket;
+};
+
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionLimits limits = AdmissionLimits());
@@ -112,34 +132,65 @@ class AdmissionController {
   void SetLoadSignal(const LoadSignal& signal);
   LoadSignal load_signal() const;
 
-  /// Non-blocking gate: a ticket when a slot is free right now,
-  /// kResourceExhausted otherwise. Never queues.
+  /// Non-blocking gate: a ticket when a slot is free and nobody is queued
+  /// ahead of the caller, kResourceExhausted otherwise. Never queues.
   Result<AdmissionTicket> TryAdmit(QueryPriority priority);
 
-  /// Blocking gate: a free slot admits immediately; otherwise the caller
-  /// queues up to its class's (backpressure-shrunk) bound and waits for a
-  /// release. Over-bound submissions shed fast with kResourceExhausted;
-  /// a waiter whose `token` expires leaves with that terminal status
-  /// (kDeadlineExceeded) instead of ever running. An already-expired
-  /// token never admits and never sheds: the deadline, not the queue, is
-  /// what failed, so the call reports the token's terminal status even
-  /// when the class queue is also full. Queued low-priority waiters age
-  /// (AdmissionLimits::aging_grants), so sustained high-priority traffic
-  /// cannot starve them indefinitely.
+  /// Blocking gate: the caller queues at the tail of its class FIFO (up
+  /// to the class's backpressure-shrunk bound) and runs when it is the
+  /// waiter GrantNext would pick — a free slot with nobody ahead of it
+  /// admits at once. Over-bound submissions shed fast with
+  /// kResourceExhausted; a waiter whose `token` expires leaves with that
+  /// terminal status (kDeadlineExceeded) instead of ever running. An
+  /// already-expired token never admits and never sheds: the deadline, not
+  /// the queue, is what failed, so the call reports the token's terminal
+  /// status even when the class queue is also full. Queued low-priority
+  /// waiters age (AdmissionLimits::aging_grants), so sustained
+  /// high-priority traffic cannot starve them indefinitely.
   Result<AdmissionTicket> Admit(QueryPriority priority,
                                 CancelToken* token = nullptr);
+
+  // Event entry. Waiters are caller-supplied ids below kBlockingIds (the
+  // ids at and above it name blocking Admit callers); the caller owns
+  // their deadlines and calls GrantNext after every event that can free a
+  // slot, lift the pause or queue a waiter.
+
+  static constexpr uint64_t kBlockingIds = uint64_t{1} << 63;
+
+  /// Queues `id` at the tail of its class FIFO. A submission that cannot
+  /// run at once — the gate is paused, no slot is free, or someone of its
+  /// own or a higher class (or an aged class) is queued ahead of it — is
+  /// shed with kResourceExhausted when its class is at its bound. As in
+  /// Admit, an `expired` submission never queues and never sheds: it
+  /// returns kDeadlineExceeded and counts as expired_waiting.
+  Status Enqueue(uint64_t id, QueryPriority priority, bool expired = false);
+
+  /// Grants a slot to the waiter the policy picks next: the head of the
+  /// aged class holding the reservation, else the head of the highest
+  /// non-empty class. Nothing while paused or without a free slot.
+  std::optional<AdmissionGrant> GrantNext();
+
+  /// Removes every waiter `expired` reports past its deadline and returns
+  /// their ids, in class then FIFO order; each counts as expired_waiting.
+  /// A class whose last waiter leaves this way loses its aging credit.
+  /// `expired` runs under the controller's lock and must not call back
+  /// into the controller.
+  std::vector<uint64_t> WithdrawExpired(
+      const std::function<bool(uint64_t)>& expired);
 
   /// The queue bound `priority` currently gets, after the load signal's
   /// shrinkage — 0 means "shed unless a slot is free".
   int EffectiveQueueLimit(QueryPriority priority) const;
 
   /// Recovery gate: while paused no new query is admitted. TryAdmit fails
-  /// fast with kUnavailable ("recovery in progress"); Admit queues (its
-  /// class bound still applies) and wakes on ResumeAfterRecovery — or
-  /// leaves with its token's terminal status if the deadline fires first.
-  /// Queries already running keep their tickets; crash-consistent recovery
-  /// only needs to stop NEW snapshots from being pinned while the redo log
-  /// is being replayed. Idempotent; pause depth is not counted.
+  /// fast with kUnavailable ("recovery in progress"); Admit and Enqueue
+  /// queue (the class bound still applies) and are granted after
+  /// ResumeAfterRecovery — or leave with their terminal status if the
+  /// deadline fires first. Queries already running keep their tickets;
+  /// crash-consistent recovery only needs to stop NEW snapshots from being
+  /// pinned while the redo log is being replayed. QueryService also holds
+  /// the pause through its pause-and-drain tier. Idempotent; pause depth
+  /// is not counted.
   void PauseForRecovery();
   void ResumeAfterRecovery();
   bool recovery_paused() const;
@@ -154,16 +205,25 @@ class AdmissionController {
   void Release();
 
   int EffectiveQueueLimitLocked(QueryPriority priority) const;
-  /// A slot is free, no strictly-higher-priority waiter is queued (unless
-  /// this class's aging reservation overrides them), and no other class
-  /// holds an aging reservation.
+  /// The gate is not paused and a slot is free.
+  bool SlotOpenLocked() const;
+  /// A new submission at `priority` would be granted at once: a slot is
+  /// open, no aged class holds the reservation, and no waiter of its own
+  /// or a higher class is queued.
   bool CanRunLocked(int priority) const;
   /// The highest-priority class whose queued waiter has aged past
   /// aging_grants (holds the next-slot reservation); -1 when none.
   int StarvedClassLocked() const;
-  /// Bookkeeping for one granted slot at `priority`: bumps the bypass
-  /// count of every lower class with waiters, resets this class's.
-  void NoteGrantLocked(int priority);
+  /// The class whose head waiter the open slot goes to: the starved class,
+  /// else the highest non-empty one; -1 when no slot is open or nobody
+  /// waits.
+  int NextClassLocked() const;
+  /// Bound check and push shared by Admit and Enqueue.
+  Status EnqueueLocked(uint64_t id, QueryPriority priority);
+  /// Books one slot for a `priority` waiter already off its queue (or a
+  /// TryAdmit caller): counts an aged grant, bumps the bypass count of
+  /// every lower class with waiters and resets this class's.
+  AdmissionTicket GrantLocked(int priority);
 
   const AdmissionLimits limits_;
   mutable std::mutex mutex_;
@@ -171,10 +231,11 @@ class AdmissionController {
   LoadSignal signal_;
   bool recovery_paused_ = false;
   int running_ = 0;
-  int waiting_[kNumPriorities] = {0, 0, 0};
+  std::deque<uint64_t> queue_[kNumPriorities];
   /// Slots granted to strictly-higher classes while class p had waiters
-  /// queued; reset when class p is granted a slot.
+  /// queued; reset when class p is granted a slot or its queue empties.
   int bypass_grants_[kNumPriorities] = {0, 0, 0};
+  uint64_t next_blocking_id_ = kBlockingIds;
   AdmissionCounters counters_;
 };
 

@@ -192,8 +192,8 @@ Status QueryService::Prepare() {
   primary.columnar = config_.columnar && !poison_mode && !durable_mode;
   if (poison_mode) primary.fault = &domain_;
   if (durable_mode) primary.durable = table_.get();
-  // Admission lives at the service edge (we mirror the wait queues on
-  // the modeled timeline); the engine gates nothing itself.
+  // Admission lives at the service edge (the controller's queues hold
+  // request ids on the modeled timeline); the engine gates nothing itself.
   primary.admission = nullptr;
 
   EngineConfig degraded = primary;
@@ -237,9 +237,21 @@ void QueryService::Schedule(double at, EventKind kind, uint64_t arg) {
   events_.push(Event{at, seq_++, kind, arg});
 }
 
-bool QueryService::GrantsPaused() const {
-  return policy_.tier() == DegradationTier::kPauseAndDrain ||
-         admission_.recovery_paused();
+bool QueryService::Expired(uint64_t id) const {
+  const RequestRecord& request = requests_[id];
+  return request.deadline_seconds >= 0.0 &&
+         now_ >= request.deadline_seconds - kEps;
+}
+
+void QueryService::ObserveHealth(double estimate) {
+  policy_.Observe(now_, estimate);
+  // Pause-and-drain and a recovery window both stop grants through the
+  // gate's one pause, which its shed rule reads too.
+  if (policy_.tier() == DegradationTier::kPauseAndDrain || crashed_window_) {
+    admission_.PauseForRecovery();
+  } else {
+    admission_.ResumeAfterRecovery();
+  }
 }
 
 Result<ServiceReport> QueryService::Run() {
@@ -302,8 +314,9 @@ Result<ServiceReport> QueryService::Run() {
 
   ServiceReport report;
   counters_.breaker_trips = breakers_ ? breakers_->counters().trips : 0;
-  report.counters = counters_;
   report.admission = admission_.counters();
+  counters_.aged_grants = report.admission.aged_grants;
+  report.counters = counters_;
   std::vector<double> all;
   std::vector<double> per_class[qos::kNumPriorities];
   for (const RequestRecord& r : requests_) {
@@ -362,30 +375,24 @@ void QueryService::OnArrivalEvent() {
 }
 
 void QueryService::SubmitRequest(uint64_t id) {
-  RequestRecord& request = requests_[id];
-  const int p = static_cast<int>(request.priority);
-  if (request.deadline_seconds >= 0.0 &&
-      now_ >= request.deadline_seconds - kEps) {
-    // Deadline precedence: an expired request is never shed — the
-    // deadline, not the queue, is what failed (mirrors the gate).
-    ExpireQueuedRequest(id);
-    return;
-  }
+  const RequestRecord& request = requests_[id];
+  // Deadline precedence: an expired request is never shed — the
+  // deadline, not the queue, is what failed.
+  const bool expired = Expired(id);
   // Tier 1+: batch refused at the edge before the gate sees it.
-  if (policy_.tier() >= DegradationTier::kShedLowPriority &&
+  if (!expired && policy_.tier() >= DegradationTier::kShedLowPriority &&
       request.priority == qos::QueryPriority::kBatch) {
     ShedRequest(id, /*edge=*/true);
     return;
   }
-  const int limit = admission_.EffectiveQueueLimit(request.priority);
-  const bool must_wait = GrantsPaused() || !CanRunMirror(p);
-  if (must_wait &&
-      queue_[p].size() >= static_cast<size_t>(std::max(0, limit))) {
+  const Status queued = admission_.Enqueue(id, request.priority, expired);
+  if (queued.code() == StatusCode::kDeadlineExceeded) {
+    ExpireQueuedRequest(id);
+  } else if (!queued.ok()) {
     ShedRequest(id, /*edge=*/false);
-    return;
+  } else {
+    PumpGrants();
   }
-  queue_[p].push_back(id);
-  PumpGrants();
 }
 
 void QueryService::ShedRequest(uint64_t id, bool edge) {
@@ -416,86 +423,20 @@ void QueryService::ExpireQueuedRequest(uint64_t id) {
   ScheduleClientNext(request.client);
 }
 
-int QueryService::StarvedMirror() const {
-  const int aging = admission_.limits().aging_grants;
-  if (aging <= 0) return -1;
-  for (int p = 0; p < qos::kNumPriorities; ++p) {
-    if (!queue_[p].empty() && bypass_[p] >= aging) return p;
-  }
-  return -1;
-}
-
-bool QueryService::CanRunMirror(int priority) const {
-  if (GrantsPaused()) return false;
-  if (admission_.running() >= admission_.limits().max_concurrent) {
-    return false;
-  }
-  const int starved = StarvedMirror();
-  if (starved >= 0) return starved == priority;
-  for (int q = 0; q <= priority; ++q) {
-    if (!queue_[q].empty()) return false;
-  }
-  return true;
-}
-
-void QueryService::NoteGrantMirror(int priority) {
-  bypass_[priority] = 0;
-  for (int q = priority + 1; q < qos::kNumPriorities; ++q) {
-    if (!queue_[q].empty()) ++bypass_[q];
-  }
-}
-
 void QueryService::PurgeExpiredWaiters() {
-  for (int p = 0; p < qos::kNumPriorities; ++p) {
-    std::deque<uint64_t>& queue = queue_[p];
-    for (size_t i = 0; i < queue.size();) {
-      const RequestRecord& request = requests_[queue[i]];
-      if (request.deadline_seconds >= 0.0 &&
-          now_ >= request.deadline_seconds - kEps) {
-        const uint64_t id = queue[i];
-        queue.erase(queue.begin() + static_cast<ptrdiff_t>(i));
-        ExpireQueuedRequest(id);
-      } else {
-        ++i;
-      }
-    }
+  auto expired = [this](uint64_t id) { return Expired(id); };
+  for (uint64_t id : admission_.WithdrawExpired(expired)) {
+    ExpireQueuedRequest(id);
   }
 }
 
 void QueryService::PumpGrants() {
-  while (true) {
-    if (GrantsPaused()) return;
-    PurgeExpiredWaiters();
-    const int starved = StarvedMirror();
-    int pick = -1;
-    if (starved >= 0) {
-      pick = starved;
-    } else {
-      for (int p = 0; p < qos::kNumPriorities; ++p) {
-        if (!queue_[p].empty()) {
-          pick = p;
-          break;
-        }
-      }
-    }
-    if (pick < 0) return;
-    Result<qos::AdmissionTicket> ticket =
-        admission_.TryAdmit(static_cast<qos::QueryPriority>(pick));
-    if (!ticket.ok()) return;  // no slot free (or recovery pause raced)
-    const uint64_t id = queue_[pick].front();
-    queue_[pick].pop_front();
-    if (starved >= 0) {
-      // Count only reservations that actually overrode a higher waiter,
-      // matching AdmissionCounters::aged_grants semantics.
-      for (int q = 0; q < starved; ++q) {
-        if (!queue_[q].empty()) {
-          ++counters_.aged_grants;
-          break;
-        }
-      }
-    }
-    NoteGrantMirror(pick);
-    GrantRequest(id, std::move(ticket.value()));
+  // A paused gate grants nothing; its expired waiters leave at the next
+  // tick.
+  if (admission_.recovery_paused()) return;
+  PurgeExpiredWaiters();
+  while (std::optional<qos::AdmissionGrant> grant = admission_.GrantNext()) {
+    GrantRequest(grant->id, std::move(grant->ticket));
   }
 }
 
@@ -503,7 +444,6 @@ void QueryService::GrantRequest(uint64_t id, qos::AdmissionTicket ticket) {
   RequestRecord& request = requests_[id];
   request.grant_seconds = now_;
   ++counters_.granted;
-  ++in_flight_;
   running_.emplace(id, std::move(ticket));
 
   const bool degraded_plan =
@@ -536,7 +476,6 @@ void QueryService::GrantRequest(uint64_t id, qos::AdmissionTicket ticket) {
 void QueryService::OnCompleteEvent(uint64_t id) {
   RequestRecord& request = requests_[id];
   running_.erase(id);  // releases the admission ticket
-  --in_flight_;
   request.complete_seconds = now_;
   if (request.outcome == RequestOutcome::kPending) {
     if (request.planned_finish_seconds > now_ + kEps) {
@@ -568,8 +507,8 @@ void QueryService::OnTickEvent() {
   now_ = std::max(now_, t);
   if (injector_) injector_->AdvanceTo(now_);
   const double estimate = HealthEstimate();
-  policy_.Observe(now_, estimate);
-  admission_.SetLoadSignal({in_flight_, estimate});
+  ObserveHealth(estimate);
+  admission_.SetLoadSignal({admission_.running(), estimate});
   PurgeExpiredWaiters();
   PumpGrants();
 
@@ -578,10 +517,8 @@ void QueryService::OnTickEvent() {
   tick.seconds = now_;
   tick.tier = static_cast<int>(policy_.tier());
   tick.estimate = estimate;
-  tick.in_flight = in_flight_;
-  int waiting = 0;
-  for (const auto& queue : queue_) waiting += static_cast<int>(queue.size());
-  tick.waiting = waiting;
+  tick.in_flight = admission_.running();
+  tick.waiting = admission_.waiting();
   tick.submitted = counters_.submitted;
   tick.admitted = counters_.granted;
   tick.shed = counters_.edge_shed + counters_.queue_shed;
@@ -664,9 +601,8 @@ void QueryService::OnCrash(uint64_t lost_rows) {
   pending_burst_rows_ += lost_rows;
   const uint64_t committed_before = epoch_rows_.size() - 1;
   // Dead platform: tier 3 immediately (pause skips hysteresis), and the
-  // real recovery gate parks new admissions while waiters hold.
-  policy_.Observe(now_, 0.0);
-  admission_.PauseForRecovery();
+  // gate parks new admissions while waiters hold.
+  ObserveHealth(0.0);
   // Recovery replays host-side now; its modeled cost holds the pause
   // window on the modeled timeline.
   Result<RecoveryStats> stats = primary_->Recover();
@@ -686,8 +622,7 @@ void QueryService::OnCrash(uint64_t lost_rows) {
 void QueryService::OnRecoveryDone() {
   crashed_window_ = false;
   ++counters_.recoveries;
-  admission_.ResumeAfterRecovery();
-  policy_.Observe(now_, HealthEstimate());
+  ObserveHealth(HealthEstimate());
   fault_clear_edges_.push_back(now_);
   const uint64_t rows = pending_burst_rows_;
   pending_burst_rows_ = 0;
@@ -707,9 +642,9 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   std::string actuators;
   if (governor_) {
     const governor::GovernorDecision decision = governor_->decision();
-    actuators += "w" + std::to_string(decision.write_threads);
+    actuators.append("w").append(std::to_string(decision.write_threads));
     for (int cap : decision.read_workers) {
-      actuators += "r" + std::to_string(cap);
+      actuators.append("r").append(std::to_string(cap));
     }
     for (const std::string& name : decision.staged) actuators += "s" + name;
   }

@@ -11,10 +11,10 @@
 // ContinuousProfiler emitting per-modeled-second counters as CSV.
 //
 // Execution model. Client traffic is bookkeeping on an event queue keyed
-// by (modeled time, sequence): submissions queue through mirrored
-// admission policy (the controller's aging/reservation rules replayed on
-// service-owned wait queues, with real TryAdmit tickets bounding
-// concurrency and carrying the recovery-pause gate), grants schedule a
+// by (modeled time, sequence): submissions queue as request ids in the
+// controller's own class FIFOs through its event entry (Enqueue /
+// GrantNext / WithdrawExpired — the same queues, aging rule and pause
+// that blocking Admit uses, with nothing blocked), grants schedule a
 // completion at grant + modeled query seconds, deadlines cut runs short
 // on the modeled timeline. Actual host Execute calls are memoized per
 // (engine, query, snapshot epoch, actuator state): a 100k-client
@@ -43,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <queue>
@@ -143,7 +142,8 @@ struct ServiceCounters {
   uint64_t completed = 0;
   uint64_t incorrect_results = 0;  ///< reference mismatches (must be 0)
   uint64_t failed_executions = 0;  ///< engine errors (must be 0)
-  uint64_t aged_grants = 0;     ///< grants via the aging reservation
+  uint64_t aged_grants = 0;     ///< grants past a queued higher class
+                                ///< (the controller's count)
   uint64_t real_executions = 0;  ///< host Execute calls (cache misses)
   uint64_t cache_hits = 0;
   uint64_t crashes = 0;
@@ -241,7 +241,11 @@ class QueryService {
 
   void Schedule(double at, EventKind kind, uint64_t arg);
   double horizon() const { return config_.chaos.horizon_seconds; }
-  bool GrantsPaused() const;
+  /// Request `id`'s deadline has passed at now_.
+  bool Expired(uint64_t id) const;
+  /// Feeds the degradation policy and holds the gate's pause while tier 3
+  /// or a recovery window does.
+  void ObserveHealth(double estimate);
 
   void OnSubmitEvent(uint64_t client);
   void OnArrivalEvent();
@@ -258,13 +262,9 @@ class QueryService {
   /// Closed loop: schedules `client`'s next submission after think time.
   void ScheduleClientNext(uint64_t client);
 
-  /// Grants waiters while slots, tiers and policy allow, replaying the
-  /// controller's priority/aging rules on the service-owned queues.
+  /// Grants the controller's waiters while it has open slots.
   void PumpGrants();
-  int StarvedMirror() const;
-  bool CanRunMirror(int priority) const;
-  void NoteGrantMirror(int priority);
-  /// Drops deadline-expired waiters from every queue.
+  /// Withdraws deadline-expired waiters from the controller's queues.
   void PurgeExpiredWaiters();
 
   double HealthEstimate() const;
@@ -312,9 +312,6 @@ class QueryService {
   uint64_t seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::vector<RequestRecord> requests_;
-  std::deque<uint64_t> queue_[qos::kNumPriorities];
-  int bypass_[qos::kNumPriorities] = {0, 0, 0};
-  int in_flight_ = 0;
   std::map<uint64_t, qos::AdmissionTicket> running_;
   bool crashed_window_ = false;
   Status run_error_ = Status::OK();

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -372,6 +373,125 @@ TEST(AdmissionTest, DeadlineFiresWhileRecoveryPauseHolds) {
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(gate.waiting(), 0);
   gate.ResumeAfterRecovery();
+}
+
+// --- Event entry: caller-supplied ids, single-threaded -------------------
+
+/// Grants the next waiter and returns its id (-1 when nothing is granted);
+/// the ticket is released at once unless `hold` takes it.
+int64_t GrantNextId(AdmissionController* gate,
+                    AdmissionTicket* hold = nullptr) {
+  std::optional<AdmissionGrant> grant = gate->GrantNext();
+  if (!grant.has_value()) return -1;
+  if (hold != nullptr) *hold = std::move(grant->ticket);
+  return static_cast<int64_t>(grant->id);
+}
+
+AdmissionLimits AgingLimits() {
+  AdmissionLimits limits;
+  limits.max_concurrent = 1;
+  limits.high_queue = 4;
+  limits.batch_queue = 2;
+  limits.aging_grants = 2;
+  return limits;
+}
+
+/// Ages batch waiter 100 by two high grants (ids 1 and 2) while `slot`
+/// keeps the gate's only slot between grants.
+void AgeBatchWaiter(AdmissionController* gate, AdmissionTicket* slot) {
+  ASSERT_TRUE(gate->Enqueue(100, QueryPriority::kBatch).ok());
+  for (uint64_t id = 1; id <= 2; ++id) {
+    ASSERT_TRUE(gate->Enqueue(id, QueryPriority::kHigh).ok());
+    slot->Release();
+    EXPECT_EQ(GrantNextId(gate, slot), static_cast<int64_t>(id));
+  }
+}
+
+TEST(AdmissionTest, EventEntryGrantsFifoWithinAClass) {
+  AdmissionLimits limits = SmallLimits();
+  limits.normal_queue = 3;
+  AdmissionController gate(limits);
+  Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
+  ASSERT_TRUE(holder.ok());
+  for (uint64_t id : {7, 3, 5}) {
+    ASSERT_TRUE(gate.Enqueue(id, QueryPriority::kNormal).ok());
+  }
+  EXPECT_EQ(gate.waiting(), 3);
+  EXPECT_EQ(GrantNextId(&gate), -1);  // the slot is held
+  holder->Release();
+  AdmissionTicket slot;
+  for (int64_t id : {7, 3, 5}) {
+    EXPECT_EQ(GrantNextId(&gate, &slot), id);
+    EXPECT_EQ(GrantNextId(&gate), -1);
+    slot.Release();
+  }
+  EXPECT_EQ(gate.counters().admitted, 4u);
+  EXPECT_EQ(gate.counters().peak_waiting, 3u);
+}
+
+TEST(AdmissionTest, EventEntryAgedGrantPassingAHigherWaiterIsCounted) {
+  AdmissionController gate(AgingLimits());
+  Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
+  ASSERT_TRUE(holder.ok());
+  AdmissionTicket slot = std::move(holder.value());
+  AgeBatchWaiter(&gate, &slot);
+  // The reservation passes over high waiter 3: that grant is aged.
+  ASSERT_TRUE(gate.Enqueue(3, QueryPriority::kHigh).ok());
+  slot.Release();
+  EXPECT_EQ(GrantNextId(&gate, &slot), 100);
+  EXPECT_EQ(gate.counters().aged_grants, 1u);
+  slot.Release();
+  EXPECT_EQ(GrantNextId(&gate), 3);
+  EXPECT_EQ(gate.counters().aged_grants, 1u);
+}
+
+TEST(AdmissionTest, EventEntryStarvedGrantWithNobodyHigherIsNotCounted) {
+  AdmissionController gate(AgingLimits());
+  Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
+  ASSERT_TRUE(holder.ok());
+  AdmissionTicket slot = std::move(holder.value());
+  AgeBatchWaiter(&gate, &slot);
+  // Batch is starved, but nobody higher waits: an ordinary grant.
+  slot.Release();
+  EXPECT_EQ(GrantNextId(&gate), 100);
+  EXPECT_EQ(gate.counters().aged_grants, 0u);
+}
+
+TEST(AdmissionTest, EventEntryExpiryOfTheLastWaiterResetsAgingCredit) {
+  AdmissionController gate(AgingLimits());
+  Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
+  ASSERT_TRUE(holder.ok());
+  AdmissionTicket slot = std::move(holder.value());
+  AgeBatchWaiter(&gate, &slot);
+  std::vector<uint64_t> gone =
+      gate.WithdrawExpired([](uint64_t id) { return id == 100; });
+  EXPECT_EQ(gone, std::vector<uint64_t>{100});
+  EXPECT_EQ(gate.counters().expired_waiting, 1u);
+  // A new batch waiter ages on its own: high waiter 3 goes first.
+  ASSERT_TRUE(gate.Enqueue(101, QueryPriority::kBatch).ok());
+  ASSERT_TRUE(gate.Enqueue(3, QueryPriority::kHigh).ok());
+  slot.Release();
+  EXPECT_EQ(GrantNextId(&gate, &slot), 3);
+  EXPECT_EQ(gate.counters().aged_grants, 0u);
+}
+
+TEST(AdmissionTest, EventEntryPausedGateShedsAtTheClassBound) {
+  AdmissionController gate(SmallLimits());  // 1 slot, normal queue 1
+  gate.PauseForRecovery();
+  // The slot is free, but a paused gate cannot run anyone: the first
+  // submission queues, the second meets the class bound.
+  ASSERT_TRUE(gate.Enqueue(1, QueryPriority::kNormal).ok());
+  Status shed = gate.Enqueue(2, QueryPriority::kNormal);
+  EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(gate.counters().shed, 1u);
+  // An expired submission reports its deadline, not the full queue.
+  Status expired = gate.Enqueue(3, QueryPriority::kNormal, /*expired=*/true);
+  EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(gate.counters().shed, 1u);
+  EXPECT_EQ(gate.counters().expired_waiting, 1u);
+  EXPECT_EQ(GrantNextId(&gate), -1);
+  gate.ResumeAfterRecovery();
+  EXPECT_EQ(GrantNextId(&gate), 1);
 }
 
 TEST(AdmissionTest, DegradationEstimateTracksThrottlesAndUpi) {

@@ -172,6 +172,32 @@ TEST_F(ServiceTest, OpenLoopOverloadShedsBoundedly) {
   }
 }
 
+TEST_F(ServiceTest, AdmissionCountersAreTheServiceCounters) {
+  // Slots held 10x longer than the baseline: queues fill, queued
+  // deadlines fire and batch waiters age past high traffic.
+  ServiceConfig config = SmallConfig();
+  config.service_time_scale = 0.2;
+  QueryService service(db_, model_, config);
+  Result<ServiceReport> report = service.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ServiceCounters& c = report->counters;
+  const qos::AdmissionCounters& a = report->admission;
+  EXPECT_GT(c.queue_shed, 0u);
+  EXPECT_GT(c.expired_queued, 0u);
+  EXPECT_GT(c.aged_grants, 0u);
+  // The service queues in the controller itself, so the gate's evidence
+  // and the service's outcomes count the same events.
+  EXPECT_EQ(a.shed, c.queue_shed);
+  EXPECT_EQ(a.aged_grants, c.aged_grants);
+  EXPECT_EQ(a.expired_waiting, c.expired_queued);
+  EXPECT_EQ(a.admitted, c.granted);
+  EXPECT_GT(a.peak_waiting, 0u);
+  EXPECT_LE(a.peak_waiting,
+            static_cast<uint64_t>(config.admission.high_queue +
+                                  config.admission.normal_queue +
+                                  config.admission.batch_queue));
+}
+
 TEST_F(ServiceTest, PoisonPlusDurableIsRejected) {
   ServiceConfig config = SmallConfig();
   config.chaos.poison_lines_per_mib = 8.0;

@@ -55,10 +55,12 @@ TEST(TieringConcurrency, TouchVsAdvance) {
   std::thread migrator([&manager, &stop] {
     for (int q = 0; q < 200; ++q) {
       manager.Advance();
-      // Concurrent readers of the migration outputs — the values are
-      // irrelevant here, only the locking is under test.
-      manager.standing_traffic().size();
-      manager.actuator_log().size();
+      // Concurrent readers of the migration outputs — only the locking is
+      // under test, so the checks hold under any interleaving.
+      for (const TrafficRecord& record : manager.standing_traffic()) {
+        EXPECT_EQ(record.pattern, Pattern::kSequentialIndividual);
+      }
+      EXPECT_GE(manager.actuator_log().size(), static_cast<size_t>(q + 1));
     }
     stop.store(true, std::memory_order_relaxed);
   });

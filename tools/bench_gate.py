@@ -52,8 +52,12 @@ METRICS = {
         ("ssb_tax.geomean_durable_ingest", "lower", MODELED),
         ("ssb_tax.geomean_off", "lower", MODELED),
     ],
-    # overload has no scalar geomean; its claims_failed check still runs.
-    "overload": [],
+    # Breakers-on recovery cost: the counters are deterministic (one
+    # worker), so drift past the modeled tolerance is a behavior change.
+    "overload": [
+        ("breakers.failovers_on", "lower", MODELED),
+        ("breakers.retries_on", "lower", MODELED),
+    ],
     # service asserts its SLOs absolutely (and determinism by digest);
     # the gate only re-checks that no claim failed.
     "service": [],

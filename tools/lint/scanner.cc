@@ -152,8 +152,9 @@ ScannedFile ScanFile(const std::string& content) {
                           content[i - 2] == '_'))) {
             size_t open = content.find('(', i);
             if (open != std::string::npos) {
-              raw_delimiter =
-                  ")" + content.substr(i + 1, open - i - 1) + "\"";
+              raw_delimiter.assign(1, ')');
+              raw_delimiter.append(content, i + 1, open - i - 1);
+              raw_delimiter.push_back('"');
               state = State::kRawString;
               code_line += '"';
               i = open;  // skip delimiter; contents blanked from here
