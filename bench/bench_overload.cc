@@ -184,7 +184,7 @@ void RunAdmissionBurst(const ssb::Database& db,
   std::printf(
       "\n[2] Admission control under load shedding (throttled platform)\n");
   // An active thermal-throttle window drags the degradation estimate to
-  // 0.25 — below shed_normal_below (0.40), so normal and batch queues
+  // 0.25 — below qos::kShedNormalBelow (0.40), so normal and batch queues
   // collapse to zero while the platform is throttled.
   FaultSpec spec = FaultSpec::Healthy();
   ThrottleWindow window;
@@ -220,7 +220,7 @@ void RunAdmissionBurst(const ssb::Database& db,
   }
   const double degradation = qos::DegradationEstimate(injector);
   std::printf("  degradation estimate at t=12 s: %.2f (normal shed below "
-              "%.2f)\n", degradation, limits.shed_normal_below);
+              "%.2f)\n", degradation, qos::kShedNormalBelow);
 
   // Hold the only execution slot, then throw a burst at the gate.
   Result<qos::AdmissionTicket> holder =

@@ -68,9 +68,6 @@ ServiceConfig BaseServiceConfig(uint64_t clients, double horizon) {
   config.admission.high_queue = 64;
   config.admission.normal_queue = 32;
   config.admission.batch_queue = 16;
-  config.threads = 8;
-  config.degraded_threads = 2;
-  config.project_to_sf = 50.0;
   // Queries are priced at the paper's sf-50 scale (seconds each); a real
   // service runs many replicas of that engine, so one modeled query
   // occupies only a slice of a slot. 1k closed-loop clients (~250 q/s

@@ -16,17 +16,8 @@ Status DimensionIndex::Insert(uint64_t key, uint64_t payload) {
   return Status::OK();
 }
 
-std::optional<uint64_t> DimensionIndex::Get(uint64_t key) const {
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  if (kind_ == IndexKind::kDash) return dash_->Get(key);
-  auto it = chained_.find(key);
-  if (it == chained_.end()) return std::nullopt;
-  return it->second;
-}
-
 void DimensionIndex::ProbeBatch(const uint64_t* keys, size_t n,
                                 uint64_t* out) const {
-  probes_.fetch_add(n, std::memory_order_relaxed);
   if (kind_ == IndexKind::kDash) {
     for (size_t i = 0; i < n; ++i) {
       out[i] = dash_->Get(keys[i]).value_or(0);

@@ -8,15 +8,13 @@
 //    index (§6.1): a probe chases bucket-head and node pointers, i.e.
 //    several dependent sub-256 B random reads that amplify on PMEM.
 //
-// Both map keys to uint64 values and count their probe traffic. The engine
-// builds them to price probes (ProbeCost, StorageBytes — neither depends
-// on the values); the kernels resolve keys through dense arrays.
+// Both map keys to uint64 values. The engine builds them to price probes
+// (ProbeCost, StorageBytes — neither depends on the values); the kernels
+// resolve keys through dense arrays.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -42,12 +40,8 @@ class DimensionIndex {
   explicit DimensionIndex(IndexKind kind);
 
   Status Insert(uint64_t key, uint64_t payload);
-  std::optional<uint64_t> Get(uint64_t key) const;
 
-  /// Batched probe: looks up `n` keys into `out` (0 for absent keys) and
-  /// counts the n probes with a single atomic add — per-row counter
-  /// increments from 36 workers turn the shared probe counter into a
-  /// coherence hot spot.
+  /// Batched probe: looks up `n` keys into `out` (0 for absent keys).
   void ProbeBatch(const uint64_t* keys, size_t n, uint64_t* out) const;
 
   uint64_t size() const;
@@ -56,20 +50,10 @@ class DimensionIndex {
   ProbeCost probe_cost() const;
   IndexKind kind() const { return kind_; }
 
-  /// Probes since the last ResetStats (every Get counts one probe).
-  uint64_t probes() const {
-    return probes_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() const {
-    probes_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   IndexKind kind_;
   std::unique_ptr<DashTable> dash_;
   std::unordered_map<uint64_t, uint64_t> chained_;
-  /// Relaxed atomic: probes are counted from concurrent worker threads.
-  mutable std::atomic<uint64_t> probes_{0};
 };
 
 }  // namespace pmemolap

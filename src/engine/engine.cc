@@ -201,26 +201,15 @@ Status SsbEngine::Prepare() {
   if (static_cast<uint64_t>(workers_per_socket) > tuples_per_socket) {
     workers_per_socket = static_cast<int>(tuples_per_socket);
   }
-  Partitioner partitioner(topology);
-  Result<std::vector<SocketPartition>> partitions =
-      partitioner.Partition(db_->lineorder.size(), workers_per_socket);
-  if (!partitions.ok()) return partitions.status();
-  partitions_ = std::move(partitions.value());
   if (sockets_used == 1) {
-    // Collapse onto socket 0.
-    SocketPartition all;
-    all.socket = 0;
-    all.tuples = {0, db_->lineorder.size()};
-    uint64_t per_worker =
-        db_->lineorder.size() / static_cast<uint64_t>(workers_per_socket);
-    uint64_t begin = 0;
-    for (int w = 0; w < workers_per_socket; ++w) {
-      uint64_t end = w + 1 == workers_per_socket ? db_->lineorder.size()
-                                                 : begin + per_worker;
-      all.worker_ranges.push_back({begin, end});
-      begin = end;
-    }
-    partitions_ = {std::move(all)};
+    // Collapse onto socket 0. Execute reads only each partition's socket
+    // and tuple range, so no per-worker ranges are built.
+    partitions_ = {SocketPartition{0, {0, db_->lineorder.size()}, {}}};
+  } else {
+    Partitioner partitioner(topology);
+    PMEMOLAP_ASSIGN_OR_RETURN(
+        partitions_,
+        partitioner.Partition(db_->lineorder.size(), workers_per_socket));
   }
   // The column store backs the kernels unless a row image (durable or
   // fault mode) holds the fact rows.
@@ -742,12 +731,13 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       }
     }
     if (governed) {
+      const bool shape = config_.governor->config().shape_morsels;
       if (config_.encoding && !encoded_.empty()) {
         // Encoded columns have no whole-byte tuple width: morsels align
         // to whole 32-value code frames instead, and a torn boundary
         // makes both neighbors re-read that frame's XPLine in every
         // scanned column.
-        if (decision.shape_morsels) {
+        if (shape) {
           AlignMorselPlanTuples(&plan, encoding::kFrameValues);
         }
         xpline_amplified_bytes =
@@ -755,7 +745,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
             ssb::ScanColumnsFor(query).size();
       } else {
         const uint64_t bpt = ScanBytesPerTuple(query);
-        if (decision.shape_morsels) {
+        if (shape) {
           // Snap boundaries to XPLines before quarantine reassignment —
           // reassignment breaks the queue contiguity shaping relies on.
           AlignMorselPlan(&plan, bpt);

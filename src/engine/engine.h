@@ -89,8 +89,6 @@ struct EngineConfig {
   PinningPolicy pinning = PinningPolicy::kCores;
   /// Project runtimes to this scale factor (0 = report at the actual sf).
   double project_to_sf = 0.0;
-  /// The handcrafted SSB runs on fsdax (Dash needs a filesystem, §6.2).
-  bool devdax = false;
   /// Execute morsels on the persistent pool's host threads. The modeled
   /// runtime is unaffected; this exercises the engine's concurrency
   /// (thread-safe probes, disjoint ranges, result merging). False forces

@@ -13,10 +13,6 @@ WorkStealingPool::WorkStealingPool(int threads, int queues)
   }
 }
 
-WorkStealingPool::WorkStealingPool(const SystemTopology& topology,
-                                   int threads)
-    : WorkStealingPool(threads, topology.sockets()) {}
-
 WorkStealingPool::~WorkStealingPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -54,10 +50,8 @@ bool WorkStealingPool::PopMorsel(int worker, Morsel* morsel, bool* steal) {
 }
 
 bool WorkStealingPool::Participates(int worker) const {
-  if (worker >= active_workers_) return false;
   if (queue_caps_.empty()) return true;
-  size_t num_queues =
-      run_queues_.empty() ? static_cast<size_t>(queues_) : run_queues_.size();
+  size_t num_queues = run_queues_.size();
   size_t home = static_cast<size_t>(worker) % num_queues;
   if (home >= queue_caps_.size()) return true;
   int cap = queue_caps_[home];
@@ -75,18 +69,6 @@ void WorkStealingPool::ApplyQueueCapsLocked(std::vector<int> caps) {
   // The caps would exclude every worker and deadlock the run: ignore them
   // (degraded beats deadlocked, like the quarantine re-plan).
   queue_caps_.clear();
-}
-
-void WorkStealingPool::SetConcurrency(std::vector<int> workers_per_queue) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ApplyQueueCapsLocked(std::move(workers_per_queue));
-    // Bump the generation so sleeping workers re-check their eligibility
-    // and busy workers re-sync between morsels; an in-flight run's queues
-    // and pending count are untouched, so the run completes normally.
-    ++generation_;
-  }
-  work_cv_.notify_all();
 }
 
 void WorkStealingPool::WorkerLoop(int worker) {
@@ -145,13 +127,6 @@ void WorkStealingPool::WorkerLoop(int worker) {
   }
 }
 
-Status WorkStealingPool::Run(const MorselPlan& plan, const MorselTask& task,
-                             int max_workers) {
-  RunControl control;
-  control.max_workers = max_workers;
-  return RunWithControl(plan, task, control);
-}
-
 Status WorkStealingPool::RunWithControl(const MorselPlan& plan,
                                         const MorselTask& task,
                                         const RunControl& control) {
@@ -184,9 +159,6 @@ Status WorkStealingPool::RunWithControl(const MorselPlan& plan,
   cancelled_ = false;
   run_status_ = Status::OK();
   stats_ = Stats{};
-  active_workers_ = control.max_workers <= 0
-                        ? threads()
-                        : std::min(control.max_workers, threads());
   ApplyQueueCapsLocked(control.workers_per_queue);
   ++generation_;
   work_cv_.notify_all();
@@ -195,11 +167,6 @@ Status WorkStealingPool::RunWithControl(const MorselPlan& plan,
   cancel_ = nullptr;
   if (control.stats != nullptr) *control.stats = stats_;
   return run_status_;
-}
-
-WorkStealingPool::Stats WorkStealingPool::last_run_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace pmemolap

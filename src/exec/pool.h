@@ -10,8 +10,9 @@
 // other queue (back-first, so the victim keeps its sequential prefix).
 //
 // Workers are spawned once and reused across queries ("persistent"): a
-// query submits a MorselPlan through Run(), which blocks until every
-// morsel has executed and returns the first non-OK Status any morsel task
+// query submits a MorselPlan through RunWithControl(), the pool's one
+// entry point, which blocks until every morsel has executed and returns
+// the first non-OK Status any morsel task or the run's cancel hook
 // produced (remaining morsels of a failed run are drained unexecuted).
 // Result determinism is the caller's contract: tasks accumulate into
 // per-worker (or per-socket) state whose merge is commutative, so any
@@ -29,7 +30,6 @@
 
 #include "common/status.h"
 #include "core/morsel.h"
-#include "topo/topology.h"
 
 namespace pmemolap {
 
@@ -42,15 +42,13 @@ class WorkStealingPool {
   /// Spawns `threads` persistent workers serving `queues` run queues
   /// (both clamped to >= 1). Worker w's home queue is w % queues.
   WorkStealingPool(int threads, int queues);
-  /// Topology-keyed pool: one run queue per socket of `topology`.
-  WorkStealingPool(const SystemTopology& topology, int threads);
   /// Joins all workers.
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
-  /// Dispatch evidence of one Run().
+  /// Dispatch evidence of one run.
   struct Stats {
     uint64_t executed = 0;  ///< morsels that ran to completion
     uint64_t stolen = 0;    ///< executed morsels taken from a non-home queue
@@ -59,16 +57,13 @@ class WorkStealingPool {
 
   /// Per-run controls for RunWithControl.
   struct RunControl {
-    /// At most this many workers participate (0 = all).
-    int max_workers = 0;
     /// Per-queue cap on participating workers whose HOME queue is the
-    /// index (the bandwidth governor's per-socket concurrency actuator).
-    /// Worker w's home queue is w % queues and its rank is w / queues;
-    /// w participates iff rank < cap. A cap of 0 or a missing entry
-    /// leaves that queue's workers uncapped; an empty vector caps
-    /// nothing. Caps that would exclude EVERY worker are ignored
-    /// (degraded beats deadlocked). Adjustable mid-run via
-    /// SetConcurrency.
+    /// index (the bandwidth governor's per-socket concurrency actuator,
+    /// installed afresh by every run). Worker w's home queue is
+    /// w % queues and its rank is w / queues; w participates iff
+    /// rank < cap. A cap of 0 or a missing entry leaves that queue's
+    /// workers uncapped; an empty vector caps nothing. Caps that would
+    /// exclude EVERY worker are ignored (degraded beats deadlocked).
     std::vector<int> workers_per_queue;
     /// Cooperative cancellation: checked between morsels (never while a
     /// task is executing). The first non-OK Status cancels the run — the
@@ -76,45 +71,25 @@ class WorkStealingPool {
     /// Must be cheap and safe to call concurrently from pool threads.
     std::function<Status()> cancel;
     /// Optional out-param: filled with this run's dispatch stats before
-    /// RunWithControl returns. Unlike last_run_stats(), immune to a
-    /// concurrent run overwriting the pool-wide snapshot.
+    /// RunWithControl returns.
     Stats* stats = nullptr;
   };
 
-  /// Executes every morsel of `plan` on the pool and blocks until done.
-  /// At most `max_workers` workers participate (0 = all). Returns the
-  /// first failure Status; on failure the remaining morsels are dropped
-  /// (drained without executing). Thread-safe: concurrent Run() calls
-  /// serialize. Production call sites should prefer RunWithControl with a
-  /// deadline-armed cancel hook (enforced by pmemolap_lint).
-  Status Run(const MorselPlan& plan, const MorselTask& task,
-             int max_workers = 0);
-
-  /// Run() with per-run controls: a worker cap plus a between-morsel
-  /// cancel hook (deadlines, retry budgets, external aborts).
+  /// Executes every morsel of `plan` on the pool under `control`'s worker
+  /// caps and between-morsel cancel hook (deadlines, retry budgets,
+  /// external aborts), and blocks until done. Returns the first failure
+  /// Status; on failure the remaining morsels are dropped (drained
+  /// without executing). Thread-safe: concurrent runs serialize.
   Status RunWithControl(const MorselPlan& plan, const MorselTask& task,
                         const RunControl& control);
-
-  /// Replaces the per-queue worker caps (see RunControl::workers_per_queue)
-  /// and wakes the pool so the change takes effect between morsels of an
-  /// in-flight run: sleeping workers whose cap rose start popping, busy
-  /// workers whose cap fell go idle after their current morsel. The caps
-  /// persist until the next RunWithControl installs that run's caps.
-  /// Thread-safe; callable concurrently with a run.
-  void SetConcurrency(std::vector<int> workers_per_queue);
 
   int threads() const { return static_cast<int>(workers_.size()); }
   int queues() const { return queues_; }
 
-  /// Snapshot of the most recent run's dispatch stats. Racy when callers
-  /// overlap Run() submissions — prefer RunControl::stats for a per-run
-  /// snapshot.
-  Stats last_run_stats() const;
-
-  /// Run() calls submitted and not yet finished — the queue-depth signal
-  /// the admission layer reads as backpressure. Includes the run a worker
-  /// is currently draining, so any value > 0 means the executor is busy
-  /// and values > 1 mean submissions are queueing on the run mutex.
+  /// Runs submitted and not yet finished — the queue-depth signal the
+  /// admission layer reads as backpressure. Includes the run a worker is
+  /// currently draining, so any value > 0 means the executor is busy and
+  /// values > 1 mean submissions are queueing on the run mutex.
   int inflight_runs() const {
     return inflight_runs_.load(std::memory_order_relaxed);
   }
@@ -125,7 +100,7 @@ class WorkStealingPool {
   /// fullest other queue's back). Caller holds mutex_. Returns false when
   /// every queue is empty.
   bool PopMorsel(int worker, Morsel* morsel, bool* steal);
-  /// True when `worker` may pop under the active cap set. Caller holds
+  /// True when `worker` may pop under the active run's caps. Caller holds
   /// mutex_.
   bool Participates(int worker) const;
   /// Installs `caps` as queue_caps_, clearing them when they would leave
@@ -135,19 +110,18 @@ class WorkStealingPool {
   const int queues_;
   std::vector<std::thread> workers_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool stop_ = false;
 
   // --- State of the in-flight run (guarded by mutex_) ---
-  std::mutex run_mutex_;  ///< serializes Run() callers
+  std::mutex run_mutex_;  ///< serializes RunWithControl() callers
   std::atomic<int> inflight_runs_{0};
   uint64_t generation_ = 0;
   std::vector<std::deque<Morsel>> run_queues_;
   const MorselTask* task_ = nullptr;
   const std::function<Status()>* cancel_ = nullptr;
-  int active_workers_ = 0;
   /// Per-home-queue worker caps (empty = uncapped); see RunControl.
   std::vector<int> queue_caps_;
   uint64_t pending_ = 0;  ///< morsels not yet fully executed

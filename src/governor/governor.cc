@@ -38,11 +38,7 @@ bool GovernorDecision::IsStaged(const std::string& name) const {
 
 BandwidthGovernor::BandwidthGovernor(const MemSystemModel* model,
                                      GovernorConfig config)
-    : model_(model), config_(config) {
-  decision_.write_threads = config_.max_write_threads;
-  decision_.shape_morsels = config_.shape_morsels;
-  pending_write_threads_ = decision_.write_threads;
-}
+    : model_(model), config_(config) {}
 
 BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
     OpType op, int socket, double service_factor) const {
@@ -80,7 +76,7 @@ BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
   Knee knee;
   for (int threads = 1; threads <= max_threads; ++threads) {
     double gbps = sweep[static_cast<size_t>(threads)];
-    if (peak > 0.0 && gbps >= (1.0 - config_.knee_tolerance) * peak) {
+    if (peak > 0.0 && gbps >= (1.0 - kKneeTolerance) * peak) {
       knee.threads = threads;
       knee.gbps = gbps;
       return knee;
@@ -163,14 +159,11 @@ std::vector<StagingCandidate> BandwidthGovernor::StageTargets(
   std::vector<StagingCandidate> candidates;
   for (auto& [name, candidate] : merged) {
     (void)name;
-    if (candidate.benefit_seconds < config_.staging_min_benefit_seconds) {
-      continue;
-    }
+    if (candidate.benefit_seconds < kStagingMinBenefitSeconds) continue;
     candidates.push_back(candidate);
   }
   HybridPlacer placer(model_->config().topology);
-  StagingPlan plan =
-      placer.PlanStaging(candidates, config_.dram_staging_budget_bytes);
+  StagingPlan plan = placer.PlanStaging(candidates);
   for (const StagingCandidate& candidate : plan.staged) {
     names->push_back(candidate.name);
   }
@@ -197,27 +190,19 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
 
   // Targets for this quantum.
-  int write_target = decision_.write_threads;
+  double min_factor = 1.0;
+  for (const SocketTelemetry& socket : sample.sockets) {
+    min_factor = std::min(min_factor, socket.dimm_service_factor);
+  }
+  const int write_target = std::clamp(WriteKnee(0, min_factor).threads,
+                                      kMinWriteThreads, kMaxWriteThreads);
   std::vector<int> read_target(sockets, 0);
-  if (config_.adapt_concurrency) {
-    double min_factor = 1.0;
-    for (const SocketTelemetry& socket : sample.sockets) {
-      min_factor = std::min(min_factor, socket.dimm_service_factor);
+  for (size_t s = 0; s < sockets; ++s) {
+    if (sample.sockets[s].write_occupancy > kWritePressureFloor) {
+      read_target[s] = ReadKnee(static_cast<int>(s),
+                                sample.sockets[s].dimm_service_factor)
+                           .threads;
     }
-    Knee write_knee = WriteKnee(0, min_factor);
-    write_target = std::min(std::max(write_knee.threads,
-                                     config_.min_write_threads),
-                            config_.max_write_threads);
-    for (size_t s = 0; s < sockets; ++s) {
-      if (sample.sockets[s].write_occupancy > config_.write_pressure_floor) {
-        read_target[s] =
-            ReadKnee(static_cast<int>(s),
-                     sample.sockets[s].dimm_service_factor)
-                .threads;
-      }
-    }
-  } else {
-    read_target = decision_.read_workers;
   }
   std::vector<std::string> stage_names;
   std::vector<StagingCandidate> stage_candidates =
@@ -227,10 +212,9 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
     stage_bytes += candidate.bytes;
   }
 
-  // Hysteresis: a changed target actuates only after persisting for N
-  // consecutive quanta; targets matching the current decision reset the
-  // streak.
-  int needed = std::max(config_.hysteresis_quanta, 1);
+  // Hysteresis: a changed target actuates only after persisting for
+  // kHysteresisQuanta consecutive quanta; targets matching the current
+  // decision reset the streak.
   char line[192];
 
   if (write_target == decision_.write_threads) {
@@ -242,7 +226,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
     } else {
       ++write_streak_;
     }
-    if (write_streak_ >= needed) {
+    if (write_streak_ >= kHysteresisQuanta) {
       std::snprintf(line, sizeof(line), "q=%d commit writers %d->%d", quanta_,
                     decision_.write_threads, write_target);
       log_.push_back(line);
@@ -260,7 +244,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
     } else {
       ++read_streak_;
     }
-    if (read_streak_ >= needed) {
+    if (read_streak_ >= kHysteresisQuanta) {
       std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quanta_,
                     JoinInts(decision_.read_workers).c_str(),
                     JoinInts(read_target).c_str());
@@ -282,7 +266,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
       pending_staged_bytes_ = stage_bytes;
       ++stage_streak_;
     }
-    if (stage_streak_ >= needed) {
+    if (stage_streak_ >= kHysteresisQuanta) {
       std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quanta_,
                     JoinNames(decision_.staged).c_str(),
                     JoinNames(stage_names).c_str());
@@ -298,7 +282,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
                 quanta_, throttle_estimate_, decision_.write_threads,
                 JoinInts(decision_.read_workers).c_str(),
                 JoinNames(decision_.staged).c_str(),
-                decision_.shape_morsels ? 1 : 0);
+                config_.shape_morsels ? 1 : 0);
   log_.push_back(line);
 }
 

@@ -7,14 +7,17 @@
 //      writers clamp to the paper's 4-6 per socket (Fig. 7/8, BP2).
 //   2. Morsel shaping: morsel byte ranges align to the 256 B XPLine so the
 //      device model's read amplification on torn lines disappears (§3.1).
-//   3. DRAM staging: hot randomly-probed structures are promoted to DRAM
-//      under a budget (HybridPlacer::PlanStaging), evicted when the
-//      benefit fades — the runtime form of the hybrid placement plan.
+//   3. DRAM staging: hot randomly-probed structures are promoted to the
+//      platform's per-socket DRAM (HybridPlacer::PlanStaging), evicted
+//      when the benefit fades — the runtime form of the hybrid placement
+//      plan.
 //
-// All decisions apply hysteresis (a new target must persist for N
-// consecutive quanta before actuation) so the controller converges
-// deterministically instead of oscillating: same telemetry trace in,
-// byte-identical actuator log out.
+// The knee, the writer window and the hysteresis are platform facts, so
+// they are constants below; GovernorConfig holds only the two ablation
+// switches. All decisions apply hysteresis (a new target must persist for
+// kHysteresisQuanta consecutive quanta before actuation) so the controller
+// converges deterministically instead of oscillating: same telemetry trace
+// in, byte-identical actuator log out.
 #pragma once
 
 #include <cstdint>
@@ -30,28 +33,26 @@
 namespace pmemolap {
 namespace governor {
 
+/// Paper BP2: the writer-thread clamp per socket.
+inline constexpr int kMinWriteThreads = 4;
+inline constexpr int kMaxWriteThreads = 6;
+/// Knee = smallest thread count within (1 - tolerance) of the sweep's
+/// plateau bandwidth.
+inline constexpr double kKneeTolerance = 0.02;
+/// Consecutive quanta a changed target must persist before actuation.
+inline constexpr int kHysteresisQuanta = 2;
+/// Write-side demand occupancy above which readers are clamped to the
+/// knee (pure-read workloads stay uncapped: more readers only help).
+inline constexpr double kWritePressureFloor = 0.05;
+/// Minimum modeled seconds per quantum a candidate must save to be worth
+/// staging. Staging plans against the platform's per-socket DRAM.
+inline constexpr double kStagingMinBenefitSeconds = 1e-6;
+
+/// Actuator switches for ablation; both on by default. Concurrency always
+/// adapts.
 struct GovernorConfig {
-  /// Actuator switches (for ablation; all on by default).
-  bool adapt_concurrency = true;
   bool shape_morsels = true;
   bool stage_structures = true;
-  /// Paper BP2: limit the number of write threads to 4-6 per socket.
-  int min_write_threads = 4;
-  int max_write_threads = 6;
-  /// Knee = smallest thread count within (1 - tolerance) of the sweep's
-  /// plateau bandwidth.
-  double knee_tolerance = 0.02;
-  /// Consecutive quanta a changed target must persist before actuation.
-  int hysteresis_quanta = 2;
-  /// Write-side demand occupancy above which readers are clamped to the
-  /// knee (pure-read workloads stay uncapped: more readers only help).
-  double write_pressure_floor = 0.05;
-  /// DRAM budget for staged structures; 0 = the platform's per-socket
-  /// DRAM capacity.
-  uint64_t dram_staging_budget_bytes = 0;
-  /// Minimum modeled seconds per quantum a candidate must save to be
-  /// worth staging.
-  double staging_min_benefit_seconds = 1e-6;
 };
 
 /// The actuator targets currently in force. Snapshot via decision().
@@ -61,8 +62,7 @@ struct GovernorDecision {
   /// Per-socket cap on concurrently popping workers; 0 = uncapped.
   std::vector<int> read_workers;
   /// Writer-thread clamp per socket (paper BP2).
-  int write_threads = 6;
-  bool shape_morsels = true;
+  int write_threads = kMaxWriteThreads;
   /// Names of structures currently staged in DRAM, sorted.
   std::vector<std::string> staged;
   uint64_t staged_bytes = 0;
@@ -131,7 +131,7 @@ class BandwidthGovernor {
   // it has been requested.
   std::vector<int> pending_read_workers_;
   int read_streak_ = 0;
-  int pending_write_threads_ = 0;
+  int pending_write_threads_ = kMaxWriteThreads;
   int write_streak_ = 0;
   std::vector<std::string> pending_staged_;
   uint64_t pending_staged_bytes_ = 0;

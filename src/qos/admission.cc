@@ -34,11 +34,11 @@ int AdmissionController::EffectiveQueueLimitLocked(
       break;
     case QueryPriority::kNormal:
       base = limits_.normal_queue;
-      if (signal_.degradation < limits_.shed_normal_below) return 0;
+      if (signal_.degradation < kShedNormalBelow) return 0;
       break;
     case QueryPriority::kBatch:
       base = limits_.batch_queue;
-      if (signal_.degradation < limits_.shed_batch_below) return 0;
+      if (signal_.degradation < kShedBatchBelow) return 0;
       break;
   }
   // Executor runs queued beyond the concurrency target mean the pool is
@@ -66,9 +66,8 @@ bool AdmissionController::CanRunLocked(int priority) const {
 }
 
 int AdmissionController::StarvedClassLocked() const {
-  if (limits_.aging_grants <= 0) return -1;
   for (int p = 0; p < kNumPriorities; ++p) {
-    if (!queue_[p].empty() && bypass_grants_[p] >= limits_.aging_grants) {
+    if (!queue_[p].empty() && bypass_grants_[p] >= kAgingGrants) {
       return p;
     }
   }

@@ -32,8 +32,23 @@
 
 namespace pmemolap::qos {
 
-/// Static admission configuration. Defaults suit the tests and the
-/// overload bench; a deployment tunes them to its pool size.
+/// Degradation (1.0 healthy … 0.0 dead) below which batch-priority
+/// submissions get a zero-length queue (shed unless a slot is free). The
+/// service's degradation ladder starts its tiers at the same thresholds.
+inline constexpr double kShedBatchBelow = 0.75;
+/// Below this, normal priority is shed too; only high may still queue.
+inline constexpr double kShedNormalBelow = 0.40;
+/// Priority aging: once this many execution slots have been granted to
+/// strictly-higher-priority submissions while a class had a waiter
+/// queued, that class holds a *reservation* — the next free slot goes to
+/// its head waiter even though higher-priority waiters remain, and the
+/// class's bypass count resets. Bounds the wait of any queued submission
+/// to kAgingGrants slot grants per priority level above it.
+inline constexpr int kAgingGrants = 16;
+
+/// Static admission configuration: the slot pool and the class queue
+/// bounds. Defaults suit the tests and the overload bench; a deployment
+/// sizes them to its pool.
 struct AdmissionLimits {
   /// Queries holding an execution slot at once.
   int max_concurrent = 2;
@@ -42,19 +57,6 @@ struct AdmissionLimits {
   int high_queue = 8;
   int normal_queue = 4;
   int batch_queue = 2;
-  /// Degradation (1.0 healthy … 0.0 dead) below which batch-priority
-  /// submissions get a zero-length queue (shed unless a slot is free).
-  double shed_batch_below = 0.75;
-  /// Below this, normal priority is shed too; only high may still queue.
-  double shed_normal_below = 0.40;
-  /// Priority aging: once this many execution slots have been granted to
-  /// strictly-higher-priority submissions while a class had a waiter
-  /// queued, that class holds a *reservation* — the next free slot goes
-  /// to its head waiter even though higher-priority waiters remain, and
-  /// the class's bypass count resets. Bounds the wait of any queued
-  /// submission to aging_grants slot grants per priority level above it;
-  /// 0 disables aging (strict priority, the pre-aging behavior).
-  int aging_grants = 16;
 };
 
 /// Live backpressure inputs, refreshed by the engine before each admit.
@@ -145,8 +147,8 @@ class AdmissionController {
   /// already-expired token never admits and never sheds: the deadline, not
   /// the queue, is what failed, so the call reports the token's terminal
   /// status even when the class queue is also full. Queued low-priority
-  /// waiters age (AdmissionLimits::aging_grants), so sustained
-  /// high-priority traffic cannot starve them indefinitely.
+  /// waiters age (kAgingGrants), so sustained high-priority traffic cannot
+  /// starve them indefinitely.
   Result<AdmissionTicket> Admit(QueryPriority priority,
                                 CancelToken* token = nullptr);
 
@@ -212,7 +214,7 @@ class AdmissionController {
   /// or a higher class is queued.
   bool CanRunLocked(int priority) const;
   /// The highest-priority class whose queued waiter has aged past
-  /// aging_grants (holds the next-slot reservation); -1 when none.
+  /// kAgingGrants (holds the next-slot reservation); -1 when none.
   int StarvedClassLocked() const;
   /// The class whose head waiter the open slot goes to: the starved class,
   /// else the highest non-empty one; -1 when no slot is open or nobody

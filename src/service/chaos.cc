@@ -19,7 +19,7 @@ const char* ChaosKindName(ChaosKind kind) {
   return "unknown";
 }
 
-ChaosSchedule ChaosSchedule::Generate(const ChaosConfig& config) {
+ChaosSchedule ChaosSchedule::Generate(const ChaosConfig& config, int sockets) {
   ChaosSchedule schedule;
   schedule.config_ = config;
   Rng rng(config.seed);
@@ -46,7 +46,7 @@ ChaosSchedule ChaosSchedule::Generate(const ChaosConfig& config) {
         storm_rng.NextDouble() *
             (config.storm_factor_hi - config.storm_factor_lo);
     const int socket = static_cast<int>(
-        storm_rng.NextBelow(static_cast<uint64_t>(std::max(1, config.sockets))));
+        storm_rng.NextBelow(static_cast<uint64_t>(std::max(1, sockets))));
     ChaosEvent open;
     open.at_seconds = start;
     open.kind = ChaosKind::kThrottleStart;

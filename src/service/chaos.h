@@ -65,7 +65,6 @@ struct ChaosConfig {
   /// Storm severity band (DIMM service factor drawn uniformly inside).
   double storm_factor_lo = 0.2;
   double storm_factor_hi = 0.6;
-  int sockets = 2;
   /// Crash + Recover() cycles fired mid-traffic (0 = none). Each crash is
   /// scheduled strictly before an ingest burst so the armed boundary
   /// actually fires.
@@ -82,7 +81,9 @@ struct ChaosConfig {
 class ChaosSchedule {
  public:
   /// Deterministically realizes `config` into a sorted event timeline.
-  static ChaosSchedule Generate(const ChaosConfig& config);
+  /// Storms pick their socket among the platform's `sockets` (the
+  /// service passes its model topology's count).
+  static ChaosSchedule Generate(const ChaosConfig& config, int sockets);
 
   const ChaosConfig& config() const { return config_; }
   /// Events sorted by (at_seconds, insertion order); stable per seed.

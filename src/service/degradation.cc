@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "qos/admission.h"
+
 namespace pmemolap::service {
 
 const char* DegradationTierName(DegradationTier tier) {
@@ -18,13 +20,10 @@ const char* DegradationTierName(DegradationTier tier) {
   return "unknown";
 }
 
-DegradationPolicy::DegradationPolicy(DegradationPolicyConfig config)
-    : config_(config) {}
-
 DegradationTier DegradationPolicy::TargetTier(double estimate) const {
-  if (estimate < config_.pause_below) return DegradationTier::kPauseAndDrain;
-  if (estimate < config_.brownout_below) return DegradationTier::kBrownOut;
-  if (estimate < config_.shed_below) return DegradationTier::kShedLowPriority;
+  if (estimate < kPauseBelow) return DegradationTier::kPauseAndDrain;
+  if (estimate < qos::kShedNormalBelow) return DegradationTier::kBrownOut;
+  if (estimate < qos::kShedBatchBelow) return DegradationTier::kShedLowPriority;
   return DegradationTier::kNormal;
 }
 
@@ -45,7 +44,7 @@ DegradationTier DegradationPolicy::Observe(double now_seconds,
   // Pause is the exception to hysteresis: a dead platform (crash window,
   // estimate ~0) must stop grants *now*, not two ticks from now.
   const bool immediate = target == DegradationTier::kPauseAndDrain;
-  if (immediate || streak_ >= config_.hysteresis_ticks) {
+  if (immediate || streak_ >= kHysteresisTicks) {
     char line[128];
     std::snprintf(line, sizeof(line), "t=%.6f %s -> %s estimate=%.6f",
                   now_seconds, DegradationTierName(tier_),

@@ -16,13 +16,15 @@
 //                            drains, waiters hold (crash recovery and
 //                            dead-platform windows land here)
 //
-// Transitions apply hysteresis in profiler ticks — a tier change must be
-// requested for `hysteresis_ticks` consecutive observations before it
-// commits — so a noisy estimate cannot flap the service between tiers.
-// Same estimate trace in, byte-identical transition log out.
+// Tiers 1 and 2 start where the admission gate zeroes the batch and the
+// normal queues (qos::kShedBatchBelow, qos::kShedNormalBelow), so the
+// ladder and the gate shed against one set of thresholds. Transitions
+// apply hysteresis in profiler ticks — a tier change must be requested
+// for kHysteresisTicks consecutive observations before it commits — so a
+// noisy estimate cannot flap the service between tiers. Same estimate
+// trace in, byte-identical transition log out.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,28 +39,17 @@ enum class DegradationTier {
 
 const char* DegradationTierName(DegradationTier tier);
 
-struct DegradationPolicyConfig {
-  /// Health estimate below which batch traffic is shed at the edge.
-  double shed_below = 0.75;
-  /// Below this, non-high traffic runs the degraded (brown-out) plan.
-  double brownout_below = 0.40;
-  /// Below this, the service pauses grants and drains (a crash window
-  /// reports estimate 0.0 and always lands here).
-  double pause_below = 0.05;
-  /// Consecutive ticks a tier change must persist before it commits.
-  int hysteresis_ticks = 2;
-};
+/// Health estimate below which the service pauses grants and drains (a
+/// crash window reports estimate 0.0 and always lands here).
+inline constexpr double kPauseBelow = 0.05;
+/// Consecutive ticks a tier change must persist before it commits.
+inline constexpr int kHysteresisTicks = 2;
 
 /// Deterministic tier ladder with hysteresis. One Observe() per profiler
 /// tick; the committed tier is what the service enforces until the next
 /// tick.
 class DegradationPolicy {
  public:
-  explicit DegradationPolicy(
-      DegradationPolicyConfig config = DegradationPolicyConfig());
-
-  const DegradationPolicyConfig& config() const { return config_; }
-
   /// Ingests one health estimate at modeled time `now_seconds`; returns
   /// the committed tier after hysteresis.
   DegradationTier Observe(double now_seconds, double estimate);
@@ -73,7 +64,6 @@ class DegradationPolicy {
   const std::vector<std::string>& transitions() const { return transitions_; }
 
  private:
-  DegradationPolicyConfig config_;
   DegradationTier tier_ = DegradationTier::kNormal;
   DegradationTier pending_ = DegradationTier::kNormal;
   int streak_ = 0;

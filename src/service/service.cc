@@ -10,6 +10,15 @@ namespace pmemolap::service {
 namespace {
 
 constexpr double kEps = 1e-9;
+/// Profiler and degradation tick period, modeled seconds.
+constexpr double kTickSeconds = 1.0;
+/// Primary / degraded (brown-out) plan worker counts. The degraded plan
+/// prices with fewer modeled workers: slower, same answers.
+constexpr int kPrimaryThreads = 8;
+constexpr int kDegradedThreads = 2;
+/// Queries are priced at the paper's scale so modeled latencies are in
+/// the same regime as the deadlines and SLOs.
+constexpr double kProjectToSf = 50.0;
 
 uint64_t Fnv1a(const std::string& data, uint64_t hash) {
   for (unsigned char c : data) {
@@ -134,8 +143,8 @@ QueryService::QueryService(const ssb::Database* db,
       model_(model),
       config_(config),
       workload_(config.workload),
-      chaos_(ChaosSchedule::Generate(config.chaos)),
-      policy_(config.degradation),
+      chaos_(ChaosSchedule::Generate(config.chaos,
+                                     model->config().topology.sockets())),
       admission_(config.admission),
       reference_(db) {}
 
@@ -161,7 +170,7 @@ Status QueryService::Prepare() {
     fault_space_ = std::make_unique<PmemSpace>(model_->config().topology);
     injector_->Arm(fault_space_.get());
     breakers_ = std::make_unique<BreakerBoard>(
-        injector_.get(), std::max(1, chaos.sockets));
+        injector_.get(), model_->config().topology.sockets());
     domain_.space = fault_space_.get();
     domain_.injector = injector_.get();
     domain_.breakers = breakers_.get();
@@ -175,21 +184,18 @@ Status QueryService::Prepare() {
     table_ = std::move(table.value());
     epoch_rows_.push_back(0);
   }
-  if (config_.governor) {
-    governor_ = std::make_unique<governor::BandwidthGovernor>(model_);
-  }
+  governor_ = std::make_unique<governor::BandwidthGovernor>(model_);
 
   EngineConfig primary;
   primary.mode = EngineMode::kPmemAware;
   primary.media = Media::kPmem;
-  primary.threads = config_.threads;
-  primary.executor = config_.executor;
-  primary.project_to_sf = config_.project_to_sf;
+  primary.threads = kPrimaryThreads;
+  primary.project_to_sf = kProjectToSf;
   primary.governor = governor_.get();
   // Guarded/durable modes scan a row image, so their fact scans are
   // priced as 128 B rows; the columnar layout applies to the plain
   // campaigns only.
-  primary.columnar = config_.columnar && !poison_mode && !durable_mode;
+  primary.columnar = !poison_mode && !durable_mode;
   if (poison_mode) primary.fault = &domain_;
   if (durable_mode) primary.durable = table_.get();
   // Admission lives at the service edge (the controller's queues hold
@@ -197,7 +203,7 @@ Status QueryService::Prepare() {
   primary.admission = nullptr;
 
   EngineConfig degraded = primary;
-  degraded.threads = std::max(1, config_.degraded_threads);
+  degraded.threads = kDegradedThreads;
   degraded.parallel_execution = false;
   degraded.governor = nullptr;
 
@@ -503,7 +509,7 @@ double QueryService::HealthEstimate() const {
 }
 
 void QueryService::OnTickEvent() {
-  const double t = static_cast<double>(tick_index_) * config_.tick_seconds;
+  const double t = static_cast<double>(tick_index_) * kTickSeconds;
   now_ = std::max(now_, t);
   if (injector_) injector_->AdvanceTo(now_);
   const double estimate = HealthEstimate();
@@ -530,18 +536,15 @@ void QueryService::OnTickEvent() {
   tick.crashes = counters_.crashes;
   tick.recoveries = counters_.recoveries;
   tick.breaker_trips = breakers_ ? breakers_->counters().trips : 0;
-  if (governor_) {
-    const governor::GovernorDecision decision = governor_->decision();
-    tick.governor_quantum = decision.quantum;
-    tick.write_threads = decision.write_threads;
-    tick.staged_bytes = decision.staged_bytes;
-  }
+  const governor::GovernorDecision decision = governor_->decision();
+  tick.governor_quantum = decision.quantum;
+  tick.write_threads = decision.write_threads;
+  tick.staged_bytes = decision.staged_bytes;
   tick.committed_epoch = table_ ? table_->committed_epoch() : 0;
   profiler_.Record(tick);
 
   ++tick_index_;
-  const double next =
-      static_cast<double>(tick_index_) * config_.tick_seconds;
+  const double next = static_cast<double>(tick_index_) * kTickSeconds;
   if (next <= horizon() + kEps) Schedule(next, EventKind::kTick, 0);
 }
 
@@ -640,14 +643,12 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   // guaranteed the deadline has not fired).
   char key[256];
   std::string actuators;
-  if (governor_) {
-    const governor::GovernorDecision decision = governor_->decision();
-    actuators.append("w").append(std::to_string(decision.write_threads));
-    for (int cap : decision.read_workers) {
-      actuators.append("r").append(std::to_string(cap));
-    }
-    for (const std::string& name : decision.staged) actuators += "s" + name;
+  const governor::GovernorDecision decision = governor_->decision();
+  actuators.append("w").append(std::to_string(decision.write_threads));
+  for (int cap : decision.read_workers) {
+    actuators.append("r").append(std::to_string(cap));
   }
+  for (const std::string& name : decision.staged) actuators += "s" + name;
   if (breakers_) {
     for (bool healthy : breakers_->HealthySockets()) {
       actuators += healthy ? "H" : "Q";
@@ -655,7 +656,7 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   }
   if (injector_) {
     char f[32];
-    for (int s = 0; s < std::max(1, config_.chaos.sockets); ++s) {
+    for (int s = 0; s < model_->config().topology.sockets(); ++s) {
       std::snprintf(f, sizeof(f), "d%.3f", injector_->DimmServiceFactor(s));
       actuators += f;
     }

@@ -70,6 +70,10 @@
 
 namespace pmemolap::service {
 
+/// What a campaign varies: the traffic, the chaos, the gate's slot pool
+/// and queue bounds, and the load shaping. The serving stack itself (the
+/// governor, both plans' worker counts, the pricing scale, the tick
+/// period) is fixed in service.cc.
 struct ServiceConfig {
   WorkloadConfig workload;
   /// Chaos campaign; chaos.horizon_seconds is the campaign horizon even
@@ -77,23 +81,10 @@ struct ServiceConfig {
   /// durable-ingest (crashes / ingest bursts) campaigns are mutually
   /// exclusive, mirroring EngineConfig::fault vs ::durable.
   ChaosConfig chaos;
-  DegradationPolicyConfig degradation;
   qos::AdmissionLimits admission;
-  /// Profiler tick period, modeled seconds.
-  double tick_seconds = 1.0;
-  /// Primary / degraded (brown-out) plan worker counts. The degraded
-  /// plan prices with fewer modeled workers: slower, same answers.
-  int threads = 8;
-  int degraded_threads = 2;
-  ExecutorKind executor = ExecutorKind::kMorselStealing;
-  bool columnar = true;
-  /// Price queries at the paper's scale so modeled latencies are in the
-  /// same regime as the deadlines/SLOs (0 = the loaded sf).
-  double project_to_sf = 50.0;
   /// Extra multiplier from a query's modeled seconds to service
   /// occupancy on the timeline (load shaping without re-pricing).
   double service_time_scale = 1.0;
-  bool governor = true;
   /// Durable campaigns: fraction of the fact table ingested (in
   /// initial_ingest_epochs epochs) before traffic starts; chaos ingest
   /// bursts append from the remainder in prefix order.

@@ -138,9 +138,9 @@ TEST(EngineGovernorTest, ActuatorLogIsDeterministicAcrossRuns) {
 }
 
 TEST(EngineGovernorTest, StagingEvictionFallsBackBitIdentically) {
-  // A zero staging budget evicts everything (nothing ever stages): the
-  // outputs must match the staged run's outputs — the replica and the
-  // base map carry identical payloads.
+  // With staging switched off nothing ever stages: the outputs must match
+  // the staged run's outputs — the replica and the base map carry
+  // identical payloads.
   GovernorEngineEnv& env = GovernorEngineEnv::Get();
 
   governor::BandwidthGovernor staged_governor(&env.model());
@@ -151,7 +151,7 @@ TEST(EngineGovernorTest, StagingEvictionFallsBackBitIdentically) {
   ASSERT_TRUE(staged.Prepare().ok());
 
   governor::GovernorConfig evicted_cfg;
-  evicted_cfg.dram_staging_budget_bytes = 1;  // nothing fits: all evicted
+  evicted_cfg.stage_structures = false;
   governor::BandwidthGovernor evicted_governor(&env.model(), evicted_cfg);
   EngineConfig evicted_config = staged_config;
   evicted_config.governor = &evicted_governor;

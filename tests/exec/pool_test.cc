@@ -8,10 +8,18 @@
 #include <vector>
 
 #include "core/morsel.h"
-#include "topo/topology.h"
 
 namespace pmemolap {
 namespace {
+
+/// Runs `plan` uncapped and without a cancel hook; fills `stats` if given.
+Status RunPlan(WorkStealingPool* pool, const MorselPlan& plan,
+               const WorkStealingPool::MorselTask& task,
+               WorkStealingPool::Stats* stats = nullptr) {
+  WorkStealingPool::RunControl control;
+  control.stats = stats;
+  return pool->RunWithControl(plan, task, control);
+}
 
 TEST(PoolTest, ExecutesEveryMorselExactlyOnce) {
   WorkStealingPool pool(/*threads=*/4, /*queues=*/2);
@@ -21,42 +29,43 @@ TEST(PoolTest, ExecutesEveryMorselExactlyOnce) {
 
   std::atomic<uint64_t> tuples{0};
   std::atomic<uint64_t> calls{0};
-  Status status = pool.Run(plan, [&](const Morsel& m, int worker) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, pool.threads());
-    tuples.fetch_add(m.size());
-    calls.fetch_add(1);
-    return Status::OK();
-  });
+  WorkStealingPool::Stats stats;
+  Status status = RunPlan(
+      &pool, plan,
+      [&](const Morsel& m, int worker) {
+        EXPECT_GE(worker, 0);
+        EXPECT_LT(worker, pool.threads());
+        tuples.fetch_add(m.size());
+        calls.fetch_add(1);
+        return Status::OK();
+      },
+      &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(tuples.load(), 2000u);
   EXPECT_EQ(calls.load(), plan.total_morsels());
-  EXPECT_EQ(pool.last_run_stats().executed, plan.total_morsels());
-}
-
-TEST(PoolTest, TopologyConstructorMatchesSockets) {
-  SystemTopology topo = SystemTopology::PaperServer();
-  WorkStealingPool pool(topo, /*threads=*/2);
-  EXPECT_EQ(pool.queues(), topo.sockets());
-  EXPECT_EQ(pool.threads(), 2);
+  EXPECT_EQ(stats.executed, plan.total_morsels());
 }
 
 TEST(PoolTest, PropagatesFirstFailureAndDropsRest) {
   WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
   MorselPlan plan = MorselsForRange(100, 10);
   std::atomic<uint64_t> executed{0};
-  Status status = pool.Run(plan, [&](const Morsel& m, int) {
-    if (m.begin == 30) {
-      return Status::DataLoss("injected morsel failure");
-    }
-    executed.fetch_add(1);
-    return Status::OK();
-  });
+  WorkStealingPool::Stats stats;
+  Status status = RunPlan(
+      &pool, plan,
+      [&](const Morsel& m, int) {
+        if (m.begin == 30) {
+          return Status::DataLoss("injected morsel failure");
+        }
+        executed.fetch_add(1);
+        return Status::OK();
+      },
+      &stats);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   // The failed morsel and at least the not-yet-dispatched tail were dropped.
   EXPECT_LT(executed.load(), plan.total_morsels());
-  EXPECT_LT(pool.last_run_stats().executed, plan.total_morsels());
+  EXPECT_LT(stats.executed, plan.total_morsels());
 }
 
 TEST(PoolTest, ReusableAcrossRuns) {
@@ -64,31 +73,14 @@ TEST(PoolTest, ReusableAcrossRuns) {
   for (int run = 0; run < 5; ++run) {
     MorselPlan plan = MorselsForRange(500, 50);
     std::atomic<uint64_t> tuples{0};
-    ASSERT_TRUE(pool.Run(plan, [&](const Morsel& m, int) {
-                      tuples.fetch_add(m.size());
-                      return Status::OK();
-                    })
+    ASSERT_TRUE(RunPlan(&pool, plan,
+                        [&](const Morsel& m, int) {
+                          tuples.fetch_add(m.size());
+                          return Status::OK();
+                        })
                     .ok());
     EXPECT_EQ(tuples.load(), 500u);
   }
-}
-
-TEST(PoolTest, MaxWorkersCapsWorkerIds) {
-  WorkStealingPool pool(/*threads=*/4, /*queues=*/1);
-  MorselPlan plan = MorselsForRange(200, 10);
-  std::atomic<int> max_seen{-1};
-  ASSERT_TRUE(pool.Run(
-                      plan,
-                      [&](const Morsel&, int worker) {
-                        int seen = max_seen.load();
-                        while (worker > seen &&
-                               !max_seen.compare_exchange_weak(seen, worker)) {
-                        }
-                        return Status::OK();
-                      },
-                      /*max_workers=*/2)
-                  .ok());
-  EXPECT_LT(max_seen.load(), 2);
 }
 
 // Work-stealing stress: queue 0's first morsel stalls its worker while the
@@ -104,19 +96,24 @@ TEST(PoolTest, IdleWorkerStealsFromStalledQueue) {
   plan.queues.resize(2);
 
   std::atomic<uint64_t> tuples{0};
-  Status status = pool.Run(plan, [&](const Morsel& m, int) {
-    if (m.begin == 0) {
-      // Stall the first home morsel so the other worker drains the rest.
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    tuples.fetch_add(m.size());
-    return Status::OK();
-  });
+  WorkStealingPool::Stats stats;
+  Status status = RunPlan(
+      &pool, plan,
+      [&](const Morsel& m, int) {
+        if (m.begin == 0) {
+          // Stall the first home morsel so the other worker drains the
+          // rest.
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+        tuples.fetch_add(m.size());
+        return Status::OK();
+      },
+      &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(tuples.load(), 640u);
-  EXPECT_EQ(pool.last_run_stats().executed, plan.total_morsels());
+  EXPECT_EQ(stats.executed, plan.total_morsels());
   // Worker 1 (home queue 1, empty) must have stolen from queue 0.
-  EXPECT_GT(pool.last_run_stats().stolen, 0u);
+  EXPECT_GT(stats.stolen, 0u);
 }
 
 TEST(PoolTest, RunWithControlCancelBeforeFirstMorselDropsEverything) {
@@ -176,12 +173,14 @@ TEST(PoolTest, RunWithControlMidRunCancelKeepsPartialProgress) {
 }
 
 TEST(PoolTest, RunWithControlStatsOutParamAndWorkerCap) {
+  // One queue: every worker's rank is its id, so a cap of 2 admits
+  // workers 0 and 1 only.
   WorkStealingPool pool(/*threads=*/4, /*queues=*/1);
   MorselPlan plan = MorselsForRange(600, 30);
   std::atomic<int> max_seen{-1};
   WorkStealingPool::Stats stats;
   WorkStealingPool::RunControl control;
-  control.max_workers = 2;
+  control.workers_per_queue = {2};
   control.stats = &stats;
   Status status = pool.RunWithControl(
       plan,
@@ -262,8 +261,8 @@ TEST(PoolTest, NonPositiveCapsMeanUncapped) {
 }
 
 // Steal stress: one persistent pool hammered with back-to-back runs whose
-// work all sits in queue 0, submitted from two racing threads (Run()
-// serializes internally), with a failing run mixed in every fourth
+// work all sits in queue 0, submitted from two racing threads (runs
+// serialize internally), with a failing run mixed in every fourth
 // iteration. Exercises stealing, cancellation draining, stats accounting
 // and cross-run generation handoff — the surfaces the TSan CI job watches.
 TEST(PoolStressTest, RacingSubmittersWithStealsAndCancellations) {
@@ -282,7 +281,7 @@ TEST(PoolStressTest, RacingSubmittersWithStealsAndCancellations) {
         plan.queues.resize(2);
         const bool inject_failure = run % 4 == 3;
         std::atomic<uint64_t> tuples{0};
-        Status status = pool.Run(plan, [&](const Morsel& m, int) {
+        Status status = RunPlan(&pool, plan, [&](const Morsel& m, int) {
           if (inject_failure && m.begin >= kTuplesPerRun / 2) {
             return Status::Unavailable("stress-injected failure");
           }
@@ -354,38 +353,20 @@ TEST(PoolStressTest, CancellationRacesStealsAcrossSubmitters) {
   EXPECT_GT(cancelled_runs.load(), 0u);
 }
 
-// Governor-style dynamic resizing stress: while two submitters hammer the
-// pool with imbalanced runs (all work in queue 0, queue-1 workers must
-// steal) and deadline cancellations, a third thread keeps flipping the
-// per-queue concurrency caps through SetConcurrency — exactly what the
-// bandwidth governor's reader actuator does between scheduling quanta.
-// Every run must still account for each morsel exactly once. Run under
-// the TSan CI job via the PoolStressTest filter.
+// Governor-style dynamic resizing stress: two submitters hammer the pool
+// with imbalanced runs (all work in queue 0, queue-1 workers must steal)
+// and deadline cancellations, and every run installs different per-queue
+// concurrency caps — exactly what the bandwidth governor's reader
+// actuator does from one query to the next. Each run's caps replace the
+// previous run's while workers race the generation handoff; every run
+// must still account for each morsel exactly once. Run under the TSan CI
+// job via the PoolStressTest filter.
 TEST(PoolStressTest, DynamicResizingRacesStealsAndCancellation) {
   WorkStealingPool pool(/*threads=*/4, /*queues=*/2);
   constexpr int kRunsPerSubmitter = 16;
   constexpr uint64_t kMorselsPerRun = 60;
-  std::atomic<bool> stop_resizer{false};
-  std::thread resizer([&] {
-    int step = 0;
-    while (!stop_resizer.load()) {
-      switch (step++ % 4) {
-        case 0:
-          pool.SetConcurrency({1, 1});
-          break;
-        case 1:
-          pool.SetConcurrency({2, 0});
-          break;
-        case 2:
-          pool.SetConcurrency({});  // back to uncapped
-          break;
-        default:
-          pool.SetConcurrency({0, 1});
-          break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
+  const std::vector<std::vector<int>> kCaps = {
+      {1, 1}, {2, 0}, {}, {0, 1}, {2, 2}};
   std::vector<std::thread> submitters;
   std::atomic<uint64_t> completed_runs{0};
   std::atomic<uint64_t> cancelled_runs{0};
@@ -400,8 +381,8 @@ TEST(PoolStressTest, DynamicResizingRacesStealsAndCancellation) {
         std::atomic<uint64_t> checks{0};
         WorkStealingPool::Stats stats;
         WorkStealingPool::RunControl control;
-        // Half the runs also start under a cap of their own.
-        if (run % 2 == 0) control.workers_per_queue = {2, 2};
+        control.workers_per_queue =
+            kCaps[static_cast<size_t>(run + submitter) % kCaps.size()];
         control.cancel = [&] {
           if (!cancel_this_run || checks.fetch_add(1) < 15) {
             return Status::OK();
@@ -430,8 +411,6 @@ TEST(PoolStressTest, DynamicResizingRacesStealsAndCancellation) {
     });
   }
   for (std::thread& submitter : submitters) submitter.join();
-  stop_resizer.store(true);
-  resizer.join();
   // Un-cancelled runs always finish, whatever caps were in force.
   EXPECT_GE(completed_runs.load(),
             2u * (kRunsPerSubmitter - kRunsPerSubmitter / 3));

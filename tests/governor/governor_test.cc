@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -165,8 +166,7 @@ TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
 
 TEST_F(GovernorTest, WritePressureEngagesReaderCapsAndWriterClamp) {
   BandwidthGovernor governor(&model_);
-  GovernorConfig config = governor.config();
-  for (int q = 0; q < config.hysteresis_quanta + 1; ++q) {
+  for (int q = 0; q < kHysteresisQuanta + 1; ++q) {
     governor.Observe(PressuredSample(0.9));
   }
   GovernorDecision decision = governor.decision();
@@ -176,8 +176,8 @@ TEST_F(GovernorTest, WritePressureEngagesReaderCapsAndWriterClamp) {
   EXPECT_EQ(decision.read_workers[0], knee);
   EXPECT_EQ(decision.read_workers[1], knee);
   // Writers clamped into the BP2 window.
-  EXPECT_GE(decision.write_threads, config.min_write_threads);
-  EXPECT_LE(decision.write_threads, config.max_write_threads);
+  EXPECT_GE(decision.write_threads, kMinWriteThreads);
+  EXPECT_LE(decision.write_threads, kMaxWriteThreads);
   // The expensive contended probe was promoted to DRAM.
   EXPECT_TRUE(decision.IsStaged("date"));
   EXPECT_GT(decision.staged_bytes, 0u);
@@ -198,7 +198,7 @@ TEST_F(GovernorTest, OneQuantumBlipDoesNotActuate) {
   // Hysteresis: a target that appears for a single quantum and reverts
   // never commits — no oscillation on noisy telemetry.
   BandwidthGovernor governor(&model_);
-  ASSERT_GE(governor.config().hysteresis_quanta, 2);
+  ASSERT_GE(kHysteresisQuanta, 2);
   governor.Observe(PressuredSample(0.9));  // blip: wants caps
   GovernorDecision after_blip = governor.decision();
   EXPECT_EQ(after_blip.read_workers, std::vector<int>({0, 0}));
@@ -210,8 +210,7 @@ TEST_F(GovernorTest, OneQuantumBlipDoesNotActuate) {
 
 TEST_F(GovernorTest, CommitLandsExactlyAfterHysteresisQuanta) {
   BandwidthGovernor governor(&model_);
-  const int needed = governor.config().hysteresis_quanta;
-  for (int q = 0; q < needed - 1; ++q) {
+  for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
     governor.Observe(PressuredSample(0.9));
     EXPECT_EQ(governor.decision().read_workers,
               std::vector<int>({0, 0}))
@@ -233,27 +232,22 @@ TEST_F(GovernorTest, ThrottleEstimateIsTheSharedAdmissionSignal) {
   EXPECT_DOUBLE_EQ(governor.ThrottleEstimate(), 1.0);
 }
 
-TEST_F(GovernorTest, StagingRespectsTheDramBudget) {
-  GovernorConfig config;
-  config.dram_staging_budget_bytes = kMiB;  // far below the 256 MiB probe
-  BandwidthGovernor governor(&model_, config);
-  for (int q = 0; q < config.hysteresis_quanta + 1; ++q) {
-    governor.Observe(PressuredSample(0.9));
-  }
-  EXPECT_FALSE(governor.decision().IsStaged("date"));
-}
-
 TEST_F(GovernorTest, AblationSwitchesDisableActuators) {
   GovernorConfig config;
-  config.adapt_concurrency = false;
   config.stage_structures = false;
   config.shape_morsels = false;
   BandwidthGovernor governor(&model_, config);
   for (int q = 0; q < 5; ++q) governor.Observe(PressuredSample(0.9));
   GovernorDecision decision = governor.decision();
-  EXPECT_EQ(decision.read_workers, std::vector<int>({0, 0}));
   EXPECT_TRUE(decision.staged.empty());
-  EXPECT_FALSE(decision.shape_morsels);
+  EXPECT_EQ(decision.staged_bytes, 0u);
+  // The concurrency actuator has no switch: readers still cap at the knee.
+  const int knee = governor.ReadKnee(0).threads;
+  EXPECT_EQ(decision.read_workers, std::vector<int>({knee, knee}));
+  // Shaping off is what the engine reads, and the log records it.
+  const std::vector<std::string> log = governor.actuator_log();
+  ASSERT_FALSE(log.empty());
+  EXPECT_NE(log.back().find("shape=0"), std::string::npos) << log.back();
 }
 
 // --- telemetry --------------------------------------------------------------

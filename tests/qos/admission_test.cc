@@ -180,7 +180,6 @@ TEST(AdmissionTest, AgingBoundsBatchWaiterDelayUnderHighTraffic) {
   limits.max_concurrent = 1;
   limits.high_queue = 8;
   limits.batch_queue = 1;
-  limits.aging_grants = 2;
   AdmissionController gate(limits);
 
   Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
@@ -199,7 +198,7 @@ TEST(AdmissionTest, AgingBoundsBatchWaiterDelayUnderHighTraffic) {
   // Sustained high-priority traffic: each cycle queues a high waiter and
   // hands it the slot. While a high waiter is queued the batch waiter can
   // never slip in, so each grant deterministically bumps its bypass
-  // count. aging_grants = 2 bounds the starvation at two bypasses.
+  // count. kAgingGrants bounds the starvation at that many bypasses.
   auto cycle_high = [&](bool expect_high_wins) {
     Result<AdmissionTicket> next = Status::Internal("unset");
     std::thread high([&] {
@@ -221,55 +220,26 @@ TEST(AdmissionTest, AgingBoundsBatchWaiterDelayUnderHighTraffic) {
       holder = std::move(next);
     }
   };
-  cycle_high(/*expect_high_wins=*/true);   // bypass(batch) -> 1
-  cycle_high(/*expect_high_wins=*/true);   // bypass(batch) -> 2 == aging
+  for (int i = 0; i < kAgingGrants; ++i) {
+    cycle_high(/*expect_high_wins=*/true);  // bypass(batch) -> i + 1
+  }
   cycle_high(/*expect_high_wins=*/false);  // reservation admits batch
 
   batch.join();
   holder->Release();
 
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], QueryPriority::kHigh);
-  EXPECT_EQ(order[1], QueryPriority::kHigh);
-  // The aged batch waiter beat the third high waiter to the slot.
-  EXPECT_EQ(order[2], QueryPriority::kBatch);
-  EXPECT_EQ(order[3], QueryPriority::kHigh);
+  const size_t bypasses = static_cast<size_t>(kAgingGrants);
+  ASSERT_EQ(order.size(), bypasses + 2);
+  for (size_t i = 0; i < bypasses; ++i) {
+    EXPECT_EQ(order[i], QueryPriority::kHigh) << "grant " << i;
+  }
+  // The aged batch waiter beat the last high waiter to the slot.
+  EXPECT_EQ(order[bypasses], QueryPriority::kBatch);
+  EXPECT_EQ(order[bypasses + 1], QueryPriority::kHigh);
   AdmissionCounters counters = gate.counters();
   EXPECT_EQ(counters.aged_grants, 1u);
-  EXPECT_EQ(counters.admitted, 5u);  // initial + 3 high + 1 batch
-}
-
-TEST(AdmissionTest, AgingDisabledKeepsStrictPriority) {
-  AdmissionLimits limits;
-  limits.max_concurrent = 1;
-  limits.batch_queue = 1;
-  limits.aging_grants = 0;  // strict priority, pre-aging behavior
-  AdmissionController gate(limits);
-  Result<AdmissionTicket> holder = gate.TryAdmit(QueryPriority::kHigh);
-  ASSERT_TRUE(holder.ok());
-
-  std::thread batch([&] {
-    Result<AdmissionTicket> ticket = gate.Admit(QueryPriority::kBatch);
-    ASSERT_TRUE(ticket.ok());
-  });
-  ASSERT_TRUE(WaitFor([&] { return gate.waiting() == 1; }));
-
-  // Any number of release/re-admit cycles keeps going to high traffic:
-  // no reservation ever forms.
-  for (int i = 0; i < 8; ++i) {
-    // While a high waiter is queued, release the slot: high must win.
-    Result<AdmissionTicket> next = Status::Internal("unset");
-    std::thread high([&] { next = gate.Admit(QueryPriority::kHigh); });
-    ASSERT_TRUE(WaitFor([&] { return gate.waiting() == 2; }));
-    holder->Release();
-    high.join();
-    ASSERT_TRUE(next.ok());
-    holder = std::move(next);
-  }
-  EXPECT_EQ(gate.counters().aged_grants, 0u);
-
-  holder->Release();
-  batch.join();
+  // The initial holder, every high waiter and the batch waiter.
+  EXPECT_EQ(counters.admitted, bypasses + 3);
 }
 
 TEST(AdmissionTest, DegradationZeroesBatchThenNormalQueues) {
@@ -392,15 +362,17 @@ AdmissionLimits AgingLimits() {
   limits.max_concurrent = 1;
   limits.high_queue = 4;
   limits.batch_queue = 2;
-  limits.aging_grants = 2;
   return limits;
 }
 
-/// Ages batch waiter 100 by two high grants (ids 1 and 2) while `slot`
-/// keeps the gate's only slot between grants.
+/// A high waiter queued after the batch waiter has aged.
+constexpr uint64_t kLateHigh = kAgingGrants + 1;
+
+/// Ages batch waiter 100 by kAgingGrants high grants (ids 1 to
+/// kAgingGrants) while `slot` keeps the gate's only slot between grants.
 void AgeBatchWaiter(AdmissionController* gate, AdmissionTicket* slot) {
   ASSERT_TRUE(gate->Enqueue(100, QueryPriority::kBatch).ok());
-  for (uint64_t id = 1; id <= 2; ++id) {
+  for (uint64_t id = 1; id < kLateHigh; ++id) {
     ASSERT_TRUE(gate->Enqueue(id, QueryPriority::kHigh).ok());
     slot->Release();
     EXPECT_EQ(GrantNextId(gate, slot), static_cast<int64_t>(id));
@@ -435,13 +407,13 @@ TEST(AdmissionTest, EventEntryAgedGrantPassingAHigherWaiterIsCounted) {
   ASSERT_TRUE(holder.ok());
   AdmissionTicket slot = std::move(holder.value());
   AgeBatchWaiter(&gate, &slot);
-  // The reservation passes over high waiter 3: that grant is aged.
-  ASSERT_TRUE(gate.Enqueue(3, QueryPriority::kHigh).ok());
+  // The reservation passes over the late high waiter: that grant is aged.
+  ASSERT_TRUE(gate.Enqueue(kLateHigh, QueryPriority::kHigh).ok());
   slot.Release();
   EXPECT_EQ(GrantNextId(&gate, &slot), 100);
   EXPECT_EQ(gate.counters().aged_grants, 1u);
   slot.Release();
-  EXPECT_EQ(GrantNextId(&gate), 3);
+  EXPECT_EQ(GrantNextId(&gate), static_cast<int64_t>(kLateHigh));
   EXPECT_EQ(gate.counters().aged_grants, 1u);
 }
 
@@ -467,11 +439,11 @@ TEST(AdmissionTest, EventEntryExpiryOfTheLastWaiterResetsAgingCredit) {
       gate.WithdrawExpired([](uint64_t id) { return id == 100; });
   EXPECT_EQ(gone, std::vector<uint64_t>{100});
   EXPECT_EQ(gate.counters().expired_waiting, 1u);
-  // A new batch waiter ages on its own: high waiter 3 goes first.
+  // A new batch waiter ages on its own: the late high waiter goes first.
   ASSERT_TRUE(gate.Enqueue(101, QueryPriority::kBatch).ok());
-  ASSERT_TRUE(gate.Enqueue(3, QueryPriority::kHigh).ok());
+  ASSERT_TRUE(gate.Enqueue(kLateHigh, QueryPriority::kHigh).ok());
   slot.Release();
-  EXPECT_EQ(GrantNextId(&gate, &slot), 3);
+  EXPECT_EQ(GrantNextId(&gate, &slot), static_cast<int64_t>(kLateHigh));
   EXPECT_EQ(gate.counters().aged_grants, 0u);
 }
 

@@ -6,6 +6,9 @@
 namespace pmemolap::service {
 namespace {
 
+/// The platform the schedules are generated for (the paper's server).
+constexpr int kSockets = 2;
+
 ChaosConfig StormConfig() {
   ChaosConfig config;
   config.throttle_storms = 4;
@@ -17,14 +20,14 @@ ChaosConfig StormConfig() {
 }
 
 TEST(ChaosScheduleTest, SameSeedByteIdentical) {
-  ChaosSchedule a = ChaosSchedule::Generate(StormConfig());
-  ChaosSchedule b = ChaosSchedule::Generate(StormConfig());
+  ChaosSchedule a = ChaosSchedule::Generate(StormConfig(), kSockets);
+  ChaosSchedule b = ChaosSchedule::Generate(StormConfig(), kSockets);
   EXPECT_EQ(a.Describe(), b.Describe());
   EXPECT_FALSE(a.Describe().empty());
 }
 
 TEST(ChaosScheduleTest, EventsSortedInsideHorizon) {
-  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig());
+  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig(), kSockets);
   const ChaosConfig& config = schedule.config();
   double last = 0.0;
   int storms_start = 0, storms_end = 0, crashes = 0, bursts = 0;
@@ -50,7 +53,7 @@ TEST(ChaosScheduleTest, EventsSortedInsideHorizon) {
 }
 
 TEST(ChaosScheduleTest, EveryCrashPrecedesABurst) {
-  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig());
+  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig(), kSockets);
   // A crash only fires when the next persistence boundary is crossed, so
   // the schedule must place an ingest burst after every crash arm.
   for (size_t i = 0; i < schedule.events().size(); ++i) {
@@ -68,7 +71,7 @@ TEST(ChaosScheduleTest, EveryCrashPrecedesABurst) {
 
 TEST(ChaosScheduleTest, FaultSpecCarriesTheStaticCampaign) {
   ChaosConfig config = StormConfig();
-  ChaosSchedule schedule = ChaosSchedule::Generate(config);
+  ChaosSchedule schedule = ChaosSchedule::Generate(config, kSockets);
   FaultSpec spec = schedule.ToFaultSpec();
   EXPECT_DOUBLE_EQ(spec.poison_lines_per_mib, config.poison_lines_per_mib);
   EXPECT_DOUBLE_EQ(spec.upi_capacity_factor, config.upi_capacity_factor);
@@ -83,12 +86,12 @@ TEST(ChaosScheduleTest, FaultSpecCarriesTheStaticCampaign) {
     EXPECT_GE(window.service_factor, config.storm_factor_lo);
     EXPECT_LE(window.service_factor, config.storm_factor_hi);
     EXPECT_GE(window.socket, 0);
-    EXPECT_LT(window.socket, config.sockets);
+    EXPECT_LT(window.socket, kSockets);
   }
 }
 
 TEST(ChaosScheduleTest, FaultClearEdgesAreThrottleEnds) {
-  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig());
+  ChaosSchedule schedule = ChaosSchedule::Generate(StormConfig(), kSockets);
   std::vector<double> edges = schedule.FaultClearEdges();
   ASSERT_EQ(edges.size(),
             static_cast<size_t>(schedule.config().throttle_storms));
@@ -98,7 +101,7 @@ TEST(ChaosScheduleTest, FaultClearEdgesAreThrottleEnds) {
 }
 
 TEST(ChaosScheduleTest, EmptyConfigEmptySchedule) {
-  ChaosSchedule schedule = ChaosSchedule::Generate(ChaosConfig{});
+  ChaosSchedule schedule = ChaosSchedule::Generate(ChaosConfig{}, kSockets);
   EXPECT_TRUE(schedule.events().empty());
   EXPECT_TRUE(schedule.ToFaultSpec().throttle_windows.empty());
   EXPECT_TRUE(schedule.FaultClearEdges().empty());

@@ -1,7 +1,10 @@
-// DegradationPolicy: tier ladder mapping, hysteresis, pause fast-path.
+// DegradationPolicy: tier ladder mapping, hysteresis, pause fast-path,
+// and agreement with the admission gate's shed thresholds.
 #include "service/degradation.h"
 
 #include <gtest/gtest.h>
+
+#include "qos/admission.h"
 
 namespace pmemolap::service {
 namespace {
@@ -17,7 +20,7 @@ TEST(DegradationPolicyTest, TargetTierMapsThresholds) {
 }
 
 TEST(DegradationPolicyTest, HysteresisHoldsOneTickBlips) {
-  DegradationPolicy policy;  // hysteresis_ticks = 2
+  DegradationPolicy policy;  // kHysteresisTicks = 2
   EXPECT_EQ(policy.Observe(0.0, 1.0), DegradationTier::kNormal);
   // One degraded observation is not enough to commit...
   EXPECT_EQ(policy.Observe(1.0, 0.5), DegradationTier::kNormal);
@@ -59,6 +62,24 @@ TEST(DegradationPolicyTest, TransitionLogIsDeterministicText) {
   // The log walks the whole ladder: shed, brown-out, pause, recovery.
   EXPECT_NE(a.transitions()[0].find("normal"), std::string::npos);
   EXPECT_NE(a.transitions().back().find("->"), std::string::npos);
+}
+
+TEST(DegradationPolicyTest, LadderStartsWhereTheGateSheds) {
+  // Tier 1 refuses batch at the edge exactly when the gate has zeroed the
+  // batch queue, and tier 2 starts exactly where the normal queue goes.
+  DegradationPolicy policy;
+  qos::AdmissionController gate;
+  for (int step = 0; step <= 100; ++step) {
+    const double estimate = step / 100.0;
+    gate.SetLoadSignal({0, estimate});
+    const DegradationTier tier = policy.TargetTier(estimate);
+    EXPECT_EQ(tier >= DegradationTier::kShedLowPriority,
+              gate.EffectiveQueueLimit(qos::QueryPriority::kBatch) == 0)
+        << "estimate " << estimate;
+    EXPECT_EQ(tier >= DegradationTier::kBrownOut,
+              gate.EffectiveQueueLimit(qos::QueryPriority::kNormal) == 0)
+        << "estimate " << estimate;
+  }
 }
 
 TEST(DegradationPolicyTest, TierNamesAreStable) {

@@ -111,11 +111,11 @@ TEST_F(ServiceTest, ProfilerCoversTheHorizon) {
   QueryService service(db_, model_, config);
   Result<ServiceReport> report = service.Run();
   ASSERT_TRUE(report.ok());
-  // One CSV row per modeled second (plus header), tick 0 included.
+  // One CSV row per modeled second on the 1 s tick (plus header), tick 0
+  // included.
   int rows = 0;
   for (char ch : report->profile_csv) rows += ch == '\n' ? 1 : 0;
-  EXPECT_EQ(rows, 1 + static_cast<int>(config.chaos.horizon_seconds /
-                                       config.tick_seconds) + 1);
+  EXPECT_EQ(rows, 1 + static_cast<int>(config.chaos.horizon_seconds) + 1);
 }
 
 TEST_F(ServiceTest, ThrottleStormEngagesTheLadder) {

@@ -198,30 +198,6 @@ TEST(LintUnseededRng, SeededEnginesAreClean) {
   EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
 }
 
-// --- pool-deadline ---------------------------------------------------------
-
-TEST(LintPoolDeadline, FlagsBarePoolRunOutsideTests) {
-  Report report = LintFixtureAs("pool_deadline_violation.cc",
-                                "src/engine/fixture.cc");
-  EXPECT_EQ(RulesHit(report), std::set<std::string>{"pool-deadline"});
-  EXPECT_EQ(report.diagnostics.size(), 2u);  // pointer + value receiver
-}
-
-TEST(LintPoolDeadline, RunWithControlAndLookalikesAreClean) {
-  Report report =
-      LintFixtureAs("pool_deadline_clean.cc", "src/engine/fixture.cc");
-  EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
-}
-
-TEST(LintPoolDeadline, TestsAndExecLayerAreExempt) {
-  Report tests = LintFixtureAs("pool_deadline_violation.cc",
-                               "tests/exec/fixture.cc");
-  EXPECT_TRUE(tests.clean());
-  Report exec =
-      LintFixtureAs("pool_deadline_violation.cc", "src/exec/fixture.cc");
-  EXPECT_TRUE(exec.clean());
-}
-
 // --- qos layering ----------------------------------------------------------
 
 TEST(LintLayering, QosSitsAboveFaultAndBelowEngine) {
@@ -748,7 +724,7 @@ TEST(LintReport, DiagnosticFormatIsFileLineRule) {
 }
 
 TEST(LintReport, RuleNamesAreStable) {
-  EXPECT_EQ(RuleNames().size(), 13u);
+  EXPECT_EQ(RuleNames().size(), 12u);
   EXPECT_EQ(RuleNames().back(), "persist-mixed-store");
 }
 

@@ -314,68 +314,6 @@ void CheckDiscardedStatus(const FileContext& ctx) {
   }
 }
 
-// --- Rule: pool-deadline ---------------------------------------------------
-
-/// Production WorkStealingPool runs must be cancellable: a bare
-/// pool.Run() wait cannot be deadlined, so a query on it is
-/// unkillable until its last morsel drains. Call sites outside tests
-/// (and outside src/exec/, where Run() is defined and forwards to
-/// RunWithControl) must use RunWithControl with a cancel hook.
-void CheckPoolDeadline(const FileContext& ctx) {
-  if (ctx.in_tests) return;  // tests exercise the bare Run() on purpose
-  if (ctx.path.rfind("src/exec/", 0) == 0) return;
-  for (size_t i = 0; i < ctx.scan->code.size(); ++i) {
-    const std::string& code = ctx.scan->code[i];
-    size_t pos = 0;
-    while ((pos = code.find("Run", pos)) != std::string::npos) {
-      const size_t end = pos + 3;
-      // Exactly the method name `Run` invoked on a receiver:
-      // `recv.Run(` or `recv->Run(`. RunWithControl and ::Run
-      // definitions don't match (word boundary / no member access).
-      if (end < code.size() && IsWordChar(code[end])) {
-        pos = end;
-        continue;
-      }
-      size_t after = end;
-      while (after < code.size() &&
-             std::isspace(static_cast<unsigned char>(code[after]))) {
-        ++after;
-      }
-      if (after >= code.size() || code[after] != '(') {
-        pos = end;
-        continue;
-      }
-      size_t recv_end;
-      if (pos >= 1 && code[pos - 1] == '.') {
-        recv_end = pos - 1;
-      } else if (pos >= 2 && code[pos - 2] == '-' && code[pos - 1] == '>') {
-        recv_end = pos - 2;
-      } else {
-        pos = end;
-        continue;
-      }
-      size_t recv_begin = recv_end;
-      while (recv_begin > 0 && IsWordChar(code[recv_begin - 1])) {
-        --recv_begin;
-      }
-      std::string receiver = code.substr(recv_begin, recv_end - recv_begin);
-      while (!receiver.empty() && receiver.back() == '_') {
-        receiver.pop_back();
-      }
-      std::transform(receiver.begin(), receiver.end(), receiver.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      if (receiver.size() >= 4 &&
-          receiver.compare(receiver.size() - 4, 4, "pool") == 0) {
-        Emit(ctx, static_cast<int>(i), "pool-deadline",
-             "bare pool Run() outside tests: an uncancellable wait — use "
-             "RunWithControl with a cancel hook (qos::CancelToken) so the "
-             "query can be deadlined and report partial progress");
-      }
-      pos = end;
-    }
-  }
-}
-
 // --- Rule: unseeded-rng ----------------------------------------------------
 
 void CheckUnseededRng(const FileContext& ctx) {
@@ -530,10 +468,9 @@ std::vector<std::string> RuleNames() {
   return {"layering",           "determinism",
           "raw-thread",         "volatile-sync",
           "header-static",      "discarded-status",
-          "unseeded-rng",       "pool-deadline",
-          "persist-discipline", "persist-raw-write",
-          "persist-order",      "persist-double-flush",
-          "persist-mixed-store"};
+          "unseeded-rng",       "persist-discipline",
+          "persist-raw-write",  "persist-order",
+          "persist-double-flush", "persist-mixed-store"};
 }
 
 void LintFileContent(const std::string& path, const std::string& content,
@@ -552,7 +489,6 @@ void LintFileContent(const std::string& path, const std::string& content,
   CheckHeaderStatic(ctx);
   CheckDiscardedStatus(ctx);
   CheckUnseededRng(ctx);
-  CheckPoolDeadline(ctx);
   CheckPersistDiscipline(ctx);
   CheckPersistRawWrite(ctx);
   CheckPersistOrder(path, scan, report);

@@ -13,7 +13,6 @@
 //   header-static        no mutable static storage in headers (ODR+races)
 //   discarded-status     (void)-discarding a Status needs an audit note
 //   unseeded-rng         std:: RNG engines must be constructed seeded
-//   pool-deadline        bare pool.Run() outside tests is uncancellable
 //   persist-discipline   per-line publish-order check (legacy, coarse)
 //   persist-raw-write    memcpy/memset into PersistentRegion memory is
 //                        banned outside src/durability/
