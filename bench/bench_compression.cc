@@ -90,23 +90,6 @@ EngineConfig BaseConfig(bool encoded) {
 // Part 1: per-column encoding ratios.
 // ---------------------------------------------------------------------
 
-const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
-                                      ssb::LineorderColumn column) {
-  using C = ssb::LineorderColumn;
-  switch (column) {
-    case C::kOrderdate: return columns.orderdate();
-    case C::kCustkey: return columns.custkey();
-    case C::kPartkey: return columns.partkey();
-    case C::kSuppkey: return columns.suppkey();
-    case C::kQuantity: return columns.quantity();
-    case C::kDiscount: return columns.discount();
-    case C::kExtendedprice: return columns.extendedprice();
-    case C::kRevenue: return columns.revenue();
-    case C::kSupplycost: return columns.supplycost();
-  }
-  return columns.orderdate();
-}
-
 void RunColumnTable(const ssb::ColumnStore& columns,
                     const ssb::EncodedColumnStore& encoded,
                     std::ofstream& json) {
@@ -127,7 +110,7 @@ void RunColumnTable(const ssb::ColumnStore& columns,
     enc_total += enc_bytes;
     never_costs &= enc_bytes <= raw_bytes;
     // Lossless spot check: decode-free point access over a sample.
-    const std::vector<int32_t>& reference = RawColumn(columns, column);
+    const std::vector<int32_t>& reference = columns.column(column);
     const uint64_t stride = enc.size() > 4096 ? enc.size() / 4096 : 1;
     for (uint64_t i = 0; i < enc.size(); i += stride) {
       if (enc.Get(i) != reference[i]) {

@@ -235,21 +235,7 @@ Status SsbEngine::Prepare() {
 
 uint64_t SsbEngine::ScanBytesPerTuple(ssb::QueryId query) const {
   if (!config_.columnar) return sizeof(ssb::LineorderRow);
-  // Column widths actually touched per flight (4 B ints, 8 B orderkey not
-  // needed by any query):
-  //  QF1: orderdate, discount, quantity, extendedprice
-  //  QF2: partkey, suppkey, orderdate, revenue
-  //  QF3: custkey, suppkey, orderdate, revenue
-  //  QF4.1/2: custkey, suppkey, partkey, orderdate, revenue, supplycost
-  //  QF4.3: suppkey, partkey, orderdate, revenue, supplycost
-  switch (ssb::FlightOf(query)) {
-    case 1:
-    case 2:
-    case 3:
-      return 16;
-    default:
-      return query == ssb::QueryId::kQ4_3 ? 20 : 24;
-  }
+  return sizeof(int32_t) * ssb::ScanColumnsFor(query).size();
 }
 
 uint64_t SsbEngine::ScanBytesForTuples(ssb::QueryId query,
@@ -461,9 +447,9 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   KernelCounters* counters = &state->counters[slot];
   KernelContext ctx;
   ctx.columns = &columns_;
-  // Decode-on-scan: with encoding on, the kernels read block-decoded
-  // frames (and run flight-1 predicates on the encoded data directly)
-  // instead of the raw columns. Same values, bit-identical results.
+  // Decode-on-scan: with encoding on, the kernels run range filters on
+  // the encoded frames and gather every other column at the selection
+  // instead of reading the raw columns. Same values, bit-identical results.
   ctx.encoded =
       config_.encoding && !encoded_.empty() ? &encoded_ : nullptr;
   // Governor staging changes only the media probes are priced at
@@ -603,6 +589,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       if (options.progress != nullptr) *options.progress = progress;
     }
   } publisher{options, progress};
+  if (options.scan_begin > options.scan_end) {
+    return Status::InvalidArgument("scan window begins after it ends");
+  }
 
   FaultInjector* injector =
       config_.fault != nullptr ? config_.fault->injector : nullptr;
@@ -826,6 +815,8 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     partials.push_back(DrainWorkerOutput(&state));
   }
   run.output = ssb::MergeOutputs(partials);
+  // A query that scanned no tuple still answers in its plan's shape.
+  run.output.scalar = ssb::PlanFor(query).scalar();
 
   for (size_t slot = 0; slot < slots; ++slot) {
     const SocketPartition& partition = partitions_[slot];

@@ -98,15 +98,15 @@ struct EngineConfig {
   ExecutorKind executor = ExecutorKind::kMorselStealing;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
-  /// whichever is smallest — at Prepare; the kernels block-decode frames
-  /// on scan (flight-1 predicates run against the encoded frames
-  /// directly) and fact-scan traffic is priced at the per-column
-  /// *encoded* byte widths, so modeled seconds drop by the bytes the
-  /// encodings save. Requires `columnar` (encoded pricing is a
-  /// column-width refinement); incompatible with fault/durable modes
-  /// (both read a row image instead of the column store). Results are
-  /// bit-identical to the raw path in every executor mode; off
-  /// reproduces today's modeled seconds exactly.
+  /// whichever is smallest — at Prepare; the kernels run range filters
+  /// against the encoded frames and decode the frames they gather from,
+  /// and fact-scan traffic is priced at the per-column *encoded* byte
+  /// widths, so modeled seconds drop by the bytes the encodings save.
+  /// Requires `columnar` (encoded pricing is a column-width refinement);
+  /// incompatible with fault/durable modes (both read a row image
+  /// instead of the column store). Results are bit-identical to the raw
+  /// path in every executor mode; off reproduces today's modeled seconds
+  /// exactly.
   bool encoding = false;
   /// Tuples per morsel for the work-stealing executor (0 = default).
   uint64_t morsel_tuples = kDefaultMorselTuples;
@@ -191,7 +191,8 @@ class SsbEngine {
   /// morsels (a kernel never tears mid-morsel), and partial progress is
   /// reported through options.progress and QueryRun::progress. Expired
   /// deadlines return kDeadlineExceeded; shed admissions return
-  /// kResourceExhausted.
+  /// kResourceExhausted; an inverted scan window returns kInvalidArgument
+  /// before admission.
   Result<QueryRun> Execute(ssb::QueryId query,
                            const qos::QueryOptions& options) const;
 
@@ -224,8 +225,8 @@ class SsbEngine {
   /// exposed it instead of silently recording violations.
   Status CheckDurabilityOracle() const;
 
-  /// Row-image modes read and transpose the fact rows in blocks of this
-  /// many tuples, so no buffer grows with the range a worker executes.
+  /// Row-image modes read the fact rows in blocks of this many tuples, so
+  /// no buffer grows with the range a worker executes.
   static constexpr uint64_t kRowBlockTuples = 4096;
 
   /// Accumulator of one host worker. A worker may execute morsels of
@@ -234,7 +235,7 @@ class SsbEngine {
   /// under any steal schedule.
   struct WorkerState {
     AggTable groups;         ///< grouped sums
-    int64_t scalar_sum = 0;  ///< flight-1 sum
+    int64_t scalar_sum = 0;  ///< a scalar plan's sum
     bool scalar = false;
     std::vector<KernelCounters> counters;  ///< per partition slot
     KernelScratch scratch;
@@ -279,8 +280,8 @@ class SsbEngine {
                            ExecutionProfile* profile) const;
 
   /// Bytes of fact data one tuple contributes to the scan: the padded row
-  /// (128 B) in row layout, or the width of the query's accessed columns
-  /// in columnar layout.
+  /// (128 B) in row layout, or 4 B per column of ssb::ScanColumnsFor (the
+  /// plan's filter, join-key and measure columns) in columnar layout.
   uint64_t ScanBytesPerTuple(ssb::QueryId query) const;
 
   /// Fact bytes a scan of `tuples` tuples moves: encoded per-column

@@ -10,70 +10,119 @@ namespace pmemolap {
 namespace {
 
 using ssb::LineorderColumn;
-using ssb::QueryId;
 
-constexpr int kUnitedStates = 9;
-constexpr int kUnitedKingdom = 19;
-constexpr int kRegionAmerica = 1;
-constexpr int kRegionAsia = 2;
-constexpr int kRegionEurope = 3;
+/// lo <= value <= hi as one unsigned compare, so a value near the range
+/// costs no second branch.
+struct RangeTest {
+  uint32_t lo = 0;
+  uint32_t span = 0;
 
-const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
-                                      LineorderColumn column) {
-  switch (column) {
-    case LineorderColumn::kOrderdate:
-      return columns.orderdate();
-    case LineorderColumn::kCustkey:
-      return columns.custkey();
-    case LineorderColumn::kPartkey:
-      return columns.partkey();
-    case LineorderColumn::kSuppkey:
-      return columns.suppkey();
-    case LineorderColumn::kQuantity:
-      return columns.quantity();
-    case LineorderColumn::kDiscount:
-      return columns.discount();
-    case LineorderColumn::kExtendedprice:
-      return columns.extendedprice();
-    case LineorderColumn::kRevenue:
-      return columns.revenue();
-    case LineorderColumn::kSupplycost:
-      return columns.supplycost();
+  RangeTest() = default;
+  RangeTest(int32_t lo_value, int32_t hi_value)
+      : lo(static_cast<uint32_t>(lo_value)),
+        span(static_cast<uint32_t>(hi_value) - lo) {}
+
+  bool operator()(int32_t value) const {
+    return static_cast<uint32_t>(value) - lo <= span;
   }
-  return columns.orderdate();
-}
-
-/// The row field behind each lineorder column, in LineorderColumn order.
-constexpr int32_t ssb::LineorderRow::*kRowFields[ssb::kNumLineorderColumns] = {
-    &ssb::LineorderRow::orderdate,     &ssb::LineorderRow::custkey,
-    &ssb::LineorderRow::partkey,       &ssb::LineorderRow::suppkey,
-    &ssb::LineorderRow::quantity,      &ssb::LineorderRow::discount,
-    &ssb::LineorderRow::extendedprice, &ssb::LineorderRow::revenue,
-    &ssb::LineorderRow::supplycost,
 };
 
-/// The morsel's view of one column: a zero-copy slice of the raw vector,
-/// or a fill of [begin, end) into the scratch buffer for that column —
-/// a block decode (encoded path) or a transposition of the morsel's rows
-/// (row-image path).
-ColumnSlice SliceFor(const KernelContext& ctx, LineorderColumn column,
-                     uint64_t begin, uint64_t end, KernelScratch* s) {
-  if (ctx.encoded == nullptr && ctx.rows == nullptr) {
-    return ColumnSlice{RawColumn(*ctx.columns, column).data(), 0};
-  }
-  std::vector<int32_t>& buffer = s->decoded[static_cast<size_t>(column)];
-  buffer.resize(end - begin);
-  if (ctx.rows != nullptr) {
-    int32_t ssb::LineorderRow::*field =
-        kRowFields[static_cast<size_t>(column)];
-    for (uint64_t i = 0; i < end - begin; ++i) {
-      buffer[i] = ctx.rows[i].*field;
+/// The fact image one morsel [begin, end) reads, behind the executor's two
+/// primitives. Exactly one image answers: the row image when `rows` is
+/// set (rows[0] holds tuple `begin`), else the encoded store when set,
+/// else the raw columns.
+class FactImage {
+ public:
+  FactImage(const KernelContext& ctx, uint64_t begin, uint64_t end)
+      : columns_(ctx.columns),
+        encoded_(ctx.rows == nullptr ? ctx.encoded : nullptr),
+        rows_(ctx.rows),
+        begin_(begin),
+        end_(end) {}
+
+  uint64_t begin() const { return begin_; }
+  uint64_t size() const { return end_ - begin_; }
+
+  /// Select-by-range: `sel` becomes the morsel's tuples whose `column`
+  /// lies in [lo, hi], ascending. The encoded image skips frames whose
+  /// bounds miss the range without decoding them.
+  void SelectRange(const ssb::RangeFilter& filter,
+                   std::vector<uint64_t>* sel) const {
+    if (encoded_ != nullptr) {
+      sel->clear();
+      encoded_->column(filter.column)
+          .AppendMatchingRange(filter.lo, filter.hi, begin_, end_, sel);
+      return;
     }
-  } else {
-    ctx.encoded->column(column).Decode(begin, end, buffer.data());
+    const RangeTest in_range(filter.lo, filter.hi);
+    sel->resize(size());
+    uint64_t* out = sel->data();
+    size_t kept = 0;
+    auto keep_if = [&](uint64_t tuple, int32_t value) {
+      out[kept] = tuple;
+      kept += in_range(value);
+    };
+    if (rows_ != nullptr) {
+      const int32_t ssb::LineorderRow::*field = RowField(filter.column);
+      for (uint64_t i = 0; i < size(); ++i) {
+        keep_if(begin_ + i, rows_[i].*field);
+      }
+    } else {
+      const int32_t* values = columns_->column(filter.column).data();
+      for (uint64_t i = begin_; i < end_; ++i) keep_if(i, values[i]);
+    }
+    sel->resize(kept);
   }
-  return ColumnSlice{buffer.data(), begin};
-}
+
+  /// Gather-at-selection: `column`'s values aligned with `sel`, or with
+  /// the whole morsel when `sel` is null. The raw image answers a
+  /// whole-morsel read in place; every other read fills `buffer`.
+  const int32_t* Gather(LineorderColumn column,
+                        const std::vector<uint64_t>* sel,
+                        std::vector<int32_t>* buffer) const {
+    if (sel == nullptr) {
+      if (rows_ == nullptr && encoded_ == nullptr) {
+        return columns_->column(column).data() + begin_;
+      }
+      buffer->resize(size());
+      if (encoded_ != nullptr) {
+        encoded_->column(column).Decode(begin_, end_, buffer->data());
+      } else {
+        const int32_t ssb::LineorderRow::*field = RowField(column);
+        for (uint64_t i = 0; i < size(); ++i) (*buffer)[i] = rows_[i].*field;
+      }
+      return buffer->data();
+    }
+    if (encoded_ != nullptr) {
+      encoded_->column(column).GatherInto(*sel, buffer);
+      return buffer->data();
+    }
+    buffer->resize(sel->size());
+    if (rows_ != nullptr) {
+      const int32_t ssb::LineorderRow::*field = RowField(column);
+      for (size_t i = 0; i < sel->size(); ++i) {
+        (*buffer)[i] = rows_[(*sel)[i] - begin_].*field;
+      }
+    } else {
+      const int32_t* values = columns_->column(column).data();
+      for (size_t i = 0; i < sel->size(); ++i) {
+        (*buffer)[i] = values[(*sel)[i]];
+      }
+    }
+    return buffer->data();
+  }
+
+ private:
+  static const int32_t ssb::LineorderRow::*RowField(LineorderColumn column) {
+    return ssb::kRowFields[static_cast<size_t>(column)];
+  }
+
+  const ssb::ColumnStore* columns_;
+  const ssb::EncodedColumnStore* encoded_;
+  const ssb::LineorderRow* rows_;
+  uint64_t begin_;
+  uint64_t end_;
+};
 
 /// A probe in the plain and durable modes: one dense payload load.
 struct DenseLookup {
@@ -95,456 +144,164 @@ struct GuardedLookup {
   }
 };
 
-/// The four dimension probes of one morsel. The flights are templates
-/// over the lookup, so the plain hot loops inline a dense load and only
-/// fault mode pays for the guarded read.
-template <typename Lookup>
-struct Dims {
-  Lookup date;
-  Lookup customer;
-  Lookup supplier;
-  Lookup part;
+/// An attribute test compiled for the hot loop: the range test OR'ed
+/// bitwise with the alternative's equality, so neither costs a branch.
+struct CompiledTest {
+  PayloadField field{0, 0};
+  RangeTest range;
+  int32_t alt = 0;
+
+  CompiledTest() = default;
+  explicit CompiledTest(const ssb::AttrTest& test)
+      : field(FieldOf(test.attr)), range(test.lo, test.hi), alt(test.alt) {}
+
+  bool operator()(uint64_t payload) const {
+    const int32_t value =
+        static_cast<int32_t>((payload >> field.shift) & field.mask);
+    return range(value) | (value == alt);
+  }
 };
 
-/// Loads sel with every tuple of the morsel (stage-1 "probe all rows").
-void SelectAll(uint64_t begin, uint64_t end, KernelScratch* s) {
-  s->sel.resize(end - begin);
-  for (uint64_t i = begin; i < end; ++i) s->sel[i - begin] = i;
-}
-
-/// Gathers `col` at the sel positions through the dimension lookup,
-/// leaving payloads aligned with sel. Counts |sel| probes into `count`.
-template <typename Lookup>
-void ProbeSelected(Lookup dim, ColumnSlice col, KernelScratch* s,
-                   uint64_t* count) {
-  const size_t n = s->sel.size();
-  *count += n;
-  s->payloads.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    s->payloads[i] = dim(col[s->sel[i]]);
-  }
-}
-
-/// Compacts sel by keep(payload). An existing carried attribute
-/// (`keep_attr`) is compacted alongside; when `out_attr` is non-null,
-/// carry(payload) is recorded for every survivor.
-template <typename Keep, typename Carry>
-void CompactStage(KernelScratch* s, std::vector<int32_t>* keep_attr,
-                  std::vector<int32_t>* out_attr, Keep keep, Carry carry) {
-  const size_t n = s->sel.size();
-  if (out_attr != nullptr) out_attr->resize(n);
+/// One join stage over `n` selected tuples, `keys` aligned with them
+/// (`all`: the selection is the whole morsel, tuple `begin + i`). Keeps
+/// the tuples whose payload passes the first `kTests` tests, compacting
+/// sel and the `live` carried slots alongside; `carry` (if non-null)
+/// receives `carry_field` of each survivor. Returns the survivor count.
+template <int kTests, typename Lookup>
+size_t Narrow(Lookup lookup, const int32_t* keys, size_t n, bool all,
+              uint64_t begin, const CompiledTest* tests, KernelScratch* s,
+              int live, int32_t* carry, PayloadField carry_field) {
+  uint64_t* sel = s->sel.data();
+  int32_t* slots[kMaxCarried];
+  for (int k = 0; k < live; ++k) slots[k] = s->carried[k].data();
   size_t out = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t payload = s->payloads[i];
-    if (!keep(payload)) continue;
-    s->sel[out] = s->sel[i];
-    if (keep_attr != nullptr) (*keep_attr)[out] = (*keep_attr)[i];
-    if (out_attr != nullptr) {
-      (*out_attr)[out] = static_cast<int32_t>(carry(payload));
+    const uint64_t payload = lookup(keys[i]);
+    bool pass = true;
+    if constexpr (kTests >= 1) pass = tests[0](payload);
+    if constexpr (kTests >= 2) pass &= tests[1](payload);
+    if (!pass) continue;
+    sel[out] = all ? begin + i : sel[i];
+    for (int k = 0; k < live; ++k) slots[k][out] = slots[k][i];
+    if (carry != nullptr) {
+      carry[out] = static_cast<int32_t>((payload >> carry_field.shift) &
+                                        carry_field.mask);
     }
     ++out;
   }
-  s->sel.resize(out);
-  if (keep_attr != nullptr) keep_attr->resize(out);
-  if (out_attr != nullptr) out_attr->resize(out);
+  return out;
 }
 
-constexpr auto kNoCarry = [](uint64_t) { return 0; };
-
-/// Final stage of the join flights: dense date lookup per survivor,
-/// year filter, group-aggregate update.
-template <typename Lookup, typename Keep, typename Key, typename Value>
-void DateAggregate(Lookup date, ColumnSlice orderdate, KernelScratch* s,
-                   AggTable* groups, KernelCounters* counters, Keep keep,
-                   Key key, Value value) {
-  counters->date_probes += s->sel.size();
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t idx = s->sel[i];
-    const DateAttrs d = DecodeDate(date(orderdate[idx]));
-    if (!keep(d)) continue;
-    groups->Add(key(d, i), value(idx));
-    ++counters->qualifying;
-  }
-}
-
-/// Flight-1 predicate bounds: discount in [d_lo, d_hi], quantity in
-/// [q_lo, q_hi] (Q1.1's `quantity < 25` as an inclusive range).
-struct Flight1Predicate {
-  int32_t d_lo, d_hi, q_lo, q_hi;
-};
-
-Flight1Predicate Flight1PredicateOf(QueryId query) {
-  switch (query) {
-    case QueryId::kQ1_1:
-      return {1, 3, std::numeric_limits<int32_t>::min(), 24};
-    case QueryId::kQ1_2:
-      return {4, 6, 26, 35};
-    default:  // kQ1_3
-      return {5, 7, 26, 35};
-  }
-}
-
-/// Flight-1 date filter + sum over the final selection, shared by every
-/// fact image. `orderdate_at`/`price_at`/`discount_at` map a sel position
-/// to the tuple's attribute values.
-template <typename Lookup, typename Date, typename Price, typename Discount>
-void Flight1Aggregate(QueryId query, Lookup date, KernelScratch* s,
-                      int64_t* scalar_sum, KernelCounters* counters,
-                      Date orderdate_at, Price price_at,
-                      Discount discount_at) {
-  counters->date_probes += s->sel.size();
-  int64_t sum = 0;
-  uint64_t qualifying = 0;
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t payload = date(orderdate_at(i));
-    bool keep;
-    if (query == QueryId::kQ1_1) {
-      keep = (payload >> 40) == 1993;
-    } else if (query == QueryId::kQ1_2) {
-      keep = ((payload >> 16) & 0xFFFFFF) == 199401;
-    } else {
-      const DateAttrs d = DecodeDate(payload);
-      keep = d.week == 6 && d.year == 1994;
-    }
-    if (!keep) continue;
-    sum += static_cast<int64_t>(price_at(i)) * discount_at(i);
-    ++qualifying;
-  }
-  *scalar_sum += sum;
-  counters->qualifying += qualifying;
-}
-
-/// Encoded flight 1: the discount range predicate runs directly against
-/// the encoded frames (FoR frame-skipping / dictionary code rewriting —
-/// no decode for frames whose bounds miss the range), the quantity
-/// refinement and the aggregate inputs come through frame-cached gathers
-/// at the surviving positions. Selection order and counts match the raw
-/// loop exactly.
+/// Runs `join` over the current selection (null: the whole morsel),
+/// leaving the survivors in s->sel and the carried slots. Returns the
+/// number of live carried slots.
 template <typename Lookup>
-void Flight1Encoded(QueryId query, const KernelContext& ctx, Lookup date,
-                    uint64_t begin, uint64_t end, KernelScratch* s,
-                    int64_t* scalar_sum, KernelCounters* counters) {
-  const ssb::EncodedColumnStore& enc = *ctx.encoded;
-  const Flight1Predicate pred = Flight1PredicateOf(query);
-
-  s->sel.clear();
-  enc.column(LineorderColumn::kDiscount)
-      .AppendMatchingRange(pred.d_lo, pred.d_hi, begin, end, &s->sel);
-  // Refine by quantity: gather at the discount survivors, compact.
-  enc.column(LineorderColumn::kQuantity).GatherInto(s->sel, &s->attr_a);
-  size_t out = 0;
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    if (s->attr_a[i] >= pred.q_lo && s->attr_a[i] <= pred.q_hi) {
-      s->sel[out++] = s->sel[i];
-    }
+int RunJoin(const ssb::Join& join, Lookup lookup, const FactImage& fact,
+            const std::vector<uint64_t>* sel, KernelScratch* s, int live,
+            uint64_t* probes) {
+  const int32_t* keys =
+      fact.Gather(ssb::KeyColumn(join.dim), sel, &s->values[0]);
+  const bool all = sel == nullptr;
+  const size_t n = all ? fact.size() : sel->size();
+  *probes += n;
+  s->sel.resize(n);
+  const int slots = join.carry.has_value() ? live + 1 : live;
+  for (int k = 0; k < slots; ++k) s->carried[k].resize(n);
+  int32_t* carry = join.carry.has_value() ? s->carried[live].data() : nullptr;
+  const PayloadField carry_field =
+      join.carry.has_value() ? FieldOf(*join.carry) : PayloadField{0, 0};
+  CompiledTest tests[kMaxTests];
+  for (size_t t = 0; t < join.tests.size(); ++t) {
+    tests[t] = CompiledTest(join.tests[t]);
   }
-  s->sel.resize(out);
-
-  enc.column(LineorderColumn::kOrderdate).GatherInto(s->sel, &s->attr_a);
-  enc.column(LineorderColumn::kExtendedprice)
-      .GatherInto(s->sel, &s->attr_b);
-  enc.column(LineorderColumn::kDiscount).GatherInto(s->sel, &s->attr_c);
-  Flight1Aggregate(
-      query, date, s, scalar_sum, counters,
-      [&](size_t i) { return s->attr_a[i]; },
-      [&](size_t i) { return s->attr_b[i]; },
-      [&](size_t i) { return s->attr_c[i]; });
-}
-
-/// Flight-1 filter + sum over one column image: raw column pointers, or
-/// ColumnSlices of a row image's transposed buffers.
-template <typename Col, typename Lookup>
-void Flight1Columns(QueryId query, Lookup date, Col discount, Col quantity,
-                    Col orderdate, Col price, uint64_t begin, uint64_t end,
-                    KernelScratch* s, int64_t* scalar_sum,
-                    KernelCounters* counters) {
-  s->sel.clear();
-  switch (query) {
-    case QueryId::kQ1_1:
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 1 && discount[i] <= 3 && quantity[i] < 25) {
-          s->sel.push_back(i);
-        }
-      }
+  size_t kept = 0;
+  switch (join.tests.size()) {
+    case 0:
+      kept = Narrow<0>(lookup, keys, n, all, fact.begin(), tests, s, live,
+                       carry, carry_field);
       break;
-    case QueryId::kQ1_2:
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 4 && discount[i] <= 6 && quantity[i] >= 26 &&
-            quantity[i] <= 35) {
-          s->sel.push_back(i);
-        }
-      }
-      break;
-    default:  // kQ1_3
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 5 && discount[i] <= 7 && quantity[i] >= 26 &&
-            quantity[i] <= 35) {
-          s->sel.push_back(i);
-        }
-      }
-      break;
-  }
-
-  Flight1Aggregate(
-      query, date, s, scalar_sum, counters,
-      [&](size_t i) { return orderdate[s->sel[i]]; },
-      [&](size_t i) { return price[s->sel[i]]; },
-      [&](size_t i) { return discount[s->sel[i]]; });
-}
-
-template <typename Lookup>
-void Flight1(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
-             uint64_t begin, uint64_t end, KernelScratch* s,
-             int64_t* scalar_sum, KernelCounters* counters) {
-  if (ctx.encoded != nullptr) {
-    Flight1Encoded(query, ctx, dims.date, begin, end, s, scalar_sum,
-                   counters);
-    return;
-  }
-  if (ctx.rows != nullptr) {
-    Flight1Columns(query, dims.date,
-                   SliceFor(ctx, LineorderColumn::kDiscount, begin, end, s),
-                   SliceFor(ctx, LineorderColumn::kQuantity, begin, end, s),
-                   SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s),
-                   SliceFor(ctx, LineorderColumn::kExtendedprice, begin, end,
-                            s),
-                   begin, end, s, scalar_sum, counters);
-    return;
-  }
-  const ssb::ColumnStore& columns = *ctx.columns;
-  Flight1Columns(query, dims.date, columns.discount().data(),
-                 columns.quantity().data(), columns.orderdate().data(),
-                 columns.extendedprice().data(), begin, end, s, scalar_sum,
-                 counters);
-}
-
-template <typename Lookup>
-void Flight2(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
-             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
-  const ColumnSlice partkey =
-      SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  SelectAll(begin, end, s);
-  ProbeSelected(dims.part, partkey, s, &counters->part_probes);
-  auto brand = [](uint64_t payload) {
-    return DecodePart(payload).brand_id;
-  };
-  if (query == QueryId::kQ2_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodePart(p).category_id == 12; },
-                 brand);
-  } else if (query == QueryId::kQ2_2) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) {
-                   const int b = DecodePart(p).brand_id;
-                   return b >= 2221 && b <= 2228;
-                 },
-                 brand);
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) { return DecodePart(p).brand_id == 2239; },
-                 brand);
-  }
-
-  const int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
-                            : query == QueryId::kQ2_2 ? kRegionAsia
-                                                      : kRegionEurope;
-  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
-  CompactStage(s, &s->attr_a, nullptr,
-               [&](uint64_t p) { return DecodeGeo(p).region == wanted_region; },
-               kNoCarry);
-
-  DateAggregate(
-      dims.date, orderdate, s, groups, counters,
-      [](const DateAttrs&) { return true; },
-      [&](const DateAttrs& d, size_t i) {
-        return ssb::GroupKey{d.year, s->attr_a[i], 0};
-      },
-      [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
-}
-
-template <typename Lookup>
-void Flight3(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
-             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
-  const ColumnSlice custkey =
-      SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  SelectAll(begin, end, s);
-  ProbeSelected(dims.customer, custkey, s, &counters->customer_probes);
-  auto is_uk_city = [](int city_id) {
-    return city_id == ssb::CityId(kUnitedKingdom, 1) ||
-           city_id == ssb::CityId(kUnitedKingdom, 5);
-  };
-  // Customer stage: filter + carry the grouping attribute (attr_a).
-  if (query == QueryId::kQ3_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else if (query == QueryId::kQ3_2) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) { return is_uk_city(DecodeGeo(p).city_id); },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  }
-
-  // Supplier stage: filter + carry the second grouping attribute.
-  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
-  if (query == QueryId::kQ3_1) {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else if (query == QueryId::kQ3_2) {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  } else {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [&](uint64_t p) { return is_uk_city(DecodeGeo(p).city_id); },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  }
-
-  auto keep_date = [&](const DateAttrs& d) {
-    if (query == QueryId::kQ3_4) return d.yearmonthnum == 199712;
-    return d.year >= 1992 && d.year <= 1997;
-  };
-  DateAggregate(
-      dims.date, orderdate, s, groups, counters, keep_date,
-      [&](const DateAttrs& d, size_t i) {
-        return ssb::GroupKey{s->attr_a[i], s->attr_b[i], d.year};
-      },
-      [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
-}
-
-template <typename Lookup>
-void Flight4(QueryId query, const KernelContext& ctx, const Dims<Lookup>& dims,
-             uint64_t begin, uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice partkey =
-      SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  const ColumnSlice supplycost =
-      SliceFor(ctx, LineorderColumn::kSupplycost, begin, end, s);
-  SelectAll(begin, end, s);
-  auto profit = [&](uint64_t idx) {
-    return static_cast<int64_t>(revenue[idx]) - supplycost[idx];
-  };
-
-  if (query == QueryId::kQ4_3) {
-    // supplier (nation, carry city) -> part (category, carry brand) -> date
-    ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-    ProbeSelected(dims.part, partkey, s, &counters->part_probes);
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodePart(p).category_id == 14; },
-                 [](uint64_t p) { return DecodePart(p).brand_id; });
-    DateAggregate(
-        dims.date, orderdate, s, groups, counters,
-        [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
-        },
-        profit);
-    return;
-  }
-
-  // Q4.1 / Q4.2: customer -> supplier -> part -> date.
-  const ColumnSlice custkey =
-      SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  ProbeSelected(dims.customer, custkey, s, &counters->customer_probes);
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else {
-    CompactStage(s, nullptr, nullptr,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 kNoCarry);
-  }
-
-  ProbeSelected(dims.supplier, suppkey, s, &counters->supplier_probes);
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, &s->attr_a, nullptr,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 kNoCarry);
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  }
-
-  ProbeSelected(dims.part, partkey, s, &counters->part_probes);
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, &s->attr_a, nullptr,
-                 [](uint64_t p) {
-                   const int mfgr = DecodePart(p).mfgr;
-                   return mfgr == 1 || mfgr == 2;
-                 },
-                 kNoCarry);
-    DateAggregate(
-        dims.date, orderdate, s, groups, counters,
-        [](const DateAttrs&) { return true; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], 0};
-        },
-        profit);
-  } else {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) {
-                   const int mfgr = DecodePart(p).mfgr;
-                   return mfgr == 1 || mfgr == 2;
-                 },
-                 [](uint64_t p) { return DecodePart(p).category_id; });
-    DateAggregate(
-        dims.date, orderdate, s, groups, counters,
-        [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
-        },
-        profit);
-  }
-}
-
-template <typename Lookup>
-void RunFlight(ssb::QueryId query, const KernelContext& ctx,
-               const Dims<Lookup>& dims, uint64_t begin, uint64_t end,
-               KernelScratch* scratch, AggTable* groups, int64_t* scalar_sum,
-               bool* scalar, KernelCounters* counters) {
-  switch (ssb::FlightOf(query)) {
     case 1:
-      *scalar = true;
-      Flight1(query, ctx, dims, begin, end, scratch, scalar_sum, counters);
-      break;
-    case 2:
-      Flight2(query, ctx, dims, begin, end, scratch, groups, counters);
-      break;
-    case 3:
-      Flight3(query, ctx, dims, begin, end, scratch, groups, counters);
+      kept = Narrow<1>(lookup, keys, n, all, fact.begin(), tests, s, live,
+                       carry, carry_field);
       break;
     default:
-      Flight4(query, ctx, dims, begin, end, scratch, groups, counters);
+      kept = Narrow<2>(lookup, keys, n, all, fact.begin(), tests, s, live,
+                       carry, carry_field);
       break;
+  }
+  s->sel.resize(kept);
+  for (int k = 0; k < slots; ++k) s->carried[k].resize(kept);
+  return slots;
+}
+
+/// Runs `plan` over one morsel of `fact`; `dims` holds one lookup per
+/// ssb::Dim.
+template <typename Lookup>
+void RunPlan(const ssb::QueryPlan& plan, const FactImage& fact,
+             const std::array<Lookup, ssb::kNumDims>& dims, KernelScratch* s,
+             AggTable* groups, int64_t* scalar_sum, KernelCounters* counters) {
+  // Null while every tuple of the morsel is selected.
+  const std::vector<uint64_t>* sel = nullptr;
+  for (const ssb::RangeFilter& filter : plan.filters) {
+    if (sel == nullptr) {
+      fact.SelectRange(filter, &s->sel);
+      sel = &s->sel;
+      continue;
+    }
+    const int32_t* values = fact.Gather(filter.column, sel, &s->values[0]);
+    const RangeTest in_range(filter.lo, filter.hi);
+    size_t kept = 0;
+    for (size_t i = 0; i < s->sel.size(); ++i) {
+      s->sel[kept] = s->sel[i];
+      kept += in_range(values[i]);
+    }
+    s->sel.resize(kept);
+  }
+
+  // Indexed by ssb::Dim, like `dims`.
+  constexpr uint64_t KernelCounters::*kProbes[ssb::kNumDims] = {
+      &KernelCounters::date_probes, &KernelCounters::customer_probes,
+      &KernelCounters::supplier_probes, &KernelCounters::part_probes};
+  int live = 0;
+  for (const ssb::Join& join : plan.joins) {
+    const size_t d = static_cast<size_t>(join.dim);
+    live = RunJoin(join, dims[d], fact, sel, s, live,
+                   &(counters->*kProbes[d]));
+    sel = &s->sel;
+  }
+
+  const size_t n = sel != nullptr ? sel->size() : fact.size();
+  counters->qualifying += n;
+  const std::vector<ssb::LineorderColumn> columns =
+      ssb::MeasureColumns(plan.measure);
+  const int32_t* a = fact.Gather(columns[0], sel, &s->values[0]);
+  const int32_t* b =
+      columns.size() > 1 ? fact.Gather(columns[1], sel, &s->values[1]) : a;
+  auto value = [&](size_t i) -> int64_t {
+    switch (plan.measure) {
+      case ssb::Measure::kRevenue:
+        return a[i];
+      case ssb::Measure::kProfit:
+        return static_cast<int64_t>(a[i]) - b[i];
+      case ssb::Measure::kDiscountedPrice:
+        return static_cast<int64_t>(a[i]) * b[i];
+    }
+    return 0;
+  };
+  if (plan.scalar()) {
+    int64_t sum = 0;
+    for (size_t i = 0; i < n; ++i) sum += value(i);
+    *scalar_sum += sum;
+    return;
+  }
+  const int32_t* key_slots[std::tuple_size_v<ssb::GroupKey>] = {};
+  for (size_t k = 0; k < plan.group.size(); ++k) {
+    key_slots[k] = s->carried[static_cast<size_t>(plan.group[k])].data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ssb::GroupKey key{};
+    for (size_t k = 0; k < plan.group.size(); ++k) key[k] = key_slots[k][i];
+    groups->Add(key, value(i));
   }
 }
 
@@ -568,19 +325,13 @@ void DenseDimMap::Build(const std::vector<int32_t>& keys,
 }
 
 void DenseDimMap::Build(const std::vector<ssb::DateRow>& dates) {
-  payloads_.clear();
-  if (dates.empty()) return;
-  int32_t lo = std::numeric_limits<int32_t>::max();
-  int32_t hi = std::numeric_limits<int32_t>::min();
+  std::vector<int32_t> keys;
+  std::vector<uint64_t> payloads;
   for (const ssb::DateRow& d : dates) {
-    lo = std::min(lo, d.datekey);
-    hi = std::max(hi, d.datekey);
+    keys.push_back(d.datekey);
+    payloads.push_back(EncodeDate(d));
   }
-  base_ = lo;
-  payloads_.assign(static_cast<size_t>(hi - lo) + 1, 0);
-  for (const ssb::DateRow& d : dates) {
-    payloads_[static_cast<size_t>(d.datekey - lo)] = EncodeDate(d);
-  }
+  Build(keys, payloads);
 }
 
 void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
@@ -588,20 +339,22 @@ void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
                          AggTable* groups, int64_t* scalar_sum, bool* scalar,
                          KernelCounters* counters) {
   if (begin >= end) return;
+  const ssb::QueryPlan& plan = ssb::PlanFor(query);
+  *scalar = plan.scalar();
+  const FactImage fact(ctx, begin, end);
   if (ctx.guarded == nullptr) {
-    const Dims<DenseLookup> dims{{ctx.date}, {ctx.customer}, {ctx.supplier},
-                                 {ctx.part}};
-    RunFlight(query, ctx, dims, begin, end, scratch, groups, scalar_sum,
-              scalar, counters);
+    const std::array<DenseLookup, ssb::kNumDims> dims{
+        {{ctx.date}, {ctx.customer}, {ctx.supplier}, {ctx.part}}};
+    RunPlan(plan, fact, dims, scratch, groups, scalar_sum, counters);
     return;
   }
   GuardedDims* g = ctx.guarded;
-  const Dims<GuardedLookup> dims{{ctx.date, g->date, g},
-                                 {ctx.customer, g->customer, g},
-                                 {ctx.supplier, g->supplier, g},
-                                 {ctx.part, g->part, g}};
-  RunFlight(query, ctx, dims, begin, end, scratch, groups, scalar_sum, scalar,
-            counters);
+  const std::array<GuardedLookup, ssb::kNumDims> dims{
+      {{ctx.date, g->date, g},
+       {ctx.customer, g->customer, g},
+       {ctx.supplier, g->supplier, g},
+       {ctx.part, g->part, g}}};
+  RunPlan(plan, fact, dims, scratch, groups, scalar_sum, counters);
 }
 
 }  // namespace pmemolap

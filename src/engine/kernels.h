@@ -1,25 +1,32 @@
 // The vectorized SSB kernels: the engine's one implementation of the 13
-// queries, in every mode. A morsel executes in columnar stages:
+// queries, in every mode. One staged executor runs each query's
+// ssb::QueryPlan over a morsel:
 //
-//   1. selection-vector predicate evaluation over the morsel's columns
-//      (only the columns the flight touches, never the 128 B row);
-//   2. dimension probes through direct-indexed key maps (DenseDimMap —
-//      SSB keys are dense, so a payload array replaces the hash probe on
-//      the host; the Dash/chained indexes only price the probes);
-//   3. flat open-addressing aggregation (AggTable) per worker, merged
-//      once at the end of the query.
+//   1. range filters: the first selects the morsel's tuples by range, the
+//      rest narrow the selection on values gathered at it;
+//   2. joins, in the plan's order: each probes its dimension through a
+//      direct-indexed key map (DenseDimMap — SSB keys are dense, so a
+//      payload array replaces the hash probe on the host; the Dash/chained
+//      indexes only price the probes) for every selected tuple, keeps the
+//      tuples whose payload passes the join's tests, and records its
+//      carried attribute for each survivor;
+//   3. the measure, gathered at the final selection, summed into one
+//      scalar or into a flat open-addressing AggTable per worker under the
+//      group key built from the carried attributes, merged once at the end
+//      of the query.
 //
 // A dimension is probed only for tuples that survived the previous
 // stage, and the per-dimension probe counts feeding the traffic model
 // follow that short-circuit order exactly: modeled seconds are a
 // function of the data and the config, not of how a morsel is cut.
 //
-// The fact columns come from one of three images, chosen per morsel:
-// the raw ColumnStore (zero copy), the encoded store (block decode, and
-// flight-1 predicates on the encoded frames), or a row image the engine
-// read from a durable snapshot or guarded PMEM (transposed per column
-// into the same decode buffers). In fault mode every dimension payload
-// is read through its GuardedDimension.
+// The fact values come from one of three images, chosen per morsel, through
+// two primitives, select-by-range and gather-at-selection: the raw
+// ColumnStore (zero copy; a whole-morsel read is answered in place), the
+// encoded store (range filters run on the encoded frames, gathers decode
+// each touched frame once), or a row image the engine read from a durable
+// snapshot or guarded PMEM (fields read at the selected rows). In fault
+// mode every dimension payload is read through its GuardedDimension.
 //
 // The dimension payload encodings (the uint64 values the dense maps and
 // guarded replicas hold) live here so every mode shares one definition.
@@ -35,6 +42,7 @@
 #include "ssb/column_store.h"
 #include "ssb/dbgen.h"
 #include "ssb/encoded_column_store.h"
+#include "ssb/plan.h"
 #include "ssb/queries.h"
 
 namespace pmemolap {
@@ -43,61 +51,55 @@ class GuardedDimension;
 
 // --- Dimension payload encodings -------------------------------------------
 
+/// Where a plan attribute sits in its dimension's payload: every tested
+/// or carried attribute has its own bit field, so reading one is a shift
+/// and a mask.
+struct PayloadField {
+  int shift;
+  uint64_t mask;
+};
+
+/// Indexed by ssb::Attr.
+inline constexpr PayloadField kPayloadFields[ssb::kNumAttrs] = {
+    {40, 0xFFFF},      // kYear
+    {16, 0xFFFFFF},    // kYearMonthNum
+    {8, 0xFF},         // kWeekNumInYear
+    {16, 0xFF},        // kRegion
+    {24, 0xFF},        // kNation
+    {0, 0xFFFF},       // kCity (global CityId)
+    {24, 0xFF},        // kMfgr
+    {16, 0xFF},        // kCategory (CategoryId)
+    {0, 0xFFFF},       // kBrand (BrandId)
+};
+
+inline constexpr PayloadField FieldOf(ssb::Attr attr) {
+  return kPayloadFields[static_cast<int>(attr)];
+}
+
+/// `value` placed in `attr`'s bit field.
+inline constexpr uint64_t PutField(ssb::Attr attr, int value) {
+  return (static_cast<uint64_t>(value) & FieldOf(attr).mask)
+         << FieldOf(attr).shift;
+}
+
+/// The date payload; its low byte holds the month, which no plan reads.
 inline uint64_t EncodeDate(const ssb::DateRow& d) {
-  return (static_cast<uint64_t>(d.year) << 40) |
-         (static_cast<uint64_t>(d.yearmonthnum) << 16) |
-         (static_cast<uint64_t>(static_cast<uint8_t>(d.weeknuminyear)) << 8) |
+  return PutField(ssb::Attr::kYear, d.year) |
+         PutField(ssb::Attr::kYearMonthNum, d.yearmonthnum) |
+         PutField(ssb::Attr::kWeekNumInYear, d.weeknuminyear) |
          static_cast<uint64_t>(static_cast<uint8_t>(d.monthnuminyear));
 }
 
-struct DateAttrs {
-  int year;
-  int yearmonthnum;
-  int week;
-};
-
-inline DateAttrs DecodeDate(uint64_t payload) {
-  return DateAttrs{static_cast<int>(payload >> 40),
-                   static_cast<int>((payload >> 16) & 0xFFFFFF),
-                   static_cast<int>((payload >> 8) & 0xFF)};
-}
-
 inline uint64_t EncodeGeo(int nation, int region, int city) {
-  return (static_cast<uint64_t>(nation) << 16) |
-         (static_cast<uint64_t>(region) << 8) | static_cast<uint64_t>(city);
-}
-
-struct GeoAttrs {
-  int nation;
-  int region;
-  int city_id;
-};
-
-inline GeoAttrs DecodeGeo(uint64_t payload) {
-  int nation = static_cast<int>(payload >> 16);
-  int city = static_cast<int>(payload & 0xFF);
-  return GeoAttrs{nation, static_cast<int>((payload >> 8) & 0xFF),
-                  ssb::CityId(nation, city)};
+  return PutField(ssb::Attr::kNation, nation) |
+         PutField(ssb::Attr::kRegion, region) |
+         PutField(ssb::Attr::kCity, ssb::CityId(nation, city));
 }
 
 inline uint64_t EncodePart(const ssb::PartRow& p) {
-  return (static_cast<uint64_t>(p.mfgr) << 16) |
-         (static_cast<uint64_t>(p.category) << 8) |
-         static_cast<uint64_t>(p.brand);
-}
-
-struct PartAttrs {
-  int mfgr;
-  int category_id;
-  int brand_id;
-};
-
-inline PartAttrs DecodePart(uint64_t payload) {
-  int mfgr = static_cast<int>(payload >> 16);
-  int category = static_cast<int>((payload >> 8) & 0xFF);
-  int brand = static_cast<int>(payload & 0xFF);
-  return PartAttrs{mfgr, ssb::CategoryId(mfgr, category),
-                   ssb::BrandId(mfgr, category, brand)};
+  return PutField(ssb::Attr::kMfgr, p.mfgr) |
+         PutField(ssb::Attr::kCategory, p.category_id()) |
+         PutField(ssb::Attr::kBrand, p.brand_id());
 }
 
 // --- Dense dimension fast path ----------------------------------------------
@@ -129,20 +131,6 @@ class DenseDimMap {
 
 // --- Morsel kernel ----------------------------------------------------------
 
-/// One column of a morsel as the kernels see it: a base pointer plus the
-/// global index of its first element. The raw path slices the ColumnStore
-/// vector directly (base 0, zero copy); the encoded and row-image paths
-/// slice a morsel-local buffer (base = morsel begin). The staged flight
-/// code is written once against this view.
-struct ColumnSlice {
-  const int32_t* data = nullptr;
-  uint64_t base = 0;
-
-  int32_t operator[](uint64_t global_index) const {
-    return data[global_index - base];
-  }
-};
-
 /// Fault mode's dimension payloads: the dense maps give each key's
 /// position, and the payload is read from the guarded replica nearest
 /// `socket` (failover and repair included). The first failed read is
@@ -158,13 +146,12 @@ struct GuardedDims {
 };
 
 /// Everything one worker needs to execute a morsel: the fact image plus
-/// the dense dimension lookup arrays. The fact columns come from
-/// `columns` unless `encoded` (decode-on-scan: flight predicates run on
-/// the encoded frames, the staged kernels read block-decoded buffers) or
-/// `rows` (the morsel's fact rows, rows[0] holding tuple `begin`,
-/// transposed per touched column) is set. A non-null `guarded` reads
-/// every dimension payload through the fault layer. Results and probe
-/// counts are bit-identical whichever image a morsel reads.
+/// the dense dimension lookup arrays. The fact values come from `columns`
+/// unless `rows` (the morsel's fact rows, rows[0] holding tuple `begin`)
+/// or `encoded` (decode-on-scan: range filters on the encoded frames,
+/// frame-cached gathers at the selection) is set. A non-null `guarded`
+/// reads every dimension payload through the fault layer. Results and
+/// probe counts are bit-identical whichever image a morsel reads.
 struct KernelContext {
   const ssb::ColumnStore* columns = nullptr;
   const ssb::EncodedColumnStore* encoded = nullptr;
@@ -186,23 +173,26 @@ struct KernelCounters {
   uint64_t qualifying = 0;
 };
 
-/// Reusable per-worker buffers (selection vectors, gathered payloads,
+/// The plan shapes the executor takes: tests per join, attributes carried
+/// per plan, and columns per measure.
+inline constexpr int kMaxTests = 2;
+inline constexpr int kMaxCarried = 3;
+inline constexpr int kMaxMeasureColumns = 2;
+
+/// Reusable per-worker buffers (selection vector, gathered fact values,
 /// carried attributes) so the hot loop never allocates.
 struct KernelScratch {
-  std::vector<uint64_t> sel;       ///< selected tuple indexes (global)
-  std::vector<uint64_t> payloads;  ///< probed payloads, aligned with sel
-  std::vector<int32_t> attr_a;     ///< carried attribute, aligned with sel
-  std::vector<int32_t> attr_b;     ///< second carried attribute
-  std::vector<int32_t> attr_c;     ///< third carried attribute (flight 1)
-  /// Morsel-local column buffers for the encoded and row-image paths, one
-  /// per lineorder column (only the flight's touched columns are filled).
-  std::array<std::vector<int32_t>, ssb::kNumLineorderColumns> decoded;
+  std::vector<uint64_t> sel;  ///< selected tuple indexes (global), ascending
+  /// Fact values gathered at the selection: a filter's or a join key's
+  /// column, then the measure's columns.
+  std::array<std::vector<int32_t>, kMaxMeasureColumns> values;
+  /// Carried attributes, aligned with sel, in the plan's carry order.
+  std::array<std::vector<int32_t>, kMaxCarried> carried;
 };
 
-/// Executes `query` over tuples [begin, end) with the staged columnar
-/// kernels, accumulating grouped sums into `groups`, the flight-1 scalar
-/// sum into `*scalar_sum` (setting `*scalar`), and probe/qualifying
-/// counts into `counters`.
+/// Executes `query`'s plan over tuples [begin, end), accumulating grouped
+/// sums into `groups`, a scalar plan's sum into `*scalar_sum` (setting
+/// `*scalar`), and probe/qualifying counts into `counters`.
 void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
                          uint64_t begin, uint64_t end, KernelScratch* scratch,
                          AggTable* groups, int64_t* scalar_sum, bool* scalar,

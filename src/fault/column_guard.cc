@@ -23,35 +23,36 @@ Result<std::unique_ptr<GuardedColumnStore>> GuardedColumnStore::Create(
   if (store == nullptr || store->empty()) {
     return Status::InvalidArgument("column store must be non-empty");
   }
+  using C = ssb::LineorderColumn;
   std::unique_ptr<GuardedColumnStore> guarded(new GuardedColumnStore());
   guarded->rows_ = store->size();
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->orderdate_,
-      GuardColumn(space, injector, store->orderdate(), options));
+      GuardColumn(space, injector, store->column(C::kOrderdate), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->custkey_,
-      GuardColumn(space, injector, store->custkey(), options));
+      GuardColumn(space, injector, store->column(C::kCustkey), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->partkey_,
-      GuardColumn(space, injector, store->partkey(), options));
+      GuardColumn(space, injector, store->column(C::kPartkey), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->suppkey_,
-      GuardColumn(space, injector, store->suppkey(), options));
+      GuardColumn(space, injector, store->column(C::kSuppkey), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->quantity_,
-      GuardColumn(space, injector, store->quantity(), options));
+      GuardColumn(space, injector, store->column(C::kQuantity), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->discount_,
-      GuardColumn(space, injector, store->discount(), options));
+      GuardColumn(space, injector, store->column(C::kDiscount), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->extendedprice_,
-      GuardColumn(space, injector, store->extendedprice(), options));
+      GuardColumn(space, injector, store->column(C::kExtendedprice), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->revenue_,
-      GuardColumn(space, injector, store->revenue(), options));
+      GuardColumn(space, injector, store->column(C::kRevenue), options));
   PMEMOLAP_ASSIGN_OR_RETURN(
       guarded->supplycost_,
-      GuardColumn(space, injector, store->supplycost(), options));
+      GuardColumn(space, injector, store->column(C::kSupplycost), options));
   return guarded;
 }
 

@@ -102,7 +102,8 @@ struct QueryOptions {
   /// larger-than-memory workloads, where each query hits one segment of
   /// the table and the tiering layer learns which segments are hot.
   /// Defaults scan everything; windows compose with durable snapshots
-  /// (both clamp the same ranges).
+  /// (both clamp the same ranges). scan_begin > scan_end is rejected with
+  /// kInvalidArgument before admission.
   uint64_t scan_begin = 0;
   uint64_t scan_end = kScanToEnd;
 };

@@ -2,26 +2,36 @@
 
 namespace pmemolap::ssb {
 
+const char* LineorderColumnName(LineorderColumn column) {
+  switch (column) {
+    case LineorderColumn::kOrderdate:
+      return "orderdate";
+    case LineorderColumn::kCustkey:
+      return "custkey";
+    case LineorderColumn::kPartkey:
+      return "partkey";
+    case LineorderColumn::kSuppkey:
+      return "suppkey";
+    case LineorderColumn::kQuantity:
+      return "quantity";
+    case LineorderColumn::kDiscount:
+      return "discount";
+    case LineorderColumn::kExtendedprice:
+      return "extendedprice";
+    case LineorderColumn::kRevenue:
+      return "revenue";
+    case LineorderColumn::kSupplycost:
+      return "supplycost";
+  }
+  return "?";
+}
+
 ColumnStore::ColumnStore(const std::vector<LineorderRow>& rows) {
-  orderdate_.reserve(rows.size());
-  custkey_.reserve(rows.size());
-  partkey_.reserve(rows.size());
-  suppkey_.reserve(rows.size());
-  quantity_.reserve(rows.size());
-  discount_.reserve(rows.size());
-  extendedprice_.reserve(rows.size());
-  revenue_.reserve(rows.size());
-  supplycost_.reserve(rows.size());
+  for (std::vector<int32_t>& column : columns_) column.reserve(rows.size());
   for (const LineorderRow& row : rows) {
-    orderdate_.push_back(row.orderdate);
-    custkey_.push_back(row.custkey);
-    partkey_.push_back(row.partkey);
-    suppkey_.push_back(row.suppkey);
-    quantity_.push_back(row.quantity);
-    discount_.push_back(row.discount);
-    extendedprice_.push_back(row.extendedprice);
-    revenue_.push_back(row.revenue);
-    supplycost_.push_back(row.supplycost);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c].push_back(row.*kRowFields[c]);
+    }
   }
 }
 
@@ -36,9 +46,9 @@ int64_t ColumnStore::ScanDiscountedRevenue(int32_t discount_lo,
                                            int32_t quantity_below) const {
   int64_t sum = 0;
   const size_t n = size();
-  const int32_t* discount = discount_.data();
-  const int32_t* quantity = quantity_.data();
-  const int32_t* price = extendedprice_.data();
+  const int32_t* discount = column(LineorderColumn::kDiscount).data();
+  const int32_t* quantity = column(LineorderColumn::kQuantity).data();
+  const int32_t* price = column(LineorderColumn::kExtendedprice).data();
   for (size_t i = 0; i < n; ++i) {
     if (discount[i] >= discount_lo && discount[i] <= discount_hi &&
         quantity[i] < quantity_below) {

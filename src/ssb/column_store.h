@@ -8,12 +8,39 @@
 // orders of magnitude faster" on scan-bound flights.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "ssb/schema.h"
 
 namespace pmemolap::ssb {
+
+/// The nine projected lineorder columns, in ColumnStore order.
+enum class LineorderColumn {
+  kOrderdate = 0,
+  kCustkey,
+  kPartkey,
+  kSuppkey,
+  kQuantity,
+  kDiscount,
+  kExtendedprice,
+  kRevenue,
+  kSupplycost,
+};
+
+inline constexpr int kNumLineorderColumns = 9;
+
+const char* LineorderColumnName(LineorderColumn column);
+
+/// The row field behind each column, in LineorderColumn order.
+inline constexpr int32_t LineorderRow::*kRowFields[kNumLineorderColumns] = {
+    &LineorderRow::orderdate,     &LineorderRow::custkey,
+    &LineorderRow::partkey,       &LineorderRow::suppkey,
+    &LineorderRow::quantity,      &LineorderRow::discount,
+    &LineorderRow::extendedprice, &LineorderRow::revenue,
+    &LineorderRow::supplycost,
+};
 
 class ColumnStore {
  public:
@@ -26,20 +53,12 @@ class ColumnStore {
   /// cost 3.5x the nine 4 B columns).
   explicit ColumnStore(std::vector<LineorderRow>&& rows);
 
-  size_t size() const { return orderdate_.size(); }
-  bool empty() const { return orderdate_.empty(); }
+  size_t size() const { return columns_[0].size(); }
+  bool empty() const { return columns_[0].empty(); }
 
-  const std::vector<int32_t>& orderdate() const { return orderdate_; }
-  const std::vector<int32_t>& custkey() const { return custkey_; }
-  const std::vector<int32_t>& partkey() const { return partkey_; }
-  const std::vector<int32_t>& suppkey() const { return suppkey_; }
-  const std::vector<int32_t>& quantity() const { return quantity_; }
-  const std::vector<int32_t>& discount() const { return discount_; }
-  const std::vector<int32_t>& extendedprice() const {
-    return extendedprice_;
+  const std::vector<int32_t>& column(LineorderColumn column) const {
+    return columns_[static_cast<size_t>(column)];
   }
-  const std::vector<int32_t>& revenue() const { return revenue_; }
-  const std::vector<int32_t>& supplycost() const { return supplycost_; }
 
   /// Bytes of one column.
   uint64_t BytesPerColumn() const { return size() * sizeof(int32_t); }
@@ -54,15 +73,7 @@ class ColumnStore {
                                 int32_t quantity_below) const;
 
  private:
-  std::vector<int32_t> orderdate_;
-  std::vector<int32_t> custkey_;
-  std::vector<int32_t> partkey_;
-  std::vector<int32_t> suppkey_;
-  std::vector<int32_t> quantity_;
-  std::vector<int32_t> discount_;
-  std::vector<int32_t> extendedprice_;
-  std::vector<int32_t> revenue_;
-  std::vector<int32_t> supplycost_;
+  std::array<std::vector<int32_t>, kNumLineorderColumns> columns_;
 };
 
 /// The row-storage counterpart of ScanDiscountedRevenue, for apples-to-

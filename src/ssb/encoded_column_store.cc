@@ -4,70 +4,12 @@
 
 namespace pmemolap::ssb {
 
-const char* LineorderColumnName(LineorderColumn column) {
-  switch (column) {
-    case LineorderColumn::kOrderdate:
-      return "orderdate";
-    case LineorderColumn::kCustkey:
-      return "custkey";
-    case LineorderColumn::kPartkey:
-      return "partkey";
-    case LineorderColumn::kSuppkey:
-      return "suppkey";
-    case LineorderColumn::kQuantity:
-      return "quantity";
-    case LineorderColumn::kDiscount:
-      return "discount";
-    case LineorderColumn::kExtendedprice:
-      return "extendedprice";
-    case LineorderColumn::kRevenue:
-      return "revenue";
-    case LineorderColumn::kSupplycost:
-      return "supplycost";
-  }
-  return "?";
-}
-
-std::vector<LineorderColumn> ScanColumnsFor(QueryId query) {
-  using C = LineorderColumn;
-  switch (FlightOf(query)) {
-    case 1:
-      return {C::kOrderdate, C::kDiscount, C::kQuantity, C::kExtendedprice};
-    case 2:
-      return {C::kPartkey, C::kSuppkey, C::kOrderdate, C::kRevenue};
-    case 3:
-      return {C::kCustkey, C::kSuppkey, C::kOrderdate, C::kRevenue};
-    default:
-      if (query == QueryId::kQ4_3) {
-        return {C::kSuppkey, C::kPartkey, C::kOrderdate, C::kRevenue,
-                C::kSupplycost};
-      }
-      return {C::kCustkey, C::kSuppkey, C::kPartkey, C::kOrderdate,
-              C::kRevenue, C::kSupplycost};
-  }
-}
-
 EncodedColumnStore::EncodedColumnStore(const ColumnStore& columns)
     : size_(columns.size()) {
-  using encoding::EncodedColumn;
-  columns_[static_cast<size_t>(LineorderColumn::kOrderdate)] =
-      EncodedColumn::Encode(columns.orderdate());
-  columns_[static_cast<size_t>(LineorderColumn::kCustkey)] =
-      EncodedColumn::Encode(columns.custkey());
-  columns_[static_cast<size_t>(LineorderColumn::kPartkey)] =
-      EncodedColumn::Encode(columns.partkey());
-  columns_[static_cast<size_t>(LineorderColumn::kSuppkey)] =
-      EncodedColumn::Encode(columns.suppkey());
-  columns_[static_cast<size_t>(LineorderColumn::kQuantity)] =
-      EncodedColumn::Encode(columns.quantity());
-  columns_[static_cast<size_t>(LineorderColumn::kDiscount)] =
-      EncodedColumn::Encode(columns.discount());
-  columns_[static_cast<size_t>(LineorderColumn::kExtendedprice)] =
-      EncodedColumn::Encode(columns.extendedprice());
-  columns_[static_cast<size_t>(LineorderColumn::kRevenue)] =
-      EncodedColumn::Encode(columns.revenue());
-  columns_[static_cast<size_t>(LineorderColumn::kSupplycost)] =
-      EncodedColumn::Encode(columns.supplycost());
+  for (int c = 0; c < kNumLineorderColumns; ++c) {
+    columns_[c] = encoding::EncodedColumn::Encode(
+        columns.column(static_cast<LineorderColumn>(c)));
+  }
 }
 
 uint64_t EncodedColumnStore::TotalEncodedBytes() const {

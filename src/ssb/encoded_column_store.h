@@ -2,11 +2,11 @@
 // each of the nine int32 columns encoded with the cheapest scheme
 // (FoR bit-packing, sorted dictionary, or raw pass-through) at load time.
 //
-// The engine scans this view when EngineConfig::encoding is on: kernels
-// block-decode the columns a flight touches (or evaluate predicates on
-// the encoded frames directly), and scan traffic is priced at the encoded
-// byte widths reported here — so modeled seconds drop by exactly the
-// bytes the encodings save.
+// The engine scans this view when EngineConfig::encoding is on: the
+// kernels answer a plan's range filters on the encoded frames and gather
+// every other column at the selection, and scan traffic is priced at the
+// encoded byte widths reported here — so modeled seconds drop by exactly
+// the bytes the encodings save.
 #pragma once
 
 #include <cstdint>
@@ -14,32 +14,8 @@
 
 #include "encoding/encoding.h"
 #include "ssb/column_store.h"
-#include "ssb/queries.h"
 
 namespace pmemolap::ssb {
-
-/// The nine projected lineorder columns, in ColumnStore order.
-enum class LineorderColumn {
-  kOrderdate = 0,
-  kCustkey,
-  kPartkey,
-  kSuppkey,
-  kQuantity,
-  kDiscount,
-  kExtendedprice,
-  kRevenue,
-  kSupplycost,
-};
-
-inline constexpr int kNumLineorderColumns = 9;
-
-const char* LineorderColumnName(LineorderColumn column);
-
-/// The columns a query's scan actually touches — the columnar-pricing
-/// contract SsbEngine::ScanBytesPerTuple encodes as 16/20/24 B widths
-/// (4 B per column), now as an explicit set so encoded pricing can sum
-/// real per-column encoded widths.
-std::vector<LineorderColumn> ScanColumnsFor(QueryId query);
 
 class EncodedColumnStore {
  public:

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "ssb/dbgen.h"
 #include "ssb/encoded_column_store.h"
+#include "ssb/plan.h"
 
 namespace pmemolap::encoding {
 namespace {
@@ -294,7 +295,7 @@ TEST(EncodedColumnStore, CompressesSsbColumnsAndPricesScans) {
   const encoding::EncodedColumn& quantity =
       encoded.column(ssb::LineorderColumn::kQuantity);
   for (uint64_t i = 0; i < columns.size(); i += 997) {
-    ASSERT_EQ(quantity.Get(i), columns.quantity()[i]);
+    ASSERT_EQ(quantity.Get(i), columns.column(ssb::LineorderColumn::kQuantity)[i]);
   }
 
   // The nine SSB columns compress well overall (small domains, dense
@@ -348,8 +349,10 @@ TEST(ColumnStoreMoveConstructor, ReleasesRowImage) {
   EXPECT_TRUE(moved.empty());
   EXPECT_EQ(moved.capacity(), 0u);
   ASSERT_EQ(consumed.size(), rows);
-  EXPECT_EQ(consumed.revenue(), reference.revenue());
-  EXPECT_EQ(consumed.orderdate(), reference.orderdate());
+  for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+    const auto column = static_cast<ssb::LineorderColumn>(c);
+    EXPECT_EQ(consumed.column(column), reference.column(column));
+  }
 }
 
 }  // namespace

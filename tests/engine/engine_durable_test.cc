@@ -1,10 +1,11 @@
 // End-to-end durable ingest: the engine fed epoch-by-epoch through a
 // crash-consistent DurableTable must answer every SSB query bit-identical
-// to the reference executor, keep pinned snapshots stable while ingest
-// advances (also while the pool executes concurrently with Ingest),
-// surface a modeled crash as Unavailable until Recover() runs (pausing
-// admission while it replays), reject rows whose keys join nothing, and
-// price standing ingest traffic into query runtimes.
+// to the reference executor (at epoch 0 too, as over an empty table), keep
+// pinned snapshots stable while ingest advances (also while the pool
+// executes concurrently with Ingest), surface a modeled crash as
+// Unavailable until Recover() runs (pausing admission while it replays),
+// reject rows whose keys join nothing, and price standing ingest traffic
+// into query runtimes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,6 +85,36 @@ TEST(EngineDurableTest, AllQueriesBitIdenticalAfterFullIngest) {
         << " durable table";
     EXPECT_GT(run->seconds, 0.0);
   }
+}
+
+TEST(EngineDurableTest, EpochZeroAnswersTheEmptyTableReference) {
+  DurableEnv& env = DurableEnv::Get();
+  Database empty = env.db();
+  empty.lineorder.clear();
+  const ssb::ReferenceExecutor reference(&empty);
+  MemSystemModel model;
+  PmemSpace space(model.config().topology);
+  auto table = DurableTable::Create(&space, nullptr, DurableTable::Options());
+  ASSERT_TRUE(table.ok());
+  SsbEngine engine(&env.db(), &model, DurableConfig(table->get()));
+  ASSERT_TRUE(engine.Prepare().ok());
+
+  // A fresh table reads at committed epoch 0; after ingest, a query
+  // pinned to epoch 0 still sees no row.
+  auto expect_empty = [&](const qos::QueryOptions& options) {
+    for (QueryId query : ssb::AllQueries()) {
+      Result<SsbEngine::QueryRun> run = engine.Execute(query, options);
+      ASSERT_TRUE(run.ok()) << ssb::QueryName(query) << ": "
+                            << run.status().ToString();
+      EXPECT_EQ(run->output, reference.Execute(query))
+          << ssb::QueryName(query);
+    }
+  };
+  expect_empty(qos::QueryOptions());
+  EXPECT_EQ(IngestInEpochs(&engine, env.db(), 2), 2u);
+  qos::QueryOptions epoch_zero;
+  epoch_zero.snapshot_epoch = 0;
+  expect_empty(epoch_zero);
 }
 
 TEST(EngineDurableTest, PinnedSnapshotIsStableWhileIngestAdvances) {

@@ -70,9 +70,10 @@ struct PinnedWork {
   uint64_t agg_updates;
 };
 
-// The work the row-at-a-time interpreter did on this database (sf 0.02,
-// seed 11), per query in ssb::AllQueries() order. These counts are what
-// the traffic model prices, so they pin modeled seconds in every mode.
+// The work each query does on this database (sf 0.02, seed 11), in
+// ssb::AllQueries() order. The constants predate the plan executor and
+// must not move with it: these counts are what the traffic model prices,
+// so they pin modeled seconds in every mode.
 constexpr std::array<PinnedWork, 13> kWholeTable = {{
     {120000, 15758, 2245},   // Q1.1
     {120000, 6475, 95},      // Q1.2

@@ -1,7 +1,8 @@
 // Query-lifecycle robustness end to end: deadlines cancel between
 // morsels with partial progress, the admission gate sheds with
-// kResourceExhausted, retry budgets abort runaway recovery, and every
-// admitted-and-completed query stays bit-identical to the reference.
+// kResourceExhausted, retry budgets abort runaway recovery, an inverted
+// scan window is refused before admission, and every admitted-and-completed
+// query stays bit-identical to the reference — an empty window included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,6 +142,55 @@ TEST(EngineQosTest, AdmissionGateShedsWhenFullAndAdmitsAfterRelease) {
   EXPECT_EQ(run->output, env.reference().Execute(QueryId::kQ1_1));
   EXPECT_TRUE(progress.admitted);
   EXPECT_EQ(gate.counters().completed, 2u);  // holder + the query
+  EXPECT_EQ(gate.running(), 0);
+}
+
+TEST(EngineQosTest, EmptyWindowAnswersTheEmptyTableReference) {
+  QosEnv& env = QosEnv::Get();
+  Database empty = env.db();
+  empty.lineorder.clear();
+  const ssb::ReferenceExecutor reference(&empty);
+  MemSystemModel model;
+  for (bool pooled : {false, true}) {
+    EngineConfig config = SmallConfig();
+    config.parallel_execution = pooled;
+    SsbEngine engine(&env.db(), &model, config);
+    ASSERT_TRUE(engine.Prepare().ok());
+    qos::QueryOptions options;
+    options.scan_begin = 100;
+    options.scan_end = 100;
+    for (QueryId query : ssb::AllQueries()) {
+      Result<SsbEngine::QueryRun> run = engine.Execute(query, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->output, reference.Execute(query))
+          << ssb::QueryName(query) << (pooled ? " pool" : " serial");
+      EXPECT_EQ(run->cpu.tuples_scanned, 0u);
+    }
+  }
+}
+
+TEST(EngineQosTest, InvertedWindowIsRejectedBeforeAdmission) {
+  QosEnv& env = QosEnv::Get();
+  MemSystemModel model;
+  qos::AdmissionController gate{qos::AdmissionLimits()};
+  for (bool pooled : {false, true}) {
+    EngineConfig config = SmallConfig();
+    config.parallel_execution = pooled;
+    config.admission = &gate;
+    SsbEngine engine(&env.db(), &model, config);
+    ASSERT_TRUE(engine.Prepare().ok());
+    qos::QueryProgress progress;
+    qos::QueryOptions options;
+    options.scan_begin = 200;
+    options.scan_end = 100;
+    options.progress = &progress;
+    Result<SsbEngine::QueryRun> run = engine.Execute(QueryId::kQ2_1, options);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(progress.admitted);
+  }
+  EXPECT_EQ(gate.counters().admitted, 0u);
+  EXPECT_EQ(gate.counters().shed, 0u);
   EXPECT_EQ(gate.running(), 0);
 }
 

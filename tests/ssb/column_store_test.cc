@@ -33,17 +33,18 @@ TEST_F(ColumnStoreTest, SizesMatch) {
 }
 
 TEST_F(ColumnStoreTest, ColumnsMirrorRows) {
+  using C = LineorderColumn;
   for (size_t i = 0; i < store_->size(); i += 397) {
     const LineorderRow& row = db_->lineorder[i];
-    EXPECT_EQ(store_->orderdate()[i], row.orderdate);
-    EXPECT_EQ(store_->custkey()[i], row.custkey);
-    EXPECT_EQ(store_->partkey()[i], row.partkey);
-    EXPECT_EQ(store_->suppkey()[i], row.suppkey);
-    EXPECT_EQ(store_->quantity()[i], row.quantity);
-    EXPECT_EQ(store_->discount()[i], row.discount);
-    EXPECT_EQ(store_->extendedprice()[i], row.extendedprice);
-    EXPECT_EQ(store_->revenue()[i], row.revenue);
-    EXPECT_EQ(store_->supplycost()[i], row.supplycost);
+    EXPECT_EQ(store_->column(C::kOrderdate)[i], row.orderdate);
+    EXPECT_EQ(store_->column(C::kCustkey)[i], row.custkey);
+    EXPECT_EQ(store_->column(C::kPartkey)[i], row.partkey);
+    EXPECT_EQ(store_->column(C::kSuppkey)[i], row.suppkey);
+    EXPECT_EQ(store_->column(C::kQuantity)[i], row.quantity);
+    EXPECT_EQ(store_->column(C::kDiscount)[i], row.discount);
+    EXPECT_EQ(store_->column(C::kExtendedprice)[i], row.extendedprice);
+    EXPECT_EQ(store_->column(C::kRevenue)[i], row.revenue);
+    EXPECT_EQ(store_->column(C::kSupplycost)[i], row.supplycost);
   }
 }
 
