@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <utility>
 
 namespace pmemolap::encoding {
 namespace {
@@ -17,7 +18,119 @@ int64_t FrameMax(int32_t ref, int width) {
   return static_cast<int64_t>(ref) + static_cast<int64_t>(MaskOf(width));
 }
 
+/// hi - lo as an unsigned distance (the full int32 span fits).
+uint64_t Span(int32_t lo, int32_t hi) {
+  return static_cast<uint64_t>(static_cast<int64_t>(hi) -
+                               static_cast<int64_t>(lo));
+}
+
+/// Code width of a frame whose values span `range` (0 for a constant).
+int WidthOf(uint64_t range) {
+  return range == 0 ? 0 : std::bit_width(range);
+}
+
+/// Values in frame `frame` of an `n`-value array.
+uint64_t FrameCountOf(uint64_t n, uint64_t frame) {
+  return std::min<uint64_t>(kFrameValues, n - frame * kFrameValues);
+}
+
+/// Minimum and maximum of frame `frame` of values[0 .. n).
+std::pair<int32_t, int32_t> FrameBounds(const int32_t* values, uint64_t n,
+                                        uint64_t frame) {
+  const int32_t* first = values + frame * kFrameValues;
+  const uint64_t count = FrameCountOf(n, frame);
+  int32_t lo = first[0];
+  int32_t hi = first[0];
+  for (uint64_t i = 1; i < count; ++i) {
+    lo = std::min(lo, first[i]);
+    hi = std::max(hi, first[i]);
+  }
+  return {lo, hi};
+}
+
+/// Bytes PackedArray::Pack lays out for one frame of `count` codes that
+/// span `range`: the word-padded codes plus the frame's ref/width/offset
+/// directory entry. PackedArray::Bytes() is the sum over the frames.
+uint64_t PackedFrameBytes(uint64_t count, uint64_t range) {
+  const uint64_t words =
+      (count * static_cast<uint64_t>(WidthOf(range)) + 63) / 64;
+  return words * sizeof(uint64_t) + sizeof(int32_t) + sizeof(uint8_t) +
+         sizeof(uint32_t);
+}
+
 }  // namespace
+
+/// Order-preserving rank over a column's distinct values: Rank(v) counts
+/// the distinct values below v, which is v's code in the sorted
+/// dictionary. When the column's span is at most 32 bits per value (the
+/// bitmap is no larger than the column) the rank is a bitmap over
+/// [lo, hi] with per-word prefix counts, O(1) per lookup; otherwise it is
+/// a binary search in a sorted distinct copy.
+class DistinctRank {
+ public:
+  /// `lo` and `hi` bound every value of `values`.
+  DistinctRank(const std::vector<int32_t>& values, int32_t lo, int32_t hi)
+      : lo_(lo) {
+    const uint64_t span = Span(lo, hi);
+    if (span / 32 >= values.size()) {
+      sorted_ = values;
+      std::sort(sorted_.begin(), sorted_.end());
+      sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
+                    sorted_.end());
+      distinct_ = sorted_.size();
+      return;
+    }
+    bits_.assign(span / 64 + 1, 0);
+    for (int32_t value : values) {
+      const uint64_t bit = Span(lo_, value);
+      bits_[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+    // Set bits before a word count distinct int32 values below it: at
+    // most 2^32 - 64, so uint32_t holds them.
+    before_.resize(bits_.size());
+    for (size_t word = 0; word < bits_.size(); ++word) {
+      before_[word] = static_cast<uint32_t>(distinct_);
+      distinct_ += static_cast<uint64_t>(std::popcount(bits_[word]));
+    }
+  }
+
+  uint64_t distinct() const { return distinct_; }
+
+  /// Rank of `value`, which must occur in the column.
+  uint64_t Rank(int32_t value) const {
+    if (bits_.empty()) {
+      return static_cast<uint64_t>(
+          std::lower_bound(sorted_.begin(), sorted_.end(), value) -
+          sorted_.begin());
+    }
+    const uint64_t bit = Span(lo_, value);
+    const uint64_t below =
+        bits_[bit / 64] & ((uint64_t{1} << (bit % 64)) - 1);
+    return before_[bit / 64] + static_cast<uint64_t>(std::popcount(below));
+  }
+
+  /// The distinct values in ascending order: the dictionary.
+  std::vector<int32_t> Values() const {
+    if (bits_.empty()) return sorted_;
+    std::vector<int32_t> values;
+    values.reserve(distinct_);
+    for (size_t word = 0; word < bits_.size(); ++word) {
+      for (uint64_t rest = bits_[word]; rest != 0; rest &= rest - 1) {
+        values.push_back(static_cast<int32_t>(
+            static_cast<int64_t>(lo_) +
+            static_cast<int64_t>(word * 64 + std::countr_zero(rest))));
+      }
+    }
+    return values;
+  }
+
+ private:
+  int32_t lo_ = 0;
+  uint64_t distinct_ = 0;
+  std::vector<uint64_t> bits_;    ///< dense: bit v - lo set iff v occurs
+  std::vector<uint32_t> before_;  ///< dense: set bits in earlier words
+  std::vector<int32_t> sorted_;   ///< sparse: sorted distinct values
+};
 
 const char* SchemeName(Scheme scheme) {
   switch (scheme) {
@@ -42,16 +155,9 @@ PackedArray PackedArray::Pack(const int32_t* values, uint64_t n) {
   packed.offsets_.reserve(frames);
   for (uint64_t frame = 0; frame < frames; ++frame) {
     const uint64_t begin = frame * kFrameValues;
-    const uint64_t end = std::min(n, begin + kFrameValues);
-    int32_t lo = values[begin];
-    int32_t hi = values[begin];
-    for (uint64_t i = begin + 1; i < end; ++i) {
-      lo = std::min(lo, values[i]);
-      hi = std::max(hi, values[i]);
-    }
-    const uint64_t range = static_cast<uint64_t>(
-        static_cast<int64_t>(hi) - static_cast<int64_t>(lo));
-    const int width = range == 0 ? 0 : std::bit_width(range);
+    const uint64_t end = begin + FrameCountOf(n, frame);
+    const auto [lo, hi] = FrameBounds(values, n, frame);
+    const int width = WidthOf(Span(lo, hi));
     packed.refs_.push_back(lo);
     packed.widths_.push_back(static_cast<uint8_t>(width));
     packed.offsets_.push_back(static_cast<uint32_t>(packed.words_.size()));
@@ -77,7 +183,7 @@ PackedArray PackedArray::Pack(const int32_t* values, uint64_t n) {
 }
 
 uint64_t PackedArray::FrameCount(uint64_t frame) const {
-  return std::min<uint64_t>(kFrameValues, size_ - frame * kFrameValues);
+  return FrameCountOf(size_, frame);
 }
 
 int32_t PackedArray::Get(uint64_t index) const {
@@ -176,47 +282,73 @@ uint64_t PackedArray::Bytes() const {
 
 EncodedColumn EncodedColumn::EncodeWith(Scheme scheme,
                                         const std::vector<int32_t>& values) {
+  if (scheme == Scheme::kDictionary) {
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    // An empty column has no bounds; any pair serves its empty rank.
+    return Dictionary(values, values.empty()
+                                  ? DistinctRank(values, 0, 0)
+                                  : DistinctRank(values, *lo, *hi));
+  }
   EncodedColumn column;
   column.size_ = values.size();
   column.scheme_ = scheme;
-  switch (scheme) {
-    case Scheme::kRaw:
-      column.raw_ = values;
-      break;
-    case Scheme::kForBitPack:
-      column.packed_ = PackedArray::Pack(values.data(), values.size());
-      break;
-    case Scheme::kDictionary: {
-      column.dict_ = values;
-      std::sort(column.dict_.begin(), column.dict_.end());
-      column.dict_.erase(
-          std::unique(column.dict_.begin(), column.dict_.end()),
-          column.dict_.end());
-      std::vector<int32_t> codes(values.size());
-      for (size_t i = 0; i < values.size(); ++i) {
-        codes[i] = static_cast<int32_t>(
-            std::lower_bound(column.dict_.begin(), column.dict_.end(),
-                             values[i]) -
-            column.dict_.begin());
-      }
-      column.packed_ = PackedArray::Pack(codes.data(), codes.size());
-      break;
-    }
+  if (scheme == Scheme::kRaw) {
+    column.raw_ = values;
+  } else {
+    column.packed_ = PackedArray::Pack(values.data(), values.size());
   }
+  return column;
+}
+
+EncodedColumn EncodedColumn::Dictionary(const std::vector<int32_t>& values,
+                                        const DistinctRank& rank) {
+  EncodedColumn column;
+  column.size_ = values.size();
+  column.scheme_ = Scheme::kDictionary;
+  column.dict_ = rank.Values();
+  std::vector<int32_t> codes(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    codes[i] = static_cast<int32_t>(rank.Rank(values[i]));
+  }
+  column.packed_ = PackedArray::Pack(codes.data(), codes.size());
   return column;
 }
 
 EncodedColumn EncodedColumn::Encode(const std::vector<int32_t>& values) {
   if (values.empty()) return EncodedColumn();
-  EncodedColumn for_packed = EncodeWith(Scheme::kForBitPack, values);
-  EncodedColumn dict = EncodeWith(Scheme::kDictionary, values);
-  const uint64_t raw_bytes = values.size() * sizeof(int32_t);
-  // Ties prefer FoR (cheapest decode), then dictionary, then raw.
-  if (for_packed.EncodedBytes() <= dict.EncodedBytes() &&
-      for_packed.EncodedBytes() <= raw_bytes) {
-    return for_packed;
+  const uint64_t n = values.size();
+  // One pass for the frames' bounds; the column's follow from them.
+  const uint64_t frames = (n + kFrameValues - 1) / kFrameValues;
+  std::vector<std::pair<int32_t, int32_t>> bounds(frames);
+  for (uint64_t frame = 0; frame < frames; ++frame) {
+    bounds[frame] = FrameBounds(values.data(), n, frame);
   }
-  if (dict.EncodedBytes() <= raw_bytes) return dict;
+  int32_t lo = bounds[0].first;
+  int32_t hi = bounds[0].second;
+  for (const auto& [frame_lo, frame_hi] : bounds) {
+    lo = std::min(lo, frame_lo);
+    hi = std::max(hi, frame_hi);
+  }
+  const DistinctRank rank(values, lo, hi);
+  // Price both encodings exactly, frame by frame, without building
+  // either. A frame's FoR width follows from its value bounds; the rank
+  // is order-preserving, so the same bounds' ranks are the frame's
+  // smallest and largest dictionary codes.
+  uint64_t for_bytes = 0;
+  uint64_t dict_bytes = rank.distinct() * sizeof(int32_t);
+  for (uint64_t frame = 0; frame < frames; ++frame) {
+    const uint64_t count = FrameCountOf(n, frame);
+    const auto [frame_lo, frame_hi] = bounds[frame];
+    for_bytes += PackedFrameBytes(count, Span(frame_lo, frame_hi));
+    dict_bytes +=
+        PackedFrameBytes(count, rank.Rank(frame_hi) - rank.Rank(frame_lo));
+  }
+  const uint64_t raw_bytes = n * sizeof(int32_t);
+  // Ties prefer FoR (cheapest decode), then dictionary, then raw.
+  if (for_bytes <= dict_bytes && for_bytes <= raw_bytes) {
+    return EncodeWith(Scheme::kForBitPack, values);
+  }
+  if (dict_bytes <= raw_bytes) return Dictionary(values, rank);
   return EncodeWith(Scheme::kRaw, values);
 }
 
@@ -278,9 +410,10 @@ void EncodedColumn::GatherInto(const std::vector<uint64_t>& sel,
 void EncodedColumn::AppendMatchingRange(int32_t lo, int32_t hi,
                                         uint64_t begin, uint64_t end,
                                         std::vector<uint64_t>* sel) const {
+  end = std::min(end, size_);
   switch (scheme_) {
     case Scheme::kRaw:
-      for (uint64_t i = begin; i < end && i < size_; ++i) {
+      for (uint64_t i = begin; i < end; ++i) {
         if (raw_[i] >= lo && raw_[i] <= hi) sel->push_back(i);
       }
       return;
@@ -300,19 +433,6 @@ void EncodedColumn::AppendMatchingRange(int32_t lo, int32_t hi,
       return;
     }
   }
-}
-
-void EncodedColumn::AppendMatchingEquals(int32_t value, uint64_t begin,
-                                         uint64_t end,
-                                         std::vector<uint64_t>* sel) const {
-  if (scheme_ == Scheme::kDictionary) {
-    const auto it = std::lower_bound(dict_.begin(), dict_.end(), value);
-    if (it == dict_.end() || *it != value) return;  // absent: zero matches
-    const int64_t code = it - dict_.begin();
-    packed_.AppendMatchingRange(code, code, begin, end, sel);
-    return;
-  }
-  AppendMatchingRange(value, value, begin, end, sel);
 }
 
 uint64_t EncodedColumn::EncodedBytes() const {

@@ -11,22 +11,27 @@
 //                  frame starts on a fresh word ("lane-aligned"), so block
 //                  decode is a branch-free shift/mask loop.
 //   kDictionary  — sorted-dictionary encoding for low-cardinality columns:
-//                  value -> code via binary search at load, codes packed
-//                  with the same frame machinery. The dictionary is sorted,
-//                  so code order equals value order and range predicates
-//                  map to code ranges.
+//                  a value's code is its rank among the column's distinct
+//                  values, packed with the same frame machinery. Code
+//                  order equals value order, so range predicates map to
+//                  code ranges.
 //   kRaw         — pass-through for incompressible columns.
 //
 // EncodedColumn::Encode picks the scheme with the smallest encoded size at
-// load time; EncodedBytes() reports that size (words + frame directory +
-// dictionary) for device-model placement and scan pricing.
+// load time, in linear time: one pass finds each frame's minimum and
+// maximum, FoR is priced from those bounds' widths and the dictionary
+// from the ranks of the same bounds plus 4 B per distinct value, and only
+// the winner is built. EncodedBytes() reports the built size (words +
+// frame directory + dictionary) for device-model placement and scan
+// pricing.
 //
 // Predicate-on-encoded fast paths: a range predicate is evaluated against
 // each frame's conservative value bounds [ref, ref + (2^width - 1)] first —
 // frames entirely outside the range are skipped without decode, frames
-// entirely inside append their indexes without decode. Equality against a
-// dictionary column binary-searches the dictionary once; an absent value
-// matches nothing without touching the codes.
+// entirely inside append their indexes without decode. A dictionary
+// column maps the range to a code range with two binary searches; a range
+// that covers no entry (an absent point value) matches nothing without
+// touching the codes.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +97,18 @@ class PackedArray {
   uint64_t FrameCount(uint64_t frame) const;
 };
 
+class DistinctRank;  // encoding.cc: order-preserving rank of distinct values
+
 /// One encoded column: scheme picked at load time by encoded size.
 class EncodedColumn {
  public:
   EncodedColumn() = default;
 
   /// Encodes with the cheapest scheme (ties prefer FoR over dictionary
-  /// over raw — cheaper decode at equal size).
+  /// over raw — cheaper decode at equal size). Both encodings are priced
+  /// exactly from per-frame bounds and distinct-value ranks, without
+  /// being built; only the winner is built, so the result equals the
+  /// smallest of the three EncodeWith builds.
   static EncodedColumn Encode(const std::vector<int32_t>& values);
   /// Forces a scheme (tests and the bench's per-scheme comparisons).
   static EncodedColumn EncodeWith(Scheme scheme,
@@ -107,8 +117,9 @@ class EncodedColumn {
   uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   Scheme scheme() const { return scheme_; }
-  /// Dictionary entry count (0 unless kDictionary).
-  uint64_t dictionary_size() const { return dict_.size(); }
+  /// The sorted distinct values the codes index (empty unless
+  /// kDictionary).
+  const std::vector<int32_t>& dictionary() const { return dict_; }
 
   int32_t Get(uint64_t index) const;
   /// Block decode of values [begin, end) into out[0 .. end-begin).
@@ -119,16 +130,12 @@ class EncodedColumn {
   void GatherInto(const std::vector<uint64_t>& sel,
                   std::vector<int32_t>* out) const;
 
-  /// Range predicate on encoded data: appends every index in [begin, end)
-  /// with value in [lo, hi]. FoR skips non-qualifying frames without
-  /// decode; dictionary rewrites [lo, hi] to a code range first.
+  /// Range predicate on encoded data: appends every index in
+  /// [begin, min(end, size())) with value in [lo, hi]; lo == hi is an
+  /// equality test. FoR skips non-qualifying frames without decode;
+  /// dictionary rewrites [lo, hi] to a code range first.
   void AppendMatchingRange(int32_t lo, int32_t hi, uint64_t begin,
                            uint64_t end, std::vector<uint64_t>* sel) const;
-  /// Equality predicate: dictionary columns binary-search the value once
-  /// (absent value = no matches without scanning); others take the range
-  /// path with lo == hi.
-  void AppendMatchingEquals(int32_t value, uint64_t begin, uint64_t end,
-                            std::vector<uint64_t>* sel) const;
 
   /// Encoded storage bytes (packed words + frame directory + dictionary;
   /// raw scheme: 4 B per value). The scan-pricing size.
@@ -137,6 +144,10 @@ class EncodedColumn {
   double CompressionRatio() const;
 
  private:
+  /// The one dictionary builder: entries and codes both come from `rank`.
+  static EncodedColumn Dictionary(const std::vector<int32_t>& values,
+                                  const DistinctRank& rank);
+
   Scheme scheme_ = Scheme::kRaw;
   uint64_t size_ = 0;
   std::vector<int32_t> raw_;    ///< kRaw payload

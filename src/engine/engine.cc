@@ -211,13 +211,17 @@ Status SsbEngine::Prepare() {
         partitions_,
         partitioner.Partition(db_->lineorder.size(), workers_per_socket));
   }
-  // The column store backs the kernels unless a row image (durable or
-  // fault mode) holds the fact rows.
+  // One columnar image backs the kernels unless a row image (durable or
+  // fault mode) holds the fact rows: the encoded store when encoding is
+  // on, the raw column store otherwise.
   columns_ = ssb::ColumnStore();
   encoded_ = ssb::EncodedColumnStore();
   if (!guarded && config_.durable == nullptr) {
-    columns_ = ssb::ColumnStore(db_->lineorder);
-    if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
+    if (config_.encoding) {
+      encoded_ = ssb::EncodedColumnStore(db_->lineorder);
+    } else {
+      columns_ = ssb::ColumnStore(db_->lineorder);
+    }
   }
   pool_.reset();
   if (config_.parallel_execution &&

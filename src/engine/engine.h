@@ -297,11 +297,13 @@ class SsbEngine {
   std::unique_ptr<DimensionIndex> supplier_index_;
   std::unique_ptr<DimensionIndex> part_index_;
   std::vector<SocketPartition> partitions_;
-  /// Columnar projection of the fact table for the kernels (built in
-  /// Prepare unless a row image — durable or fault mode — holds the rows).
+  /// Columnar projection of the fact table for the kernels: built in
+  /// Prepare unless a row image (durable or fault mode) holds the rows or
+  /// encoding is on. Empty otherwise.
   ssb::ColumnStore columns_;
-  /// Compressed view of columns_ (EngineConfig::encoding): scheme picked
-  /// per column at Prepare.
+  /// The encoded fact image (EngineConfig::encoding): built in Prepare
+  /// straight from the rows, scheme picked per column; the only fact
+  /// image the kernels read in encoded mode.
   ssb::EncodedColumnStore encoded_;
   /// Key -> payload maps the kernels probe; in fault mode key -> position
   /// in the guarded payload stores below. Governor staging reprices

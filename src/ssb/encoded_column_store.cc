@@ -4,12 +4,33 @@
 
 namespace pmemolap::ssb {
 
+namespace {
+
+/// Encodes out[c] from column_of(c), a const std::vector<int32_t>&.
+template <typename ColumnOf>
+void EncodeEach(encoding::EncodedColumn* out, ColumnOf column_of) {
+  for (int c = 0; c < kNumLineorderColumns; ++c) {
+    out[c] = encoding::EncodedColumn::Encode(column_of(c));
+  }
+}
+
+}  // namespace
+
 EncodedColumnStore::EncodedColumnStore(const ColumnStore& columns)
     : size_(columns.size()) {
-  for (int c = 0; c < kNumLineorderColumns; ++c) {
-    columns_[c] = encoding::EncodedColumn::Encode(
-        columns.column(static_cast<LineorderColumn>(c)));
-  }
+  EncodeEach(columns_, [&](int c) -> const std::vector<int32_t>& {
+    return columns.column(static_cast<LineorderColumn>(c));
+  });
+}
+
+EncodedColumnStore::EncodedColumnStore(const std::vector<LineorderRow>& rows)
+    : size_(rows.size()) {
+  std::vector<int32_t> values(rows.size());
+  EncodeEach(columns_, [&](int c) -> const std::vector<int32_t>& {
+    const int32_t LineorderRow::*field = kRowFields[c];
+    for (size_t i = 0; i < rows.size(); ++i) values[i] = rows[i].*field;
+    return values;
+  });
 }
 
 uint64_t EncodedColumnStore::TotalEncodedBytes() const {

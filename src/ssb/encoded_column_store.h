@@ -1,12 +1,14 @@
-// EncodedColumnStore — the compressed view of the lineorder column store:
-// each of the nine int32 columns encoded with the cheapest scheme
-// (FoR bit-packing, sorted dictionary, or raw pass-through) at load time.
+// EncodedColumnStore — the compressed view of the lineorder columns: each
+// of the nine int32 columns encoded with the cheapest scheme (FoR
+// bit-packing, sorted dictionary, or raw pass-through) at load time.
 //
-// The engine scans this view when EngineConfig::encoding is on: the
-// kernels answer a plan's range filters on the encoded frames and gather
-// every other column at the selection, and scan traffic is priced at the
-// encoded byte widths reported here — so modeled seconds drop by exactly
-// the bytes the encodings save.
+// The engine scans this view when EngineConfig::encoding is on. It builds
+// the view straight from the row image, one column at a time, so no raw
+// column store is resident beside it. The kernels answer a plan's range
+// filters on the encoded frames and gather every other column at the
+// selection, and scan traffic is priced at the encoded byte widths
+// reported here — so modeled seconds drop by exactly the bytes the
+// encodings save.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 
 #include "encoding/encoding.h"
 #include "ssb/column_store.h"
+#include "ssb/schema.h"
 
 namespace pmemolap::ssb {
 
@@ -22,6 +25,9 @@ class EncodedColumnStore {
   EncodedColumnStore() = default;
   /// Encodes all nine columns of `columns` (scheme per column by size).
   explicit EncodedColumnStore(const ColumnStore& columns);
+  /// Encodes the nine columns of `rows`, projecting one column at a time:
+  /// only one raw column is resident while the store is built.
+  explicit EncodedColumnStore(const std::vector<LineorderRow>& rows);
 
   uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

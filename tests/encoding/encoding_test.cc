@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -182,6 +184,160 @@ TEST(EncodingSelection, IncompressiblePicksRaw) {
   EXPECT_EQ(column.EncodedBytes(), column.RawBytes());
 }
 
+/// The selection Encode must reproduce: build all three schemes and keep
+/// the smallest, ties preferring FoR, then dictionary, then raw.
+EncodedColumn ExhaustiveTrial(const std::vector<int32_t>& values) {
+  EncodedColumn best =
+      EncodedColumn::EncodeWith(Scheme::kForBitPack, values);
+  for (Scheme scheme : {Scheme::kDictionary, Scheme::kRaw}) {
+    EncodedColumn next = EncodedColumn::EncodeWith(scheme, values);
+    if (next.EncodedBytes() < best.EncodedBytes()) best = std::move(next);
+  }
+  return best;
+}
+
+/// The dictionary by definition: the sorted distinct values, each value
+/// coded by its lower_bound position among them.
+void ExpectReferenceDictionary(const std::vector<int32_t>& values) {
+  const EncodedColumn column =
+      EncodedColumn::EncodeWith(Scheme::kDictionary, values);
+  std::vector<int32_t> entries = values;
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  ASSERT_EQ(column.dictionary(), entries);
+  // The entries are distinct, so the value a code decodes to pins the
+  // code: decoding to the reference position's entry means the stored
+  // code is that position.
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    const auto code =
+        std::lower_bound(entries.begin(), entries.end(), values[i]) -
+        entries.begin();
+    ASSERT_EQ(column.Get(i), entries[static_cast<size_t>(code)])
+        << "index " << i;
+  }
+}
+
+TEST(EncodingSelection, EncodeMatchesTheExhaustiveTrial) {
+  Rng rng(71);
+  struct Input {
+    std::string name;
+    std::vector<int32_t> values;
+  };
+  std::vector<Input> inputs;
+  auto uniform = [&](uint64_t n, int64_t lo, int64_t hi) {
+    std::vector<int32_t> values(n);
+    for (int32_t& v : values) {
+      v = static_cast<int32_t>(rng.NextInRange(lo, hi));
+    }
+    return values;
+  };
+  auto drawn_from = [&](uint64_t n, const std::vector<int32_t>& domain) {
+    std::vector<int32_t> values(n);
+    for (int32_t& v : values) v = domain[rng.NextBelow(domain.size())];
+    return values;
+  };
+  const std::vector<int32_t> wide = uniform(16, kInt32Min, kInt32Max);
+  const std::vector<int32_t> clustered = uniform(8, 0, 60'000);
+  for (uint64_t n : {uint64_t{1}, uint64_t{31}, uint64_t{32}, uint64_t{33},
+                     uint64_t{4095}}) {
+    // Spans above 32 bits per value take the rank's sorted path.
+    inputs.push_back({"full-range", uniform(n, kInt32Min, kInt32Max)});
+    inputs.push_back(
+        {"int32-extremes", drawn_from(n, {kInt32Min, kInt32Max})});
+    inputs.push_back({"low-cardinality-wide", drawn_from(n, wide)});
+    inputs.push_back({"constant", std::vector<int32_t>(n, -77)});
+    inputs.push_back({"clustered", drawn_from(n, clustered)});
+    inputs.push_back({"narrow", uniform(n, -50, 50)});
+    inputs.push_back(
+        {"near-int32-min", uniform(n, kInt32Min, kInt32Min + 999)});
+    inputs.push_back(
+        {"near-int32-max", uniform(n, kInt32Max - 999, kInt32Max)});
+  }
+  // Exact ties, each broken by the scheme order.
+  auto bytes = [](Scheme scheme, const std::vector<int32_t>& values) {
+    return EncodedColumn::EncodeWith(scheme, values).EncodedBytes();
+  };
+  // FoR = dictionary: two values 4 apart in one frame cost 9 + 8 B either
+  // way (3-bit FoR codes; 1-bit codes plus two 4 B entries).
+  std::vector<int32_t> for_ties_dict(kFrameValues);
+  for (uint64_t i = 0; i < kFrameValues; ++i) {
+    for_ties_dict[i] = static_cast<int32_t>(4 * (i % 2));
+  }
+  EXPECT_EQ(bytes(Scheme::kForBitPack, for_ties_dict),
+            bytes(Scheme::kDictionary, for_ties_dict));
+  inputs.push_back({"for-ties-dictionary", for_ties_dict});
+  // Dictionary = raw: 87 wide values over 4 frames, each frame holding the
+  // smallest and largest, cost 4 * 87 + 4 * 9 + 16 * 8 = 512 = 4 * 128.
+  std::vector<int32_t> dict_domain = uniform(87, kInt32Min, kInt32Max);
+  std::sort(dict_domain.begin(), dict_domain.end());
+  dict_domain.erase(std::unique(dict_domain.begin(), dict_domain.end()),
+                    dict_domain.end());
+  ASSERT_EQ(dict_domain.size(), 87u);
+  std::vector<int32_t> dict_ties_raw(4 * kFrameValues);
+  for (uint64_t i = 0, next = 0; i < dict_ties_raw.size(); ++i) {
+    const uint64_t slot = i % kFrameValues;
+    dict_ties_raw[i] =
+        dict_domain[slot == 0 ? 0 : slot == 1 ? 86 : 1 + next++ % 85];
+  }
+  EXPECT_EQ(bytes(Scheme::kDictionary, dict_ties_raw),
+            bytes(Scheme::kRaw, dict_ties_raw));
+  EXPECT_GT(bytes(Scheme::kForBitPack, dict_ties_raw),
+            bytes(Scheme::kRaw, dict_ties_raw));
+  inputs.push_back({"dictionary-ties-raw", dict_ties_raw});
+  // FoR = raw: 7 frames of 32-bit codes and one of 14-bit codes cost
+  // 8 * 9 + (7 * 16 + 7) * 8 = 1024 = 4 * 256; no value repeats, so the
+  // dictionary costs more than raw.
+  std::vector<int32_t> for_ties_raw(8 * kFrameValues);
+  for (uint64_t i = 0; i < for_ties_raw.size(); ++i) {
+    for_ties_raw[i] = i < 7 * kFrameValues
+                          ? static_cast<int32_t>(i % 2 == 0 ? kInt32Min + i
+                                                            : kInt32Max - i)
+                          : static_cast<int32_t>(i * 300);
+  }
+  EXPECT_EQ(bytes(Scheme::kForBitPack, for_ties_raw),
+            bytes(Scheme::kRaw, for_ties_raw));
+  EXPECT_GT(bytes(Scheme::kDictionary, for_ties_raw),
+            bytes(Scheme::kRaw, for_ties_raw));
+  inputs.push_back({"for-ties-raw", for_ties_raw});
+  for (int round = 0; round < 200; ++round) {
+    // Seeded random domains: any length, base and span, any cardinality.
+    const uint64_t n = rng.NextBelow(5 * kFrameValues) + 1;
+    const uint64_t shift = 32 + rng.NextBelow(32);
+    const int64_t span = static_cast<int64_t>(rng.Next() >> shift);
+    const int64_t lo = rng.NextInRange(kInt32Min, kInt32Max - span);
+    const std::vector<int32_t> domain =
+        uniform(rng.NextBelow(n) + 1, lo, lo + span);
+    inputs.push_back({"random-" + std::to_string(round),
+                      drawn_from(n, domain)});
+  }
+  auto db = ssb::Generate({.scale_factor = 0.02, .seed = 7});
+  ASSERT_TRUE(db.ok());
+  const ssb::ColumnStore columns(db->lineorder);
+  for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+    const auto column = static_cast<ssb::LineorderColumn>(c);
+    inputs.push_back(
+        {ssb::LineorderColumnName(column), columns.column(column)});
+  }
+
+  std::vector<bool> picked(3, false);
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name + " n=" + std::to_string(input.values.size()));
+    const EncodedColumn want = ExhaustiveTrial(input.values);
+    const EncodedColumn got = EncodedColumn::Encode(input.values);
+    ASSERT_EQ(std::string(SchemeName(got.scheme())),
+              SchemeName(want.scheme()));
+    EXPECT_EQ(got.EncodedBytes(), want.EncodedBytes());
+    EXPECT_EQ(got.dictionary(), want.dictionary());
+    ASSERT_NO_FATAL_FAILURE(ExpectRoundTrip(got, input.values));
+    ASSERT_NO_FATAL_FAILURE(ExpectReferenceDictionary(input.values));
+    picked[static_cast<size_t>(got.scheme())] = true;
+  }
+  // The inputs exercise every outcome of the selection.
+  EXPECT_TRUE(picked[static_cast<size_t>(Scheme::kRaw)]);
+  EXPECT_TRUE(picked[static_cast<size_t>(Scheme::kForBitPack)]);
+  EXPECT_TRUE(picked[static_cast<size_t>(Scheme::kDictionary)]);
+}
+
 // --- predicate-on-encoded equivalence ---------------------------------------
 
 TEST(EncodingPredicate, RangeMatchesScalarReference) {
@@ -213,7 +369,7 @@ TEST(EncodingPredicate, RangeMatchesScalarReference) {
   }
 }
 
-TEST(EncodingPredicate, EqualsMatchesScalarReference) {
+TEST(EncodingPredicate, PointRangeMatchesScalarReference) {
   Rng rng(47);
   std::vector<int32_t> values(4 * kFrameValues);
   for (int32_t& v : values) {
@@ -226,9 +382,39 @@ TEST(EncodingPredicate, EqualsMatchesScalarReference) {
          {Scheme::kRaw, Scheme::kForBitPack, Scheme::kDictionary}) {
       EncodedColumn column = EncodedColumn::EncodeWith(scheme, values);
       std::vector<uint64_t> sel;
-      column.AppendMatchingEquals(probe, 0, values.size(), &sel);
+      column.AppendMatchingRange(probe, probe, 0, values.size(), &sel);
       EXPECT_EQ(sel, expect) << SchemeName(scheme) << " probe " << probe;
     }
+  }
+}
+
+TEST(EncodingPredicate, RangePastTheEndClampsOnEveryScheme) {
+  // A range ending past the column matches exactly what [begin, size())
+  // matches, whatever the scheme: no frame past the last is read.
+  Rng rng(53);
+  std::vector<int32_t> values(100);
+  for (int32_t& v : values) {
+    v = static_cast<int32_t>(rng.NextInRange(0, 9));
+  }
+  const std::vector<uint64_t> expect =
+      ReferenceMatches(values, 2, 6, 90, values.size());
+  ASSERT_FALSE(expect.empty());
+  // Every value matches the full range, so any index read past the end
+  // would show up as a match.
+  std::vector<uint64_t> tail;
+  for (uint64_t i = 90; i < values.size(); ++i) tail.push_back(i);
+  for (Scheme scheme :
+       {Scheme::kRaw, Scheme::kForBitPack, Scheme::kDictionary}) {
+    EncodedColumn column = EncodedColumn::EncodeWith(scheme, values);
+    std::vector<uint64_t> sel;
+    column.AppendMatchingRange(2, 6, 90, 200, &sel);
+    EXPECT_EQ(sel, expect) << SchemeName(scheme);
+    sel.clear();
+    column.AppendMatchingRange(kInt32Min, kInt32Max, 90, 200, &sel);
+    EXPECT_EQ(sel, tail) << SchemeName(scheme);
+    sel.clear();
+    column.AppendMatchingRange(2, 6, 150, 200, &sel);  // starts past too
+    EXPECT_TRUE(sel.empty()) << SchemeName(scheme);
   }
 }
 
@@ -254,7 +440,7 @@ TEST(EncodingPredicate, DictionaryAbsentValueMatchesNothing) {
   EncodedColumn column = EncodedColumn::EncodeWith(Scheme::kDictionary,
                                                    values);
   std::vector<uint64_t> sel;
-  column.AppendMatchingEquals(15, 0, values.size(), &sel);  // absent
+  column.AppendMatchingRange(15, 15, 0, values.size(), &sel);  // absent
   EXPECT_TRUE(sel.empty());
 }
 
@@ -334,6 +520,26 @@ TEST(EncodedColumnStore, ScanColumnSetsMatchColumnarWidths) {
     }
     EXPECT_EQ(columns, expect) << ssb::QueryName(query);
   }
+}
+
+TEST(EncodedColumnStore, RowsAndColumnsBuildTheSameStore) {
+  auto db = ssb::Generate({.scale_factor = 0.01, .seed = 12});
+  ASSERT_TRUE(db.ok());
+  const ssb::ColumnStore columns(db->lineorder);
+  const ssb::EncodedColumnStore from_columns(columns);
+  const ssb::EncodedColumnStore from_rows(db->lineorder);
+  ASSERT_EQ(from_rows.size(), from_columns.size());
+  for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+    const auto column = static_cast<ssb::LineorderColumn>(c);
+    SCOPED_TRACE(ssb::LineorderColumnName(column));
+    const EncodedColumn& rows = from_rows.column(column);
+    const EncodedColumn& cols = from_columns.column(column);
+    EXPECT_EQ(rows.scheme(), cols.scheme());
+    EXPECT_EQ(rows.EncodedBytes(), cols.EncodedBytes());
+    EXPECT_EQ(rows.dictionary(), cols.dictionary());
+    ASSERT_NO_FATAL_FAILURE(ExpectRoundTrip(rows, columns.column(column)));
+  }
+  EXPECT_EQ(from_rows.TotalEncodedBytes(), from_columns.TotalEncodedBytes());
 }
 
 TEST(ColumnStoreMoveConstructor, ReleasesRowImage) {
