@@ -10,7 +10,6 @@
 #include "bench_util.h"
 #include "core/hybrid.h"
 #include "engine/engine.h"
-#include "tiering/tier_manager.h"
 
 using namespace pmemolap;
 using namespace pmemolap::bench;
@@ -54,10 +53,8 @@ int main() {
   // reserved for the OS, buffers, and other tenants — the PMEM value
   // proposition is precisely that DRAM is scarce.
   const uint64_t kDramBudget = 8 * kGiB;
-  // The tiering layer's shared structure-placement entry point (the same
-  // planner the extent loop grew out of).
-  HybridPlacement plan = tiering::PlanStructures(model.config().topology,
-                                                 sizes, kDramBudget);
+  HybridPlacement plan =
+      HybridPlacer(model.config().topology).Place(sizes, kDramBudget);
   std::printf("\nHybridPlacer decision for SSB sf 100 (per socket: table "
               "%s, indexes %s, intermediates %s; DRAM budget %s):\n",
               FormatBytes(sizes.table_bytes).c_str(),

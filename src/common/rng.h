@@ -30,12 +30,6 @@ class Rng {
   /// Uniform integer in [0, bound). bound must be > 0.
   uint64_t NextBelow(uint64_t bound) { return Next() % bound; }
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(
-                    NextBelow(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
   /// Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);

@@ -5,26 +5,11 @@
 
 namespace pmemolap {
 
-double Mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
 double GeoMean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   double log_sum = 0.0;
   for (double v : values) log_sum += std::log(v);
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  double mean = Mean(values);
-  double sq = 0.0;
-  for (double v : values) sq += (v - mean) * (v - mean);
-  return std::sqrt(sq / static_cast<double>(values.size() - 1));
 }
 
 double Percentile(std::vector<double> values, double p) {
@@ -37,17 +22,6 @@ double Percentile(std::vector<double> values, double p) {
   double frac = rank - static_cast<double>(lo);
   if (lo + 1 >= values.size()) return values.back();
   return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
-void RunningStats::Add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  sum_ += value;
-  ++count_;
 }
 
 }  // namespace pmemolap

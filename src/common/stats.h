@@ -1,40 +1,15 @@
 // Small statistics helpers shared by model code, tests, and benches.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace pmemolap {
 
-/// Arithmetic mean; returns 0 for an empty vector.
-double Mean(const std::vector<double>& values);
-
 /// Geometric mean; values must be positive. Returns 0 for an empty vector.
 double GeoMean(const std::vector<double>& values);
-
-/// Sample standard deviation; returns 0 for fewer than two values.
-double StdDev(const std::vector<double>& values);
 
 /// Linear-interpolated percentile, p in [0, 100]. Returns 0 for an empty
 /// vector. The input does not need to be sorted.
 double Percentile(std::vector<double> values, double p);
-
-/// Online accumulator for mean / min / max / count without storing samples.
-class RunningStats {
- public:
-  void Add(double value);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace pmemolap

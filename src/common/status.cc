@@ -18,8 +18,6 @@ const char* StatusCodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kDataLoss:

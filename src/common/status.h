@@ -19,7 +19,6 @@ enum class StatusCode {
   kAlreadyExists,
   kResourceExhausted,
   kFailedPrecondition,
-  kUnimplemented,
   kInternal,
   /// Unrecoverable data corruption or loss (e.g. a poisoned PMEM line that
   /// survived retry, scrub, and failover).
@@ -75,9 +74,6 @@ class [[nodiscard]] Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

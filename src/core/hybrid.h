@@ -37,11 +37,6 @@ struct HybridPlacement {
   /// DRAM bytes the plan consumes (<= budget).
   uint64_t dram_used_bytes = 0;
   std::vector<std::string> rationale;
-
-  bool IsPmemOnly() const {
-    return table_media == Media::kPmem && index_media == Media::kPmem &&
-           intermediate_media == Media::kPmem;
-  }
 };
 
 /// One structure the runtime could promote to DRAM (the governor's

@@ -30,13 +30,6 @@ void AppendMorsels(uint64_t begin, uint64_t end, int socket,
   }
 }
 
-MorselPlan MorselsForRange(uint64_t num_tuples, uint64_t morsel_tuples) {
-  MorselPlan plan;
-  plan.queues.resize(1);
-  AppendMorsels(0, num_tuples, 0, morsel_tuples, &plan);
-  return plan;
-}
-
 uint64_t ReassignQuarantinedQueues(MorselPlan* plan,
                                    const std::vector<bool>& healthy) {
   auto is_healthy = [&healthy](size_t socket) {

@@ -53,9 +53,6 @@ struct MorselPlan {
 void AppendMorsels(uint64_t begin, uint64_t end, int socket,
                    uint64_t morsel_tuples, MorselPlan* plan);
 
-/// Convenience: a single-socket plan over [0, num_tuples).
-MorselPlan MorselsForRange(uint64_t num_tuples, uint64_t morsel_tuples);
-
 /// Quarantine re-plan: moves every morsel queued on a socket with
 /// healthy[socket] == false onto the least-loaded healthy queue, so
 /// workers of a quarantined fault domain are not handed its morsels as

@@ -115,12 +115,4 @@ MorselPlan Partitioner::ToMorsels(
   return plan;
 }
 
-int Partitioner::SocketOfTuple(uint64_t tuple, uint64_t num_tuples) const {
-  const int sockets = topology_.sockets();
-  uint64_t per_socket = num_tuples / static_cast<uint64_t>(sockets);
-  if (per_socket == 0) return sockets - 1;
-  int socket = static_cast<int>(tuple / per_socket);
-  return socket >= sockets ? sockets - 1 : socket;
-}
-
 }  // namespace pmemolap

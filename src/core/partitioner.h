@@ -56,9 +56,6 @@ class Partitioner {
       uint64_t num_tuples, int workers_per_socket,
       const std::vector<double>& chunk_weights) const;
 
-  /// The socket owning a given tuple under Partition()'s layout.
-  int SocketOfTuple(uint64_t tuple, uint64_t num_tuples) const;
-
   /// Feeds a socket partitioning to the work-stealing executor: each
   /// socket's tuple share becomes one per-socket run queue of morsels
   /// (<= morsel_tuples tuples each, 0 = default). Morsel order within a

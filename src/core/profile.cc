@@ -50,28 +50,6 @@ void ExecutionProfile::RecordSequential(OpType op, Media media, int socket,
   Record(std::move(record));
 }
 
-void ExecutionProfile::RecordRandom(OpType op, Media media, int socket,
-                                    uint64_t count, uint64_t access_size,
-                                    uint64_t region_bytes, int threads,
-                                    const std::string& label) {
-  TrafficRecord record;
-  record.op = op;
-  record.pattern = Pattern::kRandom;
-  record.media = media;
-  record.data_socket = socket;
-  record.bytes = count * access_size;
-  record.access_size = access_size;
-  record.region_bytes = region_bytes;
-  record.threads = threads;
-  record.label = label;
-  Record(std::move(record));
-}
-
-void ExecutionProfile::Merge(const ExecutionProfile& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-}
-
 uint64_t ExecutionProfile::TotalBytes(OpType op) const {
   uint64_t total = 0;
   for (const TrafficRecord& record : records_) {

@@ -45,7 +45,7 @@ Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
                                   PinningPolicy pinning,
                                   const SystemTopology& topology);
 
-/// Accumulates traffic records; mergeable across operators.
+/// Accumulates traffic records.
 class ExecutionProfile {
  public:
   void Record(TrafficRecord record) { records_.push_back(std::move(record)); }
@@ -54,14 +54,6 @@ class ExecutionProfile {
   void RecordSequential(OpType op, Media media, int socket, uint64_t bytes,
                         uint64_t access_size, int threads,
                         const std::string& label);
-
-  /// Convenience: random probes into a region.
-  void RecordRandom(OpType op, Media media, int socket, uint64_t count,
-                    uint64_t access_size, uint64_t region_bytes, int threads,
-                    const std::string& label);
-
-  void Merge(const ExecutionProfile& other);
-  void Clear() { records_.clear(); }
 
   const std::vector<TrafficRecord>& records() const { return records_; }
 

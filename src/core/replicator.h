@@ -24,13 +24,6 @@ class ReplicatedTable {
 
   int num_copies() const { return static_cast<int>(copies_.size()); }
 
-  /// The replica local to `socket`. Out-of-range sockets map onto an
-  /// existing copy (mirroring ReplicatedIndex::Near); an empty table
-  /// returns nullptr.
-  const std::byte* LocalCopy(int socket) const {
-    if (copies_.empty()) return nullptr;
-    return copies_[CopyIndexFor(socket)].data();
-  }
   uint64_t size() const { return copies_.empty() ? 0 : copies_[0].size(); }
 
   Allocation& copy(int index) { return copies_[static_cast<size_t>(index)]; }

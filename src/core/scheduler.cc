@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 namespace pmemolap {
 
@@ -96,31 +95,6 @@ Result<ScheduleDecision> MixedWorkloadScheduler::DecideDegraded(
                     : "");
   decision.rationale = buf;
   return decision;
-}
-
-Result<int> MixedWorkloadScheduler::PlanAroundQuarantine(
-    const std::vector<bool>& healthy, int preferred) {
-  if (preferred < 0) {
-    return Status::InvalidArgument("preferred socket must be >= 0");
-  }
-  const size_t p = static_cast<size_t>(preferred);
-  if (p >= healthy.size() || healthy[p]) return preferred;
-  int best = -1;
-  int best_distance = 0;
-  for (size_t s = 0; s < healthy.size(); ++s) {
-    if (!healthy[s]) continue;
-    const int distance =
-        std::abs(static_cast<int>(s) - preferred);
-    if (best < 0 || distance < best_distance) {
-      best = static_cast<int>(s);
-      best_distance = distance;
-    }
-  }
-  if (best < 0) {
-    return Status::Unavailable(
-        "every socket's fault domain is quarantined");
-  }
-  return best;
 }
 
 }  // namespace pmemolap

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/runner.h"
@@ -66,16 +65,6 @@ class MixedWorkloadScheduler {
   /// alongside for comparison.
   Result<ScheduleDecision> DecideDegraded(
       const MixedJobs& jobs, const MemSystemModel* degraded_model) const;
-
-  /// Quarantine-aware placement: the socket a job should run against
-  /// given per-socket health (healthy[s] == false means s's fault-domain
-  /// breaker is open). Returns `preferred` when it is healthy (or beyond
-  /// healthy.size() — unknown sockets are presumed healthy), otherwise
-  /// the healthy socket nearest `preferred` by index distance (ties go
-  /// low, keeping the choice deterministic). kUnavailable when every
-  /// known socket is quarantined.
-  static Result<int> PlanAroundQuarantine(const std::vector<bool>& healthy,
-                                          int preferred);
 
  private:
   const MemSystemModel* model_;

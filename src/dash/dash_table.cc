@@ -27,13 +27,7 @@ bool DashTable::Bucket::InsertSlot(uint64_t key, uint64_t value,
   return false;
 }
 
-void DashTable::Bucket::EraseSlot(int slot) {
-  bitmap = static_cast<uint16_t>(bitmap & ~(1u << slot));
-  --count;
-}
-
-DashTable::DashTable(const Options& options) : options_(options) {
-  global_depth_ = options_.initial_depth;
+DashTable::DashTable() {
   size_t segments = size_t{1} << global_depth_;
   directory_.reserve(segments);
   for (size_t i = 0; i < segments; ++i) {
@@ -67,13 +61,6 @@ uint64_t DashTable::num_segments() const {
     }
   }
   return count;
-}
-
-double DashTable::LoadFactor() const {
-  uint64_t slots =
-      num_segments() * (kBucketsPerSegment + kStashBuckets) * kSlotsPerBucket;
-  return slots == 0 ? 0.0
-                    : static_cast<double>(size_) / static_cast<double>(slots);
 }
 
 uint64_t DashTable::StorageBytes() const {
@@ -150,7 +137,6 @@ Status DashTable::SplitSegment(uint64_t hash) {
   high->local_depth = new_depth;
 
   // Rehash every entry of the old segment into the children.
-  uint64_t moved = 0;
   for (int b = 0; b < kBucketsPerSegment + kStashBuckets; ++b) {
     const Bucket& bucket = old_segment->buckets[b];
     for (int slot = 0; slot < kSlotsPerBucket; ++slot) {
@@ -166,10 +152,8 @@ Status DashTable::SplitSegment(uint64_t hash) {
         // parent); treated as an internal invariant violation.
         return Status::Internal("split rehash overflow");
       }
-      ++moved;
     }
   }
-  (void)moved;
 
   // Update every directory entry pointing at the old segment.
   size_t entries_per_segment =
@@ -204,34 +188,6 @@ std::optional<uint64_t> DashTable::Get(uint64_t key) const {
     if (slot >= 0) return bucket.values[slot];
   }
   return std::nullopt;
-}
-
-bool DashTable::Erase(uint64_t key) {
-  uint64_t hash = HashKey(key);
-  const uint8_t fingerprint = FingerprintOf(hash);
-  Segment* segment = directory_[DirectoryIndex(hash)].get();
-  int target = BucketIndex(hash);
-  int neighbor = (target + 1) % kBucketsPerSegment;
-  for (int b : {target, neighbor}) {
-    bucket_probes_.fetch_add(1, std::memory_order_relaxed);
-    int slot = segment->buckets[b].FindSlot(key, fingerprint);
-    if (slot >= 0) {
-      segment->buckets[b].EraseSlot(slot);
-      --size_;
-      return true;
-    }
-  }
-  for (int stash = 0; stash < kStashBuckets; ++stash) {
-    Bucket& bucket = segment->buckets[kBucketsPerSegment + stash];
-    bucket_probes_.fetch_add(1, std::memory_order_relaxed);
-    int slot = bucket.FindSlot(key, fingerprint);
-    if (slot >= 0) {
-      bucket.EraseSlot(slot);
-      --size_;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace pmemolap

@@ -37,14 +37,10 @@ class DashTable {
   static constexpr int kBucketsPerSegment = 64;
   /// Stash buckets per segment, catching displacement overflow.
   static constexpr int kStashBuckets = 4;
+  /// Initial directory depth: 2^depth segments pre-allocated.
+  static constexpr int kInitialDepth = 2;
 
-  struct Options {
-    /// Initial directory depth: 2^depth segments pre-allocated.
-    int initial_depth = 2;
-  };
-
-  DashTable() : DashTable(Options{}) {}
-  explicit DashTable(const Options& options);
+  DashTable();
 
   /// Inserts a unique key. AlreadyExists if the key is present.
   Status Insert(uint64_t key, uint64_t value);
@@ -52,24 +48,17 @@ class DashTable {
   /// Point lookup.
   std::optional<uint64_t> Get(uint64_t key) const;
 
-  /// Removes a key; returns true if it was present.
-  bool Erase(uint64_t key);
-
   uint64_t size() const { return size_; }
   uint64_t num_segments() const;
-  /// Fraction of occupied slots over allocated slots.
-  double LoadFactor() const;
   /// Total bytes of bucket storage (each bucket is one 256 B Optane line).
   uint64_t StorageBytes() const;
 
-  /// Cumulative 256 B bucket loads performed by Get/Insert/Erase since the
-  /// last ResetStats — the probe traffic the profiling layer costs as
-  /// random PMEM reads. Relaxed atomic: lookups run from concurrent
-  /// worker threads.
+  /// Cumulative 256 B bucket loads performed by Get/Insert — the probe
+  /// traffic the profiling layer costs as random PMEM reads. Relaxed
+  /// atomic: lookups run from concurrent worker threads.
   uint64_t bucket_probes() const {
     return bucket_probes_.load(std::memory_order_relaxed);
   }
-  void ResetStats() { bucket_probes_.store(0, std::memory_order_relaxed); }
 
  private:
   struct Bucket {
@@ -79,10 +68,8 @@ class DashTable {
     uint64_t keys[kSlotsPerBucket] = {};
     uint64_t values[kSlotsPerBucket] = {};
 
-    bool Full() const { return count == kSlotsPerBucket; }
     int FindSlot(uint64_t key, uint8_t fingerprint) const;
     bool InsertSlot(uint64_t key, uint64_t value, uint8_t fingerprint);
-    void EraseSlot(int slot);
   };
 
   struct Segment {
@@ -110,8 +97,7 @@ class DashTable {
   /// Splits the segment owning `hash`, doubling the directory if needed.
   Status SplitSegment(uint64_t hash);
 
-  Options options_;
-  int global_depth_ = 0;
+  int global_depth_ = kInitialDepth;
   std::vector<std::shared_ptr<Segment>> directory_;
   uint64_t size_ = 0;
   mutable std::atomic<uint64_t> bucket_probes_{0};

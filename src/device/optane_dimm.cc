@@ -49,22 +49,6 @@ double OptaneDimm::WriteAmplification(uint64_t access_size,
   return combine_fraction * 1.0 + (1.0 - combine_fraction) * rmw_cost;
 }
 
-GigabytesPerSecond OptaneDimm::ReadServiceRate(bool sequential,
-                                               double amplification) const {
-  amplification = std::max(amplification, 1.0);
-  GigabytesPerSecond media_rate =
-      sequential ? spec_.seq_read_gbps : spec_.random_read_gbps;
-  return media_rate / amplification;
-}
-
-GigabytesPerSecond OptaneDimm::WriteServiceRate(bool sequential,
-                                                double amplification) const {
-  amplification = std::max(amplification, 1.0);
-  GigabytesPerSecond media_rate =
-      sequential ? spec_.seq_write_gbps : spec_.random_write_gbps;
-  return media_rate / amplification;
-}
-
 double OptaneDimm::LifetimeYears(GigabytesPerSecond media_write_gbps) const {
   if (media_write_gbps <= 0.0) {
     return std::numeric_limits<double>::infinity();
@@ -72,12 +56,6 @@ double OptaneDimm::LifetimeYears(GigabytesPerSecond media_write_gbps) const {
   constexpr double kSecondsPerYear = 365.25 * 24 * 3600;
   double endurance_gb = spec_.endurance_petabytes * 1e6;  // PB -> GB
   return endurance_gb / (media_write_gbps * kSecondsPerYear);
-}
-
-void OptaneDimm::RecordWrite(uint64_t useful_bytes, double amplification) {
-  amplification = std::max(amplification, 1.0);
-  media_bytes_written_ += static_cast<uint64_t>(
-      std::llround(static_cast<double>(useful_bytes) * amplification));
 }
 
 }  // namespace pmemolap

@@ -67,28 +67,12 @@ class OptaneDimm {
   double WriteAmplification(uint64_t access_size,
                             double combine_fraction) const;
 
-  /// Useful-byte service rate for reads at the given amplification.
-  GigabytesPerSecond ReadServiceRate(bool sequential,
-                                     double amplification) const;
-
-  /// Useful-byte service rate for writes at the given amplification.
-  GigabytesPerSecond WriteServiceRate(bool sequential,
-                                      double amplification) const;
-
-  /// Records `useful_bytes` of writes at `amplification`; accumulates media
-  /// wear.
-  void RecordWrite(uint64_t useful_bytes, double amplification);
-
-  /// Total media bytes written (wear metric).
-  uint64_t media_bytes_written() const { return media_bytes_written_; }
-
   /// Years until this DIMM's endurance budget is exhausted at a sustained
   /// media write rate (after amplification). Returns +inf for rate 0.
   double LifetimeYears(GigabytesPerSecond media_write_gbps) const;
 
  private:
   OptaneDimmSpec spec_;
-  uint64_t media_bytes_written_ = 0;
 };
 
 }  // namespace pmemolap

@@ -64,10 +64,12 @@ class PersistenceTracker {
   uint64_t accepted_lines() const;
 
   /// Line indexes currently in the given state, ascending.
+  // lint:allow(test-only-api): read-back oracle for the persist ladder
   std::vector<uint64_t> LinesInState(PersistLineState state) const;
 
   /// 256 B XPLines containing at least one line in the given state —
   /// the granularity at which torn writes surface.
+  // lint:allow(test-only-api): read-back oracle for the persist ladder
   uint64_t XPLinesInState(PersistLineState state) const;
 
   /// Forgets all in-flight state (crash handled, images reconciled).

@@ -13,8 +13,8 @@
 // record anywhere — mid-header, mid-payload, even mid-cache-line — and the
 // scan detects it as a CRC mismatch and truncates there. This file only
 // encodes and scans bytes; the append *ordering* (store → flush → fence →
-// commit) lives in DurableTable where the persist-discipline lint rule
-// can see the primitive call sites.
+// commit) lives in DurableTable where the persist-order lint rule can
+// see the primitive call sites.
 #pragma once
 
 #include <cstddef>

@@ -79,9 +79,6 @@ class PackedArray {
   /// directory. This is what a scan of the full array must read.
   uint64_t Bytes() const;
 
-  /// Per-frame code width in bits (tests/bench introspection).
-  int WidthOfFrame(uint64_t frame) const { return widths_[frame]; }
-
   /// Decodes one whole frame (kFrameValues values, short at the tail)
   /// into `out`; returns the number of values decoded.
   uint64_t DecodeFrame(uint64_t frame, int32_t* out) const;

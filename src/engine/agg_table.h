@@ -53,12 +53,6 @@ class AggTable {
     }
   }
 
-  /// Empties the table (capacity is kept).
-  void Clear() {
-    for (Slot& slot : slots_) slot.used = false;
-    size_ = 0;
-  }
-
  private:
   struct Slot {
     ssb::GroupKey key{};

@@ -12,16 +12,6 @@ namespace pmemolap {
 
 using ssb::QueryId;
 
-const char* EngineModeName(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kPmemAware:
-      return "PMEM-aware";
-    case EngineMode::kUnaware:
-      return "PMEM-unaware";
-  }
-  return "Unknown";
-}
-
 const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSerial:

@@ -52,8 +52,6 @@ enum class EngineMode {
   kUnaware,
 };
 
-const char* EngineModeName(EngineMode mode);
-
 /// How worker parallelism is realized on the host.
 enum class ExecutorKind {
   /// No threads: each socket's range executes inline.
@@ -63,6 +61,7 @@ enum class ExecutorKind {
   kMorselStealing,
 };
 
+// lint:allow(test-only-api): name table engine_pool_test prints on failure
 const char* ExecutorKindName(ExecutorKind kind);
 
 struct EngineConfig {

@@ -63,18 +63,6 @@ double QueryTimer::CpuSeconds(const CpuWork& work, int threads) const {
   return cpu_ns / 1e9 / static_cast<double>(std::max(threads, 1));
 }
 
-double QueryTimer::RecordSeconds(const TrafficRecord& record,
-                                 PinningPolicy pinning) const {
-  return RecordSecondsAmong(record, pinning, {});
-}
-
-double QueryTimer::EstimateSeconds(
-    const ExecutionProfile& profile, const CpuWork& work, int total_threads,
-    PinningPolicy pinning, std::map<std::string, double>* breakdown) const {
-  return EstimateSecondsWithBackground(profile, work, total_threads, pinning,
-                                       {}, breakdown);
-}
-
 double QueryTimer::RecordSecondsAmong(
     const TrafficRecord& record, PinningPolicy pinning,
     const std::vector<AccessClass>& background) const {

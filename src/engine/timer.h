@@ -65,16 +65,6 @@ class QueryTimer {
       PinningPolicy pinning, const std::vector<TrafficRecord>& background,
       std::map<std::string, double>* breakdown = nullptr) const;
 
-  /// The solo query: EstimateSecondsWithBackground with no background.
-  double EstimateSeconds(const ExecutionProfile& profile, const CpuWork& work,
-                         int total_threads, PinningPolicy pinning,
-                         std::map<std::string, double>* breakdown =
-                             nullptr) const;
-
-  /// Memory time of a single traffic record evaluated alone (seconds).
-  double RecordSeconds(const TrafficRecord& record,
-                       PinningPolicy pinning) const;
-
   /// Multi-user execution: `streams` concurrent copies of the query share
   /// the machine. Each stream runs with threads/streams workers, and all
   /// streams' traffic is evaluated JOINTLY through the model, so the

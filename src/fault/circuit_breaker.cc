@@ -4,18 +4,6 @@
 
 namespace pmemolap {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 void CircuitBreaker::PruneWindow(double now) {
   while (!escalation_times_.empty() &&
          escalation_times_.front() < now - options_.window_seconds) {

@@ -34,8 +34,6 @@ enum class BreakerState {
   kHalfOpen,  ///< cooling down: probe accesses test the domain
 };
 
-const char* BreakerStateName(BreakerState state);
-
 /// What the breaker tells an access to do.
 enum class BreakerDecision {
   kNormal,  ///< take the usual retry/failover path

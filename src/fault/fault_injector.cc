@@ -86,14 +86,6 @@ void FaultInjector::CorruptPermanentLines(Allocation* region) const {
   }
 }
 
-Status FaultInjector::CheckRead(const Allocation& region, uint64_t offset,
-                                uint64_t size) const {
-  if (!region.IsPoisoned(offset, size)) return Status::OK();
-  return Status::DataLoss("poisoned line in read of " +
-                          std::to_string(size) + " bytes at offset " +
-                          std::to_string(offset));
-}
-
 double FaultInjector::DimmServiceFactor(int socket) const {
   double factor = 1.0;
   for (const ThrottleWindow& window : spec_.throttle_windows) {
@@ -102,19 +94,6 @@ double FaultInjector::DimmServiceFactor(int socket) const {
     }
   }
   return factor;
-}
-
-bool FaultInjector::ThrottleActive(int socket) const {
-  return DimmServiceFactor(socket) < 1.0;
-}
-
-bool FaultInjector::AnyThrottleActive() const {
-  for (const ThrottleWindow& window : spec_.throttle_windows) {
-    if (window.Contains(now_seconds_) && window.service_factor < 1.0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 MemSystemConfig FaultInjector::Degrade(const MemSystemConfig& base) const {

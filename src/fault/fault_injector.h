@@ -77,11 +77,6 @@ class FaultInjector {
   /// byte-intact (ECC recovers them).
   void CorruptPermanentLines(Allocation* region) const;
 
-  /// Read-time check of [offset, offset + size): OK when no poisoned line
-  /// overlaps, kDataLoss otherwise.
-  Status CheckRead(const Allocation& region, uint64_t offset,
-                   uint64_t size) const;
-
   // --- Platform time and degradation ---------------------------------------
   /// Advances the platform clock (used to evaluate throttle windows).
   void AdvanceTo(double seconds) { now_seconds_ = seconds; }
@@ -90,8 +85,6 @@ class FaultInjector {
   /// Combined service factor of `socket`'s active throttle windows at the
   /// current platform time (1.0 = healthy).
   double DimmServiceFactor(int socket) const;
-  bool ThrottleActive(int socket) const;
-  bool AnyThrottleActive() const;
   double UpiCapacityFactor() const { return spec_.upi_capacity_factor; }
 
   /// `base` with the current throttle windows and UPI degradation applied

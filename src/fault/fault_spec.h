@@ -69,9 +69,6 @@ struct FaultSpec {
   double repair_gbps = 2.0;
 
   bool InjectsPoison() const { return poison_lines_per_mib > 0.0; }
-  bool InjectsAllocFailures() const {
-    return alloc_failure_period > 0 || alloc_failure_rate > 0.0;
-  }
 
   /// A spec that injects nothing (intensity 0).
   static FaultSpec Healthy();

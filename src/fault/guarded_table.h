@@ -72,6 +72,7 @@ class GuardedTable {
 
   /// Forgets the repair source: subsequent unrecoverable reads surface
   /// kDataLoss (exercises the terminal path in tests).
+  // lint:allow(test-only-api): fault-injection seam (unrecoverable reads)
   void DropSource() { source_ = nullptr; }
 
   /// Routes reads through per-stripe circuit breakers: retry exhaustion

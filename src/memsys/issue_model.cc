@@ -30,22 +30,4 @@ GigabytesPerSecond IssueModel::PerThread(OpType op, Pattern pattern,
   return read ? spec_.dram_far_seq_read : spec_.dram_far_seq_write;
 }
 
-GigabytesPerSecond IssueModel::ClassIssueBound(const AccessClass& klass) const {
-  double ht_weight = klass.pattern == Pattern::kRandom
-                         ? spec_.ht_rand_contribution
-                         : spec_.ht_seq_contribution;
-  GigabytesPerSecond total = 0.0;
-  for (const ThreadSlot& slot : klass.placement.slots) {
-    GigabytesPerSecond rate = PerThread(klass.op, klass.pattern, klass.media,
-                                        slot.near_data, klass.access_size);
-    total += slot.on_hyperthread ? rate * ht_weight : rate;
-  }
-  // Oversubscription (more workers than logical CPUs) time-slices without
-  // adding capacity.
-  if (klass.placement.oversubscription > 1.0) {
-    total /= klass.placement.oversubscription;
-  }
-  return std::max(total, spec_.min_rate);
-}
-
 }  // namespace pmemolap

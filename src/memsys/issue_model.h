@@ -65,12 +65,6 @@ class IssueModel {
   GigabytesPerSecond PerThread(OpType op, Pattern pattern, Media media,
                                bool near_data, uint64_t access_size) const;
 
-  /// Aggregate issue bound for a class: physical threads issue at the full
-  /// per-thread rate, hyperthread siblings at the pattern-dependent
-  /// fraction. Oversubscribed slots (> 1 worker per logical CPU) do not
-  /// add issue capacity.
-  GigabytesPerSecond ClassIssueBound(const AccessClass& klass) const;
-
  private:
   IssueSpec spec_;
 };

@@ -1,7 +1,5 @@
 #include "memsys/workload.h"
 
-#include <cassert>
-
 namespace pmemolap {
 
 const char* OpTypeName(OpType op) {
@@ -36,16 +34,6 @@ const char* WriteInstructionName(WriteInstruction instruction) {
       return "store+clflushopt";
   }
   return "unknown";
-}
-
-GigabytesPerSecond BandwidthResult::TotalFor(
-    OpType op, const std::vector<AccessClass>& classes) const {
-  assert(classes.size() == per_class.size());
-  GigabytesPerSecond total = 0.0;
-  for (size_t i = 0; i < per_class.size(); ++i) {
-    if (classes[i].op == op) total += per_class[i].gbps;
-  }
-  return total;
 }
 
 }  // namespace pmemolap

@@ -105,9 +105,6 @@ struct BandwidthResult {
   /// Peak utilization over both UPI directions, in [0,1], including the
   /// metadata share.
   double upi_utilization = 0.0;
-
-  GigabytesPerSecond TotalFor(OpType op,
-                              const std::vector<AccessClass>& classes) const;
 };
 
 /// A full workload: classes plus system-wide switches.

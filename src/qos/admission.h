@@ -182,6 +182,7 @@ class AdmissionController {
 
   /// The queue bound `priority` currently gets, after the load signal's
   /// shrinkage — 0 means "shed unless a slot is free".
+  // lint:allow(test-only-api): read-back oracle for SetLoadSignal's bound
   int EffectiveQueueLimit(QueryPriority priority) const;
 
   /// Recovery gate: while paused no new query is admitted. TryAdmit fails

@@ -45,13 +45,6 @@ void CancelToken::ArmRetryBudget(uint64_t budget,
   retries_used_ = std::move(used);
 }
 
-void CancelToken::Cancel(Status reason) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!status_.ok()) return;  // first terminal status wins
-  status_ = reason.ok() ? Status::Unavailable("query cancelled")
-                        : std::move(reason);
-}
-
 Status CancelToken::Check() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!status_.ok()) return status_;

@@ -44,10 +44,6 @@ class CancelToken {
   /// `used` is typically [injector]{ return injector->counters().retries; }.
   void ArmRetryBudget(uint64_t budget, std::function<uint64_t()> used);
 
-  /// Latches a terminal status directly (external abort). A non-OK
-  /// `reason` is latched as-is; an OK reason becomes kUnavailable.
-  void Cancel(Status reason);
-
   /// The cancellation point: OK while the query may continue, else the
   /// latched terminal status. Cheap; safe to call concurrently from pool
   /// workers.
@@ -58,7 +54,7 @@ class CancelToken {
 
  private:
   mutable std::mutex mutex_;
-  Status status_;  // OK until a limit expires or Cancel() latches
+  Status status_;  // OK until a limit expires
 
   bool wall_armed_ = false;
   std::chrono::steady_clock::time_point wall_deadline_;

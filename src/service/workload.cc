@@ -5,16 +5,6 @@
 
 namespace pmemolap::service {
 
-const char* ArrivalModelName(ArrivalModel model) {
-  switch (model) {
-    case ArrivalModel::kClosedLoop:
-      return "closed-loop";
-    case ArrivalModel::kOpenLoop:
-      return "open-loop";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Stable per-client stream seed: decorrelates neighboring client ids

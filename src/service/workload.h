@@ -34,8 +34,6 @@ enum class ArrivalModel {
   kOpenLoop,
 };
 
-const char* ArrivalModelName(ArrivalModel model);
-
 struct WorkloadConfig {
   uint64_t num_clients = 1000;
   ArrivalModel arrival = ArrivalModel::kClosedLoop;

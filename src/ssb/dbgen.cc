@@ -111,13 +111,6 @@ Status CheckForeignKeys(const Database& db, const LineorderRow* rows,
   return Status::OK();
 }
 
-uint64_t Database::DimensionBytes() const {
-  return date.size() * sizeof(DateRow) +
-         customer.size() * sizeof(CustomerRow) +
-         supplier.size() * sizeof(SupplierRow) +
-         part.size() * sizeof(PartRow);
-}
-
 Cardinalities CardinalitiesFor(double scale_factor) {
   Cardinalities cards;
   // 7 calendar years 1992-1998 with the leap days of 1992 and 1996; the

@@ -40,7 +40,6 @@ struct Database {
   uint64_t FactBytes() const {
     return lineorder.size() * sizeof(LineorderRow);
   }
-  uint64_t DimensionBytes() const;
 };
 
 /// Cardinalities for a scale factor (exposed for capacity planning and

@@ -80,14 +80,4 @@ QueryOutput MergeOutputs(const std::vector<QueryOutput>& parts) {
   return merged;
 }
 
-int64_t QueryOutput::Checksum() const {
-  if (scalar) return value;
-  int64_t checksum = 0;
-  for (const auto& [key, sum] : groups) {
-    checksum = checksum * 1000003 +
-               (key[0] * 31 + key[1]) * 31 + key[2] + sum;
-  }
-  return checksum;
-}
-
 }  // namespace pmemolap::ssb

@@ -57,8 +57,6 @@ struct QueryOutput {
 
   /// Number of result rows (1 for scalars).
   size_t rows() const { return scalar ? 1 : groups.size(); }
-  /// Checksum over all values, for compact result comparison in benches.
-  int64_t Checksum() const;
 };
 
 /// Merges per-worker partial results into one output: scalar sums add,

@@ -4,9 +4,6 @@ namespace pmemolap::ssb {
 
 namespace {
 
-const char* const kRegionNames[kNumRegions] = {
-    "AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"};
-
 const char* const kNationNames[kNumNations] = {
     // AFRICA
     "ALGERIA", "ETHIOPIA", "KENYA", "MOROCCO", "MOZAMBIQUE",
@@ -20,11 +17,6 @@ const char* const kNationNames[kNumNations] = {
     "EGYPT", "IRAN", "IRAQ", "JORDAN", "SAUDI ARABIA"};
 
 }  // namespace
-
-std::string RegionName(int region) {
-  if (region < 0 || region >= kNumRegions) return "UNKNOWN";
-  return kRegionNames[region];
-}
 
 std::string NationName(int nation) {
   if (nation < 0 || nation >= kNumNations) return "UNKNOWN";
@@ -40,17 +32,6 @@ std::string CityName(int city_id) {
   name.resize(9, ' ');
   name += static_cast<char>('0' + digit);
   return name;
-}
-
-std::string MfgrName(int mfgr) { return "MFGR#" + std::to_string(mfgr); }
-
-std::string CategoryName(int mfgr, int category) {
-  return "MFGR#" + std::to_string(mfgr) + std::to_string(category);
-}
-
-std::string BrandName(int mfgr, int category, int brand) {
-  return "MFGR#" + std::to_string(mfgr) + std::to_string(category) +
-         std::to_string(brand);
 }
 
 }  // namespace pmemolap::ssb

@@ -32,16 +32,9 @@ constexpr int CityId(int nation, int city_in_nation) {
   return nation * kCitiesPerNation + city_in_nation;
 }
 
-std::string RegionName(int region);
 std::string NationName(int nation);
 /// E.g. "UNITED ST3" — the nation name truncated to 9 chars + city digit.
 std::string CityName(int city_id);
-/// E.g. "MFGR#1".
-std::string MfgrName(int mfgr);
-/// E.g. "MFGR#12" for mfgr 1, category 2.
-std::string CategoryName(int mfgr, int category);
-/// E.g. "MFGR#1221" for mfgr 1, category 2, brand 21.
-std::string BrandName(int mfgr, int category, int brand);
 
 /// Encoded category id: mfgr * 10 + category (reads as the display digits).
 constexpr int CategoryId(int mfgr, int category) {

@@ -5,35 +5,9 @@
 #include <numeric>
 
 #include "encoding/encoding.h"
-#include "topo/pinning.h"
 
 namespace pmemolap {
 namespace tiering {
-
-namespace {
-
-/// Modeled steady-state sequential read rate of `media` on socket 0 at a
-/// representative 8-thread placement — the per-byte prices the
-/// benefit-density ordering uses. Pure function of the model's specs.
-double SeqReadGbps(const MemSystemModel& model, Media media) {
-  ThreadPlacer placer(model.config().topology);
-  Result<ThreadPlacement> placement =
-      placer.Place(8, PinningPolicy::kCores, 0);
-  if (!placement.ok()) return 1.0;
-  AccessClass klass;
-  klass.op = OpType::kRead;
-  klass.pattern = Pattern::kSequentialIndividual;
-  klass.media = media;
-  klass.access_size = 4 * kKiB;
-  klass.placement = std::move(placement.value());
-  klass.data_socket = 0;
-  klass.run_index = 2;
-  WorkloadSpec spec;
-  spec.classes.push_back(std::move(klass));
-  return model.EvaluateOnce(spec).total_gbps;
-}
-
-}  // namespace
 
 const char* TierName(Tier tier) {
   switch (tier) {
@@ -101,15 +75,9 @@ TieringSnapshot::TupleShare TieringSnapshot::SplitTuples(uint64_t begin,
   return share;
 }
 
-TierManager::TierManager(const MemSystemModel* model, TieringConfig config)
-    : model_(model), config_(config) {
-  tier_gbps_[static_cast<int>(Tier::kDramTier)] =
-      SeqReadGbps(*model_, Media::kDram);
-  tier_gbps_[static_cast<int>(Tier::kPmemTier)] =
-      SeqReadGbps(*model_, Media::kPmem);
-  tier_gbps_[static_cast<int>(Tier::kSsdTier)] =
-      ssd_.SequentialRate(/*is_read=*/true);
-}
+TierManager::TierManager(const MemSystemModel* /*model*/,
+                         TieringConfig config)
+    : config_(config) {}
 
 Status TierManager::Attach(uint64_t total_tuples, uint64_t bytes_per_tuple) {
   if (total_tuples == 0 || bytes_per_tuple == 0) {
@@ -430,16 +398,6 @@ std::vector<double> TierManager::extent_heats() const {
   heats.reserve(extents_.size());
   for (const Extent& extent : extents_) heats.push_back(extent.heat);
   return heats;
-}
-
-double TierManager::TierReadGbps(Tier tier) const {
-  return tier_gbps_[static_cast<int>(tier)];
-}
-
-HybridPlacement PlanStructures(const SystemTopology& topology,
-                               const StructureSizes& sizes,
-                               uint64_t dram_budget_bytes) {
-  return HybridPlacer(topology).Place(sizes, dram_budget_bytes);
 }
 
 }  // namespace tiering

@@ -16,30 +16,6 @@ Result<InterleaveMap> InterleaveMap::Make(uint64_t stripe_bytes,
   return InterleaveMap(stripe_bytes, num_dimms);
 }
 
-std::vector<uint64_t> InterleaveMap::BytesPerDimm(uint64_t offset,
-                                                  uint64_t size) const {
-  std::vector<uint64_t> per_dimm(static_cast<size_t>(num_dimms_), 0);
-  uint64_t pos = offset;
-  uint64_t remaining = size;
-  while (remaining > 0) {
-    uint64_t stripe_off = pos % stripe_bytes_;
-    uint64_t in_stripe = std::min(remaining, stripe_bytes_ - stripe_off);
-    per_dimm[static_cast<size_t>(DimmForOffset(pos))] += in_stripe;
-    pos += in_stripe;
-    remaining -= in_stripe;
-  }
-  return per_dimm;
-}
-
-int InterleaveMap::DimmsTouched(uint64_t offset, uint64_t size) const {
-  if (size == 0) return 0;
-  uint64_t first_stripe = offset / stripe_bytes_;
-  uint64_t last_stripe = (offset + size - 1) / stripe_bytes_;
-  uint64_t stripes = last_stripe - first_stripe + 1;
-  return static_cast<int>(
-      std::min<uint64_t>(stripes, static_cast<uint64_t>(num_dimms_)));
-}
-
 double InterleaveMap::ConcurrentDimms(int threads, uint64_t access_size,
                                       bool grouped,
                                       double stream_coverage) const {

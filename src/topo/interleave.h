@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
 
@@ -22,18 +21,6 @@ class InterleaveMap {
 
   uint64_t stripe_bytes() const { return stripe_bytes_; }
   int num_dimms() const { return num_dimms_; }
-
-  /// DIMM index serving the byte at `offset`.
-  int DimmForOffset(uint64_t offset) const {
-    return static_cast<int>((offset / stripe_bytes_) %
-                            static_cast<uint64_t>(num_dimms_));
-  }
-
-  /// Byte counts per DIMM for the access [offset, offset + size).
-  std::vector<uint64_t> BytesPerDimm(uint64_t offset, uint64_t size) const;
-
-  /// Number of distinct DIMMs touched by [offset, offset + size).
-  int DimmsTouched(uint64_t offset, uint64_t size) const;
 
   /// Expected number of *distinct DIMMs kept busy concurrently* when
   /// `threads` threads issue accesses of `access_size` bytes each:

@@ -22,17 +22,6 @@ int ThreadPlacement::CountNear() const {
   return n;
 }
 
-int ThreadPlacement::CountHyperthreaded() const {
-  int n = 0;
-  for (const ThreadSlot& slot : slots) n += slot.on_hyperthread ? 1 : 0;
-  return n;
-}
-
-double ThreadPlacement::NearFraction() const {
-  if (slots.empty()) return 1.0;
-  return static_cast<double>(CountNear()) / static_cast<double>(slots.size());
-}
-
 double ThreadPlacement::MeanMigrationRate() const {
   if (slots.empty()) return 0.0;
   double sum = 0.0;

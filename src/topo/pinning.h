@@ -51,9 +51,6 @@ struct ThreadPlacement {
 
   int threads() const { return static_cast<int>(slots.size()); }
   int CountNear() const;
-  int CountHyperthreaded() const;
-  /// Fraction of threads in [0,1] running near the data.
-  double NearFraction() const;
   /// Mean migration rate across threads.
   double MeanMigrationRate() const;
 };

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace pmemolap {
@@ -31,19 +30,6 @@ TEST(RngTest, NextBelowStaysInBound) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.NextBelow(17), 17u);
   }
-}
-
-TEST(RngTest, NextInRangeInclusive) {
-  Rng rng(9);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.NextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  // All 7 values should appear in 2000 draws.
-  EXPECT_EQ(seen.size(), 7u);
 }
 
 TEST(RngTest, NextDoubleInUnitInterval) {

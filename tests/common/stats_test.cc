@@ -5,23 +5,10 @@
 namespace pmemolap {
 namespace {
 
-TEST(StatsTest, MeanBasics) {
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(Mean({4.0}), 4.0);
-  EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
-}
-
 TEST(StatsTest, GeoMean) {
   EXPECT_DOUBLE_EQ(GeoMean({}), 0.0);
   EXPECT_NEAR(GeoMean({2.0, 8.0}), 4.0, 1e-12);
   EXPECT_NEAR(GeoMean({1.0, 1.0, 1.0}), 1.0, 1e-12);
-}
-
-TEST(StatsTest, StdDev) {
-  EXPECT_DOUBLE_EQ(StdDev({}), 0.0);
-  EXPECT_DOUBLE_EQ(StdDev({5.0}), 0.0);
-  // Sample stddev of {2,4,4,4,5,5,7,9} is ~2.138.
-  EXPECT_NEAR(StdDev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 0.001);
 }
 
 TEST(StatsTest, PercentileEdges) {
@@ -36,33 +23,6 @@ TEST(StatsTest, PercentileInterpolates) {
   std::vector<double> values = {0.0, 10.0};
   EXPECT_DOUBLE_EQ(Percentile(values, 25), 2.5);
   EXPECT_DOUBLE_EQ(Percentile(values, 75), 7.5);
-}
-
-TEST(StatsTest, RunningStatsEmpty) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 0.0);
-}
-
-TEST(StatsTest, RunningStatsAccumulates) {
-  RunningStats stats;
-  for (double v : {3.0, 1.0, 2.0}) stats.Add(v);
-  EXPECT_EQ(stats.count(), 3u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 1.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 6.0);
-}
-
-TEST(StatsTest, RunningStatsNegativeValues) {
-  RunningStats stats;
-  stats.Add(-5.0);
-  stats.Add(5.0);
-  EXPECT_DOUBLE_EQ(stats.min(), -5.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
 }
 
 }  // namespace

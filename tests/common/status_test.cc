@@ -28,7 +28,6 @@ TEST(StatusTest, AllFactoryCodesRoundTrip) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::DataLoss("x").code(), StatusCode::kDataLoss);
   EXPECT_EQ(Status::Corruption("x").code(), StatusCode::kCorruption);
@@ -55,7 +54,6 @@ TEST(StatusTest, StatusCodeNamesAreStable) {
                "ResourceExhausted");
   EXPECT_STREQ(StatusCodeName(StatusCode::kFailedPrecondition),
                "FailedPrecondition");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kUnimplemented), "Unimplemented");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "Internal");
   EXPECT_STREQ(StatusCodeName(StatusCode::kDataLoss), "DataLoss");
   EXPECT_STREQ(StatusCodeName(StatusCode::kCorruption), "Corruption");

@@ -47,7 +47,6 @@ TEST_F(HybridTest, SmallWorkingSetGoesFullyDram) {
   EXPECT_EQ(plan.table_media, Media::kDram);
   EXPECT_EQ(plan.index_media, Media::kDram);
   EXPECT_EQ(plan.intermediate_media, Media::kDram);
-  EXPECT_FALSE(plan.IsPmemOnly());
 }
 
 TEST_F(HybridTest, ZeroBudgetMeansPlatformCapacity) {
@@ -63,7 +62,9 @@ TEST_F(HybridTest, NoBudgetStaysPmemOnly) {
   sizes.index_bytes = 2 * kGiB;
   sizes.intermediate_bytes = 4 * kGiB;
   HybridPlacement plan = placer_.Place(sizes, kGiB);
-  EXPECT_TRUE(plan.IsPmemOnly());
+  EXPECT_EQ(plan.table_media, Media::kPmem);
+  EXPECT_EQ(plan.index_media, Media::kPmem);
+  EXPECT_EQ(plan.intermediate_media, Media::kPmem);
   EXPECT_EQ(plan.dram_used_bytes, 0u);
 }
 

@@ -31,13 +31,16 @@ TEST(MorselTest, AppendGrowsQueuesAndTagsSocket) {
 }
 
 TEST(MorselTest, ZeroMorselTuplesFallsBackToDefault) {
-  MorselPlan plan = MorselsForRange(kDefaultMorselTuples + 1, 0);
+  MorselPlan plan;
+  AppendMorsels(0, kDefaultMorselTuples + 1, /*socket=*/0,
+                /*morsel_tuples=*/0, &plan);
   EXPECT_EQ(plan.total_morsels(), 2u);
   EXPECT_EQ(plan.total_tuples(), kDefaultMorselTuples + 1);
 }
 
 TEST(MorselTest, EmptyRangeYieldsNoMorsels) {
-  MorselPlan plan = MorselsForRange(0, 64);
+  MorselPlan plan;
+  AppendMorsels(0, 0, /*socket=*/0, 64, &plan);
   EXPECT_EQ(plan.total_morsels(), 0u);
 }
 

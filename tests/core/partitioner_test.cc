@@ -68,25 +68,6 @@ TEST_F(PartitionerTest, TinyTableStillPartitions) {
   EXPECT_EQ(total, 1u);
 }
 
-TEST_F(PartitionerTest, SocketOfTupleMatchesPartition) {
-  const uint64_t n = 1000;
-  auto partitions = partitioner_.Partition(n, 2);
-  ASSERT_TRUE(partitions.ok());
-  for (uint64_t tuple : {0ull, 250ull, 499ull, 500ull, 999ull}) {
-    int expected = -1;
-    for (const SocketPartition& partition : *partitions) {
-      if (tuple >= partition.tuples.begin && tuple < partition.tuples.end) {
-        expected = partition.socket;
-      }
-    }
-    EXPECT_EQ(partitioner_.SocketOfTuple(tuple, n), expected) << tuple;
-  }
-}
-
-TEST_F(PartitionerTest, SocketOfTupleDegenerate) {
-  EXPECT_EQ(partitioner_.SocketOfTuple(0, 1), 1);  // everything on last
-}
-
 TEST_F(PartitionerTest, TupleRangeHelpers) {
   TupleRange range{10, 20};
   EXPECT_EQ(range.size(), 10u);

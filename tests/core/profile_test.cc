@@ -20,16 +20,6 @@ TEST(ProfileTest, RecordSequentialFillsFields) {
   EXPECT_EQ(record.label, "scan");
 }
 
-TEST(ProfileTest, RecordRandomComputesBytes) {
-  ExecutionProfile profile;
-  profile.RecordRandom(OpType::kRead, Media::kPmem, 0, /*count=*/100,
-                       /*access_size=*/256, /*region=*/kGiB, 8, "probe");
-  const TrafficRecord& record = profile.records()[0];
-  EXPECT_EQ(record.pattern, Pattern::kRandom);
-  EXPECT_EQ(record.bytes, 25600u);
-  EXPECT_EQ(record.region_bytes, kGiB);
-}
-
 TEST(ProfileTest, TotalBytesByOp) {
   ExecutionProfile profile;
   profile.RecordSequential(OpType::kRead, Media::kPmem, 0, 100, 64, 1, "a");
@@ -39,27 +29,14 @@ TEST(ProfileTest, TotalBytesByOp) {
   EXPECT_EQ(profile.TotalBytes(OpType::kWrite), 50u);
 }
 
-TEST(ProfileTest, MergeAppends) {
-  ExecutionProfile a;
-  ExecutionProfile b;
-  a.RecordSequential(OpType::kRead, Media::kPmem, 0, 100, 64, 1, "a");
-  b.RecordSequential(OpType::kWrite, Media::kDram, 1, 200, 64, 1, "b");
-  a.Merge(b);
-  EXPECT_EQ(a.records().size(), 2u);
-  EXPECT_EQ(a.TotalBytes(OpType::kWrite), 200u);
-}
-
-TEST(ProfileTest, ClearEmpties) {
-  ExecutionProfile profile;
-  profile.RecordSequential(OpType::kRead, Media::kPmem, 0, 100, 64, 1, "a");
-  profile.Clear();
-  EXPECT_TRUE(profile.records().empty());
-}
-
 TEST(ProfileTest, ScaledMultipliesBytesAndRegions) {
   ExecutionProfile profile;
-  profile.RecordRandom(OpType::kRead, Media::kPmem, 0, 100, 256, kMiB, 8,
-                       "probe");
+  TrafficRecord probe;
+  probe.pattern = Pattern::kRandom;
+  probe.bytes = 25600;
+  probe.access_size = 256;
+  probe.region_bytes = kMiB;
+  profile.Record(probe);
   ExecutionProfile scaled = profile.Scaled(2.5);
   EXPECT_EQ(scaled.records()[0].bytes, 64000u);
   EXPECT_EQ(scaled.records()[0].region_bytes,

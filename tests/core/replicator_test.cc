@@ -26,7 +26,8 @@ TEST_F(ReplicatorTest, ReplicatesOntoEverySocket) {
   EXPECT_EQ(table->num_copies(), 2);
   EXPECT_EQ(table->size(), 1024u);
   for (int socket = 0; socket < 2; ++socket) {
-    EXPECT_EQ(std::memcmp(table->LocalCopy(socket), payload.data(), 1024), 0)
+    EXPECT_EQ(std::memcmp(table->copy(socket).data(), payload.data(), 1024),
+              0)
         << socket;
   }
 }
@@ -36,7 +37,7 @@ TEST_F(ReplicatorTest, CopiesAreIndependent) {
   auto table = replicator_.Replicate(payload.data(), payload.size(),
                                      Media::kDram);
   ASSERT_TRUE(table.ok());
-  EXPECT_NE(table->LocalCopy(0), table->LocalCopy(1));
+  EXPECT_NE(table->copy(0).data(), table->copy(1).data());
 }
 
 TEST_F(ReplicatorTest, AccountsCapacityPerSocket) {
@@ -60,7 +61,6 @@ TEST_F(ReplicatorTest, EmptyTableIsInert) {
   ReplicatedTable table;
   EXPECT_EQ(table.num_copies(), 0);
   EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.LocalCopy(0), nullptr);
   Result<int> healthy = table.HealthyCopyIndex(0, 0, 8);
   ASSERT_FALSE(healthy.ok());
   EXPECT_EQ(healthy.status().code(), StatusCode::kFailedPrecondition);
@@ -72,10 +72,10 @@ TEST_F(ReplicatorTest, OutOfRangeSocketMapsOntoExistingCopy) {
                                      Media::kDram);
   ASSERT_TRUE(table.ok());
   // Sockets beyond (or below) the copy count wrap instead of walking off
-  // the copies vector.
-  EXPECT_EQ(table->LocalCopy(2), table->LocalCopy(0));
-  EXPECT_EQ(table->LocalCopy(5), table->LocalCopy(1));
-  EXPECT_EQ(table->LocalCopy(-1), table->LocalCopy(1));
+  // the copies vector: the healthy-copy lookup starts at the wrapped one.
+  EXPECT_EQ(table->HealthyCopyIndex(2, 0, 8).value(), 0);
+  EXPECT_EQ(table->HealthyCopyIndex(5, 0, 8).value(), 1);
+  EXPECT_EQ(table->HealthyCopyIndex(-1, 0, 8).value(), 1);
 }
 
 TEST_F(ReplicatorTest, AllocationFailureSurfacesAsError) {

@@ -89,28 +89,6 @@ TEST_F(RunnerTest, MixedHasWriterThenReader) {
   EXPECT_GT(result->per_class[1].gbps, 0.0);
 }
 
-TEST_F(RunnerTest, TotalForSplitsByOpType) {
-  auto result = runner_.Mixed(4, 18);
-  ASSERT_TRUE(result.ok());
-  // Reconstruct the classes the Mixed helper builds to drive TotalFor.
-  WorkloadRunner runner(&model_);
-  RunOptions options;
-  auto writer = runner.MakeClass(OpType::kWrite,
-                                 Pattern::kSequentialIndividual,
-                                 Media::kPmem, 4 * kKiB, 4, options);
-  auto reader = runner.MakeClass(OpType::kRead,
-                                 Pattern::kSequentialIndividual,
-                                 Media::kPmem, 4 * kKiB, 18, options);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(reader.ok());
-  std::vector<AccessClass> classes = {writer.value(), reader.value()};
-  double write_total = result->TotalFor(OpType::kWrite, classes);
-  double read_total = result->TotalFor(OpType::kRead, classes);
-  EXPECT_NEAR(write_total, result->per_class[0].gbps, 1e-9);
-  EXPECT_NEAR(read_total, result->per_class[1].gbps, 1e-9);
-  EXPECT_NEAR(write_total + read_total, result->total_gbps, 1e-9);
-}
-
 TEST_F(RunnerTest, RunnerIsStateless) {
   // Two identical far runs through the runner yield identical results
   // (the runner uses EvaluateOnce; run_index carries warmth explicitly).

@@ -83,46 +83,5 @@ TEST_F(SchedulerTest, MakespanAccountsForSurvivorSpeedup) {
   EXPECT_LT(decision->mixed_seconds, naive);
 }
 
-TEST(PlanAroundQuarantineTest, HealthyPreferredSocketIsKept) {
-  Result<int> socket =
-      MixedWorkloadScheduler::PlanAroundQuarantine({true, true}, 1);
-  ASSERT_TRUE(socket.ok());
-  EXPECT_EQ(socket.value(), 1);
-}
-
-TEST(PlanAroundQuarantineTest, QuarantinedPreferredMovesToNearestHealthy) {
-  // Socket 1 is quarantined: 0 and 2 are both one step away, ties go low.
-  Result<int> socket = MixedWorkloadScheduler::PlanAroundQuarantine(
-      {true, false, true}, 1);
-  ASSERT_TRUE(socket.ok());
-  EXPECT_EQ(socket.value(), 0);
-  // With 0 also quarantined the nearest healthy is 2.
-  socket = MixedWorkloadScheduler::PlanAroundQuarantine(
-      {false, false, true}, 1);
-  ASSERT_TRUE(socket.ok());
-  EXPECT_EQ(socket.value(), 2);
-}
-
-TEST(PlanAroundQuarantineTest, UnknownSocketsArePresumedHealthy) {
-  Result<int> socket =
-      MixedWorkloadScheduler::PlanAroundQuarantine({false}, 3);
-  ASSERT_TRUE(socket.ok());
-  EXPECT_EQ(socket.value(), 3);
-}
-
-TEST(PlanAroundQuarantineTest, AllQuarantinedIsUnavailable) {
-  Result<int> socket = MixedWorkloadScheduler::PlanAroundQuarantine(
-      {false, false}, 0);
-  ASSERT_FALSE(socket.ok());
-  EXPECT_EQ(socket.status().code(), StatusCode::kUnavailable);
-}
-
-TEST(PlanAroundQuarantineTest, NegativePreferredIsInvalid) {
-  Result<int> socket =
-      MixedWorkloadScheduler::PlanAroundQuarantine({true}, -1);
-  ASSERT_FALSE(socket.ok());
-  EXPECT_EQ(socket.status().code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace pmemolap

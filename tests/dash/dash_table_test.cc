@@ -34,23 +34,6 @@ TEST(DashTableTest, DuplicateInsertRejected) {
   EXPECT_EQ(table.size(), 1u);
 }
 
-TEST(DashTableTest, EraseRemovesKey) {
-  DashTable table;
-  ASSERT_TRUE(table.Insert(5, 50).ok());
-  EXPECT_TRUE(table.Erase(5));
-  EXPECT_FALSE(table.Get(5).has_value());
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_FALSE(table.Erase(5));
-}
-
-TEST(DashTableTest, ReinsertAfterErase) {
-  DashTable table;
-  ASSERT_TRUE(table.Insert(5, 50).ok());
-  EXPECT_TRUE(table.Erase(5));
-  ASSERT_TRUE(table.Insert(5, 51).ok());
-  EXPECT_EQ(table.Get(5).value(), 51u);
-}
-
 TEST(DashTableTest, ZeroAndMaxKeys) {
   DashTable table;
   ASSERT_TRUE(table.Insert(0, 1).ok());
@@ -93,9 +76,13 @@ TEST(DashTableTest, LoadFactorStaysHigh) {
     ASSERT_TRUE(table.Insert(key, key).ok());
   }
   // Dash's displacement + stash keep utilization well above naive
-  // extendible hashing.
-  EXPECT_GT(table.LoadFactor(), 0.35);
-  EXPECT_LE(table.LoadFactor(), 1.0);
+  // extendible hashing: occupied slots over the slots StorageBytes pays for.
+  const double slots = static_cast<double>(table.StorageBytes() /
+                                           DashTable::kBucketBytes *
+                                           DashTable::kSlotsPerBucket);
+  const double load_factor = static_cast<double>(table.size()) / slots;
+  EXPECT_GT(load_factor, 0.35);
+  EXPECT_LE(load_factor, 1.0);
 }
 
 TEST(DashTableTest, StorageBytesConsistentWithSegments) {
@@ -109,15 +96,14 @@ TEST(DashTableTest, StorageBytesConsistentWithSegments) {
                 DashTable::kBucketBytes);
 }
 
-TEST(DashTableTest, ProbeCountingAndReset) {
+TEST(DashTableTest, ProbeCountingPerLookup) {
   DashTable table;
   ASSERT_TRUE(table.Insert(1, 1).ok());
-  table.ResetStats();
-  EXPECT_EQ(table.bucket_probes(), 0u);
+  const uint64_t before = table.bucket_probes();
   EXPECT_TRUE(table.Get(1).has_value());
-  EXPECT_GE(table.bucket_probes(), 1u);
+  EXPECT_GE(table.bucket_probes() - before, 1u);
   // Most probes resolve within the two candidate buckets.
-  EXPECT_LE(table.bucket_probes(), 2u);
+  EXPECT_LE(table.bucket_probes() - before, 2u);
 }
 
 TEST(DashTableTest, ProbesPerLookupStayBounded) {
@@ -126,12 +112,13 @@ TEST(DashTableTest, ProbesPerLookupStayBounded) {
   for (uint64_t key = 0; key < n; ++key) {
     ASSERT_TRUE(table.Insert(key * 7919, key).ok());
   }
-  table.ResetStats();
+  const uint64_t before = table.bucket_probes();
   for (uint64_t key = 0; key < n; ++key) {
     ASSERT_TRUE(table.Get(key * 7919).has_value());
   }
   double probes_per_lookup =
-      static_cast<double>(table.bucket_probes()) / static_cast<double>(n);
+      static_cast<double>(table.bucket_probes() - before) /
+      static_cast<double>(n);
   // One-and-a-bit 256 B buckets resolve a probe on average (the Dash
   // property the engine's ProbeCost{1.2, 256} relies on; balanced
   // insertion trades a little lookup locality for load factor).
@@ -147,27 +134,17 @@ TEST_P(DashRandomizedTest, MatchesStdUnorderedMap) {
   std::unordered_map<uint64_t, uint64_t> reference;
   for (int op = 0; op < 30000; ++op) {
     uint64_t key = rng.NextBelow(5000);  // small space: many collisions
-    switch (rng.NextBelow(3)) {
-      case 0: {  // insert
-        uint64_t value = rng.Next();
-        bool ref_inserted = reference.emplace(key, value).second;
-        Status status = table.Insert(key, value);
-        EXPECT_EQ(status.ok(), ref_inserted) << key;
-        break;
-      }
-      case 1: {  // lookup
-        auto expected = reference.find(key);
-        auto actual = table.Get(key);
-        EXPECT_EQ(actual.has_value(), expected != reference.end());
-        if (actual.has_value() && expected != reference.end()) {
-          EXPECT_EQ(*actual, expected->second);
-        }
-        break;
-      }
-      default: {  // erase
-        bool ref_erased = reference.erase(key) > 0;
-        EXPECT_EQ(table.Erase(key), ref_erased) << key;
-        break;
+    if (rng.NextBelow(2) == 0) {  // insert
+      uint64_t value = rng.Next();
+      bool ref_inserted = reference.emplace(key, value).second;
+      Status status = table.Insert(key, value);
+      EXPECT_EQ(status.ok(), ref_inserted) << key;
+    } else {  // lookup
+      auto expected = reference.find(key);
+      auto actual = table.Get(key);
+      EXPECT_EQ(actual.has_value(), expected != reference.end());
+      if (actual.has_value() && expected != reference.end()) {
+        EXPECT_EQ(*actual, expected->second);
       }
     }
   }

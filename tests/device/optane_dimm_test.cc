@@ -70,36 +70,10 @@ TEST(OptaneDimmTest, PartialTailAmplifiesProportionally) {
   EXPECT_DOUBLE_EQ(dimm.WriteAmplification(4160, 1.0), 1.0);
 }
 
-TEST(OptaneDimmTest, ServiceRatesDivideByAmplification) {
-  OptaneDimm dimm;
-  double full = dimm.ReadServiceRate(false, 1.0);
-  double quarter = dimm.ReadServiceRate(false, 4.0);
-  EXPECT_DOUBLE_EQ(quarter, full / 4.0);
-  EXPECT_DOUBLE_EQ(dimm.WriteServiceRate(true, 2.0),
-                   dimm.spec().seq_write_gbps / 2.0);
-}
-
-TEST(OptaneDimmTest, AmplificationBelowOneClamped) {
-  OptaneDimm dimm;
-  EXPECT_DOUBLE_EQ(dimm.ReadServiceRate(true, 0.5),
-                   dimm.spec().seq_read_gbps);
-}
-
 TEST(OptaneDimmTest, RandomSlowerThanSequential) {
   OptaneDimm dimm;
   EXPECT_LT(dimm.spec().random_read_gbps, dimm.spec().seq_read_gbps);
   EXPECT_LT(dimm.spec().random_write_gbps, dimm.spec().seq_write_gbps);
-}
-
-TEST(OptaneDimmTest, WearAccountsAmplifiedMediaWrites) {
-  OptaneDimm dimm;
-  dimm.RecordWrite(1000, 2.0);
-  EXPECT_EQ(dimm.media_bytes_written(), 2000u);
-  dimm.RecordWrite(1000, 1.0);
-  EXPECT_EQ(dimm.media_bytes_written(), 3000u);
-  // Clamped amplification.
-  dimm.RecordWrite(1000, 0.1);
-  EXPECT_EQ(dimm.media_bytes_written(), 4000u);
 }
 
 }  // namespace

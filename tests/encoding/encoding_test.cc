@@ -20,6 +20,12 @@ namespace {
 constexpr int32_t kInt32Min = std::numeric_limits<int32_t>::min();
 constexpr int32_t kInt32Max = std::numeric_limits<int32_t>::max();
 
+/// Uniform integer in [lo, hi] inclusive.
+int64_t InRange(Rng& rng, int64_t lo, int64_t hi) {
+  return lo + static_cast<int64_t>(
+                  rng.NextBelow(static_cast<uint64_t>(hi - lo + 1)));
+}
+
 /// Scalar reference for the predicate fast paths.
 std::vector<uint64_t> ReferenceMatches(const std::vector<int32_t>& values,
                                        int32_t lo, int32_t hi,
@@ -65,7 +71,7 @@ TEST(EncodingRoundTrip, AllWidthsForBitPack) {
     std::vector<int32_t> values(3 * kFrameValues + 7);
     const int64_t base =
         width == 32 ? kInt32Min
-                    : rng.NextInRange(kInt32Min,
+                    : InRange(rng, kInt32Min,
                                       kInt32Max - static_cast<int64_t>(
                                                       domain == 0 ? 0
                                                                   : domain -
@@ -87,11 +93,11 @@ TEST(EncodingRoundTrip, AllSchemesOnRandomDomains) {
   for (int round = 0; round < 20; ++round) {
     Rng local = rng.Fork(static_cast<uint64_t>(round));
     const uint64_t n = local.NextBelow(5 * kFrameValues) + 1;
-    const int64_t lo = local.NextInRange(-1'000'000, 1'000'000);
+    const int64_t lo = InRange(local, -1'000'000, 1'000'000);
     const int64_t hi = lo + static_cast<int64_t>(local.NextBelow(100'000));
     std::vector<int32_t> values(n);
     for (int32_t& v : values) {
-      v = static_cast<int32_t>(local.NextInRange(lo, hi));
+      v = static_cast<int32_t>(InRange(local, lo, hi));
     }
     for (Scheme scheme :
          {Scheme::kRaw, Scheme::kForBitPack, Scheme::kDictionary}) {
@@ -146,7 +152,7 @@ TEST(EncodingSelection, NarrowRangePicksForBitPack) {
   Rng rng(3);
   std::vector<int32_t> values(10 * kFrameValues);
   for (int32_t& v : values) {
-    v = static_cast<int32_t>(rng.NextInRange(1, 50));  // quantity-like
+    v = static_cast<int32_t>(InRange(rng, 1, 50));  // quantity-like
   }
   EncodedColumn column = EncodedColumn::Encode(values);
   EXPECT_EQ(column.scheme(), Scheme::kForBitPack);
@@ -160,7 +166,7 @@ TEST(EncodingSelection, LowCardinalityWideValuesPickDictionary) {
   // need only 4 bits.
   std::vector<int32_t> domain(16);
   for (int32_t& v : domain) {
-    v = static_cast<int32_t>(rng.NextInRange(kInt32Min, kInt32Max));
+    v = static_cast<int32_t>(InRange(rng, kInt32Min, kInt32Max));
   }
   std::vector<int32_t> values(10 * kFrameValues);
   for (int32_t& v : values) {
@@ -177,7 +183,7 @@ TEST(EncodingSelection, IncompressiblePicksRaw) {
   // value is distinct, so both encodings cost more than 4 B/value.
   std::vector<int32_t> values(10 * kFrameValues);
   for (int32_t& v : values) {
-    v = static_cast<int32_t>(rng.NextInRange(kInt32Min, kInt32Max));
+    v = static_cast<int32_t>(InRange(rng, kInt32Min, kInt32Max));
   }
   EncodedColumn column = EncodedColumn::Encode(values);
   EXPECT_EQ(column.scheme(), Scheme::kRaw);
@@ -227,7 +233,7 @@ TEST(EncodingSelection, EncodeMatchesTheExhaustiveTrial) {
   auto uniform = [&](uint64_t n, int64_t lo, int64_t hi) {
     std::vector<int32_t> values(n);
     for (int32_t& v : values) {
-      v = static_cast<int32_t>(rng.NextInRange(lo, hi));
+      v = static_cast<int32_t>(InRange(rng, lo, hi));
     }
     return values;
   };
@@ -304,7 +310,7 @@ TEST(EncodingSelection, EncodeMatchesTheExhaustiveTrial) {
     const uint64_t n = rng.NextBelow(5 * kFrameValues) + 1;
     const uint64_t shift = 32 + rng.NextBelow(32);
     const int64_t span = static_cast<int64_t>(rng.Next() >> shift);
-    const int64_t lo = rng.NextInRange(kInt32Min, kInt32Max - span);
+    const int64_t lo = InRange(rng, kInt32Min, kInt32Max - span);
     const std::vector<int32_t> domain =
         uniform(rng.NextBelow(n) + 1, lo, lo + span);
     inputs.push_back({"random-" + std::to_string(round),
@@ -345,16 +351,16 @@ TEST(EncodingPredicate, RangeMatchesScalarReference) {
   for (int round = 0; round < 30; ++round) {
     Rng local = rng.Fork(static_cast<uint64_t>(round));
     const uint64_t n = local.NextBelow(6 * kFrameValues) + 1;
-    const int64_t lo_v = local.NextInRange(-500, 500);
+    const int64_t lo_v = InRange(local, -500, 500);
     const int64_t hi_v = lo_v + static_cast<int64_t>(local.NextBelow(200));
     std::vector<int32_t> values(n);
     for (int32_t& v : values) {
-      v = static_cast<int32_t>(local.NextInRange(lo_v, hi_v));
+      v = static_cast<int32_t>(InRange(local, lo_v, hi_v));
     }
     const int32_t plo = static_cast<int32_t>(
-        local.NextInRange(lo_v - 10, hi_v + 10));
+        InRange(local, lo_v - 10, hi_v + 10));
     const int32_t phi = static_cast<int32_t>(
-        plo + local.NextInRange(0, (hi_v - lo_v) + 20));
+        plo + InRange(local, 0, (hi_v - lo_v) + 20));
     const uint64_t begin = local.NextBelow(n);
     const uint64_t end = begin + local.NextBelow(n - begin) + 1;
     const std::vector<uint64_t> expect =
@@ -373,7 +379,7 @@ TEST(EncodingPredicate, PointRangeMatchesScalarReference) {
   Rng rng(47);
   std::vector<int32_t> values(4 * kFrameValues);
   for (int32_t& v : values) {
-    v = static_cast<int32_t>(rng.NextInRange(0, 20));
+    v = static_cast<int32_t>(InRange(rng, 0, 20));
   }
   for (int32_t probe = -2; probe <= 22; ++probe) {
     const std::vector<uint64_t> expect =
@@ -394,7 +400,7 @@ TEST(EncodingPredicate, RangePastTheEndClampsOnEveryScheme) {
   Rng rng(53);
   std::vector<int32_t> values(100);
   for (int32_t& v : values) {
-    v = static_cast<int32_t>(rng.NextInRange(0, 9));
+    v = static_cast<int32_t>(InRange(rng, 0, 9));
   }
   const std::vector<uint64_t> expect =
       ReferenceMatches(values, 2, 6, 90, values.size());
@@ -450,7 +456,7 @@ TEST(EncodingGather, MatchesPointAccess) {
   Rng rng(61);
   std::vector<int32_t> values(8 * kFrameValues);
   for (int32_t& v : values) {
-    v = static_cast<int32_t>(rng.NextInRange(-1000, 1000));
+    v = static_cast<int32_t>(InRange(rng, -1000, 1000));
   }
   std::vector<uint64_t> sel;
   for (uint64_t i = 0; i < values.size(); ++i) {

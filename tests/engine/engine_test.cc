@@ -259,10 +259,5 @@ TEST(EngineTest, ProjectionScalesSeconds) {
   EXPECT_NEAR(big_s / small_s, 2.0, 0.3);
 }
 
-TEST(EngineTest, ModeNames) {
-  EXPECT_STREQ(EngineModeName(EngineMode::kPmemAware), "PMEM-aware");
-  EXPECT_STREQ(EngineModeName(EngineMode::kUnaware), "PMEM-unaware");
-}
-
 }  // namespace
 }  // namespace pmemolap

@@ -55,8 +55,8 @@ TEST_F(ThroughputTest, OneStreamMatchesSingleQueryEstimate) {
   CpuWork cpu = run_->cpu.Scaled(factor_);
   auto estimate = timer.EstimateConcurrentStreams(projected, cpu, 1, 36,
                                                   PinningPolicy::kCores);
-  double single = timer.EstimateSeconds(projected, cpu, 36,
-                                        PinningPolicy::kCores);
+  double single = timer.EstimateSecondsWithBackground(
+      projected, cpu, 36, PinningPolicy::kCores, {});
   EXPECT_NEAR(estimate.stream_seconds, single, single * 0.05);
   EXPECT_NEAR(estimate.queries_per_hour, 3600.0 / single,
               3600.0 / single * 0.05);

@@ -21,6 +21,20 @@ class TimerTest : public ::testing::Test {
     return record;
   }
 
+  /// Seconds of `record` priced alone: a one-record profile, no CPU work.
+  double Solo(const TrafficRecord& record, PinningPolicy pinning) {
+    ExecutionProfile profile;
+    profile.Record(record);
+    return timer_.EstimateSecondsWithBackground(profile, CpuWork{},
+                                                record.threads, pinning, {});
+  }
+
+  double Estimate(const ExecutionProfile& profile, const CpuWork& work,
+                  int threads) {
+    return timer_.EstimateSecondsWithBackground(profile, work, threads,
+                                                PinningPolicy::kCores, {});
+  }
+
   MemSystemModel model_;
   QueryTimer timer_{&model_};
 };
@@ -28,12 +42,12 @@ class TimerTest : public ::testing::Test {
 TEST_F(TimerTest, ScanTimeMatchesModelBandwidth) {
   // 40 GB at the ~40 GB/s single-socket peak ~= 1 second.
   double seconds =
-      timer_.RecordSeconds(Scan(40e9), PinningPolicy::kCores);
+      Solo(Scan(40e9), PinningPolicy::kCores);
   EXPECT_NEAR(seconds, 1.0, 0.05);
 }
 
 TEST_F(TimerTest, EmptyRecordIsFree) {
-  EXPECT_DOUBLE_EQ(timer_.RecordSeconds(Scan(0), PinningPolicy::kCores),
+  EXPECT_DOUBLE_EQ(Solo(Scan(0), PinningPolicy::kCores),
                    0.0);
 }
 
@@ -42,8 +56,7 @@ TEST_F(TimerTest, SocketsRunInParallelWithinPhase) {
   profile.Record(Scan(40e9, /*socket=*/0));
   profile.Record(Scan(40e9, /*socket=*/1));
   CpuWork no_cpu;
-  double both = timer_.EstimateSeconds(profile, no_cpu, 36,
-                                       PinningPolicy::kCores);
+  double both = Estimate(profile, no_cpu, 36);
   // Two sockets scanning concurrently: ~1 s, not ~2 s.
   EXPECT_NEAR(both, 1.0, 0.1);
 }
@@ -57,8 +70,7 @@ TEST_F(TimerTest, PhasesAreSequential) {
   profile.Record(a);
   profile.Record(b);
   CpuWork no_cpu;
-  double seconds = timer_.EstimateSeconds(profile, no_cpu, 36,
-                                          PinningPolicy::kCores);
+  double seconds = Estimate(profile, no_cpu, 36);
   EXPECT_NEAR(seconds, 2.0, 0.2);
 }
 
@@ -75,8 +87,8 @@ TEST_F(TimerTest, CacheResidentRandomRegionIsNearlyFree) {
   TrafficRecord big_region = probe;
   big_region.region_bytes = 2 * kGiB;
 
-  double cached = timer_.RecordSeconds(probe, PinningPolicy::kCores);
-  double uncached = timer_.RecordSeconds(big_region, PinningPolicy::kCores);
+  double cached = Solo(probe, PinningPolicy::kCores);
+  double uncached = Solo(big_region, PinningPolicy::kCores);
   EXPECT_LT(cached, uncached * 0.1);
   EXPECT_GT(cached, 0.0);  // residual miss fraction
 }
@@ -86,8 +98,8 @@ TEST_F(TimerTest, SequentialTrafficIgnoresCacheFilter) {
   TrafficRecord small_region = Scan(10e9);
   small_region.region_bytes = kMiB;
   TrafficRecord large_region = Scan(10e9);
-  double a = timer_.RecordSeconds(small_region, PinningPolicy::kCores);
-  double b = timer_.RecordSeconds(large_region, PinningPolicy::kCores);
+  double a = Solo(small_region, PinningPolicy::kCores);
+  double b = Solo(large_region, PinningPolicy::kCores);
   EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -95,10 +107,8 @@ TEST_F(TimerTest, CpuWorkDividesAcrossThreads) {
   ExecutionProfile empty;
   CpuWork work;
   work.tuples_scanned = 1'000'000'000;  // 15s at 15 ns single-thread
-  double single = timer_.EstimateSeconds(empty, work, 1,
-                                         PinningPolicy::kCores);
-  double parallel = timer_.EstimateSeconds(empty, work, 36,
-                                           PinningPolicy::kCores);
+  double single = Estimate(empty, work, 1);
+  double parallel = Estimate(empty, work, 36);
   EXPECT_NEAR(single, 15.0, 0.1);
   EXPECT_NEAR(parallel, 15.0 / 36, 0.05);
 }
@@ -118,8 +128,8 @@ TEST_F(TimerTest, FarRecordSlowerThanNear) {
   TrafficRecord near_scan = Scan(10e9, /*socket=*/0);
   TrafficRecord far_scan = near_scan;
   far_scan.worker_socket = 1;  // workers on socket 1, data on socket 0
-  double near_s = timer_.RecordSeconds(near_scan, PinningPolicy::kNumaRegion);
-  double far_s = timer_.RecordSeconds(far_scan, PinningPolicy::kNumaRegion);
+  double near_s = Solo(near_scan, PinningPolicy::kNumaRegion);
+  double far_s = Solo(far_scan, PinningPolicy::kNumaRegion);
   EXPECT_GT(far_s, near_s * 1.1);
 }
 

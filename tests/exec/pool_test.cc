@@ -48,7 +48,8 @@ TEST(PoolTest, ExecutesEveryMorselExactlyOnce) {
 
 TEST(PoolTest, PropagatesFirstFailureAndDropsRest) {
   WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
-  MorselPlan plan = MorselsForRange(100, 10);
+  MorselPlan plan;
+  AppendMorsels(0, 100, /*socket=*/0, 10, &plan);
   std::atomic<uint64_t> executed{0};
   WorkStealingPool::Stats stats;
   Status status = RunPlan(
@@ -71,7 +72,8 @@ TEST(PoolTest, PropagatesFirstFailureAndDropsRest) {
 TEST(PoolTest, ReusableAcrossRuns) {
   WorkStealingPool pool(/*threads=*/3, /*queues=*/1);
   for (int run = 0; run < 5; ++run) {
-    MorselPlan plan = MorselsForRange(500, 50);
+    MorselPlan plan;
+    AppendMorsels(0, 500, /*socket=*/0, 50, &plan);
     std::atomic<uint64_t> tuples{0};
     ASSERT_TRUE(RunPlan(&pool, plan,
                         [&](const Morsel& m, int) {
@@ -118,7 +120,8 @@ TEST(PoolTest, IdleWorkerStealsFromStalledQueue) {
 
 TEST(PoolTest, RunWithControlCancelBeforeFirstMorselDropsEverything) {
   WorkStealingPool pool(/*threads=*/4, /*queues=*/2);
-  MorselPlan plan = MorselsForRange(1000, 50);
+  MorselPlan plan;
+  AppendMorsels(0, 1000, /*socket=*/0, 50, &plan);
   std::atomic<uint64_t> tasks_run{0};
   WorkStealingPool::Stats stats;
   WorkStealingPool::RunControl control;
@@ -143,7 +146,8 @@ TEST(PoolTest, RunWithControlCancelBeforeFirstMorselDropsEverything) {
 
 TEST(PoolTest, RunWithControlMidRunCancelKeepsPartialProgress) {
   WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
-  MorselPlan plan = MorselsForRange(2000, 20);  // 100 morsels
+  MorselPlan plan;
+  AppendMorsels(0, 2000, /*socket=*/0, 20, &plan);  // 100 morsels
   // The hook passes its first 10 checks, then reports an expired
   // deadline: the run must stop between morsels with partial progress.
   std::atomic<uint64_t> checks{0};
@@ -176,7 +180,8 @@ TEST(PoolTest, RunWithControlStatsOutParamAndWorkerCap) {
   // One queue: every worker's rank is its id, so a cap of 2 admits
   // workers 0 and 1 only.
   WorkStealingPool pool(/*threads=*/4, /*queues=*/1);
-  MorselPlan plan = MorselsForRange(600, 30);
+  MorselPlan plan;
+  AppendMorsels(0, 600, /*socket=*/0, 30, &plan);
   std::atomic<int> max_seen{-1};
   WorkStealingPool::Stats stats;
   WorkStealingPool::RunControl control;

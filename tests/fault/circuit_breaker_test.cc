@@ -80,12 +80,6 @@ TEST(CircuitBreakerTest, FailedProbeReopensForAnotherCooldown) {
   EXPECT_EQ(breaker.Decide(10.0), BreakerDecision::kProbe);
 }
 
-TEST(CircuitBreakerTest, StateNamesAreStable) {
-  EXPECT_STREQ(BreakerStateName(BreakerState::kClosed), "closed");
-  EXPECT_STREQ(BreakerStateName(BreakerState::kOpen), "open");
-  EXPECT_STREQ(BreakerStateName(BreakerState::kHalfOpen), "half-open");
-}
-
 TEST(BreakerBoardTest, PerSocketDomainsWithWrappingAndAggregation) {
   FaultInjector injector(FaultSpec::Healthy());
   BreakerBoard board(&injector, /*sockets=*/2);

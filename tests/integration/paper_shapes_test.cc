@@ -416,9 +416,9 @@ TEST_F(SsbShapesTest, SsdBaselineSlowerThanPmem) {
   }
   double factor = 100.0 / 0.02;
   QueryTimer timer(model_);
-  double ssd_s = timer.EstimateSeconds(ssd_profile.Scaled(factor),
-                                       run->cpu.Scaled(factor), 36,
-                                       PinningPolicy::kCores);
+  double ssd_s = timer.EstimateSecondsWithBackground(
+      ssd_profile.Scaled(factor), run->cpu.Scaled(factor), 36,
+      PinningPolicy::kCores, {});
   EXPECT_GT(ssd_s / pmem_s, 1.8);
   EXPECT_NEAR(ssd_s, 22.8, 12.0);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "memsys/mem_system.h"
 #include "topo/pinning.h"
 
 namespace pmemolap {
@@ -9,19 +10,6 @@ namespace {
 
 class IssueModelTest : public ::testing::Test {
  protected:
-  AccessClass MakeClass(OpType op, Pattern pattern, Media media, int threads,
-                        PinningPolicy pinning = PinningPolicy::kCores) {
-    SystemTopology topo = SystemTopology::PaperServer();
-    ThreadPlacer placer(topo);
-    AccessClass klass;
-    klass.op = op;
-    klass.pattern = pattern;
-    klass.media = media;
-    klass.access_size = 4096;
-    klass.placement = *placer.Place(threads, pinning, 0);
-    return klass;
-  }
-
   IssueModel model_;
 };
 
@@ -86,41 +74,33 @@ TEST_F(IssueModelTest, RandomRateGrowsWithAccessSize) {
   EXPECT_DOUBLE_EQ(huge, at_256 * 3.0);
 }
 
-TEST_F(IssueModelTest, ClassIssueBoundScalesWithThreads) {
-  double at_4 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 4));
-  double at_8 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 8));
-  EXPECT_NEAR(at_8, 2 * at_4, 1e-9);
-}
-
-TEST_F(IssueModelTest, HyperthreadsContributeLessSequential) {
-  double at_18 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 18));
-  double at_36 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 36));
-  // 18 HT siblings add only 35% each.
-  EXPECT_NEAR(at_36 / at_18, 1.35, 0.01);
-}
-
-TEST_F(IssueModelTest, HyperthreadsContributeMoreForRandom) {
-  double seq_36 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 36));
-  double seq_18 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 18));
-  double rand_36 = model_.ClassIssueBound(
-      MakeClass(OpType::kRead, Pattern::kRandom, Media::kPmem, 36));
-  double rand_18 = model_.ClassIssueBound(
-      MakeClass(OpType::kRead, Pattern::kRandom, Media::kPmem, 18));
-  EXPECT_GT(rand_36 / rand_18, seq_36 / seq_18);
-}
-
 TEST_F(IssueModelTest, OversubscriptionAddsNoCapacity) {
-  double at_36 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 36));
-  double at_72 = model_.ClassIssueBound(MakeClass(
-      OpType::kRead, Pattern::kSequentialIndividual, Media::kPmem, 72));
-  EXPECT_LE(at_72, at_36 * 1.01);
+  // On a socket of 4 logical CPUs the summed per-slot issue rate stays
+  // below the device bound, so issue capacity decides the bandwidth: 8
+  // workers time-slice the 4 CPUs and must get no more than the full
+  // 4-worker placement. The check fails if the memory-system model stops
+  // dividing its summed issue rates by the oversubscription.
+  SystemTopology::Config small;
+  small.physical_cores_per_numa_node = 1;
+  MemSystemConfig config;
+  config.topology = *SystemTopology::Make(small);
+  MemSystemModel model(config);
+  ThreadPlacer placer(config.topology);
+  auto bandwidth = [&](int threads) {
+    AccessClass klass;
+    klass.op = OpType::kRead;
+    klass.pattern = Pattern::kSequentialIndividual;
+    klass.media = Media::kPmem;
+    klass.access_size = 4096;
+    klass.placement = *placer.Place(threads, PinningPolicy::kCores, 0);
+    WorkloadSpec spec;
+    spec.classes.push_back(klass);
+    return model.EvaluateOnce(spec).total_gbps;
+  };
+  const double full = bandwidth(4);
+  const double oversubscribed = bandwidth(8);
+  EXPECT_GT(oversubscribed, 0.0);
+  EXPECT_LE(oversubscribed, full * 1.01);
 }
 
 TEST_F(IssueModelTest, DramFasterThanPmemPerThread) {

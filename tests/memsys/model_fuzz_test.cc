@@ -30,9 +30,9 @@ AccessClass RandomClass(Rng& rng, const MemSystemModel& model) {
   klass.op = kOps[rng.NextBelow(2)];
   klass.pattern = kPatterns[rng.NextBelow(3)];
   klass.media = kMedia[rng.NextBelow(3)];
-  klass.access_size = uint64_t{1} << rng.NextInRange(6, 25);  // 64 B..32 MB
+  klass.access_size = uint64_t{1} << (6 + rng.NextBelow(20));  // 64 B..32 MB
   klass.data_socket = static_cast<int>(rng.NextBelow(2));
-  klass.region_bytes = uint64_t{1} << rng.NextInRange(20, 39);  // 1MB..512GB
+  klass.region_bytes = uint64_t{1} << (20 + rng.NextBelow(20));  // 1MB..512GB
   klass.region_id = static_cast<int>(rng.NextBelow(4));
   klass.run_index = static_cast<int>(1 + rng.NextBelow(2));
   klass.instruction = kInstructions[rng.NextBelow(3)];

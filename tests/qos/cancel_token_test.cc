@@ -77,14 +77,15 @@ TEST(CancelTokenTest, ZeroRetryBudgetExpiresOnFirstRetry) {
 
 TEST(CancelTokenTest, CancelLatchesFirstTerminalStatus) {
   CancelToken token;
-  token.Cancel(Status::FailedPrecondition("caller gave up"));
-  EXPECT_EQ(token.Check().code(), StatusCode::kFailedPrecondition);
-  // A later cancellation (or expiry) cannot replace the latched status.
-  token.Cancel(Status::Internal("should be ignored"));
-  EXPECT_EQ(token.Check().code(), StatusCode::kFailedPrecondition);
-  CancelToken plain;
-  plain.Cancel(Status::OK());
-  EXPECT_EQ(plain.Check().code(), StatusCode::kUnavailable);
+  uint64_t retries = 0;
+  token.ArmRetryBudget(0, [&retries] { return retries; });
+  retries = 1;
+  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
+  // A later expiry cannot replace the latched status, although Check()
+  // tests the wall deadline first.
+  token.ArmWall(0.0);
+  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(token.cancelled());
 }
 
 TEST(CancelTokenTest, ArmFromOptionsWallAndModeled) {

@@ -18,14 +18,6 @@ TEST(SchemaTest, RegionOfNation) {
   EXPECT_EQ(RegionOfNation(24), 4);  // SAUDI ARABIA -> MIDDLE EAST
 }
 
-TEST(SchemaTest, RegionNames) {
-  EXPECT_EQ(RegionName(1), "AMERICA");
-  EXPECT_EQ(RegionName(2), "ASIA");
-  EXPECT_EQ(RegionName(3), "EUROPE");
-  EXPECT_EQ(RegionName(-1), "UNKNOWN");
-  EXPECT_EQ(RegionName(5), "UNKNOWN");
-}
-
 TEST(SchemaTest, NationNames) {
   EXPECT_EQ(NationName(9), "UNITED STATES");
   EXPECT_EQ(NationName(19), "UNITED KINGDOM");
@@ -41,13 +33,6 @@ TEST(SchemaTest, CityNamesMatchSsbFormat) {
   EXPECT_EQ(CityName(CityId(9, 3)), "UNITED ST3");
   // Short nation names are space-padded.
   EXPECT_EQ(CityName(CityId(2, 0)), "KENYA    0");
-}
-
-TEST(SchemaTest, BrandHierarchyNames) {
-  EXPECT_EQ(MfgrName(1), "MFGR#1");
-  EXPECT_EQ(CategoryName(1, 2), "MFGR#12");
-  EXPECT_EQ(BrandName(2, 2, 21), "MFGR#2221");
-  EXPECT_EQ(BrandName(2, 2, 39), "MFGR#2239");
 }
 
 TEST(SchemaTest, BrandAndCategoryIds) {

@@ -266,31 +266,6 @@ TEST(TierManagerTest, SameSequenceProducesByteIdenticalActuatorLogs) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(TierManagerTest, TierRatesOrderFastestFirst) {
-  TierManager manager(&Model(), SmallConfig());
-  EXPECT_GT(manager.TierReadGbps(Tier::kDramTier),
-            manager.TierReadGbps(Tier::kPmemTier));
-  EXPECT_GT(manager.TierReadGbps(Tier::kPmemTier),
-            manager.TierReadGbps(Tier::kSsdTier));
-  EXPECT_DOUBLE_EQ(manager.TierReadGbps(Tier::kSsdTier), 3.20);
-}
-
-TEST(TierManagerTest, PlanStructuresMatchesHybridPlacer) {
-  // The shared entry point is the one placement code path: it must agree
-  // with HybridPlacer::Place exactly.
-  SystemTopology topology = SystemTopology::PaperServer();
-  StructureSizes sizes;
-  sizes.table_bytes = 40ull * kGiB;
-  sizes.index_bytes = 2ull * kGiB;
-  sizes.intermediate_bytes = 1ull * kGiB;
-  HybridPlacement ours = PlanStructures(topology, sizes, 4ull * kGiB);
-  HybridPlacement direct = HybridPlacer(topology).Place(sizes, 4ull * kGiB);
-  EXPECT_EQ(ours.table_media, direct.table_media);
-  EXPECT_EQ(ours.index_media, direct.index_media);
-  EXPECT_EQ(ours.intermediate_media, direct.intermediate_media);
-  EXPECT_EQ(ours.dram_used_bytes, direct.dram_used_bytes);
-}
-
 }  // namespace
 }  // namespace tiering
 }  // namespace pmemolap

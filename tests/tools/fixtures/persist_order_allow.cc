@@ -1,14 +1,13 @@
 // Fixture: persist-order audited escape. Linted as
 // src/durability/fixture.cc — the publish knowingly runs with a dirty
-// store; the annotation (covering both the flow rule and the legacy
-// lexical rule) must silence the diagnostics and be counted.
+// store; the annotation must silence the diagnostic and be counted.
 #include "common/status.h"
 
 namespace pmemolap {
 
 Status PublishKnownDirty(PersistentRegion* log, DurableTable* table) {
   PMEMOLAP_RETURN_NOT_OK(log->Store(0, nullptr, 64));
-  // lint:allow(persist-order, persist-discipline): fixture exercises
+  // lint:allow(persist-order): fixture exercises
   // the audited escape for a deliberately unordered publish.
   table->AdvanceCommitted(1, 64, 96);
   return Status::OK();

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -309,46 +310,32 @@ TEST(LintRawThread, ServiceMayNotSpawnThreads) {
   EXPECT_TRUE(RulesHit(report).count("raw-thread"));
 }
 
-// --- persist-discipline ----------------------------------------------------
+// --- persist-order (flow-sensitive) ----------------------------------------
 
-TEST(LintPersistDiscipline, FlagsPublishWithPendingStores) {
-  Report report = LintFixtureAs("persist_discipline_violation.cc",
+TEST(LintPersistOrder, FlagsPublishWithPendingStores) {
+  Report report = LintFixtureAs("persist_order_publish_violation.cc",
                                 "src/durability/fixture.cc");
-  // The legacy linear rule and the flow-sensitive pass agree on this
-  // fixture: both flavors of unpersisted publish are caught.
-  EXPECT_EQ(RulesHit(report),
-            (std::set<std::string>{"persist-discipline", "persist-order"}));
-  std::set<std::string> messages;
+  EXPECT_EQ(RulesHit(report), std::set<std::string>{"persist-order"});
+  // Both flavors of unpersisted publish are caught at the publish: a
+  // store still dirty in the modeled cache, and a flush with no Fence.
+  std::map<int, std::string> publishes;
   for (const auto& diagnostic : report.diagnostics) {
-    if (diagnostic.rule == "persist-discipline") {
-      messages.insert(diagnostic.message);
+    if (diagnostic.message.rfind("AdvanceCommitted()", 0) == 0) {
+      publishes[diagnostic.line] = diagnostic.message;
     }
   }
-  ASSERT_EQ(messages.size(), 2u);  // dirty-cache + unfenced WPQ
-  EXPECT_NE(messages.begin()->find("dirty in the modeled cache"),
+  ASSERT_EQ(publishes.size(), 2u);
+  EXPECT_NE(publishes[11].find("dirty in the modeled cache"),
             std::string::npos);
-  EXPECT_NE(messages.rbegin()->find("pending in the WPQ"),
+  EXPECT_NE(publishes[19].find("has not reached a Fence()"),
             std::string::npos);
 }
 
-TEST(LintPersistDiscipline, CompleteLaddersAndFunctionResetsAreClean) {
-  Report report = LintFixtureAs("persist_discipline_clean.cc",
+TEST(LintPersistOrder, CompleteLaddersAndFunctionResetsAreClean) {
+  Report report = LintFixtureAs("persist_order_publish_clean.cc",
                                 "src/durability/fixture.cc");
   EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
 }
-
-TEST(LintPersistDiscipline, OnlyTheDurabilityLayerIsChecked) {
-  // The engine calls no persistence primitive directly; the rule would
-  // only produce noise outside src/durability/.
-  Report engine = LintFixtureAs("persist_discipline_violation.cc",
-                                "src/engine/fixture.cc");
-  EXPECT_FALSE(RulesHit(engine).count("persist-discipline"));
-  Report tests = LintFixtureAs("persist_discipline_violation.cc",
-                               "tests/durability/fixture.cc");
-  EXPECT_FALSE(RulesHit(tests).count("persist-discipline"));
-}
-
-// --- persist-order (flow-sensitive) ----------------------------------------
 
 TEST(LintPersistOrder, FlagsFlushMissingOnOneBranchArm) {
   Report report = LintFixtureAs("persist_order_branchy_violation.cc",
@@ -414,7 +401,7 @@ TEST(LintPersistOrder, AllowAnnotationSilencesTheFlowPass) {
   Report report = LintFixtureAs("persist_order_allow.cc",
                                 "src/durability/fixture.cc");
   EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
-  EXPECT_EQ(report.allowed, 2);  // persist-order + persist-discipline
+  EXPECT_EQ(report.allowed, 1);
 }
 
 TEST(LintPersistOrder, BrokenWritePathIsCaughtStatically) {
@@ -662,6 +649,85 @@ TEST(LintAllowlist, AllowOnlySilencesItsOwnRule) {
   EXPECT_EQ(report.allowed, 0);
 }
 
+// --- test-only-api (tree pass) ---------------------------------------------
+
+/// Lints the fixture tree whose src/core/api.h declares one function per
+/// kind of use (bench/, perfbench/, examples/*.cpp, its own .cc, a
+/// qualified call) plus one that only tests/ call.
+Report LintTestOnlyApiTree() {
+  Report report;
+  EXPECT_GT(LintTree(std::string(PMEMOLAP_LINT_FIXTURES) + "/test_only_api",
+                     &report),
+            0);
+  return report;
+}
+
+bool Flags(const Report& report, const std::string& name) {
+  for (const auto& diagnostic : report.diagnostics) {
+    if (diagnostic.rule == "test-only-api" &&
+        diagnostic.message.find("'" + name + "'") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(LintTestOnlyApi, FlagsAFunctionOnlyTestsCallAtItsHeaderLine) {
+  Report report = LintTestOnlyApiTree();
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].rule, "test-only-api");
+  EXPECT_EQ(report.diagnostics[0].file, "src/core/api.h");
+  EXPECT_EQ(report.diagnostics[0].line, 7);
+  EXPECT_TRUE(Flags(report, "OnlyTestsCallThis"));
+}
+
+TEST(LintTestOnlyApi, BenchPerfbenchAndExampleUsesCount) {
+  Report report = LintTestOnlyApiTree();
+  EXPECT_FALSE(Flags(report, "UsedByBench"));
+  EXPECT_FALSE(Flags(report, "UsedByPerfbench"));
+  EXPECT_FALSE(Flags(report, "UsedByExample"));
+}
+
+TEST(LintTestOnlyApi, PrivateHelperCalledFromItsOwnSourceIsClean) {
+  // Called as `return PrivateHelper(x);`: an expression keyword is no type.
+  EXPECT_FALSE(Flags(LintTestOnlyApiTree(), "PrivateHelper"));
+}
+
+TEST(LintTestOnlyApi, QualifiedCallIsAUseNotADeclaration) {
+  // `ns::Foo(` reads as a declaration to a check that does not drop the
+  // trailing qualifier chain first: once as a statement, once as a call
+  // argument on a continuation line.
+  Report report = LintTestOnlyApiTree();
+  EXPECT_FALSE(Flags(report, "QualifiedAtLineStart"));
+  EXPECT_FALSE(Flags(report, "QualifiedAsArgument"));
+}
+
+TEST(LintTestOnlyApi, CallContinuingAnArgumentListIsAUse) {
+  // `    total, Foo(` on a continuation line: the comma outside `<>`
+  // separates arguments, so the text before the name is no type.
+  EXPECT_FALSE(Flags(LintTestOnlyApiTree(), "UsedAfterAComma"));
+}
+
+TEST(LintTestOnlyApi, AllowSilencesTheHitAndIsInventoried) {
+  Report report = LintTestOnlyApiTree();
+  EXPECT_FALSE(Flags(report, "AllowedName"));
+  EXPECT_EQ(report.allowed, 1);
+  ASSERT_EQ(report.allow_audits.size(), 1u);
+  EXPECT_EQ(report.allow_audits[0].rule, "test-only-api");
+  EXPECT_EQ(report.allow_audits[0].file, "src/core/api.h");
+  EXPECT_FALSE(report.allow_audits[0].reason.empty());
+  std::string fixtures(PMEMOLAP_LINT_FIXTURES);
+  EXPECT_EQ(RunBinary("--list-allows --root " + fixtures + "/test_only_api"),
+            0);
+}
+
+TEST(LintTestOnlyApi, SingleFileLintDoesNotRunTheTreePass) {
+  // Without the workload tree there is no use set to judge against.
+  Report report =
+      LintFixtureAs("test_only_api/src/core/api.h", "src/core/api.h");
+  EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
+}
+
 // --- CLI exit codes --------------------------------------------------------
 
 TEST(LintCli, ExitCodesMatchContract) {
@@ -690,7 +756,7 @@ TEST(LintCli, ListAllowsAuditsReasons) {
 TEST(LintAllowlist, AllowNotesAreInventoriedForTheAudit) {
   Report report = LintFixtureAs("persist_order_allow.cc",
                                 "src/durability/fixture.cc");
-  ASSERT_EQ(report.allow_audits.size(), 2u);
+  ASSERT_EQ(report.allow_audits.size(), 1u);
   EXPECT_EQ(report.allow_audits[0].rule, "persist-order");
   EXPECT_FALSE(report.allow_audits[0].reason.empty());
   EXPECT_EQ(report.allow_audits[0].file, "src/durability/fixture.cc");
@@ -725,7 +791,7 @@ TEST(LintReport, DiagnosticFormatIsFileLineRule) {
 
 TEST(LintReport, RuleNamesAreStable) {
   EXPECT_EQ(RuleNames().size(), 12u);
-  EXPECT_EQ(RuleNames().back(), "persist-mixed-store");
+  EXPECT_EQ(RuleNames().back(), "test-only-api");
 }
 
 }  // namespace

@@ -16,57 +16,6 @@ TEST(InterleaveTest, MakeValidates) {
   EXPECT_TRUE(InterleaveMap::Make(4096, 6).ok());
 }
 
-TEST(InterleaveTest, DimmForOffsetRoundRobin) {
-  InterleaveMap map = PaperMap();
-  // Paper Figure 2: 4 KB stripes rotate 0,1,2,3,4,5,0,1,...
-  EXPECT_EQ(map.DimmForOffset(0), 0);
-  EXPECT_EQ(map.DimmForOffset(4 * kKiB - 1), 0);
-  EXPECT_EQ(map.DimmForOffset(4 * kKiB), 1);
-  EXPECT_EQ(map.DimmForOffset(5 * 4 * kKiB), 5);
-  EXPECT_EQ(map.DimmForOffset(6 * 4 * kKiB), 0);
-}
-
-TEST(InterleaveTest, BytesPerDimmSingleStripe) {
-  InterleaveMap map = PaperMap();
-  auto per_dimm = map.BytesPerDimm(0, 4 * kKiB);
-  EXPECT_EQ(per_dimm[0], 4 * kKiB);
-  for (int d = 1; d < 6; ++d) EXPECT_EQ(per_dimm[d], 0u);
-}
-
-TEST(InterleaveTest, BytesPerDimmSpansStripes) {
-  InterleaveMap map = PaperMap();
-  // 24 KB starting at 2 KB: touches dimm0 (2K), dimms 1-5 (4K each), dimm0
-  // again (2K).
-  auto per_dimm = map.BytesPerDimm(2 * kKiB, 24 * kKiB);
-  EXPECT_EQ(per_dimm[0], 4 * kKiB);
-  for (int d = 1; d < 6; ++d) EXPECT_EQ(per_dimm[d], 4 * kKiB);
-}
-
-TEST(InterleaveTest, BytesPerDimmConservesTotal) {
-  InterleaveMap map = PaperMap();
-  for (uint64_t offset : {0ull, 100ull, 5000ull, 123456ull}) {
-    for (uint64_t size : {64ull, 4096ull, 70000ull}) {
-      auto per_dimm = map.BytesPerDimm(offset, size);
-      uint64_t total = 0;
-      for (uint64_t bytes : per_dimm) total += bytes;
-      EXPECT_EQ(total, size) << offset << "+" << size;
-    }
-  }
-}
-
-TEST(InterleaveTest, DimmsTouched) {
-  InterleaveMap map = PaperMap();
-  EXPECT_EQ(map.DimmsTouched(0, 0), 0);
-  EXPECT_EQ(map.DimmsTouched(0, 64), 1);
-  EXPECT_EQ(map.DimmsTouched(0, 4 * kKiB), 1);
-  EXPECT_EQ(map.DimmsTouched(0, 4 * kKiB + 1), 2);
-  // > 20 KB spans all six DIMMs (paper §2.1).
-  EXPECT_EQ(map.DimmsTouched(0, 24 * kKiB), 6);
-  EXPECT_EQ(map.DimmsTouched(0, kMiB), 6);
-  // Straddling a boundary with a tiny access touches two DIMMs.
-  EXPECT_EQ(map.DimmsTouched(4 * kKiB - 32, 64), 2);
-}
-
 TEST(InterleaveTest, GroupedSmallAccessCollapsesToOneDimm) {
   InterleaveMap map = PaperMap();
   // 36 threads x 64 B barely covers half a stripe: ~1.5 DIMMs busy — the

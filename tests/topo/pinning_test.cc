@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace pmemolap {
 namespace {
+
+int Hyperthreaded(const ThreadPlacement& placement) {
+  return static_cast<int>(std::count_if(
+      placement.slots.begin(), placement.slots.end(),
+      [](const ThreadSlot& slot) { return slot.on_hyperthread; }));
+}
 
 class PinningTest : public ::testing::Test {
  protected:
@@ -21,7 +29,7 @@ TEST_F(PinningTest, CoresPinningFillsPhysicalFirst) {
   auto placement = placer_.Place(18, PinningPolicy::kCores, 0);
   ASSERT_TRUE(placement.ok());
   EXPECT_EQ(placement->threads(), 18);
-  EXPECT_EQ(placement->CountHyperthreaded(), 0);
+  EXPECT_EQ(Hyperthreaded(*placement), 0);
   EXPECT_EQ(placement->CountNear(), 18);
   EXPECT_DOUBLE_EQ(placement->MeanMigrationRate(), 0.0);
 }
@@ -29,7 +37,7 @@ TEST_F(PinningTest, CoresPinningFillsPhysicalFirst) {
 TEST_F(PinningTest, CoresPinningUsesHyperthreadsBeyond18) {
   auto placement = placer_.Place(24, PinningPolicy::kCores, 0);
   ASSERT_TRUE(placement.ok());
-  EXPECT_EQ(placement->CountHyperthreaded(), 6);
+  EXPECT_EQ(Hyperthreaded(*placement), 6);
   EXPECT_EQ(placement->CountNear(), 24);
 }
 
@@ -63,7 +71,6 @@ TEST_F(PinningTest, NonePinningSpreadsAcrossSockets) {
   ASSERT_TRUE(placement.ok());
   // Round-robin: half near, half far.
   EXPECT_EQ(placement->CountNear(), 4);
-  EXPECT_DOUBLE_EQ(placement->NearFraction(), 0.5);
   EXPECT_DOUBLE_EQ(placement->MeanMigrationRate(), 1.0);
 }
 
@@ -86,9 +93,8 @@ TEST_F(PinningTest, PolicyNames) {
   EXPECT_STREQ(PinningPolicyName(PinningPolicy::kCores), "Cores");
 }
 
-TEST_F(PinningTest, NearFractionEmptyPlacementIsOne) {
+TEST_F(PinningTest, EmptyPlacementHasNoMigration) {
   ThreadPlacement placement;
-  EXPECT_DOUBLE_EQ(placement.NearFraction(), 1.0);
   EXPECT_DOUBLE_EQ(placement.MeanMigrationRate(), 0.0);
 }
 

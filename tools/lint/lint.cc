@@ -4,7 +4,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -357,50 +359,6 @@ void CheckUnseededRng(const FileContext& ctx) {
   }
 }
 
-// --- Rule: persist-discipline ----------------------------------------------
-
-/// The durability layer's WAL contract: the volatile publish
-/// (AdvanceCommitted) must never run while modeled stores are still
-/// unpersisted — dirty in the modeled cache (Store without a FlushRange)
-/// or sitting in the WPQ (FlushRange/NtStore without a Fence). Recovery
-/// correctness depends on store -> flush -> fence -> publish at every
-/// call site, so the discipline is checked lexically: per function
-/// (tracking resets at column-0 lines, where definitions start and
-/// statements never do), Store marks the cache dirty, FlushRange moves
-/// dirty to WPQ-accepted, NtStore marks accepted directly, Fence drains
-/// accepted. AdvanceCommitted with anything still pending is an error.
-void CheckPersistDiscipline(const FileContext& ctx) {
-  if (ctx.in_tests || ctx.layer != "durability") return;
-  bool dirty = false;     // Store since the last FlushRange
-  bool accepted = false;  // FlushRange/NtStore since the last Fence
-  for (size_t i = 0; i < ctx.scan->code.size(); ++i) {
-    const std::string& code = ctx.scan->code[i];
-    size_t first = code.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    if (first == 0) {  // top-level line: a new function begins
-      dirty = false;
-      accepted = false;
-    }
-    if (CallsFunction(code, "AdvanceCommitted") && (dirty || accepted)) {
-      Emit(ctx, static_cast<int>(i), "persist-discipline",
-           std::string("AdvanceCommitted() while stores are still ") +
-               (dirty ? "dirty in the modeled cache (Store without a "
-                        "FlushRange)"
-                      : "pending in the WPQ (no Fence since the last "
-                        "FlushRange/NtStore)") +
-               "; the publish order is store -> flush -> fence -> "
-               "publish, or recovery can expose uncommitted bytes");
-    }
-    if (CallsFunction(code, "Store")) dirty = true;
-    if (CallsFunction(code, "FlushRange")) {
-      dirty = false;
-      accepted = true;
-    }
-    if (CallsFunction(code, "NtStore")) accepted = true;
-    if (CallsFunction(code, "Fence")) accepted = false;
-  }
-}
-
 // --- Rule: persist-raw-write -----------------------------------------------
 
 /// Only `Store`/`NtStore` may mutate persisted state: they are crash
@@ -457,6 +415,189 @@ void CheckPersistRawWrite(const FileContext& ctx) {
   }
 }
 
+// --- Rule: test-only-api (tree pass) ---------------------------------------
+
+// A function declared in a src/ header earns its place only if some
+// workload calls it: a test that runs code no bench, example or
+// perfbench run reaches is evidence about a copy, not about the
+// pipeline. The pass is lexical and name-based: a CamelCase name
+// declared in a src/**/*.h header is flagged when no .h/.cc/.cpp file
+// under src/, bench/, examples/ or perfbench/ *uses* it (tests/ never
+// count). Every occurrence that is not a declaration is a use, so the
+// rule can miss dead code (a shared name keeps it alive) but never
+// flags live code.
+
+/// CamelCase: an uppercase first letter, at least one lowercase letter,
+/// no underscore (macros are not functions).
+bool IsCamelCase(const std::string& word) {
+  if (word.empty() || !std::isupper(static_cast<unsigned char>(word[0]))) {
+    return false;
+  }
+  bool lower = false;
+  for (char c : word) {
+    if (c == '_') return false;
+    lower = lower || std::islower(static_cast<unsigned char>(c));
+  }
+  return lower;
+}
+
+/// Keywords that can precede a call but never spell a type: in
+/// `return Foo(x)` the name is used, not declared.
+bool IsExpressionKeyword(const std::string& word) {
+  static const std::set<std::string> kKeywords = {
+      "return", "co_return", "co_await", "co_yield", "throw",
+      "else",   "case",      "new",      "delete",   "do"};
+  return kKeywords.count(word) > 0;
+}
+
+/// True when the occurrence of an identifier at [pos, end) of `code`
+/// declares it: `(` follows, and the text before it on its line — once a
+/// trailing `Name::` chain is dropped — is a non-empty run of type tokens
+/// (identifiers, `::`, `<>`, template commas, `*`, `&`, `[]`) that ends
+/// in whitespace, `*`, `&` or `>`. The chain is dropped first so that a
+/// qualified call (`ns::Foo(`) reads as a use; a comma outside `<>` is an
+/// argument separator, so a call continuing an argument list is a use.
+bool IsDeclaration(const std::string& code, size_t pos, size_t end) {
+  size_t after = code.find_first_not_of(" \t", end);
+  if (after == std::string::npos || code[after] != '(') return false;
+  size_t cut = pos;
+  while (cut >= 2 && code[cut - 1] == ':' && code[cut - 2] == ':') {
+    size_t start = cut - 2;
+    while (start > 0 && IsWordChar(code[start - 1])) --start;
+    if (start == cut - 2) break;  // a leading `::` qualifies nothing
+    cut = start;
+  }
+  if (cut == 0) return false;
+  char last = code[cut - 1];
+  if (!(std::isspace(static_cast<unsigned char>(last)) || last == '*' ||
+        last == '&' || last == '>')) {
+    return false;
+  }
+  bool identifier = false;
+  int angle = 0;
+  for (size_t i = 0; i < cut;) {
+    char c = code[i];
+    if (IsWordChar(c)) {
+      size_t j = i;
+      while (j < cut && IsWordChar(code[j])) ++j;
+      if (IsExpressionKeyword(code.substr(i, j - i))) return false;
+      identifier = true;
+      i = j;
+      continue;
+    }
+    if (c == ':') {
+      if (i + 1 >= cut || code[i + 1] != ':') return false;
+      i += 2;
+      continue;
+    }
+    if (c == '<') ++angle;
+    if (c == '>' && --angle < 0) return false;
+    if (c == ',' && angle == 0) return false;
+    if (!std::isspace(static_cast<unsigned char>(c)) &&
+        std::string("<>,*&[]").find(c) == std::string::npos) {
+      return false;
+    }
+    ++i;
+  }
+  return identifier;
+}
+
+/// Calls `visit(name, declaration)` for every CamelCase identifier on
+/// one line of blanked code.
+template <typename Visit>
+void ForEachCamelCase(const std::string& code, Visit visit) {
+  for (size_t i = 0; i < code.size();) {
+    if (!IsWordChar(code[i])) {
+      ++i;
+      continue;
+    }
+    size_t j = i;
+    while (j < code.size() && IsWordChar(code[j])) ++j;
+    std::string word = code.substr(i, j - i);
+    if (IsCamelCase(word)) visit(word, IsDeclaration(code, i, j));
+    i = j;
+  }
+}
+
+/// Repo-relative paths of every .h/.cc/.cpp file under `root`/`tops`,
+/// sorted; lint fixture directories are skipped (they violate on
+/// purpose and are linted explicitly by the test suite).
+std::vector<std::string> SourceFiles(const std::filesystem::path& base,
+                                     std::initializer_list<const char*> tops) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  for (const char* top : tops) {
+    fs::path dir = base / top;
+    if (!fs::is_directory(dir)) continue;
+    for (auto it = fs::recursive_directory_iterator(dir);
+         it != fs::recursive_directory_iterator(); ++it) {
+      if (it->is_directory() && it->path().filename() == "fixtures") {
+        it.disable_recursion_pending();
+        continue;
+      }
+      if (!it->is_regular_file()) continue;
+      std::string ext = it->path().extension().string();
+      if (ext != ".h" && ext != ".cc" && ext != ".cpp") continue;
+      files.push_back(fs::relative(it->path(), base).generic_string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+std::optional<std::string> ReadText(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void CheckTestOnlyApi(const std::filesystem::path& base, Report* report) {
+  struct Declaration {
+    std::string path;
+    int line_index;
+    std::string name;
+  };
+  std::map<std::string, ScannedFile> scans;
+  std::vector<Declaration> declarations;
+  std::set<std::string> declared;
+  for (const std::string& path :
+       SourceFiles(base, {"src", "bench", "examples", "perfbench"})) {
+    const ScannedFile& scan =
+        scans.emplace(path, ScanFile(ReadText(base / path).value_or("")))
+            .first->second;
+    if (path.rfind("src/", 0) != 0 || !IsHeader(path)) continue;
+    for (size_t i = 0; i < scan.code.size(); ++i) {
+      ForEachCamelCase(scan.code[i], [&](const std::string& name,
+                                         bool declaration) {
+        if (!declaration) return;
+        declarations.push_back({path, static_cast<int>(i), name});
+        declared.insert(name);
+      });
+    }
+  }
+  std::set<std::string> used;
+  for (const auto& [path, scan] : scans) {
+    for (const std::string& code : scan.code) {
+      ForEachCamelCase(code, [&](const std::string& name, bool declaration) {
+        if (!declaration && declared.count(name)) used.insert(name);
+      });
+    }
+  }
+  for (const Declaration& site : declarations) {
+    if (used.count(site.name)) continue;
+    EmitDiagnostic(site.path, scans.at(site.path), site.line_index,
+                   "test-only-api",
+                   "'" + site.name +
+                       "' is declared in a src/ header but no file under "
+                       "src/, bench/, examples/ or perfbench/ uses it; "
+                       "delete it (and the tests that check only it), or "
+                       "justify with // lint:allow(test-only-api): <reason>",
+                   report);
+  }
+}
+
 }  // namespace
 
 std::string Diagnostic::ToString() const {
@@ -468,9 +609,9 @@ std::vector<std::string> RuleNames() {
   return {"layering",           "determinism",
           "raw-thread",         "volatile-sync",
           "header-static",      "discarded-status",
-          "unseeded-rng",       "persist-discipline",
-          "persist-raw-write",  "persist-order",
-          "persist-double-flush", "persist-mixed-store"};
+          "unseeded-rng",       "persist-raw-write",
+          "persist-order",      "persist-double-flush",
+          "persist-mixed-store", "test-only-api"};
 }
 
 void LintFileContent(const std::string& path, const std::string& content,
@@ -489,7 +630,6 @@ void LintFileContent(const std::string& path, const std::string& content,
   CheckHeaderStatic(ctx);
   CheckDiscardedStatus(ctx);
   CheckUnseededRng(ctx);
-  CheckPersistDiscipline(ctx);
   CheckPersistRawWrite(ctx);
   CheckPersistOrder(path, scan, report);
   for (const AllowNote& note : scan.allow_notes) {
@@ -501,43 +641,20 @@ void LintFileContent(const std::string& path, const std::string& content,
 
 bool LintFile(const std::string& fs_path, const std::string& repo_relative,
               Report* report) {
-  std::ifstream in(fs_path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  LintFileContent(repo_relative, buffer.str(), report);
+  std::optional<std::string> content = ReadText(fs_path);
+  if (!content) return false;
+  LintFileContent(repo_relative, *content, report);
   return true;
 }
 
 int LintTree(const std::string& root, Report* report) {
-  namespace fs = std::filesystem;
-  fs::path base(root);
-  if (!fs::is_directory(base / "src")) return -1;
-  std::vector<std::string> files;
-  for (const char* top : {"src", "tests"}) {
-    fs::path dir = base / top;
-    if (!fs::is_directory(dir)) continue;
-    for (auto it = fs::recursive_directory_iterator(dir);
-         it != fs::recursive_directory_iterator(); ++it) {
-      if (it->is_directory() && it->path().filename() == "fixtures") {
-        // Lint-rule fixtures violate on purpose; they are linted
-        // explicitly by the test suite, never by a tree walk.
-        it.disable_recursion_pending();
-        continue;
-      }
-      if (!it->is_regular_file()) continue;
-      std::string ext = it->path().extension().string();
-      if (ext != ".h" && ext != ".cc") continue;
-      files.push_back(it->path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
+  std::filesystem::path base(root);
+  if (!std::filesystem::is_directory(base / "src")) return -1;
   int scanned = 0;
-  for (const std::string& file : files) {
-    std::string relative =
-        fs::relative(fs::path(file), base).generic_string();
-    if (LintFile(file, relative, report)) ++scanned;
+  for (const std::string& relative : SourceFiles(base, {"src", "tests"})) {
+    if (LintFile((base / relative).string(), relative, report)) ++scanned;
   }
+  CheckTestOnlyApi(base, report);
   return scanned;
 }
 

@@ -13,13 +13,15 @@
 //   header-static        no mutable static storage in headers (ODR+races)
 //   discarded-status     (void)-discarding a Status needs an audit note
 //   unseeded-rng         std:: RNG engines must be constructed seeded
-//   persist-discipline   per-line publish-order check (legacy, coarse)
 //   persist-raw-write    memcpy/memset into PersistentRegion memory is
 //                        banned outside src/durability/
 //   persist-order        flow-sensitive store->flush->fence->publish
 //   persist-double-flush redundant FlushRange of an already-flushed
 //                        range (perf diagnostic)    } persist_check.h
 //   persist-mixed-store  NtStore/Store interleaved  }
+//   test-only-api        a function declared in a src/ header that no
+//                        file under src/, bench/, examples/ or
+//                        perfbench/ uses (tree pass; tests/ never count)
 //
 // Audited exceptions are annotated in the source:
 //
@@ -90,8 +92,11 @@ bool LintFile(const std::string& fs_path, const std::string& repo_relative,
               Report* report);
 
 /// Walks `root`/src and `root`/tests (skipping lint fixture directories
-/// and anything that is not .h/.cc) and lints every file. Returns the
-/// number of files scanned, or -1 if root lacks a src/ directory.
+/// and anything that is not .h/.cc/.cpp) and lints every file, then runs
+/// the tree-level test-only-api pass, which also reads `root`/bench,
+/// `root`/examples and `root`/perfbench to collect uses. Returns the
+/// number of src/ and tests/ files scanned, or -1 if root lacks a src/
+/// directory.
 int LintTree(const std::string& root, Report* report);
 
 /// Process exit code for a finished run: 0 clean, 1 violations.

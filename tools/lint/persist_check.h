@@ -11,11 +11,10 @@
 //
 // and a *publish* (AdvanceCommitted / RestoreCommitted / the runtime
 // oracle's OnPublish declaration) may only run once every prior store
-// has walked the whole ladder. The old `persist-discipline` rule checks
-// this per line of text; this pass checks it per *path*: it tokenizes
-// the comment/string-blanked code (scanner.h), finds every function
-// body that touches a persistence primitive through a member call,
-// builds a statement-level control-flow structure (if/else, loops,
+// has walked the whole ladder. This pass checks it per *path*: it
+// tokenizes the comment/string-blanked code (scanner.h), finds every
+// function body that touches a persistence primitive through a member
+// call, builds a statement-level control-flow structure (if/else, loops,
 // early returns, PMEMOLAP_*_RETURN macro exits), and pushes a per-store
 // lattice (dirty -> flushed -> fenced, tracked per receiver and per
 // offset expression) through it to a fixpoint.

@@ -1,6 +1,9 @@
 // pmemolap_lint CLI.
 //
 //   pmemolap_lint [--root DIR]            lint DIR/src and DIR/tests
+//                                         (test-only-api also reads
+//                                         DIR/bench, DIR/examples and
+//                                         DIR/perfbench for uses)
 //   pmemolap_lint [--root DIR] PATH...    lint exactly the given files
 //                                         (PATHs are repo-relative;
 //                                         fixture exclusions do not apply)
