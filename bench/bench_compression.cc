@@ -45,30 +45,10 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
 std::string F2(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.2f", v);
   return buffer;
-}
-
-std::string F3(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", v);
-  return buffer;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -468,9 +448,5 @@ int main(int argc, char** argv) {
   RunModeledScorecard(db.value(), model, reference, json);
   RunWallClockScan(json);
   RunPerQueryWallClock(db.value(), model, reference, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_compression.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "compression");
 }

@@ -37,19 +37,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
-std::string F3(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", v);
-  return buffer;
-}
-
 EngineConfig BaseConfig() {
   EngineConfig config;
   config.mode = EngineMode::kPmemAware;
@@ -135,13 +122,6 @@ SweepResult RunSweep(const ssb::Database& db, const MemSystemModel& model,
     if (run->output == reference.Execute(query)) ++result.verified;
   }
   return result;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 void PrintSweepTable(const SweepResult& fixed, const SweepResult& governed) {
@@ -383,9 +363,5 @@ int main(int argc, char** argv) {
   RunMixed(db.value(), model, reference, json);
   RunShapingAblation(db.value(), model, reference, json);
   RunDeterminism(db.value(), model, reference, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_governor.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "governor");
 }

@@ -37,17 +37,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
-std::string U64(uint64_t v) {
-  return std::to_string(static_cast<unsigned long long>(v));
-}
-
 EngineConfig BaseConfig() {
   EngineConfig config;
   config.mode = EngineMode::kPmemAware;
@@ -388,9 +377,5 @@ int main(int argc, char** argv) {
   RunBreakerComparison(db.value(), reference, reps, json);
   RunAdmissionBurst(db.value(), reference, json);
   RunDeadlineDemo(db.value(), json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_overload.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "overload");
 }

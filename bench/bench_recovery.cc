@@ -40,19 +40,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
-std::string F3(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", v);
-  return buffer;
-}
-
 std::vector<std::byte> PatternBytes(uint64_t size, int salt) {
   std::vector<std::byte> bytes(size);
   for (uint64_t i = 0; i < size; ++i) {
@@ -371,13 +358,6 @@ SsbSweep RunSsb(const ssb::Database& db, const MemSystemModel& model,
   return sweep;
 }
 
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 void RunSsbTax(const ssb::Database& db, const MemSystemModel& model,
                const ssb::ReferenceExecutor& reference, std::ofstream& json) {
   std::printf("\n[4] SSB durability tax under the governor\n");
@@ -519,9 +499,5 @@ int main(int argc, char** argv) {
   RunRecoveryScaling(json);
   RunCrashSweep(json);
   RunSsbTax(db.value(), model, reference, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_recovery.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "recovery");
 }

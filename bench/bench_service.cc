@@ -45,17 +45,6 @@ using namespace pmemolap::service;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
-std::string U64(uint64_t v) {
-  return std::to_string(static_cast<unsigned long long>(v));
-}
-
 ServiceConfig BaseServiceConfig(uint64_t clients, double horizon) {
   ServiceConfig config;
   config.workload.num_clients = clients;
@@ -480,9 +469,5 @@ int main(int argc, char** argv) {
   RunFaultStorm(db.value(), model, chaos_clients, horizon, json);
   RunCrashCampaign(db.value(), model, chaos_clients, horizon, json);
   RunWriteKnee(db.value(), model, chaos_clients, horizon, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_service.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "service");
 }

@@ -43,19 +43,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
-std::string F3(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", v);
-  return buffer;
-}
-
 EngineConfig BaseConfig(double project_to_sf) {
   EngineConfig config;
   config.mode = EngineMode::kPmemAware;
@@ -190,13 +177,6 @@ ScheduleResult RunSchedule(const ssb::Database& db,
   }
   result.final_placement = manager.snapshot();
   return result;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 /// Paired per-entry geomean speedup of `slow` over `fast`.
@@ -466,9 +446,5 @@ int main(int argc, char** argv) {
   RunIdentity(db.value(), model, reference, json);
   RunSf100(db.value(), model, schedule, json);
   RunDeterminism(db.value(), model, schedule, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
-  json.close();
-  std::printf("\nwrote BENCH_tiering.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return FinishScorecard(json, "tiering");
 }

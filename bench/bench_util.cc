@@ -1,6 +1,8 @@
 #include "bench_util.h"
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 
 namespace pmemolap::bench {
 
@@ -38,6 +40,38 @@ void PrintBandwidthGrid(const WorkloadRunner& runner, OpType op,
     table.AddRow(std::move(row));
   }
   table.Print();
+}
+
+int g_failures = 0;
+
+void Claim(bool ok, const std::string& text) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
+  if (!ok) ++g_failures;
+}
+
+int FinishScorecard(std::ofstream& json, const char* bench) {
+  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json.close();
+  std::printf("\nwrote BENCH_%s.json (%d claim(s) failed)\n", bench,
+              g_failures);
+  return g_failures == 0 ? 0 : 1;
+}
+
+std::string F3(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", v);
+  return buffer;
+}
+
+double Geomean(const std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  double log_sum = 0.0;
+  for (double v : values) log_sum += std::log(v);
+  return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+std::string U64(uint64_t v) {
+  return std::to_string(static_cast<unsigned long long>(v));
 }
 
 }  // namespace pmemolap::bench

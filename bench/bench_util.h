@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,5 +40,23 @@ void PrintBandwidthGrid(const WorkloadRunner& runner, OpType op,
                         const std::vector<uint64_t>& sizes,
                         const std::vector<int>& threads,
                         const RunOptions& options);
+
+/// Scorecard claims. Claim prints "  [PASS|FAIL] <text>" and counts each
+/// FAIL in g_failures; a bench that reports a failure in its own words
+/// increments g_failures itself.
+extern int g_failures;
+void Claim(bool ok, const std::string& text);
+
+/// Ends a scorecard: writes the "claims_failed" field and the closing
+/// brace to `json`, prints "wrote BENCH_<bench>.json (<n> claim(s)
+/// failed)", and returns the exit code (0 only when every claim passed).
+int FinishScorecard(std::ofstream& json, const char* bench);
+
+/// `v` with three decimals.
+std::string F3(double v);
+/// Geometric mean; 0 for an empty list.
+double Geomean(const std::vector<double>& values);
+/// `v` in decimal.
+std::string U64(uint64_t v);
 
 }  // namespace pmemolap::bench

@@ -114,45 +114,41 @@ std::vector<StagingCandidate> BandwidthGovernor::StageTargets(
   // Merge per-class benefits into one candidate per structure name.
   std::map<std::string, StagingCandidate> merged;
   for (const ClassTelemetry& klass : sample.classes) {
+    const TrafficRecord& record = klass.record;
     if (klass.background) continue;
-    if (klass.gbps <= 0.0 || klass.bytes == 0) continue;
-    std::string name = StageName(klass.label);
+    if (klass.gbps <= 0.0 || record.bytes == 0) continue;
+    std::string name = StageName(record.label);
     if (name.empty()) continue;
     // A PMEM class is a fresh candidate; a DRAM class is only interesting
     // if it is DRAM *because we staged it* — then the benefit is judged
     // against its counterfactual PMEM rate, so the act of staging does
     // not erase the evidence that staging pays (no stage/evict flapping).
     const bool already_staged =
-        klass.media == Media::kDram && decision_.IsStaged(name);
-    if (klass.media != Media::kPmem && !already_staged) continue;
+        record.media == Media::kDram && decision_.IsStaged(name);
+    if (record.media != Media::kPmem && !already_staged) continue;
 
-    // The same class shape on the other media: the rate the structure
-    // would see staged in DRAM (candidates) or back on PMEM (retention).
-    ThreadPlacer placer(model_->config().topology);
-    Result<ThreadPlacement> placement = placer.Place(
-        std::max(klass.threads, 1), PinningPolicy::kCores, klass.socket);
-    if (!placement.ok()) continue;
-    AccessClass other;
-    other.op = klass.op;
-    other.pattern = klass.pattern;
+    // The same record on the other media, through the one record→class
+    // translation: the rate the structure would see staged in DRAM
+    // (candidates) or back on PMEM (retention). The sample does not carry
+    // the run's pinning, so the counterfactual pins to cores.
+    TrafficRecord other = record;
     other.media = already_staged ? Media::kPmem : Media::kDram;
-    other.access_size = std::max<uint64_t>(klass.access_size, 64);
-    other.placement = std::move(placement.value());
-    other.data_socket = klass.socket;
-    other.region_bytes = klass.region_bytes;
-    other.run_index = 2;
+    Result<AccessClass> other_class =
+        ToAccessClass(other, other.threads, PinningPolicy::kCores,
+                      model_->config().topology);
+    if (!other_class.ok()) continue;
     WorkloadSpec spec;
-    spec.classes.push_back(std::move(other));
+    spec.classes.push_back(std::move(other_class.value()));
     double other_gbps = model_->EvaluateOnce(spec).total_gbps;
     double pmem_gbps = already_staged ? other_gbps : klass.gbps;
     double dram_gbps = already_staged ? klass.gbps : other_gbps;
     if (dram_gbps <= pmem_gbps) continue;
 
-    double benefit = static_cast<double>(klass.bytes) / 1e9 *
+    double benefit = static_cast<double>(record.bytes) / 1e9 *
                      (1.0 / pmem_gbps - 1.0 / dram_gbps);
     StagingCandidate& candidate = merged[name];
     candidate.name = name;
-    candidate.bytes = std::max(candidate.bytes, klass.region_bytes);
+    candidate.bytes = std::max(candidate.bytes, record.region_bytes);
     candidate.benefit_seconds += benefit;
   }
 
@@ -185,8 +181,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   size_t sockets = sample.sockets.size();
   if (decision_.read_workers.size() != sockets) {
     decision_.read_workers.assign(sockets, 0);
-    pending_read_workers_ = decision_.read_workers;
-    read_streak_ = 0;
+    readers_.Reset();
   }
 
   // Targets for this quantum.
@@ -213,69 +208,38 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
 
   // Hysteresis: a changed target actuates only after persisting for
-  // kHysteresisQuanta consecutive quanta; targets matching the current
-  // decision reset the streak.
+  // kHysteresisQuanta consecutive quanta (Debounce).
   char line[192];
 
-  if (write_target == decision_.write_threads) {
-    write_streak_ = 0;
-  } else {
-    if (write_target != pending_write_threads_) {
-      pending_write_threads_ = write_target;
-      write_streak_ = 1;
-    } else {
-      ++write_streak_;
-    }
-    if (write_streak_ >= kHysteresisQuanta) {
-      std::snprintf(line, sizeof(line), "q=%d commit writers %d->%d", quanta_,
-                    decision_.write_threads, write_target);
-      log_.push_back(line);
-      decision_.write_threads = write_target;
-      write_streak_ = 0;
-    }
+  if (writers_.Ready(decision_.write_threads, write_target,
+                     kHysteresisQuanta)) {
+    std::snprintf(line, sizeof(line), "q=%d commit writers %d->%d", quanta_,
+                  decision_.write_threads, write_target);
+    log_.push_back(line);
+    decision_.write_threads = write_target;
+    writers_.Reset();
   }
 
-  if (read_target == decision_.read_workers) {
-    read_streak_ = 0;
-  } else {
-    if (read_target != pending_read_workers_) {
-      pending_read_workers_ = read_target;
-      read_streak_ = 1;
-    } else {
-      ++read_streak_;
-    }
-    if (read_streak_ >= kHysteresisQuanta) {
-      std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quanta_,
-                    JoinInts(decision_.read_workers).c_str(),
-                    JoinInts(read_target).c_str());
-      log_.push_back(line);
-      decision_.read_workers = read_target;
-      read_streak_ = 0;
-    }
+  if (readers_.Ready(decision_.read_workers, read_target,
+                     kHysteresisQuanta)) {
+    std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quanta_,
+                  JoinInts(decision_.read_workers).c_str(),
+                  JoinInts(read_target).c_str());
+    log_.push_back(line);
+    decision_.read_workers = read_target;
+    readers_.Reset();
   }
 
-  if (stage_names == decision_.staged) {
-    stage_streak_ = 0;
-    decision_.staged_bytes = stage_bytes;
-  } else {
-    if (stage_names != pending_staged_) {
-      pending_staged_ = stage_names;
-      pending_staged_bytes_ = stage_bytes;
-      stage_streak_ = 1;
-    } else {
-      pending_staged_bytes_ = stage_bytes;
-      ++stage_streak_;
-    }
-    if (stage_streak_ >= kHysteresisQuanta) {
-      std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quanta_,
-                    JoinNames(decision_.staged).c_str(),
-                    JoinNames(stage_names).c_str());
-      log_.push_back(line);
-      decision_.staged = stage_names;
-      decision_.staged_bytes = pending_staged_bytes_;
-      stage_streak_ = 0;
-    }
+  if (staged_.Ready(decision_.staged, stage_names, kHysteresisQuanta)) {
+    std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quanta_,
+                  JoinNames(decision_.staged).c_str(),
+                  JoinNames(stage_names).c_str());
+    log_.push_back(line);
+    decision_.staged = stage_names;
+    staged_.Reset();
   }
+  // The committed set's footprint follows this quantum's sizes.
+  if (stage_names == decision_.staged) decision_.staged_bytes = stage_bytes;
 
   std::snprintf(line, sizeof(line),
                 "q=%d throttle=%.3f writers=%d readers=%s staged=%s shape=%d",

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/debounce.h"
 #include "core/hybrid.h"
 #include "governor/telemetry.h"
 #include "memsys/mem_system.h"
@@ -127,15 +128,10 @@ class BandwidthGovernor {
   GovernorDecision decision_;
   double throttle_estimate_ = 1.0;
   int quanta_ = 0;
-  // Hysteresis state: the pending target and how many consecutive quanta
-  // it has been requested.
-  std::vector<int> pending_read_workers_;
-  int read_streak_ = 0;
-  int pending_write_threads_ = kMaxWriteThreads;
-  int write_streak_ = 0;
-  std::vector<std::string> pending_staged_;
-  uint64_t pending_staged_bytes_ = 0;
-  int stage_streak_ = 0;
+  // Hysteresis per actuator; the committed targets live in decision_.
+  Debounce<int> writers_;
+  Debounce<std::vector<int>> readers_;
+  Debounce<std::vector<std::string>> staged_;
   std::vector<std::string> log_;
 };
 

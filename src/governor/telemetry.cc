@@ -50,22 +50,7 @@ TelemetrySample BuildTelemetry(const MemSystemModel& model,
   for (size_t i = 0; i < origins.size(); ++i) {
     const TrafficRecord& record = *origins[i].record;
     const ClassBandwidth& diag = result.per_class[i];
-
-    ClassTelemetry telemetry;
-    telemetry.label = record.label;
-    telemetry.op = record.op;
-    telemetry.pattern = record.pattern;
-    telemetry.media = record.media;
-    telemetry.socket = record.data_socket;
-    telemetry.threads = record.threads;
-    telemetry.bytes = record.bytes;
-    telemetry.access_size = record.access_size;
-    telemetry.region_bytes = record.region_bytes;
-    telemetry.gbps = diag.gbps;
-    telemetry.issue_bound_gbps = diag.issue_bound_gbps;
-    telemetry.device_bound_gbps = diag.device_bound_gbps;
-    telemetry.background = origins[i].background;
-    sample.classes.push_back(std::move(telemetry));
+    sample.classes.push_back({record, diag.gbps, origins[i].background});
 
     if (record.media != Media::kPmem) continue;
     if (record.data_socket < 0 || record.data_socket >= sockets) continue;
@@ -77,10 +62,8 @@ TelemetrySample BuildTelemetry(const MemSystemModel& model,
                            : 0.0;
     if (record.op == OpType::kRead) {
       socket.read_occupancy += occupancy;
-      socket.read_gbps += diag.gbps;
     } else {
       socket.write_occupancy += occupancy;
-      socket.write_gbps += diag.gbps;
     }
   }
   return sample;

@@ -22,20 +22,10 @@ namespace governor {
 
 /// Joint-model outcome for one recorded traffic class.
 struct ClassTelemetry {
-  std::string label;
-  OpType op = OpType::kRead;
-  Pattern pattern = Pattern::kSequentialIndividual;
-  Media media = Media::kPmem;
-  /// Socket whose DIMMs serve the class.
-  int socket = 0;
-  int threads = 1;
-  uint64_t bytes = 0;
-  uint64_t access_size = 64;
-  uint64_t region_bytes = 0;
+  /// The record as the run priced it (label, shape, media, data socket).
+  TrafficRecord record;
   /// Effective bandwidth under the joint (contended) evaluation.
   double gbps = 0.0;
-  double issue_bound_gbps = 0.0;
-  double device_bound_gbps = 0.0;
   /// True for standing background traffic (not part of the query).
   bool background = false;
 };
@@ -46,9 +36,6 @@ struct SocketTelemetry {
   /// socket's PMEM classes). > 1 means the pool is oversubscribed.
   double read_occupancy = 0.0;
   double write_occupancy = 0.0;
-  /// Jointly resolved bandwidth actually served, by direction.
-  double read_gbps = 0.0;
-  double write_gbps = 0.0;
   /// Fault-injected DIMM throttle state (1.0 = healthy).
   double dimm_service_factor = 1.0;
 };

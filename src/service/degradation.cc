@@ -30,29 +30,19 @@ DegradationTier DegradationPolicy::TargetTier(double estimate) const {
 DegradationTier DegradationPolicy::Observe(double now_seconds,
                                            double estimate) {
   const DegradationTier target = TargetTier(estimate);
-  if (target == tier_) {
-    pending_ = tier_;
-    streak_ = 0;
-    return tier_;
-  }
-  if (target == pending_) {
-    ++streak_;
-  } else {
-    pending_ = target;
-    streak_ = 1;
-  }
+  const bool ready = hysteresis_.Ready(tier_, target, kHysteresisTicks);
   // Pause is the exception to hysteresis: a dead platform (crash window,
   // estimate ~0) must stop grants *now*, not two ticks from now.
-  const bool immediate = target == DegradationTier::kPauseAndDrain;
-  if (immediate || streak_ >= kHysteresisTicks) {
+  const bool immediate =
+      target != tier_ && target == DegradationTier::kPauseAndDrain;
+  if (immediate || ready) {
     char line[128];
     std::snprintf(line, sizeof(line), "t=%.6f %s -> %s estimate=%.6f",
                   now_seconds, DegradationTierName(tier_),
                   DegradationTierName(target), estimate);
     transitions_.emplace_back(line);
     tier_ = target;
-    pending_ = target;
-    streak_ = 0;
+    hysteresis_.Reset();
   }
   return tier_;
 }

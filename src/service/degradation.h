@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "common/debounce.h"
+
 namespace pmemolap::service {
 
 enum class DegradationTier {
@@ -65,8 +67,7 @@ class DegradationPolicy {
 
  private:
   DegradationTier tier_ = DegradationTier::kNormal;
-  DegradationTier pending_ = DegradationTier::kNormal;
-  int streak_ = 0;
+  Debounce<DegradationTier> hysteresis_;
   std::vector<std::string> transitions_;
 };
 

@@ -116,7 +116,6 @@ Status TierManager::Attach(uint64_t total_tuples, uint64_t bytes_per_tuple) {
     } else {
       extent.tier = Tier::kSsdTier;
     }
-    extent.pending = extent.tier;
     extents_.push_back(extent);
   }
   char line[160];
@@ -259,8 +258,7 @@ void TierManager::CommitMigration(size_t index, Tier to) {
   standing_.push_back(std::move(read));
   standing_.push_back(std::move(write));
   extent.tier = to;
-  extent.pending = to;
-  extent.streak = 0;
+  extent.move.Reset();
 }
 
 void TierManager::Advance() {
@@ -291,18 +289,9 @@ void TierManager::Advance() {
     std::vector<size_t> candidates;
     for (size_t i = 0; i < extents_.size(); ++i) {
       Extent& extent = extents_[i];
-      if (desired[i] == extent.tier) {
-        extent.pending = extent.tier;
-        extent.streak = 0;
-        continue;
+      if (extent.move.Ready(extent.tier, desired[i], needed)) {
+        candidates.push_back(i);
       }
-      if (desired[i] != extent.pending) {
-        extent.pending = desired[i];
-        extent.streak = 1;
-      } else if (extent.streak < needed) {
-        ++extent.streak;
-      }
-      if (extent.streak >= needed) candidates.push_back(i);
     }
 
     // Demotions commit before promotions (they free the capacity the
@@ -312,7 +301,7 @@ void TierManager::Advance() {
     // per-quantum migration budget gate each commit; deferred moves keep
     // their streak and retry next quantum.
     auto is_promotion = [&](size_t i) {
-      return static_cast<int>(extents_[i].pending) <
+      return static_cast<int>(extents_[i].move.pending()) <
              static_cast<int>(extents_[i].tier);
     };
     std::stable_sort(candidates.begin(), candidates.end(),
@@ -335,7 +324,7 @@ void TierManager::Advance() {
                                 config_.pmem_budget_bytes, ~uint64_t{0}};
     for (size_t i : candidates) {
       Extent& extent = extents_[i];
-      Tier to = extent.pending;
+      Tier to = extent.move.pending();
       uint64_t bytes = extent.tuples() * bytes_per_tuple_;
       if (config_.migration_budget_bytes > 0 &&
           migrated_bytes + bytes > config_.migration_budget_bytes) {

@@ -24,27 +24,37 @@ class GovernorTest : public ::testing::Test {
   MemSystemModel model_;
 };
 
-/// Modeled bandwidth of `threads` sequential PMEM readers/writers pinned
-/// on `socket` — the test's own Fig. 3/7-shaped sweep point, built
-/// straight from the model so the expected knee is derived analytically,
-/// not copied from the governor.
-double SweepGbps(const MemSystemModel& model, OpType op, int socket,
-                 int threads) {
+/// Modeled bandwidth of `threads` workers pinned to cores on `socket`,
+/// accessing that socket's PMEM with a warm directory — built straight
+/// from the model so expectations are derived analytically, not copied
+/// from the governor.
+double PmemGbps(const MemSystemModel& model, OpType op, Pattern pattern,
+                uint64_t access_size, uint64_t region_bytes, int socket,
+                int threads) {
   ThreadPlacer placer(model.config().topology);
   Result<ThreadPlacement> placement =
       placer.Place(threads, PinningPolicy::kCores, socket);
   if (!placement.ok()) return 0.0;
   AccessClass klass;
   klass.op = op;
-  klass.pattern = Pattern::kSequentialIndividual;
+  klass.pattern = pattern;
   klass.media = Media::kPmem;
-  klass.access_size = 4 * kKiB;
+  klass.access_size = access_size;
   klass.placement = std::move(placement.value());
   klass.data_socket = socket;
+  klass.region_bytes = region_bytes;
   klass.run_index = 2;
   WorkloadSpec spec;
   spec.classes.push_back(std::move(klass));
   return model.EvaluateOnce(spec).total_gbps;
+}
+
+/// The test's own Fig. 3/7-shaped sweep point: sequential 4 KiB PMEM
+/// readers or writers.
+double SweepGbps(const MemSystemModel& model, OpType op, int socket,
+                 int threads) {
+  return PmemGbps(model, op, Pattern::kSequentialIndividual, 4 * kKiB, 0,
+                  socket, threads);
 }
 
 TEST_F(GovernorTest, ReadKneeMatchesAnalyticOptimum) {
@@ -127,18 +137,62 @@ TelemetrySample PressuredSample(double write_occupancy,
   }
   sample.upi_capacity_factor = upi_factor;
   ClassTelemetry probe;
-  probe.label = "probe-date";
-  probe.op = OpType::kRead;
-  probe.pattern = Pattern::kRandom;
-  probe.media = Media::kPmem;
-  probe.socket = 0;
-  probe.threads = 8;
-  probe.bytes = 4ull * kGiB;
-  probe.access_size = 64;
-  probe.region_bytes = 256 * kMiB;
+  probe.record.label = "probe-date";
+  probe.record.op = OpType::kRead;
+  probe.record.pattern = Pattern::kRandom;
+  probe.record.media = Media::kPmem;
+  probe.record.data_socket = 0;
+  probe.record.threads = 8;
+  probe.record.bytes = 4ull * kGiB;
+  probe.record.access_size = 64;
+  probe.record.region_bytes = 256 * kMiB;
   probe.gbps = 0.8;  // badly contended: DRAM staging clearly wins
   sample.classes.push_back(probe);
   return sample;
+}
+
+TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
+  // Once staged, the probe reports from DRAM and is judged against its
+  // PMEM counterfactual: 1% faster keeps it, 1% slower evicts it after
+  // the hysteresis.
+  // PressuredSample's probe class on PMEM: 8 readers on socket 0, random
+  // 64 B over a 256 MiB region.
+  const double pmem_gbps = PmemGbps(model_, OpType::kRead, Pattern::kRandom,
+                                    64, 256 * kMiB, 0, 8);
+  ASSERT_GT(pmem_gbps, 0.0);
+  for (double factor : {1.01, 0.99}) {
+    BandwidthGovernor governor(&model_);
+    for (int q = 0; q < kHysteresisQuanta; ++q) {
+      governor.Observe(PressuredSample(0.0));
+    }
+    ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+
+    TelemetrySample staged = PressuredSample(0.0);
+    staged.classes[0].record.media = Media::kDram;
+    staged.classes[0].gbps = factor * pmem_gbps;
+    for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
+      governor.Observe(staged);
+      EXPECT_TRUE(governor.decision().IsStaged("date")) << factor;
+    }
+    governor.Observe(staged);
+    EXPECT_EQ(governor.decision().IsStaged("date"), factor > 1.0) << factor;
+  }
+}
+
+TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
+  BandwidthGovernor governor(&model_);
+  for (int q = 0; q < kHysteresisQuanta; ++q) {
+    governor.Observe(PressuredSample(0.0));
+  }
+  ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  EXPECT_EQ(governor.decision().staged_bytes, 256 * kMiB);
+  // Same set, larger structure: only a change of set waits out the
+  // hysteresis, so the footprint updates in the same quantum.
+  TelemetrySample grown = PressuredSample(0.0);
+  grown.classes[0].record.region_bytes = 512 * kMiB;
+  governor.Observe(grown);
+  EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  EXPECT_EQ(governor.decision().staged_bytes, 512 * kMiB);
 }
 
 TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
@@ -309,14 +363,14 @@ TEST_F(GovernorTest, BuildTelemetryReportsJointPressureAndThrottles) {
   int background_classes = 0;
   for (const ClassTelemetry& klass : sample.classes) {
     if (klass.background) ++background_classes;
-    EXPECT_GT(klass.gbps, 0.0) << klass.label;
+    EXPECT_GT(klass.gbps, 0.0) << klass.record.label;
   }
   EXPECT_EQ(background_classes, 1);
   // The contended socket-0 scan is slower than socket 1's solo scan.
   double scan0 = 0.0, scan1 = 0.0;
   for (const ClassTelemetry& klass : sample.classes) {
-    if (klass.label != "scan") continue;
-    (klass.socket == 0 ? scan0 : scan1) = klass.gbps;
+    if (klass.record.label != "scan") continue;
+    (klass.record.data_socket == 0 ? scan0 : scan1) = klass.gbps;
   }
   EXPECT_LT(scan0, scan1);
 }

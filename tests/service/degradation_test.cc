@@ -39,6 +39,9 @@ TEST(DegradationPolicyTest, PauseCommitsImmediately) {
   // hysteresis window before the service stops granting.
   EXPECT_EQ(policy.Observe(1.0, 0.0), DegradationTier::kPauseAndDrain);
   EXPECT_EQ(policy.tier(), DegradationTier::kPauseAndDrain);
+  // A platform that stays dead holds the tier without a new transition.
+  EXPECT_EQ(policy.Observe(2.0, 0.0), DegradationTier::kPauseAndDrain);
+  EXPECT_EQ(policy.transitions().size(), 1u);
 }
 
 TEST(DegradationPolicyTest, RecoveryStepsBackDownWithHysteresis) {
