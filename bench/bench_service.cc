@@ -274,7 +274,6 @@ void RunFaultStorm(const ssb::Database& db, const MemSystemModel& model,
   config.chaos.poison_lines_per_mib = 24.0;
   config.chaos.transient_fraction = 0.25;
   config.chaos.upi_capacity_factor = 0.9;
-  config.workload.fault_retry_budget = -1;
 
   QueryService svc(&db, &model, config);
   Result<ServiceReport> report = svc.Run();

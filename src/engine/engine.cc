@@ -12,6 +12,19 @@ namespace pmemolap {
 
 using ssb::QueryId;
 
+namespace {
+
+/// Dimension names in probe and materialize labels, indexed by ssb::Dim.
+constexpr const char* kDimNames[ssb::kNumDims] = {"date", "customer",
+                                                  "supplier", "part"};
+
+uint64_t Project(uint64_t value, double scale) {
+  return static_cast<uint64_t>(
+      std::llround(static_cast<double>(value) * scale));
+}
+
+}  // namespace
+
 const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSerial:
@@ -89,33 +102,6 @@ Status SsbEngine::Prepare() {
                          ? topology.sockets()
                          : 1;
 
-  // The indexes only price probes (ProbeCost, StorageBytes): every entry
-  // holds its row's position. The kernels resolve keys through the dense
-  // maps built below. Aware mode's per-socket replicas (§6.2) would hold
-  // identical entries, so one index serves every socket and replication
-  // is priced as near probes (RecordSocketTraffic's data_socket).
-  auto build = [&](std::unique_ptr<DimensionIndex>* index, const auto& rows,
-                   auto key_of) -> Status {
-    *index = std::make_unique<DimensionIndex>(kind);
-    uint64_t pos = 0;
-    for (const auto& row : rows) {
-      PMEMOLAP_RETURN_NOT_OK(
-          (*index)->Insert(static_cast<uint64_t>(key_of(row)), pos++));
-    }
-    return Status::OK();
-  };
-  auto date_key = [](const ssb::DateRow& d) { return d.datekey; };
-  auto customer_key = [](const ssb::CustomerRow& c) { return c.custkey; };
-  auto supplier_key = [](const ssb::SupplierRow& s) { return s.suppkey; };
-  auto part_key = [](const ssb::PartRow& p) { return p.partkey; };
-  PMEMOLAP_RETURN_NOT_OK(build(&date_index_, db_->date, date_key));
-  PMEMOLAP_RETURN_NOT_OK(build(&customer_index_, db_->customer, customer_key));
-  PMEMOLAP_RETURN_NOT_OK(build(&supplier_index_, db_->supplier, supplier_key));
-  PMEMOLAP_RETURN_NOT_OK(build(&part_index_, db_->part, part_key));
-
-  // Dense key maps for the kernels. In fault mode the payloads live in
-  // guarded per-socket replicas and the maps hold each key's position in
-  // them, so every probe goes through the poison-aware failover path.
   const bool guarded = config_.fault != nullptr;
   PmemSpace* space = guarded ? config_.fault->space : nullptr;
   FaultInjector* injector = guarded ? config_.fault->injector : nullptr;
@@ -123,44 +109,76 @@ Status SsbEngine::Prepare() {
     return Status::InvalidArgument(
         "fault domain needs a space and an injector");
   }
+  // Projection to project_to_sf. Traffic volumes scale with the lineorder
+  // count, but a probe's region scales with its dimension's own
+  // cardinality (customer grows with sf, part with log2(sf), date is
+  // constant) — which decides the indexes that stay LLC-resident at
+  // paper scale.
+  const bool project = config_.project_to_sf > 0.0;
+  lineorder_scale_ =
+      project ? config_.project_to_sf / ActualScaleFactor() : 1.0;
+  const ssb::Cardinalities actual =
+      ssb::CardinalitiesFor(ActualScaleFactor());
+  const ssb::Cardinalities target =
+      ssb::CardinalitiesFor(config_.project_to_sf);
+
+  // One step per dimension, in ssb::Dim order (the order the guarded
+  // replicas are allocated in). The index only prices probes: every
+  // entry holds its row's position. Aware mode's per-socket replicas
+  // (§6.2) would hold identical entries, so one index serves every socket
+  // and replication is priced as near probes (RecordSocketTraffic's
+  // data_socket). The kernels resolve keys through the dense map; in
+  // fault mode the payloads live in guarded per-socket replicas and the
+  // map holds each key's position in them, so every probe goes through
+  // the poison-aware failover path.
   std::vector<int32_t> keys;
   std::vector<uint64_t> values;
-  auto dense = [&](DenseDimMap* map, std::unique_ptr<GuardedDimension>* store,
-                   const auto& rows, auto key_of, auto payload_of) -> Status {
+  auto prepare_dim = [&](ssb::Dim which,
+                         uint64_t ssb::Cardinalities::*cardinality,
+                         const auto& rows, auto key_of,
+                         auto payload_of) -> Status {
+    Dimension& d = dims_[static_cast<size_t>(which)];
+    d.index = std::make_unique<DimensionIndex>(kind);
     keys.clear();
     values.clear();
-    keys.reserve(rows.size());
-    values.reserve(rows.size());
     for (const auto& row : rows) {
+      PMEMOLAP_RETURN_NOT_OK(
+          d.index->Insert(static_cast<uint64_t>(key_of(row)), keys.size()));
       keys.push_back(key_of(row));
       values.push_back(payload_of(row));
     }
-    store->reset();
+    d.guarded.reset();
     if (guarded) {
       PMEMOLAP_ASSIGN_OR_RETURN(
-          *store,
+          d.guarded,
           GuardedDimension::Create(space, injector, values, config_.media));
       std::iota(values.begin(), values.end(), uint64_t{0});
     }
-    map->Build(keys, values);
+    d.dense.Build(keys, values);
+    d.region_scale = project && actual.*cardinality > 0
+                         ? static_cast<double>(target.*cardinality) /
+                               static_cast<double>(actual.*cardinality)
+                         : 1.0;
     return Status::OK();
   };
-  PMEMOLAP_RETURN_NOT_OK(
-      dense(&date_dense_, &guarded_date_, db_->date, date_key,
-            [](const ssb::DateRow& d) { return EncodeDate(d); }));
-  PMEMOLAP_RETURN_NOT_OK(dense(
-      &customer_dense_, &guarded_customer_, db_->customer, customer_key,
+  PMEMOLAP_RETURN_NOT_OK(prepare_dim(
+      ssb::Dim::kDate, &ssb::Cardinalities::date, db_->date,
+      [](const ssb::DateRow& d) { return d.datekey; }, EncodeDate));
+  PMEMOLAP_RETURN_NOT_OK(prepare_dim(
+      ssb::Dim::kCustomer, &ssb::Cardinalities::customer, db_->customer,
+      [](const ssb::CustomerRow& c) { return c.custkey; },
       [](const ssb::CustomerRow& c) {
         return EncodeGeo(c.nation, c.region, c.city);
       }));
-  PMEMOLAP_RETURN_NOT_OK(dense(
-      &supplier_dense_, &guarded_supplier_, db_->supplier, supplier_key,
+  PMEMOLAP_RETURN_NOT_OK(prepare_dim(
+      ssb::Dim::kSupplier, &ssb::Cardinalities::supplier, db_->supplier,
+      [](const ssb::SupplierRow& s) { return s.suppkey; },
       [](const ssb::SupplierRow& s) {
         return EncodeGeo(s.nation, s.region, s.city);
       }));
-  PMEMOLAP_RETURN_NOT_OK(
-      dense(&part_dense_, &guarded_part_, db_->part, part_key,
-            [](const ssb::PartRow& p) { return EncodePart(p); }));
+  PMEMOLAP_RETURN_NOT_OK(prepare_dim(
+      ssb::Dim::kPart, &ssb::Cardinalities::part, db_->part,
+      [](const ssb::PartRow& p) { return p.partkey; }, EncodePart));
   guarded_fact_.reset();
   if (guarded) {
     // The fact table's byte image, striped and CRC-chunked; db_ stays the
@@ -175,10 +193,7 @@ Status SsbEngine::Prepare() {
     if (config_.fault->breakers != nullptr) {
       BreakerBoard* breakers = config_.fault->breakers;
       guarded_fact_->AttachBreakers(breakers);
-      guarded_date_->AttachBreakers(breakers);
-      guarded_customer_->AttachBreakers(breakers);
-      guarded_supplier_->AttachBreakers(breakers);
-      guarded_part_->AttachBreakers(breakers);
+      for (Dimension& d : dims_) d.guarded->AttachBreakers(breakers);
     }
   }
   int workers_per_socket =
@@ -213,16 +228,17 @@ Status SsbEngine::Prepare() {
       columns_ = ssb::ColumnStore(db_->lineorder);
     }
   }
-  pool_.reset();
-  if (config_.parallel_execution &&
-      config_.executor == ExecutorKind::kMorselStealing) {
-    // The clamp above also bounds the pool: no point spawning more host
-    // threads than there are effective workers.
-    pool_ = std::make_unique<WorkStealingPool>(
-        std::min(config_.threads,
-                 workers_per_socket * static_cast<int>(partitions_.size())),
-        static_cast<int>(partitions_.size()));
-  }
+  // The clamp above also bounds the pool: no point spawning more host
+  // threads than there are effective workers. A serial engine's pool has
+  // none and runs each plan on the calling thread.
+  const bool threaded = config_.parallel_execution &&
+                        config_.executor == ExecutorKind::kMorselStealing;
+  pool_ = std::make_unique<WorkStealingPool>(
+      threaded ? std::min(config_.threads,
+                          workers_per_socket *
+                              static_cast<int>(partitions_.size()))
+               : 0,
+      static_cast<int>(partitions_.size()));
   prepared_ = true;
   return Status::OK();
 }
@@ -242,12 +258,20 @@ uint64_t SsbEngine::ScanBytesForTuples(ssb::QueryId query,
   return encoded_.ScanBytes(ssb::ScanColumnsFor(query), tuples);
 }
 
+void SsbEngine::Emit(TrafficRecord record, double region_scale,
+                     const Traffic& out) const {
+  TrafficRecord priced = record;
+  priced.bytes = Project(record.bytes, lineorder_scale_);
+  priced.region_bytes = Project(record.region_bytes, region_scale);
+  out.actual->Record(std::move(record));
+  out.priced->Record(std::move(priced));
+}
+
 void SsbEngine::RecordSocketTraffic(
     ssb::QueryId query, int socket, const TupleRange& scanned,
     const KernelCounters& counts, int threads_per_socket,
     const governor::GovernorDecision* decision,
-    const tiering::TieringSnapshot* tiers,
-    ExecutionProfile* profile) const {
+    const tiering::TieringSnapshot* tiers, const Traffic& out) const {
   const uint64_t tuples = scanned.size();
   const bool aware = config_.mode == EngineMode::kPmemAware;
   const Media media = config_.media;
@@ -283,8 +307,8 @@ void SsbEngine::RecordSocketTraffic(
     TrafficRecord far_scan = near_scan;
     far_scan.data_socket = 1 - socket;
     far_scan.bytes = scan_bytes - near_scan.bytes;
-    profile->Record(std::move(near_scan));
-    profile->Record(std::move(far_scan));
+    Emit(std::move(near_scan), lineorder_scale_, out);
+    Emit(std::move(far_scan), lineorder_scale_, out);
   } else {
     // Tiered placement splits the scan bytes across the tiers the
     // scanned extents occupy, proportional to resident tuples; the PMEM
@@ -320,7 +344,7 @@ void SsbEngine::RecordSocketTraffic(
       dram_scan.bytes = dram_bytes;
       dram_scan.region_bytes = dram_bytes;
       dram_scan.label = "scan-dram";
-      profile->Record(std::move(dram_scan));
+      Emit(std::move(dram_scan), lineorder_scale_, out);
     }
     if (ssd_bytes > 0) {
       TrafficRecord ssd_scan = scan;
@@ -328,22 +352,23 @@ void SsbEngine::RecordSocketTraffic(
       ssd_scan.bytes = ssd_bytes;
       ssd_scan.region_bytes = ssd_bytes;
       ssd_scan.label = "scan-ssd";
-      profile->Record(std::move(ssd_scan));
+      Emit(std::move(ssd_scan), lineorder_scale_, out);
     }
-    profile->Record(std::move(scan));
+    Emit(std::move(scan), lineorder_scale_, out);
   }
 
   // Dimension probes. Aware mode prices the paper's per-socket replicas
   // as near probes; without NUMA-aware placement the single copy lives on
   // socket 0.
-  auto record_probes = [&](const DimensionIndex& index, uint64_t count,
-                           const char* label) {
-    if (count == 0) return;
+  for (size_t d = 0; d < dims_.size(); ++d) {
+    const uint64_t count = counts.probes[d];
+    if (count == 0) continue;
+    const DimensionIndex& index = *dims_[d].index;
     ProbeCost cost = index.probe_cost();
     TrafficRecord probe;
     probe.op = OpType::kRead;
     probe.pattern = Pattern::kRandom;
-    probe.media = decision != nullptr && decision->IsStaged(label)
+    probe.media = decision != nullptr && decision->IsStaged(kDimNames[d])
                       ? Media::kDram
                       : index_media;
     probe.worker_socket = socket;
@@ -355,13 +380,9 @@ void SsbEngine::RecordSocketTraffic(
     probe.access_size = cost.access_bytes;
     probe.region_bytes = std::max<uint64_t>(index.StorageBytes(), kMiB);
     probe.threads = threads_per_socket;
-    probe.label = std::string("probe-") + label;
-    profile->Record(std::move(probe));
-  };
-  record_probes(*date_index_, counts.date_probes, "date");
-  record_probes(*customer_index_, counts.customer_probes, "customer");
-  record_probes(*supplier_index_, counts.supplier_probes, "supplier");
-  record_probes(*part_index_, counts.part_probes, "part");
+    probe.label = std::string("probe-") + kDimNames[d];
+    Emit(std::move(probe), dims_[d].region_scale, out);
+  }
 
   // The unaware engine executes joins Hyrise-style: every join pass fully
   // materializes its intermediate (position lists + output columns) in the
@@ -369,9 +390,9 @@ void SsbEngine::RecordSocketTraffic(
   // writes that are brutal on PMEM. The aware engine streams per-worker
   // intermediates instead (recorded below).
   if (!aware) {
-    auto record_materialize = [&](uint64_t rows_into_pass,
-                                  const char* label) {
-      if (rows_into_pass == 0) return;
+    for (size_t d = 0; d < dims_.size(); ++d) {
+      const uint64_t rows_into_pass = counts.probes[d];
+      if (rows_into_pass == 0) continue;
       TrafficRecord write;
       write.op = OpType::kWrite;
       write.pattern = Pattern::kRandom;
@@ -382,17 +403,14 @@ void SsbEngine::RecordSocketTraffic(
       write.access_size = 64;
       write.region_bytes = 2 * kGiB;
       write.threads = write_threads;
-      write.label = std::string("materialize-") + label;
+      write.label = std::string("materialize-") + kDimNames[d];
       TrafficRecord read = write;
       read.op = OpType::kRead;
       read.threads = threads_per_socket;  // only writers are clamped
-      profile->Record(std::move(write));
-      profile->Record(std::move(read));
-    };
-    record_materialize(counts.date_probes, "date");
-    record_materialize(counts.customer_probes, "customer");
-    record_materialize(counts.supplier_probes, "supplier");
-    record_materialize(counts.part_probes, "part");
+      // The staging region's size is fixed; it does not project.
+      Emit(std::move(write), 1.0, out);
+      Emit(std::move(read), 1.0, out);
+    }
   }
 
   // Group-aggregate updates: random read+write into the (small) result
@@ -413,8 +431,9 @@ void SsbEngine::RecordSocketTraffic(
     TrafficRecord agg_write = agg;
     agg_write.op = OpType::kWrite;
     agg_write.threads = write_threads;
-    profile->Record(std::move(agg));
-    profile->Record(std::move(agg_write));
+    // The result hash's size is fixed; it does not project.
+    Emit(std::move(agg), 1.0, out);
+    Emit(std::move(agg_write), 1.0, out);
 
     TrafficRecord intermediate;
     intermediate.op = OpType::kWrite;
@@ -427,7 +446,7 @@ void SsbEngine::RecordSocketTraffic(
     intermediate.region_bytes = qualifying * 32;
     intermediate.threads = write_threads;
     intermediate.label = "intermediate";
-    profile->Record(std::move(intermediate));
+    Emit(std::move(intermediate), lineorder_scale_, out);
   }
 }
 
@@ -448,17 +467,16 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
       config_.encoding && !encoded_.empty() ? &encoded_ : nullptr;
   // Governor staging changes only the media probes are priced at
   // (RecordSocketTraffic), never the payloads the kernels read.
-  ctx.date = &date_dense_;
-  ctx.customer = &customer_dense_;
-  ctx.supplier = &supplier_dense_;
-  ctx.part = &part_dense_;
+  ctx.date = &dim(ssb::Dim::kDate).dense;
+  ctx.customer = &dim(ssb::Dim::kCustomer).dense;
+  ctx.supplier = &dim(ssb::Dim::kSupplier).dense;
+  ctx.part = &dim(ssb::Dim::kPart).dense;
   // Fault mode reads payloads from the replicas near the slot's socket.
   GuardedDims guarded;
   if (guarded_fact_ != nullptr) {
-    guarded.date = guarded_date_.get();
-    guarded.customer = guarded_customer_.get();
-    guarded.supplier = guarded_supplier_.get();
-    guarded.part = guarded_part_.get();
+    for (size_t d = 0; d < dims_.size(); ++d) {
+      guarded.dims[d] = dims_[d].guarded.get();
+    }
     guarded.socket = partitions_[slot].socket;
     ctx.guarded = &guarded;
   }
@@ -573,13 +591,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     const qos::QueryOptions& options;
     qos::QueryProgress& progress;
     ~ProgressPublisher() {
-      // Units a run never reached (early return between slots) count as
-      // dropped; the pool path accounts for all its morsels itself.
-      if (progress.units_total >
-          progress.units_executed + progress.units_dropped) {
-        progress.units_dropped =
-            progress.units_total - progress.units_executed;
-      }
       if (options.progress != nullptr) *options.progress = progress;
     }
   } publisher{options, progress};
@@ -610,19 +621,13 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       tiered && !tier_snapshot.empty() ? &tier_snapshot : nullptr;
 
   // Arm the lifecycle token: wall/modeled deadlines from the options
-  // (modeled time defaults to the fault domain's platform clock), plus
-  // the fault-layer retry budget.
+  // (modeled time defaults to the fault domain's platform clock).
   qos::CancelToken token;
   std::function<double()> default_clock;
   if (injector != nullptr) {
     default_clock = [injector] { return injector->now(); };
   }
   qos::ArmFromOptions(&token, options, default_clock);
-  if (options.retry_budget >= 0 && injector != nullptr) {
-    token.ArmRetryBudget(
-        static_cast<uint64_t>(options.retry_budget),
-        [injector] { return injector->counters().retries; });
-  }
 
   // Admission gate: publish fresh backpressure (executor depth plus the
   // platform degradation estimate), then admit at the query's priority.
@@ -630,7 +635,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   qos::AdmissionTicket ticket;
   if (config_.admission != nullptr) {
     qos::LoadSignal signal;
-    signal.executor_depth = pool_ != nullptr ? pool_->inflight_runs() : 0;
+    signal.executor_depth = pool_->inflight_runs();
     signal.degradation =
         injector != nullptr ? qos::DegradationEstimate(*injector) : 1.0;
     if (governed) {
@@ -680,117 +685,101 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     return TupleRange{std::clamp(range.begin, window_begin, window_end),
                       std::clamp(range.end, window_begin, window_end)};
   };
-  const ExecutorKind executor = config_.parallel_execution
-                                    ? config_.executor
-                                    : ExecutorKind::kSerial;
   const size_t slots = partitions_.size();
-  // The same token the executors poll between morsels also cuts guarded
+  // The same token the pool polls between morsels also cuts guarded
   // retry storms short: FaultAwareReader checks it between attempts, so a
   // fired deadline stops charging backoff mid-read.
   const CancelCheck cancel_check = [&token] { return token.Check(); };
-  std::vector<WorkerState> states;
   // Bytes re-read because morsel boundaries tear 256 B XPLines (only ever
   // non-zero when governed with shaping off — the ablation's "before").
   uint64_t xpline_amplified_bytes = 0;
 
-  if (executor == ExecutorKind::kMorselStealing && pool_ != nullptr) {
-    // Morsel-granular dispatch on the persistent pool: per-socket run
-    // queues, idle workers steal across sockets, first failure cancels.
-    MorselPlan plan =
-        Partitioner::ToMorsels(partitions_, config_.morsel_tuples);
-    if (window_begin > 0 || window_end < db_->lineorder.size()) {
-      // Clamp the work list to the window/snapshot before
-      // shaping/reassignment: tuples outside it (uncommitted rows, or
-      // outside the query's scan window) don't exist for this query.
-      for (std::vector<Morsel>& queue : plan.queues) {
-        for (Morsel& morsel : queue) {
-          morsel.begin = std::clamp(morsel.begin, window_begin, window_end);
-          morsel.end = std::clamp(morsel.end, window_begin, window_end);
-        }
-        queue.erase(std::remove_if(
-                        queue.begin(), queue.end(),
-                        [](const Morsel& m) { return m.size() == 0; }),
-                    queue.end());
+  // Morsel-granular dispatch: per-socket run queues, idle workers steal
+  // across sockets (a serial engine's pool runs them inline), first
+  // failure cancels.
+  MorselPlan plan = Partitioner::ToMorsels(partitions_, config_.morsel_tuples);
+  if (window_begin > 0 || window_end < db_->lineorder.size()) {
+    // Clamp the work list to the window/snapshot before
+    // shaping/reassignment: tuples outside it (uncommitted rows, or
+    // outside the query's scan window) don't exist for this query.
+    for (std::vector<Morsel>& queue : plan.queues) {
+      for (Morsel& morsel : queue) {
+        morsel.begin = std::clamp(morsel.begin, window_begin, window_end);
+        morsel.end = std::clamp(morsel.end, window_begin, window_end);
       }
-    }
-    if (governed) {
-      const bool shape = config_.governor->config().shape_morsels;
-      if (config_.encoding && !encoded_.empty()) {
-        // Encoded columns have no whole-byte tuple width: morsels align
-        // to whole 32-value code frames instead, and a torn boundary
-        // makes both neighbors re-read that frame's XPLine in every
-        // scanned column.
-        if (shape) {
-          AlignMorselPlanTuples(&plan, encoding::kFrameValues);
-        }
-        xpline_amplified_bytes =
-            TornBoundaries(plan, encoding::kFrameValues) * kXPLineBytes *
-            ssb::ScanColumnsFor(query).size();
-      } else {
-        const uint64_t bpt = ScanBytesPerTuple(query);
-        if (shape) {
-          // Snap boundaries to XPLines before quarantine reassignment —
-          // reassignment breaks the queue contiguity shaping relies on.
-          AlignMorselPlan(&plan, bpt);
-        }
-        xpline_amplified_bytes = GranularityAmplifiedBytes(plan, bpt);
-      }
-    }
-    if (config_.fault != nullptr && config_.fault->breakers != nullptr) {
-      // Quarantined fault domains don't get "near" work: their queued
-      // morsels move to healthy queues (Morsel::socket — and with it the
-      // partition slot and result identity — is preserved).
-      ReassignQuarantinedQueues(&plan,
-                                config_.fault->breakers->HealthySockets());
-    }
-    std::vector<size_t> slot_of_socket(plan.queues.size(), 0);
-    for (size_t slot = 0; slot < slots; ++slot) {
-      const size_t socket = static_cast<size_t>(partitions_[slot].socket);
-      if (socket < slot_of_socket.size()) slot_of_socket[socket] = slot;
-    }
-    states.resize(static_cast<size_t>(pool_->threads()));
-    progress.units_total = plan.total_morsels();
-    WorkStealingPool::RunControl control;
-    control.cancel = [&token] { return token.Check(); };
-    if (governed && !decision.read_workers.empty()) {
-      // Reader concurrency actuator: cap each socket queue at the
-      // governor's modeled bandwidth knee.
-      control.workers_per_queue = decision.read_workers;
-    }
-    WorkStealingPool::Stats stats;
-    control.stats = &stats;
-    Status pool_status = pool_->RunWithControl(
-        plan,
-        [&](const Morsel& morsel, int worker) {
-          if (tiered) {
-            // Per-morsel heat feed: commutative accumulation, so any
-            // steal schedule folds to the same quantum heat.
-            config_.tiering->Touch(morsel.begin, morsel.end);
-          }
-          return ExecuteRangeInto(
-              query, slot_of_socket[static_cast<size_t>(morsel.socket)],
-              {morsel.begin, morsel.end}, snapshot_epoch,
-              &states[static_cast<size_t>(worker)], cancel_check);
-        },
-        control);
-    progress.units_executed = stats.executed;
-    progress.units_stolen = stats.stolen;
-    progress.units_dropped = stats.dropped;
-    PMEMOLAP_RETURN_NOT_OK(pool_status);
-  } else {
-    // Serial: one socket range at a time, deadline checked between them.
-    progress.units_total = slots;
-    states.emplace_back();
-    for (size_t slot = 0; slot < slots; ++slot) {
-      PMEMOLAP_RETURN_NOT_OK(token.Check());
-      const TupleRange range = clamp_range(partitions_[slot].tuples);
-      if (tiered) config_.tiering->Touch(range.begin, range.end);
-      PMEMOLAP_RETURN_NOT_OK(ExecuteRangeInto(query, slot, range,
-                                              snapshot_epoch, &states[0],
-                                              cancel_check));
-      ++progress.units_executed;
+      queue.erase(std::remove_if(
+                      queue.begin(), queue.end(),
+                      [](const Morsel& m) { return m.size() == 0; }),
+                  queue.end());
     }
   }
+  if (governed) {
+    const bool shape = config_.governor->config().shape_morsels;
+    if (config_.encoding && !encoded_.empty()) {
+      // Encoded columns have no whole-byte tuple width: morsels align to
+      // whole 32-value code frames instead, and a torn boundary makes
+      // both neighbors re-read that frame's XPLine in every scanned
+      // column.
+      if (shape) {
+        AlignMorselPlanTuples(&plan, encoding::kFrameValues);
+      }
+      xpline_amplified_bytes =
+          TornBoundaries(plan, encoding::kFrameValues) * kXPLineBytes *
+          ssb::ScanColumnsFor(query).size();
+    } else {
+      const uint64_t bpt = ScanBytesPerTuple(query);
+      if (shape) {
+        // Snap boundaries to XPLines before quarantine reassignment —
+        // reassignment breaks the queue contiguity shaping relies on.
+        AlignMorselPlan(&plan, bpt);
+      }
+      xpline_amplified_bytes = GranularityAmplifiedBytes(plan, bpt);
+    }
+  }
+  if (config_.fault != nullptr && config_.fault->breakers != nullptr) {
+    // Quarantined fault domains don't get "near" work: their queued
+    // morsels move to healthy queues (Morsel::socket — and with it the
+    // partition slot and result identity — is preserved).
+    ReassignQuarantinedQueues(&plan,
+                              config_.fault->breakers->HealthySockets());
+  }
+  std::vector<size_t> slot_of_socket(plan.queues.size(), 0);
+  for (size_t slot = 0; slot < slots; ++slot) {
+    const size_t socket = static_cast<size_t>(partitions_[slot].socket);
+    if (socket < slot_of_socket.size()) slot_of_socket[socket] = slot;
+  }
+  std::vector<WorkerState> states(
+      static_cast<size_t>(std::max(1, pool_->threads())));
+  progress.units_total = plan.total_morsels();
+  WorkStealingPool::RunControl control;
+  control.cancel = cancel_check;
+  if (governed && !decision.read_workers.empty()) {
+    // Reader concurrency actuator: cap each socket queue at the
+    // governor's modeled bandwidth knee.
+    control.workers_per_queue = decision.read_workers;
+  }
+  WorkStealingPool::Stats stats;
+  control.stats = &stats;
+  Status pool_status = pool_->RunWithControl(
+      plan,
+      [&](const Morsel& morsel, int worker) {
+        if (tiered) {
+          // Per-morsel heat feed: commutative accumulation, so any steal
+          // schedule folds to the same quantum heat.
+          config_.tiering->Touch(morsel.begin, morsel.end);
+        }
+        return ExecuteRangeInto(
+            query, slot_of_socket[static_cast<size_t>(morsel.socket)],
+            {morsel.begin, morsel.end}, snapshot_epoch,
+            &states[static_cast<size_t>(worker)], cancel_check);
+      },
+      control);
+  progress.units_executed = stats.executed;
+  progress.units_stolen = stats.stolen;
+  // The pool counts a morsel whose task failed as neither executed nor
+  // dropped; the query's ledger counts it as dropped.
+  progress.units_dropped = progress.units_total - stats.executed;
+  PMEMOLAP_RETURN_NOT_OK(pool_status);
 
   // Fold worker states: outputs merge commutatively; probe/qualifying
   // counts roll up per partition slot for the traffic records.
@@ -799,12 +788,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   partials.reserve(states.size());
   for (WorkerState& state : states) {
     for (size_t slot = 0; slot < state.counters.size(); ++slot) {
-      const KernelCounters& c = state.counters[slot];
-      slot_counts[slot].date_probes += c.date_probes;
-      slot_counts[slot].customer_probes += c.customer_probes;
-      slot_counts[slot].supplier_probes += c.supplier_probes;
-      slot_counts[slot].part_probes += c.part_probes;
-      slot_counts[slot].qualifying += c.qualifying;
+      slot_counts[slot] += state.counters[slot];
     }
     partials.push_back(DrainWorkerOutput(&state));
   }
@@ -812,16 +796,18 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   // A query that scanned no tuple still answers in its plan's shape.
   run.output.scalar = ssb::PlanFor(query).scalar();
 
+  ExecutionProfile priced;
+  const Traffic traffic{&run.profile, &priced};
   for (size_t slot = 0; slot < slots; ++slot) {
     const SocketPartition& partition = partitions_[slot];
     const TupleRange scanned = clamp_range(partition.tuples);
     const KernelCounters& counts = slot_counts[slot];
     RecordSocketTraffic(query, partition.socket, scanned, counts,
                         threads_per_socket, decision_ptr, tiers_ptr,
-                        &run.profile);
+                        traffic);
     run.cpu.tuples_scanned += scanned.size();
-    run.cpu.probes += counts.date_probes + counts.customer_probes +
-                      counts.supplier_probes + counts.part_probes;
+    run.cpu.probes += std::accumulate(counts.probes.begin(),
+                                      counts.probes.end(), uint64_t{0});
     run.cpu.agg_updates += counts.qualifying;
   }
 
@@ -845,50 +831,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     torn.region_bytes = std::max(fact_bytes, static_cast<uint64_t>(kMiB));
     torn.threads = threads_per_socket;
     torn.label = "scan-xpline";
-    run.profile.Record(std::move(torn));
+    Emit(std::move(torn), lineorder_scale_, traffic);
   }
-
-  // Project to the paper's scale factor if requested. Traffic volumes all
-  // scale with the lineorder count, but the random-probe REGION sizes
-  // scale with each dimension's own cardinality (customer grows with sf,
-  // part grows with log2(sf), date is constant) — getting this right
-  // decides which indexes stay LLC-resident at paper scale.
-  double factor = 1.0;
-  ExecutionProfile projected;
-  if (config_.project_to_sf > 0.0) {
-    factor = config_.project_to_sf / ActualScaleFactor();
-    ssb::Cardinalities actual = ssb::CardinalitiesFor(ActualScaleFactor());
-    ssb::Cardinalities target = ssb::CardinalitiesFor(config_.project_to_sf);
-    auto ratio = [](uint64_t to, uint64_t from) {
-      return from == 0 ? 1.0
-                       : static_cast<double>(to) / static_cast<double>(from);
-    };
-    for (TrafficRecord record : run.profile.records()) {
-      record.bytes = static_cast<uint64_t>(
-          std::llround(static_cast<double>(record.bytes) * factor));
-      double region_factor = factor;
-      if (record.label.starts_with("probe-")) {
-        if (record.label.ends_with("date")) {
-          region_factor = 1.0;
-        } else if (record.label.ends_with("customer")) {
-          region_factor = ratio(target.customer, actual.customer);
-        } else if (record.label.ends_with("supplier")) {
-          region_factor = ratio(target.supplier, actual.supplier);
-        } else if (record.label.ends_with("part")) {
-          region_factor = ratio(target.part, actual.part);
-        }
-      } else if (record.label == "aggregate" ||
-                 record.label.starts_with("materialize-")) {
-        region_factor = 1.0;  // hash/staging region size is fixed
-      }
-      record.region_bytes = static_cast<uint64_t>(std::llround(
-          static_cast<double>(record.region_bytes) * region_factor));
-      projected.Record(std::move(record));
-    }
-  } else {
-    projected = run.profile;
-  }
-  CpuWork projected_cpu = run.cpu.Scaled(factor);
+  const CpuWork priced_cpu = run.cpu.Scaled(lineorder_scale_);
 
   // The writer clamp also governs any standing background writers (BP2:
   // the whole platform's PMEM writers sit at 4–6 per socket, not just the
@@ -910,10 +855,8 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     // scale with the lineorder count — so it projects by the same factor
     // as the query's own records.
     for (TrafficRecord record : config_.tiering->standing_traffic()) {
-      record.bytes = static_cast<uint64_t>(
-          std::llround(static_cast<double>(record.bytes) * factor));
-      record.region_bytes = static_cast<uint64_t>(std::llround(
-          static_cast<double>(record.region_bytes) * factor));
+      record.bytes = Project(record.bytes, lineorder_scale_);
+      record.region_bytes = Project(record.region_bytes, lineorder_scale_);
       background.push_back(std::move(record));
     }
   }
@@ -927,14 +870,14 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
 
   QueryTimer timer(model_, config_.timer);
   run.seconds = timer.EstimateSecondsWithBackground(
-      projected, projected_cpu, config_.threads, config_.pinning, background,
+      priced, priced_cpu, config_.threads, config_.pinning, background,
       &run.phase_seconds);
 
   if (governed) {
     // Close the loop: one telemetry sample per Execute (the scheduling
     // quantum) carrying the jointly-resolved bandwidths the run just saw.
     governor::TelemetrySample sample = governor::BuildTelemetry(
-        *model_, projected.records(), background, config_.pinning, injector);
+        *model_, priced.records(), background, config_.pinning, injector);
     config_.governor->Observe(sample);
   }
   if (tiered) {

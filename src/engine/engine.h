@@ -13,10 +13,12 @@
 //
 // Queries execute functionally on the real generated data (results are
 // validated against ssb::ReferenceExecutor) while an ExecutionProfile
-// records the traffic; QueryTimer projects the runtime — optionally scaled
-// to the paper's sf 50 / sf 100 — through the MemSystemModel.
+// records the traffic. Each record is also projected where it is made —
+// optionally to the paper's sf 50 / sf 100 — and QueryTimer prices the
+// projected records through the MemSystemModel.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,6 +44,7 @@
 #include "ssb/column_store.h"
 #include "ssb/dbgen.h"
 #include "ssb/encoded_column_store.h"
+#include "ssb/plan.h"
 #include "ssb/queries.h"
 #include "tiering/tier_manager.h"
 
@@ -54,7 +57,8 @@ enum class EngineMode {
 
 /// How worker parallelism is realized on the host.
 enum class ExecutorKind {
-  /// No threads: each socket's range executes inline.
+  /// No threads: the calling thread runs the query's morsel plan inline,
+  /// socket queue by socket queue.
   kSerial,
   /// The persistent work-stealing pool with per-socket run queues and
   /// morsel-granular dispatch.
@@ -88,12 +92,14 @@ struct EngineConfig {
   PinningPolicy pinning = PinningPolicy::kCores;
   /// Project runtimes to this scale factor (0 = report at the actual sf).
   double project_to_sf = 0.0;
-  /// Execute morsels on the persistent pool's host threads. The modeled
-  /// runtime is unaffected; this exercises the engine's concurrency
-  /// (thread-safe probes, disjoint ranges, result merging). False forces
-  /// kSerial.
+  /// Execute morsels on the persistent pool's host threads. Results,
+  /// modeled seconds and QueryProgress are the same either way: both
+  /// executors run one morsel plan, and this only moves host work off
+  /// the calling thread (exercising thread-safe probes, disjoint ranges
+  /// and result merging). False forces kSerial.
   bool parallel_execution = true;
-  /// Host execution strategy when parallel_execution is on.
+  /// Host execution strategy when parallel_execution is on: the pool gets
+  /// host threads only for kMorselStealing.
   ExecutorKind executor = ExecutorKind::kMorselStealing;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
@@ -176,8 +182,8 @@ class SsbEngine {
     /// Projected seconds per phase ("scan", "probe-part", ..., "cpu") —
     /// where the query's time goes at the projected scale.
     std::map<std::string, double> phase_seconds;
-    /// How far execution got (morsels for the stealing executor, ranges
-    /// otherwise). Meaningful mostly when a deadline cut the run short.
+    /// How far execution got, in morsels. Meaningful mostly when a
+    /// deadline cut the run short.
     qos::QueryProgress progress;
   };
 
@@ -186,8 +192,8 @@ class SsbEngine {
 
   /// Execute under query-lifecycle controls: the query is admitted
   /// through config().admission (if set) at options.priority, its
-  /// deadline/retry budget is armed on a cancel token checked *between*
-  /// morsels (a kernel never tears mid-morsel), and partial progress is
+  /// deadline is armed on a cancel token checked *between* morsels (a
+  /// kernel never tears mid-morsel), and partial progress is
   /// reported through options.progress and QueryRun::progress. Expired
   /// deadlines return kDeadlineExceeded; shed admissions return
   /// kResourceExhausted; an inverted scan window returns kInvalidArgument
@@ -263,6 +269,38 @@ class SsbEngine {
   /// table into the ordered map).
   static ssb::QueryOutput DrainWorkerOutput(WorkerState* state);
 
+  /// One SSB dimension as the engine holds it (dims_, indexed by
+  /// ssb::Dim).
+  struct Dimension {
+    /// Prices probes only (ProbeCost, StorageBytes).
+    std::unique_ptr<DimensionIndex> index;
+    /// Key -> payload map the kernels probe; in fault mode key ->
+    /// position in `guarded`. Governor staging reprices probes as DRAM
+    /// reads; the kernels always read this map.
+    DenseDimMap dense;
+    /// Fault mode: the payloads in guarded per-socket replicas.
+    std::unique_ptr<GuardedDimension> guarded;
+    /// Projection of the probe region: the dimension's cardinality at
+    /// project_to_sf over its cardinality at the actual scale factor.
+    double region_scale = 1.0;
+  };
+
+  const Dimension& dim(ssb::Dim d) const {
+    return dims_[static_cast<size_t>(d)];
+  }
+
+  /// Where Execute's traffic goes: each record into `actual` as made
+  /// (QueryRun::profile) and into `priced` projected to project_to_sf.
+  struct Traffic {
+    ExecutionProfile* actual;
+    ExecutionProfile* priced;
+  };
+
+  /// Records `record` into both of `out`'s profiles. The priced copy
+  /// scales bytes by lineorder_scale_ and region_bytes by `region_scale`.
+  void Emit(TrafficRecord record, double region_scale,
+            const Traffic& out) const;
+
   /// Emits the traffic records for one socket's share of the work —
   /// `scanned` is the (window/snapshot-clamped) tuple range the socket's
   /// fact scan covered. A non-null `decision` applies the governor's
@@ -276,7 +314,7 @@ class SsbEngine {
                            int threads_per_socket,
                            const governor::GovernorDecision* decision,
                            const tiering::TieringSnapshot* tiers,
-                           ExecutionProfile* profile) const;
+                           const Traffic& out) const;
 
   /// Bytes of fact data one tuple contributes to the scan: the padded row
   /// (128 B) in row layout, or 4 B per column of ssb::ScanColumnsFor (the
@@ -290,11 +328,11 @@ class SsbEngine {
   const ssb::Database* db_;
   const MemSystemModel* model_;
   EngineConfig config_;
-  /// Probe pricing only (ProbeCost, StorageBytes).
-  std::unique_ptr<DimensionIndex> date_index_;
-  std::unique_ptr<DimensionIndex> customer_index_;
-  std::unique_ptr<DimensionIndex> supplier_index_;
-  std::unique_ptr<DimensionIndex> part_index_;
+  std::array<Dimension, ssb::kNumDims> dims_;
+  /// Projection of traffic volumes (and of the regions that grow with
+  /// the fact table): project_to_sf over the actual scale factor; 1
+  /// without a projection.
+  double lineorder_scale_ = 1.0;
   std::vector<SocketPartition> partitions_;
   /// Columnar projection of the fact table for the kernels: built in
   /// Prepare unless a row image (durable or fault mode) holds the rows or
@@ -304,23 +342,12 @@ class SsbEngine {
   /// straight from the rows, scheme picked per column; the only fact
   /// image the kernels read in encoded mode.
   ssb::EncodedColumnStore encoded_;
-  /// Key -> payload maps the kernels probe; in fault mode key -> position
-  /// in the guarded payload stores below. Governor staging reprices
-  /// probes as DRAM reads; the kernels always read these maps.
-  DenseDimMap date_dense_;
-  DenseDimMap customer_dense_;
-  DenseDimMap supplier_dense_;
-  DenseDimMap part_dense_;
-  /// The persistent work-stealing executor (kMorselStealing only):
-  /// spawned once in Prepare, reused by every Execute.
+  /// The executor every Execute dispatches through: built once in
+  /// Prepare, with host threads for kMorselStealing and none (inline on
+  /// the caller) for kSerial.
   std::unique_ptr<WorkStealingPool> pool_;
-  // Fault mode: the fact byte image lives in a CRC-guarded striped table
-  // and the dimension payloads in guarded per-socket replicas.
+  /// Fault mode: the fact byte image in a CRC-guarded striped table.
   std::unique_ptr<GuardedTable> guarded_fact_;
-  std::unique_ptr<GuardedDimension> guarded_date_;
-  std::unique_ptr<GuardedDimension> guarded_customer_;
-  std::unique_ptr<GuardedDimension> guarded_supplier_;
-  std::unique_ptr<GuardedDimension> guarded_part_;
   bool prepared_ = false;
 };
 

@@ -258,15 +258,10 @@ void RunPlan(const ssb::QueryPlan& plan, const FactImage& fact,
     s->sel.resize(kept);
   }
 
-  // Indexed by ssb::Dim, like `dims`.
-  constexpr uint64_t KernelCounters::*kProbes[ssb::kNumDims] = {
-      &KernelCounters::date_probes, &KernelCounters::customer_probes,
-      &KernelCounters::supplier_probes, &KernelCounters::part_probes};
   int live = 0;
   for (const ssb::Join& join : plan.joins) {
     const size_t d = static_cast<size_t>(join.dim);
-    live = RunJoin(join, dims[d], fact, sel, s, live,
-                   &(counters->*kProbes[d]));
+    live = RunJoin(join, dims[d], fact, sel, s, live, &counters->probes[d]);
     sel = &s->sel;
   }
 
@@ -342,18 +337,19 @@ void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
   const ssb::QueryPlan& plan = ssb::PlanFor(query);
   *scalar = plan.scalar();
   const FactImage fact(ctx, begin, end);
+  // Indexed by ssb::Dim.
+  const DenseDimMap* const maps[ssb::kNumDims] = {ctx.date, ctx.customer,
+                                                  ctx.supplier, ctx.part};
   if (ctx.guarded == nullptr) {
-    const std::array<DenseLookup, ssb::kNumDims> dims{
-        {{ctx.date}, {ctx.customer}, {ctx.supplier}, {ctx.part}}};
+    std::array<DenseLookup, ssb::kNumDims> dims{};
+    for (size_t d = 0; d < dims.size(); ++d) dims[d] = {maps[d]};
     RunPlan(plan, fact, dims, scratch, groups, scalar_sum, counters);
     return;
   }
-  GuardedDims* g = ctx.guarded;
-  const std::array<GuardedLookup, ssb::kNumDims> dims{
-      {{ctx.date, g->date, g},
-       {ctx.customer, g->customer, g},
-       {ctx.supplier, g->supplier, g},
-       {ctx.part, g->part, g}}};
+  std::array<GuardedLookup, ssb::kNumDims> dims{};
+  for (size_t d = 0; d < dims.size(); ++d) {
+    dims[d] = {maps[d], ctx.guarded->dims[d], ctx.guarded};
+  }
   RunPlan(plan, fact, dims, scratch, groups, scalar_sum, counters);
 }
 

@@ -137,10 +137,8 @@ class DenseDimMap {
 /// kept in `status`; the stage goes on with payload 0, and the engine
 /// fails the query once the kernel returns.
 struct GuardedDims {
-  GuardedDimension* date = nullptr;
-  GuardedDimension* customer = nullptr;
-  GuardedDimension* supplier = nullptr;
-  GuardedDimension* part = nullptr;
+  /// Indexed by ssb::Dim.
+  std::array<GuardedDimension*, ssb::kNumDims> dims{};
   int socket = 0;
   Status status;
 };
@@ -166,11 +164,15 @@ struct KernelContext {
 /// Per-dimension probe counts and qualifying tuples of one kernel run, in
 /// the stages' short-circuit order. These feed RecordSocketTraffic.
 struct KernelCounters {
-  uint64_t date_probes = 0;
-  uint64_t customer_probes = 0;
-  uint64_t supplier_probes = 0;
-  uint64_t part_probes = 0;
+  /// Indexed by ssb::Dim.
+  std::array<uint64_t, ssb::kNumDims> probes{};
   uint64_t qualifying = 0;
+
+  KernelCounters& operator+=(const KernelCounters& other) {
+    for (size_t d = 0; d < probes.size(); ++d) probes[d] += other.probes[d];
+    qualifying += other.qualifying;
+    return *this;
+  }
 };
 
 /// The plan shapes the executor takes: tests per join, attributes carried

@@ -3,10 +3,36 @@
 #include <algorithm>
 
 namespace pmemolap {
+namespace {
+
+/// A zero-thread pool's run: `plan` on the calling thread.
+Status RunInline(const MorselPlan& plan,
+                 const WorkStealingPool::MorselTask& task,
+                 const WorkStealingPool::RunControl& control) {
+  Status status;
+  WorkStealingPool::Stats stats;
+  for (const std::vector<Morsel>& queue : plan.queues) {
+    for (const Morsel& morsel : queue) {
+      // After the first failure the rest drain unexecuted, as on the
+      // threaded path (a failed task's morsel counts as neither).
+      if (status.ok() && control.cancel) status = control.cancel();
+      if (!status.ok()) {
+        ++stats.dropped;
+        continue;
+      }
+      status = task(morsel, 0);
+      if (status.ok()) ++stats.executed;
+    }
+  }
+  if (control.stats != nullptr) *control.stats = stats;
+  return status;
+}
+
+}  // namespace
 
 WorkStealingPool::WorkStealingPool(int threads, int queues)
     : queues_(std::max(1, queues)) {
-  int n = std::max(1, threads);
+  const int n = std::max(0, threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int w = 0; w < n; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -130,6 +156,7 @@ void WorkStealingPool::WorkerLoop(int worker) {
 Status WorkStealingPool::RunWithControl(const MorselPlan& plan,
                                         const MorselTask& task,
                                         const RunControl& control) {
+  if (workers_.empty()) return RunInline(plan, task, control);
   // Depth signal for admission control: counted from submission (a run
   // queued on run_mutex_ is load the executor has already accepted).
   struct InflightGuard {

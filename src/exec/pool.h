@@ -36,11 +36,15 @@ namespace pmemolap {
 class WorkStealingPool {
  public:
   /// A morsel task: executes one morsel as worker `worker` (0-based,
-  /// < threads()). Must be safe to call concurrently from pool threads.
+  /// < max(1, threads())). Must be safe to call concurrently from pool
+  /// threads.
   using MorselTask = std::function<Status(const Morsel& morsel, int worker)>;
 
-  /// Spawns `threads` persistent workers serving `queues` run queues
-  /// (both clamped to >= 1). Worker w's home queue is w % queues.
+  /// Spawns max(0, threads) persistent workers serving max(1, queues) run
+  /// queues. Worker w's home queue is w % queues. A zero-thread pool
+  /// runs each plan inline on the calling thread as worker 0, queue by
+  /// queue and each front to back, with no worker caps, steals or run
+  /// serialization; its inflight_runs() stays 0.
   WorkStealingPool(int threads, int queues);
   /// Joins all workers.
   ~WorkStealingPool();
@@ -76,10 +80,11 @@ class WorkStealingPool {
   };
 
   /// Executes every morsel of `plan` on the pool under `control`'s worker
-  /// caps and between-morsel cancel hook (deadlines, retry budgets,
-  /// external aborts), and blocks until done. Returns the first failure
-  /// Status; on failure the remaining morsels are dropped (drained
-  /// without executing). Thread-safe: concurrent runs serialize.
+  /// caps and between-morsel cancel hook (deadlines, external aborts),
+  /// and blocks until done. Returns the first failure Status; on failure
+  /// the remaining morsels are dropped (drained without executing).
+  /// Thread-safe: concurrent runs serialize on a threaded pool and run
+  /// side by side on an inline one.
   Status RunWithControl(const MorselPlan& plan, const MorselTask& task,
                         const RunControl& control);
 

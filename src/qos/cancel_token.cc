@@ -35,16 +35,6 @@ void CancelToken::ArmModeled(double deadline_seconds,
   modeled_clock_ = std::move(clock);
 }
 
-void CancelToken::ArmRetryBudget(uint64_t budget,
-                                 std::function<uint64_t()> used) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (used == nullptr) return;
-  retry_armed_ = true;
-  retry_budget_ = budget;
-  retries_at_arm_ = used();
-  retries_used_ = std::move(used);
-}
-
 Status CancelToken::Check() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!status_.ok()) return status_;
@@ -56,13 +46,6 @@ Status CancelToken::Check() {
     status_ = Status::DeadlineExceeded(
         "modeled deadline expired at platform time " +
         std::to_string(modeled_deadline_seconds_) + " s");
-  } else if (retry_armed_) {
-    const uint64_t used = retries_used_() - retries_at_arm_;
-    if (used > retry_budget_) {
-      status_ = Status::ResourceExhausted(
-          "retry budget exhausted: " + std::to_string(used) +
-          " fault-layer retries > budget " + std::to_string(retry_budget_));
-    }
   }
   return status_;
 }

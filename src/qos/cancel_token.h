@@ -1,13 +1,12 @@
 // CancelToken — cooperative cancellation for queries in flight.
 //
-// The token is armed with any combination of a wall-clock budget, a
-// modeled-platform-time deadline, and a fault-retry budget, then checked
-// by the executor *between morsels* (WorkStealingPool::RunControl::cancel)
-// — never mid-kernel, so a cancelled query leaves no torn per-worker
-// state. The first expired limit latches a terminal Status
-// (kDeadlineExceeded / kResourceExhausted) that every later Check()
-// returns; remaining morsels drain unexecuted and are reported as dropped
-// in the query's partial-progress stats.
+// The token is armed with a wall-clock budget, a modeled-platform-time
+// deadline, or both, then checked by the executor *between morsels*
+// (WorkStealingPool::RunControl::cancel) — never mid-kernel, so a
+// cancelled query leaves no torn per-worker state. The first expired
+// limit latches a terminal kDeadlineExceeded Status that every later
+// Check() returns; remaining morsels drain unexecuted and are reported as
+// dropped in the query's partial-progress stats.
 //
 // This layer reads the host clock by design (wall deadlines are a
 // wall-clock concept), so src/qos/ is exempt from the lint determinism
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 
@@ -39,11 +37,6 @@ class CancelToken {
   /// clock leaves the token unarmed.
   void ArmModeled(double deadline_seconds, std::function<double()> clock);
 
-  /// Arms the retry budget: expires with kResourceExhausted once
-  /// `used()` grows more than `budget` beyond its value at arm time.
-  /// `used` is typically [injector]{ return injector->counters().retries; }.
-  void ArmRetryBudget(uint64_t budget, std::function<uint64_t()> used);
-
   /// The cancellation point: OK while the query may continue, else the
   /// latched terminal status. Cheap; safe to call concurrently from pool
   /// workers.
@@ -62,18 +55,12 @@ class CancelToken {
   bool modeled_armed_ = false;
   double modeled_deadline_seconds_ = 0.0;
   std::function<double()> modeled_clock_;
-
-  bool retry_armed_ = false;
-  uint64_t retry_budget_ = 0;
-  uint64_t retries_at_arm_ = 0;
-  std::function<uint64_t()> retries_used_;
 };
 
 /// Arms `token` from a query's options: the wall budget (measured from
 /// now) and the modeled deadline (against options.modeled_clock, falling
 /// back to `default_modeled_clock` — typically the engine's injector
-/// clock). The retry budget is armed separately because it needs the
-/// injector's counter.
+/// clock).
 void ArmFromOptions(CancelToken* token, const QueryOptions& options,
                     std::function<double()> default_modeled_clock = nullptr);
 

@@ -1,5 +1,5 @@
-// Query-lifecycle QoS vocabulary: deadlines, priorities, retry budgets
-// and partial-progress reporting.
+// Query-lifecycle QoS vocabulary: deadlines, priorities and
+// partial-progress reporting.
 //
 // The paper assumes a cooperative tenant; a production engine serving
 // concurrent traffic must bound how long a query may run (PMEM bandwidth
@@ -59,11 +59,11 @@ const char* QueryPriorityName(QueryPriority priority);
 
 /// How far a query got before finishing or being cancelled — returned
 /// alongside kDeadlineExceeded so callers see partial progress instead of
-/// a bare error. For the morsel executor the unit is morsels; the serial
-/// and static-thread paths count their per-socket ranges.
+/// a bare error. The unit is the morsel in every executor mode: a serial
+/// engine runs the same morsel plan inline.
 struct QueryProgress {
   bool admitted = false;        ///< passed the admission gate (or no gate)
-  uint64_t units_total = 0;     ///< morsels (or ranges) the plan held
+  uint64_t units_total = 0;     ///< morsels the plan held
   uint64_t units_executed = 0;  ///< completed before the query ended
   uint64_t units_dropped = 0;   ///< drained unexecuted after cancellation
   uint64_t units_stolen = 0;    ///< executed via work stealing
@@ -77,14 +77,10 @@ inline constexpr uint64_t kScanToEnd = ~uint64_t{0};
 
 /// Per-query lifecycle options accepted by SsbEngine::Execute.
 /// Default-constructed options change nothing: no deadline, normal
-/// priority, unlimited retries.
+/// priority.
 struct QueryOptions {
   Deadline deadline;
   QueryPriority priority = QueryPriority::kNormal;
-  /// Fault-layer retries (FaultInjector counter deltas) this query may
-  /// consume before aborting with kResourceExhausted; enforced
-  /// cooperatively between morsels. Negative = unlimited.
-  int64_t retry_budget = -1;
   /// Clock for the modeled deadline. Defaults to the engine's fault
   /// injector platform time; required when a modeled deadline is used
   /// without a fault domain (a modeled deadline with no clock is ignored).

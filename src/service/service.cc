@@ -674,7 +674,6 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   ++counters_.real_executions;
   qos::QueryOptions options;
   options.priority = request.priority;
-  options.retry_budget = config_.workload.fault_retry_budget;
   if (request.deadline_seconds >= 0.0) {
     // Armed through the real QoS plumbing; the frozen modeled clock means
     // it cannot fire mid-run (the service enforces mid-run expiry on the

@@ -3,7 +3,7 @@
 //
 // The service owns the whole serving stack: a Workload of N simulated
 // client streams (closed- or open-loop arrivals, Zipf query mixes,
-// per-client priorities/deadlines/retry budgets), the real
+// per-client priorities/deadlines/shed-retry budgets), the real
 // qos::AdmissionController in front of a bounded slot pool, the
 // BandwidthGovernor, the fault/durability machinery a ChaosSchedule
 // composes into mid-traffic campaigns, a three-tier graceful-degradation

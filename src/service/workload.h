@@ -58,9 +58,6 @@ struct WorkloadConfig {
   /// and the mean modeled backoff before each (exponential).
   int shed_retry_budget = 2;
   double retry_backoff_seconds = 0.25;
-  /// Fault-layer retry budget forwarded into QueryOptions::retry_budget
-  /// (negative = unlimited).
-  int64_t fault_retry_budget = -1;
   /// Seed of the whole tenant population and both arrival processes.
   uint64_t seed = 0x5EED;
 };

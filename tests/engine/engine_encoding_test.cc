@@ -283,38 +283,44 @@ TEST(EngineEncodingGovernor, GovernedEncodedRunsStayBitIdentical) {
 
 // --- Concurrency (TSan-covered in CI) ---------------------------------------
 
-// Many host threads hammer one shared encoded engine through the
-// work-stealing pool. The encoded store is immutable after Prepare and
-// every worker decodes into its own scratch, so TSan must stay quiet and
-// every result must match the reference.
+// Many host threads hammer one shared encoded engine, once through the
+// work-stealing pool and once through a serial engine, whose runs execute
+// inline on each calling thread side by side. The encoded store is
+// immutable after Prepare and every worker decodes into its own scratch,
+// so TSan must stay quiet and every result must match the reference.
 TEST(EncodingConcurrencyTest, ConcurrentEncodedScansBitIdentical) {
   EncodingEnv& env = EncodingEnv::Get();
-  EngineConfig config = EncodedConfig(EngineMode::kPmemAware);
-  config.executor = ExecutorKind::kMorselStealing;
-  config.morsel_tuples = 4096;
-  SsbEngine engine(&env.db(), &env.model(), config);
-  ASSERT_TRUE(engine.Prepare().ok());
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "pool" : "serial");
+    EngineConfig config = EncodedConfig(EngineMode::kPmemAware);
+    config.parallel_execution = parallel;
+    config.executor = ExecutorKind::kMorselStealing;
+    config.morsel_tuples = 4096;
+    SsbEngine engine(&env.db(), &env.model(), config);
+    ASSERT_TRUE(engine.Prepare().ok());
 
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 3;
-  std::vector<int> failures(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (QueryId query : ssb::AllQueries()) {
-          auto run = engine.Execute(query);
-          if (!run.ok() || !(run->output == env.reference().Execute(query))) {
-            ++failures[t];
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<int> failures(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (QueryId query : ssb::AllQueries()) {
+            auto run = engine.Execute(query);
+            if (!run.ok() ||
+                !(run->output == env.reference().Execute(query))) {
+              ++failures[t];
+            }
           }
         }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(failures[t], 0) << "thread " << t;
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(failures[t], 0) << "thread " << t;
+    }
   }
 }
 

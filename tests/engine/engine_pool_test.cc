@@ -1,9 +1,11 @@
-// Executor equivalence over the one query path: in both engine modes and
+// Executor equivalence over the one query path: in both engine modes,
 // over every fact image the kernels read (the plain column store, guarded
 // PMEM under an injected-fault preset, and a durable snapshot of the whole
-// table or of its first half), the persistent morsel-stealing pool and the
+// table or of its first half) and under a bandwidth governor whose morsel
+// boundaries tear XPLines, the persistent morsel-stealing pool and the
 // serial executor must agree with the reference executor, produce
-// bit-equal modeled runtimes, and do exactly the pinned work below.
+// bit-equal modeled runtimes and progress, and do exactly the pinned work
+// below.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <tuple>
 
 #include "fault/fault_domain.h"
+#include "governor/governor.h"
 #include "ssb/reference.h"
 
 namespace pmemolap {
@@ -105,8 +108,9 @@ constexpr std::array<PinnedWork, 13> kFirstHalf = {{
     {60000, 61507, 17},    // Q4.3
 }};
 
-/// The fact image an engine reads.
-enum class Image { kPlain, kFault, kDurableFull, kDurableHalf };
+/// The fact image an engine reads; kGoverned reads the plain image under
+/// a bandwidth governor.
+enum class Image { kPlain, kFault, kDurableFull, kDurableHalf, kGoverned };
 
 const char* ImageName(Image image) {
   switch (image) {
@@ -118,6 +122,8 @@ const char* ImageName(Image image) {
       return "DurableFull";
     case Image::kDurableHalf:
       return "DurableHalf";
+    case Image::kGoverned:
+      return "Governed";
   }
   return "Unknown";
 }
@@ -127,6 +133,7 @@ const char* ImageName(Image image) {
 struct Deployment {
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<MemSystemModel> model;
+  std::unique_ptr<governor::BandwidthGovernor> governor;
   std::unique_ptr<PmemSpace> space;
   FaultDomain domain;
   std::unique_ptr<DurableTable> table;
@@ -152,6 +159,15 @@ void Deploy(EngineMode mode, Image image, bool pooled,
         d->injector->Degrade(MemSystemConfig()));
   } else {
     d->model = std::make_unique<MemSystemModel>();
+  }
+  if (image == Image::kGoverned) {
+    // Shaping off, and 1001-row morsels are not a whole number of 256 B
+    // XPLines (128 B rows): every interior boundary tears a line, which
+    // both executors must price.
+    d->governor = std::make_unique<governor::BandwidthGovernor>(
+        d->model.get(), governor::GovernorConfig{.shape_morsels = false});
+    config.governor = d->governor.get();
+    config.morsel_tuples = 1001;
   }
   d->space = std::make_unique<PmemSpace>(d->model->config().topology);
   if (image == Image::kFault) {
@@ -214,6 +230,9 @@ TEST_P(ExecutorEquivalenceTest, PinnedWorkAndBitEqualSeconds) {
     // the bit, not approximately.
     EXPECT_EQ(pooled_run->seconds, serial_run->seconds)
         << ssb::QueryName(query) << ": modeled runtime must not drift";
+    EXPECT_EQ(pooled_run->progress.units_total,
+              serial_run->progress.units_total)
+        << ssb::QueryName(query) << ": both run one morsel plan";
     for (const SsbEngine::QueryRun* run : {&*serial_run, &*pooled_run}) {
       EXPECT_EQ(run->cpu.tuples_scanned, want.tuples)
           << ssb::QueryName(query);
@@ -230,7 +249,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          EngineMode::kUnaware),
                        ::testing::Values(Image::kPlain, Image::kFault,
                                          Image::kDurableFull,
-                                         Image::kDurableHalf)),
+                                         Image::kDurableHalf,
+                                         Image::kGoverned)),
     [](const ::testing::TestParamInfo<std::tuple<EngineMode, Image>>& info) {
       return std::string(std::get<0>(info.param) == EngineMode::kPmemAware
                              ? "Aware"

@@ -1,8 +1,9 @@
 // Query-lifecycle robustness end to end: deadlines cancel between
 // morsels with partial progress, the admission gate sheds with
-// kResourceExhausted, retry budgets abort runaway recovery, an inverted
-// scan window is refused before admission, and every admitted-and-completed
-// query stays bit-identical to the reference — an empty window included.
+// kResourceExhausted, recovery rides out dense permanent poison, an
+// inverted scan window is refused before admission, and every
+// admitted-and-completed query stays bit-identical to the reference — an
+// empty window included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -194,7 +195,7 @@ TEST(EngineQosTest, InvertedWindowIsRejectedBeforeAdmission) {
   EXPECT_EQ(gate.running(), 0);
 }
 
-TEST(EngineQosTest, RetryBudgetAbortsRunawayRecovery) {
+TEST(EngineQosTest, RecoveryRidesOutDensePermanentPoison) {
   QosEnv& env = QosEnv::Get();
   FaultSpec spec;
   spec.poison_lines_per_mib = 256.0;  // dense permanent poison
@@ -213,22 +214,11 @@ TEST(EngineQosTest, RetryBudgetAbortsRunawayRecovery) {
   ASSERT_TRUE(engine.Prepare().ok());
   ASSERT_GT(injector.counters().lines_poisoned, 0u);
 
-  qos::QueryProgress progress;
-  qos::QueryOptions options;
-  options.retry_budget = 0;  // the first fault-layer retry is fatal
-  options.progress = &progress;
-  Result<SsbEngine::QueryRun> run = engine.Execute(QueryId::kQ1_1, options);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(progress.admitted);
-  EXPECT_GT(injector.counters().retries, 0u);
-  EXPECT_LT(progress.units_executed, progress.units_total);
-
-  // Unlimited budget on the same engine: recovery rides out the poison
-  // and the result is still bit-identical.
+  // Recovery rides out the poison and the result is still bit-identical.
   Result<SsbEngine::QueryRun> healed = engine.Execute(QueryId::kQ1_1);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(healed->output, env.reference().Execute(QueryId::kQ1_1));
+  EXPECT_GT(injector.counters().retries, 0u);
 }
 
 TEST(EngineQosTest, QuarantinedSocketRePlansAndStaysBitIdentical) {

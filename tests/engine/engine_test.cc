@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "ssb/reference.h"
 
@@ -257,6 +260,60 @@ TEST(EngineTest, ProjectionScalesSeconds) {
   double big_s = big.Execute(QueryId::kQ1_1)->seconds;
   double small_s = small.Execute(QueryId::kQ1_1)->seconds;
   EXPECT_NEAR(big_s / small_s, 2.0, 0.3);
+}
+
+// The priced profile is QueryRun::profile projected record by record:
+// bytes by the lineorder factor, a probe's region by its dimension's
+// cardinality ratio (date's is 1), the aggregate hash and materialize
+// staging regions fixed, every other region by the lineorder factor.
+// Pricing the measured profile under that rule gives the engine's
+// seconds to the bit, in both modes.
+TEST(EngineTest, ProjectionScalesEachRecordByItsRule) {
+  EngineEnv& env = EngineEnv::Get();
+  auto scale = [](uint64_t value, double factor) {
+    return static_cast<uint64_t>(
+        std::llround(static_cast<double>(value) * factor));
+  };
+  for (const EngineConfig& config : {AwareConfig(), UnawareConfig()}) {
+    SsbEngine engine(&env.db(), &env.model(), config);
+    ASSERT_TRUE(engine.Prepare().ok());
+    const double factor = config.project_to_sf / engine.ActualScaleFactor();
+    const ssb::Cardinalities from =
+        ssb::CardinalitiesFor(engine.ActualScaleFactor());
+    const ssb::Cardinalities to = ssb::CardinalitiesFor(config.project_to_sf);
+    auto ratio = [](uint64_t target, uint64_t actual) {
+      return static_cast<double>(target) / static_cast<double>(actual);
+    };
+    const std::map<std::string, double> region_scale = {
+        {"probe-date", 1.0},
+        {"probe-customer", ratio(to.customer, from.customer)},
+        {"probe-supplier", ratio(to.supplier, from.supplier)},
+        {"probe-part", ratio(to.part, from.part)},
+        {"aggregate", 1.0},
+        {"materialize-date", 1.0},
+        {"materialize-customer", 1.0},
+        {"materialize-supplier", 1.0},
+        {"materialize-part", 1.0}};
+    const QueryTimer timer(&env.model(), config.timer);
+    for (QueryId query : ssb::AllQueries()) {
+      auto run = engine.Execute(query);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExecutionProfile priced;
+      for (TrafficRecord record : run->profile.records()) {
+        const auto it = region_scale.find(record.label);
+        record.bytes = scale(record.bytes, factor);
+        record.region_bytes = scale(
+            record.region_bytes,
+            it != region_scale.end() ? it->second : factor);
+        priced.Record(std::move(record));
+      }
+      EXPECT_EQ(timer.EstimateSecondsWithBackground(
+                    priced, run->cpu.Scaled(factor), config.threads,
+                    config.pinning, {}),
+                run->seconds)
+          << ssb::QueryName(query);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -22,51 +23,93 @@ Status RunPlan(WorkStealingPool* pool, const MorselPlan& plan,
 }
 
 TEST(PoolTest, ExecutesEveryMorselExactlyOnce) {
-  WorkStealingPool pool(/*threads=*/4, /*queues=*/2);
-  MorselPlan plan;
-  AppendMorsels(0, 1000, /*socket=*/0, /*morsel_tuples=*/64, &plan);
-  AppendMorsels(1000, 2000, /*socket=*/1, /*morsel_tuples=*/64, &plan);
+  for (int threads : {4, 0}) {
+    SCOPED_TRACE(threads);
+    WorkStealingPool pool(threads, /*queues=*/2);
+    MorselPlan plan;
+    AppendMorsels(0, 1000, /*socket=*/0, /*morsel_tuples=*/64, &plan);
+    AppendMorsels(1000, 2000, /*socket=*/1, /*morsel_tuples=*/64, &plan);
 
-  std::atomic<uint64_t> tuples{0};
-  std::atomic<uint64_t> calls{0};
+    std::atomic<uint64_t> tuples{0};
+    std::atomic<uint64_t> calls{0};
+    WorkStealingPool::Stats stats;
+    Status status = RunPlan(
+        &pool, plan,
+        [&](const Morsel& m, int worker) {
+          EXPECT_GE(worker, 0);
+          EXPECT_LT(worker, std::max(1, pool.threads()));
+          tuples.fetch_add(m.size());
+          calls.fetch_add(1);
+          return Status::OK();
+        },
+        &stats);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(tuples.load(), 2000u);
+    EXPECT_EQ(calls.load(), plan.total_morsels());
+    EXPECT_EQ(stats.executed, plan.total_morsels());
+  }
+}
+
+TEST(PoolTest, PropagatesFirstFailureAndDropsRest) {
+  for (int threads : {2, 0}) {
+    SCOPED_TRACE(threads);
+    WorkStealingPool pool(threads, /*queues=*/1);
+    MorselPlan plan;
+    AppendMorsels(0, 100, /*socket=*/0, 10, &plan);
+    std::atomic<uint64_t> executed{0};
+    WorkStealingPool::Stats stats;
+    Status status = RunPlan(
+        &pool, plan,
+        [&](const Morsel& m, int) {
+          if (m.begin == 30) {
+            return Status::DataLoss("injected morsel failure");
+          }
+          executed.fetch_add(1);
+          return Status::OK();
+        },
+        &stats);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    // The failed morsel and at least the not-yet-dispatched tail were dropped.
+    EXPECT_LT(executed.load(), plan.total_morsels());
+    EXPECT_LT(stats.executed, plan.total_morsels());
+    if (threads == 0) {
+      // Inline, the run stops at the failure: the three morsels before it
+      // executed and the six after it drained.
+      EXPECT_EQ(stats.executed, 3u);
+      EXPECT_EQ(stats.dropped, 6u);
+    }
+  }
+}
+
+// A zero-thread pool is the serial executor: the caller runs every morsel
+// itself, as worker 0, queue by queue and each queue front to back.
+TEST(PoolTest, InlineRunExecutesOnTheCallerInQueueOrder) {
+  WorkStealingPool pool(/*threads=*/0, /*queues=*/2);
+  EXPECT_EQ(pool.threads(), 0);
+  MorselPlan plan;
+  // Queue 1 is filled first; the run still starts with queue 0.
+  AppendMorsels(500, 1000, /*socket=*/1, /*morsel_tuples=*/100, &plan);
+  AppendMorsels(0, 500, /*socket=*/0, /*morsel_tuples=*/100, &plan);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<uint64_t> begins;
   WorkStealingPool::Stats stats;
   Status status = RunPlan(
       &pool, plan,
       [&](const Morsel& m, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, pool.threads());
-        tuples.fetch_add(m.size());
-        calls.fetch_add(1);
+        EXPECT_EQ(worker, 0);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(pool.inflight_runs(), 0);
+        begins.push_back(m.begin);
         return Status::OK();
       },
       &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(tuples.load(), 2000u);
-  EXPECT_EQ(calls.load(), plan.total_morsels());
+  const std::vector<uint64_t> want = {0,   100, 200, 300, 400,
+                                      500, 600, 700, 800, 900};
+  EXPECT_EQ(begins, want);
   EXPECT_EQ(stats.executed, plan.total_morsels());
-}
-
-TEST(PoolTest, PropagatesFirstFailureAndDropsRest) {
-  WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
-  MorselPlan plan;
-  AppendMorsels(0, 100, /*socket=*/0, 10, &plan);
-  std::atomic<uint64_t> executed{0};
-  WorkStealingPool::Stats stats;
-  Status status = RunPlan(
-      &pool, plan,
-      [&](const Morsel& m, int) {
-        if (m.begin == 30) {
-          return Status::DataLoss("injected morsel failure");
-        }
-        executed.fetch_add(1);
-        return Status::OK();
-      },
-      &stats);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
-  // The failed morsel and at least the not-yet-dispatched tail were dropped.
-  EXPECT_LT(executed.load(), plan.total_morsels());
-  EXPECT_LT(stats.executed, plan.total_morsels());
+  EXPECT_EQ(stats.stolen, 0u);
 }
 
 TEST(PoolTest, ReusableAcrossRuns) {
@@ -119,103 +162,115 @@ TEST(PoolTest, IdleWorkerStealsFromStalledQueue) {
 }
 
 TEST(PoolTest, RunWithControlCancelBeforeFirstMorselDropsEverything) {
-  WorkStealingPool pool(/*threads=*/4, /*queues=*/2);
-  MorselPlan plan;
-  AppendMorsels(0, 1000, /*socket=*/0, 50, &plan);
-  std::atomic<uint64_t> tasks_run{0};
-  WorkStealingPool::Stats stats;
-  WorkStealingPool::RunControl control;
-  control.cancel = [] {
-    return Status::DeadlineExceeded("deadline already expired");
-  };
-  control.stats = &stats;
-  Status status = pool.RunWithControl(
-      plan,
-      [&](const Morsel&, int) {
-        tasks_run.fetch_add(1);
-        return Status::OK();
-      },
-      control);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  // The hook fires before any task: nothing executes, everything drains.
-  EXPECT_EQ(tasks_run.load(), 0u);
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.dropped, plan.total_morsels());
+  for (int threads : {4, 0}) {
+    SCOPED_TRACE(threads);
+    WorkStealingPool pool(threads, /*queues=*/2);
+    MorselPlan plan;
+    AppendMorsels(0, 1000, /*socket=*/0, 50, &plan);
+    std::atomic<uint64_t> tasks_run{0};
+    WorkStealingPool::Stats stats;
+    WorkStealingPool::RunControl control;
+    control.cancel = [] {
+      return Status::DeadlineExceeded("deadline already expired");
+    };
+    control.stats = &stats;
+    Status status = pool.RunWithControl(
+        plan,
+        [&](const Morsel&, int) {
+          tasks_run.fetch_add(1);
+          return Status::OK();
+        },
+        control);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+    // The hook fires before any task: nothing executes, everything drains.
+    EXPECT_EQ(tasks_run.load(), 0u);
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.dropped, plan.total_morsels());
+  }
 }
 
 TEST(PoolTest, RunWithControlMidRunCancelKeepsPartialProgress) {
-  WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
-  MorselPlan plan;
-  AppendMorsels(0, 2000, /*socket=*/0, 20, &plan);  // 100 morsels
-  // The hook passes its first 10 checks, then reports an expired
-  // deadline: the run must stop between morsels with partial progress.
-  std::atomic<uint64_t> checks{0};
-  std::atomic<uint64_t> in_task{0};
-  WorkStealingPool::Stats stats;
-  WorkStealingPool::RunControl control;
-  control.cancel = [&] {
-    EXPECT_EQ(in_task.load(), 0u) << "cancel hook ran mid-kernel";
-    if (checks.fetch_add(1) < 10) return Status::OK();
-    return Status::DeadlineExceeded("modeled deadline passed");
-  };
-  control.stats = &stats;
-  Status status = pool.RunWithControl(
-      plan,
-      [&](const Morsel&, int) {
-        in_task.fetch_add(1);
-        in_task.fetch_sub(1);
-        return Status::OK();
-      },
-      control);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GT(stats.executed, 0u);
-  EXPECT_GT(stats.dropped, 0u);
-  // Every morsel is accounted for exactly once: executed or dropped.
-  EXPECT_EQ(stats.executed + stats.dropped, plan.total_morsels());
+  for (int threads : {2, 0}) {
+    SCOPED_TRACE(threads);
+    WorkStealingPool pool(threads, /*queues=*/1);
+    MorselPlan plan;
+    AppendMorsels(0, 2000, /*socket=*/0, 20, &plan);  // 100 morsels
+    // The hook passes its first 10 checks, then reports an expired
+    // deadline: the run must stop between morsels with partial progress.
+    std::atomic<uint64_t> checks{0};
+    std::atomic<uint64_t> in_task{0};
+    WorkStealingPool::Stats stats;
+    WorkStealingPool::RunControl control;
+    control.cancel = [&] {
+      EXPECT_EQ(in_task.load(), 0u) << "cancel hook ran mid-kernel";
+      if (checks.fetch_add(1) < 10) return Status::OK();
+      return Status::DeadlineExceeded("modeled deadline passed");
+    };
+    control.stats = &stats;
+    Status status = pool.RunWithControl(
+        plan,
+        [&](const Morsel&, int) {
+          in_task.fetch_add(1);
+          in_task.fetch_sub(1);
+          return Status::OK();
+        },
+        control);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GT(stats.executed, 0u);
+    EXPECT_GT(stats.dropped, 0u);
+    // Every morsel is accounted for exactly once: executed or dropped.
+    EXPECT_EQ(stats.executed + stats.dropped, plan.total_morsels());
+  }
 }
 
 TEST(PoolTest, RunWithControlStatsOutParamAndWorkerCap) {
-  // One queue: every worker's rank is its id, so a cap of 2 admits
-  // workers 0 and 1 only.
-  WorkStealingPool pool(/*threads=*/4, /*queues=*/1);
-  MorselPlan plan;
-  AppendMorsels(0, 600, /*socket=*/0, 30, &plan);
-  std::atomic<int> max_seen{-1};
-  WorkStealingPool::Stats stats;
-  WorkStealingPool::RunControl control;
-  control.workers_per_queue = {2};
-  control.stats = &stats;
-  Status status = pool.RunWithControl(
-      plan,
-      [&](const Morsel&, int worker) {
-        int seen = max_seen.load();
-        while (worker > seen &&
-               !max_seen.compare_exchange_weak(seen, worker)) {
-        }
-        return Status::OK();
-      },
-      control);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_LT(max_seen.load(), 2);
-  EXPECT_EQ(stats.executed, plan.total_morsels());
-  EXPECT_EQ(stats.dropped, 0u);
+  for (int threads : {4, 0}) {
+    SCOPED_TRACE(threads);
+    // One queue: every worker's rank is its id, so a cap of 2 admits
+    // workers 0 and 1 only.
+    WorkStealingPool pool(threads, /*queues=*/1);
+    MorselPlan plan;
+    AppendMorsels(0, 600, /*socket=*/0, 30, &plan);
+    std::atomic<int> max_seen{-1};
+    WorkStealingPool::Stats stats;
+    WorkStealingPool::RunControl control;
+    control.workers_per_queue = {2};
+    control.stats = &stats;
+    Status status = pool.RunWithControl(
+        plan,
+        [&](const Morsel&, int worker) {
+          int seen = max_seen.load();
+          while (worker > seen &&
+                 !max_seen.compare_exchange_weak(seen, worker)) {
+          }
+          return Status::OK();
+        },
+        control);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_LT(max_seen.load(), 2);
+    EXPECT_EQ(stats.executed, plan.total_morsels());
+    EXPECT_EQ(stats.dropped, 0u);
+  }
 }
 
 TEST(PoolTest, RunWithControlEmptyPlanFillsStats) {
-  WorkStealingPool pool(/*threads=*/2, /*queues=*/1);
-  MorselPlan plan;
-  WorkStealingPool::Stats stats;
-  stats.executed = 99;  // must be overwritten, not left stale
-  WorkStealingPool::RunControl control;
-  control.stats = &stats;
-  ASSERT_TRUE(pool.RunWithControl(
-                      plan, [](const Morsel&, int) { return Status::OK(); },
-                      control)
-                  .ok());
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.dropped, 0u);
+  for (int threads : {2, 0}) {
+    SCOPED_TRACE(threads);
+    WorkStealingPool pool(threads, /*queues=*/1);
+    MorselPlan plan;
+    WorkStealingPool::Stats stats;
+    stats.executed = 99;  // must be overwritten, not left stale
+    WorkStealingPool::RunControl control;
+    control.stats = &stats;
+    ASSERT_TRUE(pool.RunWithControl(
+                        plan, [](const Morsel&, int) { return Status::OK(); },
+                        control)
+                    .ok());
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.dropped, 0u);
+  }
 }
 
 TEST(PoolTest, RunControlQueueCapsBoundParticipants) {

@@ -1,10 +1,11 @@
-// CancelToken: wall budgets, modeled deadlines, retry budgets, external
-// cancellation and the first-terminal-status-wins latch.
+// CancelToken: wall budgets, modeled deadlines and the
+// first-terminal-status-wins latch.
 #include "qos/cancel_token.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 namespace pmemolap::qos {
@@ -55,36 +56,16 @@ TEST(CancelTokenTest, ModeledDeadlineWithoutClockStaysUnarmed) {
   EXPECT_TRUE(token.Check().ok());
 }
 
-TEST(CancelTokenTest, RetryBudgetCountsDeltaFromArmTime) {
-  uint64_t retries = 10;  // pre-existing retries must not count
-  CancelToken token;
-  token.ArmRetryBudget(2, [&retries] { return retries; });
-  EXPECT_TRUE(token.Check().ok());
-  retries = 12;  // delta 2 == budget: still within
-  EXPECT_TRUE(token.Check().ok());
-  retries = 13;  // delta 3 > budget
-  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(CancelTokenTest, ZeroRetryBudgetExpiresOnFirstRetry) {
-  uint64_t retries = 0;
-  CancelToken token;
-  token.ArmRetryBudget(0, [&retries] { return retries; });
-  EXPECT_TRUE(token.Check().ok());
-  retries = 1;
-  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
-}
-
 TEST(CancelTokenTest, CancelLatchesFirstTerminalStatus) {
   CancelToken token;
-  uint64_t retries = 0;
-  token.ArmRetryBudget(0, [&retries] { return retries; });
-  retries = 1;
-  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
+  token.ArmModeled(1.0, [] { return 1.0; });
+  const Status modeled = token.Check();
+  ASSERT_EQ(modeled.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_NE(modeled.message().find("modeled"), std::string::npos);
   // A later expiry cannot replace the latched status, although Check()
   // tests the wall deadline first.
   token.ArmWall(0.0);
-  EXPECT_EQ(token.Check().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(token.Check().message(), modeled.message());
   EXPECT_TRUE(token.cancelled());
 }
 
