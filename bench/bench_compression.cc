@@ -26,7 +26,6 @@
 //      are at the mercy of host noise; the gated wall-clock claim is the
 //      large-region scan above.
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -34,6 +33,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "encoding/encoding.h"
 #include "engine/engine.h"
 #include "ssb/encoded_column_store.h"
@@ -186,8 +186,8 @@ void RunModeledScorecard(const ssb::Database& db, const MemSystemModel& model,
          << ", \"encoded_scan_bytes\": " << enc_scan << "}";
     first = false;
   }
-  const double speedup_geomean = Geomean(speedups);
-  const double byte_geomean = Geomean(byte_reductions);
+  const double speedup_geomean = GeoMean(speedups);
+  const double byte_geomean = GeoMean(byte_reductions);
   table.Print();
   std::printf("  geomean: %.2fx faster, %.2fx fewer scan bytes\n",
               speedup_geomean, byte_geomean);
@@ -335,7 +335,7 @@ void RunWallClockScan(std::ofstream& json) {
          << "\", \"raw_gbps\": " << k.raw_gbps
          << ", \"encoded_gbps\": " << k.encoded_gbps << "}";
   }
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   table.Print();
   std::printf("  wall-clock geomean speedup: %.2fx\n", geomean);
   // Encode time in units of one raw sum-scan of the same column, so the
@@ -403,8 +403,8 @@ void RunPerQueryWallClock(const ssb::Database& db,
   }
   table.Print();
   std::printf("  per-query wall-clock geomean: %.2fx (informational)\n",
-              Geomean(speedups));
-  json << "],\n  \"wallclock_query_geomean\": " << Geomean(speedups)
+              GeoMean(speedups));
+  json << "],\n  \"wallclock_query_geomean\": " << GeoMean(speedups)
        << ",\n";
   Claim(all_verified,
         "all wall-clock runs stayed bit-identical to the reference");

@@ -20,13 +20,13 @@
 //      boundaries snap and the penalty vanishes.
 //   4. Determinism: two completely fresh governed runs over the same trace
 //      produce byte-identical actuator logs.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "engine/engine.h"
 #include "governor/governor.h"
 #include "ssb/reference.h"
@@ -184,7 +184,7 @@ void RunPureRead(const ssb::Database& db, const MemSystemModel& model,
   }
   PrintSweepTable(fixed, governed);
   const std::vector<double> speedups = Speedups(fixed, governed);
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   std::printf("  geomean speedup: %.3fx; staged: %s\n", geomean,
               governed.staged.empty() ? "-" : governed.staged.c_str());
 
@@ -221,7 +221,7 @@ void RunMixed(const ssb::Database& db, const MemSystemModel& model,
   }
   PrintSweepTable(fixed, governed);
   const std::vector<double> speedups = Speedups(fixed, governed);
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   std::printf("  geomean speedup: %.3fx; staged: %s\n", geomean,
               governed.staged.empty() ? "-" : governed.staged.c_str());
 

@@ -20,13 +20,13 @@
 //      durable engine answers every query at the same modeled cost as
 //      the in-memory engine; a standing ingest's log writes price into
 //      query runtimes. All runs bit-identical to the reference.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "durability/crash_injector.h"
 #include "durability/durable_table.h"
 #include "durability/recovery.h"
@@ -438,9 +438,9 @@ void RunSsbTax(const ssb::Database& db, const MemSystemModel& model,
   }
 
   TablePrinter table({"Config", "Geomean [s]", "Verified"});
-  const double g_off = Geomean(off.seconds);
-  const double g_idle = Geomean(on_idle.seconds);
-  const double g_busy = Geomean(on_ingest.seconds);
+  const double g_off = GeoMean(off.seconds);
+  const double g_idle = GeoMean(on_idle.seconds);
+  const double g_busy = GeoMean(on_ingest.seconds);
   table.AddRow({"durability off", F3(g_off),
                 std::to_string(off.verified) + "/13"});
   table.AddRow({"durable, ingest quiescent", F3(g_idle),

@@ -24,7 +24,6 @@
 //      scales every traffic byte uniformly, so the placement win holds.
 //   4. Determinism: two completely fresh closed-loop runs over the same
 //      schedule produce byte-identical actuator logs.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -32,6 +31,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/zipf.h"
 #include "engine/engine.h"
 #include "ssb/reference.h"
@@ -187,7 +187,7 @@ double GeomeanSpeedup(const ScheduleResult& slow,
        i < slow.seconds.size() && i < fast.seconds.size(); ++i) {
     speedups.push_back(slow.seconds[i] / fast.seconds[i]);
   }
-  return Geomean(speedups);
+  return GeoMean(speedups);
 }
 
 /// Fraction of measured Zipf mass resident off-SSD in the final

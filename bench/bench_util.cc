@@ -1,6 +1,5 @@
 #include "bench_util.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -61,13 +60,6 @@ std::string F3(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.3f", v);
   return buffer;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 std::string U64(uint64_t v) {

@@ -54,8 +54,6 @@ int FinishScorecard(std::ofstream& json, const char* bench);
 
 /// `v` with three decimals.
 std::string F3(double v);
-/// Geometric mean; 0 for an empty list.
-double Geomean(const std::vector<double>& values);
 /// `v` in decimal.
 std::string U64(uint64_t v);
 

@@ -2,7 +2,9 @@
 // classic '|'-separated .tbl files, re-import, run a query on the imported
 // data, and plan the ingest bandwidth per the write-side best practices.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "core/advisor.h"
 #include "engine/engine.h"
@@ -17,9 +19,22 @@ int main() {
   // 1. Generate and export.
   auto db = ssb::Generate({.scale_factor = 0.01, .seed = 99});
   if (!db.ok()) return 1;
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "pmemolap_import_demo";
-  std::filesystem::create_directories(dir);
+  // A fresh directory per run, so concurrent runs never share files.
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "pmemolap_import_demo.XXXXXX")
+          .string();
+  if (mkdtemp(dir_template.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const std::filesystem::path dir = dir_template;
+  struct RemoveOnExit {
+    std::filesystem::path path;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } cleanup{dir};
   if (Status status = ssb::ExportDatabase(db.value(), dir.string());
       !status.ok()) {
     std::printf("export failed: %s\n", status.ToString().c_str());
@@ -82,7 +97,5 @@ int main() {
       plan.write_threads_per_socket,
       FormatBytes(plan.sequential_chunk_bytes).c_str(),
       PinningPolicyName(plan.pinning));
-
-  std::filesystem::remove_all(dir);
   return 0;
 }

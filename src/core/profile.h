@@ -39,8 +39,9 @@ struct TrafficRecord {
 /// The model class for `record` run by `threads` workers placed with
 /// `pinning` on the record's worker socket (its data socket when unset),
 /// with the directory warm (run_index 2). The one record→class
-/// translation: QueryTimer prices these classes and the governor's
-/// telemetry samples the same ones.
+/// translation: QueryTimer prices these classes, the governor's
+/// telemetry samples the same ones, and WorkloadRunner::MakeClass builds
+/// every figure sweep's class (and the governor's knee) through it.
 Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
                                   PinningPolicy pinning,
                                   const SystemTopology& topology);

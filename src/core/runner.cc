@@ -1,5 +1,9 @@
 #include "core/runner.h"
 
+#include <utility>
+
+#include "core/profile.h"
+
 namespace pmemolap {
 
 const char* MultiSocketConfigName(MultiSocketConfig config) {
@@ -23,30 +27,22 @@ Result<AccessClass> WorkloadRunner::MakeClass(OpType op, Pattern pattern,
                                               uint64_t access_size,
                                               int threads,
                                               const RunOptions& options) const {
-  ThreadPlacer placer(model_->config().topology);
-  // For far experiments the threads are pinned to a different socket than
-  // the data: place them on their own socket, then classify near/far
-  // relative to the data socket.
-  int thread_socket =
-      options.thread_socket >= 0 ? options.thread_socket : options.data_socket;
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement placement,
-      placer.Place(threads, options.pinning, thread_socket));
-  if (options.pinning != PinningPolicy::kNone) {
-    for (ThreadSlot& slot : placement.slots) {
-      slot.near_data =
-          SystemTopology::IsNear(slot.socket, options.data_socket);
-    }
+  // ToAccessClass runs a thread count below one as one thread; a sweep
+  // point without threads is a caller error.
+  if (threads < 1) {
+    return Status::InvalidArgument("thread count must be >= 1");
   }
-
-  AccessClass klass;
-  klass.op = op;
-  klass.pattern = pattern;
-  klass.media = media;
-  klass.access_size = access_size;
-  klass.placement = std::move(placement);
-  klass.data_socket = options.data_socket;
-  klass.region_bytes = options.region_bytes;
+  TrafficRecord record;
+  record.op = op;
+  record.pattern = pattern;
+  record.media = media;
+  record.data_socket = options.data_socket;
+  record.access_size = access_size;
+  record.region_bytes = options.region_bytes;
+  record.worker_socket = options.thread_socket;
+  PMEMOLAP_ASSIGN_OR_RETURN(
+      AccessClass klass, ToAccessClass(record, threads, options.pinning,
+                                       model_->config().topology));
   klass.run_index = options.run_index;
   klass.instruction = options.instruction;
   return klass;
@@ -75,73 +71,48 @@ Result<GigabytesPerSecond> WorkloadRunner::Bandwidth(
   return result.total_gbps;
 }
 
-namespace {
-
-/// Builds a class whose threads live on `thread_socket` and whose data
-/// lives on `data_socket`.
-Result<AccessClass> MakeCrossClass(const MemSystemModel& model, OpType op,
-                                   Media media, uint64_t access_size,
-                                   int threads, int thread_socket,
-                                   int data_socket, int region_id,
-                                   int run_index) {
-  ThreadPlacer placer(model.config().topology);
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement placement,
-      placer.Place(threads, PinningPolicy::kNumaRegion, thread_socket));
-  // kNumaRegion pins to the thread socket; recompute near/far relative to
-  // where the data actually is.
-  for (ThreadSlot& slot : placement.slots) {
-    slot.near_data = SystemTopology::IsNear(slot.socket, data_socket);
-  }
-  AccessClass klass;
-  klass.op = op;
-  klass.pattern = Pattern::kSequentialIndividual;
-  klass.media = media;
-  klass.access_size = access_size;
-  klass.placement = std::move(placement);
-  klass.data_socket = data_socket;
-  klass.region_id = region_id;
-  klass.run_index = run_index;
-  return klass;
-}
-
-}  // namespace
-
 Result<BandwidthResult> WorkloadRunner::MultiSocket(OpType op, Media media,
                                                     MultiSocketConfig config,
                                                     int threads_per_socket,
                                                     uint64_t access_size,
                                                     int run_index) const {
   WorkloadSpec spec;
-  auto add = [&](int thread_socket, int data_socket,
-                 int region_id) -> Status {
+  // Threads pinned to `thread_socket` access the region on `data_socket`'s
+  // DIMMs. Each socket holds one region, so two classes share bytes
+  // exactly when they share a data socket.
+  auto add = [&](int thread_socket, int data_socket) -> Status {
+    RunOptions options;
+    options.data_socket = data_socket;
+    options.thread_socket = thread_socket;
+    options.run_index = run_index;
     PMEMOLAP_ASSIGN_OR_RETURN(
         AccessClass klass,
-        MakeCrossClass(*model_, op, media, access_size, threads_per_socket,
-                       thread_socket, data_socket, region_id, run_index));
+        MakeClass(op, Pattern::kSequentialIndividual, media, access_size,
+                  threads_per_socket, options));
+    klass.region_id = data_socket;
     spec.classes.push_back(std::move(klass));
     return Status::OK();
   };
 
   switch (config) {
     case MultiSocketConfig::kOneNear:
-      PMEMOLAP_RETURN_NOT_OK(add(0, 0, 0));
+      PMEMOLAP_RETURN_NOT_OK(add(0, 0));
       break;
     case MultiSocketConfig::kOneFar:
-      PMEMOLAP_RETURN_NOT_OK(add(0, 1, 1));
+      PMEMOLAP_RETURN_NOT_OK(add(0, 1));
       break;
     case MultiSocketConfig::kTwoNear:
-      PMEMOLAP_RETURN_NOT_OK(add(0, 0, 0));
-      PMEMOLAP_RETURN_NOT_OK(add(1, 1, 1));
+      PMEMOLAP_RETURN_NOT_OK(add(0, 0));
+      PMEMOLAP_RETURN_NOT_OK(add(1, 1));
       break;
     case MultiSocketConfig::kTwoFar:
-      PMEMOLAP_RETURN_NOT_OK(add(0, 1, 1));
-      PMEMOLAP_RETURN_NOT_OK(add(1, 0, 0));
+      PMEMOLAP_RETURN_NOT_OK(add(0, 1));
+      PMEMOLAP_RETURN_NOT_OK(add(1, 0));
       break;
     case MultiSocketConfig::kNearFarShared:
       // Both sockets access region 0 living on socket 0.
-      PMEMOLAP_RETURN_NOT_OK(add(0, 0, 0));
-      PMEMOLAP_RETURN_NOT_OK(add(1, 0, 0));
+      PMEMOLAP_RETURN_NOT_OK(add(0, 0));
+      PMEMOLAP_RETURN_NOT_OK(add(1, 0));
       break;
   }
   return model_->EvaluateOnce(spec);
@@ -150,34 +121,22 @@ Result<BandwidthResult> WorkloadRunner::MultiSocket(OpType op, Media media,
 Result<BandwidthResult> WorkloadRunner::Mixed(int write_threads,
                                               int read_threads, Media media,
                                               uint64_t access_size) const {
-  WorkloadSpec spec;
-  ThreadPlacer placer(model_->config().topology);
-
+  RunOptions options;
+  options.region_bytes = 40ULL * kGiB;
   PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement write_placement,
-      placer.Place(write_threads, PinningPolicy::kNumaRegion, 0));
+      AccessClass writer,
+      MakeClass(OpType::kWrite, Pattern::kSequentialIndividual, media,
+                access_size, write_threads, options));
   PMEMOLAP_ASSIGN_OR_RETURN(
-      ThreadPlacement read_placement,
-      placer.Place(read_threads, PinningPolicy::kNumaRegion, 0));
-
-  AccessClass writer;
-  writer.op = OpType::kWrite;
-  writer.pattern = Pattern::kSequentialIndividual;
-  writer.media = media;
-  writer.access_size = access_size;
-  writer.placement = std::move(write_placement);
-  writer.data_socket = 0;
-  writer.region_bytes = 40ULL * kGiB;
+      AccessClass reader,
+      MakeClass(OpType::kRead, Pattern::kSequentialIndividual, media,
+                access_size, read_threads, options));
   writer.region_id = 0;
   writer.label = "write";
-
-  AccessClass reader = writer;
-  reader.op = OpType::kRead;
-  reader.placement = std::move(read_placement);
-  reader.region_bytes = 40ULL * kGiB;
   reader.region_id = 1;  // disjoint data on the same DIMMs
   reader.label = "read";
 
+  WorkloadSpec spec;
   spec.classes.push_back(std::move(writer));
   spec.classes.push_back(std::move(reader));
   return model_->EvaluateOnce(spec);

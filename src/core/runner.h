@@ -2,7 +2,10 @@
 // paper's experiment families and evaluates them on a MemSystemModel.
 //
 // Each method corresponds to one experimental axis of the paper; the bench
-// binaries in bench/ are thin loops over these methods.
+// binaries in bench/ are thin loops over these methods. Every class they
+// evaluate comes from MakeClass, which describes the experiment point as a
+// TrafficRecord and translates it with ToAccessClass (core/profile.h), the
+// same translation the engine's timer prices query traffic with.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +50,10 @@ class WorkloadRunner {
   /// run_index controls directory warmth so sweeps are order-independent.
   explicit WorkloadRunner(const MemSystemModel* model) : model_(model) {}
 
-  /// Builds the single AccessClass for a homogeneous experiment point.
+  /// Builds the single AccessClass for a homogeneous experiment point:
+  /// ToAccessClass of the point's record (worker socket =
+  /// `options.thread_socket`) with `options`' run_index and instruction.
+  /// Fewer than one thread is InvalidArgument.
   Result<AccessClass> MakeClass(OpType op, Pattern pattern, Media media,
                                 uint64_t access_size, int threads,
                                 const RunOptions& options) const;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "durability/crash_injector.h"
-#include "durability/recovery.h"
 #include "durability/redo_log.h"
 #include "memsys/workload.h"
 
@@ -157,11 +156,6 @@ Status DurableTable::ReadSnapshot(uint64_t epoch, uint64_t offset,
   }
   std::memcpy(dst, table_->data() + offset, size);
   return Status::OK();
-}
-
-Result<RecoveryStats> DurableTable::Recover() {
-  RecoveryManager manager(this);
-  return manager.Run();
 }
 
 std::vector<TrafficRecord> DurableTable::BuildTraffic(

@@ -40,7 +40,6 @@
 namespace pmemolap {
 
 class CrashInjector;
-class RecoveryManager;
 struct RecoveryStats;
 
 class DurableTable {
@@ -83,10 +82,11 @@ class DurableTable {
   /// Table bytes committed as of `epoch` (kLatestEpoch = newest).
   Result<uint64_t> SnapshotBytes(uint64_t epoch) const;
 
-  /// Scans the log, truncates the abandoned suffix, idempotently replays
-  /// every committed epoch into the table image and republishes the
-  /// epoch map. Safe to call on a healthy table (no-op replay) and again
-  /// after a crash *during* recovery.
+  /// Acknowledges a pending crash (if any), scans the log, truncates the
+  /// abandoned suffix, idempotently replays every committed epoch into
+  /// the table image and republishes the epoch map (recovery.cc). Safe
+  /// to call on a healthy table (no-op replay) and again after a crash
+  /// *during* recovery, which surfaces as Unavailable.
   Result<RecoveryStats> Recover();
 
   /// Modeled PMEM write traffic of ingest since the last drain — the log
@@ -112,8 +112,6 @@ class DurableTable {
   PersistOrderChecker* order_checker() const { return order_checker_.get(); }
 
  private:
-  friend class RecoveryManager;
-
   DurableTable(Options options, CrashInjector* crash)
       : options_(options), crash_(crash), cost_(options.persist) {}
 

@@ -9,12 +9,10 @@
 
 namespace pmemolap {
 
-Result<RecoveryStats> RecoveryManager::Run() {
-  if (table_->crash_ != nullptr && table_->crash_->crashed()) {
-    table_->crash_->AcknowledgeCrash();
-  }
-  PersistentRegion& log = *table_->log_;
-  PersistentRegion& image = *table_->table_;
+Result<RecoveryStats> DurableTable::Recover() {
+  if (crash_ != nullptr && crash_->crashed()) crash_->AcknowledgeCrash();
+  PersistentRegion& log = *log_;
+  PersistentRegion& image = *table_;
   double seconds_before = log.modeled_seconds() + image.modeled_seconds();
 
   LogScan scan = ScanLog(log.data(), log.size());
@@ -57,15 +55,14 @@ Result<RecoveryStats> RecoveryManager::Run() {
   for (uint64_t e = 1; e < epoch_bytes.size(); ++e) {
     epoch_bytes[e] = std::max(epoch_bytes[e], epoch_bytes[e - 1]);
   }
-  table_->RestoreCommitted(std::move(epoch_bytes), scan.committed_bytes);
+  RestoreCommitted(std::move(epoch_bytes), scan.committed_bytes);
 
   // The scan reads the valid prefix plus the header probe that ended it.
   uint64_t scanned_span =
       std::min<uint64_t>(log.size(),
                          scan.valid_bytes + sizeof(LogRecordHeader));
-  const PersistCostModel& cost = table_->cost();
   stats.modeled_seconds =
-      cost.ScanSeconds(PersistCostModel::LinesCovering(0, scanned_span)) +
+      cost_.ScanSeconds(PersistCostModel::LinesCovering(0, scanned_span)) +
       (log.modeled_seconds() + image.modeled_seconds() - seconds_before);
   return stats;
 }

@@ -1,4 +1,5 @@
-// RecoveryManager — restart-time reconstruction of a DurableTable.
+// RecoveryStats — what DurableTable::Recover, the restart-time
+// reconstruction of a DurableTable (defined in recovery.cc), found and did.
 //
 // After a modeled crash only the persisted images remain. Recovery scans
 // the redo log (CRC-validating every record, truncating at the first torn
@@ -16,8 +17,6 @@
 
 namespace pmemolap {
 
-class DurableTable;
-
 /// What recovery found and did; surfaced to benches and the scrub report.
 struct RecoveryStats {
   uint64_t committed_epoch = 0;   ///< highest epoch with a valid commit
@@ -30,19 +29,6 @@ struct RecoveryStats {
   uint64_t duplicate_commits = 0; ///< redundant commit markers tolerated
   uint64_t uncommitted_records = 0;
   double modeled_seconds = 0.0;   ///< scan + replay persistence cost
-};
-
-class RecoveryManager {
- public:
-  explicit RecoveryManager(DurableTable* table) : table_(table) {}
-
-  /// Acknowledges a pending crash (if any) and recovers. Returns the
-  /// stats on success; a crash mid-recovery surfaces as Unavailable and
-  /// the next Run() picks up from the persisted state.
-  Result<RecoveryStats> Run();
-
- private:
-  DurableTable* table_;
 };
 
 }  // namespace pmemolap

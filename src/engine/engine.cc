@@ -552,8 +552,7 @@ Result<RecoveryStats> SsbEngine::Recover() {
         "Recover requires a durable table (EngineConfig::durable)");
   }
   if (config_.admission != nullptr) config_.admission->PauseForRecovery();
-  RecoveryManager recovery(config_.durable);
-  Result<RecoveryStats> stats = recovery.Run();
+  Result<RecoveryStats> stats = config_.durable->Recover();
   if (config_.admission != nullptr) {
     config_.admission->ResumeAfterRecovery();
   }

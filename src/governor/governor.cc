@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "topo/pinning.h"
+#include "core/runner.h"
 
 namespace pmemolap {
 namespace governor {
@@ -49,28 +49,24 @@ BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
   config.pmem_service_factor[static_cast<size_t>(socket)] =
       std::min(std::max(service_factor, 0.0), 1.0);
   MemSystemModel local(config);
+  const WorkloadRunner runner(&local);
+  // The runner's Fig. 3/7 point: 4 KiB individual PMEM access by threads
+  // pinned to the data socket's cores, directory warm.
+  RunOptions options;
+  options.pinning = PinningPolicy::kCores;
+  options.data_socket = socket;
+  options.run_index = 2;
 
-  ThreadPlacer placer(config.topology);
   int max_threads = std::max(config.topology.logical_cores_per_socket(), 1);
   std::vector<double> sweep(static_cast<size_t>(max_threads) + 1, 0.0);
   double peak = 0.0;
   for (int threads = 1; threads <= max_threads; ++threads) {
-    Result<ThreadPlacement> placement =
-        placer.Place(threads, PinningPolicy::kCores, socket);
-    if (!placement.ok()) continue;
-    AccessClass klass;
-    klass.op = op;
-    klass.pattern = Pattern::kSequentialIndividual;
-    klass.media = Media::kPmem;
-    klass.access_size = 4 * kKiB;
-    klass.placement = std::move(placement.value());
-    klass.data_socket = socket;
-    klass.run_index = 2;
-    WorkloadSpec spec;
-    spec.classes.push_back(std::move(klass));
-    BandwidthResult result = local.EvaluateOnce(spec);
-    sweep[static_cast<size_t>(threads)] = result.total_gbps;
-    peak = std::max(peak, result.total_gbps);
+    Result<GigabytesPerSecond> gbps =
+        runner.Bandwidth(op, Pattern::kSequentialIndividual, Media::kPmem,
+                         4 * kKiB, threads, options);
+    if (!gbps.ok()) continue;
+    sweep[static_cast<size_t>(threads)] = gbps.value();
+    peak = std::max(peak, gbps.value());
   }
 
   Knee knee;

@@ -84,11 +84,13 @@ class BandwidthGovernor {
     int threads = 1;
     double gbps = 0.0;
   };
-  /// Fig. 3-shaped sweep: sequential PMEM reads on `socket`, optionally
-  /// under a DIMM throttle factor (a uniform throttle scales the sweep,
-  /// so the knee's bandwidth drops while its thread count holds).
+  /// The read knee of the runner's Fig. 3 sweep
+  /// (`WorkloadRunner::Bandwidth`: 4 KiB individual PMEM reads, threads
+  /// pinned to `socket`'s cores, directory warm), optionally under a DIMM
+  /// throttle factor (a uniform throttle scales the sweep, so the knee's
+  /// bandwidth drops while its thread count holds).
   Knee ReadKnee(int socket, double service_factor = 1.0) const;
-  /// Fig. 7-shaped sweep: sequential PMEM writes (knee ~4 threads).
+  /// The write knee of the same sweep with writes, Fig. 7 (~4 threads).
   Knee WriteKnee(int socket, double service_factor = 1.0) const;
 
   /// One scheduling quantum: ingest a sample, update hysteresis state,

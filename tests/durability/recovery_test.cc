@@ -1,4 +1,4 @@
-// RecoveryManager tests: crash-point recovery of committed epochs,
+// DurableTable::Recover tests: crash-point recovery of committed epochs,
 // idempotent re-recovery (including a crash *during* recovery), and
 // tolerance of log corruptions — duplicate commit markers and torn
 // tails — injected straight into the log region.
