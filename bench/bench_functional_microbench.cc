@@ -5,9 +5,10 @@
 // same code paths the model-based benches profile.
 #include <benchmark/benchmark.h>
 
-#include "engine/engine.h"
 #include "core/runner.h"
-#include "ssb/column_store.h"
+#include "engine/engine.h"
+#include "engine/kernels.h"
+#include "ssb/plan.h"
 #include "ssb/reference.h"
 
 namespace pmemolap {
@@ -64,36 +65,61 @@ BENCHMARK_REGISTER_F(SsbFixture, QueryExecution)
     ->Unit(benchmark::kMillisecond);
 
 // Real wall-clock row-vs-column scan (the §2.2 motivation, measured on
-// the host rather than modeled): the columnar scan touches 12 B/tuple,
-// the row scan drags 128 B rows through the cache hierarchy.
+// the host rather than modeled): Q1.1's plan through the kernels over the
+// 128 B row image and over the raw columns. The columnar scan reads the
+// plan's four 4 B columns, the row scan drags 128 B rows through the
+// cache hierarchy.
+void ScanQ11(benchmark::State& state, const KernelContext& ctx,
+             uint64_t tuples, uint64_t bytes_per_tuple) {
+  KernelScratch scratch;
+  AggTable groups;
+  KernelCounters counters;
+  int64_t sum = 0;
+  bool scalar = false;
+  for (auto _ : state) {
+    ExecuteMorselKernel(ssb::QueryId::kQ1_1, ctx, 0, tuples, &scratch,
+                        &groups, &sum, &scalar, &counters);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * tuples * bytes_per_tuple));
+}
+
 void BM_RowScan(benchmark::State& state) {
   static const ssb::Database db =
       *ssb::Generate({.scale_factor = 0.05, .seed = 3});
-  int64_t sum = 0;
-  for (auto _ : state) {
-    sum += ssb::RowScanDiscountedRevenue(db.lineorder, 1, 3, 25);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(db.lineorder.size()) * 128);
+  static const DenseDimMap date = [] {
+    DenseDimMap map;
+    map.Build(db.date);
+    return map;
+  }();
+  KernelContext ctx;
+  ctx.rows = db.lineorder.data();
+  ctx.date = &date;
+  ScanQ11(state, ctx, db.lineorder.size(), sizeof(ssb::LineorderRow));
 }
 BENCHMARK(BM_RowScan)->Unit(benchmark::kMillisecond);
 
 void BM_ColumnScan(benchmark::State& state) {
   // The move-consuming constructor releases the 128 B row image once the
-  // columns are built: only the columnar store stays resident, instead of
-  // a full Database alongside it.
-  static const ssb::ColumnStore store = [] {
+  // columns are built: only the columnar store and the date map stay
+  // resident, instead of a full Database alongside them.
+  struct Image {
+    ssb::ColumnStore columns;
+    DenseDimMap date;
+  };
+  static const Image image = [] {
     auto db = ssb::Generate({.scale_factor = 0.05, .seed = 3});
-    return ssb::ColumnStore(std::move(db->lineorder));
+    Image built;
+    built.date.Build(db->date);
+    built.columns = ssb::ColumnStore(std::move(db->lineorder));
+    return built;
   }();
-  int64_t sum = 0;
-  for (auto _ : state) {
-    sum += store.ScanDiscountedRevenue(1, 3, 25);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(store.size()) * 12);
+  KernelContext ctx;
+  ctx.columns = &image.columns;
+  ctx.date = &image.date;
+  ScanQ11(state, ctx, image.columns.size(),
+          sizeof(int32_t) * ssb::ScanColumnsFor(ssb::QueryId::kQ1_1).size());
 }
 BENCHMARK(BM_ColumnScan)->Unit(benchmark::kMillisecond);
 

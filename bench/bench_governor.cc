@@ -246,9 +246,9 @@ void RunShapingAblation(const ssb::Database& db, const MemSystemModel& model,
                         const ssb::ReferenceExecutor& reference,
                         std::ofstream& json) {
   std::printf("\n[3] XPLine morsel shaping ablation (morsel_tuples = 4095)\n");
-  // 4095 tuples x 16..24 B columnar rows never lands on a 256 B boundary,
-  // so every interior morsel boundary tears an XPLine unless shaping
-  // snaps it.
+  // BaseConfig scans the 128 B row layout, two rows per 256 B XPLine: an
+  // odd morsel size puts every other interior morsel boundary mid-line,
+  // tearing an XPLine unless shaping snaps it.
   auto run_one = [&](bool shape, QueryId query) -> double {
     governor::GovernorConfig gcfg;
     gcfg.shape_morsels = shape;

@@ -120,11 +120,4 @@ uint64_t TornBoundaries(const MorselPlan& plan, uint64_t quantum_tuples) {
   return torn;
 }
 
-uint64_t GranularityAmplifiedBytes(const MorselPlan& plan,
-                                   uint64_t bytes_per_tuple) {
-  if (bytes_per_tuple == 0) return 0;
-  // Both sides re-read the torn 256 B line.
-  return TornBoundaries(plan, AlignTuples(bytes_per_tuple)) * kXPLineBytes;
-}
-
 }  // namespace pmemolap

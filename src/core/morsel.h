@@ -71,35 +71,23 @@ uint64_t ReassignQuarantinedQueues(MorselPlan* plan,
 /// device/optane_dimm models for sub-line accesses).
 inline constexpr uint64_t kXPLineBytes = 256;
 
-/// Governor actuator 2: snaps every interior boundary of a contiguous
-/// same-queue morsel run up to the next 256 B XPLine boundary (in tuple
-/// units: the smallest tuple count whose byte size is a multiple of
-/// 256 B), coalescing morsels the snap empties. Run starts/ends are left
-/// alone — a partial leading line is read once regardless. Ranges and
-/// total tuples are preserved, so kernel results are unchanged; only the
-/// split points move. A `bytes_per_tuple` of 0 leaves the plan unchanged.
+/// AlignMorselPlanTuples at the XPLine quantum of `bytes_per_tuple`: the
+/// smallest tuple count whose byte size is a multiple of 256 B. A
+/// `bytes_per_tuple` of 0 leaves the plan unchanged.
 void AlignMorselPlan(MorselPlan* plan, uint64_t bytes_per_tuple);
 
-/// Generic tuple-quantum variant of AlignMorselPlan: snaps every interior
-/// boundary of a contiguous same-queue run up to the next multiple of
-/// `quantum_tuples`, coalescing morsels the snap empties. Encoded scans
-/// align morsels to whole code frames (a frame's packed words are one
-/// indivisible decode block, the way an XPLine is one indivisible device
-/// read), where a byte width per tuple does not exist. A quantum of 0 or
-/// 1 leaves the plan unchanged.
+/// Governor actuator 2: snaps every interior boundary of a contiguous
+/// same-queue morsel run up to the next multiple of `quantum_tuples`,
+/// coalescing morsels the snap empties. Run starts/ends are left alone —
+/// a partial leading line is read once regardless. Ranges and total
+/// tuples are preserved, so kernel results are unchanged; only the split
+/// points move. A quantum of 0 or 1 leaves the plan unchanged.
 void AlignMorselPlanTuples(MorselPlan* plan, uint64_t quantum_tuples);
 
 /// Interior boundaries of contiguous same-queue runs that do not fall on
-/// a multiple of `quantum_tuples` — each one splits a code frame so both
-/// neighboring morsels decode it. 0 after AlignMorselPlanTuples with the
-/// same quantum.
+/// a multiple of `quantum_tuples` — each one splits an XPLine or a code
+/// frame, so both neighboring morsels read it. 0 after
+/// AlignMorselPlanTuples with the same quantum.
 uint64_t TornBoundaries(const MorselPlan& plan, uint64_t quantum_tuples);
-
-/// Extra device bytes the plan's torn interior boundaries would cost: one
-/// re-read XPLine (256 B) per contiguous same-queue boundary that is not
-/// 256 B-aligned. 0 after AlignMorselPlan — the before/after evidence for
-/// the shaping actuator.
-uint64_t GranularityAmplifiedBytes(const MorselPlan& plan,
-                                   uint64_t bytes_per_tuple);
 
 }  // namespace pmemolap

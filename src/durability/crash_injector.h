@@ -19,16 +19,16 @@
 //   - all registered regions reconcile their volatile image to the
 //     persisted image, exactly what a real restart would mmap.
 //
-// All randomness derives from (seed, boundary_index) — the seed is shared
-// with the FaultInjector (FaultSpec::seed) so a whole fault scenario,
-// crash schedule included, replays from one number.
+// All randomness derives from (seed, boundary_index), so a crash replays
+// from that pair alone. The query service passes its chaos campaign's
+// seed (ChaosConfig::seed): a whole campaign, crash schedule included,
+// replays from one number.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
-#include "fault/fault_injector.h"
 
 namespace pmemolap {
 
@@ -62,11 +62,6 @@ class CrashInjector {
  public:
   explicit CrashInjector(uint64_t seed, CrashPlan plan = CrashPlan())
       : seed_(seed), plan_(plan) {}
-
-  /// Shares the fault layer's seed: one number reproduces poison layout,
-  /// allocation failures and the crash schedule together.
-  CrashInjector(const FaultInjector& faults, CrashPlan plan = CrashPlan())
-      : CrashInjector(faults.spec().seed, plan) {}
 
   /// Regions the crash applies to. Registration order does not affect the
   /// boundary numbering (primitives number themselves in program order).

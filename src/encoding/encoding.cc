@@ -1,6 +1,7 @@
 #include "encoding/encoding.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <utility>
@@ -33,6 +34,34 @@ int WidthOf(uint64_t range) {
 uint64_t FrameCountOf(uint64_t n, uint64_t frame) {
   return std::min<uint64_t>(kFrameValues, n - frame * kFrameValues);
 }
+
+/// Unpacks one full frame of `W`-bit codes. With the width a constant,
+/// every word index and shift is one too, so the unrolled loop carries
+/// no branch and no variable shift.
+template <int W>
+void UnpackFrame(const uint64_t* words, int32_t ref, int32_t* out) {
+  constexpr uint64_t kMask = (uint64_t{1} << W) - 1;
+#pragma GCC unroll 32
+  for (uint64_t i = 0; i < kFrameValues; ++i) {
+    const uint64_t bit = i * W;
+    const int shift = static_cast<int>(bit % 64);
+    uint64_t code = words[bit / 64] >> shift;
+    if (shift + W > 64) code |= words[bit / 64 + 1] << (64 - shift);
+    out[i] = static_cast<int32_t>(static_cast<int64_t>(ref) +
+                                  static_cast<int64_t>(code & kMask));
+  }
+}
+
+using Unpacker = void (*)(const uint64_t*, int32_t, int32_t*);
+
+template <int... W>
+constexpr std::array<Unpacker, sizeof...(W)> Unpackers(
+    std::integer_sequence<int, W...>) {
+  return {&UnpackFrame<W + 1>...};
+}
+
+/// kUnpackers[w - 1] unpacks a full frame of width w (1..32).
+constexpr auto kUnpackers = Unpackers(std::make_integer_sequence<int, 32>());
 
 /// Minimum and maximum of frame `frame` of values[0 .. n).
 std::pair<int32_t, int32_t> FrameBounds(const int32_t* values, uint64_t n,
@@ -209,6 +238,12 @@ uint64_t PackedArray::DecodeFrame(uint64_t frame, int32_t* out) const {
     return count;
   }
   const uint64_t* words = words_.data() + offsets_[frame];
+  if (count == kFrameValues) {
+    // The tail frame's words end early, so only full frames take the
+    // width's unrolled kernel, which reads all 32 codes' words.
+    kUnpackers[width - 1](words, ref, out);
+    return count;
+  }
   const uint64_t mask = MaskOf(width);
   uint64_t bit = 0;
   for (uint64_t i = 0; i < count; ++i, bit += width) {

@@ -243,19 +243,16 @@ Status SsbEngine::Prepare() {
   return Status::OK();
 }
 
-uint64_t SsbEngine::ScanBytesPerTuple(ssb::QueryId query) const {
-  if (!config_.columnar) return sizeof(ssb::LineorderRow);
-  return sizeof(int32_t) * ssb::ScanColumnsFor(query).size();
-}
-
 uint64_t SsbEngine::ScanBytesForTuples(ssb::QueryId query,
                                        uint64_t tuples) const {
+  if (!config_.columnar) return tuples * sizeof(ssb::LineorderRow);
+  const std::vector<ssb::LineorderColumn> columns = ssb::ScanColumnsFor(query);
   if (!config_.encoding || encoded_.empty()) {
-    return tuples * ScanBytesPerTuple(query);
+    return tuples * sizeof(int32_t) * columns.size();
   }
   // Encoded layout: sum the real per-column encoded widths of the
   // columns this query's scan touches (fractional bytes per tuple).
-  return encoded_.ScanBytes(ssb::ScanColumnsFor(query), tuples);
+  return encoded_.ScanBytes(columns, tuples);
 }
 
 void SsbEngine::Emit(TrafficRecord record, double region_scale,
@@ -713,27 +710,26 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     }
   }
   if (governed) {
-    const bool shape = config_.governor->config().shape_morsels;
-    if (config_.encoding && !encoded_.empty()) {
-      // Encoded columns have no whole-byte tuple width: morsels align to
-      // whole 32-value code frames instead, and a torn boundary makes
-      // both neighbors re-read that frame's XPLine in every scanned
-      // column.
-      if (shape) {
-        AlignMorselPlanTuples(&plan, encoding::kFrameValues);
-      }
-      xpline_amplified_bytes =
-          TornBoundaries(plan, encoding::kFrameValues) * kXPLineBytes *
-          ssb::ScanColumnsFor(query).size();
-    } else {
-      const uint64_t bpt = ScanBytesPerTuple(query);
-      if (shape) {
-        // Snap boundaries to XPLines before quarantine reassignment —
-        // reassignment breaks the queue contiguity shaping relies on.
-        AlignMorselPlan(&plan, bpt);
-      }
-      xpline_amplified_bytes = GranularityAmplifiedBytes(plan, bpt);
+    // A boundary is torn unless it falls on a multiple of the layout's
+    // quantum: 2 rows of 128 B or 64 raw 4 B values fill one XPLine, and
+    // an encoded column decodes whole 32-value frames. A torn boundary
+    // makes both neighbors re-read one XPLine in every stored column the
+    // scan reads (the row image stores one).
+    uint64_t quantum = kXPLineBytes / sizeof(int32_t);
+    if (!config_.columnar) {
+      quantum =
+          kXPLineBytes / std::gcd(kXPLineBytes, sizeof(ssb::LineorderRow));
+    } else if (config_.encoding) {
+      quantum = encoding::kFrameValues;
     }
+    if (config_.governor->config().shape_morsels) {
+      // Snap boundaries before quarantine reassignment — reassignment
+      // breaks the queue contiguity shaping relies on.
+      AlignMorselPlanTuples(&plan, quantum);
+    }
+    xpline_amplified_bytes =
+        TornBoundaries(plan, quantum) * kXPLineBytes *
+        (config_.columnar ? ssb::ScanColumnsFor(query).size() : 1);
   }
   if (config_.fault != nullptr && config_.fault->breakers != nullptr) {
     // Quarantined fault domains don't get "near" work: their queued

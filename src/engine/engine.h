@@ -316,13 +316,10 @@ class SsbEngine {
                            const tiering::TieringSnapshot* tiers,
                            const Traffic& out) const;
 
-  /// Bytes of fact data one tuple contributes to the scan: the padded row
-  /// (128 B) in row layout, or 4 B per column of ssb::ScanColumnsFor (the
-  /// plan's filter, join-key and measure columns) in columnar layout.
-  uint64_t ScanBytesPerTuple(ssb::QueryId query) const;
-
-  /// Fact bytes a scan of `tuples` tuples moves: encoded per-column
-  /// widths when encoding is on, tuples * ScanBytesPerTuple otherwise.
+  /// Fact bytes a scan of `tuples` tuples moves: the padded 128 B row in
+  /// row layout; in columnar layout each column of ssb::ScanColumnsFor
+  /// (the plan's filter, join-key and measure columns) at 4 B, or at its
+  /// encoded width when encoding is on.
   uint64_t ScanBytesForTuples(ssb::QueryId query, uint64_t tuples) const;
 
   const ssb::Database* db_;

@@ -365,19 +365,7 @@ void QueryService::OnArrivalEvent() {
   if (next <= horizon()) Schedule(next, EventKind::kArrival, 0);
   // Open loop: the arrival submits regardless of the client's other
   // outstanding work — arrivals never slow down with the server.
-  const ClientProfile profile = workload_.ProfileOf(client);
-  RequestRecord request;
-  request.client = client;
-  request.query = workload_.NextQuery(client);
-  request.priority = profile.priority;
-  request.submit_seconds = now_;
-  request.deadline_seconds = profile.deadline_seconds > 0.0
-                                 ? now_ + profile.deadline_seconds
-                                 : -1.0;
-  request.sheds_left = profile.shed_retry_budget;
-  requests_.push_back(request);
-  ++counters_.submitted;
-  SubmitRequest(requests_.size() - 1);
+  OnSubmitEvent(client);
 }
 
 void QueryService::SubmitRequest(uint64_t id) {

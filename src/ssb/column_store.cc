@@ -41,34 +41,4 @@ ColumnStore::ColumnStore(std::vector<LineorderRow>&& rows)
   rows.shrink_to_fit();
 }
 
-int64_t ColumnStore::ScanDiscountedRevenue(int32_t discount_lo,
-                                           int32_t discount_hi,
-                                           int32_t quantity_below) const {
-  int64_t sum = 0;
-  const size_t n = size();
-  const int32_t* discount = column(LineorderColumn::kDiscount).data();
-  const int32_t* quantity = column(LineorderColumn::kQuantity).data();
-  const int32_t* price = column(LineorderColumn::kExtendedprice).data();
-  for (size_t i = 0; i < n; ++i) {
-    if (discount[i] >= discount_lo && discount[i] <= discount_hi &&
-        quantity[i] < quantity_below) {
-      sum += static_cast<int64_t>(price[i]) * discount[i];
-    }
-  }
-  return sum;
-}
-
-int64_t RowScanDiscountedRevenue(const std::vector<LineorderRow>& rows,
-                                 int32_t discount_lo, int32_t discount_hi,
-                                 int32_t quantity_below) {
-  int64_t sum = 0;
-  for (const LineorderRow& row : rows) {
-    if (row.discount >= discount_lo && row.discount <= discount_hi &&
-        row.quantity < quantity_below) {
-      sum += static_cast<int64_t>(row.extendedprice) * row.discount;
-    }
-  }
-  return sum;
-}
-
 }  // namespace pmemolap::ssb

@@ -1,11 +1,11 @@
 // ColumnStore — a structure-of-arrays projection of the lineorder fact
 // table (the §2.2 column-store layout, materialized for real).
 //
-// The engine's `columnar` flag models the traffic reduction; this class
-// provides the actual storage so scans over individual columns can be
-// executed and wall-clock-benchmarked (bench_functional_microbench) —
-// demonstrating functionally why "high-performance column stores can be
-// orders of magnitude faster" on scan-bound flights.
+// It is one of the kernels' three fact images (engine/kernels.h): the
+// raw columns, next to the encoded store and the 128 B row image. The
+// engine's `columnar` flag prices the traffic reduction; queries read
+// these columns only through the kernels' select-by-range and
+// gather-at-selection primitives.
 #pragma once
 
 #include <array>
@@ -60,26 +60,8 @@ class ColumnStore {
     return columns_[static_cast<size_t>(column)];
   }
 
-  /// Bytes of one column.
-  uint64_t BytesPerColumn() const { return size() * sizeof(int32_t); }
-  /// Total bytes across the nine projected columns — vs 128 B/row.
-  uint64_t TotalBytes() const { return 9 * BytesPerColumn(); }
-
-  /// Flight-1-style columnar scan: touches exactly four columns and
-  /// returns sum(extendedprice * discount) over tuples with discount in
-  /// [discount_lo, discount_hi] and quantity < quantity_below. Used by
-  /// the wall-clock row-vs-column microbenchmark.
-  int64_t ScanDiscountedRevenue(int32_t discount_lo, int32_t discount_hi,
-                                int32_t quantity_below) const;
-
  private:
   std::array<std::vector<int32_t>, kNumLineorderColumns> columns_;
 };
-
-/// The row-storage counterpart of ScanDiscountedRevenue, for apples-to-
-/// apples wall-clock comparison.
-int64_t RowScanDiscountedRevenue(const std::vector<LineorderRow>& rows,
-                                 int32_t discount_lo, int32_t discount_hi,
-                                 int32_t quantity_below);
 
 }  // namespace pmemolap::ssb

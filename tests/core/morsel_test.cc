@@ -122,7 +122,7 @@ TEST(MorselShaping, AlignedPlansAreUntouched) {
     EXPECT_EQ(shaped.queues[0][i].begin, plan.queues[0][i].begin);
     EXPECT_EQ(shaped.queues[0][i].end, plan.queues[0][i].end);
   }
-  EXPECT_EQ(GranularityAmplifiedBytes(plan, 16), 0u);
+  EXPECT_EQ(TornBoundaries(plan, 16) * kXPLineBytes, 0u);
 }
 
 TEST(MorselShaping, TornBoundariesSnapToLinesAndAmplificationDrops) {
@@ -133,10 +133,10 @@ TEST(MorselShaping, TornBoundariesSnapToLinesAndAmplificationDrops) {
   ASSERT_EQ(plan.queues[0].size(), 10u);
   // 9 interior boundaries at byte offsets 1600*k; 1600*k % 256 == 0 only
   // for k in {4, 8}, so 7 boundaries tear: one 256 B re-read each.
-  EXPECT_EQ(GranularityAmplifiedBytes(plan, 16), 7u * 256u);
+  EXPECT_EQ(TornBoundaries(plan, 16) * kXPLineBytes, 7u * 256u);
 
   AlignMorselPlan(&plan, 16);
-  EXPECT_EQ(GranularityAmplifiedBytes(plan, 16), 0u);
+  EXPECT_EQ(TornBoundaries(plan, 16) * kXPLineBytes, 0u);
   // Ranges survive: still [0, 1000), contiguous, in order.
   uint64_t expected_begin = 0;
   for (const Morsel& m : plan.queues[0]) {
@@ -163,7 +163,7 @@ TEST(MorselShaping, SnapCoalescesEmptiedMorsels) {
   AlignMorselPlan(&plan, 128);
   EXPECT_EQ(plan.queues[0].size(), 4u);
   EXPECT_EQ(plan.total_tuples(), 8u);
-  EXPECT_EQ(GranularityAmplifiedBytes(plan, 128), 0u);
+  EXPECT_EQ(TornBoundaries(plan, 2) * kXPLineBytes, 0u);
 }
 
 TEST(MorselShaping, RunBoundariesAndOtherQueuesAreIndependent) {
@@ -187,7 +187,8 @@ TEST(MorselShaping, ZeroBytesPerTupleIsANoop) {
   MorselPlan copy = plan;
   AlignMorselPlan(&plan, 0);
   EXPECT_EQ(plan.queues[0].size(), copy.queues[0].size());
-  EXPECT_EQ(GranularityAmplifiedBytes(plan, 0), 0u);
+  // A zero-width tuple's quantum is one tuple: no boundary tears.
+  EXPECT_EQ(TornBoundaries(plan, 1) * kXPLineBytes, 0u);
 }
 
 // --- Code-frame morsel shaping (encoded scans) ------------------------------

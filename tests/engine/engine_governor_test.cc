@@ -1,14 +1,17 @@
 // Governor <-> engine integration: bit-identical outputs and seconds with
 // the governor off, bit-identical OUTPUTS with it on (staging probes
 // payload-identical replicas), deterministic actuator logs across runs,
-// and the shared degradation signal into admission control.
+// the shared degradation signal into admission control, and the torn
+// XPLine charge per stored column with shaping off.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/partitioner.h"
 #include "engine/engine.h"
 #include "governor/governor.h"
 #include "qos/admission.h"
+#include "ssb/plan.h"
 #include "ssb/reference.h"
 
 namespace pmemolap {
@@ -196,6 +199,54 @@ TEST(EngineGovernorTest, ThrottleEstimateFeedsAdmissionSignal) {
   ASSERT_TRUE(engine.Prepare().ok());
   ASSERT_TRUE(engine.Execute(QueryId::kQ1_1).ok());
   EXPECT_DOUBLE_EQ(admission.load_signal().degradation, 0.3);
+}
+
+TEST(EngineGovernorTest, TornBoundariesChargeOneLinePerStoredColumn) {
+  // With shaping off every torn morsel boundary is charged one 256 B
+  // XPLine re-read per stored column the scan reads: the row image stores
+  // one, the raw and the encoded columns store each of Q1.1's four. A
+  // boundary tears unless it falls on the layout's quantum: 2 rows of
+  // 128 B, 64 raw 4 B values, one 32-value code frame.
+  GovernorEngineEnv& env = GovernorEngineEnv::Get();
+  ASSERT_EQ(ssb::ScanColumnsFor(QueryId::kQ1_1).size(), 4u);
+  constexpr uint64_t kMorselTuples = 1001;
+  Result<std::vector<SocketPartition>> partitions =
+      Partitioner(env.model().config().topology)
+          .Partition(env.db().lineorder.size(), /*workers_per_socket=*/18);
+  ASSERT_TRUE(partitions.ok());
+  const MorselPlan plan = Partitioner::ToMorsels(*partitions, kMorselTuples);
+  struct Layout {
+    bool columnar;
+    bool encoding;
+    uint64_t quantum;
+    uint64_t stored_columns;
+  };
+  for (const Layout& layout : {Layout{false, false, 2, 1},
+                               Layout{true, false, 64, 4},
+                               Layout{true, true, 32, 4}}) {
+    governor::GovernorConfig unshaped;
+    unshaped.shape_morsels = false;
+    governor::BandwidthGovernor governor(&env.model(), unshaped);
+    EngineConfig config = BaseConfig();
+    config.project_to_sf = 0.0;
+    config.morsel_tuples = kMorselTuples;
+    config.columnar = layout.columnar;
+    config.encoding = layout.encoding;
+    config.governor = &governor;
+    SsbEngine engine(&env.db(), &env.model(), config);
+    ASSERT_TRUE(engine.Prepare().ok());
+    auto run = engine.Execute(QueryId::kQ1_1);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    const uint64_t torn = TornBoundaries(plan, layout.quantum);
+    EXPECT_GT(torn, 0u) << layout.quantum;
+    uint64_t charged = 0;
+    for (const TrafficRecord& record : run->profile.records()) {
+      if (record.label == "scan-xpline") charged += record.bytes;
+    }
+    EXPECT_EQ(charged, torn * kXPLineBytes * layout.stored_columns)
+        << "quantum " << layout.quantum;
+  }
 }
 
 }  // namespace

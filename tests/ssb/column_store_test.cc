@@ -48,28 +48,5 @@ TEST_F(ColumnStoreTest, ColumnsMirrorRows) {
   }
 }
 
-TEST_F(ColumnStoreTest, FootprintMuchSmallerThanRows) {
-  // Nine 4 B columns = 36 B/tuple vs the 128 B padded row.
-  EXPECT_EQ(store_->TotalBytes(), store_->size() * 36);
-  EXPECT_LT(store_->TotalBytes(),
-            db_->lineorder.size() * sizeof(LineorderRow) / 3);
-}
-
-TEST_F(ColumnStoreTest, ColumnarScanMatchesRowScan) {
-  for (auto [lo, hi, qty] : {std::tuple<int, int, int>{1, 3, 25},
-                             std::tuple<int, int, int>{4, 6, 36},
-                             std::tuple<int, int, int>{0, 10, 51}}) {
-    int64_t columnar = store_->ScanDiscountedRevenue(lo, hi, qty);
-    int64_t row = RowScanDiscountedRevenue(db_->lineorder, lo, hi, qty);
-    EXPECT_EQ(columnar, row) << lo << "-" << hi << "/" << qty;
-    EXPECT_GT(columnar, 0);
-  }
-}
-
-TEST_F(ColumnStoreTest, EmptySelection) {
-  EXPECT_EQ(store_->ScanDiscountedRevenue(11, 20, 51), 0);
-  EXPECT_EQ(store_->ScanDiscountedRevenue(1, 3, 0), 0);
-}
-
 }  // namespace
 }  // namespace pmemolap::ssb

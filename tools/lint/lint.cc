@@ -30,8 +30,8 @@ namespace {
 // sits between the model layers it samples (memsys, core, fault) and the
 // executors it actuates (exec, engine): it may read the model, never the
 // engine — the engine pulls decisions, the governor never pushes. The
-// durability tier shares the governor's rank: it builds on the fault and
-// model layers (crash schedules, persist pricing) and is pulled by the
+// durability tier shares the governor's rank: it builds on the core and
+// model layers (PMEM placement, persist pricing) and is pulled by the
 // engine above; durability and governor never include each other — the
 // governor sees ingest only as TrafficRecords the engine forwards. The
 // encoding tier (compressed column formats) shares sim's rank: pure data
