@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for torn-write detection in
-// persistent structures. Table-driven, no hardware dependency, stable
-// across platforms.
+// persistent structures. Table-driven (slicing-by-8: eight bytes per
+// step), no hardware dependency, stable across platforms.
 #pragma once
 
 #include <cstddef>

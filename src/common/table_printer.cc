@@ -23,8 +23,6 @@ std::string TablePrinter::Cell(uint64_t value) {
   return std::to_string(value);
 }
 
-std::string TablePrinter::Cell(int value) { return std::to_string(value); }
-
 std::string TablePrinter::ToString() const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

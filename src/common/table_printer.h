@@ -25,7 +25,6 @@ class TablePrinter {
   /// Convenience: formats doubles with the given precision.
   static std::string Cell(double value, int precision = 1);
   static std::string Cell(uint64_t value);
-  static std::string Cell(int value);
 
   /// Renders the table with ' | ' separators and a header underline.
   std::string ToString() const;

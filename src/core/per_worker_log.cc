@@ -42,9 +42,6 @@ Result<PerWorkerLog> PerWorkerLog::Create(PmemSpace* space, int workers,
       for (const Allocation& done : logs) space->Release(done);
       return log.status();
     }
-    // Fresh PMEM regions are treated as zeroed: an all-zero header never
-    // validates (crc of an empty entry is nonzero), so Recover() stops.
-    std::memset(log->data(), 0, log->size());
     logs.push_back(std::move(log.value()));
   }
   return PerWorkerLog(std::move(logs), capacity_entries);
@@ -104,29 +101,6 @@ Result<uint64_t> PerWorkerLog::ReadEntry(int worker, uint64_t index,
   }
   std::memcpy(out, slot + kHeaderBytes, kMaxPayloadBytes);
   return static_cast<uint64_t>(header.length);
-}
-
-uint64_t PerWorkerLog::Recover() {
-  uint64_t total = 0;
-  for (size_t worker = 0; worker < logs_.size(); ++worker) {
-    const std::byte* base = logs_[worker].data();
-    uint64_t valid = 0;
-    for (uint64_t index = 0; index < capacity_entries_; ++index) {
-      const std::byte* slot = base + index * kEntryBytes;
-      EntryHeader header;
-      std::memcpy(&header, slot, sizeof(header));
-      if (header.length > kMaxPayloadBytes) break;
-      if (header.sequence != static_cast<uint32_t>(index)) break;
-      if (header.crc !=
-          EntryCrc(header.sequence, header.length, slot + kHeaderBytes)) {
-        break;
-      }
-      ++valid;
-    }
-    counts_[worker] = valid;
-    total += valid;
-  }
-  return total;
 }
 
 }  // namespace pmemolap

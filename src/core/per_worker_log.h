@@ -5,10 +5,10 @@
 // internal granularity.
 //
 // Entries are self-validating: a 12 B header carries a CRC-32 over the
-// sequence number, length, and payload, so Recover() can find the durable
-// prefix of each log after a crash and truncate torn or unwritten tails —
-// the recovery discipline a real PMEM log needs (stores below the entry
-// size are not atomic).
+// sequence number, length, and payload — the framing a recovery scan needs
+// to find a log's durable prefix, since stores below the entry size are
+// not atomic. The durability layer's redo log frames its records the same
+// way, and DurableTable::Recover is the recovery scan.
 #pragma once
 
 #include <cstdint>
@@ -55,21 +55,9 @@ class PerWorkerLog {
   Result<uint64_t> ReadEntry(int worker, uint64_t index,
                              std::byte* out) const;
 
-  /// Crash recovery: rescans every log from its persistent bytes and
-  /// resets the entry counts to the longest valid prefix (entries with a
-  /// correct CRC and consecutive sequence numbers). Returns the total
-  /// number of entries recovered. Torn or unwritten tails are truncated.
-  uint64_t Recover();
-
   /// Socket holding a worker's log.
   int SocketOf(int worker) const {
     return logs_[static_cast<size_t>(worker)].placement().socket;
-  }
-
-  /// Test hook: direct access to a log's raw bytes (to simulate torn
-  /// writes / crashes).
-  std::byte* RawBytes(int worker) {
-    return logs_[static_cast<size_t>(worker)].data();
   }
 
  private:

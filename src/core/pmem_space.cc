@@ -1,6 +1,7 @@
 #include "core/pmem_space.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace pmemolap {
 
@@ -115,7 +116,8 @@ Result<Allocation> PmemSpace::Allocate(uint64_t size, MemPlacement placement) {
     return Status::ResourceExhausted("modeled capacity exceeded on socket " +
                                      std::to_string(placement.socket));
   }
-  std::unique_ptr<std::byte[]> data(new (std::nothrow) std::byte[size]);
+  std::unique_ptr<std::byte, FreeDeleter> data(
+      static_cast<std::byte*>(std::calloc(size, 1)));
   if (data == nullptr) {
     return Status::ResourceExhausted("host allocation failed");
   }
@@ -152,7 +154,8 @@ Result<Allocation> PmemSpace::AllocateAligned(uint64_t size,
     return Status::ResourceExhausted("modeled capacity exceeded on socket " +
                                      std::to_string(placement.socket));
   }
-  std::unique_ptr<std::byte[]> data(new (std::nothrow) std::byte[padded]);
+  std::unique_ptr<std::byte, FreeDeleter> data(
+      static_cast<std::byte*>(std::calloc(padded, 1)));
   if (data == nullptr) {
     return Status::ResourceExhausted("host allocation failed");
   }

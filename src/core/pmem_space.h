@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,12 +31,19 @@ struct MemPlacement {
   }
 };
 
+/// Frees a `calloc`'d buffer.
+struct FreeDeleter {
+  void operator()(std::byte* data) const { std::free(data); }
+};
+
 /// An owned, placement-tagged memory region. `offset` supports aligned
 /// allocations (the usable region starts past the raw buffer's base).
+/// The buffer is `calloc`'d, so a fresh allocation reads as zero — newly
+/// created storage — and its host pages are touched only when written.
 class Allocation {
  public:
   Allocation() = default;
-  Allocation(std::unique_ptr<std::byte[]> data, uint64_t size,
+  Allocation(std::unique_ptr<std::byte, FreeDeleter> data, uint64_t size,
              MemPlacement placement, uint64_t offset = 0,
              uint64_t charged_bytes = 0)
       : data_(std::move(data)),
@@ -88,7 +96,7 @@ class Allocation {
   }
 
  private:
-  std::unique_ptr<std::byte[]> data_;
+  std::unique_ptr<std::byte, FreeDeleter> data_;
   uint64_t size_ = 0;
   uint64_t offset_ = 0;
   uint64_t charged_bytes_ = 0;
@@ -134,7 +142,7 @@ class PmemSpace {
     allocation_hook_ = std::move(hook);
   }
 
-  /// Allocates `size` bytes on one socket's media. Fails with
+  /// Allocates `size` zero-filled bytes on one socket's media. Fails with
   /// ResourceExhausted when the modeled capacity is exceeded.
   Result<Allocation> Allocate(uint64_t size, MemPlacement placement);
 

@@ -15,9 +15,14 @@ uint64_t PersistenceTracker::LineEnd(uint64_t offset, uint64_t size) const {
   return std::min<uint64_t>(last + 1, state_.size());
 }
 
+void PersistenceTracker::Set(uint64_t line, PersistLineState next) {
+  if (state_[line] == PersistLineState::kClean) in_flight_.push_back(line);
+  state_[line] = next;
+}
+
 void PersistenceTracker::MarkDirty(uint64_t offset, uint64_t size) {
   for (uint64_t l = LineBegin(offset), e = LineEnd(offset, size); l < e; ++l) {
-    state_[l] = PersistLineState::kDirtyCache;
+    Set(l, PersistLineState::kDirtyCache);
   }
 }
 
@@ -34,36 +39,34 @@ uint64_t PersistenceTracker::AcceptDirtyRange(uint64_t offset, uint64_t size) {
 
 void PersistenceTracker::MarkAccepted(uint64_t offset, uint64_t size) {
   for (uint64_t l = LineBegin(offset), e = LineEnd(offset, size); l < e; ++l) {
-    state_[l] = PersistLineState::kAcceptedWpq;
+    Set(l, PersistLineState::kAcceptedWpq);
   }
 }
 
-uint64_t PersistenceTracker::DrainAccepted(std::vector<uint64_t>* drained) {
-  uint64_t count = 0;
-  for (uint64_t l = 0; l < state_.size(); ++l) {
-    if (state_[l] == PersistLineState::kAcceptedWpq) {
-      state_[l] = PersistLineState::kClean;
-      if (drained != nullptr) drained->push_back(l);
-      ++count;
+uint64_t PersistenceTracker::DrainAccepted() {
+  // Dirty lines ride out the fence and stay listed; accepted ones leave.
+  size_t kept = 0;
+  for (uint64_t line : in_flight_) {
+    if (state_[line] == PersistLineState::kAcceptedWpq) {
+      state_[line] = PersistLineState::kClean;
+    } else {
+      in_flight_[kept++] = line;
     }
   }
-  return count;
+  uint64_t drained = in_flight_.size() - kept;
+  in_flight_.resize(kept);
+  return drained;
 }
 
 uint64_t PersistenceTracker::dirty_lines() const {
-  uint64_t count = 0;
-  for (PersistLineState s : state_) {
-    if (s == PersistLineState::kDirtyCache) ++count;
-  }
-  return count;
+  return static_cast<uint64_t>(
+      std::count_if(in_flight_.begin(), in_flight_.end(), [this](uint64_t l) {
+        return state_[l] == PersistLineState::kDirtyCache;
+      }));
 }
 
 uint64_t PersistenceTracker::accepted_lines() const {
-  uint64_t count = 0;
-  for (PersistLineState s : state_) {
-    if (s == PersistLineState::kAcceptedWpq) ++count;
-  }
-  return count;
+  return in_flight_.size() - dirty_lines();
 }
 
 std::vector<uint64_t> PersistenceTracker::LinesInState(
@@ -91,7 +94,8 @@ uint64_t PersistenceTracker::XPLinesInState(PersistLineState state) const {
 }
 
 void PersistenceTracker::Reset() {
-  std::fill(state_.begin(), state_.end(), PersistLineState::kClean);
+  for (uint64_t line : in_flight_) state_[line] = PersistLineState::kClean;
+  in_flight_.clear();
 }
 
 }  // namespace pmemolap

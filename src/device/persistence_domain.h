@@ -12,9 +12,12 @@
 //                 drain is asynchronous until an sfence retires it
 //
 // The tracker holds no data bytes; PersistentRegion (durability layer)
-// pairs it with the volatile/persisted images and applies crash semantics.
-// Per-256B-XPLine aggregation serves scrub reports and crash statistics,
-// since Optane tears at XPLine granularity internally.
+// pairs it with the volatile image and the persisted bytes of in-flight
+// lines, and applies crash semantics. Besides the per-line state it keeps
+// the list of in-flight (non-clean) lines, so a drain, a reset or a count
+// costs O(in-flight lines), not O(region lines). Per-256B-XPLine
+// aggregation serves scrub reports and crash statistics, since Optane
+// tears at XPLine granularity internally.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +58,9 @@ class PersistenceTracker {
   /// dirty stage.
   void MarkAccepted(uint64_t offset, uint64_t size);
 
-  /// sfence: drains the WPQ. All accepted lines become clean; their
-  /// indexes are appended to `drained` (if non-null) so the caller can
-  /// promote those lines into the persisted image. Returns lines drained.
-  uint64_t DrainAccepted(std::vector<uint64_t>* drained);
+  /// sfence: drains the WPQ. All accepted lines become clean. Returns
+  /// lines drained.
+  uint64_t DrainAccepted();
 
   uint64_t dirty_lines() const;
   uint64_t accepted_lines() const;
@@ -78,9 +80,13 @@ class PersistenceTracker {
  private:
   uint64_t LineBegin(uint64_t offset) const { return offset / kCacheLineBytes; }
   uint64_t LineEnd(uint64_t offset, uint64_t size) const;
+  /// Moves `line` to `next`, listing it as in flight if it was clean.
+  void Set(uint64_t line, PersistLineState next);
 
   uint64_t bytes_ = 0;
   std::vector<PersistLineState> state_;
+  /// Every line not kClean, once each, in the order it left kClean.
+  std::vector<uint64_t> in_flight_;
 };
 
 }  // namespace pmemolap

@@ -23,21 +23,16 @@ Result<std::unique_ptr<PersistentRegion>> PersistentRegion::Create(
   return region;
 }
 
+// A fresh region models newly created storage: the space's allocation
+// reads as zero, and with no line in flight so does the persisted image.
 PersistentRegion::PersistentRegion(PmemSpace* space, Allocation allocation,
                                    CrashInjector* crash,
                                    const PersistCostModel* cost)
     : space_(space),
       allocation_(std::move(allocation)),
-      persisted_(allocation_.size()),
       tracker_(allocation_.size()),
       crash_(crash),
-      cost_(cost) {
-  // A fresh region models newly created storage, so both images start as
-  // zeros. The space hands out raw bytes — zero the volatile image
-  // explicitly (persisted_ is value-initialized), or a recycled heap
-  // block would make an empty log scan as a torn tail.
-  std::memset(allocation_.data(), 0, allocation_.size());
-}
+      cost_(cost) {}
 
 PersistentRegion::~PersistentRegion() {
   if (space_ != nullptr) space_->Release(allocation_);
@@ -69,6 +64,28 @@ Status PersistentRegion::CrashNow() {
       std::to_string(crash_->report().boundary));
 }
 
+void PersistentRegion::WriteVolatile(uint64_t offset, const void* src,
+                                     uint64_t size) {
+  if (size == 0) return;
+  for (uint64_t line = offset / kCacheLineBytes,
+                end = (offset + size - 1) / kCacheLineBytes;
+       line <= end; ++line) {
+    if (tracker_.state(line) != PersistLineState::kClean) continue;
+    // A clean line's persisted bytes are its volatile bytes; those at and
+    // past written_end_ are zero, as a new entry starts, so a write into
+    // fresh storage never reads (and faults in) the pages it extends.
+    SavedLine& saved = saved_.emplace_back();
+    saved.line = line;
+    uint64_t begin = line * kCacheLineBytes;
+    if (begin < written_end_) {
+      std::memcpy(saved.bytes.data(), allocation_.data() + begin,
+                  std::min(kCacheLineBytes, written_end_ - begin));
+    }
+  }
+  std::memcpy(allocation_.data() + offset, src, size);
+  written_end_ = std::max(written_end_, offset + size);
+}
+
 Status PersistentRegion::CrashDuringWrite(uint64_t offset, const void* src,
                                           uint64_t size, bool accepted) {
   // A cached store cut mid-flight loses everything (the bytes only made
@@ -82,7 +99,7 @@ Status PersistentRegion::CrashDuringWrite(uint64_t offset, const void* src,
       keep = keep / kCacheLineBytes * kCacheLineBytes;
     }
     if (keep > 0) {
-      std::memcpy(allocation_.data() + offset, src, keep);
+      WriteVolatile(offset, src, keep);
       tracker_.MarkAccepted(offset, keep);
     }
   }
@@ -96,7 +113,7 @@ Status PersistentRegion::Store(uint64_t offset, const void* src,
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashDuringWrite(offset, src, size, /*accepted=*/false);
   }
-  std::memcpy(allocation_.data() + offset, src, size);
+  WriteVolatile(offset, src, size);
   tracker_.MarkDirty(offset, size);
   if (order_ != nullptr) order_->OnStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
@@ -112,7 +129,7 @@ Status PersistentRegion::NtStore(uint64_t offset, const void* src,
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashDuringWrite(offset, src, size, /*accepted=*/true);
   }
-  std::memcpy(allocation_.data() + offset, src, size);
+  WriteVolatile(offset, src, size);
   tracker_.MarkAccepted(offset, size);
   if (order_ != nullptr) order_->OnNtStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
@@ -146,9 +163,16 @@ Status PersistentRegion::TruncateTo(uint64_t offset) {
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashNow();  // tail pointer never flipped; suffix still there
   }
-  uint64_t tail = allocation_.size() - offset;
-  std::memset(allocation_.data() + offset, 0, tail);
-  std::memset(persisted_.data() + offset, 0, tail);
+  if (written_end_ > offset) {
+    std::memset(allocation_.data() + offset, 0, written_end_ - offset);
+    written_end_ = offset;
+  }
+  for (SavedLine& saved : saved_) {
+    uint64_t begin = saved.line * kCacheLineBytes;
+    if (begin + kCacheLineBytes <= offset) continue;
+    std::fill(saved.bytes.begin() + (offset > begin ? offset - begin : 0),
+              saved.bytes.end(), std::byte{0});
+  }
   // Priced as the tail-pointer update, not the (modeled-only) zeroing.
   modeled_seconds_ += cost_->StoreSeconds(1) + cost_->FlushSeconds(1) +
                       cost_->FenceSeconds(1);
@@ -163,13 +187,14 @@ Status PersistentRegion::Fence() {
     // Drain never completed; accepted lines face the survival lottery.
     return CrashNow();
   }
-  std::vector<uint64_t> drained;
-  uint64_t pending = tracker_.DrainAccepted(&drained);
-  for (uint64_t line : drained) {
-    uint64_t begin = line * kCacheLineBytes;
-    uint64_t bytes = std::min(kCacheLineBytes, allocation_.size() - begin);
-    std::memcpy(persisted_.data() + begin, allocation_.data() + begin, bytes);
-  }
+  uint64_t pending = tracker_.DrainAccepted();
+  // A drained line's volatile bytes are now its persisted bytes.
+  saved_.erase(std::remove_if(saved_.begin(), saved_.end(),
+                              [this](const SavedLine& saved) {
+                                return tracker_.state(saved.line) ==
+                                       PersistLineState::kClean;
+                              }),
+               saved_.end());
   ++fences_;
   modeled_seconds_ += cost_->FenceSeconds(pending);
   if (order_ != nullptr) order_->OnFence(this, pending);
@@ -186,28 +211,32 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
   // lines — those are the torn XPLines readers must never see raw.
   std::vector<uint64_t> xp_survived;
   std::vector<uint64_t> xp_lost;
-  for (uint64_t line = 0; line < tracker_.lines(); ++line) {
-    PersistLineState state = tracker_.state(line);
-    if (state == PersistLineState::kClean) continue;
-    bool survives = state == PersistLineState::kAcceptedWpq &&
-                    survival->NextBool(survival_p);
-    if (survives) {
-      uint64_t begin = line * kCacheLineBytes;
-      uint64_t bytes = std::min(kCacheLineBytes, allocation_.size() - begin);
-      std::memcpy(persisted_.data() + begin, allocation_.data() + begin,
-                  bytes);
+  // Ascending line order keeps the survival draws in a fixed sequence.
+  std::sort(saved_.begin(), saved_.end(),
+            [](const SavedLine& a, const SavedLine& b) {
+              return a.line < b.line;
+            });
+  for (const SavedLine& saved : saved_) {
+    PersistLineState state = tracker_.state(saved.line);
+    bool accepted = state == PersistLineState::kAcceptedWpq;
+    if (accepted && survival->NextBool(survival_p)) {
+      // The drain landed: the volatile bytes are the persisted ones.
       ++accepted_survived;
-      xp_survived.push_back(line / kPerXPLine);
-    } else if (state == PersistLineState::kAcceptedWpq) {
+      xp_survived.push_back(saved.line / kPerXPLine);
+      continue;
+    }
+    // Restart: the lost line reads its persisted bytes again.
+    uint64_t begin = saved.line * kCacheLineBytes;
+    std::memcpy(allocation_.data() + begin, saved.bytes.data(),
+                std::min(kCacheLineBytes, allocation_.size() - begin));
+    if (accepted) {
       ++accepted_lost;
-      xp_lost.push_back(line / kPerXPLine);
     } else {
       ++dirty_lost;
-      xp_lost.push_back(line / kPerXPLine);
     }
+    xp_lost.push_back(saved.line / kPerXPLine);
   }
-  // Restart: the volatile image IS the persisted image.
-  std::memcpy(allocation_.data(), persisted_.data(), allocation_.size());
+  saved_.clear();
   tracker_.Reset();
   if (order_ != nullptr) order_->OnCrash(this);
   if (report != nullptr) {
@@ -226,6 +255,16 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
                           std::back_inserter(torn));
     report->torn_xplines += torn.size();
   }
+}
+
+std::vector<std::byte> PersistentRegion::PersistedImage() const {
+  std::vector<std::byte> image(data(), data() + size());
+  for (const SavedLine& saved : saved_) {
+    uint64_t begin = saved.line * kCacheLineBytes;
+    std::memcpy(image.data() + begin, saved.bytes.data(),
+                std::min(kCacheLineBytes, size() - begin));
+  }
+  return image;
 }
 
 void PersistentRegion::AttachOrderChecker(PersistOrderChecker* checker,

@@ -4,10 +4,14 @@
 // Real App Direct code sees one pointer; durability is a property of
 // *which bytes made it past the CPU caches*. The model makes that
 // distinction physical: the Allocation's bytes are the volatile image
-// (what loads see), a shadow buffer is the persisted image (what a crash
-// leaves behind), and a PersistenceTracker records where every 64 B line
-// sits in between. The four primitives mirror the instructions the paper
-// prices:
+// (what loads see), and a PersistenceTracker records where every 64 B
+// line sits between cache and persistence domain. A clean line's
+// persisted bytes are its volatile bytes; when a write takes a line out
+// of kClean, the region saves the line's persisted bytes in a flat list
+// (what a crash restores if the new bytes are lost). So the persisted
+// image costs host memory only for in-flight lines, and a fresh region's
+// zero-filled storage costs host memory only once written. The four
+// primitives mirror the instructions the paper prices:
 //
 //   Store      cached store: volatile write, line dirty in cache
 //   NtStore    non-temporal store: volatile write, line accepted into WPQ
@@ -24,6 +28,7 @@
 // writer no longer mutates (the committed prefix DurableTable exposes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -61,14 +66,18 @@ class PersistentRegion {
   /// Durable truncation: everything at and past `offset` reverts to zero
   /// in both images. Models a redo log's O(1) tail-pointer update (one
   /// line store + flush + fence), not a media wipe — but the model zeroes
-  /// the suffix so stale records can never be re-scanned. One crash
-  /// boundary; if the crash fires here, the truncation never happened.
+  /// the suffix so stale records can never be re-scanned. Host work is
+  /// bounded by the bytes written past `offset` and the in-flight lines.
+  /// One crash boundary; if the crash fires here, the truncation never
+  /// happened.
   Status TruncateTo(uint64_t offset);
 
   /// Volatile image — what loads (and post-crash recovery) read.
   const std::byte* data() const { return allocation_.data(); }
-  /// Persisted image — what a crash preserves. Tests compare against it.
-  const std::byte* persisted() const { return persisted_.data(); }
+  /// A copy of the persisted image — what a crash would preserve: the
+  /// volatile image with every in-flight line's saved bytes in place.
+  // lint:allow(test-only-api): read-back oracle for the persisted image
+  std::vector<std::byte> PersistedImage() const;
   uint64_t size() const { return allocation_.size(); }
 
   const PersistenceTracker& tracker() const { return tracker_; }
@@ -79,9 +88,10 @@ class PersistentRegion {
   uint64_t fences() const { return fences_; }
 
   /// Crash semantics (called by CrashInjector::TriggerCrash): dirty lines
-  /// revert to the persisted image; accepted lines survive with
-  /// probability `survival_p`; volatile := persisted afterwards. Updates
-  /// `report` if non-null.
+  /// revert to their persisted bytes; accepted lines survive with
+  /// probability `survival_p`, drawn in ascending line order, and revert
+  /// otherwise; volatile = persisted afterwards. Updates `report` if
+  /// non-null.
   void ApplyCrash(Rng* survival, double survival_p, CrashReport* report);
 
   /// Mirrors every subsequent primitive into the runtime durability
@@ -106,9 +116,24 @@ class PersistentRegion {
                           bool accepted);
   Status CrashNow();
 
+  /// Saves the persisted bytes of every clean line that
+  /// [offset, offset+size) covers, then copies `src` into the volatile
+  /// image. Callers mark the lines in the tracker afterwards.
+  void WriteVolatile(uint64_t offset, const void* src, uint64_t size);
+
+  /// The persisted bytes of one in-flight line (zero past the region's
+  /// end).
+  struct SavedLine {
+    uint64_t line = 0;
+    std::array<std::byte, kCacheLineBytes> bytes{};
+  };
+
   PmemSpace* space_;
   Allocation allocation_;
-  std::vector<std::byte> persisted_;
+  /// One entry per line not kClean, in the order the lines left kClean.
+  std::vector<SavedLine> saved_;
+  /// Volatile bytes at and past this offset are zero.
+  uint64_t written_end_ = 0;
   PersistenceTracker tracker_;
   CrashInjector* crash_;
   const PersistCostModel* cost_;

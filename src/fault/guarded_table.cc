@@ -70,12 +70,6 @@ Result<std::unique_ptr<GuardedTable>> GuardedTable::Create(
   return table;
 }
 
-uint64_t GuardedTable::num_chunks() const {
-  uint64_t total = 0;
-  for (int s = 0; s < num_stripes(); ++s) total += ChunksInStripe(s);
-  return total;
-}
-
 int GuardedTable::StripeOf(uint64_t offset) const {
   const int n = stripes_.num_stripes();
   if (per_stripe_ == 0) return n - 1;

@@ -51,7 +51,6 @@ class GuardedTable {
 
   uint64_t size() const { return bytes_; }
   int num_stripes() const { return stripes_.num_stripes(); }
-  uint64_t num_chunks() const;
 
   /// Copies [offset, offset + size) into `dst`: bounded retry, then
   /// scrub-and-repair of the affected chunks, then a final read. Fails

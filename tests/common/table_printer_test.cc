@@ -43,7 +43,7 @@ TEST(TablePrinterTest, CellFormatting) {
   EXPECT_EQ(TablePrinter::Cell(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Cell(3.0, 0), "3");
   EXPECT_EQ(TablePrinter::Cell(uint64_t{42}), "42");
-  EXPECT_EQ(TablePrinter::Cell(-7), "-7");
+  EXPECT_EQ(TablePrinter::Cell(-7.0, 0), "-7");
 }
 
 }  // namespace

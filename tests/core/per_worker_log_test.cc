@@ -114,81 +114,5 @@ TEST_F(PerWorkerLogTest, WorkersAreIndependent) {
   EXPECT_EQ(log->entries(1), 0u);
 }
 
-// --- Recovery ------------------------------------------------------------------
-
-TEST_F(PerWorkerLogTest, RecoverFindsDurablePrefix) {
-  auto log = PerWorkerLog::Create(&space_, 2, 8);
-  ASSERT_TRUE(log.ok());
-  const char* message = "record";
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(log->Append(0, reinterpret_cast<const std::byte*>(message),
-                            strlen(message))
-                    .ok());
-  }
-  ASSERT_TRUE(log->Append(1, reinterpret_cast<const std::byte*>(message),
-                          strlen(message))
-                  .ok());
-  // Simulate a restart: recovery must find exactly what was appended.
-  EXPECT_EQ(log->Recover(), 6u);
-  EXPECT_EQ(log->entries(0), 5u);
-  EXPECT_EQ(log->entries(1), 1u);
-  std::vector<std::byte> out(PerWorkerLog::kMaxPayloadBytes);
-  ASSERT_TRUE(log->ReadEntry(0, 4, out.data()).ok());
-  EXPECT_EQ(std::memcmp(out.data(), message, strlen(message)), 0);
-}
-
-TEST_F(PerWorkerLogTest, RecoverTruncatesTornEntry) {
-  auto log = PerWorkerLog::Create(&space_, 1, 8);
-  ASSERT_TRUE(log.ok());
-  std::byte byte{0x5A};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(log->Append(0, &byte, 1).ok());
-  }
-  // Tear entry 2: flip a payload byte after it was written (as if the
-  // 256 B entry was only partially persisted before the crash).
-  std::byte* raw = log->RawBytes(0);
-  raw[2 * PerWorkerLog::kEntryBytes + PerWorkerLog::kHeaderBytes] ^=
-      std::byte{0xFF};
-  EXPECT_EQ(log->Recover(), 2u);
-  EXPECT_EQ(log->entries(0), 2u);
-  // Appends continue after the truncated prefix.
-  ASSERT_TRUE(log->Append(0, &byte, 1).ok());
-  EXPECT_EQ(log->entries(0), 3u);
-}
-
-TEST_F(PerWorkerLogTest, RecoverRejectsStaleSequence) {
-  auto log = PerWorkerLog::Create(&space_, 1, 8);
-  ASSERT_TRUE(log.ok());
-  std::byte byte{1};
-  ASSERT_TRUE(log->Append(0, &byte, 1).ok());
-  ASSERT_TRUE(log->Append(0, &byte, 1).ok());
-  // Copy entry 0 over entry 1 (stale data from a previous log
-  // generation): the CRC is valid but the sequence number is wrong.
-  std::byte* raw = log->RawBytes(0);
-  std::memcpy(raw + PerWorkerLog::kEntryBytes, raw,
-              PerWorkerLog::kEntryBytes);
-  EXPECT_EQ(log->Recover(), 1u);
-}
-
-TEST_F(PerWorkerLogTest, RecoverOnEmptyLog) {
-  auto log = PerWorkerLog::Create(&space_, 3, 8);
-  ASSERT_TRUE(log.ok());
-  EXPECT_EQ(log->Recover(), 0u);
-  for (int worker = 0; worker < 3; ++worker) {
-    EXPECT_EQ(log->entries(worker), 0u);
-  }
-}
-
-TEST_F(PerWorkerLogTest, RecoverFullLog) {
-  auto log = PerWorkerLog::Create(&space_, 1, 4);
-  ASSERT_TRUE(log.ok());
-  std::byte byte{7};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(log->Append(0, &byte, 1).ok());
-  }
-  EXPECT_EQ(log->Recover(), 4u);
-  EXPECT_EQ(log->entries(0), 4u);
-}
-
 }  // namespace
 }  // namespace pmemolap

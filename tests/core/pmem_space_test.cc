@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace pmemolap {
 namespace {
 
@@ -21,6 +23,34 @@ TEST_F(PmemSpaceTest, AllocateReturnsUsableMemory) {
   alloc->data()[0] = std::byte{0xAB};
   alloc->data()[4095] = std::byte{0xCD};
   EXPECT_EQ(alloc->data()[0], std::byte{0xAB});
+}
+
+TEST_F(PmemSpaceTest, AllocationsReadAsZero) {
+  // Fresh storage reads as zero, also when the host recycles a block an
+  // earlier allocation wrote.
+  auto all_zero = [](const Allocation& alloc) {
+    for (uint64_t i = 0; i < alloc.size(); ++i) {
+      if (alloc.data()[i] != std::byte{0}) return false;
+    }
+    return true;
+  };
+  for (int round = 0; round < 2; ++round) {
+    auto plain = space_.Allocate(4096, {Media::kPmem, 0});
+    auto aligned = space_.AllocateAligned(1000, 256, {Media::kDram, 1});
+    auto striped = space_.AllocateStriped(3000, Media::kPmem);
+    ASSERT_TRUE(plain.ok() && aligned.ok() && striped.ok());
+    EXPECT_TRUE(all_zero(*plain)) << round;
+    EXPECT_TRUE(all_zero(*aligned)) << round;
+    for (int s = 0; s < striped->num_stripes(); ++s) {
+      EXPECT_TRUE(all_zero(striped->stripe(s))) << round;
+    }
+    std::fill_n(plain->data(), plain->size(), std::byte{0xFF});
+    std::fill_n(aligned->data(), aligned->size(), std::byte{0xFF});
+    for (int s = 0; s < striped->num_stripes(); ++s) {
+      Allocation& stripe = striped->stripe(s);
+      std::fill_n(stripe.data(), stripe.size(), std::byte{0xFF});
+    }
+  }
 }
 
 TEST_F(PmemSpaceTest, RejectsInvalidArguments) {

@@ -69,10 +69,11 @@ TEST(PersistenceTrackerTest, StoreFlushFenceWalksTheThreeStages) {
   EXPECT_EQ(tracker.accepted_lines(), 2u);
   EXPECT_EQ(tracker.AcceptDirtyRange(0, 4 * kCacheLineBytes), 0u);
 
-  std::vector<uint64_t> drained;
-  EXPECT_EQ(tracker.DrainAccepted(&drained), 2u);
-  EXPECT_EQ(drained, (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(tracker.LinesInState(PersistLineState::kAcceptedWpq),
+            (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(tracker.DrainAccepted(), 2u);
   EXPECT_EQ(tracker.accepted_lines(), 0u);
+  EXPECT_EQ(tracker.LinesInState(PersistLineState::kClean).size(), 4u);
 }
 
 TEST(PersistenceTrackerTest, RestoreOfAcceptedLineDropsBackToDirty) {
@@ -132,14 +133,14 @@ TEST_F(PersistentRegionTest, StoreAloneIsNotDurable) {
   // Volatile image sees the bytes; the persisted image does not.
   EXPECT_EQ(std::memcmp((*region)->data(), payload.data(), payload.size()),
             0);
-  EXPECT_EQ((*region)->persisted()[0], std::byte{0});
+  EXPECT_EQ((*region)->PersistedImage()[0], std::byte{0});
   EXPECT_EQ((*region)->tracker().dirty_lines(), 2u);  // 100 B = 2 lines
 
   ASSERT_TRUE((*region)->FlushRange(0, payload.size()).ok());
-  EXPECT_EQ((*region)->persisted()[0], std::byte{0})
+  EXPECT_EQ((*region)->PersistedImage()[0], std::byte{0})
       << "clwb accepts into the WPQ; only the fence drains it";
   ASSERT_TRUE((*region)->Fence().ok());
-  EXPECT_EQ(std::memcmp((*region)->persisted(), payload.data(),
+  EXPECT_EQ(std::memcmp((*region)->PersistedImage().data(), payload.data(),
                         payload.size()),
             0);
   EXPECT_EQ((*region)->tracker().dirty_lines(), 0u);
@@ -156,8 +157,9 @@ TEST_F(PersistentRegionTest, NtStorePlusFencePersists) {
           .ok());
   EXPECT_EQ((*region)->tracker().accepted_lines(), 4u);
   ASSERT_TRUE((*region)->Fence().ok());
-  EXPECT_EQ(std::memcmp((*region)->persisted() + kOptaneLineBytes,
-                        payload.data(), payload.size()),
+  std::vector<std::byte> persisted = (*region)->PersistedImage();
+  EXPECT_EQ(std::memcmp(persisted.data() + kOptaneLineBytes, payload.data(),
+                        payload.size()),
             0);
 }
 
@@ -198,9 +200,10 @@ TEST_F(PersistentRegionTest, TruncateZeroesBothImagesPastOffset) {
   ASSERT_TRUE((*region)->Fence().ok());
   ASSERT_TRUE((*region)->TruncateTo(10).ok());
   EXPECT_EQ(std::memcmp((*region)->data(), payload.data(), 10), 0);
+  std::vector<std::byte> persisted = (*region)->PersistedImage();
   for (uint64_t i = 10; i < 2 * kOptaneLineBytes; ++i) {
     ASSERT_EQ((*region)->data()[i], std::byte{0}) << i;
-    ASSERT_EQ((*region)->persisted()[i], std::byte{0}) << i;
+    ASSERT_EQ(persisted[i], std::byte{0}) << i;
   }
 }
 
@@ -238,7 +241,7 @@ TEST_F(PersistentRegionTest, CrashAtFenceRunsTheSurvivalLottery) {
   ASSERT_TRUE(
       (*region)->NtStore(0, payload.data(), payload.size()).ok());  // b0
   EXPECT_EQ((*region)->Fence().code(), StatusCode::kUnavailable);   // b1
-  EXPECT_EQ(std::memcmp((*region)->persisted(), payload.data(),
+  EXPECT_EQ(std::memcmp((*region)->PersistedImage().data(), payload.data(),
                         payload.size()),
             0);
   EXPECT_EQ(crash.report().accepted_lines_survived, 4u);
@@ -254,7 +257,7 @@ TEST_F(PersistentRegionTest, CrashAtFenceRunsTheSurvivalLottery) {
   ASSERT_TRUE(
       (*region0)->NtStore(0, payload.data(), payload.size()).ok());
   EXPECT_EQ((*region0)->Fence().code(), StatusCode::kUnavailable);
-  EXPECT_EQ((*region0)->persisted()[0], std::byte{0});
+  EXPECT_EQ((*region0)->PersistedImage()[0], std::byte{0});
   EXPECT_EQ(crash0.report().accepted_lines_lost, 4u);
 }
 
