@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/crc32.h"
 
@@ -99,7 +100,12 @@ Result<uint64_t> PerWorkerLog::ReadEntry(int worker, uint64_t index,
   if (header.length > kMaxPayloadBytes) {
     return Status::Internal("corrupt entry length");
   }
-  std::memcpy(out, slot + kHeaderBytes, kMaxPayloadBytes);
+  const std::byte* body = slot + kHeaderBytes;
+  if (EntryCrc(header.sequence, header.length, body) != header.crc) {
+    return Status::DataLoss("entry " + std::to_string(index) + " of worker " +
+                            std::to_string(worker) + " fails its CRC");
+  }
+  std::memcpy(out, body, kMaxPayloadBytes);
   return static_cast<uint64_t>(header.length);
 }
 

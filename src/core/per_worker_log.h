@@ -50,7 +50,7 @@ class PerWorkerLog {
 
   /// Reads the payload of entry `index` into `out` (kMaxPayloadBytes or
   /// larger; zero-padded past the stored length). Returns the stored
-  /// payload length.
+  /// payload length, or DataLoss when the entry fails its CRC.
   // lint:allow(test-only-api): read-back oracle for what Append writes
   Result<uint64_t> ReadEntry(int worker, uint64_t index,
                              std::byte* out) const;

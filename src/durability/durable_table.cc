@@ -15,17 +15,13 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Create(
   std::unique_ptr<DurableTable> table(new DurableTable(options, crash));
   PMEMOLAP_ASSIGN_OR_RETURN(
       table->table_,
-      PersistentRegion::Create(space, options.capacity_bytes, options.socket,
-                               crash, &table->cost_));
+      PersistentRegion::Create(space, options.capacity_bytes, kSocket, crash,
+                               &table->cost_));
   PMEMOLAP_ASSIGN_OR_RETURN(
-      table->log_,
-      PersistentRegion::Create(space, options.log_bytes, options.socket,
-                               crash, &table->cost_));
-  if (options.check_order) {
-    table->order_checker_ = std::make_unique<PersistOrderChecker>();
-    table->table_->AttachOrderChecker(table->order_checker_.get(), "table");
-    table->log_->AttachOrderChecker(table->order_checker_.get(), "log");
-  }
+      table->log_, PersistentRegion::Create(space, options.log_bytes, kSocket,
+                                            crash, &table->cost_));
+  table->table_->AttachOrderChecker(&table->order_checker_, "table");
+  table->log_->AttachOrderChecker(&table->order_checker_, "log");
   return table;
 }
 
@@ -70,9 +66,7 @@ Result<uint64_t> DurableTable::Append(const std::byte* data, uint64_t bytes) {
   // 3+4: the commit marker becomes durable — the epoch's point of no
   // return. Ordered strictly after the payload by the fence above; the
   // oracle verifies that ordering actually held at runtime.
-  if (order_checker_ != nullptr) {
-    order_checker_->OnCommitRecord(log_.get(), epoch);
-  }
+  order_checker_.OnCommitRecord(log_.get(), epoch);
   uint64_t commit_offset = tail + data_record.size();
   if (options_.ntstore_log) {
     PMEMOLAP_RETURN_NOT_OK(log_->NtStore(commit_offset, commit_record.data(),
@@ -100,13 +94,10 @@ Result<uint64_t> DurableTable::Append(const std::byte* data, uint64_t bytes) {
 
 void DurableTable::AdvanceCommitted(uint64_t epoch, uint64_t total_bytes,
                                     uint64_t log_tail) {
-  if (order_checker_ != nullptr) {
-    // Readers see [0, total_bytes) of the table and recovery trusts
-    // [0, log_tail) of the log from here on: both must be fenced.
-    order_checker_->OnPublish(table_.get(), 0, total_bytes,
-                              "AdvanceCommitted");
-    order_checker_->OnPublish(log_.get(), 0, log_tail, "AdvanceCommitted");
-  }
+  // Readers see [0, total_bytes) of the table and recovery trusts
+  // [0, log_tail) of the log from here on: both must be fenced.
+  order_checker_.OnPublish(table_.get(), 0, total_bytes, "AdvanceCommitted");
+  order_checker_.OnPublish(log_.get(), 0, log_tail, "AdvanceCommitted");
   std::lock_guard<std::mutex> lock(mutex_);
   (void)epoch;  // always epoch_bytes_.size() by construction
   epoch_bytes_.push_back(total_bytes);
@@ -115,11 +106,9 @@ void DurableTable::AdvanceCommitted(uint64_t epoch, uint64_t total_bytes,
 
 void DurableTable::RestoreCommitted(std::vector<uint64_t> epoch_bytes,
                                     uint64_t log_tail) {
-  if (order_checker_ != nullptr) {
-    order_checker_->OnPublish(table_.get(), 0, epoch_bytes.back(),
-                              "RestoreCommitted");
-    order_checker_->OnPublish(log_.get(), 0, log_tail, "RestoreCommitted");
-  }
+  order_checker_.OnPublish(table_.get(), 0, epoch_bytes.back(),
+                           "RestoreCommitted");
+  order_checker_.OnPublish(log_.get(), 0, log_tail, "RestoreCommitted");
   std::lock_guard<std::mutex> lock(mutex_);
   epoch_bytes_ = std::move(epoch_bytes);
   log_tail_ = log_tail;
@@ -166,7 +155,7 @@ std::vector<TrafficRecord> DurableTable::BuildTraffic(
     log.op = OpType::kWrite;
     log.pattern = Pattern::kSequentialGrouped;
     log.media = Media::kPmem;
-    log.data_socket = options_.socket;
+    log.data_socket = kSocket;
     log.bytes = log_bytes;
     log.access_size = kOptaneLineBytes;
     log.region_bytes = options_.log_bytes;
@@ -179,7 +168,7 @@ std::vector<TrafficRecord> DurableTable::BuildTraffic(
     apply.op = OpType::kWrite;
     apply.pattern = Pattern::kSequentialGrouped;
     apply.media = Media::kPmem;
-    apply.data_socket = options_.socket;
+    apply.data_socket = kSocket;
     apply.bytes = apply_bytes;
     apply.access_size = 4 * kKiB;
     apply.region_bytes = options_.capacity_bytes;

@@ -47,18 +47,14 @@ class DurableTable {
   struct Options {
     uint64_t capacity_bytes = 16 * kMiB;  ///< table region size
     uint64_t log_bytes = 32 * kMiB;       ///< redo-log region size
-    int socket = 0;
     /// ntstore log appends (the paper's pick for streaming writes);
     /// false uses cached stores + clwb — dearer, exercised by tests.
     bool ntstore_log = true;
-    /// Runs the runtime durability oracle (persist_order_checker.h)
-    /// over both regions: every fence cross-validated against the
-    /// tracker, every commit record and publish checked for pending
-    /// lines. Cheap (O(in-flight lines) per boundary), so it defaults
-    /// on; flip off to measure the protocol without the oracle.
-    bool check_order = true;
     PersistSpec persist;  ///< primitive pricing
   };
+
+  /// Both regions live in this socket's PMEM.
+  static constexpr int kSocket = 0;
 
   /// `crash` may be nullptr (no crash surface — plain durable ingest).
   static Result<std::unique_ptr<DurableTable>> Create(PmemSpace* space,
@@ -106,10 +102,12 @@ class DurableTable {
   PersistentRegion& table_region() { return *table_; }
   PersistentRegion& log_region() { return *log_; }
   const PersistCostModel& cost() const { return cost_; }
-  /// The runtime durability oracle, or nullptr when
-  /// Options::check_order is off. Tests assert `clean()` on it; the
-  /// engine surfaces a non-clean oracle as an internal error.
-  PersistOrderChecker* order_checker() const { return order_checker_.get(); }
+  /// The runtime durability oracle, attached to both regions: every
+  /// fence is cross-validated against the regions' line states, and
+  /// every commit record and publish is checked for pending lines. Tests
+  /// assert `clean()` on it; the engine surfaces a non-clean oracle as an
+  /// internal error.
+  const PersistOrderChecker& order_checker() const { return order_checker_; }
 
  private:
   DurableTable(Options options, CrashInjector* crash)
@@ -128,7 +126,7 @@ class DurableTable {
   Options options_;
   CrashInjector* crash_;
   PersistCostModel cost_;
-  std::unique_ptr<PersistOrderChecker> order_checker_;
+  PersistOrderChecker order_checker_;
   std::unique_ptr<PersistentRegion> table_;
   std::unique_ptr<PersistentRegion> log_;
 

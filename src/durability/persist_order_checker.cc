@@ -72,7 +72,7 @@ void PersistOrderChecker::OnStore(const PersistentRegion* region,
                  " whose NtStore is still un-fenced");
     }
     // A cached store re-dirties the line: an earlier write-back no
-    // longer covers it (mirrors PersistenceTracker::MarkDirty).
+    // longer covers it (as in PersistentRegion::Store).
     mirror->states[line] = LineState::kDirtyCached;
     mirror->touched.insert(line);
   }
@@ -125,7 +125,6 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
   if (mirror == nullptr) return;
   ++fences_checked_;
   uint64_t mirror_drained = 0;
-  const PersistenceTracker& tracker = region->tracker();
   for (auto it = mirror->touched.begin(); it != mirror->touched.end();) {
     uint64_t line = *it;
     LineState state = mirror->states[line];
@@ -136,14 +135,15 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
       it = mirror->touched.erase(it);
       continue;
     }
-    // Dirty lines ride out the fence — the tracker must agree, or the
+    // Dirty lines ride out the fence — the region must agree, or the
     // two models have diverged.
-    if (tracker.state(line) != PersistLineState::kDirtyCache) {
+    PersistLineState region_state = region->line_state(line);
+    if (region_state != PersistLineState::kDirtyCache) {
       Record("oracle-drift", *mirror, line,
              "after Fence() the mirror holds line " +
                  std::to_string(line) + " as " + StateName(state) +
-                 " but the tracker reports state " +
-                 std::to_string(static_cast<int>(tracker.state(line))) +
+                 " but the region reports state " +
+                 std::to_string(static_cast<int>(region_state)) +
                  " — a write path bypassed the primitives or the "
                  "lattice changed");
     }
@@ -152,31 +152,20 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
   if (mirror_drained != drained_lines) {
     Record("oracle-drift", *mirror, 0,
            "Fence() drained " + std::to_string(drained_lines) +
-               " line(s) per the tracker but " +
+               " line(s) per the region but " +
                std::to_string(mirror_drained) +
                " per the mirror — in-flight state the checker never "
                "saw (late attach, or a primitive bypass)");
   }
 }
 
-void PersistOrderChecker::OnTruncate(const PersistentRegion* region,
-                                     uint64_t offset) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Mirror* mirror = Find(region);
-  if (mirror == nullptr) return;
-  // TruncateTo zeroes both images past `offset` without touching the
-  // tracker: any still-in-flight line there keeps its tracker state, so
-  // the mirror keeps it too (the drift check stays honest). Nothing to
-  // do — the hook exists so the boundary is visible in traces.
-  (void)offset;
-}
-
 void PersistOrderChecker::OnCrash(const PersistentRegion* region) {
   std::lock_guard<std::mutex> lock(mutex_);
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
-  // volatile := persisted and tracker.Reset(): all in-flight state is
-  // resolved (lost or survived); the mirror starts clean like a restart.
+  // volatile := persisted and every region line clean: all in-flight
+  // state is resolved (lost or survived); the mirror starts clean like a
+  // restart.
   for (uint64_t line : mirror->touched) {
     mirror->states[line] = LineState::kClean;
   }

@@ -15,9 +15,9 @@
 //              a fence is the analog of persist-mixed-store.
 //
 //   drift      at every Fence() the mirror must agree with the region's
-//              PersistenceTracker line for line, and the number of
-//              lines the mirror believes drained must equal what the
-//              region reported. If the two models diverge — a primitive
+//              own line_state() line for line, and the number of lines
+//              the mirror believes drained must equal what the region
+//              reported. If the two models diverge — a primitive
 //              grew a side effect the checker (and therefore the static
 //              lattice) doesn't know about, or a write path bypassed
 //              the primitives — the oracle itself has drifted and the
@@ -27,6 +27,7 @@
 // are counted, not flagged: re-flushing a clean line is wasted clwb
 // cost, never a safety bug.
 //
+// DurableTable always attaches one checker to both of its regions.
 // Violations are recorded, never thrown: crash sweeps assert
 // `violations().empty()` after thousands of boundaries, and the engine
 // surfaces a non-clean checker as Status::Internal after the fact.
@@ -76,11 +77,10 @@ class PersistOrderChecker {
                  uint64_t size);
   void OnFlush(const PersistentRegion* region, uint64_t offset,
                uint64_t size);
-  /// `drained_lines` is what the region's tracker reported draining —
+  /// `drained_lines` is what the region reported draining —
   /// cross-validated against the mirror (drift detection).
   void OnFence(const PersistentRegion* region, uint64_t drained_lines);
-  void OnTruncate(const PersistentRegion* region, uint64_t offset);
-  /// Crash applied: volatile := persisted, tracker reset — mirror too.
+  /// Crash applied: volatile := persisted, every line clean — mirror too.
   void OnCrash(const PersistentRegion* region);
 
   // --- Protocol boundaries (called by DurableTable) ------------------------

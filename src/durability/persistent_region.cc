@@ -30,7 +30,8 @@ PersistentRegion::PersistentRegion(PmemSpace* space, Allocation allocation,
                                    const PersistCostModel* cost)
     : space_(space),
       allocation_(std::move(allocation)),
-      tracker_(allocation_.size()),
+      state_((allocation_.size() + kCacheLineBytes - 1) / kCacheLineBytes,
+             PersistLineState::kClean),
       crash_(crash),
       cost_(cost) {}
 
@@ -65,25 +66,44 @@ Status PersistentRegion::CrashNow() {
 }
 
 void PersistentRegion::WriteVolatile(uint64_t offset, const void* src,
-                                     uint64_t size) {
+                                     uint64_t size, PersistLineState next) {
   if (size == 0) return;
   for (uint64_t line = offset / kCacheLineBytes,
                 end = (offset + size - 1) / kCacheLineBytes;
        line <= end; ++line) {
-    if (tracker_.state(line) != PersistLineState::kClean) continue;
+    // Every covered line takes the new state: a cached store over an
+    // accepted line drops it back to dirty, since the earlier write-back
+    // no longer covers the line's new bytes.
+    PersistLineState prev = state_[line];
+    state_[line] = next;
+    if (prev != PersistLineState::kClean) continue;
     // A clean line's persisted bytes are its volatile bytes; those at and
     // past written_end_ are zero, as a new entry starts, so a write into
     // fresh storage never reads (and faults in) the pages it extends.
-    SavedLine& saved = saved_.emplace_back();
-    saved.line = line;
+    InFlightLine& entry = in_flight_.emplace_back();
+    entry.line = line;
     uint64_t begin = line * kCacheLineBytes;
     if (begin < written_end_) {
-      std::memcpy(saved.bytes.data(), allocation_.data() + begin,
+      std::memcpy(entry.saved.data(), allocation_.data() + begin,
                   std::min(kCacheLineBytes, written_end_ - begin));
     }
   }
   std::memcpy(allocation_.data() + offset, src, size);
   written_end_ = std::max(written_end_, offset + size);
+}
+
+uint64_t PersistentRegion::AcceptDirty(uint64_t offset, uint64_t size) {
+  uint64_t moved = 0;
+  if (size == 0) return moved;
+  for (uint64_t line = offset / kCacheLineBytes,
+                end = (offset + size - 1) / kCacheLineBytes;
+       line <= end; ++line) {
+    if (state_[line] == PersistLineState::kDirtyCache) {
+      state_[line] = PersistLineState::kAcceptedWpq;
+      ++moved;
+    }
+  }
+  return moved;
 }
 
 Status PersistentRegion::CrashDuringWrite(uint64_t offset, const void* src,
@@ -98,10 +118,7 @@ Status PersistentRegion::CrashDuringWrite(uint64_t offset, const void* src,
     if (!crash_->plan().allow_subline_tear) {
       keep = keep / kCacheLineBytes * kCacheLineBytes;
     }
-    if (keep > 0) {
-      WriteVolatile(offset, src, keep);
-      tracker_.MarkAccepted(offset, keep);
-    }
+    WriteVolatile(offset, src, keep, PersistLineState::kAcceptedWpq);
   }
   return CrashNow();
 }
@@ -113,8 +130,7 @@ Status PersistentRegion::Store(uint64_t offset, const void* src,
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashDuringWrite(offset, src, size, /*accepted=*/false);
   }
-  WriteVolatile(offset, src, size);
-  tracker_.MarkDirty(offset, size);
+  WriteVolatile(offset, src, size, PersistLineState::kDirtyCache);
   if (order_ != nullptr) order_->OnStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
   store_lines_ += lines;
@@ -129,8 +145,7 @@ Status PersistentRegion::NtStore(uint64_t offset, const void* src,
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashDuringWrite(offset, src, size, /*accepted=*/true);
   }
-  WriteVolatile(offset, src, size);
-  tracker_.MarkAccepted(offset, size);
+  WriteVolatile(offset, src, size, PersistLineState::kAcceptedWpq);
   if (order_ != nullptr) order_->OnNtStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
   store_lines_ += lines;
@@ -145,12 +160,11 @@ Status PersistentRegion::FlushRange(uint64_t offset, uint64_t size) {
     // The flush partially issued: a seeded prefix of the range's dirty
     // lines had their write-backs posted before power cut.
     Rng prefix_rng = crash_->BoundaryRng(/*stream=*/1);
-    uint64_t keep = prefix_rng.NextBelow(size + 1) / kCacheLineBytes *
-                    kCacheLineBytes;
-    if (keep > 0) tracker_.AcceptDirtyRange(offset, keep);
+    AcceptDirty(offset, prefix_rng.NextBelow(size + 1) / kCacheLineBytes *
+                            kCacheLineBytes);
     return CrashNow();
   }
-  uint64_t moved = tracker_.AcceptDirtyRange(offset, size);
+  uint64_t moved = AcceptDirty(offset, size);
   if (order_ != nullptr) order_->OnFlush(this, offset, size);
   flush_lines_ += moved;
   modeled_seconds_ += cost_->FlushSeconds(moved);
@@ -167,17 +181,16 @@ Status PersistentRegion::TruncateTo(uint64_t offset) {
     std::memset(allocation_.data() + offset, 0, written_end_ - offset);
     written_end_ = offset;
   }
-  for (SavedLine& saved : saved_) {
-    uint64_t begin = saved.line * kCacheLineBytes;
+  for (InFlightLine& entry : in_flight_) {
+    uint64_t begin = entry.line * kCacheLineBytes;
     if (begin + kCacheLineBytes <= offset) continue;
-    std::fill(saved.bytes.begin() + (offset > begin ? offset - begin : 0),
-              saved.bytes.end(), std::byte{0});
+    std::fill(entry.saved.begin() + (offset > begin ? offset - begin : 0),
+              entry.saved.end(), std::byte{0});
   }
   // Priced as the tail-pointer update, not the (modeled-only) zeroing.
   modeled_seconds_ += cost_->StoreSeconds(1) + cost_->FlushSeconds(1) +
                       cost_->FenceSeconds(1);
   ++fences_;
-  if (order_ != nullptr) order_->OnTruncate(this, offset);
   return Status::OK();
 }
 
@@ -187,14 +200,16 @@ Status PersistentRegion::Fence() {
     // Drain never completed; accepted lines face the survival lottery.
     return CrashNow();
   }
-  uint64_t pending = tracker_.DrainAccepted();
-  // A drained line's volatile bytes are now its persisted bytes.
-  saved_.erase(std::remove_if(saved_.begin(), saved_.end(),
-                              [this](const SavedLine& saved) {
-                                return tracker_.state(saved.line) ==
-                                       PersistLineState::kClean;
-                              }),
-               saved_.end());
+  // Accepted lines drain, and a drained line's volatile bytes are now its
+  // persisted bytes, so its entry goes; dirty lines ride out the fence.
+  auto drained = std::remove_if(
+      in_flight_.begin(), in_flight_.end(), [this](const InFlightLine& entry) {
+        if (state_[entry.line] != PersistLineState::kAcceptedWpq) return false;
+        state_[entry.line] = PersistLineState::kClean;
+        return true;
+      });
+  uint64_t pending = static_cast<uint64_t>(in_flight_.end() - drained);
+  in_flight_.erase(drained, in_flight_.end());
   ++fences_;
   modeled_seconds_ += cost_->FenceSeconds(pending);
   if (order_ != nullptr) order_->OnFence(this, pending);
@@ -212,32 +227,31 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
   std::vector<uint64_t> xp_survived;
   std::vector<uint64_t> xp_lost;
   // Ascending line order keeps the survival draws in a fixed sequence.
-  std::sort(saved_.begin(), saved_.end(),
-            [](const SavedLine& a, const SavedLine& b) {
+  std::sort(in_flight_.begin(), in_flight_.end(),
+            [](const InFlightLine& a, const InFlightLine& b) {
               return a.line < b.line;
             });
-  for (const SavedLine& saved : saved_) {
-    PersistLineState state = tracker_.state(saved.line);
-    bool accepted = state == PersistLineState::kAcceptedWpq;
+  for (const InFlightLine& entry : in_flight_) {
+    bool accepted = state_[entry.line] == PersistLineState::kAcceptedWpq;
+    state_[entry.line] = PersistLineState::kClean;
     if (accepted && survival->NextBool(survival_p)) {
       // The drain landed: the volatile bytes are the persisted ones.
       ++accepted_survived;
-      xp_survived.push_back(saved.line / kPerXPLine);
+      xp_survived.push_back(entry.line / kPerXPLine);
       continue;
     }
     // Restart: the lost line reads its persisted bytes again.
-    uint64_t begin = saved.line * kCacheLineBytes;
-    std::memcpy(allocation_.data() + begin, saved.bytes.data(),
+    uint64_t begin = entry.line * kCacheLineBytes;
+    std::memcpy(allocation_.data() + begin, entry.saved.data(),
                 std::min(kCacheLineBytes, allocation_.size() - begin));
     if (accepted) {
       ++accepted_lost;
     } else {
       ++dirty_lost;
     }
-    xp_lost.push_back(saved.line / kPerXPLine);
+    xp_lost.push_back(entry.line / kPerXPLine);
   }
-  saved_.clear();
-  tracker_.Reset();
+  in_flight_.clear();
   if (order_ != nullptr) order_->OnCrash(this);
   if (report != nullptr) {
     report->dirty_lines_lost += dirty_lost;
@@ -259,9 +273,9 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
 
 std::vector<std::byte> PersistentRegion::PersistedImage() const {
   std::vector<std::byte> image(data(), data() + size());
-  for (const SavedLine& saved : saved_) {
-    uint64_t begin = saved.line * kCacheLineBytes;
-    std::memcpy(image.data() + begin, saved.bytes.data(),
+  for (const InFlightLine& entry : in_flight_) {
+    uint64_t begin = entry.line * kCacheLineBytes;
+    std::memcpy(image.data() + begin, entry.saved.data(),
                 std::min(kCacheLineBytes, size() - begin));
   }
   return image;
@@ -270,7 +284,7 @@ std::vector<std::byte> PersistentRegion::PersistedImage() const {
 void PersistentRegion::AttachOrderChecker(PersistOrderChecker* checker,
                                           std::string name) {
   order_ = checker;
-  if (order_ != nullptr) order_->AttachRegion(this, std::move(name));
+  order_->AttachRegion(this, std::move(name));
 }
 
 }  // namespace pmemolap

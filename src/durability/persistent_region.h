@@ -2,16 +2,25 @@
 // domain.
 //
 // Real App Direct code sees one pointer; durability is a property of
-// *which bytes made it past the CPU caches*. The model makes that
-// distinction physical: the Allocation's bytes are the volatile image
-// (what loads see), and a PersistenceTracker records where every 64 B
-// line sits between cache and persistence domain. A clean line's
-// persisted bytes are its volatile bytes; when a write takes a line out
-// of kClean, the region saves the line's persisted bytes in a flat list
-// (what a crash restores if the new bytes are lost). So the persisted
-// image costs host memory only for in-flight lines, and a fresh region's
-// zero-filled storage costs host memory only once written. The four
-// primitives mirror the instructions the paper prices:
+// *which bytes made it past the CPU caches*. On the modeled platform
+// (Cascade Lake + Optane DC, ADR) a store is durable only once it has
+// left the CPU caches and reached the iMC's write-pending queue: the ADR
+// domain flushes the WPQ on power loss, the caches are lost. The region
+// records that journey per 64 B line:
+//
+//   kClean        the persisted bytes are the volatile bytes
+//   kDirtyCache   stored but still in a (modeled) CPU cache — lost on crash
+//   kAcceptedWpq  flushed/nt-stored into the WPQ — survives a crash, but
+//                 the drain is asynchronous until an sfence retires it
+//
+// The Allocation's bytes are the volatile image (what loads see). Besides
+// one state per line, the region keeps one in-flight list: an entry per
+// line not kClean, holding the line's persisted bytes (what a crash
+// restores if the new bytes are lost). So the persisted image costs host
+// memory only for in-flight lines, a fence or a crash costs O(in-flight
+// lines), and a fresh region's zero-filled storage costs host memory only
+// once written. The four primitives mirror the instructions
+// the paper prices:
 //
 //   Store      cached store: volatile write, line dirty in cache
 //   NtStore    non-temporal store: volatile write, line accepted into WPQ
@@ -20,8 +29,8 @@
 //
 // Each primitive is one crash boundary (CrashInjector) and accrues
 // modeled seconds from PersistCostModel, so a commit protocol's cost and
-// its crash surface come from the same call sites — the persist-
-// discipline lint rule checks those call sites lexically.
+// its crash surface come from the same call sites — the persist-order
+// lint pass checks those call sites per source path (DESIGN §16).
 //
 // Threading: primitives and ApplyCrash are single-writer (the ingest
 // thread); data() is safe for concurrent readers only on ranges the
@@ -37,7 +46,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/pmem_space.h"
-#include "device/persistence_domain.h"
 #include "memsys/persist.h"
 
 namespace pmemolap {
@@ -45,6 +53,14 @@ namespace pmemolap {
 class CrashInjector;
 struct CrashReport;
 class PersistOrderChecker;
+
+/// Where one 64 B line sits between the CPU caches and the persistence
+/// domain.
+enum class PersistLineState : uint8_t {
+  kClean = 0,
+  kDirtyCache = 1,
+  kAcceptedWpq = 2,
+};
 
 class PersistentRegion {
  public:
@@ -80,7 +96,8 @@ class PersistentRegion {
   std::vector<std::byte> PersistedImage() const;
   uint64_t size() const { return allocation_.size(); }
 
-  const PersistenceTracker& tracker() const { return tracker_; }
+  /// Where 64 B line `line` sits on the persist ladder.
+  PersistLineState line_state(uint64_t line) const { return state_[line]; }
   /// Accumulated modeled cost of all primitives issued so far.
   double modeled_seconds() const { return modeled_seconds_; }
   uint64_t store_lines() const { return store_lines_; }
@@ -97,8 +114,7 @@ class PersistentRegion {
   /// Mirrors every subsequent primitive into the runtime durability
   /// oracle (persist_order_checker.h) under `name`. Attach before the
   /// first primitive or the oracle's drift check will (correctly) fire.
-  /// `checker` may be nullptr to detach; it must outlive the region's
-  /// primitive calls.
+  /// `checker` must outlive the region's primitive calls.
   void AttachOrderChecker(PersistOrderChecker* checker, std::string name);
 
  private:
@@ -116,25 +132,30 @@ class PersistentRegion {
                           bool accepted);
   Status CrashNow();
 
-  /// Saves the persisted bytes of every clean line that
-  /// [offset, offset+size) covers, then copies `src` into the volatile
-  /// image. Callers mark the lines in the tracker afterwards.
-  void WriteVolatile(uint64_t offset, const void* src, uint64_t size);
+  /// Moves every line that [offset, offset+size) covers to `next`,
+  /// listing a clean line as in flight with its persisted bytes, then
+  /// copies `src` into the volatile image.
+  void WriteVolatile(uint64_t offset, const void* src, uint64_t size,
+                     PersistLineState next);
+  /// clwb over [offset, offset+size): dirty lines move to accepted.
+  /// Returns the lines moved (the count the flush pays for).
+  uint64_t AcceptDirty(uint64_t offset, uint64_t size);
 
-  /// The persisted bytes of one in-flight line (zero past the region's
+  /// One in-flight line and its persisted bytes (zero past the region's
   /// end).
-  struct SavedLine {
+  struct InFlightLine {
     uint64_t line = 0;
-    std::array<std::byte, kCacheLineBytes> bytes{};
+    std::array<std::byte, kCacheLineBytes> saved{};
   };
 
   PmemSpace* space_;
   Allocation allocation_;
+  /// One state per 64 B line (the last may be partial).
+  std::vector<PersistLineState> state_;
   /// One entry per line not kClean, in the order the lines left kClean.
-  std::vector<SavedLine> saved_;
+  std::vector<InFlightLine> in_flight_;
   /// Volatile bytes at and past this offset are zero.
   uint64_t written_end_ = 0;
-  PersistenceTracker tracker_;
   CrashInjector* crash_;
   const PersistCostModel* cost_;
   PersistOrderChecker* order_ = nullptr;

@@ -558,14 +558,14 @@ Result<RecoveryStats> SsbEngine::Recover() {
 }
 
 Status SsbEngine::CheckDurabilityOracle() const {
-  PersistOrderChecker* oracle = config_.durable->order_checker();
-  if (oracle == nullptr || oracle->clean()) return Status::OK();
+  const PersistOrderChecker& oracle = config_.durable->order_checker();
+  if (oracle.clean()) return Status::OK();
   const std::vector<PersistOrderChecker::Violation> violations =
-      oracle->violations();
+      oracle.violations();
   const PersistOrderChecker::Violation& first = violations.front();
   return Status::Internal(
       "durability oracle recorded " +
-      std::to_string(oracle->total_violations()) +
+      std::to_string(oracle.total_violations()) +
       " persist-ordering violation(s); first: [" + first.rule + "] " +
       first.region + " line " + std::to_string(first.line) + ": " +
       first.detail);

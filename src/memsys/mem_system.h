@@ -28,7 +28,6 @@
 #include "device/ssd.h"
 #include "device/write_combining.h"
 #include "memsys/issue_model.h"
-#include "memsys/persist.h"
 #include "memsys/prefetcher.h"
 #include "memsys/queue_model.h"
 #include "memsys/upi.h"
@@ -49,10 +48,6 @@ struct MemSystemConfig {
   CoherenceSpec coherence;
   QueueSpec queue;
   IssueSpec issue;
-  /// Persistence-primitive latencies (clwb/ntstore/sfence) used by the
-  /// durability layer's ingest protocol; the bandwidth model above does
-  /// not consume them.
-  PersistSpec persist;
 
   /// Extra in-flight window the WPQs contribute to a grouped write
   /// stream's DIMM spread (posted writes are buffered and reordered).

@@ -101,6 +101,38 @@ TEST_F(PerWorkerLogTest, AppendsRecordSmallSequentialWrites) {
   EXPECT_EQ(record.bytes, PerWorkerLog::kEntryBytes);
 }
 
+TEST_F(PerWorkerLogTest, ReadEntryRejectsACorruptPayload) {
+  // Capture the log's storage as it is allocated, then flip one payload
+  // byte of entry 1: the stored CRC must catch it, and only it.
+  std::byte* storage = nullptr;
+  space_.set_allocation_hook([&storage](Allocation* allocation) {
+    storage = allocation->data();
+    return Status::OK();
+  });
+  auto log = PerWorkerLog::Create(&space_, 1, 4);
+  space_.set_allocation_hook(nullptr);
+  ASSERT_TRUE(log.ok());
+  ASSERT_NE(storage, nullptr);
+  for (int e = 0; e < 3; ++e) {
+    std::vector<std::byte> payload(40, static_cast<std::byte>(0x10 + e));
+    ASSERT_TRUE(log->Append(0, payload.data(), payload.size()).ok());
+  }
+  storage[PerWorkerLog::kEntryBytes + PerWorkerLog::kHeaderBytes + 5] ^=
+      std::byte{0x01};
+
+  std::vector<std::byte> out(PerWorkerLog::kMaxPayloadBytes);
+  EXPECT_EQ(log->ReadEntry(0, 1, out.data()).status().code(),
+            StatusCode::kDataLoss);
+  for (uint64_t e : {0u, 2u}) {
+    auto length = log->ReadEntry(0, e, out.data());
+    ASSERT_TRUE(length.ok()) << length.status().ToString();
+    EXPECT_EQ(length.value(), 40u);
+    EXPECT_EQ(out[0], static_cast<std::byte>(0x10 + e));
+    EXPECT_EQ(out[39], static_cast<std::byte>(0x10 + e));
+    EXPECT_EQ(out[40], std::byte{0});
+  }
+}
+
 TEST_F(PerWorkerLogTest, WorkersAreIndependent) {
   auto log = PerWorkerLog::Create(&space_, 3, 4);
   ASSERT_TRUE(log.ok());

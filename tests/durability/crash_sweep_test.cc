@@ -137,13 +137,12 @@ void SweepEveryBoundary(bool ntstore_log) {
     // crashed ingest, the recovery replay and the resumed ingest: the
     // protocol must be violation-free at every boundary, not just
     // readable afterwards.
-    const PersistOrderChecker* oracle = (*table)->order_checker();
-    ASSERT_NE(oracle, nullptr);
-    EXPECT_TRUE(oracle->clean())
-        << "boundary " << b << ": [" << oracle->violations()[0].rule << "] "
-        << oracle->violations()[0].region << " line "
-        << oracle->violations()[0].line << ": "
-        << oracle->violations()[0].detail;
+    const PersistOrderChecker& oracle = (*table)->order_checker();
+    EXPECT_TRUE(oracle.clean())
+        << "boundary " << b << ": [" << oracle.violations()[0].rule << "] "
+        << oracle.violations()[0].region << " line "
+        << oracle.violations()[0].line << ": "
+        << oracle.violations()[0].detail;
   }
 }
 

@@ -112,8 +112,7 @@ TEST(DurableConcurrencyTest, ReadersSeeOnlyFullyPublishedEpochs) {
   EXPECT_GT(epochs_verified.load(), 0u);
   // Concurrent readers polled while the oracle's mirror advanced under
   // the ingest thread: the protocol must still be violation-free.
-  ASSERT_NE(t->order_checker(), nullptr);
-  EXPECT_TRUE(t->order_checker()->clean());
+  EXPECT_TRUE(t->order_checker().clean());
 }
 
 TEST(DurableConcurrencyTest, SnapshotPinsStayConsistentAcrossIngest) {
@@ -164,8 +163,7 @@ TEST(DurableConcurrencyTest, SnapshotPinsStayConsistentAcrossIngest) {
 
   ingest.join();
   EXPECT_EQ(t->committed_epoch(), static_cast<uint64_t>(kEpochs));
-  ASSERT_NE(t->order_checker(), nullptr);
-  EXPECT_TRUE(t->order_checker()->clean());
+  EXPECT_TRUE(t->order_checker().clean());
 }
 
 }  // namespace

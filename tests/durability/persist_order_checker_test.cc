@@ -3,7 +3,7 @@
 // (tools/lint/persist_check.h) has a runtime analog here: the same
 // protocol bug, executed instead of parsed, must be recorded by the
 // oracle. The drift tests pin the third rule class the static pass
-// cannot have: the mirror disagreeing with the region's own tracker.
+// cannot have: the mirror disagreeing with the region's own line states.
 #include "durability/persist_order_checker.h"
 
 #include <gtest/gtest.h>
@@ -178,7 +178,7 @@ TEST(PersistOrderCheckerTest, RedundantFlushIsCountedNotFlagged) {
 
 TEST(PersistOrderCheckerTest, PrimitiveBypassIsDriftAtTheNextFence) {
   // A store issued before the checker attached is exactly what a write
-  // path bypassing the hooks looks like: the tracker knows about lines
+  // path bypassing the hooks looks like: the region knows about lines
   // the mirror never saw, and the drain counts disagree at the fence.
   Rig rig(/*crash=*/nullptr, /*attach=*/false);
   std::vector<std::byte> data = Payload(100);
@@ -194,8 +194,9 @@ TEST(PersistOrderCheckerTest, PrimitiveBypassIsDriftAtTheNextFence) {
 
 TEST(PersistOrderCheckerTest, CrashResetsTheMirrorWithTheTracker) {
   // Boundary 2 kills the second Store with a flushed-unfenced line in
-  // flight. ApplyCrash resets the tracker; OnCrash must reset the
-  // mirror in the same motion or every later fence reports drift.
+  // flight. ApplyCrash resets every line of the region; OnCrash must
+  // reset the mirror in the same motion or every later fence reports
+  // drift.
   SystemTopology topo = SystemTopology::PaperServer();
   PmemSpace space{topo};
   PersistCostModel cost{PersistSpec{}};
@@ -251,13 +252,12 @@ TEST(PersistOrderCheckerTest, DurableTableProtocolIsOracleClean) {
     options.ntstore_log = ntstore;
     auto table = DurableTable::Create(&space, /*crash=*/nullptr, options);
     ASSERT_TRUE(table.ok());
-    ASSERT_NE((*table)->order_checker(), nullptr);
     for (int e = 1; e <= 4; ++e) {
       std::vector<std::byte> payload = Payload(300, e);
       ASSERT_TRUE((*table)->Append(payload.data(), payload.size()).ok());
     }
     ASSERT_TRUE((*table)->Recover().ok());
-    const PersistOrderChecker& oracle = *(*table)->order_checker();
+    const PersistOrderChecker& oracle = (*table)->order_checker();
     EXPECT_TRUE(oracle.clean())
         << oracle.violations()[0].rule << ": "
         << oracle.violations()[0].detail;
@@ -265,20 +265,6 @@ TEST(PersistOrderCheckerTest, DurableTableProtocolIsOracleClean) {
     EXPECT_EQ(oracle.commit_records_checked(), 4u);
     EXPECT_GE(oracle.publishes_checked(), 4u);
   }
-}
-
-TEST(PersistOrderCheckerTest, CheckOrderOffDisablesTheOracle) {
-  SystemTopology topo = SystemTopology::PaperServer();
-  PmemSpace space{topo};
-  DurableTable::Options options;
-  options.capacity_bytes = 64 * kKiB;
-  options.log_bytes = 128 * kKiB;
-  options.check_order = false;
-  auto table = DurableTable::Create(&space, nullptr, options);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->order_checker(), nullptr);
-  std::vector<std::byte> payload = Payload(300);
-  EXPECT_TRUE((*table)->Append(payload.data(), payload.size()).ok());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Persistence model unit tests: primitive pricing (memsys/persist),
-// per-line persistence-domain tracking (device/persistence_domain), and
-// the PersistentRegion volatile/persisted image split the durability
-// protocol is built on.
+// Persistence model unit tests: primitive pricing (memsys/persist), and
+// PersistentRegion's per-line persist ladder and volatile/persisted image
+// split, which the durability protocol is built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -52,61 +52,6 @@ TEST(PersistCostModelTest, FenceGrowsWithPendingLines) {
   EXPECT_EQ(cost.StoreSeconds(0), 0.0);
 }
 
-// --- PersistenceTracker ----------------------------------------------------
-
-TEST(PersistenceTrackerTest, StoreFlushFenceWalksTheThreeStages) {
-  PersistenceTracker tracker(4 * kCacheLineBytes);
-  EXPECT_EQ(tracker.lines(), 4u);
-  EXPECT_EQ(tracker.dirty_lines(), 0u);
-
-  tracker.MarkDirty(0, 2 * kCacheLineBytes);
-  EXPECT_EQ(tracker.dirty_lines(), 2u);
-  EXPECT_EQ(tracker.accepted_lines(), 0u);
-
-  // clwb moves exactly the dirty lines in range; clean lines cost nothing.
-  EXPECT_EQ(tracker.AcceptDirtyRange(0, 4 * kCacheLineBytes), 2u);
-  EXPECT_EQ(tracker.dirty_lines(), 0u);
-  EXPECT_EQ(tracker.accepted_lines(), 2u);
-  EXPECT_EQ(tracker.AcceptDirtyRange(0, 4 * kCacheLineBytes), 0u);
-
-  EXPECT_EQ(tracker.LinesInState(PersistLineState::kAcceptedWpq),
-            (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(tracker.DrainAccepted(), 2u);
-  EXPECT_EQ(tracker.accepted_lines(), 0u);
-  EXPECT_EQ(tracker.LinesInState(PersistLineState::kClean).size(), 4u);
-}
-
-TEST(PersistenceTrackerTest, RestoreOfAcceptedLineDropsBackToDirty) {
-  // A new cached store re-dirties the cache line: the earlier write-back
-  // no longer covers the line's current contents.
-  PersistenceTracker tracker(2 * kCacheLineBytes);
-  tracker.MarkDirty(0, kCacheLineBytes);
-  tracker.AcceptDirtyRange(0, kCacheLineBytes);
-  EXPECT_EQ(tracker.accepted_lines(), 1u);
-  tracker.MarkDirty(0, kCacheLineBytes);
-  EXPECT_EQ(tracker.accepted_lines(), 0u);
-  EXPECT_EQ(tracker.dirty_lines(), 1u);
-}
-
-TEST(PersistenceTrackerTest, NtStoreBypassesTheDirtyStage) {
-  PersistenceTracker tracker(8 * kCacheLineBytes);
-  tracker.MarkAccepted(2 * kCacheLineBytes, 3 * kCacheLineBytes);
-  EXPECT_EQ(tracker.dirty_lines(), 0u);
-  EXPECT_EQ(tracker.accepted_lines(), 3u);
-  EXPECT_EQ(tracker.LinesInState(PersistLineState::kAcceptedWpq),
-            (std::vector<uint64_t>{2, 3, 4}));
-}
-
-TEST(PersistenceTrackerTest, XPLineAggregationUses256ByteGranularity) {
-  // 8 cache lines = 2 XPLines; dirtying lines 0 and 5 touches both.
-  PersistenceTracker tracker(8 * kCacheLineBytes);
-  tracker.MarkDirty(0, 1);
-  tracker.MarkDirty(5 * kCacheLineBytes, 1);
-  EXPECT_EQ(tracker.XPLinesInState(PersistLineState::kDirtyCache), 2u);
-  tracker.Reset();
-  EXPECT_EQ(tracker.XPLinesInState(PersistLineState::kDirtyCache), 0u);
-}
-
 // --- PersistentRegion ------------------------------------------------------
 
 class PersistentRegionTest : public ::testing::Test {
@@ -124,6 +69,125 @@ std::vector<std::byte> Pattern(uint64_t size, int salt) {
   return bytes;
 }
 
+constexpr PersistLineState kClean = PersistLineState::kClean;
+constexpr PersistLineState kDirty = PersistLineState::kDirtyCache;
+constexpr PersistLineState kAccepted = PersistLineState::kAcceptedWpq;
+
+/// Every line's state, in line order.
+std::vector<PersistLineState> LineStates(const PersistentRegion& region) {
+  std::vector<PersistLineState> states;
+  for (uint64_t line = 0; line * kCacheLineBytes < region.size(); ++line) {
+    states.push_back(region.line_state(line));
+  }
+  return states;
+}
+
+uint64_t LinesIn(const PersistentRegion& region, PersistLineState state) {
+  std::vector<PersistLineState> states = LineStates(region);
+  return static_cast<uint64_t>(std::count(states.begin(), states.end(), state));
+}
+
+// --- The persist ladder, line by line ---------------------------------------
+
+TEST_F(PersistentRegionTest, StoreFlushFenceWalksTheThreeStages) {
+  auto region = PersistentRegion::Create(&space_, 4 * kCacheLineBytes,
+                                         /*socket=*/0, nullptr, &cost_);
+  ASSERT_TRUE(region.ok());
+  PersistentRegion& r = **region;
+  EXPECT_EQ(LineStates(r),
+            (std::vector<PersistLineState>{kClean, kClean, kClean, kClean}));
+
+  std::vector<std::byte> payload = Pattern(2 * kCacheLineBytes, 1);
+  ASSERT_TRUE(r.Store(0, payload.data(), payload.size()).ok());
+  EXPECT_EQ(LineStates(r),
+            (std::vector<PersistLineState>{kDirty, kDirty, kClean, kClean}));
+
+  // clwb moves exactly the dirty lines in range; clean lines cost nothing.
+  ASSERT_TRUE(r.FlushRange(0, 4 * kCacheLineBytes).ok());
+  EXPECT_EQ(r.flush_lines(), 2u);
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{
+                               kAccepted, kAccepted, kClean, kClean}));
+  ASSERT_TRUE(r.FlushRange(0, 4 * kCacheLineBytes).ok());
+  EXPECT_EQ(r.flush_lines(), 2u);
+
+  ASSERT_TRUE(r.Fence().ok());
+  EXPECT_EQ(LineStates(r),
+            (std::vector<PersistLineState>{kClean, kClean, kClean, kClean}));
+}
+
+TEST_F(PersistentRegionTest, RestoreOfAcceptedLineDropsBackToDirty) {
+  // A new cached store re-dirties the cache line: the earlier write-back
+  // no longer covers the line's current contents, so a fence leaves it
+  // in flight and its persisted bytes unchanged.
+  auto region = PersistentRegion::Create(&space_, 2 * kCacheLineBytes,
+                                         /*socket=*/0, nullptr, &cost_);
+  ASSERT_TRUE(region.ok());
+  PersistentRegion& r = **region;
+  std::vector<std::byte> payload = Pattern(kCacheLineBytes, 2);
+  ASSERT_TRUE(r.Store(0, payload.data(), payload.size()).ok());
+  ASSERT_TRUE(r.FlushRange(0, payload.size()).ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kAccepted, kClean}));
+  ASSERT_TRUE(r.Store(0, payload.data(), payload.size()).ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kDirty, kClean}));
+  ASSERT_TRUE(r.Fence().ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kDirty, kClean}));
+  EXPECT_EQ(r.PersistedImage()[0], std::byte{0});
+}
+
+TEST_F(PersistentRegionTest, NtStoreBypassesTheDirtyStage) {
+  auto region = PersistentRegion::Create(&space_, 8 * kCacheLineBytes,
+                                         /*socket=*/0, nullptr, &cost_);
+  ASSERT_TRUE(region.ok());
+  PersistentRegion& r = **region;
+  std::vector<std::byte> payload = Pattern(3 * kCacheLineBytes, 3);
+  ASSERT_TRUE(
+      r.NtStore(2 * kCacheLineBytes, payload.data(), payload.size()).ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{
+                               kClean, kClean, kAccepted, kAccepted,
+                               kAccepted, kClean, kClean, kClean}));
+  // Nothing is dirty, so a flush over the whole region moves no line.
+  ASSERT_TRUE(r.FlushRange(0, r.size()).ok());
+  EXPECT_EQ(r.flush_lines(), 0u);
+}
+
+TEST_F(PersistentRegionTest, FenceDrainsAcceptedLinesAndKeepsDirtyOnes) {
+  CrashInjector crash(/*seed=*/7);
+  auto region = PersistentRegion::Create(&space_, 2 * kCacheLineBytes,
+                                         /*socket=*/0, &crash, &cost_);
+  ASSERT_TRUE(region.ok());
+  PersistentRegion& r = **region;
+  std::vector<std::byte> old_bytes = Pattern(2 * kCacheLineBytes, 4);
+  ASSERT_TRUE(r.NtStore(0, old_bytes.data(), old_bytes.size()).ok());
+  ASSERT_TRUE(r.Fence().ok());
+
+  // Line 0 takes a cached store (dirty), line 1 an ntstore (accepted).
+  std::vector<std::byte> new_bytes = Pattern(2 * kCacheLineBytes, 5);
+  ASSERT_TRUE(r.Store(0, new_bytes.data(), kCacheLineBytes).ok());
+  ASSERT_TRUE(r.NtStore(kCacheLineBytes, new_bytes.data() + kCacheLineBytes,
+                        kCacheLineBytes)
+                  .ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kDirty, kAccepted}));
+  double before = r.modeled_seconds();
+  ASSERT_TRUE(r.Fence().ok());
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kDirty, kClean}));
+  EXPECT_EQ(r.modeled_seconds(), before + cost_.FenceSeconds(1));
+
+  // A crash at the next boundary loses the dirty line and keeps the
+  // drained one.
+  crash.Arm(static_cast<int64_t>(crash.boundaries_seen()));
+  EXPECT_EQ(r.Fence().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(crash.crashed());
+  EXPECT_EQ(crash.report().dirty_lines_lost, 1u);
+  EXPECT_EQ(crash.report().accepted_lines_lost, 0u);
+  EXPECT_EQ(std::memcmp(r.data(), old_bytes.data(), kCacheLineBytes), 0);
+  EXPECT_EQ(std::memcmp(r.data() + kCacheLineBytes,
+                        new_bytes.data() + kCacheLineBytes, kCacheLineBytes),
+            0);
+  EXPECT_EQ(LineStates(r), (std::vector<PersistLineState>{kClean, kClean}));
+}
+
+// --- The volatile and persisted images ------------------------------------
+
 TEST_F(PersistentRegionTest, StoreAloneIsNotDurable) {
   auto region = PersistentRegion::Create(&space_, kOptaneLineBytes * 4,
                                          /*socket=*/0, nullptr, &cost_);
@@ -134,7 +198,7 @@ TEST_F(PersistentRegionTest, StoreAloneIsNotDurable) {
   EXPECT_EQ(std::memcmp((*region)->data(), payload.data(), payload.size()),
             0);
   EXPECT_EQ((*region)->PersistedImage()[0], std::byte{0});
-  EXPECT_EQ((*region)->tracker().dirty_lines(), 2u);  // 100 B = 2 lines
+  EXPECT_EQ(LinesIn(**region, kDirty), 2u);  // 100 B = 2 lines
 
   ASSERT_TRUE((*region)->FlushRange(0, payload.size()).ok());
   EXPECT_EQ((*region)->PersistedImage()[0], std::byte{0})
@@ -143,8 +207,7 @@ TEST_F(PersistentRegionTest, StoreAloneIsNotDurable) {
   EXPECT_EQ(std::memcmp((*region)->PersistedImage().data(), payload.data(),
                         payload.size()),
             0);
-  EXPECT_EQ((*region)->tracker().dirty_lines(), 0u);
-  EXPECT_EQ((*region)->tracker().accepted_lines(), 0u);
+  EXPECT_EQ(LinesIn(**region, kClean), 16u);
 }
 
 TEST_F(PersistentRegionTest, NtStorePlusFencePersists) {
@@ -155,7 +218,7 @@ TEST_F(PersistentRegionTest, NtStorePlusFencePersists) {
   ASSERT_TRUE(
       (*region)->NtStore(kOptaneLineBytes, payload.data(), payload.size())
           .ok());
-  EXPECT_EQ((*region)->tracker().accepted_lines(), 4u);
+  EXPECT_EQ(LinesIn(**region, kAccepted), 4u);
   ASSERT_TRUE((*region)->Fence().ok());
   std::vector<std::byte> persisted = (*region)->PersistedImage();
   EXPECT_EQ(std::memcmp(persisted.data() + kOptaneLineBytes, payload.data(),

@@ -4,8 +4,8 @@
 // image, a full persisted image and one state per 64 B line. Both run the
 // same seeded random sequences of Store, NtStore, FlushRange, Fence,
 // TruncateTo and crashes, and after every step the volatile bytes, the
-// persisted image, each line's tracker state, the modeled seconds and
-// the crash counters must agree.
+// persisted image, each line's state, the modeled seconds and the crash
+// counters must agree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,27 +158,13 @@ class DenseRegion {
 ::testing::AssertionResult SameState(const PersistentRegion& region,
                                      const DenseRegion& dense) {
   const std::vector<PersistLineState>& states = dense.states();
-  const PersistenceTracker& tracker = region.tracker();
-  if (tracker.lines() != states.size()) {
-    return ::testing::AssertionFailure() << "line count " << tracker.lines();
-  }
-  uint64_t dirty = 0;
-  uint64_t accepted = 0;
   for (uint64_t line = 0; line < states.size(); ++line) {
-    if (tracker.state(line) != states[line]) {
+    if (region.line_state(line) != states[line]) {
       return ::testing::AssertionFailure()
              << "line " << line << ": region state "
-             << static_cast<int>(tracker.state(line)) << ", dense "
+             << static_cast<int>(region.line_state(line)) << ", dense "
              << static_cast<int>(states[line]);
     }
-    dirty += states[line] == PersistLineState::kDirtyCache ? 1 : 0;
-    accepted += states[line] == PersistLineState::kAcceptedWpq ? 1 : 0;
-  }
-  if (tracker.dirty_lines() != dirty || tracker.accepted_lines() != accepted) {
-    return ::testing::AssertionFailure()
-           << "in-flight counts: region " << tracker.dirty_lines() << " dirty "
-           << tracker.accepted_lines() << " accepted, dense " << dirty
-           << " dirty " << accepted << " accepted";
   }
   ::testing::AssertionResult volatile_same =
       SameBytes(region.data(), dense.volatile_image(), "volatile");

@@ -49,13 +49,12 @@ uint64_t IngestEpochs(DurableTable* table, int n, uint64_t size) {
 }
 
 void ExpectOracleClean(const DurableTable& table) {
-  const PersistOrderChecker* oracle = table.order_checker();
-  ASSERT_NE(oracle, nullptr);
-  EXPECT_TRUE(oracle->clean())
-      << "[" << oracle->violations()[0].rule << "] "
-      << oracle->violations()[0].region << " line "
-      << oracle->violations()[0].line << ": "
-      << oracle->violations()[0].detail;
+  const PersistOrderChecker& oracle = table.order_checker();
+  EXPECT_TRUE(oracle.clean())
+      << "[" << oracle.violations()[0].rule << "] "
+      << oracle.violations()[0].region << " line "
+      << oracle.violations()[0].line << ": "
+      << oracle.violations()[0].detail;
 }
 
 void ExpectEpochBytes(const DurableTable& table, uint64_t epoch,

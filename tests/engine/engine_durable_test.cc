@@ -323,8 +323,7 @@ TEST(EngineDurableConcurrencyTest, PinnedPoolQueriesRunWhileIngestCommits) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
   EXPECT_EQ((*table)->committed_epoch(), static_cast<uint64_t>(kEpochs));
-  ASSERT_NE((*table)->order_checker(), nullptr);
-  EXPECT_TRUE((*table)->order_checker()->clean());
+  EXPECT_TRUE((*table)->order_checker().clean());
   Result<SsbEngine::QueryRun> latest = engine.Execute(QueryId::kQ4_1);
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
   EXPECT_EQ(latest->output, env.reference().Execute(QueryId::kQ4_1));
