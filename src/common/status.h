@@ -23,8 +23,8 @@ enum class StatusCode {
   /// Unrecoverable data corruption or loss (e.g. a poisoned PMEM line that
   /// survived retry, scrub, and failover).
   kDataLoss,
-  /// Data is present but wrong: a CRC-verified structure (guarded chunk,
-  /// redo-log record) failed its checksum — torn writes and bit rot,
+  /// Data is present but wrong: a CRC-verified structure (a guarded
+  /// chunk) failed its checksum — torn writes and bit rot,
   /// distinct from kDataLoss's "the media cannot serve the bytes at all".
   kCorruption,
   /// The resource is temporarily unusable (e.g. a DIMM in a thermal

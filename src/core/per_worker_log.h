@@ -7,8 +7,8 @@
 // Entries are self-validating: a 12 B header carries a CRC-32 over the
 // sequence number, length, and payload — the framing a recovery scan needs
 // to find a log's durable prefix, since stores below the entry size are
-// not atomic. The durability layer's redo log frames its records the same
-// way, and DurableTable::Recover is the recovery scan.
+// not atomic. The durability layer's commit log frames its records the
+// same way, and DurableTable::Recover is the recovery scan.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "common/crc32.h"
+#include "durability/commit_log.h"
 #include "durability/crash_injector.h"
-#include "durability/redo_log.h"
 #include "memsys/workload.h"
 
 namespace pmemolap {
@@ -27,9 +28,6 @@ Result<std::unique_ptr<DurableTable>> DurableTable::Create(
 
 Result<uint64_t> DurableTable::Append(const std::byte* data, uint64_t bytes) {
   if (bytes == 0) return Status::InvalidArgument("empty ingest epoch");
-  if (bytes > ~uint32_t{0}) {
-    return Status::InvalidArgument("ingest epoch exceeds record framing");
-  }
   uint64_t epoch;
   uint64_t table_offset;
   uint64_t tail;
@@ -39,56 +37,44 @@ Result<uint64_t> DurableTable::Append(const std::byte* data, uint64_t bytes) {
     table_offset = epoch_bytes_.back();
     tail = log_tail_;
   }
-  if (table_offset + bytes > options_.capacity_bytes) {
+  if (bytes > options_.capacity_bytes - table_offset) {
     return Status::ResourceExhausted("durable table full at epoch " +
                                      std::to_string(epoch));
   }
-  std::vector<std::byte> data_record =
-      EncodeDataRecord(epoch, table_offset, data,
-                       static_cast<uint32_t>(bytes));
-  std::vector<std::byte> commit_record = EncodeCommitRecord(epoch);
-  if (tail + data_record.size() + commit_record.size() > options_.log_bytes) {
-    return Status::ResourceExhausted("redo log full at epoch " +
+  std::vector<std::byte> commit_record =
+      EncodeCommitRecord(epoch, table_offset, bytes, Crc32(data, bytes));
+  if (tail + commit_record.size() > options_.log_bytes) {
+    return Status::ResourceExhausted("commit log full at epoch " +
                                      std::to_string(epoch));
   }
 
-  // 1+2: the epoch's payload becomes durable in the log.
-  if (options_.ntstore_log) {
-    PMEMOLAP_RETURN_NOT_OK(
-        log_->NtStore(tail, data_record.data(), data_record.size()));
+  // 1+2: the payload becomes durable in the table, past the committed
+  // end where no reader looks.
+  if (options_.ntstore) {
+    PMEMOLAP_RETURN_NOT_OK(table_->NtStore(table_offset, data, bytes));
   } else {
-    PMEMOLAP_RETURN_NOT_OK(
-        log_->Store(tail, data_record.data(), data_record.size()));
-    PMEMOLAP_RETURN_NOT_OK(log_->FlushRange(tail, data_record.size()));
+    PMEMOLAP_RETURN_NOT_OK(table_->Store(table_offset, data, bytes));
+    PMEMOLAP_RETURN_NOT_OK(table_->FlushRange(table_offset, bytes));
   }
-  PMEMOLAP_RETURN_NOT_OK(log_->Fence());
-
-  // 3+4: the commit marker becomes durable — the epoch's point of no
-  // return. Ordered strictly after the payload by the fence above; the
-  // oracle verifies that ordering actually held at runtime.
-  order_checker_.OnCommitRecord(log_.get(), epoch);
-  uint64_t commit_offset = tail + data_record.size();
-  if (options_.ntstore_log) {
-    PMEMOLAP_RETURN_NOT_OK(log_->NtStore(commit_offset, commit_record.data(),
-                                         commit_record.size()));
-  } else {
-    PMEMOLAP_RETURN_NOT_OK(log_->Store(commit_offset, commit_record.data(),
-                                       commit_record.size()));
-    PMEMOLAP_RETURN_NOT_OK(
-        log_->FlushRange(commit_offset, commit_record.size()));
-  }
-  PMEMOLAP_RETURN_NOT_OK(log_->Fence());
-
-  // 5: apply to the table image (a crash from here on replays from the
-  // log, so this is a durable cache refresh, not a correctness step).
-  PMEMOLAP_RETURN_NOT_OK(table_->Store(table_offset, data, bytes));
-  PMEMOLAP_RETURN_NOT_OK(table_->FlushRange(table_offset, bytes));
   PMEMOLAP_RETURN_NOT_OK(table_->Fence());
 
-  // 6: publish to readers.
-  AdvanceCommitted(epoch, table_offset + bytes,
-                   commit_offset + commit_record.size());
-  RecordIngestTraffic(data_record.size() + commit_record.size(), bytes);
+  // 3+4: the commit record becomes durable — the epoch's point of no
+  // return. Ordered strictly after the payload by the fence above; the
+  // oracle verifies that ordering actually held at runtime.
+  order_checker_.OnCommitRecord(epoch);
+  if (options_.ntstore) {
+    PMEMOLAP_RETURN_NOT_OK(
+        log_->NtStore(tail, commit_record.data(), commit_record.size()));
+  } else {
+    PMEMOLAP_RETURN_NOT_OK(
+        log_->Store(tail, commit_record.data(), commit_record.size()));
+    PMEMOLAP_RETURN_NOT_OK(log_->FlushRange(tail, commit_record.size()));
+  }
+  PMEMOLAP_RETURN_NOT_OK(log_->Fence());
+
+  // 5: publish to readers.
+  AdvanceCommitted(epoch, table_offset + bytes, tail + commit_record.size());
+  RecordIngestTraffic(commit_record.size(), bytes);
   return epoch;
 }
 

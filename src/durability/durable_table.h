@@ -2,23 +2,26 @@
 // persistence domain.
 //
 // Two PersistentRegions: the table image (what SSB scans read) and the
-// redo log. One Append() is one *epoch* with write-ahead ordering:
+// commit log. One Append() is one *epoch*, and each ingested byte is
+// written to PMEM once:
 //
-//   1. data record into the log          (ntstore, or store+clwb)
+//   1. payload into the table, past the committed end
+//                                        (ntstore, or store+clwb)
 //   2. sfence                            — payload durable
-//   3. commit marker into the log
+//   3. commit record into the log        — {table extent, payload CRC32}
 //   4. sfence                            — epoch committed
-//   5. payload applied to the table image (store+clwb+sfence)
-//   6. AdvanceCommitted(epoch)           — volatile publish to readers
+//   5. AdvanceCommitted(epoch)           — volatile publish to readers
 //
 // A crash anywhere before step 4's completion leaves the epoch
-// uncommitted; recovery truncates it. A crash after step 4 finds the
-// commit marker and replays the payload from the log — the table image is
-// a rebuildable cache of the committed log prefix. Readers never see an
-// epoch before its bytes are applied (publish is last), and snapshot
-// reads pin an epoch so concurrent scans stay consistent while ingest
-// runs: epochs are append-only, so epoch e's first epoch_bytes(e) table
-// bytes are immutable once published.
+// uncommitted: its bytes lie past the committed end, where readers never
+// look, and recovery truncates them. Because step 2 fences the payload
+// before its commit record exists, a committed epoch's table bytes are
+// already durable, so recovery re-validates them against the record's
+// CRC and replays nothing. Readers never see an epoch before its bytes
+// are durable (publish is last), and snapshot reads pin an epoch so
+// concurrent scans stay consistent while ingest runs: epochs are
+// append-only, so epoch e's first epoch_bytes(e) table bytes are
+// immutable once published.
 //
 // Threading: one ingest thread calls Append/Recover; any number of reader
 // threads call ReadSnapshot/committed_epoch concurrently (epoch metadata
@@ -46,10 +49,11 @@ class DurableTable {
  public:
   struct Options {
     uint64_t capacity_bytes = 16 * kMiB;  ///< table region size
-    uint64_t log_bytes = 32 * kMiB;       ///< redo-log region size
-    /// ntstore log appends (the paper's pick for streaming writes);
-    /// false uses cached stores + clwb — dearer, exercised by tests.
-    bool ntstore_log = true;
+    uint64_t log_bytes = 32 * kMiB;       ///< commit-log region size
+    /// ntstore writes for the payload and the commit record (the paper's
+    /// pick for streaming writes); false uses cached stores + clwb —
+    /// dearer, exercised by tests.
+    bool ntstore = true;
     PersistSpec persist;  ///< primitive pricing
   };
 
@@ -78,15 +82,17 @@ class DurableTable {
   /// Table bytes committed as of `epoch` (kLatestEpoch = newest).
   Result<uint64_t> SnapshotBytes(uint64_t epoch) const;
 
-  /// Acknowledges a pending crash (if any), scans the log, truncates the
-  /// abandoned suffix, idempotently replays every committed epoch into
-  /// the table image and republishes the epoch map (recovery.cc). Safe
-  /// to call on a healthy table (no-op replay) and again after a crash
-  /// *during* recovery, which surfaces as Unavailable.
+  /// Acknowledges a pending crash (if any), scans the commit log,
+  /// truncates it past the last committed record, re-validates every
+  /// committed epoch's table bytes against its CRC (DataLoss naming the
+  /// first epoch that fails), truncates the table's uncommitted tail and
+  /// republishes the epoch map (recovery.cc). Writes no payload byte.
+  /// Safe to call on a healthy table and again after a crash *during*
+  /// recovery, which surfaces as Unavailable.
   Result<RecoveryStats> Recover();
 
-  /// Modeled PMEM write traffic of ingest since the last drain — the log
-  /// stream and the table-apply stream, labeled "ingest-log" /
+  /// Modeled PMEM write traffic of ingest since the last drain — the
+  /// commit-record stream and the payload stream, labeled "ingest-log" /
   /// "ingest-apply" for the governor's write-knee telemetry.
   std::vector<TrafficRecord> DrainIngestTraffic();
   /// Same records without resetting (peek for engine background merging).
@@ -103,10 +109,10 @@ class DurableTable {
   PersistentRegion& log_region() { return *log_; }
   const PersistCostModel& cost() const { return cost_; }
   /// The runtime durability oracle, attached to both regions: every
-  /// fence is cross-validated against the regions' line states, and
-  /// every commit record and publish is checked for pending lines. Tests
-  /// assert `clean()` on it; the engine surfaces a non-clean oracle as an
-  /// internal error.
+  /// fence is cross-validated against the regions' line states, every
+  /// commit record is checked for pending lines in either region, and
+  /// every publish for pending lines in its range. Tests assert `clean()`
+  /// on it; the engine surfaces a non-clean oracle as an internal error.
   const PersistOrderChecker& order_checker() const { return order_checker_; }
 
  private:

@@ -23,7 +23,9 @@ uint64_t LineEnd(uint64_t offset, uint64_t size) {
 void PersistOrderChecker::AttachRegion(const PersistentRegion* region,
                                        std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Mirror& mirror = mirrors_[region];
+  Mirror* found = Find(region);
+  Mirror& mirror = found != nullptr ? *found : mirrors_.emplace_back();
+  mirror.region = region;
   mirror.name = std::move(name);
   mirror.states.assign(LineEnd(0, region->size()), LineState::kClean);
   mirror.touched.clear();
@@ -31,8 +33,18 @@ void PersistOrderChecker::AttachRegion(const PersistentRegion* region,
 
 PersistOrderChecker::Mirror* PersistOrderChecker::Find(
     const PersistentRegion* region) {
-  auto it = mirrors_.find(region);
-  return it == mirrors_.end() ? nullptr : &it->second;
+  for (Mirror& mirror : mirrors_) {
+    if (mirror.region == region) return &mirror;
+  }
+  return nullptr;
+}
+
+void PersistOrderChecker::SetState(Mirror* mirror, uint64_t line,
+                                   LineState next) {
+  if (mirror->states[line] == LineState::kClean) {
+    mirror->touched.push_back(line);
+  }
+  mirror->states[line] = next;
 }
 
 const char* PersistOrderChecker::StateName(LineState state) {
@@ -73,8 +85,7 @@ void PersistOrderChecker::OnStore(const PersistentRegion* region,
     }
     // A cached store re-dirties the line: an earlier write-back no
     // longer covers it (as in PersistentRegion::Store).
-    mirror->states[line] = LineState::kDirtyCached;
-    mirror->touched.insert(line);
+    SetState(mirror, line, LineState::kDirtyCached);
   }
 }
 
@@ -90,8 +101,7 @@ void PersistOrderChecker::OnNtStore(const PersistentRegion* region,
              "NtStore over line " + std::to_string(line) +
                  " still dirty from a cached Store");
     }
-    mirror->states[line] = LineState::kAcceptedNt;
-    mirror->touched.insert(line);
+    SetState(mirror, line, LineState::kAcceptedNt);
   }
 }
 
@@ -124,31 +134,31 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
   ++fences_checked_;
-  uint64_t mirror_drained = 0;
-  for (auto it = mirror->touched.begin(); it != mirror->touched.end();) {
-    uint64_t line = *it;
-    LineState state = mirror->states[line];
-    if (state == LineState::kAcceptedNt ||
-        state == LineState::kAcceptedCached) {
-      ++mirror_drained;
-      mirror->states[line] = LineState::kClean;
-      it = mirror->touched.erase(it);
-      continue;
-    }
-    // Dirty lines ride out the fence — the region must agree, or the
-    // two models have diverged.
-    PersistLineState region_state = region->line_state(line);
-    if (region_state != PersistLineState::kDirtyCache) {
-      Record("oracle-drift", *mirror, line,
-             "after Fence() the mirror holds line " +
-                 std::to_string(line) + " as " + StateName(state) +
-                 " but the region reports state " +
-                 std::to_string(static_cast<int>(region_state)) +
-                 " — a write path bypassed the primitives or the "
-                 "lattice changed");
-    }
-    ++it;
-  }
+  auto kept = std::remove_if(
+      mirror->touched.begin(), mirror->touched.end(), [&](uint64_t line) {
+        LineState state = mirror->states[line];
+        if (state == LineState::kAcceptedNt ||
+            state == LineState::kAcceptedCached) {
+          mirror->states[line] = LineState::kClean;
+          return true;
+        }
+        // Dirty lines ride out the fence — the region must agree, or
+        // the two models have diverged.
+        PersistLineState region_state = region->line_state(line);
+        if (region_state != PersistLineState::kDirtyCache) {
+          Record("oracle-drift", *mirror, line,
+                 "after Fence() the mirror holds line " +
+                     std::to_string(line) + " as " + StateName(state) +
+                     " but the region reports state " +
+                     std::to_string(static_cast<int>(region_state)) +
+                     " — a write path bypassed the primitives or the "
+                     "lattice changed");
+        }
+        return false;
+      });
+  uint64_t mirror_drained =
+      static_cast<uint64_t>(mirror->touched.end() - kept);
+  mirror->touched.erase(kept, mirror->touched.end());
   if (mirror_drained != drained_lines) {
     Record("oracle-drift", *mirror, 0,
            "Fence() drained " + std::to_string(drained_lines) +
@@ -172,19 +182,20 @@ void PersistOrderChecker::OnCrash(const PersistentRegion* region) {
   mirror->touched.clear();
 }
 
-void PersistOrderChecker::OnCommitRecord(const PersistentRegion* region,
-                                         uint64_t epoch) {
+void PersistOrderChecker::OnCommitRecord(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Mirror* mirror = Find(region);
-  if (mirror == nullptr) return;
   ++commit_records_checked_;
-  for (uint64_t line : mirror->touched) {
-    Record("persist-order", *mirror, line,
+  // The payload and the marker live in different regions, so every
+  // attached region must be fenced. One violation per region per marker,
+  // naming its earliest-touched pending line.
+  for (const Mirror& mirror : mirrors_) {
+    if (mirror.touched.empty()) continue;
+    uint64_t line = mirror.touched.front();
+    Record("persist-order", mirror, line,
            "commit record of epoch " + std::to_string(epoch) +
                " written while line " + std::to_string(line) + " is " +
-               StateName(mirror->states[line]) +
+               StateName(mirror.states[line]) +
                " — the payload must be fully fenced before the marker");
-    break;  // one violation per marker
   }
 }
 
@@ -197,11 +208,11 @@ void PersistOrderChecker::OnPublish(const PersistentRegion* region,
   ++publishes_checked_;
   uint64_t first = LineBegin(begin);
   uint64_t past = LineEnd(begin, end - begin);
-  auto it = mirror->touched.lower_bound(first);
-  for (; it != mirror->touched.end() && *it < past; ++it) {
-    Record("persist-order", *mirror, *it,
-           what + " publishes while line " + std::to_string(*it) +
-               " is " + StateName(mirror->states[*it]) +
+  for (uint64_t line : mirror->touched) {
+    if (line < first || line >= past) continue;
+    Record("persist-order", *mirror, line,
+           what + " publishes while line " + std::to_string(line) +
+               " is " + StateName(mirror->states[line]) +
                " — a crash now exposes bytes the publish promised were "
                "durable");
   }

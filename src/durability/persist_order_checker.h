@@ -7,12 +7,14 @@
 // persistence state, advanced only by the primitive hooks, and checks
 // two kinds of invariants:
 //
-//   protocol   a commit record or volatile publish must never run while
-//              any mirrored line is still dirty (cached store without a
-//              flush) or accepted-but-unfenced (WPQ not drained) — the
-//              runtime analog of the static persist-order rule; cached
-//              and non-temporal writes interleaving on one line without
-//              a fence is the analog of persist-mixed-store.
+//   protocol   a commit record must never run while any mirrored line
+//              of any attached region is still dirty (cached store
+//              without a flush) or accepted-but-unfenced (WPQ not
+//              drained), and a volatile publish must never run while
+//              such a line lies in its range — the runtime analog of
+//              the static persist-order rule; cached and non-temporal
+//              writes interleaving on one line without a fence is the
+//              analog of persist-mixed-store.
 //
 //   drift      at every Fence() the mirror must agree with the region's
 //              own line_state() line for line, and the number of lines
@@ -37,9 +39,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -85,9 +85,9 @@ class PersistOrderChecker {
 
   // --- Protocol boundaries (called by DurableTable) ------------------------
   /// About to write the epoch's commit record: every mirrored line of
-  /// `region` must already be fenced (the payload's durability must
-  /// dominate the marker).
-  void OnCommitRecord(const PersistentRegion* region, uint64_t epoch);
+  /// every attached region must already be fenced (the payload's
+  /// durability must dominate the marker, whichever region holds it).
+  void OnCommitRecord(uint64_t epoch);
   /// Volatile publish covering [begin, end) of `region`: every mirrored
   /// line in the range must be clean. `what` labels the publish site.
   void OnPublish(const PersistentRegion* region, uint64_t begin,
@@ -105,20 +105,27 @@ class PersistOrderChecker {
 
  private:
   struct Mirror {
+    const PersistentRegion* region = nullptr;
     std::string name;
     std::vector<LineState> states;
-    /// Non-clean line indexes — keeps every check O(in-flight lines),
-    /// not O(region lines), so exhaustive crash sweeps stay cheap.
-    std::set<uint64_t> touched;
+    /// Non-clean line indexes in first-touch order (a line is appended
+    /// when its state leaves kClean) — keeps every check O(in-flight
+    /// lines), not O(region lines), so exhaustive crash sweeps stay
+    /// cheap.
+    std::vector<uint64_t> touched;
   };
 
   Mirror* Find(const PersistentRegion* region);
+  /// Moves `line` to `next`, listing it in `touched` if it was clean.
+  static void SetState(Mirror* mirror, uint64_t line, LineState next);
   void Record(const std::string& rule, const Mirror& mirror, uint64_t line,
               std::string detail);
   static const char* StateName(LineState state);
 
   mutable std::mutex mutex_;
-  std::map<const PersistentRegion*, Mirror> mirrors_;
+  /// In attach order, so checks that span regions report them in a
+  /// fixed order.
+  std::vector<Mirror> mirrors_;
   std::vector<Violation> violations_;
   uint64_t total_violations_ = 0;
   uint64_t fences_checked_ = 0;

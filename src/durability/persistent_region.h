@@ -80,7 +80,7 @@ class PersistentRegion {
   Status Fence();
 
   /// Durable truncation: everything at and past `offset` reverts to zero
-  /// in both images. Models a redo log's O(1) tail-pointer update (one
+  /// in both images. Models a log's O(1) tail-pointer update (one
   /// line store + flush + fence), not a media wipe — but the model zeroes
   /// the suffix so stale records can never be re-scanned. Host work is
   /// bounded by the bytes written past `offset` and the in-flight lines.

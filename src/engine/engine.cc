@@ -835,7 +835,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   // query's own) — ungoverned runs see the background as configured.
   std::vector<TrafficRecord> background = config_.background;
   if (durable) {
-    // The ingest load's PMEM write stream (redo log + table apply) rides
+    // The ingest load's PMEM write stream (commit log + payload) rides
     // along as standing background: the query is costed jointly with it,
     // and — below — the governor's writer clamp applies to it like any
     // other PMEM writer, so log writes enter the write-knee loop.

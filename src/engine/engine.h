@@ -211,10 +211,10 @@ class SsbEngine {
   /// prefix).
   Result<uint64_t> Ingest(const ssb::LineorderRow* rows, uint64_t count);
 
-  /// Durable mode: runs crash recovery over the redo log. While recovery
-  /// is replaying, config().admission (if set) is paused — TryAdmit fails
-  /// fast with kUnavailable and Admit waiters queue — so no query can pin
-  /// a snapshot against a half-replayed table; the pause lifts before
+  /// Durable mode: runs crash recovery over the commit log. While recovery
+  /// runs, config().admission (if set) is paused — TryAdmit fails fast
+  /// with kUnavailable and Admit waiters queue — so no query can pin a
+  /// snapshot against a half-recovered table; the pause lifts before
   /// returning (on every path, error included). FailedPrecondition
   /// without a durable table.
   Result<RecoveryStats> Recover();

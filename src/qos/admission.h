@@ -191,9 +191,9 @@ class AdmissionController {
   /// ResumeAfterRecovery — or leave with their terminal status if the
   /// deadline fires first. Queries already running keep their tickets;
   /// crash-consistent recovery only needs to stop NEW snapshots from being
-  /// pinned while the redo log is being replayed. QueryService also holds
-  /// the pause through its pause-and-drain tier. Idempotent; pause depth
-  /// is not counted.
+  /// pinned while recovery runs. QueryService also holds the pause
+  /// through its pause-and-drain tier. Idempotent; pause depth is not
+  /// counted.
   void PauseForRecovery();
   void ResumeAfterRecovery();
   bool recovery_paused() const;

@@ -37,7 +37,7 @@ enum class ChaosKind {
   /// measures p99 recovery from.
   kThrottleEnd,
   /// Arm the crash injector: the next ingest dies mid-epoch, admission
-  /// parks, Recover() replays the redo log while clients wait.
+  /// parks, Recover() verifies the committed epochs while clients wait.
   kCrash,
   /// Append `rows` fact rows as one ingest epoch (write-knee pressure
   /// and the vehicle that fires armed crashes).

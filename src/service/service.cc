@@ -594,7 +594,7 @@ void QueryService::OnCrash(uint64_t lost_rows) {
   // Dead platform: tier 3 immediately (pause skips hysteresis), and the
   // gate parks new admissions while waiters hold.
   ObserveHealth(0.0);
-  // Recovery replays host-side now; its modeled cost holds the pause
+  // Recovery runs host-side now; its modeled cost holds the pause
   // window on the modeled timeline.
   Result<RecoveryStats> stats = primary_->Recover();
   if (!stats.ok()) {

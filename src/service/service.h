@@ -31,9 +31,9 @@
 // answers, cheaper on a throttled platform); tier 3 stops granting and
 // drains (crash-recovery windows force it immediately). Crashes fire at
 // real persistence boundaries (CrashInjector armed mid-traffic, tripped
-// by the next ingest burst); Recover() replays the redo log and the
-// admission gate stays paused for the recovery's modeled seconds while
-// waiters hold.
+// by the next ingest burst); Recover() verifies the committed epochs and
+// the admission gate stays paused for the recovery's modeled seconds
+// while waiters hold.
 //
 // Everything is seeded and priced in modeled seconds — no wall clock, no
 // host entropy, no threads of its own (lint: service is a deterministic

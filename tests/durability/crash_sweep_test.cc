@@ -7,7 +7,8 @@
 //   - zero torn XPLines surfaced to readers (bytes are bit-identical to
 //     the pattern that was ingested),
 //   - ingest resumes and converges to the same final table regardless of
-//     where the crash hit.
+//     where the crash hit,
+//   - recovery writes no payload line (the table's store count holds).
 //
 // The boundary count comes from a dry run with the injector disarmed, so
 // the sweep stays exhaustive if the Append protocol grows primitives.
@@ -36,11 +37,11 @@ std::vector<std::byte> Pattern(uint64_t size, int salt) {
   return bytes;
 }
 
-DurableTable::Options SweepOptions(bool ntstore_log) {
+DurableTable::Options SweepOptions(bool ntstore) {
   DurableTable::Options options;
   options.capacity_bytes = 64 * kKiB;
   options.log_bytes = 128 * kKiB;
-  options.ntstore_log = ntstore_log;
+  options.ntstore = ntstore;
   return options;
 }
 
@@ -73,39 +74,43 @@ void ExpectEpochIntact(const DurableTable& table, uint64_t epoch,
 
 /// Counts the persistence boundaries of the full ingest via a disarmed
 /// injector (CrashPlan{-1} never fires).
-uint64_t CountBoundaries(bool ntstore_log) {
+uint64_t CountBoundaries(bool ntstore) {
   SystemTopology topo = SystemTopology::PaperServer();
   PmemSpace space{topo};
   CrashInjector crash(kSweepSeed, CrashPlan{/*boundary_index=*/-1});
-  auto table = DurableTable::Create(&space, &crash, SweepOptions(ntstore_log));
+  auto table = DurableTable::Create(&space, &crash, SweepOptions(ntstore));
   EXPECT_TRUE(table.ok());
   EXPECT_EQ(AttemptIngest(table->get()), static_cast<uint64_t>(kEpochs));
   EXPECT_FALSE(crash.crashed());
   return crash.boundaries_seen();
 }
 
-void SweepEveryBoundary(bool ntstore_log) {
-  const uint64_t boundaries = CountBoundaries(ntstore_log);
+void SweepEveryBoundary(bool ntstore) {
+  const uint64_t boundaries = CountBoundaries(ntstore);
   ASSERT_GT(boundaries, 0u);
 
   for (uint64_t b = 0; b < boundaries; ++b) {
-    SCOPED_TRACE(std::string(ntstore_log ? "ntstore" : "clwb") +
-                 " log, crash at boundary " + std::to_string(b));
+    SCOPED_TRACE(std::string(ntstore ? "ntstore" : "clwb") +
+                 " writes, crash at boundary " + std::to_string(b));
     SystemTopology topo = SystemTopology::PaperServer();
     PmemSpace space{topo};
     CrashInjector crash(kSweepSeed,
                         CrashPlan{static_cast<int64_t>(b)});
     auto table =
-        DurableTable::Create(&space, &crash, SweepOptions(ntstore_log));
+        DurableTable::Create(&space, &crash, SweepOptions(ntstore));
     ASSERT_TRUE(table.ok());
 
     uint64_t acked = AttemptIngest(table->get());
     ASSERT_TRUE(crash.crashed()) << "every boundary must be reachable";
     EXPECT_EQ(crash.report().boundary, static_cast<int64_t>(b));
 
+    const uint64_t table_store_lines =
+        (*table)->table_region().store_lines();
     Result<RecoveryStats> stats = (*table)->Recover();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     uint64_t committed = (*table)->committed_epoch();
+    EXPECT_EQ((*table)->table_region().store_lines(), table_store_lines)
+        << "recovery verifies the payload, it never rewrites it";
 
     // Zero committed epochs lost; at most the in-flight epoch gained
     // (its commit fence may have fired or its WPQ lines survived).
@@ -134,7 +139,7 @@ void SweepEveryBoundary(bool ntstore_log) {
     }
 
     // The runtime durability oracle watched every primitive of the
-    // crashed ingest, the recovery replay and the resumed ingest: the
+    // crashed ingest, the recovery and the resumed ingest: the
     // protocol must be violation-free at every boundary, not just
     // readable afterwards.
     const PersistOrderChecker& oracle = (*table)->order_checker();
@@ -147,25 +152,26 @@ void SweepEveryBoundary(bool ntstore_log) {
 }
 
 TEST(CrashSweepTest, EveryBoundaryRecoversNtStoreLog) {
-  SweepEveryBoundary(/*ntstore_log=*/true);
+  SweepEveryBoundary(/*ntstore=*/true);
 }
 
 TEST(CrashSweepTest, EveryBoundaryRecoversClwbLog) {
-  SweepEveryBoundary(/*ntstore_log=*/false);
+  SweepEveryBoundary(/*ntstore=*/false);
 }
 
 TEST(CrashSweepTest, SurvivalLotteryExtremesBracketTheDefault) {
-  // At the data-record fence of epoch 2 (first boundary of its Append is
-  // 7 in ntstore mode, so the fence is 8): with survival_p=1 the WPQ
-  // drain completes and the payload is durable; with survival_p=0 it is
-  // lost entirely. Committed stays 1 either way — the commit marker was
-  // never written — but the lottery decides what the scan walks over.
+  // At the payload fence of epoch 2 (first boundary of its Append is 4
+  // in ntstore mode, so the fence is 5): with survival_p=1 the WPQ drain
+  // completes and the payload is durable; with survival_p=0 it is lost
+  // entirely. Committed stays 1 either way — the commit record was never
+  // written — but the lottery decides what lies past the committed end
+  // for recovery to truncate.
   for (double p : {0.0, 1.0}) {
     SCOPED_TRACE(p);
     SystemTopology topo = SystemTopology::PaperServer();
     PmemSpace space{topo};
     CrashInjector crash(kSweepSeed,
-                        CrashPlan{/*boundary_index=*/8,
+                        CrashPlan{/*boundary_index=*/5,
                                   /*accepted_survival_p=*/p});
     auto table = DurableTable::Create(&space, &crash, SweepOptions(true));
     ASSERT_TRUE(table.ok());
@@ -173,7 +179,7 @@ TEST(CrashSweepTest, SurvivalLotteryExtremesBracketTheDefault) {
     Result<RecoveryStats> stats = (*table)->Recover();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ((*table)->committed_epoch(), 1u);
-    ExpectEpochIntact(**table, 1, 8);
+    ExpectEpochIntact(**table, 1, 5);
   }
 }
 

@@ -56,7 +56,7 @@ TEST(PersistOrderCheckerTest, CompleteLadderStaysClean) {
   ASSERT_TRUE(rig.region->Store(0, data.data(), data.size()).ok());
   ASSERT_TRUE(rig.region->FlushRange(0, data.size()).ok());
   ASSERT_TRUE(rig.region->Fence().ok());
-  rig.checker.OnCommitRecord(rig.region.get(), 1);
+  rig.checker.OnCommitRecord(1);
   rig.checker.OnPublish(rig.region.get(), 0, data.size(), "test");
   EXPECT_TRUE(rig.checker.clean());
   EXPECT_EQ(rig.checker.fences_checked(), 1u);
@@ -119,10 +119,44 @@ TEST(PersistOrderCheckerTest, CommitRecordBeforeFenceIsAViolation) {
   ASSERT_TRUE(rig.region->Store(0, data.data(), data.size()).ok());
   ASSERT_TRUE(rig.region->FlushRange(0, data.size()).ok());
   // Missing Fence().
-  rig.checker.OnCommitRecord(rig.region.get(), 1);
+  rig.checker.OnCommitRecord(1);
   ASSERT_FALSE(rig.checker.clean());
   EXPECT_EQ(rig.checker.violations()[0].rule, "persist-order");
   EXPECT_EQ(rig.checker.commit_records_checked(), 1u);
+}
+
+TEST(PersistOrderCheckerTest, CommitRecordChecksEveryAttachedRegion) {
+  // The payload lives in the table and the marker in the log: a commit
+  // record written while the table still holds an un-fenced payload line
+  // is a violation even though the log itself is fenced. It names the
+  // table's earliest-touched pending line, not its lowest.
+  SystemTopology topo = SystemTopology::PaperServer();
+  PmemSpace space{topo};
+  PersistCostModel cost{PersistSpec{}};
+  PersistOrderChecker checker;
+  auto table = PersistentRegion::Create(&space, kRegionBytes, 0, nullptr,
+                                        &cost);
+  auto log = PersistentRegion::Create(&space, kRegionBytes, 0, nullptr,
+                                      &cost);
+  ASSERT_TRUE(table.ok() && log.ok());
+  (*table)->AttachOrderChecker(&checker, "table");
+  (*log)->AttachOrderChecker(&checker, "log");
+  std::vector<std::byte> data = Payload(64);
+  ASSERT_TRUE((*log)->NtStore(0, data.data(), data.size()).ok());
+  ASSERT_TRUE((*log)->Fence().ok());
+  ASSERT_TRUE((*table)->NtStore(4096, data.data(), data.size()).ok());
+  ASSERT_TRUE((*table)->NtStore(0, data.data(), data.size()).ok());
+  // Missing: (*table)->Fence().
+  checker.OnCommitRecord(1);
+  ASSERT_EQ(checker.total_violations(), 1u);
+  EXPECT_EQ(checker.violations()[0].rule, "persist-order");
+  EXPECT_EQ(checker.violations()[0].region, "table");
+  EXPECT_EQ(checker.violations()[0].line, 4096 / kCacheLineBytes);
+
+  ASSERT_TRUE((*table)->Fence().ok());
+  checker.OnCommitRecord(2);
+  EXPECT_EQ(checker.total_violations(), 1u) << "fenced: no new violation";
+  EXPECT_EQ(checker.commit_records_checked(), 2u);
 }
 
 // --- persist-mixed-store analogs --------------------------------------------
@@ -249,7 +283,7 @@ TEST(PersistOrderCheckerTest, DurableTableProtocolIsOracleClean) {
     DurableTable::Options options;
     options.capacity_bytes = 64 * kKiB;
     options.log_bytes = 128 * kKiB;
-    options.ntstore_log = ntstore;
+    options.ntstore = ntstore;
     auto table = DurableTable::Create(&space, /*crash=*/nullptr, options);
     ASSERT_TRUE(table.ok());
     for (int e = 1; e <= 4; ++e) {

@@ -1,17 +1,24 @@
 // DurableTable::Recover tests: crash-point recovery of committed epochs,
-// idempotent re-recovery (including a crash *during* recovery), and
-// tolerance of log corruptions — duplicate commit markers and torn
-// tails — injected straight into the log region.
+// idempotent re-recovery (including a crash *during* recovery), payload
+// CRC verification without replay, truncation of the table's uncommitted
+// tail, and tolerance of log corruptions — duplicate commit records and
+// torn tails — injected straight into the log region.
+//
+// An ntstore-mode Append is 4 persistence boundaries: payload NtStore,
+// table Fence, commit-record NtStore, log Fence. Epoch e's Append spans
+// boundaries 4(e-1) .. 4(e-1)+3.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "durability/commit_log.h"
 #include "durability/crash_injector.h"
 #include "durability/durable_table.h"
 #include "durability/recovery.h"
-#include "durability/redo_log.h"
 
 namespace pmemolap {
 namespace {
@@ -69,6 +76,8 @@ void ExpectEpochBytes(const DurableTable& table, uint64_t epoch,
 }
 
 TEST_F(RecoveryTest, HealthyRecoverIsAnIdempotentReplay) {
+  // Recovery of a healthy table verifies every committed epoch and
+  // copies nothing; running it again changes nothing.
   auto table = DurableTable::Create(&space_, nullptr, SmallOptions());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(IngestEpochs(table->get(), 3, 500), 3u);
@@ -76,8 +85,8 @@ TEST_F(RecoveryTest, HealthyRecoverIsAnIdempotentReplay) {
   Result<RecoveryStats> stats = (*table)->Recover();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->committed_epoch, 3u);
-  EXPECT_EQ(stats->replayed_epochs, 3u);
-  EXPECT_EQ(stats->replayed_bytes, 1500u);
+  EXPECT_EQ(stats->verified_epochs, 3u);
+  EXPECT_EQ(stats->verified_bytes, 1500u);
   EXPECT_FALSE(stats->torn_tail);
   EXPECT_EQ(stats->truncated_bytes, 0u);
   EXPECT_GT(stats->modeled_seconds, 0.0);
@@ -92,10 +101,10 @@ TEST_F(RecoveryTest, HealthyRecoverIsAnIdempotentReplay) {
 }
 
 TEST_F(RecoveryTest, CrashBeforeCommitDropsOnlyTheInFlightEpoch) {
-  // ntstore-mode Append is 7 boundaries; epoch 2 starts at boundary 7.
-  // Crash at its first primitive with survival_p=0: epoch 2 fully lost.
+  // Epoch 2 starts at boundary 4. Crash at its first primitive with
+  // survival_p=0: epoch 2 fully lost.
   CrashInjector crash(/*seed=*/0xF001,
-                      CrashPlan{/*boundary_index=*/7,
+                      CrashPlan{/*boundary_index=*/4,
                                 /*accepted_survival_p=*/0.0});
   auto table = DurableTable::Create(&space_, &crash, SmallOptions());
   ASSERT_TRUE(table.ok());
@@ -122,11 +131,39 @@ TEST_F(RecoveryTest, CrashBeforeCommitDropsOnlyTheInFlightEpoch) {
   ExpectOracleClean(**table);
 }
 
+TEST_F(RecoveryTest, UncommittedTailIsZeroedByRecovery) {
+  // Boundary 5 is epoch 2's payload fence; with survival_p=1 the drain
+  // lands, so epoch 2's bytes survive in the table past the committed
+  // end — but no commit record names them. Recovery keeps epoch 1 and
+  // zeroes the orphaned tail.
+  CrashInjector crash(/*seed=*/0xF001,
+                      CrashPlan{/*boundary_index=*/5,
+                                /*accepted_survival_p=*/1.0});
+  auto table = DurableTable::Create(&space_, &crash, SmallOptions());
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(IngestEpochs(table->get(), 2, 400), 1u);
+  const std::byte* image = (*table)->table_region().data();
+  ASSERT_NE(image[400 + 1], std::byte{0})
+      << "the uncommitted payload survived the crash";
+
+  Result<RecoveryStats> stats = (*table)->Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->committed_epoch, 1u);
+  ExpectEpochBytes(**table, 1, 400);
+  std::vector<std::byte> zeros(400);
+  EXPECT_EQ(std::memcmp(image + 400, zeros.data(), zeros.size()), 0)
+      << "recovery must truncate the table at the committed end";
+  ExpectOracleClean(**table);
+}
+
 TEST_F(RecoveryTest, CrashAfterCommitFenceIsReplayedNotLost) {
-  // Boundary 11 is epoch 2's table-image Store — past the commit fence
-  // (boundary 10), so the epoch is durable in the log and recovery must
-  // replay it even though Append returned Unavailable.
-  CrashInjector crash(/*seed=*/0xF001, CrashPlan{/*boundary_index=*/11});
+  // Boundary 7 is epoch 2's commit fence. With survival_p=1 the drain of
+  // the commit record lands although the fence never returned: the
+  // epoch is durable while Append surfaced Unavailable, and recovery
+  // must keep it — from the table bytes already there, with no replay.
+  CrashInjector crash(/*seed=*/0xF001,
+                      CrashPlan{/*boundary_index=*/7,
+                                /*accepted_survival_p=*/1.0});
   auto table = DurableTable::Create(&space_, &crash, SmallOptions());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(IngestEpochs(table->get(), 2, 400), 1u)
@@ -136,6 +173,7 @@ TEST_F(RecoveryTest, CrashAfterCommitFenceIsReplayedNotLost) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->committed_epoch, 2u)
       << "zero committed epochs may be lost";
+  EXPECT_EQ(stats->verified_epochs, 2u);
   EXPECT_EQ((*table)->committed_epoch(), 2u);
   ExpectEpochBytes(**table, 1, 400);
   ExpectEpochBytes(**table, 2, 400);
@@ -143,17 +181,17 @@ TEST_F(RecoveryTest, CrashAfterCommitFenceIsReplayedNotLost) {
 }
 
 TEST_F(RecoveryTest, CrashDuringRecoveryConvergesOnRerun) {
-  CrashInjector crash(/*seed=*/0xF001,
-                      CrashPlan{/*boundary_index=*/16,
-                                /*accepted_survival_p=*/0.0});
+  // Boundary 8 is epoch 3's payload NtStore: a seeded prefix of it lands
+  // past the committed end.
+  CrashInjector crash(/*seed=*/0xF001, CrashPlan{/*boundary_index=*/8});
   auto table = DurableTable::Create(&space_, &crash, SmallOptions());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(IngestEpochs(table->get(), 3, 400), 2u);
 
-  // First recovery attempt is itself cut down mid-replay: re-arm two
-  // boundaries into the future before running it.
+  // Recovery is two boundaries: the log truncation, then the table's.
+  // Cut the first attempt down between them.
   crash.AcknowledgeCrash();
-  crash.Arm(static_cast<int64_t>(crash.boundaries_seen()) + 2);
+  crash.Arm(static_cast<int64_t>(crash.boundaries_seen()) + 1);
   Result<RecoveryStats> cut = (*table)->Recover();
   EXPECT_EQ(cut.status().code(), StatusCode::kUnavailable)
       << "the re-armed crash must fire inside recovery";
@@ -174,6 +212,57 @@ TEST_F(RecoveryTest, CrashDuringRecoveryConvergesOnRerun) {
   ExpectOracleClean(**table);
 }
 
+TEST_F(RecoveryTest, CorruptCommittedByteIsDataLossNamingTheEpoch) {
+  // A committed table byte of epoch 2 flips while the process is down:
+  // the commit record's payload CRC must catch it — recovery reports the
+  // epoch instead of republishing bytes nobody wrote.
+  CrashInjector crash(/*seed=*/0xF001, CrashPlan{/*boundary_index=*/12});
+  auto table = DurableTable::Create(&space_, &crash, SmallOptions());
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(IngestEpochs(table->get(), 4, 300), 3u);
+  crash.AcknowledgeCrash();
+
+  PersistentRegion& image = (*table)->table_region();
+  std::byte flipped = image.data()[300 + 17] ^ std::byte{0x08};
+  ASSERT_TRUE(image.NtStore(300 + 17, &flipped, 1).ok());
+  ASSERT_TRUE(image.Fence().ok());
+
+  Result<RecoveryStats> stats = (*table)->Recover();
+  EXPECT_EQ(stats.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(stats.status().ToString().find("epoch 2:"), std::string::npos)
+      << stats.status().ToString();
+}
+
+TEST_F(RecoveryTest, RecoverWritesNoPayloadLine) {
+  // 26 committed epochs, a crash mid-epoch 27, then recovery: the table
+  // keeps its store count and ends with every line clean — recovery only
+  // reads payload lines, so none is put in flight.
+  constexpr int kCommitted = 26;
+  constexpr uint64_t kEpochBytes = 1000;
+  CrashInjector crash(/*seed=*/0xF001,
+                      CrashPlan{/*boundary_index=*/4 * kCommitted + 1});
+  auto table = DurableTable::Create(&space_, &crash, SmallOptions());
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(IngestEpochs(table->get(), kCommitted + 1, kEpochBytes),
+            static_cast<uint64_t>(kCommitted));
+  const PersistentRegion& image = (*table)->table_region();
+  const uint64_t store_lines = image.store_lines();
+
+  Result<RecoveryStats> stats = (*table)->Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->committed_epoch, static_cast<uint64_t>(kCommitted));
+  EXPECT_EQ(stats->verified_bytes, kCommitted * kEpochBytes);
+  EXPECT_EQ(image.store_lines(), store_lines);
+  for (uint64_t line = 0; line * kCacheLineBytes < image.size(); ++line) {
+    ASSERT_EQ(image.line_state(line), PersistLineState::kClean)
+        << "line " << line;
+  }
+  for (uint64_t e = 1; e <= kCommitted; ++e) {
+    ExpectEpochBytes(**table, e, kEpochBytes);
+  }
+  ExpectOracleClean(**table);
+}
+
 TEST_F(RecoveryTest, DuplicateCommitMarkerIsToleratedAndTruncated) {
   auto table = DurableTable::Create(&space_, nullptr, SmallOptions());
   ASSERT_TRUE(table.ok());
@@ -181,8 +270,10 @@ TEST_F(RecoveryTest, DuplicateCommitMarkerIsToleratedAndTruncated) {
 
   // Plant a CRC-valid duplicate commit for epoch 1 at the log tail — the
   // corruption pattern a partial truncation could leave behind.
-  uint64_t tail = 2 * (LogRecordFootprint(300) + LogRecordFootprint(0));
-  std::vector<std::byte> dup = EncodeCommitRecord(1);
+  std::vector<std::byte> payload = Pattern(300, 1);
+  uint64_t tail = 2 * sizeof(CommitRecord);
+  std::vector<std::byte> dup =
+      EncodeCommitRecord(1, 0, 300, Crc32(payload.data(), payload.size()));
   PersistentRegion& log = (*table)->log_region();
   ASSERT_TRUE(log.NtStore(tail, dup.data(), dup.size()).ok());
   ASSERT_TRUE(log.Fence().ok());
@@ -191,8 +282,8 @@ TEST_F(RecoveryTest, DuplicateCommitMarkerIsToleratedAndTruncated) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->duplicate_commits, 1u);
   EXPECT_EQ(stats->committed_epoch, 2u);
-  EXPECT_EQ(stats->truncated_bytes, LogRecordFootprint(0))
-      << "the duplicate marker is dropped by the truncation";
+  EXPECT_EQ(stats->truncated_bytes, sizeof(CommitRecord))
+      << "the duplicate record is dropped by the truncation";
   ExpectEpochBytes(**table, 1, 300);
   ExpectEpochBytes(**table, 2, 300);
 
@@ -209,13 +300,13 @@ TEST_F(RecoveryTest, TruncatedTailRecordIsDetectedAndDropped) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(IngestEpochs(table->get(), 2, 300), 2u);
 
-  // Plant the first half of a data record at the tail — an append a
-  // crash cut mid-write. The CRC (or the truncated payload) must stop
-  // the scan; recovery truncates and the table stays at epoch 2.
+  // Plant the first half of epoch 3's commit record at the tail — an
+  // append a crash cut mid-write. The CRC must stop the scan; recovery
+  // truncates and the table stays at epoch 2.
   std::vector<std::byte> payload = Pattern(300, 3);
-  std::vector<std::byte> record = EncodeDataRecord(3, 600, payload.data(),
-                                                   300);
-  uint64_t tail = 2 * (LogRecordFootprint(300) + LogRecordFootprint(0));
+  std::vector<std::byte> record =
+      EncodeCommitRecord(3, 600, 300, Crc32(payload.data(), payload.size()));
+  uint64_t tail = 2 * sizeof(CommitRecord);
   PersistentRegion& log = (*table)->log_region();
   ASSERT_TRUE(log.NtStore(tail, record.data(), record.size() / 2).ok());
   ASSERT_TRUE(log.Fence().ok());
@@ -224,7 +315,7 @@ TEST_F(RecoveryTest, TruncatedTailRecordIsDetectedAndDropped) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_TRUE(stats->torn_tail);
   EXPECT_EQ(stats->committed_epoch, 2u);
-  // truncated_bytes counts valid-but-uncommitted records; the torn
+  // truncated_bytes counts valid records past the last commit; the torn
   // half-record never CRC-validated, so it contributes zero — but the
   // truncation still zeroes it (the clean re-scan below proves it).
   EXPECT_EQ(stats->truncated_bytes, 0u);
@@ -253,7 +344,7 @@ TEST_F(RecoveryTest, RecoveryCostScalesWithLogLength) {
   Result<RecoveryStats> long_stats = (*long_table)->Recover();
   ASSERT_TRUE(short_stats.ok() && long_stats.ok());
   EXPECT_GT(long_stats->modeled_seconds, short_stats->modeled_seconds)
-      << "a longer committed log must cost more to scan and replay";
+      << "more committed epochs must cost more to scan and verify";
   ExpectOracleClean(**short_table);
   ExpectOracleClean(**long_table);
 }

@@ -3,7 +3,7 @@
 // to the reference executor (at epoch 0 too, as over an empty table), keep
 // pinned snapshots stable while ingest advances (also while the pool
 // executes concurrently with Ingest), surface a modeled crash as
-// Unavailable until Recover() runs (pausing admission while it replays),
+// Unavailable until Recover() runs (pausing admission while it verifies),
 // reject rows whose keys join nothing, and price standing ingest traffic
 // into query runtimes.
 #include <gtest/gtest.h>
@@ -162,9 +162,9 @@ TEST(EngineDurableTest, CrashMidIngestRecoversUnderAdmission) {
   DurableEnv& env = DurableEnv::Get();
   MemSystemModel model;
   PmemSpace space(model.config().topology);
-  // Epoch 4's Append spans boundaries 21..27 (7 per ntstore append);
-  // 23 is its commit-marker ntstore — the epoch dies uncommitted.
-  CrashInjector crash(/*seed=*/0xD15C, CrashPlan{/*boundary_index=*/23});
+  // Epoch 4's Append spans boundaries 12..15 (4 per ntstore append);
+  // 14 is its commit-record ntstore — the epoch dies uncommitted.
+  CrashInjector crash(/*seed=*/0xD15C, CrashPlan{/*boundary_index=*/14});
   auto table =
       DurableTable::Create(&space, &crash, DurableTable::Options());
   ASSERT_TRUE(table.ok());

@@ -1,6 +1,6 @@
 // Crash-during-traffic end-to-end: the chaos schedule arms the crash
 // injector mid-campaign, the next ingest burst dies at a real
-// persistence boundary, Recover() replays the redo log while admission
+// persistence boundary, Recover() verifies the commit log while admission
 // parks the waiting clients, and service resumes — with zero committed-
 // epoch loss and reads bit-identical to the reference over the committed
 // prefix throughout.

@@ -1,7 +1,7 @@
 // Fixture: persist-raw-write. Linted as src/engine/fixture.cc — raw
 // byte writes into a PersistentRegion's exposed buffers from outside
 // src/durability/ bypass the crash boundary, the cost model and the
-// persistence tracker.
+// region's per-line state (line_state).
 #include "common/status.h"
 
 namespace pmemolap {

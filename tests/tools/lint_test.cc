@@ -397,6 +397,24 @@ TEST(LintPersistOrder, FencedPayloadBeforeCommitIsClean) {
   EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
 }
 
+TEST(LintPersistOrder, FlagsCommitMarkerBeforeAnotherRegionsFence) {
+  // Write-once ingest puts the payload in the table and the marker in
+  // the log: the marker must wait for every receiver's fence.
+  Report report =
+      LintFixtureAs("persist_order_commit_cross_region_violation.cc",
+                    "src/durability/fixture.cc");
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].rule, "persist-order");
+  EXPECT_EQ(report.diagnostics[0].line, 13);  // the commit-hinted write
+}
+
+TEST(LintPersistOrder, FencedTablePayloadBeforeLogCommitIsClean) {
+  Report report =
+      LintFixtureAs("persist_order_commit_cross_region_clean.cc",
+                    "src/durability/fixture.cc");
+  EXPECT_TRUE(report.clean()) << report.diagnostics[0].ToString();
+}
+
 TEST(LintPersistOrder, AllowAnnotationSilencesTheFlowPass) {
   Report report = LintFixtureAs("persist_order_allow.cc",
                                 "src/durability/fixture.cc");

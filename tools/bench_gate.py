@@ -51,6 +51,10 @@ METRICS = {
     "recovery": [
         ("ssb_tax.geomean_durable_ingest", "lower", MODELED),
         ("ssb_tax.geomean_off", "lower", MODELED),
+        # Write-once ingest: a second PMEM copy of each byte doubles
+        # write_amp, an extra fence per epoch adds one — both fail here.
+        ("ingest_cost.write_amp", "lower", MODELED),
+        ("ingest_cost.fences_per_epoch", "lower", MODELED),
     ],
     # Breakers-on recovery cost: the counters are deterministic (one
     # worker), so drift past the modeled tolerance is a behavior change.

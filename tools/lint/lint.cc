@@ -362,8 +362,8 @@ void CheckUnseededRng(const FileContext& ctx) {
 // --- Rule: persist-raw-write -----------------------------------------------
 
 /// Only `Store`/`NtStore` may mutate persisted state: they are crash
-/// boundaries, they price the write, and they keep the persistence
-/// tracker's per-line lattice honest. A raw memcpy/memset into a
+/// boundaries, they price the write, and they keep the region's per-line
+/// state (`line_state`) honest. A raw memcpy/memset into a
 /// PersistentRegion's backing memory bypasses all three, so outside
 /// src/durability/ (which owns the primitives and recovery's image
 /// rebuild) it is banned. Detection is lexical: the destination (first
@@ -408,8 +408,8 @@ void CheckPersistRawWrite(const FileContext& ctx) {
              std::string(writer) +
                  " into PersistentRegion backing memory — raw writes "
                  "bypass the crash boundary, the persist cost model and "
-                 "the per-line persistence tracker; mutate persisted "
-                 "state through Store/NtStore only");
+                 "the region's per-line state (line_state); mutate "
+                 "persisted state through Store/NtStore only");
       }
     }
   }

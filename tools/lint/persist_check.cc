@@ -692,7 +692,7 @@ class Interpreter {
       case Event::kTruncate:
         // TruncateTo is internally store+flush+fence on its own tail
         // pointer; it neither drains nor flushes the caller's pending
-        // ranges (the model keeps their tracker state), so: no-op.
+        // ranges (the model keeps their line states), so: no-op.
         break;
       case Event::kPublish: {
         for (const auto& [recv, keys] : state->recvs) {
@@ -724,19 +724,20 @@ class Interpreter {
   }
 
   void CheckCommitMarker(const Event& event, const AbsState& state) {
-    auto it = state.recvs.find(event.recv);
-    if (it == state.recvs.end()) return;
-    for (const auto& [key, k] : it->second) {
-      if (!k.pending()) continue;
-      sink_->Emit(
-          event.line, "persist-order",
-          "commit marker written to '" + event.recv + "' while range " +
-              RangeName(event.recv, key) + " (line " +
-              LineList(k.store_lines) +
-              ") is still un-fenced — the marker must be ordered after "
-              "the payload by a dominating Fence(), or recovery can see "
-              "a committed epoch with torn payload bytes");
-      return;  // one diagnostic per marker is enough
+    // The payload need not share the marker's receiver (the table holds
+    // it, the log the marker), so every receiver's ranges must be fenced.
+    for (const auto& [recv, keys] : state.recvs) {
+      for (const auto& [key, k] : keys) {
+        if (!k.pending()) continue;
+        sink_->Emit(
+            event.line, "persist-order",
+            "commit marker written to '" + event.recv + "' while range " +
+                RangeName(recv, key) + " (line " + LineList(k.store_lines) +
+                ") is still un-fenced — the marker must be ordered after "
+                "the payload by a dominating Fence(), or recovery can see "
+                "a committed epoch with torn payload bytes");
+        return;  // one diagnostic per marker is enough
+      }
     }
   }
 

@@ -22,7 +22,8 @@
 // Diagnostics (each with its own rule id so lint:allow stays precise):
 //
 //   persist-order        a publish (or function exit, or commit-marker
-//                        write) reachable while some store is still
+//                        write) reachable while some store — on any
+//                        receiver, for a commit marker — is still
 //                        dirty or flushed-but-unfenced on that path
 //   persist-double-flush FlushRange of a range already flushed and not
 //                        re-dirtied since (pure cost, perf diagnostic)
