@@ -1,8 +1,5 @@
 #include "core/hybrid.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace pmemolap {
 
 HybridPlacement HybridPlacer::Place(const StructureSizes& sizes,
@@ -56,57 +53,6 @@ HybridPlacement HybridPlacer::Place(const StructureSizes& sizes,
         "(~40 GB/s/socket); stripe across sockets, read near-only");
   }
   return placement;
-}
-
-StagingPlan HybridPlacer::PlanStaging(std::vector<StagingCandidate> candidates,
-                                      uint64_t dram_budget_bytes) const {
-  StagingPlan plan;
-  uint64_t budget = dram_budget_bytes > 0
-                        ? dram_budget_bytes
-                        : topology_.dram_capacity_per_socket();
-
-  // Benefit density first (seconds saved per staged byte), name as the
-  // deterministic tie-break. Zero-byte candidates are free: treat their
-  // density as infinite by ordering them ahead of sized ones.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const StagingCandidate& a, const StagingCandidate& b) {
-              double density_a = a.bytes > 0
-                                     ? a.benefit_seconds /
-                                           static_cast<double>(a.bytes)
-                                     : a.benefit_seconds;
-              double density_b = b.bytes > 0
-                                     ? b.benefit_seconds /
-                                           static_cast<double>(b.bytes)
-                                     : b.benefit_seconds;
-              bool free_a = a.bytes == 0;
-              bool free_b = b.bytes == 0;
-              if (free_a != free_b) return free_a;
-              if (density_a != density_b) return density_a > density_b;
-              return a.name < b.name;
-            });
-
-  for (StagingCandidate& candidate : candidates) {
-    if (candidate.benefit_seconds <= 0.0) {
-      plan.rationale.push_back(candidate.name +
-                               " -> PMEM: staging would not save time");
-      continue;
-    }
-    if (candidate.bytes > budget) {
-      plan.rationale.push_back(candidate.name +
-                               " -> PMEM: exceeds the remaining DRAM budget");
-      continue;
-    }
-    budget -= candidate.bytes;
-    plan.dram_used_bytes += candidate.bytes;
-    plan.rationale.push_back(candidate.name +
-                             " -> DRAM: best remaining benefit density");
-    plan.staged.push_back(std::move(candidate));
-  }
-  std::sort(plan.staged.begin(), plan.staged.end(),
-            [](const StagingCandidate& a, const StagingCandidate& b) {
-              return a.name < b.name;
-            });
-  return plan;
 }
 
 }  // namespace pmemolap

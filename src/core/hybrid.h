@@ -12,6 +12,11 @@
 //      collapse under many writers (Figs. 7/8) — DRAM second.
 //   3. Sequentially scanned base tables: PMEM's strongest discipline
 //      (~40 GB/s/socket, Fig. 3) — PMEM unless DRAM is left over.
+//
+// This is the static plan. Its runtime form is the bandwidth governor's
+// staging actuator, which needs no planner: against the platform's
+// per-socket DRAM no budget binds, so it stages every structure whose
+// modeled benefit clears its floor (governor/governor.h).
 #pragma once
 
 #include <cstdint>
@@ -39,24 +44,6 @@ struct HybridPlacement {
   std::vector<std::string> rationale;
 };
 
-/// One structure the runtime could promote to DRAM (the governor's
-/// dynamic counterpart of StructureSizes).
-struct StagingCandidate {
-  std::string name;
-  /// DRAM bytes the staged copy would occupy.
-  uint64_t bytes = 0;
-  /// Modeled seconds per scheduling quantum that staging would save.
-  double benefit_seconds = 0.0;
-};
-
-/// The chosen staging set plus the reasoning.
-struct StagingPlan {
-  /// Chosen candidates, sorted by name for deterministic actuation.
-  std::vector<StagingCandidate> staged;
-  uint64_t dram_used_bytes = 0;
-  std::vector<std::string> rationale;
-};
-
 /// Plans hybrid placements under a per-socket DRAM budget.
 class HybridPlacer {
  public:
@@ -67,13 +54,6 @@ class HybridPlacer {
   /// platform's full DRAM capacity per socket".
   HybridPlacement Place(const StructureSizes& sizes,
                         uint64_t dram_budget_bytes = 0) const;
-
-  /// Runtime form of Place: picks the staging set maximizing saved
-  /// modeled seconds under the budget, greedily by benefit density
-  /// (seconds saved per staged byte), ties broken by name so the plan is
-  /// deterministic. Candidates with non-positive benefit never stage.
-  StagingPlan PlanStaging(std::vector<StagingCandidate> candidates,
-                          uint64_t dram_budget_bytes = 0) const;
 
  private:
   SystemTopology topology_;

@@ -636,10 +636,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
         injector != nullptr ? qos::DegradationEstimate(*injector) : 1.0;
     if (governed) {
       // Overload shedding and bandwidth governance shed against ONE
-      // health signal: the governor's throttle estimate is the same
-      // min(DIMM service, UPI capacity) reduction as the injector's.
-      signal.degradation =
-          std::min(signal.degradation, config_.governor->ThrottleEstimate());
+      // health signal: the decision's throttle is the same min(DIMM
+      // service, UPI capacity) reduction as the injector's.
+      signal.degradation = std::min(signal.degradation, decision.throttle);
     }
     config_.admission->SetLoadSignal(signal);
     Result<qos::AdmissionTicket> admitted =

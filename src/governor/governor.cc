@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "core/runner.h"
@@ -38,18 +39,17 @@ bool GovernorDecision::IsStaged(const std::string& name) const {
 
 BandwidthGovernor::BandwidthGovernor(const MemSystemModel* model,
                                      GovernorConfig config)
-    : model_(model), config_(config) {}
+    : model_(model), config_(config) {
+  const int sockets = std::max(model_->config().topology.sockets(), 1);
+  for (int socket = 0; socket < sockets; ++socket) {
+    read_knees_.push_back(FindKnee(OpType::kRead, socket));
+  }
+  write_knee_ = FindKnee(OpType::kWrite, 0);
+}
 
-BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
-    OpType op, int socket, double service_factor) const {
-  MemSystemConfig config = model_->config();
-  int sockets = std::max(config.topology.sockets(), 1);
-  socket = std::min(std::max(socket, 0), sockets - 1);
-  config.pmem_service_factor.assign(static_cast<size_t>(sockets), 1.0);
-  config.pmem_service_factor[static_cast<size_t>(socket)] =
-      std::min(std::max(service_factor, 0.0), 1.0);
-  MemSystemModel local(config);
-  const WorkloadRunner runner(&local);
+BandwidthGovernor::Knee BandwidthGovernor::FindKnee(OpType op,
+                                                    int socket) const {
+  const WorkloadRunner runner(model_);
   // The runner's Fig. 3/7 point: 4 KiB individual PMEM access by threads
   // pinned to the data socket's cores, directory warm.
   RunOptions options;
@@ -57,7 +57,8 @@ BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
   options.data_socket = socket;
   options.run_index = 2;
 
-  int max_threads = std::max(config.topology.logical_cores_per_socket(), 1);
+  int max_threads =
+      std::max(model_->config().topology.logical_cores_per_socket(), 1);
   std::vector<double> sweep(static_cast<size_t>(max_threads) + 1, 0.0);
   double peak = 0.0;
   for (int threads = 1; threads <= max_threads; ++threads) {
@@ -83,14 +84,13 @@ BandwidthGovernor::Knee BandwidthGovernor::FindKnee(
   return knee;
 }
 
-BandwidthGovernor::Knee BandwidthGovernor::ReadKnee(
-    int socket, double service_factor) const {
-  return FindKnee(OpType::kRead, socket, service_factor);
+BandwidthGovernor::Knee BandwidthGovernor::ReadKnee(int socket) const {
+  const int last = static_cast<int>(read_knees_.size()) - 1;
+  return read_knees_[static_cast<size_t>(std::clamp(socket, 0, last))];
 }
 
-BandwidthGovernor::Knee BandwidthGovernor::WriteKnee(
-    int socket, double service_factor) const {
-  return FindKnee(OpType::kWrite, socket, service_factor);
+BandwidthGovernor::Knee BandwidthGovernor::WriteKnee() const {
+  return write_knee_;
 }
 
 std::string BandwidthGovernor::StageName(const std::string& label) {
@@ -102,13 +102,19 @@ std::string BandwidthGovernor::StageName(const std::string& label) {
   return std::string();
 }
 
-std::vector<StagingCandidate> BandwidthGovernor::StageTargets(
-    const TelemetrySample& sample, std::vector<std::string>* names) const {
-  names->clear();
+std::vector<std::string> BandwidthGovernor::StageTargets(
+    const TelemetrySample& sample, uint64_t* bytes) const {
+  *bytes = 0;
   if (!config_.stage_structures) return {};
 
-  // Merge per-class benefits into one candidate per structure name.
-  std::map<std::string, StagingCandidate> merged;
+  // Merge per-class benefits into one candidate per structure name: the
+  // DRAM bytes a staged copy would occupy and the modeled seconds per
+  // quantum it would save.
+  struct Candidate {
+    uint64_t bytes = 0;
+    double benefit_seconds = 0.0;
+  };
+  std::map<std::string, Candidate> merged;
   for (const ClassTelemetry& klass : sample.classes) {
     const TrafficRecord& record = klass.record;
     if (klass.background) continue;
@@ -142,37 +148,31 @@ std::vector<StagingCandidate> BandwidthGovernor::StageTargets(
 
     double benefit = static_cast<double>(record.bytes) / 1e9 *
                      (1.0 / pmem_gbps - 1.0 / dram_gbps);
-    StagingCandidate& candidate = merged[name];
-    candidate.name = name;
+    Candidate& candidate = merged[name];
     candidate.bytes = std::max(candidate.bytes, record.region_bytes);
     candidate.benefit_seconds += benefit;
   }
 
-  std::vector<StagingCandidate> candidates;
-  for (auto& [name, candidate] : merged) {
-    (void)name;
+  // The map iterates by name, so the staged set comes out sorted.
+  std::vector<std::string> names;
+  for (const auto& [name, candidate] : merged) {
     if (candidate.benefit_seconds < kStagingMinBenefitSeconds) continue;
-    candidates.push_back(candidate);
+    names.push_back(name);
+    *bytes += candidate.bytes;
   }
-  HybridPlacer placer(model_->config().topology);
-  StagingPlan plan = placer.PlanStaging(candidates);
-  for (const StagingCandidate& candidate : plan.staged) {
-    names->push_back(candidate.name);
-  }
-  std::sort(names->begin(), names->end());
-  return plan.staged;
+  return names;
 }
 
 void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++quanta_;
-  decision_.quantum = quanta_;
+  ++decision_.quantum;
+  const int quantum = decision_.quantum;
 
   double worst = sample.upi_capacity_factor;
   for (const SocketTelemetry& socket : sample.sockets) {
     worst = std::min(worst, socket.dimm_service_factor);
   }
-  throttle_estimate_ = std::min(1.0, std::max(0.0, worst));
+  decision_.throttle = std::min(1.0, std::max(0.0, worst));
 
   size_t sockets = sample.sockets.size();
   if (decision_.read_workers.size() != sockets) {
@@ -181,27 +181,17 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
 
   // Targets for this quantum.
-  double min_factor = 1.0;
-  for (const SocketTelemetry& socket : sample.sockets) {
-    min_factor = std::min(min_factor, socket.dimm_service_factor);
-  }
-  const int write_target = std::clamp(WriteKnee(0, min_factor).threads,
-                                      kMinWriteThreads, kMaxWriteThreads);
+  const int write_target =
+      std::clamp(WriteKnee().threads, kMinWriteThreads, kMaxWriteThreads);
   std::vector<int> read_target(sockets, 0);
   for (size_t s = 0; s < sockets; ++s) {
     if (sample.sockets[s].write_occupancy > kWritePressureFloor) {
-      read_target[s] = ReadKnee(static_cast<int>(s),
-                                sample.sockets[s].dimm_service_factor)
-                           .threads;
+      read_target[s] = ReadKnee(static_cast<int>(s)).threads;
     }
   }
-  std::vector<std::string> stage_names;
-  std::vector<StagingCandidate> stage_candidates =
-      StageTargets(sample, &stage_names);
   uint64_t stage_bytes = 0;
-  for (const StagingCandidate& candidate : stage_candidates) {
-    stage_bytes += candidate.bytes;
-  }
+  const std::vector<std::string> stage_names =
+      StageTargets(sample, &stage_bytes);
 
   // Hysteresis: a changed target actuates only after persisting for
   // kHysteresisQuanta consecutive quanta (Debounce).
@@ -209,7 +199,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
 
   if (writers_.Ready(decision_.write_threads, write_target,
                      kHysteresisQuanta)) {
-    std::snprintf(line, sizeof(line), "q=%d commit writers %d->%d", quanta_,
+    std::snprintf(line, sizeof(line), "q=%d commit writers %d->%d", quantum,
                   decision_.write_threads, write_target);
     log_.push_back(line);
     decision_.write_threads = write_target;
@@ -218,7 +208,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
 
   if (readers_.Ready(decision_.read_workers, read_target,
                      kHysteresisQuanta)) {
-    std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quanta_,
+    std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quantum,
                   JoinInts(decision_.read_workers).c_str(),
                   JoinInts(read_target).c_str());
     log_.push_back(line);
@@ -227,7 +217,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
 
   if (staged_.Ready(decision_.staged, stage_names, kHysteresisQuanta)) {
-    std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quanta_,
+    std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quantum,
                   JoinNames(decision_.staged).c_str(),
                   JoinNames(stage_names).c_str());
     log_.push_back(line);
@@ -239,7 +229,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
 
   std::snprintf(line, sizeof(line),
                 "q=%d throttle=%.3f writers=%d readers=%s staged=%s shape=%d",
-                quanta_, throttle_estimate_, decision_.write_threads,
+                quantum, decision_.throttle, decision_.write_threads,
                 JoinInts(decision_.read_workers).c_str(),
                 JoinNames(decision_.staged).c_str(),
                 config_.shape_morsels ? 1 : 0);
@@ -251,19 +241,9 @@ GovernorDecision BandwidthGovernor::decision() const {
   return decision_;
 }
 
-double BandwidthGovernor::ThrottleEstimate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return throttle_estimate_;
-}
-
 std::vector<std::string> BandwidthGovernor::actuator_log() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return log_;
-}
-
-int BandwidthGovernor::quanta_observed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return quanta_;
 }
 
 }  // namespace governor

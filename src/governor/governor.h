@@ -3,31 +3,31 @@
 // it ingests one TelemetrySample and drives three actuators:
 //
 //   1. Concurrency: readers scale up to the modeled bandwidth knee
-//      (Fig. 3: sequential PMEM reads saturate the socket at ~10 threads),
+//      (Fig. 3: sequential PMEM reads saturate the socket at ~15 threads),
 //      writers clamp to the paper's 4-6 per socket (Fig. 7/8, BP2).
 //   2. Morsel shaping: morsel byte ranges align to the 256 B XPLine so the
 //      device model's read amplification on torn lines disappears (§3.1).
-//   3. DRAM staging: hot randomly-probed structures are promoted to the
-//      platform's per-socket DRAM (HybridPlacer::PlanStaging), evicted
-//      when the benefit fades — the runtime form of the hybrid placement
-//      plan.
+//   3. DRAM staging: hot randomly-probed structures whose modeled benefit
+//      clears kStagingMinBenefitSeconds are promoted to DRAM, evicted when
+//      the benefit fades — the runtime form of the hybrid placement plan.
 //
-// The knee, the writer window and the hysteresis are platform facts, so
-// they are constants below; GovernorConfig holds only the two ablation
-// switches. All decisions apply hysteresis (a new target must persist for
-// kHysteresisQuanta consecutive quanta before actuation) so the controller
-// converges deterministically instead of oscillating: same telemetry trace
-// in, byte-identical actuator log out.
+// The knees, the writer window and the hysteresis are platform facts: the
+// knees are swept once, at construction, on the governor's own model (a
+// DIMM throttle scales a knee's GB/s but never moves its thread count,
+// which is all Observe reads), and the rest are constants below;
+// GovernorConfig holds only the two ablation switches. All decisions apply
+// hysteresis (a new target must persist for kHysteresisQuanta consecutive
+// quanta before actuation) so the controller converges deterministically
+// instead of oscillating: same telemetry trace in, byte-identical actuator
+// log out.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/debounce.h"
-#include "core/hybrid.h"
 #include "governor/telemetry.h"
 #include "memsys/mem_system.h"
 
@@ -46,7 +46,8 @@ inline constexpr int kHysteresisQuanta = 2;
 /// knee (pure-read workloads stay uncapped: more readers only help).
 inline constexpr double kWritePressureFloor = 0.05;
 /// Minimum modeled seconds per quantum a candidate must save to be worth
-/// staging. Staging plans against the platform's per-socket DRAM.
+/// staging. Every candidate above it stages: the TierManager's budgets are
+/// the one configurable DRAM budget.
 inline constexpr double kStagingMinBenefitSeconds = 1e-6;
 
 /// Actuator switches for ablation; both on by default. Concurrency always
@@ -60,6 +61,10 @@ struct GovernorConfig {
 struct GovernorDecision {
   /// Observe() quanta that produced this decision.
   int quantum = 0;
+  /// Worst platform service factor of the last sample (DIMM throttle x
+  /// UPI capacity), in [0,1]; 1.0 before any sample. The same reduction
+  /// as qos::DegradationEstimate, so the engine sheds admission on it.
+  double throttle = 1.0;
   /// Per-socket cap on concurrently popping workers; 0 = uncapped.
   std::vector<int> read_workers;
   /// Writer-thread clamp per socket (paper BP2).
@@ -73,6 +78,8 @@ struct GovernorDecision {
 
 class BandwidthGovernor {
  public:
+  /// Sweeps the read knee of every socket and the write knee of socket 0
+  /// on `model`, which must outlive the governor.
   explicit BandwidthGovernor(const MemSystemModel* model,
                              GovernorConfig config = GovernorConfig());
 
@@ -86,12 +93,11 @@ class BandwidthGovernor {
   };
   /// The read knee of the runner's Fig. 3 sweep
   /// (`WorkloadRunner::Bandwidth`: 4 KiB individual PMEM reads, threads
-  /// pinned to `socket`'s cores, directory warm), optionally under a DIMM
-  /// throttle factor (a uniform throttle scales the sweep, so the knee's
-  /// bandwidth drops while its thread count holds).
-  Knee ReadKnee(int socket, double service_factor = 1.0) const;
-  /// The write knee of the same sweep with writes, Fig. 7 (~4 threads).
-  Knee WriteKnee(int socket, double service_factor = 1.0) const;
+  /// pinned to `socket`'s cores, directory warm) on the model as built.
+  Knee ReadKnee(int socket) const;
+  /// The write knee of the same sweep with writes on socket 0, Fig. 7
+  /// (~4 threads).
+  Knee WriteKnee() const;
 
   /// One scheduling quantum: ingest a sample, update hysteresis state,
   /// commit actuator targets that persisted long enough.
@@ -100,36 +106,30 @@ class BandwidthGovernor {
   /// Snapshot of the current actuator targets.
   GovernorDecision decision() const;
 
-  /// Worst-case platform service factor seen in the last sample (DIMM
-  /// throttle x UPI capacity), in [0,1]; 1.0 before any sample. Shared
-  /// with admission control via qos::DegradationEstimate.
-  double ThrottleEstimate() const;
-
   /// Deterministic, append-only record of every quantum and actuation.
   std::vector<std::string> actuator_log() const;
 
-  int quanta_observed() const;
-
  private:
-  Knee FindKnee(OpType op, int socket, double service_factor) const;
+  Knee FindKnee(OpType op, int socket) const;
 
   /// Maps a traffic label to a stageable structure name ("probe-part" ->
   /// "part", "aggregate"/"intermediate" -> "intermediates"); empty if the
   /// class is not a staging candidate.
   static std::string StageName(const std::string& label);
 
-  /// Computes this quantum's staging target set from the sample.
-  std::vector<StagingCandidate> StageTargets(const TelemetrySample& sample,
-                                             std::vector<std::string>* names)
-      const;
+  /// This quantum's staging targets, sorted by name: every structure
+  /// whose modeled benefit reaches kStagingMinBenefitSeconds. `*bytes`
+  /// receives their DRAM footprint.
+  std::vector<std::string> StageTargets(const TelemetrySample& sample,
+                                        uint64_t* bytes) const;
 
   const MemSystemModel* model_;
   GovernorConfig config_;
+  std::vector<Knee> read_knees_;  // per socket
+  Knee write_knee_;
 
   mutable std::mutex mutex_;
   GovernorDecision decision_;
-  double throttle_estimate_ = 1.0;
-  int quanta_ = 0;
   // Hysteresis per actuator; the committed targets live in decision_.
   Debounce<int> writers_;
   Debounce<std::vector<int>> readers_;

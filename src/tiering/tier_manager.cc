@@ -373,14 +373,6 @@ int TierManager::quanta_observed() const {
   return quanta_;
 }
 
-std::vector<Tier> TierManager::extent_tiers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Tier> tiers;
-  tiers.reserve(extents_.size());
-  for (const Extent& extent : extents_) tiers.push_back(extent.tier);
-  return tiers;
-}
-
 std::vector<double> TierManager::extent_heats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<double> heats;

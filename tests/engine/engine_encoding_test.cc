@@ -259,7 +259,7 @@ TEST(EngineEncodingValidation, IncompatibleWithDurableMode) {
 
 // With the governor in the loop the encoded engine still answers every
 // query bit-identically, and the telemetry it feeds carries the encoded
-// (smaller) scan footprint — the governor and HybridPlacer see the bytes
+// (smaller) scan footprint — the governor's staging judges the bytes
 // that actually move.
 TEST(EngineEncodingGovernor, GovernedEncodedRunsStayBitIdentical) {
   EncodingEnv& env = EncodingEnv::Get();
@@ -278,7 +278,7 @@ TEST(EngineEncodingGovernor, GovernedEncodedRunsStayBitIdentical) {
           << ssb::QueryName(query) << " round " << round;
     }
   }
-  EXPECT_EQ(governor.quanta_observed(), 13u * 3u);
+  EXPECT_EQ(governor.decision().quantum, 13 * 3);
 }
 
 // --- Concurrency (TSan-covered in CI) ---------------------------------------

@@ -1,10 +1,13 @@
 // Governor <-> engine integration: bit-identical outputs and seconds with
 // the governor off, bit-identical OUTPUTS with it on (staging probes
 // payload-identical replicas), deterministic actuator logs across runs,
-// the shared degradation signal into admission control, and the torn
-// XPLine charge per stored column with shaping off.
+// the shared degradation signal into admission control, the torn XPLine
+// charge per stored column with shaping off, and governed runs from
+// several host threads at once.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/partitioner.h"
@@ -113,7 +116,7 @@ TEST(EngineGovernorTest, GovernedOutputsMatchReferenceForAllQueries) {
     EXPECT_GT(run->seconds, 0.0);
   }
   // The loop closed: one quantum per Execute.
-  EXPECT_EQ(governor.quanta_observed(), 13 * 3);
+  EXPECT_EQ(governor.decision().quantum, 13 * 3);
   // Under heavy ingest the governor actually actuated something.
   EXPECT_FALSE(governor.actuator_log().empty());
 }
@@ -179,17 +182,17 @@ TEST(EngineGovernorTest, StagingEvictionFallsBackBitIdentically) {
 }
 
 TEST(EngineGovernorTest, ThrottleEstimateFeedsAdmissionSignal) {
-  // The governor's throttle estimate reaches the admission controller's
-  // load signal (satellite: one shared health number). Seed the governor
-  // with a throttled telemetry sample, then Execute: the engine must
-  // publish min(injector estimate, governor estimate) = 0.3.
+  // The throttle in the governor's decision reaches the admission
+  // controller's load signal (one shared health number). Seed the
+  // governor with a throttled telemetry sample, then Execute: the engine
+  // must publish min(injector estimate, decision throttle) = 0.3.
   GovernorEngineEnv& env = GovernorEngineEnv::Get();
   governor::BandwidthGovernor governor(&env.model());
   governor::TelemetrySample throttled;
   throttled.sockets.resize(2);
   throttled.sockets[0].dimm_service_factor = 0.3;
   governor.Observe(throttled);
-  ASSERT_DOUBLE_EQ(governor.ThrottleEstimate(), 0.3);
+  ASSERT_DOUBLE_EQ(governor.decision().throttle, 0.3);
 
   qos::AdmissionController admission{qos::AdmissionLimits{}};
   EngineConfig config = BaseConfig();
@@ -247,6 +250,57 @@ TEST(EngineGovernorTest, TornBoundariesChargeOneLinePerStoredColumn) {
     EXPECT_EQ(charged, torn * kXPLineBytes * layout.stored_columns)
         << "quantum " << layout.quantum;
   }
+}
+
+// --- Concurrency (TSan-covered in CI) ---------------------------------------
+
+// Host threads share one governed pooled engine. Each Execute snapshots
+// one decision while the other threads' Observe calls commit the next, so
+// a run's actuation is never torn: every output matches the reference,
+// and the governor counts each Execute as exactly one quantum.
+TEST(EngineGovernorConcurrency, ParallelExecutesMatchReference) {
+  GovernorEngineEnv& env = GovernorEngineEnv::Get();
+  governor::BandwidthGovernor governor(&env.model());
+  EngineConfig config = BaseConfig();
+  config.threads = 4;
+  config.morsel_tuples = 4096;
+  config.governor = &governor;
+  config.background = IngestBackground();
+  SsbEngine engine(&env.db(), &env.model(), config);
+  ASSERT_TRUE(engine.Prepare().ok());
+
+  const std::vector<QueryId>& queries = ssb::AllQueries();
+  std::vector<ssb::QueryOutput> expected;
+  for (QueryId query : queries) {
+    expected.push_back(env.reference().Execute(query));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto run = engine.Execute(queries[q]);
+          if (!run.ok() || !(run->output == expected[q])) ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+
+  const int executes = kThreads * kRounds * static_cast<int>(queries.size());
+  EXPECT_EQ(governor.decision().quantum, executes);
+  int state_lines = 0;
+  for (const std::string& line : governor.actuator_log()) {
+    if (line.find(" throttle=") != std::string::npos) ++state_lines;
+  }
+  EXPECT_EQ(state_lines, executes);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // BandwidthGovernor unit tests: knee detection against the model's own
-// analytic optimum, deterministic convergence on fixed telemetry traces,
-// hysteresis behavior, and the shared health signal with admission
-// control.
+// analytic optimum, the throttle invariance that lets the knees be swept
+// once, deterministic convergence on fixed telemetry traces, hysteresis
+// behavior, and the shared health signal with admission control.
 #include "governor/governor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -98,7 +99,7 @@ TEST_F(GovernorTest, WriteKneeLandsInThePaperClampRange) {
   // Fig. 7/8: sequential PMEM writes saturate around 4 threads; the
   // paper's BP2 clamp is 4-6. The governor's write knee must agree.
   BandwidthGovernor governor(&model_);
-  BandwidthGovernor::Knee knee = governor.WriteKnee(0);
+  BandwidthGovernor::Knee knee = governor.WriteKnee();
   EXPECT_GE(knee.threads, 3);
   EXPECT_LE(knee.threads, 6);
 
@@ -110,17 +111,36 @@ TEST_F(GovernorTest, WriteKneeLandsInThePaperClampRange) {
 }
 
 TEST_F(GovernorTest, ThrottleScalesTheKneeBandwidthNotItsThreadCount) {
-  BandwidthGovernor governor(&model_);
-  BandwidthGovernor::Knee healthy = governor.ReadKnee(0, 1.0);
-  BandwidthGovernor::Knee throttled = governor.ReadKnee(0, 0.5);
-  // Thermal throttling scales the DIMM service rate — the whole
-  // sequential sweep scales uniformly, so the knee's thread count is
-  // invariant (the relative tolerance band moves with the peak) while
-  // the deliverable bandwidth halves: no point burning extra readers on
-  // a throttled socket.
-  EXPECT_EQ(throttled.threads, healthy.threads);
-  EXPECT_LT(throttled.gbps, healthy.gbps);
-  EXPECT_NEAR(throttled.gbps, 0.5 * healthy.gbps, 1e-6 * healthy.gbps);
+  // Thermal throttling scales a socket's DIMM service rate, so the whole
+  // sequential sweep scales uniformly: the knee's thread count holds (the
+  // relative tolerance band moves with the peak) while its bandwidth
+  // scales by the factor. This is why the governor sweeps its knees once,
+  // on the model it is built on, and reads only their thread counts: if a
+  // calibration change ever lets a throttle move a knee, this fails and
+  // the knees must follow the sampled throttle again.
+  const BandwidthGovernor healthy(&model_);
+  const int sockets = model_.config().topology.sockets();
+  auto clamped = [](const BandwidthGovernor::Knee& knee) {
+    return std::clamp(knee.threads, kMinWriteThreads, kMaxWriteThreads);
+  };
+  for (int step = 1; step <= 100; ++step) {
+    const double factor = step / 100.0;
+    for (int socket = 0; socket < sockets; ++socket) {
+      MemSystemConfig config = model_.config();
+      config.pmem_service_factor.assign(static_cast<size_t>(sockets), 1.0);
+      config.pmem_service_factor[static_cast<size_t>(socket)] = factor;
+      const MemSystemModel throttled_model(config);
+      const BandwidthGovernor throttled(&throttled_model);
+      const BandwidthGovernor::Knee base = healthy.ReadKnee(socket);
+      const BandwidthGovernor::Knee knee = throttled.ReadKnee(socket);
+      EXPECT_EQ(knee.threads, base.threads)
+          << "factor " << factor << " socket " << socket;
+      EXPECT_EQ(clamped(throttled.WriteKnee()), clamped(healthy.WriteKnee()))
+          << "factor " << factor << " socket " << socket;
+      EXPECT_NEAR(knee.gbps, factor * base.gbps, 1e-6 * factor * base.gbps)
+          << "factor " << factor << " socket " << socket;
+    }
+  }
 }
 
 /// A synthetic quantum: per-socket write pressure plus one expensive PMEM
@@ -276,14 +296,14 @@ TEST_F(GovernorTest, CommitLandsExactlyAfterHysteresisQuanta) {
 
 TEST_F(GovernorTest, ThrottleEstimateIsTheSharedAdmissionSignal) {
   BandwidthGovernor governor(&model_);
-  EXPECT_DOUBLE_EQ(governor.ThrottleEstimate(), 1.0);  // before any sample
+  EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);  // before any sample
   governor.Observe(PressuredSample(0.5, /*dimm_factor=*/0.25,
                                    /*upi_factor=*/0.6));
   // Same reduction as qos::DegradationEstimate: min of the factors.
-  EXPECT_DOUBLE_EQ(governor.ThrottleEstimate(),
+  EXPECT_DOUBLE_EQ(governor.decision().throttle,
                    qos::DegradationEstimate(0.25, 0.6));
   governor.Observe(PressuredSample(0.5, 1.0, 1.0));
-  EXPECT_DOUBLE_EQ(governor.ThrottleEstimate(), 1.0);
+  EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);
 }
 
 TEST_F(GovernorTest, AblationSwitchesDisableActuators) {

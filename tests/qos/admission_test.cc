@@ -495,7 +495,7 @@ TEST(AdmissionTest, DegradationEstimateTracksThrottlesAndUpi) {
 
 TEST(AdmissionTest, PureDegradationEstimateIsTheSharedSignal) {
   // The factor form: min of the two reductions, clamped to [0, 1]. This
-  // is the signal the bandwidth governor's ThrottleEstimate publishes, so
+  // is the throttle the bandwidth governor's decision carries, so
   // shedding and governance act on one health number.
   EXPECT_DOUBLE_EQ(DegradationEstimate(1.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(DegradationEstimate(0.25, 1.0), 0.25);

@@ -67,7 +67,7 @@ TEST(TierManagerTest, InitialPlacementIsStaticAddressOrderFill) {
   // overflow on SSD, DRAM empty until promotion earns it.
   TierManager manager(&Model(), SmallConfig());
   ASSERT_TRUE(manager.Attach(kTuples, kRow).ok());
-  std::vector<Tier> tiers = manager.extent_tiers();
+  std::vector<Tier> tiers = manager.snapshot().tiers();
   ASSERT_EQ(tiers.size(), 10u);
   for (size_t e = 0; e < 5; ++e) EXPECT_EQ(tiers[e], Tier::kPmemTier) << e;
   for (size_t e = 5; e < 10; ++e) EXPECT_EQ(tiers[e], Tier::kSsdTier) << e;
@@ -108,13 +108,13 @@ TEST(TierManagerTest, HotSsdExtentPromotesAfterHysteresis) {
   ASSERT_TRUE(manager.Attach(kTuples, kRow).ok());
   TouchExtent(&manager, 7);
   manager.Advance();  // desired dram, streak 1: no move yet
-  EXPECT_EQ(manager.extent_tiers()[7], Tier::kSsdTier);
+  EXPECT_EQ(manager.snapshot().tiers()[7], Tier::kSsdTier);
   TouchExtent(&manager, 7);
   manager.Advance();  // streak 2 = hysteresis_quanta: commits
-  EXPECT_EQ(manager.extent_tiers()[7], Tier::kDramTier);
+  EXPECT_EQ(manager.snapshot().tiers()[7], Tier::kDramTier);
   EXPECT_TRUE(LogContains(manager, "migrate e7 ssd->dram"));
   // The rest of the placement did not churn.
-  std::vector<Tier> tiers = manager.extent_tiers();
+  std::vector<Tier> tiers = manager.snapshot().tiers();
   for (size_t e = 0; e < 5; ++e) EXPECT_EQ(tiers[e], Tier::kPmemTier) << e;
 }
 
@@ -131,7 +131,7 @@ TEST(TierManagerTest, AlternatingHotSetNeverFlaps) {
     manager.Advance();
   }
   EXPECT_FALSE(LogContains(manager, "migrate e"));
-  std::vector<Tier> tiers = manager.extent_tiers();
+  std::vector<Tier> tiers = manager.snapshot().tiers();
   for (const Tier tier : tiers) EXPECT_EQ(tier, Tier::kPmemTier);
 }
 
@@ -147,7 +147,7 @@ TEST(TierManagerTest, IncumbentBonusRetainsMarginallyColderResident) {
     TouchExtent(&manager, 5, 4);
     manager.Advance();
   }
-  ASSERT_EQ(manager.extent_tiers()[5], Tier::kDramTier);
+  ASSERT_EQ(manager.snapshot().tiers()[5], Tier::kDramTier);
   // Keep 5 warm while 6 runs marginally hotter — but not by the bonus.
   for (int q = 0; q < 6; ++q) {
     TouchExtent(&manager, 5, 4);
@@ -155,8 +155,8 @@ TEST(TierManagerTest, IncumbentBonusRetainsMarginallyColderResident) {
     manager.Touch(6 * kExtent, 6 * kExtent + 8);  // +8 tuples: ~6% hotter
     manager.Advance();
   }
-  EXPECT_EQ(manager.extent_tiers()[5], Tier::kDramTier);
-  EXPECT_NE(manager.extent_tiers()[6], Tier::kDramTier);
+  EXPECT_EQ(manager.snapshot().tiers()[5], Tier::kDramTier);
+  EXPECT_NE(manager.snapshot().tiers()[6], Tier::kDramTier);
 }
 
 TEST(TierManagerTest, MigrationBudgetDefersButEventuallyCommits) {
@@ -172,13 +172,13 @@ TEST(TierManagerTest, MigrationBudgetDefersButEventuallyCommits) {
   }
   // Both passed hysteresis at q2 but the budget admits one: the tie
   // breaks to the lower id.
-  std::vector<Tier> tiers = manager.extent_tiers();
+  std::vector<Tier> tiers = manager.snapshot().tiers();
   EXPECT_EQ(tiers[6], Tier::kDramTier);
   EXPECT_EQ(tiers[7], Tier::kSsdTier);
   TouchExtent(&manager, 6, 2);
   TouchExtent(&manager, 7, 2);
   manager.Advance();  // the deferred move kept its streak
-  EXPECT_EQ(manager.extent_tiers()[7], Tier::kDramTier);
+  EXPECT_EQ(manager.snapshot().tiers()[7], Tier::kDramTier);
 }
 
 TEST(TierManagerTest, BudgetsAreNeverExceeded) {
@@ -190,7 +190,8 @@ TEST(TierManagerTest, BudgetsAreNeverExceeded) {
     manager.Advance();
     uint64_t dram = 0;
     uint64_t pmem = 0;
-    for (const Tier tier : manager.extent_tiers()) {
+    const TieringSnapshot snapshot = manager.snapshot();
+    for (const Tier tier : snapshot.tiers()) {
       if (tier == Tier::kDramTier) dram += kExtentBytes;
       if (tier == Tier::kPmemTier) pmem += kExtentBytes;
     }
@@ -204,12 +205,12 @@ TEST(TierManagerTest, StaticPolicyNeverMigrates) {
   config.policy = TierPolicy::kStatic;
   TierManager manager(&Model(), config);
   ASSERT_TRUE(manager.Attach(kTuples, kRow).ok());
-  std::vector<Tier> before = manager.extent_tiers();
+  std::vector<Tier> before = manager.snapshot().tiers();
   for (int q = 0; q < 5; ++q) {
     TouchExtent(&manager, 9, 8);
     manager.Advance();
   }
-  EXPECT_EQ(manager.extent_tiers(), before);
+  EXPECT_EQ(manager.snapshot().tiers(), before);
   EXPECT_FALSE(LogContains(manager, "migrate e"));
   EXPECT_TRUE(manager.standing_traffic().empty());
   EXPECT_EQ(manager.quanta_observed(), 5);
@@ -224,11 +225,11 @@ TEST(TierManagerTest, LruCommitsImmediatelyAndColdScanEvicts) {
   ASSERT_TRUE(manager.Attach(kTuples, kRow).ok());
   TouchExtent(&manager, 7, 8);
   manager.Advance();  // promotes in ONE quantum
-  EXPECT_EQ(manager.extent_tiers()[7], Tier::kDramTier);
+  EXPECT_EQ(manager.snapshot().tiers()[7], Tier::kDramTier);
   TouchExtent(&manager, 9);  // a single cold touch...
   manager.Advance();
-  EXPECT_EQ(manager.extent_tiers()[9], Tier::kDramTier);  // ...pollutes
-  EXPECT_NE(manager.extent_tiers()[7], Tier::kDramTier);
+  EXPECT_EQ(manager.snapshot().tiers()[9], Tier::kDramTier);  // ...pollutes
+  EXPECT_NE(manager.snapshot().tiers()[7], Tier::kDramTier);
 }
 
 TEST(TierManagerTest, MigrationTrafficIsPricedBetweenTierMedia) {

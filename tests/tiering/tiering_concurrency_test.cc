@@ -70,7 +70,8 @@ TEST(TieringConcurrency, TouchVsAdvance) {
   EXPECT_EQ(manager.quanta_observed(), 200);
   uint64_t dram = 0;
   uint64_t pmem = 0;
-  for (const Tier tier : manager.extent_tiers()) {
+  const TieringSnapshot snapshot = manager.snapshot();
+  for (const Tier tier : snapshot.tiers()) {
     if (tier == Tier::kDramTier) dram += kExtent * kRow;
     if (tier == Tier::kPmemTier) pmem += kExtent * kRow;
   }
