@@ -447,14 +447,11 @@ void SsbEngine::RecordSocketTraffic(
   }
 }
 
-Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
+Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, int socket,
                                    const TupleRange& range,
                                    uint64_t snapshot_epoch, WorkerState* state,
                                    const CancelCheck& cancel) const {
-  if (state->counters.size() < partitions_.size()) {
-    state->counters.resize(partitions_.size());
-  }
-  KernelCounters* counters = &state->counters[slot];
+  KernelCounters* counters = &state->counters[static_cast<size_t>(socket)];
   KernelContext ctx;
   ctx.columns = &columns_;
   // Decode-on-scan: with encoding on, the kernels run range filters on
@@ -468,13 +465,13 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   ctx.customer = &dim(ssb::Dim::kCustomer).dense;
   ctx.supplier = &dim(ssb::Dim::kSupplier).dense;
   ctx.part = &dim(ssb::Dim::kPart).dense;
-  // Fault mode reads payloads from the replicas near the slot's socket.
+  // Fault mode reads payloads from the replicas near the range's socket.
   GuardedDims guarded;
   if (guarded_fact_ != nullptr) {
     for (size_t d = 0; d < dims_.size(); ++d) {
       guarded.dims[d] = dims_[d].guarded.get();
     }
-    guarded.socket = partitions_[slot].socket;
+    guarded.socket = socket;
     ctx.guarded = &guarded;
   }
   if (guarded_fact_ == nullptr && config_.durable == nullptr) {
@@ -598,9 +595,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       config_.fault != nullptr ? config_.fault->injector : nullptr;
 
   // Snapshot the governor's decision once per Execute: every consumer in
-  // this run (admission signal, pool worker caps, morsel shaping, staged
-  // probes, write clamps, traffic records) acts on the same quantum, so a
-  // concurrent Observe can never tear a run's actuation.
+  // this run (admission signal, staged probes, write clamps, traffic
+  // records) acts on the same quantum, so a concurrent Observe can never
+  // tear a run's actuation.
   const bool governed = config_.governor != nullptr;
   governor::GovernorDecision decision;
   if (governed) decision = config_.governor->decision();
@@ -680,7 +677,10 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     return TupleRange{std::clamp(range.begin, window_begin, window_end),
                       std::clamp(range.end, window_begin, window_end)};
   };
-  const size_t slots = partitions_.size();
+  // Partition i is socket i's share (Partitioner::Partition; a
+  // single-socket engine builds socket 0 only), so a morsel's socket
+  // indexes the per-socket counters directly.
+  const size_t sockets = partitions_.size();
   // The same token the pool polls between morsels also cuts guarded
   // retry storms short: FaultAwareReader checks it between attempts, so a
   // fired deadline stops charging backoff mid-read.
@@ -733,25 +733,16 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   if (config_.fault != nullptr && config_.fault->breakers != nullptr) {
     // Quarantined fault domains don't get "near" work: their queued
     // morsels move to healthy queues (Morsel::socket — and with it the
-    // partition slot and result identity — is preserved).
+    // counters it folds into and result identity — is preserved).
     ReassignQuarantinedQueues(&plan,
                               config_.fault->breakers->HealthySockets());
   }
-  std::vector<size_t> slot_of_socket(plan.queues.size(), 0);
-  for (size_t slot = 0; slot < slots; ++slot) {
-    const size_t socket = static_cast<size_t>(partitions_[slot].socket);
-    if (socket < slot_of_socket.size()) slot_of_socket[socket] = slot;
-  }
   std::vector<WorkerState> states(
       static_cast<size_t>(std::max(1, pool_->threads())));
+  for (WorkerState& state : states) state.counters.resize(sockets);
   progress.units_total = plan.total_morsels();
   WorkStealingPool::RunControl control;
   control.cancel = cancel_check;
-  if (governed && !decision.read_workers.empty()) {
-    // Reader concurrency actuator: cap each socket queue at the
-    // governor's modeled bandwidth knee.
-    control.workers_per_queue = decision.read_workers;
-  }
   WorkStealingPool::Stats stats;
   control.stats = &stats;
   Status pool_status = pool_->RunWithControl(
@@ -762,10 +753,10 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
           // schedule folds to the same quantum heat.
           config_.tiering->Touch(morsel.begin, morsel.end);
         }
-        return ExecuteRangeInto(
-            query, slot_of_socket[static_cast<size_t>(morsel.socket)],
-            {morsel.begin, morsel.end}, snapshot_epoch,
-            &states[static_cast<size_t>(worker)], cancel_check);
+        return ExecuteRangeInto(query, morsel.socket,
+                                {morsel.begin, morsel.end}, snapshot_epoch,
+                                &states[static_cast<size_t>(worker)],
+                                cancel_check);
       },
       control);
   progress.units_executed = stats.executed;
@@ -776,13 +767,13 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   PMEMOLAP_RETURN_NOT_OK(pool_status);
 
   // Fold worker states: outputs merge commutatively; probe/qualifying
-  // counts roll up per partition slot for the traffic records.
-  std::vector<KernelCounters> slot_counts(slots);
+  // counts roll up per socket for the traffic records.
+  std::vector<KernelCounters> socket_counts(sockets);
   std::vector<ssb::QueryOutput> partials;
   partials.reserve(states.size());
   for (WorkerState& state : states) {
-    for (size_t slot = 0; slot < state.counters.size(); ++slot) {
-      slot_counts[slot] += state.counters[slot];
+    for (size_t socket = 0; socket < sockets; ++socket) {
+      socket_counts[socket] += state.counters[socket];
     }
     partials.push_back(DrainWorkerOutput(&state));
   }
@@ -792,10 +783,10 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
 
   ExecutionProfile priced;
   const Traffic traffic{&run.profile, &priced};
-  for (size_t slot = 0; slot < slots; ++slot) {
-    const SocketPartition& partition = partitions_[slot];
+  for (const SocketPartition& partition : partitions_) {
     const TupleRange scanned = clamp_range(partition.tuples);
-    const KernelCounters& counts = slot_counts[slot];
+    const KernelCounters& counts =
+        socket_counts[static_cast<size_t>(partition.socket)];
     RecordSocketTraffic(query, partition.socket, scanned, counts,
                         threads_per_socket, decision_ptr, tiers_ptr,
                         traffic);

@@ -130,9 +130,9 @@ struct EngineConfig {
   /// engine.
   qos::AdmissionController* admission = nullptr;
   /// Non-null enables the closed-loop bandwidth governor: every Execute
-  /// applies its current actuator decision (per-socket pool worker caps,
-  /// writer-thread clamps on write traffic, 256 B XPLine morsel shaping,
-  /// DRAM-staged dimension probes) and feeds one telemetry sample back.
+  /// applies its current actuator decision (writer-thread clamps on write
+  /// traffic, 256 B XPLine morsel shaping, DRAM-staged dimension probes)
+  /// and feeds one telemetry sample back.
   /// Null = today's fixed behavior, bit-identical modeled seconds. Must
   /// outlive the engine.
   governor::BandwidthGovernor* governor = nullptr;
@@ -236,23 +236,24 @@ class SsbEngine {
 
   /// Accumulator of one host worker. A worker may execute morsels of
   /// several sockets (stealing), so probe/qualifying counts are kept per
-  /// partition slot — the per-socket traffic records stay deterministic
-  /// under any steal schedule.
+  /// socket — the per-socket traffic records stay deterministic under any
+  /// steal schedule.
   struct WorkerState {
     AggTable groups;         ///< grouped sums
     int64_t scalar_sum = 0;  ///< a scalar plan's sum
     bool scalar = false;
-    std::vector<KernelCounters> counters;  ///< per partition slot
+    /// Per socket, sized once per query to the partition count.
+    std::vector<KernelCounters> counters;
     KernelScratch scratch;
     /// One block of fact rows read from the row image (durable, fault).
     std::vector<ssb::LineorderRow> rows;
   };
 
-  /// Executes tuples [range) of partition slot `slot` into `state`
+  /// Executes tuples [range) of `socket`'s partition into `state`
   /// through the kernels. Durable and fault modes read the range from the
   /// row image in blocks of at most kRowBlockTuples; the first failed
   /// fact or dimension read becomes the returned Status.
-  Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
+  Status ExecuteRangeInto(ssb::QueryId query, int socket,
                           const TupleRange& range, uint64_t snapshot_epoch,
                           WorkerState* state,
                           const CancelCheck& cancel = CancelCheck()) const;

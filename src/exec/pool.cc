@@ -75,28 +75,6 @@ bool WorkStealingPool::PopMorsel(int worker, Morsel* morsel, bool* steal) {
   return true;
 }
 
-bool WorkStealingPool::Participates(int worker) const {
-  if (queue_caps_.empty()) return true;
-  size_t num_queues = run_queues_.size();
-  size_t home = static_cast<size_t>(worker) % num_queues;
-  if (home >= queue_caps_.size()) return true;
-  int cap = queue_caps_[home];
-  if (cap <= 0) return true;
-  int rank = static_cast<int>(static_cast<size_t>(worker) / num_queues);
-  return rank < cap;
-}
-
-void WorkStealingPool::ApplyQueueCapsLocked(std::vector<int> caps) {
-  queue_caps_ = std::move(caps);
-  if (queue_caps_.empty()) return;
-  for (int w = 0; w < threads(); ++w) {
-    if (Participates(w)) return;
-  }
-  // The caps would exclude every worker and deadlock the run: ignore them
-  // (degraded beats deadlocked, like the quarantine re-plan).
-  queue_caps_.clear();
-}
-
 void WorkStealingPool::WorkerLoop(int worker) {
   uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mutex_);
@@ -106,13 +84,9 @@ void WorkStealingPool::WorkerLoop(int worker) {
     });
     if (stop_) return;
     seen_generation = generation_;
-    if (!Participates(worker)) continue;
     Morsel morsel;
     bool steal = false;
-    // The generation check keeps a worker that raced past the end of one
-    // run from popping the next run's morsels under a stale worker cap.
-    while (generation_ == seen_generation && !stop_ &&
-           PopMorsel(worker, &morsel, &steal)) {
+    while (!stop_ && PopMorsel(worker, &morsel, &steal)) {
       if (cancelled_) {
         // A prior morsel failed or the run was cancelled: drain without
         // executing.
@@ -186,7 +160,6 @@ Status WorkStealingPool::RunWithControl(const MorselPlan& plan,
   cancelled_ = false;
   run_status_ = Status::OK();
   stats_ = Stats{};
-  ApplyQueueCapsLocked(control.workers_per_queue);
   ++generation_;
   work_cv_.notify_all();
   done_cv_.wait(lock, [&] { return pending_ == 0; });

@@ -43,8 +43,8 @@ class WorkStealingPool {
   /// Spawns max(0, threads) persistent workers serving max(1, queues) run
   /// queues. Worker w's home queue is w % queues. A zero-thread pool
   /// runs each plan inline on the calling thread as worker 0, queue by
-  /// queue and each front to back, with no worker caps, steals or run
-  /// serialization; its inflight_runs() stays 0.
+  /// queue and each front to back, with no steals or run serialization;
+  /// its inflight_runs() stays 0.
   WorkStealingPool(int threads, int queues);
   /// Joins all workers.
   ~WorkStealingPool();
@@ -61,14 +61,6 @@ class WorkStealingPool {
 
   /// Per-run controls for RunWithControl.
   struct RunControl {
-    /// Per-queue cap on participating workers whose HOME queue is the
-    /// index (the bandwidth governor's per-socket concurrency actuator,
-    /// installed afresh by every run). Worker w's home queue is
-    /// w % queues and its rank is w / queues; w participates iff
-    /// rank < cap. A cap of 0 or a missing entry leaves that queue's
-    /// workers uncapped; an empty vector caps nothing. Caps that would
-    /// exclude EVERY worker are ignored (degraded beats deadlocked).
-    std::vector<int> workers_per_queue;
     /// Cooperative cancellation: checked between morsels (never while a
     /// task is executing). The first non-OK Status cancels the run — the
     /// remaining morsels drain unexecuted and the Status is returned.
@@ -79,8 +71,8 @@ class WorkStealingPool {
     Stats* stats = nullptr;
   };
 
-  /// Executes every morsel of `plan` on the pool under `control`'s worker
-  /// caps and between-morsel cancel hook (deadlines, external aborts),
+  /// Executes every morsel of `plan` on every pool worker under
+  /// `control`'s between-morsel cancel hook (deadlines, external aborts),
   /// and blocks until done. Returns the first failure Status; on failure
   /// the remaining morsels are dropped (drained without executing).
   /// Thread-safe: concurrent runs serialize on a threaded pool and run
@@ -105,12 +97,6 @@ class WorkStealingPool {
   /// fullest other queue's back). Caller holds mutex_. Returns false when
   /// every queue is empty.
   bool PopMorsel(int worker, Morsel* morsel, bool* steal);
-  /// True when `worker` may pop under the active run's caps. Caller holds
-  /// mutex_.
-  bool Participates(int worker) const;
-  /// Installs `caps` as queue_caps_, clearing them when they would leave
-  /// the run without any eligible worker. Caller holds mutex_.
-  void ApplyQueueCapsLocked(std::vector<int> caps);
 
   const int queues_;
   std::vector<std::thread> workers_;
@@ -127,8 +113,6 @@ class WorkStealingPool {
   std::vector<std::deque<Morsel>> run_queues_;
   const MorselTask* task_ = nullptr;
   const std::function<Status()>* cancel_ = nullptr;
-  /// Per-home-queue worker caps (empty = uncapped); see RunControl.
-  std::vector<int> queue_caps_;
   uint64_t pending_ = 0;  ///< morsels not yet fully executed
   bool cancelled_ = false;
   Status run_status_;

@@ -11,16 +11,6 @@ namespace pmemolap {
 namespace governor {
 namespace {
 
-std::string JoinInts(const std::vector<int>& values) {
-  if (values.empty()) return "-";
-  std::string joined;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) joined += ',';
-    joined += std::to_string(values[i]);
-  }
-  return joined;
-}
-
 std::string JoinNames(const std::vector<std::string>& names) {
   if (names.empty()) return "-";
   std::string joined;
@@ -31,46 +21,30 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return joined;
 }
 
-}  // namespace
-
-bool GovernorDecision::IsStaged(const std::string& name) const {
-  return std::find(staged.begin(), staged.end(), name) != staged.end();
-}
-
-BandwidthGovernor::BandwidthGovernor(const MemSystemModel* model,
-                                     GovernorConfig config)
-    : model_(model), config_(config) {
-  const int sockets = std::max(model_->config().topology.sockets(), 1);
-  for (int socket = 0; socket < sockets; ++socket) {
-    read_knees_.push_back(FindKnee(OpType::kRead, socket));
-  }
-  write_knee_ = FindKnee(OpType::kWrite, 0);
-}
-
-BandwidthGovernor::Knee BandwidthGovernor::FindKnee(OpType op,
-                                                    int socket) const {
-  const WorkloadRunner runner(model_);
-  // The runner's Fig. 3/7 point: 4 KiB individual PMEM access by threads
-  // pinned to the data socket's cores, directory warm.
+/// The smallest thread count within kKneeTolerance of the peak of the
+/// runner's Fig. 7 point: 4 KiB individual PMEM writes by threads pinned
+/// to socket 0's cores, directory warm.
+BandwidthGovernor::Knee FindWriteKnee(const MemSystemModel& model) {
+  const WorkloadRunner runner(&model);
   RunOptions options;
   options.pinning = PinningPolicy::kCores;
-  options.data_socket = socket;
+  options.data_socket = 0;
   options.run_index = 2;
 
   int max_threads =
-      std::max(model_->config().topology.logical_cores_per_socket(), 1);
+      std::max(model.config().topology.logical_cores_per_socket(), 1);
   std::vector<double> sweep(static_cast<size_t>(max_threads) + 1, 0.0);
   double peak = 0.0;
   for (int threads = 1; threads <= max_threads; ++threads) {
     Result<GigabytesPerSecond> gbps =
-        runner.Bandwidth(op, Pattern::kSequentialIndividual, Media::kPmem,
-                         4 * kKiB, threads, options);
+        runner.Bandwidth(OpType::kWrite, Pattern::kSequentialIndividual,
+                         Media::kPmem, 4 * kKiB, threads, options);
     if (!gbps.ok()) continue;
     sweep[static_cast<size_t>(threads)] = gbps.value();
     peak = std::max(peak, gbps.value());
   }
 
-  Knee knee;
+  BandwidthGovernor::Knee knee;
   for (int threads = 1; threads <= max_threads; ++threads) {
     double gbps = sweep[static_cast<size_t>(threads)];
     if (peak > 0.0 && gbps >= (1.0 - kKneeTolerance) * peak) {
@@ -84,14 +58,15 @@ BandwidthGovernor::Knee BandwidthGovernor::FindKnee(OpType op,
   return knee;
 }
 
-BandwidthGovernor::Knee BandwidthGovernor::ReadKnee(int socket) const {
-  const int last = static_cast<int>(read_knees_.size()) - 1;
-  return read_knees_[static_cast<size_t>(std::clamp(socket, 0, last))];
+}  // namespace
+
+bool GovernorDecision::IsStaged(const std::string& name) const {
+  return std::find(staged.begin(), staged.end(), name) != staged.end();
 }
 
-BandwidthGovernor::Knee BandwidthGovernor::WriteKnee() const {
-  return write_knee_;
-}
+BandwidthGovernor::BandwidthGovernor(const MemSystemModel* model,
+                                     GovernorConfig config)
+    : model_(model), config_(config), write_knee_(FindWriteKnee(*model)) {}
 
 std::string BandwidthGovernor::StageName(const std::string& label) {
   constexpr const char kProbePrefix[] = "probe-";
@@ -174,21 +149,9 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
   decision_.throttle = std::min(1.0, std::max(0.0, worst));
 
-  size_t sockets = sample.sockets.size();
-  if (decision_.read_workers.size() != sockets) {
-    decision_.read_workers.assign(sockets, 0);
-    readers_.Reset();
-  }
-
   // Targets for this quantum.
   const int write_target =
       std::clamp(WriteKnee().threads, kMinWriteThreads, kMaxWriteThreads);
-  std::vector<int> read_target(sockets, 0);
-  for (size_t s = 0; s < sockets; ++s) {
-    if (sample.sockets[s].write_occupancy > kWritePressureFloor) {
-      read_target[s] = ReadKnee(static_cast<int>(s)).threads;
-    }
-  }
   uint64_t stage_bytes = 0;
   const std::vector<std::string> stage_names =
       StageTargets(sample, &stage_bytes);
@@ -206,16 +169,6 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
     writers_.Reset();
   }
 
-  if (readers_.Ready(decision_.read_workers, read_target,
-                     kHysteresisQuanta)) {
-    std::snprintf(line, sizeof(line), "q=%d commit readers %s->%s", quantum,
-                  JoinInts(decision_.read_workers).c_str(),
-                  JoinInts(read_target).c_str());
-    log_.push_back(line);
-    decision_.read_workers = read_target;
-    readers_.Reset();
-  }
-
   if (staged_.Ready(decision_.staged, stage_names, kHysteresisQuanta)) {
     std::snprintf(line, sizeof(line), "q=%d commit staged %s->%s", quantum,
                   JoinNames(decision_.staged).c_str(),
@@ -226,14 +179,6 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   }
   // The committed set's footprint follows this quantum's sizes.
   if (stage_names == decision_.staged) decision_.staged_bytes = stage_bytes;
-
-  std::snprintf(line, sizeof(line),
-                "q=%d throttle=%.3f writers=%d readers=%s staged=%s shape=%d",
-                quantum, decision_.throttle, decision_.write_threads,
-                JoinInts(decision_.read_workers).c_str(),
-                JoinNames(decision_.staged).c_str(),
-                config_.shape_morsels ? 1 : 0);
-  log_.push_back(line);
 }
 
 GovernorDecision BandwidthGovernor::decision() const {

@@ -2,24 +2,26 @@
 // static best practices (§7) into runtime policy. Each scheduling quantum
 // it ingests one TelemetrySample and drives three actuators:
 //
-//   1. Concurrency: readers scale up to the modeled bandwidth knee
-//      (Fig. 3: sequential PMEM reads saturate the socket at ~15 threads),
-//      writers clamp to the paper's 4-6 per socket (Fig. 7/8, BP2).
+//   1. Writer clamp: PMEM writers clamp to the modeled write knee within
+//      the paper's 4-6 per socket (Fig. 7/8, BP2).
 //   2. Morsel shaping: morsel byte ranges align to the 256 B XPLine so the
 //      device model's read amplification on torn lines disappears (§3.1).
 //   3. DRAM staging: hot randomly-probed structures whose modeled benefit
 //      clears kStagingMinBenefitSeconds are promoted to DRAM, evicted when
 //      the benefit fades — the runtime form of the hybrid placement plan.
 //
-// The knees, the writer window and the hysteresis are platform facts: the
-// knees are swept once, at construction, on the governor's own model (a
-// DIMM throttle scales a knee's GB/s but never moves its thread count,
-// which is all Observe reads), and the rest are constants below;
-// GovernorConfig holds only the two ablation switches. All decisions apply
-// hysteresis (a new target must persist for kHysteresisQuanta consecutive
-// quanta before actuation) so the controller converges deterministically
-// instead of oscillating: same telemetry trace in, byte-identical actuator
-// log out.
+// Readers are never capped: the model's read bandwidth is monotone in
+// threads (Fig. 3), so a reader cap could only idle host workers.
+//
+// The write knee, the writer window and the hysteresis are platform facts:
+// the knee is swept once, at construction, on the governor's own model (a
+// DIMM throttle scales the sweep's plateau and may pull the raw knee down
+// a thread, but never moves its BP2-clamped count, which is all Observe
+// reads), and the rest are constants below; GovernorConfig holds only the
+// two ablation switches. All decisions apply hysteresis (a new target must
+// persist for kHysteresisQuanta consecutive quanta before actuation) so
+// the controller converges deterministically instead of oscillating: same
+// telemetry trace in, byte-identical actuator log out.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +44,13 @@ inline constexpr int kMaxWriteThreads = 6;
 inline constexpr double kKneeTolerance = 0.02;
 /// Consecutive quanta a changed target must persist before actuation.
 inline constexpr int kHysteresisQuanta = 2;
-/// Write-side demand occupancy above which readers are clamped to the
-/// knee (pure-read workloads stay uncapped: more readers only help).
-inline constexpr double kWritePressureFloor = 0.05;
 /// Minimum modeled seconds per quantum a candidate must save to be worth
 /// staging. Every candidate above it stages: the TierManager's budgets are
 /// the one configurable DRAM budget.
 inline constexpr double kStagingMinBenefitSeconds = 1e-6;
 
-/// Actuator switches for ablation; both on by default. Concurrency always
-/// adapts.
+/// Actuator switches for ablation; both on by default. The writer clamp
+/// always adapts.
 struct GovernorConfig {
   bool shape_morsels = true;
   bool stage_structures = true;
@@ -65,8 +64,6 @@ struct GovernorDecision {
   /// UPI capacity), in [0,1]; 1.0 before any sample. The same reduction
   /// as qos::DegradationEstimate, so the engine sheds admission on it.
   double throttle = 1.0;
-  /// Per-socket cap on concurrently popping workers; 0 = uncapped.
-  std::vector<int> read_workers;
   /// Writer-thread clamp per socket (paper BP2).
   int write_threads = kMaxWriteThreads;
   /// Names of structures currently staged in DRAM, sorted.
@@ -78,8 +75,8 @@ struct GovernorDecision {
 
 class BandwidthGovernor {
  public:
-  /// Sweeps the read knee of every socket and the write knee of socket 0
-  /// on `model`, which must outlive the governor.
+  /// Sweeps the write knee of socket 0 on `model`, which must outlive the
+  /// governor.
   explicit BandwidthGovernor(const MemSystemModel* model,
                              GovernorConfig config = GovernorConfig());
 
@@ -91,13 +88,11 @@ class BandwidthGovernor {
     int threads = 1;
     double gbps = 0.0;
   };
-  /// The read knee of the runner's Fig. 3 sweep
-  /// (`WorkloadRunner::Bandwidth`: 4 KiB individual PMEM reads, threads
-  /// pinned to `socket`'s cores, directory warm) on the model as built.
-  Knee ReadKnee(int socket) const;
-  /// The write knee of the same sweep with writes on socket 0, Fig. 7
+  /// The write knee of the runner's Fig. 7 sweep
+  /// (`WorkloadRunner::Bandwidth`: 4 KiB individual PMEM writes, threads
+  /// pinned to socket 0's cores, directory warm) on the model as built
   /// (~4 threads).
-  Knee WriteKnee() const;
+  Knee WriteKnee() const { return write_knee_; }
 
   /// One scheduling quantum: ingest a sample, update hysteresis state,
   /// commit actuator targets that persisted long enough.
@@ -106,12 +101,10 @@ class BandwidthGovernor {
   /// Snapshot of the current actuator targets.
   GovernorDecision decision() const;
 
-  /// Deterministic, append-only record of every quantum and actuation.
+  /// Deterministic, append-only record of every committed actuation.
   std::vector<std::string> actuator_log() const;
 
  private:
-  Knee FindKnee(OpType op, int socket) const;
-
   /// Maps a traffic label to a stageable structure name ("probe-part" ->
   /// "part", "aggregate"/"intermediate" -> "intermediates"); empty if the
   /// class is not a staging candidate.
@@ -125,14 +118,12 @@ class BandwidthGovernor {
 
   const MemSystemModel* model_;
   GovernorConfig config_;
-  std::vector<Knee> read_knees_;  // per socket
-  Knee write_knee_;
+  const Knee write_knee_;
 
   mutable std::mutex mutex_;
   GovernorDecision decision_;
   // Hysteresis per actuator; the committed targets live in decision_.
   Debounce<int> writers_;
-  Debounce<std::vector<int>> readers_;
   Debounce<std::vector<std::string>> staged_;
   std::vector<std::string> log_;
 };

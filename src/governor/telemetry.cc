@@ -45,26 +45,10 @@ TelemetrySample BuildTelemetry(const MemSystemModel& model,
   add(background, true);
   if (spec.classes.empty()) return sample;
 
-  BandwidthResult result = model.EvaluateOnce(spec);
-  sample.upi_utilization = result.upi_utilization;
+  const BandwidthResult result = model.EvaluateOnce(spec);
   for (size_t i = 0; i < origins.size(); ++i) {
-    const TrafficRecord& record = *origins[i].record;
-    const ClassBandwidth& diag = result.per_class[i];
-    sample.classes.push_back({record, diag.gbps, origins[i].background});
-
-    if (record.media != Media::kPmem) continue;
-    if (record.data_socket < 0 || record.data_socket >= sockets) continue;
-    SocketTelemetry& socket =
-        sample.sockets[static_cast<size_t>(record.data_socket)];
-    double demand = std::min(diag.issue_bound_gbps, diag.device_bound_gbps);
-    double occupancy = diag.device_bound_gbps > 0.0
-                           ? demand / diag.device_bound_gbps
-                           : 0.0;
-    if (record.op == OpType::kRead) {
-      socket.read_occupancy += occupancy;
-    } else {
-      socket.write_occupancy += occupancy;
-    }
+    sample.classes.push_back({*origins[i].record, result.per_class[i].gbps,
+                              origins[i].background});
   }
   return sample;
 }

@@ -3,10 +3,9 @@
 // One TelemetrySample is the governor's view of a scheduling quantum: the
 // query's recorded traffic and any standing background traffic (e.g. an
 // ingest load) evaluated JOINTLY through the MemSystemModel, reduced to
-// per-socket RPQ/WPQ demand occupancies, per-class effective bandwidths,
-// UPI utilization, and the fault layer's per-DIMM throttle state. It is
-// the modeled stand-in for the iMC performance counters a real governor
-// would sample.
+// per-class effective bandwidths, plus the fault layer's per-DIMM throttle
+// and UPI capacity state. It is the modeled stand-in for the iMC
+// performance counters a real governor would sample.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +29,8 @@ struct ClassTelemetry {
   bool background = false;
 };
 
-/// Modeled read/write queue pressure of one socket's PMEM pool.
+/// Health of one socket's PMEM pool.
 struct SocketTelemetry {
-  /// Demand occupancy (min(issue, device) / device bound, summed over the
-  /// socket's PMEM classes). > 1 means the pool is oversubscribed.
-  double read_occupancy = 0.0;
-  double write_occupancy = 0.0;
   /// Fault-injected DIMM throttle state (1.0 = healthy).
   double dimm_service_factor = 1.0;
 };
@@ -43,7 +38,6 @@ struct SocketTelemetry {
 struct TelemetrySample {
   std::vector<SocketTelemetry> sockets;
   std::vector<ClassTelemetry> classes;
-  double upi_utilization = 0.0;
   double upi_capacity_factor = 1.0;
 };
 

@@ -633,9 +633,6 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   std::string actuators;
   const governor::GovernorDecision decision = governor_->decision();
   actuators.append("w").append(std::to_string(decision.write_threads));
-  for (int cap : decision.read_workers) {
-    actuators.append("r").append(std::to_string(cap));
-  }
   for (const std::string& name : decision.staged) actuators += "s" + name;
   if (breakers_) {
     for (bool healthy : breakers_->HealthySockets()) {

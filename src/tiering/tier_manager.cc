@@ -368,11 +368,6 @@ std::vector<std::string> TierManager::actuator_log() const {
   return log_;
 }
 
-int TierManager::quanta_observed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return quanta_;
-}
-
 std::vector<double> TierManager::extent_heats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<double> heats;

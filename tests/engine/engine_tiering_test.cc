@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../tiering/advance_lines.h"
 #include "engine/engine.h"
 #include "ssb/reference.h"
 #include "tiering/tier_manager.h"
@@ -146,27 +147,43 @@ TEST(EngineTieringTest, ColdExtentsChargeSsdScanRecords) {
 
 TEST(EngineTieringTest, ScanWindowClampsEveryExecutorIdentically) {
   TieringEngineEnv& env = TieringEngineEnv::Get();
-  qos::QueryOptions options;
-  options.scan_begin = 4096;
-  options.scan_end = 4096 + 65536;
+  const uint64_t rows = env.db().lineorder.size();
+  // A window across both sockets' shares, and socket 1's whole share.
+  const TupleRange windows[2] = {{4096, 4096 + 65536}, {rows / 2, rows}};
+  for (const TupleRange& window : windows) {
+    SCOPED_TRACE(window.begin);
+    qos::QueryOptions options;
+    options.scan_begin = window.begin;
+    options.scan_end = window.end;
 
-  ssb::QueryOutput outputs[2];
-  double seconds[2] = {0, 0};
-  const ExecutorKind kinds[2] = {ExecutorKind::kSerial,
-                                 ExecutorKind::kMorselStealing};
-  for (int i = 0; i < 2; ++i) {
-    EngineConfig config = BaseConfig();
-    config.executor = kinds[i];
-    SsbEngine engine(&env.db(), &env.model(), config);
-    ASSERT_TRUE(engine.Prepare().ok());
-    auto run = engine.Execute(QueryId::kQ2_1, options);
-    ASSERT_TRUE(run.ok());
-    outputs[i] = run->output;
-    seconds[i] = run->seconds;
-    EXPECT_EQ(run->cpu.tuples_scanned, 65536u);
+    ssb::QueryOutput outputs[2];
+    double seconds[2] = {0, 0};
+    const ExecutorKind kinds[2] = {ExecutorKind::kSerial,
+                                   ExecutorKind::kMorselStealing};
+    for (int i = 0; i < 2; ++i) {
+      EngineConfig config = BaseConfig();
+      config.executor = kinds[i];
+      SsbEngine engine(&env.db(), &env.model(), config);
+      ASSERT_TRUE(engine.Prepare().ok());
+      auto run = engine.Execute(QueryId::kQ2_1, options);
+      ASSERT_TRUE(run.ok());
+      outputs[i] = run->output;
+      seconds[i] = run->seconds;
+      EXPECT_EQ(run->cpu.tuples_scanned, window.size());
+      if (window.begin < rows / 2) continue;
+      // Probes are priced on the socket whose rows produced them, however
+      // the morsels were stolen.
+      int probe_records = 0;
+      for (const TrafficRecord& record : run->profile.records()) {
+        if (record.label.rfind("probe-", 0) != 0) continue;
+        ++probe_records;
+        EXPECT_EQ(record.worker_socket, 1) << record.label;
+      }
+      EXPECT_GT(probe_records, 0);
+    }
+    EXPECT_TRUE(outputs[0] == outputs[1]);
+    EXPECT_DOUBLE_EQ(seconds[0], seconds[1]);
   }
-  EXPECT_TRUE(outputs[0] == outputs[1]);
-  EXPECT_DOUBLE_EQ(seconds[0], seconds[1]);
 
   // A full-window run still matches the reference executor (the default
   // window is the whole table).
@@ -207,7 +224,8 @@ TEST(EngineTieringTest, RepeatedHotWindowPromotesAndCarriesMigrations) {
   auto warm = engine.Execute(QueryId::kQ1_1, hot);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(saw_migration);
-  EXPECT_GT(manager.quanta_observed(), 0);
+  // One placement quantum per Execute.
+  EXPECT_EQ(tiering::AdvanceLines(manager), 8);
   EXPECT_LT(warm->seconds, cold_seconds);
   EXPECT_TRUE(warm->output == first->output);
   // The hot extents are DRAM/PMEM-resident now.

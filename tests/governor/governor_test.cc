@@ -1,7 +1,8 @@
 // BandwidthGovernor unit tests: knee detection against the model's own
-// analytic optimum, the throttle invariance that lets the knees be swept
-// once, deterministic convergence on fixed telemetry traces, hysteresis
-// behavior, and the shared health signal with admission control.
+// analytic optimum, the throttle invariance that lets the write knee be
+// swept once, deterministic convergence on fixed telemetry traces,
+// hysteresis behavior, and the shared health signal with admission
+// control.
 #include "governor/governor.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/profile.h"
 #include "fault/fault_injector.h"
 #include "governor/telemetry.h"
 #include "memsys/mem_system.h"
@@ -58,38 +61,38 @@ double SweepGbps(const MemSystemModel& model, OpType op, int socket,
                   socket, threads);
 }
 
-TEST_F(GovernorTest, ReadKneeMatchesAnalyticOptimum) {
+TEST_F(GovernorTest, WriteKneeMatchesAnalyticOptimum) {
   BandwidthGovernor governor(&model_);
-  BandwidthGovernor::Knee knee = governor.ReadKnee(0);
+  BandwidthGovernor::Knee knee = governor.WriteKnee();
 
   // The test derives its own expectations from the model: the sweep ramps
-  // at <= r1 per thread, peaks once the physical cores fill, and declines
-  // under hyperthread oversubscription (Fig. 3's shape).
+  // at <= w1 per thread and flattens once the DIMMs' write buffers fill
+  // (Fig. 7's shape).
   const int max_threads =
       model_.config().topology.logical_cores_per_socket();
-  double r1 = SweepGbps(model_, OpType::kRead, 0, 1);
-  ASSERT_GT(r1, 0.0);
+  double w1 = SweepGbps(model_, OpType::kWrite, 0, 1);
+  ASSERT_GT(w1, 0.0);
   double peak = 0.0;
   int peak_threads = 0;
   for (int threads = 1; threads <= max_threads; ++threads) {
-    double gbps = SweepGbps(model_, OpType::kRead, 0, threads);
-    EXPECT_LE(gbps, threads * r1 * (1.0 + 1e-9)) << threads;
+    double gbps = SweepGbps(model_, OpType::kWrite, 0, threads);
+    EXPECT_LE(gbps, threads * w1 * (1.0 + 1e-9)) << threads;
     if (gbps > peak) {
       peak = gbps;
       peak_threads = threads;
     }
   }
-  // Analytic lower bound: no fewer than ceil(0.98 * peak / r1) threads
+  // Analytic lower bound: no fewer than ceil(0.98 * peak / w1) threads
   // can reach the tolerance band; and the knee never needs more threads
   // than the peak itself.
-  int analytic_floor = static_cast<int>(std::ceil(0.98 * peak / r1));
+  int analytic_floor = static_cast<int>(std::ceil(0.98 * peak / w1));
   EXPECT_GE(knee.threads, analytic_floor);
   EXPECT_LE(knee.threads, peak_threads);
 
   // The knee delivers the peak (within tolerance); one thread fewer does
-  // not — the defining property of the smallest sufficient reader count.
-  double at_knee = SweepGbps(model_, OpType::kRead, 0, knee.threads);
-  double below = SweepGbps(model_, OpType::kRead, 0, knee.threads - 1);
+  // not — the defining property of the smallest sufficient thread count.
+  double at_knee = SweepGbps(model_, OpType::kWrite, 0, knee.threads);
+  double below = SweepGbps(model_, OpType::kWrite, 0, knee.threads - 1);
   EXPECT_GE(at_knee, 0.98 * peak);
   EXPECT_LT(below, 0.98 * peak);
   EXPECT_NEAR(knee.gbps, at_knee, 1e-9);
@@ -111,48 +114,45 @@ TEST_F(GovernorTest, WriteKneeLandsInThePaperClampRange) {
 }
 
 TEST_F(GovernorTest, ThrottleScalesTheKneeBandwidthNotItsThreadCount) {
-  // Thermal throttling scales a socket's DIMM service rate, so the whole
-  // sequential sweep scales uniformly: the knee's thread count holds (the
-  // relative tolerance band moves with the peak) while its bandwidth
-  // scales by the factor. This is why the governor sweeps its knees once,
-  // on the model it is built on, and reads only their thread counts: if a
-  // calibration change ever lets a throttle move a knee, this fails and
-  // the knees must follow the sampled throttle again.
+  // Thermal throttling scales socket 0's DIMM service rate, and with it
+  // the plateau of the sequential write sweep. The raw knee may move by a
+  // thread (a throttled device saturates sooner: 3 instead of 4 threads
+  // below a factor of ~0.83), so the knee's GB/s stays only within the
+  // knee tolerance of factor x the healthy knee's; but the BP2 clamp
+  // absorbs the move, and the clamped writer count is all Observe reads.
+  // This is why the governor sweeps its write knee once, on the model it
+  // is built on: if a calibration change ever lets a throttle move the
+  // clamped writer count, this fails and the knee must follow the sampled
+  // throttle again.
   const BandwidthGovernor healthy(&model_);
+  const BandwidthGovernor::Knee base = healthy.WriteKnee();
   const int sockets = model_.config().topology.sockets();
   auto clamped = [](const BandwidthGovernor::Knee& knee) {
     return std::clamp(knee.threads, kMinWriteThreads, kMaxWriteThreads);
   };
   for (int step = 1; step <= 100; ++step) {
     const double factor = step / 100.0;
-    for (int socket = 0; socket < sockets; ++socket) {
-      MemSystemConfig config = model_.config();
-      config.pmem_service_factor.assign(static_cast<size_t>(sockets), 1.0);
-      config.pmem_service_factor[static_cast<size_t>(socket)] = factor;
-      const MemSystemModel throttled_model(config);
-      const BandwidthGovernor throttled(&throttled_model);
-      const BandwidthGovernor::Knee base = healthy.ReadKnee(socket);
-      const BandwidthGovernor::Knee knee = throttled.ReadKnee(socket);
-      EXPECT_EQ(knee.threads, base.threads)
-          << "factor " << factor << " socket " << socket;
-      EXPECT_EQ(clamped(throttled.WriteKnee()), clamped(healthy.WriteKnee()))
-          << "factor " << factor << " socket " << socket;
-      EXPECT_NEAR(knee.gbps, factor * base.gbps, 1e-6 * factor * base.gbps)
-          << "factor " << factor << " socket " << socket;
-    }
+    MemSystemConfig config = model_.config();
+    config.pmem_service_factor.assign(static_cast<size_t>(sockets), 1.0);
+    config.pmem_service_factor[0] = factor;
+    const MemSystemModel throttled_model(config);
+    const BandwidthGovernor throttled(&throttled_model);
+    const BandwidthGovernor::Knee knee = throttled.WriteKnee();
+    EXPECT_EQ(clamped(knee), clamped(base)) << "factor " << factor;
+    EXPECT_GE(knee.gbps, (1.0 - kKneeTolerance) * factor * base.gbps)
+        << "factor " << factor;
+    EXPECT_LE(knee.gbps, factor * base.gbps / (1.0 - kKneeTolerance))
+        << "factor " << factor;
   }
 }
 
-/// A synthetic quantum: per-socket write pressure plus one expensive PMEM
-/// probe class, enough to engage all three hysteresis tracks.
-TelemetrySample PressuredSample(double write_occupancy,
-                                double dimm_factor = 1.0,
-                                double upi_factor = 1.0) {
+/// A synthetic quantum with one expensive, contended PMEM probe class:
+/// its staging target is {"date"}.
+TelemetrySample ProbeSample(double dimm_factor = 1.0,
+                            double upi_factor = 1.0) {
   TelemetrySample sample;
   sample.sockets.resize(2);
   for (SocketTelemetry& socket : sample.sockets) {
-    socket.read_occupancy = 0.8;
-    socket.write_occupancy = write_occupancy;
     socket.dimm_service_factor = dimm_factor;
   }
   sample.upi_capacity_factor = upi_factor;
@@ -171,11 +171,18 @@ TelemetrySample PressuredSample(double write_occupancy,
   return sample;
 }
 
+/// A quantum without traffic: its staging target is empty.
+TelemetrySample QuietSample() {
+  TelemetrySample sample;
+  sample.sockets.resize(2);
+  return sample;
+}
+
 TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
   // Once staged, the probe reports from DRAM and is judged against its
   // PMEM counterfactual: 1% faster keeps it, 1% slower evicts it after
   // the hysteresis.
-  // PressuredSample's probe class on PMEM: 8 readers on socket 0, random
+  // ProbeSample's probe class on PMEM: 8 readers on socket 0, random
   // 64 B over a 256 MiB region.
   const double pmem_gbps = PmemGbps(model_, OpType::kRead, Pattern::kRandom,
                                     64, 256 * kMiB, 0, 8);
@@ -183,11 +190,11 @@ TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
   for (double factor : {1.01, 0.99}) {
     BandwidthGovernor governor(&model_);
     for (int q = 0; q < kHysteresisQuanta; ++q) {
-      governor.Observe(PressuredSample(0.0));
+      governor.Observe(ProbeSample());
     }
     ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
 
-    TelemetrySample staged = PressuredSample(0.0);
+    TelemetrySample staged = ProbeSample();
     staged.classes[0].record.media = Media::kDram;
     staged.classes[0].gbps = factor * pmem_gbps;
     for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
@@ -202,13 +209,13 @@ TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
 TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
   BandwidthGovernor governor(&model_);
   for (int q = 0; q < kHysteresisQuanta; ++q) {
-    governor.Observe(PressuredSample(0.0));
+    governor.Observe(ProbeSample());
   }
   ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
   EXPECT_EQ(governor.decision().staged_bytes, 256 * kMiB);
   // Same set, larger structure: only a change of set waits out the
   // hysteresis, so the footprint updates in the same quantum.
-  TelemetrySample grown = PressuredSample(0.0);
+  TelemetrySample grown = ProbeSample();
   grown.classes[0].record.region_bytes = 512 * kMiB;
   governor.Observe(grown);
   EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
@@ -219,8 +226,8 @@ TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
   // Determinism acceptance: the same telemetry trace into two fresh
   // governors produces byte-identical actuator logs and equal decisions.
   std::vector<TelemetrySample> trace;
-  for (int q = 0; q < 6; ++q) trace.push_back(PressuredSample(0.9));
-  for (int q = 0; q < 3; ++q) trace.push_back(PressuredSample(0.0));
+  for (int q = 0; q < 6; ++q) trace.push_back(ProbeSample());
+  for (int q = 0; q < 3; ++q) trace.push_back(QuietSample());
 
   BandwidthGovernor a(&model_);
   BandwidthGovernor b(&model_);
@@ -231,78 +238,72 @@ TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
   EXPECT_EQ(a.actuator_log(), b.actuator_log());
   GovernorDecision da = a.decision();
   GovernorDecision db = b.decision();
-  EXPECT_EQ(da.read_workers, db.read_workers);
   EXPECT_EQ(da.write_threads, db.write_threads);
   EXPECT_EQ(da.staged, db.staged);
   EXPECT_EQ(da.quantum, db.quantum);
-  EXPECT_FALSE(a.actuator_log().empty());
+  // The log records events only: the probe staged and, once quiet,
+  // unstaged again — one line per commit, none per quantum.
+  const std::vector<std::string> log = a.actuator_log();
+  EXPECT_EQ(std::count_if(log.begin(), log.end(),
+                          [](const std::string& line) {
+                            return line.find(" commit staged ") !=
+                                   std::string::npos;
+                          }),
+            2);
+  for (const std::string& line : log) {
+    EXPECT_NE(line.find(" commit "), std::string::npos) << line;
+  }
 }
 
-TEST_F(GovernorTest, WritePressureEngagesReaderCapsAndWriterClamp) {
+TEST_F(GovernorTest, ConvergedDecisionClampsWritersAndStagesTheHotProbe) {
   BandwidthGovernor governor(&model_);
   for (int q = 0; q < kHysteresisQuanta + 1; ++q) {
-    governor.Observe(PressuredSample(0.9));
+    governor.Observe(ProbeSample());
   }
   GovernorDecision decision = governor.decision();
-  // Readers capped at the modeled knee on every socket.
-  ASSERT_EQ(decision.read_workers.size(), 2u);
-  int knee = governor.ReadKnee(0).threads;
-  EXPECT_EQ(decision.read_workers[0], knee);
-  EXPECT_EQ(decision.read_workers[1], knee);
-  // Writers clamped into the BP2 window.
-  EXPECT_GE(decision.write_threads, kMinWriteThreads);
-  EXPECT_LE(decision.write_threads, kMaxWriteThreads);
+  // Writers clamped to the write knee inside the BP2 window.
+  EXPECT_EQ(decision.write_threads,
+            std::clamp(governor.WriteKnee().threads, kMinWriteThreads,
+                       kMaxWriteThreads));
   // The expensive contended probe was promoted to DRAM.
   EXPECT_TRUE(decision.IsStaged("date"));
   EXPECT_GT(decision.staged_bytes, 0u);
 }
 
-TEST_F(GovernorTest, PureReadQuantaLeaveReadersUncapped) {
-  // Without write pressure more readers only help (the model's read
-  // bandwidth is monotone in demand): caps must stay released.
-  BandwidthGovernor governor(&model_);
-  for (int q = 0; q < 4; ++q) governor.Observe(PressuredSample(0.0));
-  GovernorDecision decision = governor.decision();
-  ASSERT_EQ(decision.read_workers.size(), 2u);
-  EXPECT_EQ(decision.read_workers[0], 0);  // 0 = uncapped
-  EXPECT_EQ(decision.read_workers[1], 0);
-}
-
 TEST_F(GovernorTest, OneQuantumBlipDoesNotActuate) {
-  // Hysteresis: a target that appears for a single quantum and reverts
-  // never commits — no oscillation on noisy telemetry.
+  // Hysteresis: a staging target that appears for a single quantum and
+  // reverts never commits — no oscillation on noisy telemetry.
   BandwidthGovernor governor(&model_);
   ASSERT_GE(kHysteresisQuanta, 2);
-  governor.Observe(PressuredSample(0.9));  // blip: wants caps
-  GovernorDecision after_blip = governor.decision();
-  EXPECT_EQ(after_blip.read_workers, std::vector<int>({0, 0}));
-  governor.Observe(PressuredSample(0.0));  // reverted before persisting
-  governor.Observe(PressuredSample(0.0));
-  GovernorDecision decision = governor.decision();
-  EXPECT_EQ(decision.read_workers, std::vector<int>({0, 0}));
+  governor.Observe(ProbeSample());  // blip: wants the probe staged
+  EXPECT_TRUE(governor.decision().staged.empty());
+  governor.Observe(QuietSample());  // reverted before persisting
+  governor.Observe(QuietSample());
+  EXPECT_TRUE(governor.decision().staged.empty());
+  for (const std::string& line : governor.actuator_log()) {
+    EXPECT_EQ(line.find(" commit staged "), std::string::npos) << line;
+  }
 }
 
 TEST_F(GovernorTest, CommitLandsExactlyAfterHysteresisQuanta) {
   BandwidthGovernor governor(&model_);
   for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
-    governor.Observe(PressuredSample(0.9));
-    EXPECT_EQ(governor.decision().read_workers,
-              std::vector<int>({0, 0}))
+    governor.Observe(ProbeSample());
+    EXPECT_TRUE(governor.decision().staged.empty())
         << "committed too early at quantum " << q + 1;
   }
-  governor.Observe(PressuredSample(0.9));
-  EXPECT_NE(governor.decision().read_workers, std::vector<int>({0, 0}));
+  governor.Observe(ProbeSample());
+  EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
 }
 
 TEST_F(GovernorTest, ThrottleEstimateIsTheSharedAdmissionSignal) {
   BandwidthGovernor governor(&model_);
   EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);  // before any sample
-  governor.Observe(PressuredSample(0.5, /*dimm_factor=*/0.25,
-                                   /*upi_factor=*/0.6));
+  governor.Observe(ProbeSample(/*dimm_factor=*/0.25, /*upi_factor=*/0.6));
   // Same reduction as qos::DegradationEstimate: min of the factors.
   EXPECT_DOUBLE_EQ(governor.decision().throttle,
                    qos::DegradationEstimate(0.25, 0.6));
-  governor.Observe(PressuredSample(0.5, 1.0, 1.0));
+  governor.Observe(ProbeSample(1.0, 1.0));
   EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);
 }
 
@@ -311,20 +312,30 @@ TEST_F(GovernorTest, AblationSwitchesDisableActuators) {
   config.stage_structures = false;
   config.shape_morsels = false;
   BandwidthGovernor governor(&model_, config);
-  for (int q = 0; q < 5; ++q) governor.Observe(PressuredSample(0.9));
+  for (int q = 0; q < 5; ++q) governor.Observe(ProbeSample());
   GovernorDecision decision = governor.decision();
   EXPECT_TRUE(decision.staged.empty());
   EXPECT_EQ(decision.staged_bytes, 0u);
-  // The concurrency actuator has no switch: readers still cap at the knee.
-  const int knee = governor.ReadKnee(0).threads;
-  EXPECT_EQ(decision.read_workers, std::vector<int>({knee, knee}));
-  // Shaping off is what the engine reads, and the log records it.
-  const std::vector<std::string> log = governor.actuator_log();
-  ASSERT_FALSE(log.empty());
-  EXPECT_NE(log.back().find("shape=0"), std::string::npos) << log.back();
+  // The writer clamp has no switch: writers still clamp to the knee.
+  EXPECT_EQ(decision.write_threads,
+            std::clamp(governor.WriteKnee().threads, kMinWriteThreads,
+                       kMaxWriteThreads));
+  // Shaping off is what the engine reads from the governor's config.
+  EXPECT_FALSE(governor.config().shape_morsels);
 }
 
 // --- telemetry --------------------------------------------------------------
+
+/// `record`'s bandwidth evaluated alone, through the same record→class
+/// translation telemetry uses.
+double SoloGbps(const MemSystemModel& model, const TrafficRecord& record) {
+  Result<AccessClass> klass = ToAccessClass(
+      record, record.threads, PinningPolicy::kCores, model.config().topology);
+  if (!klass.ok()) return 0.0;
+  WorkloadSpec spec;
+  spec.classes.push_back(std::move(klass.value()));
+  return model.EvaluateOnce(spec).total_gbps;
+}
 
 TEST_F(GovernorTest, BuildTelemetryReportsJointPressureAndThrottles) {
   // One sequential read class per socket plus a heavy write class on
@@ -365,33 +376,36 @@ TEST_F(GovernorTest, BuildTelemetryReportsJointPressureAndThrottles) {
   window.end_seconds = 100.0;
   window.service_factor = 0.5;
   spec.throttle_windows.push_back(window);
+  spec.upi_capacity_factor = 0.75;
   FaultInjector injector(spec);
   injector.AdvanceTo(10.0);
 
   TelemetrySample sample = BuildTelemetry(model_, query, background,
                                           PinningPolicy::kCores, &injector);
   ASSERT_EQ(sample.sockets.size(), 2u);
-  EXPECT_EQ(sample.classes.size(), 3u);
-  // Socket 0 carries the write pressure; socket 1 has none.
-  EXPECT_GT(sample.sockets[0].write_occupancy, 0.0);
-  EXPECT_DOUBLE_EQ(sample.sockets[1].write_occupancy, 0.0);
-  EXPECT_GT(sample.sockets[0].read_occupancy, 0.0);
+  ASSERT_EQ(sample.classes.size(), 3u);
   // Throttle state flows from the injector.
   EXPECT_DOUBLE_EQ(sample.sockets[0].dimm_service_factor, 0.5);
   EXPECT_DOUBLE_EQ(sample.sockets[1].dimm_service_factor, 1.0);
-  // Background classes are marked as such.
-  int background_classes = 0;
-  for (const ClassTelemetry& klass : sample.classes) {
-    if (klass.background) ++background_classes;
-    EXPECT_GT(klass.gbps, 0.0) << klass.record.label;
-  }
-  EXPECT_EQ(background_classes, 1);
-  // The contended socket-0 scan is slower than socket 1's solo scan.
-  double scan0 = 0.0, scan1 = 0.0;
-  for (const ClassTelemetry& klass : sample.classes) {
-    if (klass.record.label != "scan") continue;
-    (klass.record.data_socket == 0 ? scan0 : scan1) = klass.gbps;
-  }
+  EXPECT_DOUBLE_EQ(sample.upi_capacity_factor, 0.75);
+  // Query classes first, in order, then the background class, marked.
+  EXPECT_EQ(sample.classes[0].record.data_socket, 0);
+  EXPECT_EQ(sample.classes[1].record.data_socket, 1);
+  EXPECT_FALSE(sample.classes[0].background);
+  EXPECT_FALSE(sample.classes[1].background);
+  EXPECT_TRUE(sample.classes[2].background);
+  EXPECT_EQ(sample.classes[2].record.label, "ingest");
+  // Per-class GB/s is the joint evaluation: the socket-0 scan and the
+  // ingest share socket 0's DIMMs and each gets less than it would alone;
+  // the socket-1 scan shares nothing and gets its solo rate.
+  const double scan0 = sample.classes[0].gbps;
+  const double scan1 = sample.classes[1].gbps;
+  const double writes = sample.classes[2].gbps;
+  EXPECT_GT(scan0, 0.0);
+  EXPECT_GT(writes, 0.0);
+  EXPECT_LT(scan0, SoloGbps(model_, query[0]));
+  EXPECT_LT(writes, SoloGbps(model_, background[0]));
+  EXPECT_DOUBLE_EQ(scan1, SoloGbps(model_, query[1]));
   EXPECT_LT(scan0, scan1);
 }
 
@@ -414,14 +428,17 @@ TEST_F(GovernorTest, BuildTelemetryIsDeterministic) {
       BuildTelemetry(model_, query, {}, PinningPolicy::kCores);
   TelemetrySample b =
       BuildTelemetry(model_, query, {}, PinningPolicy::kCores);
-  ASSERT_EQ(a.classes.size(), b.classes.size());
-  for (size_t i = 0; i < a.classes.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.classes[i].gbps, b.classes[i].gbps);
-  }
+  ASSERT_EQ(a.classes.size(), 1u);
+  ASSERT_EQ(b.classes.size(), 1u);
+  EXPECT_DOUBLE_EQ(a.classes[0].gbps, b.classes[0].gbps);
+  // A lone class is its solo rate; without an injector every throttle
+  // factor reads healthy.
+  EXPECT_DOUBLE_EQ(a.classes[0].gbps, SoloGbps(model_, scan));
+  EXPECT_DOUBLE_EQ(a.upi_capacity_factor, 1.0);
   ASSERT_EQ(a.sockets.size(), b.sockets.size());
   for (size_t s = 0; s < a.sockets.size(); ++s) {
-    EXPECT_DOUBLE_EQ(a.sockets[s].read_occupancy,
-                     b.sockets[s].read_occupancy);
+    EXPECT_DOUBLE_EQ(a.sockets[s].dimm_service_factor, 1.0);
+    EXPECT_DOUBLE_EQ(b.sockets[s].dimm_service_factor, 1.0);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "advance_lines.h"
+
 namespace pmemolap {
 namespace tiering {
 namespace {
@@ -213,7 +215,7 @@ TEST(TierManagerTest, StaticPolicyNeverMigrates) {
   EXPECT_EQ(manager.snapshot().tiers(), before);
   EXPECT_FALSE(LogContains(manager, "migrate e"));
   EXPECT_TRUE(manager.standing_traffic().empty());
-  EXPECT_EQ(manager.quanta_observed(), 5);
+  EXPECT_EQ(AdvanceLines(manager), 5);
 }
 
 TEST(TierManagerTest, LruCommitsImmediatelyAndColdScanEvicts) {

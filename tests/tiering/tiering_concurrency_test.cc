@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "advance_lines.h"
+
 namespace pmemolap {
 namespace tiering {
 namespace {
@@ -67,7 +69,7 @@ TEST(TieringConcurrency, TouchVsAdvance) {
   migrator.join();
   for (std::thread& scanner : scanners) scanner.join();
 
-  EXPECT_EQ(manager.quanta_observed(), 200);
+  EXPECT_EQ(AdvanceLines(manager), 200);
   uint64_t dram = 0;
   uint64_t pmem = 0;
   const TieringSnapshot snapshot = manager.snapshot();
