@@ -18,8 +18,11 @@
 //      decode are measured against the raw int32 scan; the geomean
 //      speedup must exceed 1x. The region's Encode is timed too, in raw
 //      sum-scans of the same column: it must stay linear-time (<= 40
-//      scans). Valid under --smoke (the region does not shrink with the
-//      scale factor).
+//      scans). So is the engine's encoded store built from the 128 B row
+//      image at sf 0.2 (153 MB, past any LLC), in read-only sweeps of the
+//      same rows (gated by tools/bench_gate.py). Valid under --smoke
+//      (neither the region nor the row image shrinks with the scale
+//      factor).
 //   4. Per-query wall-clock (informational): the 13 SSB queries timed
 //      raw vs encoded through the vectorized morsel executor. Reported
 //      and written to the JSON, but not gated — small per-query times
@@ -354,6 +357,49 @@ void RunWallClockScan(std::ofstream& json) {
         F2(encode_scans) + ")");
 }
 
+/// Times EncodedColumnStore(rows), the engine's encoded Prepare, on the
+/// sf 0.2 row image, in units of one read-only sweep of the nine fields
+/// it reads from every row, so the number holds on fast and slow hosts
+/// alike. Both are timed as MeasureGbps times the scan kernels.
+void RunStoreBuild(std::ofstream& json) {
+  constexpr double kStoreSf = 0.2;
+  constexpr int kReps = 3;
+  auto db = ssb::Generate({.scale_factor = kStoreSf, .seed = 42});
+  if (!db.ok()) {
+    Claim(false, "sf 0.2 dbgen for the store build");
+    return;
+  }
+  const std::vector<ssb::LineorderRow>& rows = db->lineorder;
+  const uint64_t row_bytes = rows.size() * sizeof(ssb::LineorderRow);
+  volatile int64_t sink = 0;
+  auto sweep = [&] {
+    int64_t sum = 0;
+    for (const ssb::LineorderRow& row : rows) {
+      for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+        sum += row.*ssb::kRowFields[c];
+      }
+    }
+    sink = sum;
+  };
+  uint64_t encoded_bytes = 0;
+  const double build_gbps = MeasureGbps(row_bytes, kReps, [&] {
+    const ssb::EncodedColumnStore store(rows);
+    encoded_bytes = store.TotalEncodedBytes();
+  });
+  const double sweeps = MeasureGbps(row_bytes, kReps, sweep) / build_gbps;
+  const double build_seconds =
+      static_cast<double>(row_bytes) / (build_gbps * kGiB);
+  std::printf("  EncodedColumnStore(rows) at sf %.1f (%.0f MiB row image "
+              "-> %.1f MiB): %.3f s = %.1f read-only sweeps of the rows\n",
+              kStoreSf, static_cast<double>(row_bytes) / kMiB,
+              static_cast<double>(encoded_bytes) / kMiB, build_seconds,
+              sweeps);
+  json << "  \"store_build\": {\"scale_factor\": " << kStoreSf
+       << ", \"row_bytes\": " << row_bytes
+       << ", \"seconds\": " << build_seconds << ", \"sweeps\": " << sweeps
+       << "},\n";
+}
+
 // ---------------------------------------------------------------------
 // Part 4: per-query wall-clock (informational).
 // ---------------------------------------------------------------------
@@ -447,6 +493,7 @@ int main(int argc, char** argv) {
   RunColumnTable(columns, encoded, json);
   RunModeledScorecard(db.value(), model, reference, json);
   RunWallClockScan(json);
+  RunStoreBuild(json);
   RunPerQueryWallClock(db.value(), model, reference, json);
   return FinishScorecard(json, "compression");
 }

@@ -27,7 +27,7 @@ void PersistOrderChecker::AttachRegion(const PersistentRegion* region,
   Mirror& mirror = found != nullptr ? *found : mirrors_.emplace_back();
   mirror.region = region;
   mirror.name = std::move(name);
-  mirror.states.assign(LineEnd(0, region->size()), LineState::kClean);
+  mirror.states = ZeroedArray<LineState>(LineEnd(0, region->size()));
   mirror.touched.clear();
 }
 
@@ -44,7 +44,7 @@ void PersistOrderChecker::SetState(Mirror* mirror, uint64_t line,
   if (mirror->states[line] == LineState::kClean) {
     mirror->touched.push_back(line);
   }
-  mirror->states[line] = next;
+  mirror->states.Set(line, next);
 }
 
 const char* PersistOrderChecker::StateName(LineState state) {
@@ -114,7 +114,7 @@ void PersistOrderChecker::OnFlush(const PersistentRegion* region,
        ++line) {
     switch (mirror->states[line]) {
       case LineState::kDirtyCached:
-        mirror->states[line] = LineState::kAcceptedCached;
+        mirror->states.Set(line, LineState::kAcceptedCached);
         break;
       case LineState::kAcceptedNt:
       case LineState::kAcceptedCached:
@@ -139,7 +139,7 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
         LineState state = mirror->states[line];
         if (state == LineState::kAcceptedNt ||
             state == LineState::kAcceptedCached) {
-          mirror->states[line] = LineState::kClean;
+          mirror->states.Set(line, LineState::kClean);
           return true;
         }
         // Dirty lines ride out the fence — the region must agree, or
@@ -177,7 +177,7 @@ void PersistOrderChecker::OnCrash(const PersistentRegion* region) {
   // state is resolved (lost or survived); the mirror starts clean like a
   // restart.
   for (uint64_t line : mirror->touched) {
-    mirror->states[line] = LineState::kClean;
+    mirror->states.Set(line, LineState::kClean);
   }
   mirror->touched.clear();
 }

@@ -43,6 +43,8 @@
 #include <string>
 #include <vector>
 
+#include "common/zeroed_array.h"
+
 namespace pmemolap {
 
 class PersistentRegion;
@@ -52,7 +54,7 @@ class PersistOrderChecker {
   /// The mirrored lattice, one state per 64 B line. Accepted is split
   /// by write kind so the mixed-store hazard is observable at runtime.
   enum class LineState : uint8_t {
-    kClean = 0,
+    kClean = 0,  ///< zero: a fresh mirror reads all clean
     kDirtyCached = 1,
     kAcceptedNt = 2,
     kAcceptedCached = 3,
@@ -107,7 +109,8 @@ class PersistOrderChecker {
   struct Mirror {
     const PersistentRegion* region = nullptr;
     std::string name;
-    std::vector<LineState> states;
+    /// Zero-on-demand, so lines never written cost no host memory.
+    ZeroedArray<LineState> states;
     /// Non-clean line indexes in first-touch order (a line is appended
     /// when its state leaves kClean) — keeps every check O(in-flight
     /// lines), not O(region lines), so exhaustive crash sweeps stay

@@ -25,13 +25,13 @@ Result<std::unique_ptr<PersistentRegion>> PersistentRegion::Create(
 
 // A fresh region models newly created storage: the space's allocation
 // reads as zero, and with no line in flight so does the persisted image.
+// Its line states are zero too, so every line starts kClean.
 PersistentRegion::PersistentRegion(PmemSpace* space, Allocation allocation,
                                    CrashInjector* crash,
                                    const PersistCostModel* cost)
     : space_(space),
       allocation_(std::move(allocation)),
-      state_((allocation_.size() + kCacheLineBytes - 1) / kCacheLineBytes,
-             PersistLineState::kClean),
+      state_((allocation_.size() + kCacheLineBytes - 1) / kCacheLineBytes),
       crash_(crash),
       cost_(cost) {}
 
@@ -75,7 +75,7 @@ void PersistentRegion::WriteVolatile(uint64_t offset, const void* src,
     // accepted line drops it back to dirty, since the earlier write-back
     // no longer covers the line's new bytes.
     PersistLineState prev = state_[line];
-    state_[line] = next;
+    state_.Set(line, next);
     if (prev != PersistLineState::kClean) continue;
     // A clean line's persisted bytes are its volatile bytes; those at and
     // past written_end_ are zero, as a new entry starts, so a write into
@@ -99,7 +99,7 @@ uint64_t PersistentRegion::AcceptDirty(uint64_t offset, uint64_t size) {
                 end = (offset + size - 1) / kCacheLineBytes;
        line <= end; ++line) {
     if (state_[line] == PersistLineState::kDirtyCache) {
-      state_[line] = PersistLineState::kAcceptedWpq;
+      state_.Set(line, PersistLineState::kAcceptedWpq);
       ++moved;
     }
   }
@@ -205,7 +205,7 @@ Status PersistentRegion::Fence() {
   auto drained = std::remove_if(
       in_flight_.begin(), in_flight_.end(), [this](const InFlightLine& entry) {
         if (state_[entry.line] != PersistLineState::kAcceptedWpq) return false;
-        state_[entry.line] = PersistLineState::kClean;
+        state_.Set(entry.line, PersistLineState::kClean);
         return true;
       });
   uint64_t pending = static_cast<uint64_t>(in_flight_.end() - drained);
@@ -233,7 +233,7 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
             });
   for (const InFlightLine& entry : in_flight_) {
     bool accepted = state_[entry.line] == PersistLineState::kAcceptedWpq;
-    state_[entry.line] = PersistLineState::kClean;
+    state_.Set(entry.line, PersistLineState::kClean);
     if (accepted && survival->NextBool(survival_p)) {
       // The drain landed: the volatile bytes are the persisted ones.
       ++accepted_survived;

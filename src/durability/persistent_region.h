@@ -45,6 +45,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/zeroed_array.h"
 #include "core/pmem_space.h"
 #include "memsys/persist.h"
 
@@ -57,7 +58,7 @@ class PersistOrderChecker;
 /// Where one 64 B line sits between the CPU caches and the persistence
 /// domain.
 enum class PersistLineState : uint8_t {
-  kClean = 0,
+  kClean = 0,  ///< zero: a fresh state table reads all clean
   kDirtyCache = 1,
   kAcceptedWpq = 2,
 };
@@ -150,8 +151,9 @@ class PersistentRegion {
 
   PmemSpace* space_;
   Allocation allocation_;
-  /// One state per 64 B line (the last may be partial).
-  std::vector<PersistLineState> state_;
+  /// One state per 64 B line (the last may be partial), zero-on-demand:
+  /// kClean is 0, so lines never written cost no host memory.
+  ZeroedArray<PersistLineState> state_;
   /// One entry per line not kClean, in the order the lines left kClean.
   std::vector<InFlightLine> in_flight_;
   /// Volatile bytes at and past this offset are zero.

@@ -63,28 +63,48 @@ constexpr std::array<Unpacker, sizeof...(W)> Unpackers(
 /// kUnpackers[w - 1] unpacks a full frame of width w (1..32).
 constexpr auto kUnpackers = Unpackers(std::make_integer_sequence<int, 32>());
 
-/// Minimum and maximum of frame `frame` of values[0 .. n).
-std::pair<int32_t, int32_t> FrameBounds(const int32_t* values, uint64_t n,
-                                        uint64_t frame) {
-  const int32_t* first = values + frame * kFrameValues;
-  const uint64_t count = FrameCountOf(n, frame);
-  int32_t lo = first[0];
-  int32_t hi = first[0];
-  for (uint64_t i = 1; i < count; ++i) {
-    lo = std::min(lo, first[i]);
-    hi = std::max(hi, first[i]);
+/// Packs one full frame of `W`-bit codes value - ref into
+/// (kFrameValues * W + 63) / 64 words: the mirror of UnpackFrame<W>, with
+/// every word index and shift a constant.
+template <int W>
+void PackFrame(const int32_t* values, int32_t ref, uint64_t* words) {
+  constexpr uint64_t kWords = (kFrameValues * W + 63) / 64;
+  uint64_t packed[kWords] = {};
+#pragma GCC unroll 32
+  for (uint64_t i = 0; i < kFrameValues; ++i) {
+    // value - ref fits in W bits, so the 32-bit wrap-around is exact.
+    const uint64_t code = static_cast<uint32_t>(values[i]) -
+                          static_cast<uint32_t>(ref);
+    const uint64_t bit = i * W;
+    const int shift = static_cast<int>(bit % 64);
+    packed[bit / 64] |= code << shift;
+    if (shift + W > 64) packed[bit / 64 + 1] |= code >> (64 - shift);
   }
-  return {lo, hi};
+  std::copy(packed, packed + kWords, words);
 }
 
-/// Bytes PackedArray::Pack lays out for one frame of `count` codes that
-/// span `range`: the word-padded codes plus the frame's ref/width/offset
+using Packer = void (*)(const int32_t*, int32_t, uint64_t*);
+
+template <int... W>
+constexpr std::array<Packer, sizeof...(W)> Packers(
+    std::integer_sequence<int, W...>) {
+  return {&PackFrame<W + 1>...};
+}
+
+/// kPackers[w - 1] packs a full frame at width w (1..32).
+constexpr auto kPackers = Packers(std::make_integer_sequence<int, 32>());
+
+/// Packed words of one frame of `count` codes that span `range`.
+uint64_t PackedFrameWords(uint64_t count, uint64_t range) {
+  return (count * static_cast<uint64_t>(WidthOf(range)) + 63) / 64;
+}
+
+/// Bytes PackedArray lays out for one frame of `count` codes that span
+/// `range`: the word-padded codes plus the frame's ref/width/offset
 /// directory entry. PackedArray::Bytes() is the sum over the frames.
 uint64_t PackedFrameBytes(uint64_t count, uint64_t range) {
-  const uint64_t words =
-      (count * static_cast<uint64_t>(WidthOf(range)) + 63) / 64;
-  return words * sizeof(uint64_t) + sizeof(int32_t) + sizeof(uint8_t) +
-         sizeof(uint32_t);
+  return PackedFrameWords(count, range) * sizeof(uint64_t) +
+         sizeof(int32_t) + sizeof(uint8_t) + sizeof(uint32_t);
 }
 
 }  // namespace
@@ -97,12 +117,13 @@ uint64_t PackedFrameBytes(uint64_t count, uint64_t range) {
 /// a binary search in a sorted distinct copy.
 class DistinctRank {
  public:
-  /// `lo` and `hi` bound every value of `values`.
-  DistinctRank(const std::vector<int32_t>& values, int32_t lo, int32_t hi)
+  /// `lo` and `hi` bound every value `image` holds.
+  DistinctRank(const PackedArray& image, int32_t lo, int32_t hi)
       : lo_(lo) {
     const uint64_t span = Span(lo, hi);
-    if (span / 32 >= values.size()) {
-      sorted_ = values;
+    if (span / 32 >= image.size()) {
+      sorted_.resize(image.size());
+      image.Decode(0, image.size(), sorted_.data());
       std::sort(sorted_.begin(), sorted_.end());
       sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
                     sorted_.end());
@@ -110,9 +131,13 @@ class DistinctRank {
       return;
     }
     bits_.assign(span / 64 + 1, 0);
-    for (int32_t value : values) {
-      const uint64_t bit = Span(lo_, value);
-      bits_[bit / 64] |= uint64_t{1} << (bit % 64);
+    int32_t values[kFrameValues];
+    for (uint64_t frame = 0; frame < image.frames(); ++frame) {
+      const uint64_t count = image.DecodeFrame(frame, values);
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t bit = Span(lo_, values[i]);
+        bits_[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
     }
     // Set bits before a word count distinct int32 values below it: at
     // most 2^32 - 64, so uint32_t holds them.
@@ -175,40 +200,33 @@ const char* SchemeName(Scheme scheme) {
 
 // --- PackedArray ------------------------------------------------------------
 
-PackedArray PackedArray::Pack(const int32_t* values, uint64_t n) {
-  PackedArray packed;
-  packed.size_ = n;
-  const uint64_t frames = (n + kFrameValues - 1) / kFrameValues;
-  packed.refs_.reserve(frames);
-  packed.widths_.reserve(frames);
-  packed.offsets_.reserve(frames);
-  for (uint64_t frame = 0; frame < frames; ++frame) {
-    const uint64_t begin = frame * kFrameValues;
-    const uint64_t end = begin + FrameCountOf(n, frame);
-    const auto [lo, hi] = FrameBounds(values, n, frame);
-    const int width = WidthOf(Span(lo, hi));
-    packed.refs_.push_back(lo);
-    packed.widths_.push_back(static_cast<uint8_t>(width));
-    packed.offsets_.push_back(static_cast<uint32_t>(packed.words_.size()));
-    if (width == 0) continue;  // constant frame: directory only
-    // Word-padded frame: codes packed LSB-first from a fresh 64-bit word.
-    const uint64_t frame_words =
-        ((end - begin) * static_cast<uint64_t>(width) + 63) / 64;
-    const size_t base = packed.words_.size();
-    packed.words_.resize(base + frame_words, 0);
-    for (uint64_t i = begin; i < end; ++i) {
-      const uint64_t code = static_cast<uint64_t>(
-          static_cast<int64_t>(values[i]) - static_cast<int64_t>(lo));
-      const uint64_t bit = (i - begin) * static_cast<uint64_t>(width);
-      const size_t word = base + bit / 64;
-      const int shift = static_cast<int>(bit % 64);
-      packed.words_[word] |= code << shift;
-      if (shift + width > 64) {
-        packed.words_[word + 1] |= code >> (64 - shift);
-      }
-    }
+PackedArray::PackedArray(uint64_t frames, uint64_t words) {
+  words_.reserve(words);
+  refs_.reserve(frames);
+  widths_.reserve(frames);
+  offsets_.reserve(frames);
+}
+
+void PackedArray::AppendFrame(const int32_t* values, uint64_t count,
+                              int32_t lo, int32_t hi) {
+  const int width = WidthOf(Span(lo, hi));
+  size_ += count;
+  refs_.push_back(lo);
+  widths_.push_back(static_cast<uint8_t>(width));
+  offsets_.push_back(static_cast<uint32_t>(words_.size()));
+  if (width == 0) return;  // constant frame: directory only
+  // A short last frame packs as a full one padded with code 0, and keeps
+  // only the words its own codes reach.
+  int32_t padded[kFrameValues];
+  if (count < kFrameValues) {
+    std::copy(values, values + count, padded);
+    std::fill(padded + count, padded + kFrameValues, lo);
+    values = padded;
   }
-  return packed;
+  uint64_t words[kFrameValues / 2];  // a full frame's words at 32 bits
+  kPackers[width - 1](values, lo, words);
+  words_.insert(words_.end(), words,
+                words + PackedFrameWords(count, Span(lo, hi)));
 }
 
 uint64_t PackedArray::FrameCount(uint64_t frame) const {
@@ -315,76 +333,133 @@ uint64_t PackedArray::Bytes() const {
 
 // --- EncodedColumn ----------------------------------------------------------
 
-EncodedColumn EncodedColumn::EncodeWith(Scheme scheme,
-                                        const std::vector<int32_t>& values) {
-  if (scheme == Scheme::kDictionary) {
-    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-    // An empty column has no bounds; any pair serves its empty rank.
-    return Dictionary(values, values.empty()
-                                  ? DistinctRank(values, 0, 0)
-                                  : DistinctRank(values, *lo, *hi));
+namespace {
+
+/// An encoder that has taken every frame of `values`.
+ColumnEncoder EncoderOf(const std::vector<int32_t>& values) {
+  ColumnEncoder encoder(values.size());
+  for (uint64_t begin = 0; begin < values.size(); begin += kFrameValues) {
+    encoder.AppendFrame(values.data() + begin,
+                        FrameCountOf(values.size(), begin / kFrameValues));
   }
-  EncodedColumn column;
-  column.size_ = values.size();
-  column.scheme_ = scheme;
-  if (scheme == Scheme::kRaw) {
-    column.raw_ = values;
-  } else {
-    column.packed_ = PackedArray::Pack(values.data(), values.size());
-  }
-  return column;
+  return encoder;
 }
 
-EncodedColumn EncodedColumn::Dictionary(const std::vector<int32_t>& values,
-                                        const DistinctRank& rank) {
-  EncodedColumn column;
-  column.size_ = values.size();
-  column.scheme_ = Scheme::kDictionary;
-  column.dict_ = rank.Values();
-  std::vector<int32_t> codes(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    codes[i] = static_cast<int32_t>(rank.Rank(values[i]));
-  }
-  column.packed_ = PackedArray::Pack(codes.data(), codes.size());
-  return column;
-}
+}  // namespace
 
 EncodedColumn EncodedColumn::Encode(const std::vector<int32_t>& values) {
-  if (values.empty()) return EncodedColumn();
-  const uint64_t n = values.size();
-  // One pass for the frames' bounds; the column's follow from them.
-  const uint64_t frames = (n + kFrameValues - 1) / kFrameValues;
-  std::vector<std::pair<int32_t, int32_t>> bounds(frames);
+  return EncoderOf(values).Finish();
+}
+
+EncodedColumn EncodedColumn::EncodeWith(Scheme scheme,
+                                        const std::vector<int32_t>& values) {
+  return EncoderOf(values).Finish(scheme);
+}
+
+// --- ColumnEncoder ----------------------------------------------------------
+
+// The FoR image's words are reserved for 32-bit codes in every frame, so
+// no append regrows them; a FoR result frees the spare capacity.
+ColumnEncoder::ColumnEncoder(uint64_t n)
+    : for_((n + kFrameValues - 1) / kFrameValues, (n + 1) / 2) {
+  highs_.reserve((n + kFrameValues - 1) / kFrameValues);
+}
+
+void ColumnEncoder::AppendFrame(const int32_t* values, uint64_t count) {
+  int32_t lo = values[0];
+  int32_t hi = values[0];
+  for (uint64_t i = 1; i < count; ++i) {
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  for_.AppendFrame(values, count, lo, hi);
+  highs_.push_back(hi);
+}
+
+DistinctRank ColumnEncoder::Rank() const {
+  // An empty column has no bounds; any pair serves its empty rank.
+  if (for_.frames() == 0) return DistinctRank(for_, 0, 0);
+  int32_t lo = for_.ref(0);
+  int32_t hi = highs_[0];
+  for (uint64_t frame = 1; frame < for_.frames(); ++frame) {
+    lo = std::min(lo, for_.ref(frame));
+    hi = std::max(hi, highs_[frame]);
+  }
+  return DistinctRank(for_, lo, hi);
+}
+
+EncodedColumn ColumnEncoder::Dictionary(const DistinctRank& rank) {
+  EncodedColumn column;
+  column.size_ = for_.size();
+  column.scheme_ = Scheme::kDictionary;
+  column.dict_ = rank.Values();
+  // The rank preserves order, so a frame's codes span the ranks of its
+  // bounds: the code image's words are known before it is packed.
+  const uint64_t frames = for_.frames();
+  uint64_t words = 0;
   for (uint64_t frame = 0; frame < frames; ++frame) {
-    bounds[frame] = FrameBounds(values.data(), n, frame);
+    words += PackedFrameWords(
+        FrameCountOf(for_.size(), frame),
+        rank.Rank(highs_[frame]) - rank.Rank(for_.ref(frame)));
   }
-  int32_t lo = bounds[0].first;
-  int32_t hi = bounds[0].second;
-  for (const auto& [frame_lo, frame_hi] : bounds) {
-    lo = std::min(lo, frame_lo);
-    hi = std::max(hi, frame_hi);
+  column.packed_ = PackedArray(frames, words);
+  int32_t values[kFrameValues];
+  int32_t codes[kFrameValues];
+  for (uint64_t frame = 0; frame < frames; ++frame) {
+    const uint64_t count = for_.DecodeFrame(frame, values);
+    for (uint64_t i = 0; i < count; ++i) {
+      codes[i] = static_cast<int32_t>(rank.Rank(values[i]));
+    }
+    column.packed_.AppendFrame(
+        codes, count, static_cast<int32_t>(rank.Rank(for_.ref(frame))),
+        static_cast<int32_t>(rank.Rank(highs_[frame])));
   }
-  const DistinctRank rank(values, lo, hi);
-  // Price both encodings exactly, frame by frame, without building
-  // either. A frame's FoR width follows from its value bounds; the rank
-  // is order-preserving, so the same bounds' ranks are the frame's
-  // smallest and largest dictionary codes.
-  uint64_t for_bytes = 0;
+  Release();
+  return column;
+}
+
+EncodedColumn ColumnEncoder::Finish() {
+  const uint64_t n = for_.size();
+  if (n == 0) return EncodedColumn();
+  const DistinctRank rank = Rank();
+  // FoR's price is the image as built. The dictionary's follows frame by
+  // frame from the rank: it is order-preserving, so a frame's bounds'
+  // ranks are its smallest and largest dictionary codes.
+  const uint64_t for_bytes = for_.Bytes();
   uint64_t dict_bytes = rank.distinct() * sizeof(int32_t);
-  for (uint64_t frame = 0; frame < frames; ++frame) {
-    const uint64_t count = FrameCountOf(n, frame);
-    const auto [frame_lo, frame_hi] = bounds[frame];
-    for_bytes += PackedFrameBytes(count, Span(frame_lo, frame_hi));
-    dict_bytes +=
-        PackedFrameBytes(count, rank.Rank(frame_hi) - rank.Rank(frame_lo));
+  for (uint64_t frame = 0; frame < for_.frames(); ++frame) {
+    dict_bytes += PackedFrameBytes(
+        FrameCountOf(n, frame),
+        rank.Rank(highs_[frame]) - rank.Rank(for_.ref(frame)));
   }
   const uint64_t raw_bytes = n * sizeof(int32_t);
   // Ties prefer FoR (cheapest decode), then dictionary, then raw.
   if (for_bytes <= dict_bytes && for_bytes <= raw_bytes) {
-    return EncodeWith(Scheme::kForBitPack, values);
+    return Finish(Scheme::kForBitPack);
   }
-  if (dict_bytes <= raw_bytes) return Dictionary(values, rank);
-  return EncodeWith(Scheme::kRaw, values);
+  if (dict_bytes <= raw_bytes) return Dictionary(rank);
+  return Finish(Scheme::kRaw);
+}
+
+EncodedColumn ColumnEncoder::Finish(Scheme scheme) {
+  if (scheme == Scheme::kDictionary) return Dictionary(Rank());
+  EncodedColumn column;
+  column.size_ = for_.size();
+  column.scheme_ = scheme;
+  if (scheme == Scheme::kRaw) {
+    column.raw_.resize(for_.size());
+    for_.Decode(0, for_.size(), column.raw_.data());
+  } else {
+    for_.ShrinkToFit();
+    column.packed_ = std::move(for_);
+  }
+  Release();
+  return column;
+}
+
+void ColumnEncoder::Release() {
+  for_ = PackedArray();
+  highs_ = std::vector<int32_t>();
 }
 
 int32_t EncodedColumn::Get(uint64_t index) const {

@@ -17,13 +17,18 @@
 //                  code ranges.
 //   kRaw         — pass-through for incompressible columns.
 //
-// EncodedColumn::Encode picks the scheme with the smallest encoded size at
-// load time, in linear time: one pass finds each frame's minimum and
-// maximum, FoR is priced from those bounds' widths and the dictionary
-// from the ranks of the same bounds plus 4 B per distinct value, and only
-// the winner is built. EncodedBytes() reports the built size (words +
-// frame directory + dictionary) for device-model placement and scan
-// pricing.
+// EncodedColumn::Encode picks the scheme with the smallest encoded size
+// at load time, and reads the values once. A ColumnEncoder takes the
+// column 32 values at a time: it finds each frame's minimum and maximum
+// and packs the frame into the FoR image at once, through an unrolled
+// kernel per code width. FoR is then priced as built. The dictionary is
+// priced from the ranks of the frames' bounds among the column's
+// distinct values, plus 4 B per distinct value; the rank is built by
+// decoding the compact FoR image. A dictionary or raw winner is derived
+// from that image too, so no scheme reads the source again.
+// ssb::EncodedColumnStore runs nine encoders over one sweep of the row
+// image. EncodedBytes() reports the built size (words + frame directory
+// + dictionary) for device-model placement and scan pricing.
 //
 // Predicate-on-encoded fast paths: a range predicate is evaluated against
 // each frame's conservative value bounds [ref, ref + (2^width - 1)] first —
@@ -53,17 +58,27 @@ const char* SchemeName(Scheme scheme);
 
 /// Frame-packed code storage shared by the FoR and dictionary schemes:
 /// per-frame reference + width directory over word-padded packed codes.
-/// Kept public for the encoding tests; engine code goes through
-/// EncodedColumn.
+/// Engine code goes through EncodedColumn.
 class PackedArray {
  public:
   PackedArray() = default;
+  /// An empty array with room for `frames` frames and `words` packed
+  /// words, so appending them never regrows the storage.
+  PackedArray(uint64_t frames, uint64_t words);
 
-  /// Packs `n` values into 32-value frames (last frame may be short).
-  static PackedArray Pack(const int32_t* values, uint64_t n);
+  /// Appends the next frame: `count` values (kFrameValues, or fewer for
+  /// the last frame) whose minimum is `lo` and maximum `hi`. The codes
+  /// value - lo are packed at the width of hi - lo by that width's
+  /// unrolled kernel.
+  void AppendFrame(const int32_t* values, uint64_t count, int32_t lo,
+                   int32_t hi);
+  /// Frees the word capacity no frame used.
+  void ShrinkToFit() { words_.shrink_to_fit(); }
 
   uint64_t size() const { return size_; }
   uint64_t frames() const { return refs_.size(); }
+  /// The reference (minimum value) of `frame`.
+  int32_t ref(uint64_t frame) const { return refs_[frame]; }
 
   int32_t Get(uint64_t index) const;
   /// Decodes values [begin, end) into out[0 .. end-begin).
@@ -102,12 +117,11 @@ class EncodedColumn {
   EncodedColumn() = default;
 
   /// Encodes with the cheapest scheme (ties prefer FoR over dictionary
-  /// over raw — cheaper decode at equal size). Both encodings are priced
-  /// exactly from per-frame bounds and distinct-value ranks, without
-  /// being built; only the winner is built, so the result equals the
-  /// smallest of the three EncodeWith builds.
+  /// over raw — cheaper decode at equal size) through one ColumnEncoder,
+  /// so the result equals the smallest of the three EncodeWith builds.
   static EncodedColumn Encode(const std::vector<int32_t>& values);
-  /// Forces a scheme (tests and the bench's per-scheme comparisons).
+  /// Forces a scheme, built the way Encode builds it.
+  // lint:allow(test-only-api): scheme-choice oracle (the exhaustive trial)
   static EncodedColumn EncodeWith(Scheme scheme,
                                   const std::vector<int32_t>& values);
 
@@ -141,15 +155,44 @@ class EncodedColumn {
   double CompressionRatio() const;
 
  private:
-  /// The one dictionary builder: entries and codes both come from `rank`.
-  static EncodedColumn Dictionary(const std::vector<int32_t>& values,
-                                  const DistinctRank& rank);
+  friend class ColumnEncoder;
 
   Scheme scheme_ = Scheme::kRaw;
   uint64_t size_ = 0;
   std::vector<int32_t> raw_;    ///< kRaw payload
   PackedArray packed_;          ///< kForBitPack values or kDictionary codes
   std::vector<int32_t> dict_;   ///< sorted distinct values (kDictionary)
+};
+
+/// Builds one EncodedColumn from one read of its values: each appended
+/// frame is bounded and FoR-packed at once, and Finish derives whatever
+/// scheme it returns from that FoR image.
+class ColumnEncoder {
+ public:
+  /// Room for a column of `n` values.
+  explicit ColumnEncoder(uint64_t n);
+
+  /// Appends the column's next frame: `count` values, kFrameValues for
+  /// every frame but a short last one.
+  void AppendFrame(const int32_t* values, uint64_t count);
+
+  /// The cheapest scheme, as EncodedColumn::Encode picks it. The encoder
+  /// is spent afterwards.
+  EncodedColumn Finish();
+  /// The given scheme (EncodedColumn::EncodeWith). The encoder is spent
+  /// afterwards.
+  EncodedColumn Finish(Scheme scheme);
+
+ private:
+  /// The column's distinct-value rank, built from the FoR image.
+  DistinctRank Rank() const;
+  /// The dictionary scheme: entries and codes both come from `rank`.
+  EncodedColumn Dictionary(const DistinctRank& rank);
+  /// Frees the FoR image once a scheme is built from it.
+  void Release();
+
+  PackedArray for_;             ///< the FoR image, one frame per append
+  std::vector<int32_t> highs_;  ///< per-frame maximum (refs are minima)
 };
 
 }  // namespace pmemolap::encoding

@@ -1,36 +1,44 @@
 #include "ssb/encoded_column_store.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace pmemolap::ssb {
 
-namespace {
-
-/// Encodes out[c] from column_of(c), a const std::vector<int32_t>&.
-template <typename ColumnOf>
-void EncodeEach(encoding::EncodedColumn* out, ColumnOf column_of) {
-  for (int c = 0; c < kNumLineorderColumns; ++c) {
-    out[c] = encoding::EncodedColumn::Encode(column_of(c));
-  }
-}
-
-}  // namespace
-
 EncodedColumnStore::EncodedColumnStore(const ColumnStore& columns)
     : size_(columns.size()) {
-  EncodeEach(columns_, [&](int c) -> const std::vector<int32_t>& {
-    return columns.column(static_cast<LineorderColumn>(c));
-  });
+  for (int c = 0; c < kNumLineorderColumns; ++c) {
+    columns_[c] = encoding::EncodedColumn::Encode(
+        columns.column(static_cast<LineorderColumn>(c)));
+  }
 }
 
 EncodedColumnStore::EncodedColumnStore(const std::vector<LineorderRow>& rows)
     : size_(rows.size()) {
-  std::vector<int32_t> values(rows.size());
-  EncodeEach(columns_, [&](int c) -> const std::vector<int32_t>& {
-    const int32_t LineorderRow::*field = kRowFields[c];
-    for (size_t i = 0; i < rows.size(); ++i) values[i] = rows[i].*field;
-    return values;
-  });
+  constexpr uint64_t kFrame = encoding::kFrameValues;
+  std::vector<encoding::ColumnEncoder> encoders;
+  encoders.reserve(kNumLineorderColumns);
+  for (int c = 0; c < kNumLineorderColumns; ++c) {
+    encoders.emplace_back(rows.size());
+  }
+  // One frame of every column per 32 rows: the tile is the block's nine
+  // columns, so each row is read once.
+  int32_t tile[kNumLineorderColumns][kFrame] = {};
+  for (uint64_t begin = 0; begin < rows.size(); begin += kFrame) {
+    const uint64_t count = std::min<uint64_t>(kFrame, rows.size() - begin);
+    for (uint64_t i = 0; i < count; ++i) {
+      const LineorderRow& row = rows[begin + i];
+      for (int c = 0; c < kNumLineorderColumns; ++c) {
+        tile[c][i] = row.*kRowFields[c];
+      }
+    }
+    for (int c = 0; c < kNumLineorderColumns; ++c) {
+      encoders[c].AppendFrame(tile[c], count);
+    }
+  }
+  for (int c = 0; c < kNumLineorderColumns; ++c) {
+    columns_[c] = encoders[c].Finish();
+  }
 }
 
 uint64_t EncodedColumnStore::TotalEncodedBytes() const {

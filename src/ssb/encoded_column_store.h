@@ -3,12 +3,13 @@
 // bit-packing, sorted dictionary, or raw pass-through) at load time.
 //
 // The engine scans this view when EngineConfig::encoding is on. It builds
-// the view straight from the row image, one column at a time, so no raw
-// column store is resident beside it. The kernels answer a plan's range
-// filters on the encoded frames and gather every other column at the
-// selection, and scan traffic is priced at the encoded byte widths
-// reported here — so modeled seconds drop by exactly the bytes the
-// encodings save.
+// the view in one sweep of the row image: each 32-row block is cut into a
+// 9 x 32 tile, one frame per column, and each column's ColumnEncoder
+// packs its frame at once, so no raw column is ever resident beside the
+// view. The kernels answer a plan's range filters on the encoded frames
+// and gather every other column at the selection, and scan traffic is
+// priced at the encoded byte widths reported here — so modeled seconds
+// drop by exactly the bytes the encodings save.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +26,9 @@ class EncodedColumnStore {
   EncodedColumnStore() = default;
   /// Encodes all nine columns of `columns` (scheme per column by size).
   explicit EncodedColumnStore(const ColumnStore& columns);
-  /// Encodes the nine columns of `rows`, projecting one column at a time:
-  /// only one raw column is resident while the store is built.
+  /// Encodes the nine columns of `rows` in one sweep of the rows, one
+  /// 32-row frame of every column at a time: no raw column is resident
+  /// while the store is built.
   explicit EncodedColumnStore(const std::vector<LineorderRow>& rows);
 
   uint64_t size() const { return size_; }

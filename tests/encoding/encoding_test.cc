@@ -529,23 +529,46 @@ TEST(EncodedColumnStore, ScanColumnSetsMatchColumnarWidths) {
 }
 
 TEST(EncodedColumnStore, RowsAndColumnsBuildTheSameStore) {
-  auto db = ssb::Generate({.scale_factor = 0.01, .seed = 12});
-  ASSERT_TRUE(db.ok());
-  const ssb::ColumnStore columns(db->lineorder);
-  const ssb::EncodedColumnStore from_columns(columns);
-  const ssb::EncodedColumnStore from_rows(db->lineorder);
-  ASSERT_EQ(from_rows.size(), from_columns.size());
-  for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
-    const auto column = static_cast<ssb::LineorderColumn>(c);
-    SCOPED_TRACE(ssb::LineorderColumnName(column));
-    const EncodedColumn& rows = from_rows.column(column);
-    const EncodedColumn& cols = from_columns.column(column);
-    EXPECT_EQ(rows.scheme(), cols.scheme());
-    EXPECT_EQ(rows.EncodedBytes(), cols.EncodedBytes());
-    EXPECT_EQ(rows.dictionary(), cols.dictionary());
-    ASSERT_NO_FATAL_FAILURE(ExpectRoundTrip(rows, columns.column(column)));
+  // The row sweep and the column path run the same encoder: both stores
+  // equal EncodedColumn::Encode of each projected column. At sf 0.001
+  // the 6,000 rows are 187 full frames and a 16-value tail, and
+  // extendedprice and revenue span more than 32 bits per value, so their
+  // rank takes the sorted path.
+  for (const double sf : {0.01, 0.001}) {
+    SCOPED_TRACE("sf " + std::to_string(sf));
+    auto db = ssb::Generate({.scale_factor = sf, .seed = 12});
+    ASSERT_TRUE(db.ok());
+    const ssb::ColumnStore columns(db->lineorder);
+    const ssb::EncodedColumnStore from_columns(columns);
+    const ssb::EncodedColumnStore from_rows(db->lineorder);
+    ASSERT_EQ(from_rows.size(), from_columns.size());
+    if (sf == 0.001) {
+      ASSERT_EQ(columns.size(), 187 * kFrameValues + 16);
+      for (const ssb::LineorderColumn sparse :
+           {ssb::LineorderColumn::kExtendedprice,
+            ssb::LineorderColumn::kRevenue}) {
+        const auto [lo, hi] = std::minmax_element(
+            columns.column(sparse).begin(), columns.column(sparse).end());
+        EXPECT_GE((static_cast<int64_t>(*hi) - *lo) / 32,
+                  static_cast<int64_t>(columns.size()))
+            << ssb::LineorderColumnName(sparse);
+      }
+    }
+    for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+      const auto column = static_cast<ssb::LineorderColumn>(c);
+      SCOPED_TRACE(ssb::LineorderColumnName(column));
+      const EncodedColumn want = EncodedColumn::Encode(columns.column(column));
+      for (const EncodedColumn* got :
+           {&from_rows.column(column), &from_columns.column(column)}) {
+        EXPECT_EQ(got->scheme(), want.scheme());
+        EXPECT_EQ(got->EncodedBytes(), want.EncodedBytes());
+        EXPECT_EQ(got->dictionary(), want.dictionary());
+        ASSERT_NO_FATAL_FAILURE(ExpectRoundTrip(*got, columns.column(column)));
+      }
+    }
+    EXPECT_EQ(from_rows.TotalEncodedBytes(),
+              from_columns.TotalEncodedBytes());
   }
-  EXPECT_EQ(from_rows.TotalEncodedBytes(), from_columns.TotalEncodedBytes());
 }
 
 TEST(ColumnStoreMoveConstructor, ReleasesRowImage) {

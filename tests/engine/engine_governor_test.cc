@@ -1,11 +1,14 @@
 // Governor <-> engine integration: bit-identical outputs and seconds with
 // the governor off, bit-identical OUTPUTS with it on (staging probes
 // payload-identical replicas), deterministic actuator logs across runs,
+// the committed writer clamp on a run's PMEM writes and its seconds,
 // the shared degradation signal into admission control, the torn XPLine
 // charge per stored column with shaping off, and governed runs from
 // several host threads at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -179,6 +182,62 @@ TEST(EngineGovernorTest, StagingEvictionFallsBackBitIdentically) {
   // The converged decisions differ only in staging.
   EXPECT_FALSE(staged_governor.decision().staged.empty());
   EXPECT_TRUE(evicted_governor.decision().staged.empty());
+}
+
+TEST(EngineGovernorTest, WriterClampCommitsOnAGovernedRun) {
+  // Under 18 standing PMEM writers per socket the governor clamps writers
+  // to the write knee within BP2's 4-6. Staging is off, so the clamp is
+  // the one actuator that moves between runs: once it commits, every PMEM
+  // write the query makes runs at the clamped count, and the run is no
+  // slower than the last one before the commit and faster than the
+  // ungoverned engine under the same background.
+  GovernorEngineEnv& env = GovernorEngineEnv::Get();
+  governor::GovernorConfig unstaged;
+  unstaged.stage_structures = false;
+  governor::BandwidthGovernor governor(&env.model(), unstaged);
+  const int clamped =
+      std::clamp(governor.WriteKnee().threads, governor::kMinWriteThreads,
+                 governor::kMaxWriteThreads);
+  EXPECT_EQ(clamped, 4);  // the default model's write knee
+  ASSERT_NE(governor.decision().write_threads, clamped);
+
+  EngineConfig config = BaseConfig();
+  config.background = IngestBackground();
+  SsbEngine ungoverned(&env.db(), &env.model(), config);
+  ASSERT_TRUE(ungoverned.Prepare().ok());
+  config.governor = &governor;
+  SsbEngine governed(&env.db(), &env.model(), config);
+  ASSERT_TRUE(governed.Prepare().ok());
+
+  // The thread counts of a run's PMEM write records.
+  auto pmem_writers = [](const SsbEngine::QueryRun& run) {
+    std::set<int> threads;
+    for (const TrafficRecord& record : run.profile.records()) {
+      if (record.op == OpType::kWrite && record.media == Media::kPmem) {
+        threads.insert(record.threads);
+      }
+    }
+    return threads;
+  };
+  constexpr QueryId kQuery = QueryId::kQ2_1;
+  Result<SsbEngine::QueryRun> before = governed.Execute(kQuery);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  for (int quantum = 1; quantum < 2 * governor::kHysteresisQuanta &&
+                        governor.decision().write_threads != clamped;
+       ++quantum) {
+    before = governed.Execute(kQuery);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+  }
+  ASSERT_EQ(governor.decision().write_threads, clamped);
+  EXPECT_EQ(pmem_writers(*before), std::set<int>{governor::kMaxWriteThreads});
+
+  Result<SsbEngine::QueryRun> after = governed.Execute(kQuery);
+  Result<SsbEngine::QueryRun> plain = ungoverned.Execute(kQuery);
+  ASSERT_TRUE(after.ok() && plain.ok());
+  EXPECT_EQ(pmem_writers(*after), std::set<int>{clamped});
+  EXPECT_TRUE(after->output == before->output);
+  EXPECT_LE(after->seconds, before->seconds);
+  EXPECT_LT(after->seconds, plain->seconds);
 }
 
 TEST(EngineGovernorTest, ThrottleEstimateFeedsAdmissionSignal) {

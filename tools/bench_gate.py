@@ -44,6 +44,11 @@ METRICS = {
         ("modeled.geomean_byte_reduction", "higher", MODELED),
         ("modeled.geomean_speedup", "higher", MODELED),
         ("wallclock_scan.geomean_speedup", "higher", WALLCLOCK),
+        # Encode cost in units of one read of its source (raw sum-scans of
+        # the 192 MiB column; read-only sweeps of the sf 0.2 row image):
+        # a second pass over the values shows up as a multiple here.
+        ("wallclock_scan.encode_scans", "lower", WALLCLOCK),
+        ("store_build.sweeps", "lower", WALLCLOCK),
     ],
     "wallclock_ssb": [
         ("geomean_speedup", "higher", WALLCLOCK),
