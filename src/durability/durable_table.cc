@@ -74,7 +74,8 @@ Result<uint64_t> DurableTable::Append(const std::byte* data, uint64_t bytes) {
 
   // 5: publish to readers.
   AdvanceCommitted(epoch, table_offset + bytes, tail + commit_record.size());
-  RecordIngestTraffic(commit_record.size(), bytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  pending_ingest_bytes_ += bytes + commit_record.size();
   return epoch;
 }
 
@@ -133,67 +134,31 @@ Status DurableTable::ReadSnapshot(uint64_t epoch, uint64_t offset,
   return Status::OK();
 }
 
-std::vector<TrafficRecord> DurableTable::BuildTraffic(
-    uint64_t log_bytes, uint64_t apply_bytes) const {
-  std::vector<TrafficRecord> records;
-  if (log_bytes > 0) {
-    TrafficRecord log;
-    log.op = OpType::kWrite;
-    log.pattern = Pattern::kSequentialGrouped;
-    log.media = Media::kPmem;
-    log.data_socket = kSocket;
-    log.bytes = log_bytes;
-    log.access_size = kOptaneLineBytes;
-    log.region_bytes = options_.log_bytes;
-    log.threads = 1;
-    log.label = "ingest-log";
-    records.push_back(std::move(log));
-  }
-  if (apply_bytes > 0) {
-    TrafficRecord apply;
-    apply.op = OpType::kWrite;
-    apply.pattern = Pattern::kSequentialGrouped;
-    apply.media = Media::kPmem;
-    apply.data_socket = kSocket;
-    apply.bytes = apply_bytes;
-    apply.access_size = 4 * kKiB;
-    apply.region_bytes = options_.capacity_bytes;
-    apply.threads = 1;
-    apply.label = "ingest-apply";
-    records.push_back(std::move(apply));
-  }
-  return records;
-}
-
-void DurableTable::RecordIngestTraffic(uint64_t log_bytes,
-                                       uint64_t apply_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pending_log_bytes_ += log_bytes;
-  pending_apply_bytes_ += apply_bytes;
+std::vector<TrafficRecord> DurableTable::BuildTraffic(uint64_t bytes) const {
+  if (bytes == 0) return {};
+  // One ingest thread writes the payload and then its commit record: one
+  // writer, priced at the payload's access size over the table region.
+  TrafficRecord ingest;
+  ingest.op = OpType::kWrite;
+  ingest.pattern = Pattern::kSequentialGrouped;
+  ingest.media = Media::kPmem;
+  ingest.data_socket = kSocket;
+  ingest.bytes = bytes;
+  ingest.access_size = 4 * kKiB;
+  ingest.region_bytes = options_.capacity_bytes;
+  ingest.threads = 1;
+  ingest.label = "ingest";
+  return {std::move(ingest)};
 }
 
 std::vector<TrafficRecord> DurableTable::DrainIngestTraffic() {
-  uint64_t log_bytes;
-  uint64_t apply_bytes;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    log_bytes = pending_log_bytes_;
-    apply_bytes = pending_apply_bytes_;
-    pending_log_bytes_ = 0;
-    pending_apply_bytes_ = 0;
-  }
-  return BuildTraffic(log_bytes, apply_bytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return BuildTraffic(std::exchange(pending_ingest_bytes_, 0));
 }
 
 std::vector<TrafficRecord> DurableTable::standing_traffic() const {
-  uint64_t log_bytes;
-  uint64_t apply_bytes;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    log_bytes = pending_log_bytes_;
-    apply_bytes = pending_apply_bytes_;
-  }
-  return BuildTraffic(log_bytes, apply_bytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return BuildTraffic(pending_ingest_bytes_);
 }
 
 }  // namespace pmemolap

@@ -91,9 +91,10 @@ class DurableTable {
   /// recovery, which surfaces as Unavailable.
   Result<RecoveryStats> Recover();
 
-  /// Modeled PMEM write traffic of ingest since the last drain — the
-  /// commit-record stream and the payload stream, labeled "ingest-log" /
-  /// "ingest-apply" for the governor's write-knee telemetry.
+  /// Modeled PMEM write traffic of ingest since the last drain: one
+  /// record, labeled "ingest", for the one ingest thread that writes each
+  /// epoch's payload and then its commit record. Queries price it as a
+  /// standing writer and the governor's write-knee telemetry counts it.
   std::vector<TrafficRecord> DrainIngestTraffic();
   /// Same records without resetting (peek for engine background merging).
   std::vector<TrafficRecord> standing_traffic() const;
@@ -125,9 +126,7 @@ class DurableTable {
   /// Recovery's republish of the whole epoch map.
   void RestoreCommitted(std::vector<uint64_t> epoch_bytes,
                         uint64_t log_tail);
-  void RecordIngestTraffic(uint64_t log_bytes, uint64_t apply_bytes);
-  std::vector<TrafficRecord> BuildTraffic(uint64_t log_bytes,
-                                          uint64_t apply_bytes) const;
+  std::vector<TrafficRecord> BuildTraffic(uint64_t bytes) const;
 
   Options options_;
   CrashInjector* crash_;
@@ -140,8 +139,8 @@ class DurableTable {
   /// epoch_bytes_[e] = committed table bytes through epoch e; [0] = 0.
   std::vector<uint64_t> epoch_bytes_{0};
   uint64_t log_tail_ = 0;
-  uint64_t pending_log_bytes_ = 0;
-  uint64_t pending_apply_bytes_ = 0;
+  /// Payload plus commit-record bytes appended since the last drain.
+  uint64_t pending_ingest_bytes_ = 0;
 };
 
 }  // namespace pmemolap

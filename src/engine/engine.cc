@@ -825,10 +825,11 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   // query's own) — ungoverned runs see the background as configured.
   std::vector<TrafficRecord> background = config_.background;
   if (durable) {
-    // The ingest load's PMEM write stream (commit log + payload) rides
-    // along as standing background: the query is costed jointly with it,
-    // and — below — the governor's writer clamp applies to it like any
-    // other PMEM writer, so log writes enter the write-knee loop.
+    // The ingest thread's PMEM writes (each epoch's payload and its commit
+    // record, one writer) ride along as standing background: the query is
+    // costed jointly with them, and — below — the governor's writer clamp
+    // applies to them like any other PMEM writer, so ingest writes enter
+    // the write-knee loop.
     std::vector<TrafficRecord> ingest = config_.durable->standing_traffic();
     background.insert(background.end(),
                       std::make_move_iterator(ingest.begin()),

@@ -145,8 +145,9 @@ struct EngineConfig {
   /// in this crash-consistent DurableTable (fed epoch-by-epoch through
   /// Ingest) instead of db_->lineorder, every read pins a committed
   /// snapshot epoch (QueryOptions::snapshot_epoch), and the table's
-  /// standing ingest write traffic joins the query's background classes —
-  /// so log writes show up at the governor's write knee. Queries scan
+  /// standing ingest write traffic (one writer: payload and commit
+  /// record) joins the query's background classes — so ingest writes
+  /// show up at the governor's write knee. Queries scan
   /// only committed rows: a crash mid-epoch can never surface torn data
   /// to a reader. Mutually exclusive with `fault` guarded mode. Must
   /// outlive the engine.

@@ -49,6 +49,100 @@ std::vector<DateRow> GenerateDates() {
   return dates;
 }
 
+/// Draws the fact table one row per Next(), in order, from one Rng
+/// stream. The draw state, the bounds and the pointers are members, fixed
+/// at construction except for the order state.
+class LineorderGenerator {
+ public:
+  /// A null Zipf sampler draws that key uniformly.
+  LineorderGenerator(Rng rng, const std::vector<DateRow>& dates,
+                     const Cardinalities& cards, const ZipfSampler* cust_zipf,
+                     const ZipfSampler* supp_zipf,
+                     const ZipfSampler* part_zipf)
+      : rng_(rng),
+        dates_(dates.data()),
+        num_dates_(dates.size()),
+        customers_(cards.customer),
+        suppliers_(cards.supplier),
+        parts_(cards.part),
+        cust_zipf_(cust_zipf),
+        supp_zipf_(supp_zipf),
+        part_zipf_(part_zipf) {}
+
+  void Next(LineorderRow* row) {
+    if (lines_left_ == 0) {
+      ++order_;
+      lines_left_ = static_cast<int>(1 + rng_.NextBelow(7));
+      linenumber_ = 0;
+      ordtotalprice_ = 0;
+    }
+    --lines_left_;
+    ++linenumber_;
+
+    row->orderkey = static_cast<int64_t>(order_);
+    row->linenumber = linenumber_;
+    row->custkey = PickKey(cust_zipf_, customers_);
+    row->partkey = PickKey(part_zipf_, parts_);
+    row->suppkey = PickKey(supp_zipf_, suppliers_);
+    row->orderdate = dates_[rng_.NextBelow(num_dates_)].datekey;
+    row->commitdate = dates_[rng_.NextBelow(num_dates_)].datekey;
+    row->quantity = static_cast<int32_t>(1 + rng_.NextBelow(50));
+    row->discount = static_cast<int32_t>(rng_.NextBelow(11));
+    // Unit price 90..110k cents-ish, as in SSB's derived pricing.
+    const int32_t unit_price =
+        static_cast<int32_t>(90 + rng_.NextBelow(110'000));
+    row->extendedprice = row->quantity * (unit_price / 10 + 100);
+    row->revenue = row->extendedprice * (100 - row->discount) / 100;
+    row->supplycost = row->extendedprice * 6 / 10 / row->quantity;
+    row->tax = static_cast<int32_t>(rng_.NextBelow(9));
+    ordtotalprice_ += row->extendedprice;
+    row->ordtotalprice = ordtotalprice_;
+    row->shipmode = static_cast<uint8_t>(rng_.NextBelow(7));
+    row->priority = static_cast<uint8_t>(rng_.NextBelow(5));
+  }
+
+ private:
+  int32_t PickKey(const ZipfSampler* zipf, uint64_t cardinality) {
+    if (zipf == nullptr) {
+      return static_cast<int32_t>(1 + rng_.NextBelow(cardinality));
+    }
+    // The sampled rank is scrambled with a fixed odd-multiplier
+    // permutation over [0, cardinality), so hot keys spread over the key
+    // space instead of clustering at 1..k.
+    const uint64_t rank = zipf->Sample(rng_);
+    return static_cast<int32_t>(1 + (rank * 2654435761ULL + 7) % cardinality);
+  }
+
+  Rng rng_;
+  const DateRow* dates_;
+  uint64_t num_dates_;
+  uint64_t customers_;
+  uint64_t suppliers_;
+  uint64_t parts_;
+  const ZipfSampler* cust_zipf_;
+  const ZipfSampler* supp_zipf_;
+  const ZipfSampler* part_zipf_;
+  uint64_t order_ = 0;
+  int lines_left_ = 0;
+  int linenumber_ = 0;
+  int32_t ordtotalprice_ = 0;
+};
+
+std::vector<LineorderRow> GenerateLineorder(LineorderGenerator* generator,
+                                            uint64_t count) {
+  std::vector<LineorderRow> rows;
+  rows.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    // A temporary that Next fills whole compiles to field stores straight
+    // into the vector's slot (the padding stays unwritten); emplace_back()
+    // would zero-fill all 128 B of every slot first.
+    LineorderRow row;
+    generator->Next(&row);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 /// Membership over one dimension's keys: a bitmap over [lo, hi].
 class KeySet {
  public:
@@ -183,11 +277,8 @@ Result<Database> Generate(const DbgenConfig& config) {
     db.part.push_back(row);
   }
 
-  Rng lo_rng = root.Fork(4);
   // Skewed foreign keys (key_skew > 0): hot customers/suppliers/parts
-  // receive Zipf-distributed shares of the fact tuples. The sampled rank
-  // is scrambled with a fixed multiplicative permutation so hot keys
-  // spread over the key space instead of clustering at 1..k.
+  // receive Zipf-distributed shares of the fact tuples.
   std::unique_ptr<ZipfSampler> cust_zipf;
   std::unique_ptr<ZipfSampler> supp_zipf;
   std::unique_ptr<ZipfSampler> part_zipf;
@@ -198,55 +289,9 @@ Result<Database> Generate(const DbgenConfig& config) {
                                               config.key_skew);
     part_zipf = std::make_unique<ZipfSampler>(cards.part, config.key_skew);
   }
-  auto pick_key = [&](const std::unique_ptr<ZipfSampler>& zipf,
-                      uint64_t cardinality) -> int32_t {
-    if (zipf == nullptr) {
-      return static_cast<int32_t>(1 + lo_rng.NextBelow(cardinality));
-    }
-    uint64_t rank = zipf->Sample(lo_rng);
-    // Fixed odd-multiplier permutation over [0, cardinality).
-    uint64_t scrambled = (rank * 2654435761ULL + 7) % cardinality;
-    return static_cast<int32_t>(1 + scrambled);
-  };
-  db.lineorder.reserve(cards.lineorder);
-  uint64_t order = 0;
-  int lines_left = 0;
-  int linenumber = 0;
-  int32_t ordtotalprice = 0;
-  for (uint64_t i = 0; i < cards.lineorder; ++i) {
-    if (lines_left == 0) {
-      ++order;
-      lines_left = static_cast<int>(1 + lo_rng.NextBelow(7));
-      linenumber = 0;
-      ordtotalprice = 0;
-    }
-    --lines_left;
-    ++linenumber;
-
-    LineorderRow row;
-    row.orderkey = static_cast<int64_t>(order);
-    row.linenumber = linenumber;
-    row.custkey = pick_key(cust_zipf, cards.customer);
-    row.partkey = pick_key(part_zipf, cards.part);
-    row.suppkey = pick_key(supp_zipf, cards.supplier);
-    const DateRow& odate =
-        db.date[lo_rng.NextBelow(db.date.size())];
-    row.orderdate = odate.datekey;
-    row.commitdate = db.date[lo_rng.NextBelow(db.date.size())].datekey;
-    row.quantity = static_cast<int32_t>(1 + lo_rng.NextBelow(50));
-    row.discount = static_cast<int32_t>(lo_rng.NextBelow(11));
-    // Unit price 90..110k cents-ish, as in SSB's derived pricing.
-    int32_t unit_price = static_cast<int32_t>(90 + lo_rng.NextBelow(110'000));
-    row.extendedprice = row.quantity * (unit_price / 10 + 100);
-    row.revenue = row.extendedprice * (100 - row.discount) / 100;
-    row.supplycost = row.extendedprice * 6 / 10 / row.quantity;
-    row.tax = static_cast<int32_t>(lo_rng.NextBelow(9));
-    ordtotalprice += row.extendedprice;
-    row.ordtotalprice = ordtotalprice;
-    row.shipmode = static_cast<uint8_t>(lo_rng.NextBelow(7));
-    row.priority = static_cast<uint8_t>(lo_rng.NextBelow(5));
-    db.lineorder.push_back(row);
-  }
+  LineorderGenerator lineorder(root.Fork(4), db.date, cards, cust_zipf.get(),
+                               supp_zipf.get(), part_zipf.get());
+  db.lineorder = GenerateLineorder(&lineorder, cards.lineorder);
   return db;
 }
 

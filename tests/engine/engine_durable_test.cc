@@ -216,7 +216,7 @@ TEST(EngineDurableTest, StandingIngestTrafficPricesIntoQueries) {
   ASSERT_TRUE(engine.Prepare().ok());
   EXPECT_EQ(IngestInEpochs(&engine, env.db(), 6), 6u);
 
-  // Right after ingest the table's pending log/apply writes ride along as
+  // Right after ingest the table's pending ingest writes ride along as
   // background traffic; draining them returns queries to solo pricing.
   ASSERT_FALSE((*table)->standing_traffic().empty());
   const QueryId query = ssb::AllQueries().front();
@@ -227,7 +227,7 @@ TEST(EngineDurableTest, StandingIngestTrafficPricesIntoQueries) {
   Result<SsbEngine::QueryRun> solo = engine.Execute(query);
   ASSERT_TRUE(solo.ok());
   EXPECT_GT(contended->seconds, solo->seconds)
-      << "ingest log writes must show up in the query's modeled runtime";
+      << "ingest writes must show up in the query's modeled runtime";
   EXPECT_EQ(contended->output, solo->output);
 }
 

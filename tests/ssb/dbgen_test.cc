@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
 
 namespace pmemolap::ssb {
 namespace {
@@ -60,6 +62,114 @@ TEST(DbgenTest, DifferentSeedsDiffer) {
     if (a->lineorder[i].revenue != b->lineorder[i].revenue) ++differing;
   }
   EXPECT_GT(differing, 0);
+}
+
+// FNV-1a over every field's value, row by row. Raw row bytes are not
+// digested: LineorderRow's padding is indeterminate.
+class FieldDigest {
+ public:
+  void Add(int64_t value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (unsigned char byte : bytes) hash_ = (hash_ ^ byte) * 0x100000001B3ULL;
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+struct TableDigests {
+  uint64_t date = 0;
+  uint64_t customer = 0;
+  uint64_t supplier = 0;
+  uint64_t part = 0;
+  uint64_t lineorder = 0;
+};
+
+TableDigests DigestTables(const Database& db) {
+  FieldDigest date, customer, supplier, part, lineorder;
+  for (const DateRow& r : db.date) {
+    for (int64_t v : {int64_t{r.datekey}, int64_t{r.yearmonthnum},
+                      int64_t{r.year}, int64_t{r.monthnuminyear},
+                      int64_t{r.daynuminweek}, int64_t{r.weeknuminyear}}) {
+      date.Add(v);
+    }
+  }
+  for (const CustomerRow& r : db.customer) {
+    for (int64_t v : {int64_t{r.custkey}, int64_t{r.nation},
+                      int64_t{r.region}, int64_t{r.city},
+                      int64_t{r.mktsegment}}) {
+      customer.Add(v);
+    }
+  }
+  for (const SupplierRow& r : db.supplier) {
+    for (int64_t v : {int64_t{r.suppkey}, int64_t{r.nation},
+                      int64_t{r.region}, int64_t{r.city}}) {
+      supplier.Add(v);
+    }
+  }
+  for (const PartRow& r : db.part) {
+    for (int64_t v : {int64_t{r.partkey}, int64_t{r.mfgr},
+                      int64_t{r.category}, int64_t{r.brand},
+                      int64_t{r.color}, int64_t{r.size}}) {
+      part.Add(v);
+    }
+  }
+  for (const LineorderRow& r : db.lineorder) {
+    for (int64_t v :
+         {r.orderkey, int64_t{r.linenumber}, int64_t{r.custkey},
+          int64_t{r.partkey}, int64_t{r.suppkey}, int64_t{r.orderdate},
+          int64_t{r.commitdate}, int64_t{r.quantity}, int64_t{r.discount},
+          int64_t{r.extendedprice}, int64_t{r.ordtotalprice},
+          int64_t{r.revenue}, int64_t{r.supplycost}, int64_t{r.tax},
+          int64_t{r.shipmode}, int64_t{r.priority}}) {
+      lineorder.Add(v);
+    }
+  }
+  return {date.value(), customer.value(), supplier.value(), part.value(),
+          lineorder.value()};
+}
+
+// Pins the generator's output field by field, so a faster generator must
+// reproduce every table exactly (digests taken from the row-at-a-time
+// generator this one replaced).
+TEST(DbgenTest, EveryFieldOfEveryTableIsPinned) {
+  struct Pinned {
+    DbgenConfig config;
+    TableDigests digests;
+  };
+  const Pinned kPinned[] = {
+      {{.scale_factor = 0.001, .seed = 1, .key_skew = 0.0},
+       {13076066044834176170ULL, 14763365189044529929ULL,
+        3958555484166942813ULL, 9500918072910709147ULL,
+        1441034973956208887ULL}},
+      {{.scale_factor = 0.01, .seed = 42, .key_skew = 0.0},
+       {13076066044834176170ULL, 12225851124502407755ULL,
+        4267279568929924978ULL, 6484726422662198001ULL,
+        15688992365124239932ULL}},
+      {{.scale_factor = 0.01, .seed = 2, .key_skew = 0.5},
+       {13076066044834176170ULL, 3424181005629371355ULL,
+        17852440920230064668ULL, 14446557361376976639ULL,
+        13844567752309239858ULL}},
+      {{.scale_factor = 0.05, .seed = 42, .key_skew = 1.1},
+       {13076066044834176170ULL, 12265573213414443437ULL,
+        4190623797912619622ULL, 8806812898501322010ULL,
+        11851959086855350413ULL}},
+  };
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE("sf " + std::to_string(pinned.config.scale_factor) +
+                 " seed " + std::to_string(pinned.config.seed) + " skew " +
+                 std::to_string(pinned.config.key_skew));
+    Result<Database> db = Generate(pinned.config);
+    ASSERT_TRUE(db.ok());
+    const TableDigests got = DigestTables(*db);
+    EXPECT_EQ(got.date, pinned.digests.date);
+    EXPECT_EQ(got.customer, pinned.digests.customer);
+    EXPECT_EQ(got.supplier, pinned.digests.supplier);
+    EXPECT_EQ(got.part, pinned.digests.part);
+    EXPECT_EQ(got.lineorder, pinned.digests.lineorder);
+  }
 }
 
 class DbgenInvariantTest : public ::testing::Test {
