@@ -60,9 +60,9 @@ ServiceConfig BaseServiceConfig(uint64_t clients, double horizon) {
   // Queries are priced at the paper's sf-50 scale (seconds each); a real
   // service runs many replicas of that engine, so one modeled query
   // occupies only a slice of a slot. 1k closed-loop clients (~250 q/s
-  // offered) lands near 80% of the resulting ~320 q/s pool capacity;
-  // 10k/100k are deliberate 8x/80x overloads that must degrade
-  // gracefully, not collapse.
+  // offered) land near half of the resulting ~540 q/s pool capacity
+  // (where the offered-load sweep saturates); 10k/100k are deliberate
+  // ~5x/~50x overloads that must degrade gracefully, not collapse.
   config.service_time_scale = 0.01;
   return config;
 }
@@ -460,9 +460,11 @@ int main(int argc, char** argv) {
   std::ofstream json("BENCH_service.json");
   json << "{\n  \"bench\": \"service\",\n  \"smoke\": "
        << (smoke ? "true" : "false") << ",\n";
+  // The top rung must stay past the knee: at 1600 q/s the service
+  // completes ~540 q/s with staging settled.
   const std::vector<double> offered_qps =
-      smoke ? std::vector<double>{50.0, 200.0, 800.0}
-            : std::vector<double>{50.0, 100.0, 200.0, 400.0, 800.0};
+      smoke ? std::vector<double>{50.0, 200.0, 800.0, 1600.0}
+            : std::vector<double>{50.0, 100.0, 200.0, 400.0, 800.0, 1600.0};
   RunScaleLadder(db.value(), model, rungs, horizon, json);
   RunOfferedLoadSweep(db.value(), model, offered_qps, horizon, json);
   RunFaultStorm(db.value(), model, chaos_clients, horizon, json);

@@ -33,6 +33,37 @@ Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
   return klass;
 }
 
+std::vector<AccessClass> StandingClasses(
+    const std::vector<TrafficRecord>& background, PinningPolicy pinning,
+    const SystemTopology& topology) {
+  std::vector<AccessClass> standing;
+  int next_region = 0;
+  for (const TrafficRecord& record : background) {
+    if (record.bytes == 0) continue;
+    Result<AccessClass> klass =
+        ToAccessClass(record, record.threads, pinning, topology);
+    if (!klass.ok()) continue;
+    klass->region_id = 2000 + next_region++;
+    standing.push_back(std::move(klass.value()));
+  }
+  return standing;
+}
+
+double RecordGbpsAmong(const MemSystemModel& model, const TrafficRecord& record,
+                       PinningPolicy pinning,
+                       const std::vector<AccessClass>& standing) {
+  if (record.bytes == 0) return 0.0;
+  Result<AccessClass> klass = ToAccessClass(record, record.threads, pinning,
+                                            model.config().topology);
+  if (!klass.ok()) return 0.0;
+  klass->region_id = 1000;  // disjoint from the standing 2000+ regions
+  WorkloadSpec spec;
+  spec.classes.push_back(std::move(klass.value()));
+  spec.classes.insert(spec.classes.end(), standing.begin(), standing.end());
+  const BandwidthResult result = model.EvaluateOnce(spec);
+  return result.per_class.empty() ? 0.0 : result.per_class[0].gbps;
+}
+
 void ExecutionProfile::RecordSequential(OpType op, Media media, int socket,
                                         uint64_t bytes, uint64_t access_size,
                                         int threads,

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "memsys/mem_system.h"
 #include "memsys/workload.h"
 #include "topo/pinning.h"
 #include "topo/topology.h"
@@ -45,6 +46,25 @@ struct TrafficRecord {
 Result<AccessClass> ToAccessClass(const TrafficRecord& record, int threads,
                                   PinningPolicy pinning,
                                   const SystemTopology& topology);
+
+/// The classes of standing `background` records (e.g. an ingest load that
+/// runs for a whole query), each through ToAccessClass in its own region
+/// (2000, 2001, ...), so a record priced among them contends for the
+/// device pools, not the same bytes. Records that move no bytes or cannot
+/// be placed are dropped.
+std::vector<AccessClass> StandingClasses(
+    const std::vector<TrafficRecord>& background, PinningPolicy pinning,
+    const SystemTopology& topology);
+
+/// The GB/s `record` sees evaluated jointly with the `standing` classes
+/// only, in region 1000. A query's phases run one after another, so a
+/// phase contends with the standing load, not with the query's other
+/// phases: QueryTimer prices every record this way, and the governor
+/// prices a structure's staging benefit the same way. 0 when the record
+/// moves no bytes or cannot be placed.
+double RecordGbpsAmong(const MemSystemModel& model, const TrafficRecord& record,
+                       PinningPolicy pinning,
+                       const std::vector<AccessClass>& standing);
 
 /// Accumulates traffic records.
 class ExecutionProfile {

@@ -66,18 +66,7 @@ double QueryTimer::CpuSeconds(const CpuWork& work, int threads) const {
 double QueryTimer::RecordSecondsAmong(
     const TrafficRecord& record, PinningPolicy pinning,
     const std::vector<AccessClass>& background) const {
-  if (record.bytes == 0) return 0.0;
-  Result<AccessClass> klass = ToAccessClass(record, record.threads, pinning,
-                                            model_->config().topology);
-  if (!klass.ok()) return 0.0;
-  klass->region_id = 1000;  // disjoint from the background's 2000+ regions
-  WorkloadSpec spec;
-  spec.classes.push_back(std::move(klass.value()));
-  for (const AccessClass& standing : background) {
-    spec.classes.push_back(standing);
-  }
-  BandwidthResult result = model_->EvaluateOnce(spec);
-  double gbps = result.per_class.empty() ? 0.0 : result.per_class[0].gbps;
+  const double gbps = RecordGbpsAmong(*model_, record, pinning, background);
   if (gbps <= 0.0) return 0.0;
   return EffectiveBytes(record) / 1e9 / gbps;
 }
@@ -86,18 +75,9 @@ double QueryTimer::EstimateSecondsWithBackground(
     const ExecutionProfile& profile, const CpuWork& work, int total_threads,
     PinningPolicy pinning, const std::vector<TrafficRecord>& background,
     std::map<std::string, double>* breakdown) const {
-  // The standing background classes, built once; disjoint region ids so
-  // the query contends for the device pools, not the same bytes.
-  std::vector<AccessClass> standing;
-  int next_region = 0;
-  for (const TrafficRecord& record : background) {
-    if (record.bytes == 0) continue;
-    Result<AccessClass> klass = ToAccessClass(record, record.threads, pinning,
-                                              model_->config().topology);
-    if (!klass.ok()) continue;
-    klass->region_id = 2000 + next_region++;
-    standing.push_back(std::move(klass.value()));
-  }
+  // The standing background classes, built once.
+  const std::vector<AccessClass> standing =
+      StandingClasses(background, pinning, model_->config().topology);
 
   // Phase = label; phases run one after another.
   std::map<std::string, std::map<int, double>> phase_socket_seconds;

@@ -85,8 +85,8 @@ class QueryTimer {
   double EffectiveBytes(const TrafficRecord& record) const;
   /// CPU seconds of `work` spread over `threads` workers.
   double CpuSeconds(const CpuWork& work, int threads) const;
-  /// Memory time of `record` evaluated jointly against the standing
-  /// `background` classes (the record is per_class[0] of the joint spec).
+  /// Memory time of `record` at its RecordGbpsAmong rate among the
+  /// standing `background` classes.
   double RecordSecondsAmong(const TrafficRecord& record, PinningPolicy pinning,
                             const std::vector<AccessClass>& background) const;
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "core/profile.h"
 #include "core/runner.h"
 
 namespace pmemolap {
@@ -78,63 +79,65 @@ std::string BandwidthGovernor::StageName(const std::string& label) {
 }
 
 std::vector<std::string> BandwidthGovernor::StageTargets(
-    const TelemetrySample& sample, uint64_t* bytes) const {
-  *bytes = 0;
+    const TelemetrySample& sample) {
   if (!config_.stage_structures) return {};
 
-  // Merge per-class benefits into one candidate per structure name: the
-  // DRAM bytes a staged copy would occupy and the modeled seconds per
-  // quantum it would save.
+  // The run's standing background, as the timer builds it.
+  std::vector<TrafficRecord> background;
+  for (const ClassTelemetry& klass : sample.classes) {
+    if (klass.background) background.push_back(klass.record);
+  }
+  const std::vector<AccessClass> standing = StandingClasses(
+      background, sample.pinning, model_->config().topology);
+
+  // One candidate per structure the sample probes: the DRAM bytes a
+  // staged copy occupies and the modeled seconds per quantum staging
+  // saves. Each record is priced on PMEM and on DRAM, both among the
+  // standing background only, as the timer prices its phase. The sampled
+  // joint rate plays no part: it counts the query's other phases as
+  // contenders and reads differently once the structure moves, so judging
+  // by it would flip the placement it measures.
   struct Candidate {
     uint64_t bytes = 0;
     double benefit_seconds = 0.0;
   };
-  std::map<std::string, Candidate> merged;
+  std::map<std::string, Candidate> probed;
   for (const ClassTelemetry& klass : sample.classes) {
-    const TrafficRecord& record = klass.record;
-    if (klass.background) continue;
-    if (klass.gbps <= 0.0 || record.bytes == 0) continue;
-    std::string name = StageName(record.label);
+    if (klass.background || klass.record.bytes == 0) continue;
+    const std::string name = StageName(klass.record.label);
     if (name.empty()) continue;
-    // A PMEM class is a fresh candidate; a DRAM class is only interesting
-    // if it is DRAM *because we staged it* — then the benefit is judged
-    // against its counterfactual PMEM rate, so the act of staging does
-    // not erase the evidence that staging pays (no stage/evict flapping).
-    const bool already_staged =
-        record.media == Media::kDram && decision_.IsStaged(name);
-    if (record.media != Media::kPmem && !already_staged) continue;
-
-    // The same record on the other media, through the one record→class
-    // translation: the rate the structure would see staged in DRAM
-    // (candidates) or back on PMEM (retention). The sample does not carry
-    // the run's pinning, so the counterfactual pins to cores.
-    TrafficRecord other = record;
-    other.media = already_staged ? Media::kPmem : Media::kDram;
-    Result<AccessClass> other_class =
-        ToAccessClass(other, other.threads, PinningPolicy::kCores,
-                      model_->config().topology);
-    if (!other_class.ok()) continue;
-    WorkloadSpec spec;
-    spec.classes.push_back(std::move(other_class.value()));
-    double other_gbps = model_->EvaluateOnce(spec).total_gbps;
-    double pmem_gbps = already_staged ? other_gbps : klass.gbps;
-    double dram_gbps = already_staged ? klass.gbps : other_gbps;
-    if (dram_gbps <= pmem_gbps) continue;
-
-    double benefit = static_cast<double>(record.bytes) / 1e9 *
-                     (1.0 / pmem_gbps - 1.0 / dram_gbps);
-    Candidate& candidate = merged[name];
+    // A structure off PMEM is a candidate only while staging put it there.
+    if (klass.record.media != Media::kPmem && !decision_.IsStaged(name)) {
+      continue;
+    }
+    TrafficRecord record = klass.record;
+    record.media = Media::kPmem;
+    const double pmem_gbps =
+        RecordGbpsAmong(*model_, record, sample.pinning, standing);
+    record.media = Media::kDram;
+    const double dram_gbps =
+        RecordGbpsAmong(*model_, record, sample.pinning, standing);
+    Candidate& candidate = probed[name];
     candidate.bytes = std::max(candidate.bytes, record.region_bytes);
-    candidate.benefit_seconds += benefit;
+    if (pmem_gbps > 0.0 && dram_gbps > pmem_gbps) {
+      candidate.benefit_seconds += static_cast<double>(record.bytes) / 1e9 *
+                                   (1.0 / pmem_gbps - 1.0 / dram_gbps);
+    }
   }
 
-  // The map iterates by name, so the staged set comes out sorted.
+  // No evidence, no move: a committed structure the sample does not probe
+  // stays staged; a probed one stays or goes on its benefit.
   std::vector<std::string> names;
-  for (const auto& [name, candidate] : merged) {
-    if (candidate.benefit_seconds < kStagingMinBenefitSeconds) continue;
-    names.push_back(name);
-    *bytes += candidate.bytes;
+  for (const std::string& name : decision_.staged) {
+    if (probed.count(name) == 0) names.push_back(name);
   }
+  for (const auto& [name, candidate] : probed) {
+    seen_bytes_[name] = candidate.bytes;
+    if (candidate.benefit_seconds >= kStagingMinBenefitSeconds) {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
   return names;
 }
 
@@ -152,9 +155,7 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   // Targets for this quantum.
   const int write_target =
       std::clamp(WriteKnee().threads, kMinWriteThreads, kMaxWriteThreads);
-  uint64_t stage_bytes = 0;
-  const std::vector<std::string> stage_names =
-      StageTargets(sample, &stage_bytes);
+  const std::vector<std::string> stage_names = StageTargets(sample);
 
   // Hysteresis: a changed target actuates only after persisting for
   // kHysteresisQuanta consecutive quanta (Debounce).
@@ -177,8 +178,11 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
     decision_.staged = stage_names;
     staged_.Reset();
   }
-  // The committed set's footprint follows this quantum's sizes.
-  if (stage_names == decision_.staged) decision_.staged_bytes = stage_bytes;
+  // The committed set's footprint, each structure at its last-seen size.
+  decision_.staged_bytes = 0;
+  for (const std::string& name : decision_.staged) {
+    decision_.staged_bytes += seen_bytes_[name];
+  }
 }
 
 GovernorDecision BandwidthGovernor::decision() const {

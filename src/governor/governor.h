@@ -7,8 +7,9 @@
 //   2. Morsel shaping: morsel byte ranges align to the 256 B XPLine so the
 //      device model's read amplification on torn lines disappears (§3.1).
 //   3. DRAM staging: hot randomly-probed structures whose modeled benefit
-//      clears kStagingMinBenefitSeconds are promoted to DRAM, evicted when
-//      the benefit fades — the runtime form of the hybrid placement plan.
+//      clears kStagingMinBenefitSeconds are promoted to DRAM and stay
+//      there until a quantum that probes them prices the benefit below it
+//      — the runtime form of the hybrid placement plan.
 //
 // Readers are never capped: the model's read bandwidth is monotone in
 // threads (Fig. 3), so a reader cap could only idle host workers.
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -110,11 +112,12 @@ class BandwidthGovernor {
   /// class is not a staging candidate.
   static std::string StageName(const std::string& label);
 
-  /// This quantum's staging targets, sorted by name: every structure
-  /// whose modeled benefit reaches kStagingMinBenefitSeconds. `*bytes`
-  /// receives their DRAM footprint.
-  std::vector<std::string> StageTargets(const TelemetrySample& sample,
-                                        uint64_t* bytes) const;
+  /// This quantum's staging targets, sorted by name: every probed
+  /// structure whose benefit, its records priced on PMEM and on DRAM
+  /// among the standing background (RecordGbpsAmong), reaches
+  /// kStagingMinBenefitSeconds, plus every staged structure the sample
+  /// does not probe. Records each probed structure's size in seen_bytes_.
+  std::vector<std::string> StageTargets(const TelemetrySample& sample);
 
   const MemSystemModel* model_;
   GovernorConfig config_;
@@ -125,6 +128,8 @@ class BandwidthGovernor {
   // Hysteresis per actuator; the committed targets live in decision_.
   Debounce<int> writers_;
   Debounce<std::vector<std::string>> staged_;
+  /// Each structure's DRAM footprint when a sample last probed it.
+  std::map<std::string, uint64_t> seen_bytes_;
   std::vector<std::string> log_;
 };
 

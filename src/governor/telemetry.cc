@@ -12,6 +12,7 @@ TelemetrySample BuildTelemetry(const MemSystemModel& model,
                                PinningPolicy pinning,
                                const FaultInjector* injector) {
   TelemetrySample sample;
+  sample.pinning = pinning;
   int sockets = model.config().topology.sockets();
   sample.sockets.resize(static_cast<size_t>(std::max(sockets, 1)));
   for (int s = 0; s < sockets; ++s) {

@@ -15,6 +15,7 @@
 #include "core/profile.h"
 #include "fault/fault_injector.h"
 #include "memsys/mem_system.h"
+#include "topo/pinning.h"
 
 namespace pmemolap {
 namespace governor {
@@ -39,6 +40,8 @@ struct TelemetrySample {
   std::vector<SocketTelemetry> sockets;
   std::vector<ClassTelemetry> classes;
   double upi_capacity_factor = 1.0;
+  /// The run's thread pinning: its records' classes were placed with it.
+  PinningPolicy pinning = PinningPolicy::kCores;
 };
 
 /// Evaluates `query` and `background` records jointly through `model` and

@@ -3,11 +3,13 @@
 // payload-identical replicas), deterministic actuator logs across runs,
 // the committed writer clamp on a run's PMEM writes and its seconds,
 // the shared degradation signal into admission control, the torn XPLine
-// charge per stored column with shaping off, and governed runs from
-// several host threads at once.
+// charge per stored column with shaping off, staging that settles on
+// perfbench `short`'s schedule, and governed runs from several host
+// threads at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -309,6 +311,73 @@ TEST(EngineGovernorTest, TornBoundariesChargeOneLinePerStoredColumn) {
     EXPECT_EQ(charged, torn * kXPLineBytes * layout.stored_columns)
         << "quantum " << layout.quantum;
   }
+}
+
+// --- Settling on perfbench `short`'s shape ------------------------------------
+
+constexpr int kSettleBurst = 3;
+constexpr int kSettleRounds = 3;
+
+/// The governor's actuator log after `short`'s schedule on a governed
+/// columnar engine with a 4-thread pool: the 13 queries round-robin in
+/// bursts of kSettleBurst, for kSettleRounds rounds, under `background`.
+std::vector<std::string> ShortShapeLog(std::vector<TrafficRecord> background) {
+  GovernorEngineEnv& env = GovernorEngineEnv::Get();
+  governor::BandwidthGovernor governor(&env.model());
+  EngineConfig config = BaseConfig();
+  config.columnar = true;
+  config.threads = 4;
+  config.governor = &governor;
+  config.background = std::move(background);
+  SsbEngine engine(&env.db(), &env.model(), config);
+  EXPECT_TRUE(engine.Prepare().ok());
+  for (int round = 0; round < kSettleRounds; ++round) {
+    for (QueryId query : ssb::AllQueries()) {
+      for (int run = 0; run < kSettleBurst; ++run) {
+        auto result = engine.Execute(query);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (result.ok()) {
+          EXPECT_TRUE(result->output == env.reference().Execute(query))
+              << ssb::QueryName(query);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(governor.decision().quantum,
+            kSettleRounds * kSettleBurst * ssb::kNumQueries);
+  return governor.actuator_log();
+}
+
+/// Staging settles within the first round (one quantum per Execute): no
+/// `commit staged` line lands after it, and the committed sets never
+/// revisit one they left within 4 commits (a stage/evict flap).
+void ExpectStagingSettles(const std::vector<std::string>& log) {
+  constexpr int kRoundQuanta = kSettleBurst * ssb::kNumQueries;
+  std::vector<std::string> sets = {"-"};
+  for (const std::string& line : log) {
+    const size_t at = line.find(" commit staged ");
+    if (at == std::string::npos) continue;
+    int quantum = 0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "q=%d", &quantum), 1) << line;
+    EXPECT_LE(quantum, kRoundQuanta) << line;
+    sets.push_back(line.substr(line.find("->", at) + 2));
+  }
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (size_t period = 1; period <= 4 && i + period < sets.size();
+         ++period) {
+      EXPECT_NE(sets[i], sets[i + period])
+          << "staged set " << sets[i] << " recurs after " << period
+          << " commits";
+    }
+  }
+}
+
+TEST(EngineGovernorSettle, ShortShapeSettlesInTheFirstRound) {
+  ExpectStagingSettles(ShortShapeLog({}));
+}
+
+TEST(EngineGovernorSettle, ShortShapeSettlesUnderIngest) {
+  ExpectStagingSettles(ShortShapeLog(IngestBackground()));
 }
 
 // --- Concurrency (TSan-covered in CI) ---------------------------------------

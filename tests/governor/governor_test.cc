@@ -1,6 +1,8 @@
 // BandwidthGovernor unit tests: knee detection against the model's own
 // analytic optimum, the throttle invariance that lets the write knee be
-// swept once, deterministic convergence on fixed telemetry traces,
+// swept once, the staging rule (each probed structure priced on PMEM and
+// on DRAM among the standing background; unprobed structures keep their
+// placement), deterministic convergence on fixed telemetry traces,
 // hysteresis behavior, and the shared health signal with admission
 // control.
 #include "governor/governor.h"
@@ -146,8 +148,26 @@ TEST_F(GovernorTest, ThrottleScalesTheKneeBandwidthNotItsThreadCount) {
   }
 }
 
-/// A synthetic quantum with one expensive, contended PMEM probe class:
-/// its staging target is {"date"}.
+/// A probe class of `label` on socket 0's PMEM: 8 readers, random 64 B
+/// over `region_bytes`, reporting a badly contended joint rate.
+ClassTelemetry ProbeClass(const std::string& label, uint64_t bytes,
+                          uint64_t region_bytes) {
+  ClassTelemetry probe;
+  probe.record.label = label;
+  probe.record.op = OpType::kRead;
+  probe.record.pattern = Pattern::kRandom;
+  probe.record.media = Media::kPmem;
+  probe.record.data_socket = 0;
+  probe.record.threads = 8;
+  probe.record.bytes = bytes;
+  probe.record.access_size = 64;
+  probe.record.region_bytes = region_bytes;
+  probe.gbps = 0.8;
+  return probe;
+}
+
+/// A synthetic quantum with one expensive PMEM probe class: its staging
+/// target is {"date"}.
 TelemetrySample ProbeSample(double dimm_factor = 1.0,
                             double upi_factor = 1.0) {
   TelemetrySample sample;
@@ -156,54 +176,158 @@ TelemetrySample ProbeSample(double dimm_factor = 1.0,
     socket.dimm_service_factor = dimm_factor;
   }
   sample.upi_capacity_factor = upi_factor;
-  ClassTelemetry probe;
-  probe.record.label = "probe-date";
-  probe.record.op = OpType::kRead;
-  probe.record.pattern = Pattern::kRandom;
-  probe.record.media = Media::kPmem;
-  probe.record.data_socket = 0;
-  probe.record.threads = 8;
-  probe.record.bytes = 4ull * kGiB;
-  probe.record.access_size = 64;
-  probe.record.region_bytes = 256 * kMiB;
-  probe.gbps = 0.8;  // badly contended: DRAM staging clearly wins
-  sample.classes.push_back(probe);
+  sample.classes.push_back(ProbeClass("probe-date", 4ull * kGiB, 256 * kMiB));
   return sample;
 }
 
-/// A quantum without traffic: its staging target is empty.
+/// A quantum without traffic: it probes no structure.
 TelemetrySample QuietSample() {
   TelemetrySample sample;
   sample.sockets.resize(2);
   return sample;
 }
 
+/// `sample`'s probe as staging leaves it: served from DRAM, reporting
+/// `gbps` as its joint rate.
+TelemetrySample StagedSample(TelemetrySample sample, double gbps) {
+  sample.classes[0].record.media = Media::kDram;
+  sample.classes[0].gbps = gbps;
+  return sample;
+}
+
+/// A standing ingest load on socket 0's PMEM: 18 sequential 4 KiB writers.
+ClassTelemetry IngestClass() {
+  ClassTelemetry ingest;
+  ingest.record.label = "ingest";
+  ingest.record.op = OpType::kWrite;
+  ingest.record.pattern = Pattern::kSequentialIndividual;
+  ingest.record.media = Media::kPmem;
+  ingest.record.data_socket = 0;
+  ingest.record.threads = 18;
+  ingest.record.bytes = 16ull * kGiB;
+  ingest.record.access_size = 4 * kKiB;
+  ingest.record.region_bytes = 64ull * kGiB;
+  ingest.gbps = 1.0;
+  ingest.background = true;
+  return ingest;
+}
+
+/// The test's own pricing of `probe` on `media` among the standing
+/// `background` records: the probe's class in region 1000 evaluated with
+/// the background's classes in regions 2000+, each from ToAccessClass.
+double GbpsAmong(const MemSystemModel& model, TrafficRecord probe,
+                 Media media, const std::vector<TrafficRecord>& background) {
+  probe.media = media;
+  WorkloadSpec spec;
+  int region = 1000;
+  std::vector<TrafficRecord> records = {probe};
+  records.insert(records.end(), background.begin(), background.end());
+  for (const TrafficRecord& record : records) {
+    Result<AccessClass> klass = ToAccessClass(
+        record, record.threads, PinningPolicy::kCores, model.config().topology);
+    if (!klass.ok()) return 0.0;
+    klass->region_id = region;
+    region = region == 1000 ? 2000 : region + 1;
+    spec.classes.push_back(std::move(klass.value()));
+  }
+  return model.EvaluateOnce(spec).per_class[0].gbps;
+}
+
 TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
-  // Once staged, the probe reports from DRAM and is judged against its
-  // PMEM counterfactual: 1% faster keeps it, 1% slower evicts it after
-  // the hysteresis.
-  // ProbeSample's probe class on PMEM: 8 readers on socket 0, random
-  // 64 B over a 256 MiB region.
-  const double pmem_gbps = PmemGbps(model_, OpType::kRead, Pattern::kRandom,
-                                    64, 256 * kMiB, 0, 8);
+  // A staged probe is judged as an unstaged one is: its record priced on
+  // PMEM and on DRAM among the standing background only. Size the probe
+  // so that benefit is 1% above the floor (it stays) or 1% below (it is
+  // evicted after the hysteresis). A governor that priced without the
+  // ingest, which slows only the PMEM side, would undercount the benefit
+  // and evict the first probe too.
+  TelemetrySample sample = ProbeSample();
+  sample.classes.push_back(IngestClass());
+  const TrafficRecord probe = sample.classes[0].record;
+  const std::vector<TrafficRecord> background = {sample.classes[1].record};
+  const double pmem_gbps = GbpsAmong(model_, probe, Media::kPmem, background);
+  const double dram_gbps = GbpsAmong(model_, probe, Media::kDram, background);
   ASSERT_GT(pmem_gbps, 0.0);
+  ASSERT_GT(dram_gbps, pmem_gbps);
+  ASSERT_LT(pmem_gbps,
+            GbpsAmong(model_, probe, Media::kPmem, /*background=*/{}));
+  const double benefit_per_byte = (1.0 / pmem_gbps - 1.0 / dram_gbps) / 1e9;
   for (double factor : {1.01, 0.99}) {
     BandwidthGovernor governor(&model_);
-    for (int q = 0; q < kHysteresisQuanta; ++q) {
-      governor.Observe(ProbeSample());
-    }
+    for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(sample);
     ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
 
-    TelemetrySample staged = ProbeSample();
-    staged.classes[0].record.media = Media::kDram;
-    staged.classes[0].gbps = factor * pmem_gbps;
-    for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
-      governor.Observe(staged);
-      EXPECT_TRUE(governor.decision().IsStaged("date")) << factor;
-    }
-    governor.Observe(staged);
+    TelemetrySample staged = StagedSample(sample, /*gbps=*/0.8);
+    staged.classes[0].record.bytes = static_cast<uint64_t>(
+        factor * kStagingMinBenefitSeconds / benefit_per_byte);
+    for (int q = 0; q < 2 * kHysteresisQuanta; ++q) governor.Observe(staged);
     EXPECT_EQ(governor.decision().IsStaged("date"), factor > 1.0) << factor;
   }
+}
+
+TEST_F(GovernorTest, ReportedJointRateDoesNotFlipTheDecision) {
+  // The sampled joint rate counts the query's other phases as contenders
+  // and changes when the structure moves; staging ignores it both ways.
+  // An unstaged probe reporting a rate no DRAM reaches still stages...
+  BandwidthGovernor governor(&model_);
+  TelemetrySample fast = ProbeSample();
+  fast.classes[0].gbps = 1e6;
+  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(fast);
+  ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  // ...and a staged one stays whatever it reports from DRAM.
+  for (double gbps : {1e-3, 0.8, 1e6}) {
+    for (int q = 0; q < 2 * kHysteresisQuanta; ++q) {
+      governor.Observe(StagedSample(ProbeSample(), gbps));
+      EXPECT_EQ(governor.decision().staged,
+                std::vector<std::string>({"date"}))
+          << gbps;
+    }
+  }
+  const std::vector<std::string> log = governor.actuator_log();
+  EXPECT_EQ(std::count_if(log.begin(), log.end(),
+                          [](const std::string& line) {
+                            return line.find(" commit staged ") !=
+                                   std::string::npos;
+                          }),
+            1);
+}
+
+TEST_F(GovernorTest, UnprobedStructuresKeepTheirPlacement) {
+  // No evidence, no move: neither a quiet quantum nor one that probes
+  // only another structure unstages "date".
+  BandwidthGovernor governor(&model_);
+  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(ProbeSample());
+  ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  for (int q = 0; q < 3 * kHysteresisQuanta; ++q) {
+    governor.Observe(QuietSample());
+    EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  }
+  TelemetrySample part = QuietSample();
+  part.classes.push_back(ProbeClass("probe-part", 4ull * kGiB, 64 * kMiB));
+  for (int q = 0; q < 3 * kHysteresisQuanta; ++q) {
+    governor.Observe(part);
+    EXPECT_TRUE(governor.decision().IsStaged("date")) << q;
+  }
+  EXPECT_EQ(governor.decision().staged,
+            std::vector<std::string>({"date", "part"}));
+}
+
+TEST_F(GovernorTest, ProbedStructureBelowTheFloorLeavesAfterTheHysteresis) {
+  // A sample that probes the staged structure and prices its benefit
+  // under kStagingMinBenefitSeconds is the evidence that unstages it,
+  // after exactly kHysteresisQuanta such quanta.
+  BandwidthGovernor governor(&model_);
+  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(ProbeSample());
+  ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
+  TelemetrySample faint = StagedSample(ProbeSample(), /*gbps=*/0.8);
+  faint.classes[0].record.bytes = 64;  // saves nanoseconds per quantum
+  for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
+    governor.Observe(faint);
+    EXPECT_TRUE(governor.decision().IsStaged("date"))
+        << "evicted too early at quantum " << q + 1;
+  }
+  governor.Observe(faint);
+  EXPECT_TRUE(governor.decision().staged.empty());
+  EXPECT_EQ(governor.decision().staged_bytes, 0u);
 }
 
 TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
@@ -220,6 +344,25 @@ TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
   governor.Observe(grown);
   EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
   EXPECT_EQ(governor.decision().staged_bytes, 512 * kMiB);
+}
+
+TEST_F(GovernorTest, StagedBytesCountAnUnprobedStructureAtItsLastSeenSize) {
+  BandwidthGovernor governor(&model_);
+  TelemetrySample grown = ProbeSample();
+  grown.classes[0].record.region_bytes = 512 * kMiB;
+  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(ProbeSample());
+  governor.Observe(grown);
+  ASSERT_EQ(governor.decision().staged_bytes, 512 * kMiB);
+  // "part" stages while "date" goes unprobed: the footprint holds "date"
+  // at the 512 MiB it last showed.
+  TelemetrySample part = QuietSample();
+  part.classes.push_back(ProbeClass("probe-part", 4ull * kGiB, 64 * kMiB));
+  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(part);
+  ASSERT_EQ(governor.decision().staged,
+            std::vector<std::string>({"date", "part"}));
+  EXPECT_EQ(governor.decision().staged_bytes, 512 * kMiB + 64 * kMiB);
+  governor.Observe(QuietSample());
+  EXPECT_EQ(governor.decision().staged_bytes, 512 * kMiB + 64 * kMiB);
 }
 
 TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
@@ -241,15 +384,17 @@ TEST_F(GovernorTest, FixedTraceConvergesIdenticallyAcrossInstances) {
   EXPECT_EQ(da.write_threads, db.write_threads);
   EXPECT_EQ(da.staged, db.staged);
   EXPECT_EQ(da.quantum, db.quantum);
-  // The log records events only: the probe staged and, once quiet,
-  // unstaged again — one line per commit, none per quantum.
+  // The log records events only: the probe staged once and, with nothing
+  // probing it in the quiet quanta, stays staged — one line per commit,
+  // none per quantum.
   const std::vector<std::string> log = a.actuator_log();
   EXPECT_EQ(std::count_if(log.begin(), log.end(),
                           [](const std::string& line) {
                             return line.find(" commit staged ") !=
                                    std::string::npos;
                           }),
-            2);
+            1);
+  EXPECT_EQ(da.staged, std::vector<std::string>({"date"}));
   for (const std::string& line : log) {
     EXPECT_NE(line.find(" commit "), std::string::npos) << line;
   }
