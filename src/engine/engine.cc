@@ -281,7 +281,7 @@ void SsbEngine::RecordSocketTraffic(
     intermediate_media = Media::kDram;
   }
   const int write_threads =
-      decision != nullptr && decision->write_threads > 0
+      decision != nullptr
           ? std::min(threads_per_socket, decision->write_threads)
           : threads_per_socket;
   uint64_t scan_bytes = ScanBytesForTuples(query, tuples);
@@ -595,9 +595,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       config_.fault != nullptr ? config_.fault->injector : nullptr;
 
   // Snapshot the governor's decision once per Execute: every consumer in
-  // this run (admission signal, staged probes, write clamps, traffic
-  // records) acts on the same quantum, so a concurrent Observe can never
-  // tear a run's actuation.
+  // this run (staged probes, write clamps, traffic records) acts on the
+  // same quantum, so a concurrent Observe can never tear a run's
+  // actuation.
   const bool governed = config_.governor != nullptr;
   governor::GovernorDecision decision;
   if (governed) decision = config_.governor->decision();
@@ -631,12 +631,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     signal.executor_depth = pool_->inflight_runs();
     signal.degradation =
         injector != nullptr ? qos::DegradationEstimate(*injector) : 1.0;
-    if (governed) {
-      // Overload shedding and bandwidth governance shed against ONE
-      // health signal: the decision's throttle is the same min(DIMM
-      // service, UPI capacity) reduction as the injector's.
-      signal.degradation = std::min(signal.degradation, decision.throttle);
-    }
     config_.admission->SetLoadSignal(signal);
     Result<qos::AdmissionTicket> admitted =
         config_.admission->Admit(options.priority, &token);
@@ -846,7 +840,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       background.push_back(std::move(record));
     }
   }
-  if (governed && decision.write_threads > 0) {
+  if (governed) {
     for (TrafficRecord& record : background) {
       if (record.op == OpType::kWrite && record.media == Media::kPmem) {
         record.threads = std::min(record.threads, decision.write_threads);
@@ -861,9 +855,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
 
   if (governed) {
     // Close the loop: one telemetry sample per Execute (the scheduling
-    // quantum) carrying the jointly-resolved bandwidths the run just saw.
+    // quantum) carrying the records the run was just priced with.
     governor::TelemetrySample sample = governor::BuildTelemetry(
-        *model_, priced.records(), background, config_.pinning, injector);
+        *model_, priced.records(), background, config_.pinning);
     config_.governor->Observe(sample);
   }
   if (tiered) {

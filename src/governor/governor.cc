@@ -83,34 +83,28 @@ std::vector<std::string> BandwidthGovernor::StageTargets(
   if (!config_.stage_structures) return {};
 
   // The run's standing background, as the timer builds it.
-  std::vector<TrafficRecord> background;
-  for (const ClassTelemetry& klass : sample.classes) {
-    if (klass.background) background.push_back(klass.record);
-  }
   const std::vector<AccessClass> standing = StandingClasses(
-      background, sample.pinning, model_->config().topology);
+      sample.background, sample.pinning, model_->config().topology);
 
   // One candidate per structure the sample probes: the DRAM bytes a
   // staged copy occupies and the modeled seconds per quantum staging
   // saves. Each record is priced on PMEM and on DRAM, both among the
-  // standing background only, as the timer prices its phase. The sampled
-  // joint rate plays no part: it counts the query's other phases as
-  // contenders and reads differently once the structure moves, so judging
-  // by it would flip the placement it measures.
+  // standing background only, as the timer prices its phase: pricing it
+  // jointly with the query's other phases would count them as contenders
+  // and read differently once the structure moves, so judging by it would
+  // flip the placement it measures.
   struct Candidate {
     uint64_t bytes = 0;
     double benefit_seconds = 0.0;
   };
   std::map<std::string, Candidate> probed;
-  for (const ClassTelemetry& klass : sample.classes) {
-    if (klass.background || klass.record.bytes == 0) continue;
-    const std::string name = StageName(klass.record.label);
+  for (const TrafficRecord& sampled : sample.query) {
+    if (sampled.bytes == 0) continue;
+    const std::string name = StageName(sampled.label);
     if (name.empty()) continue;
     // A structure off PMEM is a candidate only while staging put it there.
-    if (klass.record.media != Media::kPmem && !decision_.IsStaged(name)) {
-      continue;
-    }
-    TrafficRecord record = klass.record;
+    if (sampled.media != Media::kPmem && !decision_.IsStaged(name)) continue;
+    TrafficRecord record = sampled;
     record.media = Media::kPmem;
     const double pmem_gbps =
         RecordGbpsAmong(*model_, record, sample.pinning, standing);
@@ -146,15 +140,10 @@ void BandwidthGovernor::Observe(const TelemetrySample& sample) {
   ++decision_.quantum;
   const int quantum = decision_.quantum;
 
-  double worst = sample.upi_capacity_factor;
-  for (const SocketTelemetry& socket : sample.sockets) {
-    worst = std::min(worst, socket.dimm_service_factor);
-  }
-  decision_.throttle = std::min(1.0, std::max(0.0, worst));
-
   // Targets for this quantum.
   const int write_target =
-      std::clamp(WriteKnee().threads, kMinWriteThreads, kMaxWriteThreads);
+      std::clamp(WriteKnee().threads, BestPracticesAdvisor::kMinWriteThreads,
+                 BestPracticesAdvisor::kMaxWriteThreads);
   const std::vector<std::string> stage_names = StageTargets(sample);
 
   // Hysteresis: a changed target actuates only after persisting for

@@ -1,9 +1,11 @@
 // BandwidthGovernor — a closed-loop controller that turns the paper's
 // static best practices (§7) into runtime policy. Each scheduling quantum
-// it ingests one TelemetrySample and drives three actuators:
+// it ingests one TelemetrySample (the run's traffic records and pinning)
+// and drives three actuators:
 //
 //   1. Writer clamp: PMEM writers clamp to the modeled write knee within
-//      the paper's 4-6 per socket (Fig. 7/8, BP2).
+//      the paper's 4-6 per socket (Fig. 7/8, BP2: the advisor's
+//      BestPracticesAdvisor::kMinWriteThreads/kMaxWriteThreads).
 //   2. Morsel shaping: morsel byte ranges align to the 256 B XPLine so the
 //      device model's read amplification on torn lines disappears (§3.1).
 //   3. DRAM staging: hot randomly-probed structures whose modeled benefit
@@ -12,17 +14,19 @@
 //      — the runtime form of the hybrid placement plan.
 //
 // Readers are never capped: the model's read bandwidth is monotone in
-// threads (Fig. 3), so a reader cap could only idle host workers.
+// threads (Fig. 3), so a reader cap could only idle host workers. Nor
+// does the governor read platform health: admission control reads the
+// fault injector's throttle state itself (qos::DegradationEstimate).
 //
-// The write knee, the writer window and the hysteresis are platform facts:
-// the knee is swept once, at construction, on the governor's own model (a
-// DIMM throttle scales the sweep's plateau and may pull the raw knee down
-// a thread, but never moves its BP2-clamped count, which is all Observe
-// reads), and the rest are constants below; GovernorConfig holds only the
-// two ablation switches. All decisions apply hysteresis (a new target must
-// persist for kHysteresisQuanta consecutive quanta before actuation) so
-// the controller converges deterministically instead of oscillating: same
-// telemetry trace in, byte-identical actuator log out.
+// The write knee, the hysteresis and the staging floor are platform
+// facts: the knee is swept once, at construction, on the governor's own
+// model (a DIMM throttle scales the sweep's plateau and may pull the raw
+// knee down a thread, but never moves its BP2-clamped count, which is all
+// Observe reads), and the rest are constants below; GovernorConfig holds
+// only the two ablation switches. All decisions apply hysteresis (a new
+// target must persist for kHysteresisQuanta consecutive quanta before
+// actuation) so the controller converges deterministically instead of
+// oscillating: same telemetry trace in, byte-identical actuator log out.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +36,13 @@
 #include <vector>
 
 #include "common/debounce.h"
+#include "core/advisor.h"
 #include "governor/telemetry.h"
 #include "memsys/mem_system.h"
 
 namespace pmemolap {
 namespace governor {
 
-/// Paper BP2: the writer-thread clamp per socket.
-inline constexpr int kMinWriteThreads = 4;
-inline constexpr int kMaxWriteThreads = 6;
 /// Knee = smallest thread count within (1 - tolerance) of the sweep's
 /// plateau bandwidth.
 inline constexpr double kKneeTolerance = 0.02;
@@ -62,12 +64,8 @@ struct GovernorConfig {
 struct GovernorDecision {
   /// Observe() quanta that produced this decision.
   int quantum = 0;
-  /// Worst platform service factor of the last sample (DIMM throttle x
-  /// UPI capacity), in [0,1]; 1.0 before any sample. The same reduction
-  /// as qos::DegradationEstimate, so the engine sheds admission on it.
-  double throttle = 1.0;
   /// Writer-thread clamp per socket (paper BP2).
-  int write_threads = kMaxWriteThreads;
+  int write_threads = BestPracticesAdvisor::kMaxWriteThreads;
   /// Names of structures currently staged in DRAM, sorted.
   std::vector<std::string> staged;
   uint64_t staged_bytes = 0;

@@ -279,12 +279,7 @@ double DegradationEstimate(const FaultInjector& injector) {
           std::min(worst_dimm, injector.DimmServiceFactor(window.socket));
     }
   }
-  return DegradationEstimate(worst_dimm, injector.UpiCapacityFactor());
-}
-
-double DegradationEstimate(double dimm_service_factor,
-                           double upi_capacity_factor) {
-  return std::clamp(std::min(dimm_service_factor, upi_capacity_factor), 0.0,
+  return std::clamp(std::min(worst_dimm, injector.UpiCapacityFactor()), 0.0,
                     1.0);
 }
 

@@ -247,13 +247,4 @@ class AdmissionController {
 /// the injector's current platform time, clamped to [0, 1]. 1.0 = healthy.
 double DegradationEstimate(const FaultInjector& injector);
 
-/// Pure form of the same reduction, for callers that already sampled the
-/// platform (the bandwidth governor's telemetry): min of the worst DIMM
-/// service factor and the UPI capacity factor, clamped to [0, 1].
-/// The bandwidth governor's GovernorDecision::throttle is exactly this, so
-/// overload shedding and bandwidth governance shed against ONE health
-/// signal.
-double DegradationEstimate(double dimm_service_factor,
-                           double upi_capacity_factor);
-
 }  // namespace pmemolap::qos

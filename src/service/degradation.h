@@ -2,8 +2,8 @@
 //
 // The service never fails loudly while it can fail *small*: as the
 // platform-health estimate (qos::DegradationEstimate — the same signal
-// admission control and the bandwidth governor shed against) decays, the
-// service steps down a ladder instead of letting every tenant time out:
+// admission control sheds against) decays, the service steps down a
+// ladder instead of letting every tenant time out:
 //
 //   tier 0  kNormal          full service
 //   tier 1  kShedLowPriority batch submissions refused at the service

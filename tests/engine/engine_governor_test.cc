@@ -1,11 +1,10 @@
 // Governor <-> engine integration: bit-identical outputs and seconds with
 // the governor off, bit-identical OUTPUTS with it on (staging probes
 // payload-identical replicas), deterministic actuator logs across runs,
-// the committed writer clamp on a run's PMEM writes and its seconds,
-// the shared degradation signal into admission control, the torn XPLine
-// charge per stored column with shaping off, staging that settles on
-// perfbench `short`'s schedule, and governed runs from several host
-// threads at once.
+// the committed writer clamp on a run's PMEM writes and its seconds, the
+// torn XPLine charge per stored column with shaping off, staging that
+// settles on perfbench `short`'s schedule, and governed runs from several
+// host threads at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/advisor.h"
 #include "core/partitioner.h"
 #include "engine/engine.h"
 #include "governor/governor.h"
-#include "qos/admission.h"
 #include "ssb/plan.h"
 #include "ssb/reference.h"
 
@@ -198,8 +197,9 @@ TEST(EngineGovernorTest, WriterClampCommitsOnAGovernedRun) {
   unstaged.stage_structures = false;
   governor::BandwidthGovernor governor(&env.model(), unstaged);
   const int clamped =
-      std::clamp(governor.WriteKnee().threads, governor::kMinWriteThreads,
-                 governor::kMaxWriteThreads);
+      std::clamp(governor.WriteKnee().threads,
+                 BestPracticesAdvisor::kMinWriteThreads,
+                 BestPracticesAdvisor::kMaxWriteThreads);
   EXPECT_EQ(clamped, 4);  // the default model's write knee
   ASSERT_NE(governor.decision().write_threads, clamped);
 
@@ -231,7 +231,8 @@ TEST(EngineGovernorTest, WriterClampCommitsOnAGovernedRun) {
     ASSERT_TRUE(before.ok()) << before.status().ToString();
   }
   ASSERT_EQ(governor.decision().write_threads, clamped);
-  EXPECT_EQ(pmem_writers(*before), std::set<int>{governor::kMaxWriteThreads});
+  EXPECT_EQ(pmem_writers(*before),
+            std::set<int>{BestPracticesAdvisor::kMaxWriteThreads});
 
   Result<SsbEngine::QueryRun> after = governed.Execute(kQuery);
   Result<SsbEngine::QueryRun> plain = ungoverned.Execute(kQuery);
@@ -240,29 +241,6 @@ TEST(EngineGovernorTest, WriterClampCommitsOnAGovernedRun) {
   EXPECT_TRUE(after->output == before->output);
   EXPECT_LE(after->seconds, before->seconds);
   EXPECT_LT(after->seconds, plain->seconds);
-}
-
-TEST(EngineGovernorTest, ThrottleEstimateFeedsAdmissionSignal) {
-  // The throttle in the governor's decision reaches the admission
-  // controller's load signal (one shared health number). Seed the
-  // governor with a throttled telemetry sample, then Execute: the engine
-  // must publish min(injector estimate, decision throttle) = 0.3.
-  GovernorEngineEnv& env = GovernorEngineEnv::Get();
-  governor::BandwidthGovernor governor(&env.model());
-  governor::TelemetrySample throttled;
-  throttled.sockets.resize(2);
-  throttled.sockets[0].dimm_service_factor = 0.3;
-  governor.Observe(throttled);
-  ASSERT_DOUBLE_EQ(governor.decision().throttle, 0.3);
-
-  qos::AdmissionController admission{qos::AdmissionLimits{}};
-  EngineConfig config = BaseConfig();
-  config.governor = &governor;
-  config.admission = &admission;
-  SsbEngine engine(&env.db(), &env.model(), config);
-  ASSERT_TRUE(engine.Prepare().ok());
-  ASSERT_TRUE(engine.Execute(QueryId::kQ1_1).ok());
-  EXPECT_DOUBLE_EQ(admission.load_signal().degradation, 0.3);
 }
 
 TEST(EngineGovernorTest, TornBoundariesChargeOneLinePerStoredColumn) {
@@ -372,12 +350,30 @@ void ExpectStagingSettles(const std::vector<std::string>& log) {
   }
 }
 
+/// The whole actuator log of either schedule, pinned line for line so a
+/// change to any governor decision shows here: the writer clamp and the
+/// staged set commit within round one and hold. The standing ingest
+/// changes no decision on this schedule.
+std::vector<std::string> GoldenShortShapeLog() {
+  return {
+      "q=2 commit writers 6->4",
+      "q=2 commit staged -->date+intermediates",
+      "q=11 commit staged date+intermediates->date+intermediates+part+supplier",
+      "q=20 commit staged date+intermediates+part+supplier->"
+      "customer+date+intermediates+part+supplier",
+  };
+}
+
 TEST(EngineGovernorSettle, ShortShapeSettlesInTheFirstRound) {
-  ExpectStagingSettles(ShortShapeLog({}));
+  const std::vector<std::string> log = ShortShapeLog({});
+  ExpectStagingSettles(log);
+  EXPECT_EQ(log, GoldenShortShapeLog());
 }
 
 TEST(EngineGovernorSettle, ShortShapeSettlesUnderIngest) {
-  ExpectStagingSettles(ShortShapeLog(IngestBackground()));
+  const std::vector<std::string> log = ShortShapeLog(IngestBackground());
+  ExpectStagingSettles(log);
+  EXPECT_EQ(log, GoldenShortShapeLog());
 }
 
 // --- Concurrency (TSan-covered in CI) ---------------------------------------

@@ -1,9 +1,9 @@
 // Query-lifecycle robustness end to end: deadlines cancel between
 // morsels with partial progress, the admission gate sheds with
-// kResourceExhausted, recovery rides out dense permanent poison, an
-// inverted scan window is refused before admission, and every
-// admitted-and-completed query stays bit-identical to the reference — an
-// empty window included.
+// kResourceExhausted and reads the platform's live degradation estimate,
+// recovery rides out dense permanent poison, an inverted scan window is
+// refused before admission, and every admitted-and-completed query stays
+// bit-identical to the reference — an empty window included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,8 @@
 #include "engine/engine.h"
 #include "fault/circuit_breaker.h"
 #include "fault/fault_domain.h"
+#include "governor/governor.h"
+#include "qos/admission.h"
 #include "ssb/reference.h"
 
 namespace pmemolap {
@@ -144,6 +146,51 @@ TEST(EngineQosTest, AdmissionGateShedsWhenFullAndAdmitsAfterRelease) {
   EXPECT_TRUE(progress.admitted);
   EXPECT_EQ(gate.counters().completed, 2u);  // holder + the query
   EXPECT_EQ(gate.running(), 0);
+}
+
+TEST(EngineQosTest, AdmissionReadsTheInjectorsLiveDegradation) {
+  // The load signal's platform half is the injector's estimate at the
+  // query's admission, governed or not: inside a socket-0 throttle window
+  // it reads the window's factor, and the first query after the window
+  // closes reads healthy again — the governor holds no copy that lags.
+  QosEnv& env = QosEnv::Get();
+  FaultSpec spec;
+  ThrottleWindow window;
+  window.socket = 0;
+  window.start_seconds = 10.0;
+  window.end_seconds = 20.0;
+  window.service_factor = 0.3;
+  spec.throttle_windows.push_back(window);
+  MemSystemModel model;
+  for (bool governed : {false, true}) {
+    FaultInjector injector(spec);
+    PmemSpace space(model.config().topology);
+    injector.Arm(&space);
+    FaultDomain domain;
+    domain.space = &space;
+    domain.injector = &injector;
+    governor::BandwidthGovernor governor(&model);
+    qos::AdmissionController gate{qos::AdmissionLimits{}};
+    EngineConfig config = SmallConfig();
+    config.fault = &domain;
+    config.admission = &gate;
+    if (governed) config.governor = &governor;
+    SsbEngine engine(&env.db(), &model, config);
+    ASSERT_TRUE(engine.Prepare().ok());
+
+    for (double now : {15.0, 16.0, 25.0}) {
+      injector.AdvanceTo(now);
+      Result<SsbEngine::QueryRun> run = engine.Execute(QueryId::kQ1_1);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->output, env.reference().Execute(QueryId::kQ1_1));
+      EXPECT_DOUBLE_EQ(gate.load_signal().degradation,
+                       qos::DegradationEstimate(injector))
+          << "governed " << governed << " at " << now;
+      EXPECT_DOUBLE_EQ(gate.load_signal().degradation, now < 20.0 ? 0.3 : 1.0)
+          << "governed " << governed << " at " << now;
+    }
+    EXPECT_EQ(governor.decision().quantum, governed ? 3 : 0);
+  }
 }
 
 TEST(EngineQosTest, EmptyWindowAnswersTheEmptyTableReference) {

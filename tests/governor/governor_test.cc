@@ -3,8 +3,7 @@
 // swept once, the staging rule (each probed structure priced on PMEM and
 // on DRAM among the standing background; unprobed structures keep their
 // placement), deterministic convergence on fixed telemetry traces,
-// hysteresis behavior, and the shared health signal with admission
-// control.
+// hysteresis behavior, and what a telemetry sample holds.
 #include "governor/governor.h"
 
 #include <gtest/gtest.h>
@@ -15,11 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/advisor.h"
 #include "core/profile.h"
-#include "fault/fault_injector.h"
 #include "governor/telemetry.h"
 #include "memsys/mem_system.h"
-#include "qos/admission.h"
 #include "topo/pinning.h"
 
 namespace pmemolap::governor {
@@ -130,7 +128,8 @@ TEST_F(GovernorTest, ThrottleScalesTheKneeBandwidthNotItsThreadCount) {
   const BandwidthGovernor::Knee base = healthy.WriteKnee();
   const int sockets = model_.config().topology.sockets();
   auto clamped = [](const BandwidthGovernor::Knee& knee) {
-    return std::clamp(knee.threads, kMinWriteThreads, kMaxWriteThreads);
+    return std::clamp(knee.threads, BestPracticesAdvisor::kMinWriteThreads,
+                      BestPracticesAdvisor::kMaxWriteThreads);
   };
   for (int step = 1; step <= 100; ++step) {
     const double factor = step / 100.0;
@@ -148,67 +147,52 @@ TEST_F(GovernorTest, ThrottleScalesTheKneeBandwidthNotItsThreadCount) {
   }
 }
 
-/// A probe class of `label` on socket 0's PMEM: 8 readers, random 64 B
-/// over `region_bytes`, reporting a badly contended joint rate.
-ClassTelemetry ProbeClass(const std::string& label, uint64_t bytes,
+/// A probe record of `label` on socket 0's PMEM: 8 readers, random 64 B
+/// over `region_bytes`.
+TrafficRecord ProbeRecord(const std::string& label, uint64_t bytes,
                           uint64_t region_bytes) {
-  ClassTelemetry probe;
-  probe.record.label = label;
-  probe.record.op = OpType::kRead;
-  probe.record.pattern = Pattern::kRandom;
-  probe.record.media = Media::kPmem;
-  probe.record.data_socket = 0;
-  probe.record.threads = 8;
-  probe.record.bytes = bytes;
-  probe.record.access_size = 64;
-  probe.record.region_bytes = region_bytes;
-  probe.gbps = 0.8;
+  TrafficRecord probe;
+  probe.label = label;
+  probe.op = OpType::kRead;
+  probe.pattern = Pattern::kRandom;
+  probe.media = Media::kPmem;
+  probe.data_socket = 0;
+  probe.threads = 8;
+  probe.bytes = bytes;
+  probe.access_size = 64;
+  probe.region_bytes = region_bytes;
   return probe;
 }
 
-/// A synthetic quantum with one expensive PMEM probe class: its staging
-/// target is {"date"}.
-TelemetrySample ProbeSample(double dimm_factor = 1.0,
-                            double upi_factor = 1.0) {
+/// A synthetic quantum with one expensive PMEM probe: its staging target
+/// is {"date"}.
+TelemetrySample ProbeSample() {
   TelemetrySample sample;
-  sample.sockets.resize(2);
-  for (SocketTelemetry& socket : sample.sockets) {
-    socket.dimm_service_factor = dimm_factor;
-  }
-  sample.upi_capacity_factor = upi_factor;
-  sample.classes.push_back(ProbeClass("probe-date", 4ull * kGiB, 256 * kMiB));
+  sample.query.push_back(ProbeRecord("probe-date", 4ull * kGiB, 256 * kMiB));
   return sample;
 }
 
 /// A quantum without traffic: it probes no structure.
-TelemetrySample QuietSample() {
-  TelemetrySample sample;
-  sample.sockets.resize(2);
-  return sample;
-}
+TelemetrySample QuietSample() { return TelemetrySample(); }
 
-/// `sample`'s probe as staging leaves it: served from DRAM, reporting
-/// `gbps` as its joint rate.
-TelemetrySample StagedSample(TelemetrySample sample, double gbps) {
-  sample.classes[0].record.media = Media::kDram;
-  sample.classes[0].gbps = gbps;
+/// `sample`'s probe as staging leaves it: served from DRAM.
+TelemetrySample StagedSample(TelemetrySample sample) {
+  sample.query[0].media = Media::kDram;
   return sample;
 }
 
 /// A standing ingest load on socket 0's PMEM: 18 sequential 4 KiB writers.
-ClassTelemetry IngestClass() {
-  ClassTelemetry ingest;
-  ingest.record.label = "ingest";
-  ingest.record.op = OpType::kWrite;
-  ingest.record.pattern = Pattern::kSequentialIndividual;
-  ingest.record.media = Media::kPmem;
-  ingest.record.data_socket = 0;
-  ingest.record.threads = 18;
-  ingest.record.bytes = 16ull * kGiB;
-  ingest.record.access_size = 4 * kKiB;
-  ingest.record.region_bytes = 64ull * kGiB;
-  ingest.gbps = 1.0;
-  ingest.background = true;
+TrafficRecord IngestRecord() {
+  TrafficRecord ingest;
+  ingest.label = "ingest";
+  ingest.op = OpType::kWrite;
+  ingest.pattern = Pattern::kSequentialIndividual;
+  ingest.media = Media::kPmem;
+  ingest.data_socket = 0;
+  ingest.threads = 18;
+  ingest.bytes = 16ull * kGiB;
+  ingest.access_size = 4 * kKiB;
+  ingest.region_bytes = 64ull * kGiB;
   return ingest;
 }
 
@@ -241,9 +225,9 @@ TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
   // ingest, which slows only the PMEM side, would undercount the benefit
   // and evict the first probe too.
   TelemetrySample sample = ProbeSample();
-  sample.classes.push_back(IngestClass());
-  const TrafficRecord probe = sample.classes[0].record;
-  const std::vector<TrafficRecord> background = {sample.classes[1].record};
+  sample.background.push_back(IngestRecord());
+  const TrafficRecord probe = sample.query[0];
+  const std::vector<TrafficRecord> background = sample.background;
   const double pmem_gbps = GbpsAmong(model_, probe, Media::kPmem, background);
   const double dram_gbps = GbpsAmong(model_, probe, Media::kDram, background);
   ASSERT_GT(pmem_gbps, 0.0);
@@ -256,39 +240,12 @@ TEST_F(GovernorTest, StagedProbeStaysOnlyWhileDramBeatsItsPmemRate) {
     for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(sample);
     ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
 
-    TelemetrySample staged = StagedSample(sample, /*gbps=*/0.8);
-    staged.classes[0].record.bytes = static_cast<uint64_t>(
+    TelemetrySample staged = StagedSample(sample);
+    staged.query[0].bytes = static_cast<uint64_t>(
         factor * kStagingMinBenefitSeconds / benefit_per_byte);
     for (int q = 0; q < 2 * kHysteresisQuanta; ++q) governor.Observe(staged);
     EXPECT_EQ(governor.decision().IsStaged("date"), factor > 1.0) << factor;
   }
-}
-
-TEST_F(GovernorTest, ReportedJointRateDoesNotFlipTheDecision) {
-  // The sampled joint rate counts the query's other phases as contenders
-  // and changes when the structure moves; staging ignores it both ways.
-  // An unstaged probe reporting a rate no DRAM reaches still stages...
-  BandwidthGovernor governor(&model_);
-  TelemetrySample fast = ProbeSample();
-  fast.classes[0].gbps = 1e6;
-  for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(fast);
-  ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
-  // ...and a staged one stays whatever it reports from DRAM.
-  for (double gbps : {1e-3, 0.8, 1e6}) {
-    for (int q = 0; q < 2 * kHysteresisQuanta; ++q) {
-      governor.Observe(StagedSample(ProbeSample(), gbps));
-      EXPECT_EQ(governor.decision().staged,
-                std::vector<std::string>({"date"}))
-          << gbps;
-    }
-  }
-  const std::vector<std::string> log = governor.actuator_log();
-  EXPECT_EQ(std::count_if(log.begin(), log.end(),
-                          [](const std::string& line) {
-                            return line.find(" commit staged ") !=
-                                   std::string::npos;
-                          }),
-            1);
 }
 
 TEST_F(GovernorTest, UnprobedStructuresKeepTheirPlacement) {
@@ -302,7 +259,7 @@ TEST_F(GovernorTest, UnprobedStructuresKeepTheirPlacement) {
     EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
   }
   TelemetrySample part = QuietSample();
-  part.classes.push_back(ProbeClass("probe-part", 4ull * kGiB, 64 * kMiB));
+  part.query.push_back(ProbeRecord("probe-part", 4ull * kGiB, 64 * kMiB));
   for (int q = 0; q < 3 * kHysteresisQuanta; ++q) {
     governor.Observe(part);
     EXPECT_TRUE(governor.decision().IsStaged("date")) << q;
@@ -318,8 +275,8 @@ TEST_F(GovernorTest, ProbedStructureBelowTheFloorLeavesAfterTheHysteresis) {
   BandwidthGovernor governor(&model_);
   for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(ProbeSample());
   ASSERT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
-  TelemetrySample faint = StagedSample(ProbeSample(), /*gbps=*/0.8);
-  faint.classes[0].record.bytes = 64;  // saves nanoseconds per quantum
+  TelemetrySample faint = StagedSample(ProbeSample());
+  faint.query[0].bytes = 64;  // saves nanoseconds per quantum
   for (int q = 0; q < kHysteresisQuanta - 1; ++q) {
     governor.Observe(faint);
     EXPECT_TRUE(governor.decision().IsStaged("date"))
@@ -340,7 +297,7 @@ TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
   // Same set, larger structure: only a change of set waits out the
   // hysteresis, so the footprint updates in the same quantum.
   TelemetrySample grown = ProbeSample();
-  grown.classes[0].record.region_bytes = 512 * kMiB;
+  grown.query[0].region_bytes = 512 * kMiB;
   governor.Observe(grown);
   EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
   EXPECT_EQ(governor.decision().staged_bytes, 512 * kMiB);
@@ -349,14 +306,14 @@ TEST_F(GovernorTest, StagedBytesFollowTheUnchangedSetsCurrentSize) {
 TEST_F(GovernorTest, StagedBytesCountAnUnprobedStructureAtItsLastSeenSize) {
   BandwidthGovernor governor(&model_);
   TelemetrySample grown = ProbeSample();
-  grown.classes[0].record.region_bytes = 512 * kMiB;
+  grown.query[0].region_bytes = 512 * kMiB;
   for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(ProbeSample());
   governor.Observe(grown);
   ASSERT_EQ(governor.decision().staged_bytes, 512 * kMiB);
   // "part" stages while "date" goes unprobed: the footprint holds "date"
   // at the 512 MiB it last showed.
   TelemetrySample part = QuietSample();
-  part.classes.push_back(ProbeClass("probe-part", 4ull * kGiB, 64 * kMiB));
+  part.query.push_back(ProbeRecord("probe-part", 4ull * kGiB, 64 * kMiB));
   for (int q = 0; q < kHysteresisQuanta; ++q) governor.Observe(part);
   ASSERT_EQ(governor.decision().staged,
             std::vector<std::string>({"date", "part"}));
@@ -408,8 +365,9 @@ TEST_F(GovernorTest, ConvergedDecisionClampsWritersAndStagesTheHotProbe) {
   GovernorDecision decision = governor.decision();
   // Writers clamped to the write knee inside the BP2 window.
   EXPECT_EQ(decision.write_threads,
-            std::clamp(governor.WriteKnee().threads, kMinWriteThreads,
-                       kMaxWriteThreads));
+            std::clamp(governor.WriteKnee().threads,
+                       BestPracticesAdvisor::kMinWriteThreads,
+                       BestPracticesAdvisor::kMaxWriteThreads));
   // The expensive contended probe was promoted to DRAM.
   EXPECT_TRUE(decision.IsStaged("date"));
   EXPECT_GT(decision.staged_bytes, 0u);
@@ -441,17 +399,6 @@ TEST_F(GovernorTest, CommitLandsExactlyAfterHysteresisQuanta) {
   EXPECT_EQ(governor.decision().staged, std::vector<std::string>({"date"}));
 }
 
-TEST_F(GovernorTest, ThrottleEstimateIsTheSharedAdmissionSignal) {
-  BandwidthGovernor governor(&model_);
-  EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);  // before any sample
-  governor.Observe(ProbeSample(/*dimm_factor=*/0.25, /*upi_factor=*/0.6));
-  // Same reduction as qos::DegradationEstimate: min of the factors.
-  EXPECT_DOUBLE_EQ(governor.decision().throttle,
-                   qos::DegradationEstimate(0.25, 0.6));
-  governor.Observe(ProbeSample(1.0, 1.0));
-  EXPECT_DOUBLE_EQ(governor.decision().throttle, 1.0);
-}
-
 TEST_F(GovernorTest, AblationSwitchesDisableActuators) {
   GovernorConfig config;
   config.stage_structures = false;
@@ -463,128 +410,61 @@ TEST_F(GovernorTest, AblationSwitchesDisableActuators) {
   EXPECT_EQ(decision.staged_bytes, 0u);
   // The writer clamp has no switch: writers still clamp to the knee.
   EXPECT_EQ(decision.write_threads,
-            std::clamp(governor.WriteKnee().threads, kMinWriteThreads,
-                       kMaxWriteThreads));
+            std::clamp(governor.WriteKnee().threads,
+                       BestPracticesAdvisor::kMinWriteThreads,
+                       BestPracticesAdvisor::kMaxWriteThreads));
   // Shaping off is what the engine reads from the governor's config.
   EXPECT_FALSE(governor.config().shape_morsels);
 }
 
 // --- telemetry --------------------------------------------------------------
 
-/// `record`'s bandwidth evaluated alone, through the same record→class
-/// translation telemetry uses.
-double SoloGbps(const MemSystemModel& model, const TrafficRecord& record) {
-  Result<AccessClass> klass = ToAccessClass(
-      record, record.threads, PinningPolicy::kCores, model.config().topology);
-  if (!klass.ok()) return 0.0;
-  WorkloadSpec spec;
-  spec.classes.push_back(std::move(klass.value()));
-  return model.EvaluateOnce(spec).total_gbps;
-}
-
-TEST_F(GovernorTest, BuildTelemetryReportsJointPressureAndThrottles) {
-  // One sequential read class per socket plus a heavy write class on
-  // socket 0, with an injector throttling socket 0's DIMMs.
-  std::vector<TrafficRecord> query;
-  for (int socket = 0; socket < 2; ++socket) {
-    TrafficRecord scan;
-    scan.op = OpType::kRead;
-    scan.pattern = Pattern::kSequentialIndividual;
-    scan.media = Media::kPmem;
-    scan.data_socket = socket;
-    scan.worker_socket = socket;
-    scan.bytes = 8ull * kGiB;
-    scan.access_size = 4 * kKiB;
-    scan.region_bytes = 8ull * kGiB;
-    scan.threads = 18;
-    scan.label = "scan";
-    query.push_back(scan);
-  }
-  std::vector<TrafficRecord> background;
-  TrafficRecord ingest;
-  ingest.op = OpType::kWrite;
-  ingest.pattern = Pattern::kSequentialIndividual;
-  ingest.media = Media::kPmem;
-  ingest.data_socket = 0;
-  ingest.worker_socket = 0;
-  ingest.bytes = 8ull * kGiB;
-  ingest.access_size = 4 * kKiB;
-  ingest.region_bytes = 8ull * kGiB;
-  ingest.threads = 18;
-  ingest.label = "ingest";
-  background.push_back(ingest);
-
-  FaultSpec spec;
-  ThrottleWindow window;
-  window.socket = 0;
-  window.start_seconds = 0.0;
-  window.end_seconds = 100.0;
-  window.service_factor = 0.5;
-  spec.throttle_windows.push_back(window);
-  spec.upi_capacity_factor = 0.75;
-  FaultInjector injector(spec);
-  injector.AdvanceTo(10.0);
-
-  TelemetrySample sample = BuildTelemetry(model_, query, background,
-                                          PinningPolicy::kCores, &injector);
-  ASSERT_EQ(sample.sockets.size(), 2u);
-  ASSERT_EQ(sample.classes.size(), 3u);
-  // Throttle state flows from the injector.
-  EXPECT_DOUBLE_EQ(sample.sockets[0].dimm_service_factor, 0.5);
-  EXPECT_DOUBLE_EQ(sample.sockets[1].dimm_service_factor, 1.0);
-  EXPECT_DOUBLE_EQ(sample.upi_capacity_factor, 0.75);
-  // Query classes first, in order, then the background class, marked.
-  EXPECT_EQ(sample.classes[0].record.data_socket, 0);
-  EXPECT_EQ(sample.classes[1].record.data_socket, 1);
-  EXPECT_FALSE(sample.classes[0].background);
-  EXPECT_FALSE(sample.classes[1].background);
-  EXPECT_TRUE(sample.classes[2].background);
-  EXPECT_EQ(sample.classes[2].record.label, "ingest");
-  // Per-class GB/s is the joint evaluation: the socket-0 scan and the
-  // ingest share socket 0's DIMMs and each gets less than it would alone;
-  // the socket-1 scan shares nothing and gets its solo rate.
-  const double scan0 = sample.classes[0].gbps;
-  const double scan1 = sample.classes[1].gbps;
-  const double writes = sample.classes[2].gbps;
-  EXPECT_GT(scan0, 0.0);
-  EXPECT_GT(writes, 0.0);
-  EXPECT_LT(scan0, SoloGbps(model_, query[0]));
-  EXPECT_LT(writes, SoloGbps(model_, background[0]));
-  EXPECT_DOUBLE_EQ(scan1, SoloGbps(model_, query[1]));
-  EXPECT_LT(scan0, scan1);
-}
-
-TEST_F(GovernorTest, BuildTelemetryIsDeterministic) {
-  std::vector<TrafficRecord> query;
+TEST_F(GovernorTest, BuildTelemetryHoldsThePricedRecordsInOrder) {
+  // The sample is the run's records as the timer prices them: the query's
+  // in their order, then the background's, less the records that become
+  // no model class. Staging sums each structure's benefit in this order
+  // and counts every sampled probe as evidence, so this filter is what
+  // keeps the staged set bit-identical.
   TrafficRecord scan;
-  scan.op = OpType::kRead;
-  scan.pattern = Pattern::kSequentialIndividual;
-  scan.media = Media::kPmem;
-  scan.data_socket = 0;
-  scan.worker_socket = 0;
-  scan.bytes = kGiB;
-  scan.access_size = 4 * kKiB;
-  scan.region_bytes = kGiB;
-  scan.threads = 9;
   scan.label = "scan";
-  query.push_back(scan);
+  scan.bytes = 8ull * kGiB;
+  scan.region_bytes = 8ull * kGiB;
+  scan.threads = 18;
+  TrafficRecord far_scan = scan;
+  far_scan.data_socket = 1;
+  far_scan.worker_socket = 0;
+  // Its workers sit on a socket the topology does not have.
+  TrafficRecord unplaced = ProbeRecord("probe-part", kGiB, 64 * kMiB);
+  unplaced.worker_socket = model_.config().topology.sockets();
+  ASSERT_FALSE(ToAccessClass(unplaced, unplaced.threads,
+                             PinningPolicy::kNumaRegion,
+                             model_.config().topology)
+                   .ok());
+  const std::vector<TrafficRecord> query = {
+      scan, unplaced, ProbeRecord("probe-date", kGiB, 256 * kMiB), far_scan};
+  TrafficRecord idle = IngestRecord();
+  idle.label = "idle";
+  idle.bytes = 0;
+  const std::vector<TrafficRecord> background = {idle, IngestRecord()};
 
-  TelemetrySample a =
-      BuildTelemetry(model_, query, {}, PinningPolicy::kCores);
-  TelemetrySample b =
-      BuildTelemetry(model_, query, {}, PinningPolicy::kCores);
-  ASSERT_EQ(a.classes.size(), 1u);
-  ASSERT_EQ(b.classes.size(), 1u);
-  EXPECT_DOUBLE_EQ(a.classes[0].gbps, b.classes[0].gbps);
-  // A lone class is its solo rate; without an injector every throttle
-  // factor reads healthy.
-  EXPECT_DOUBLE_EQ(a.classes[0].gbps, SoloGbps(model_, scan));
-  EXPECT_DOUBLE_EQ(a.upi_capacity_factor, 1.0);
-  ASSERT_EQ(a.sockets.size(), b.sockets.size());
-  for (size_t s = 0; s < a.sockets.size(); ++s) {
-    EXPECT_DOUBLE_EQ(a.sockets[s].dimm_service_factor, 1.0);
-    EXPECT_DOUBLE_EQ(b.sockets[s].dimm_service_factor, 1.0);
-  }
+  const TelemetrySample sample = BuildTelemetry(
+      model_, query, background, PinningPolicy::kNumaRegion);
+  EXPECT_EQ(sample.pinning, PinningPolicy::kNumaRegion);
+  auto labels = [](const std::vector<TrafficRecord>& records) {
+    std::vector<std::string> names;
+    for (const TrafficRecord& record : records) names.push_back(record.label);
+    return names;
+  };
+  EXPECT_EQ(labels(sample.query),
+            std::vector<std::string>({"scan", "probe-date", "scan"}));
+  EXPECT_EQ(labels(sample.background), std::vector<std::string>({"ingest"}));
+  // A kept record is the input record, not one rebuilt from its class.
+  ASSERT_EQ(sample.query.size(), 3u);
+  EXPECT_EQ(sample.query[2].data_socket, 1);
+  EXPECT_EQ(sample.query[2].worker_socket, 0);
+  EXPECT_EQ(sample.query[1].region_bytes, 256 * kMiB);
+  ASSERT_EQ(sample.background.size(), 1u);
+  EXPECT_EQ(sample.background[0].bytes, 16ull * kGiB);
 }
 
 }  // namespace

@@ -494,34 +494,33 @@ TEST(AdmissionTest, DegradationEstimateTracksThrottlesAndUpi) {
 }
 
 TEST(AdmissionTest, PureDegradationEstimateIsTheSharedSignal) {
-  // The factor form: min of the two reductions, clamped to [0, 1]. This
-  // is the throttle the bandwidth governor's decision carries, so
-  // shedding and governance act on one health number.
-  EXPECT_DOUBLE_EQ(DegradationEstimate(1.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(DegradationEstimate(0.25, 1.0), 0.25);
-  EXPECT_DOUBLE_EQ(DegradationEstimate(1.0, 0.6), 0.6);
-  EXPECT_DOUBLE_EQ(DegradationEstimate(0.25, 0.6), 0.25);
-  EXPECT_DOUBLE_EQ(DegradationEstimate(-0.5, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(DegradationEstimate(2.0, 3.0), 1.0);
-}
-
-TEST(AdmissionTest, InjectorEstimateDelegatesToThePureForm) {
-  // Same inputs, same answer: the injector overload is a convenience
-  // wrapper over the shared (dimm, upi) reduction.
-  FaultSpec spec;
-  spec.upi_capacity_factor = 0.7;
-  ThrottleWindow window;
-  window.socket = 1;
-  window.start_seconds = 0.0;
-  window.end_seconds = 100.0;
-  window.service_factor = 0.4;
-  spec.throttle_windows.push_back(window);
-  FaultInjector injector(spec);
-  injector.AdvanceTo(50.0);
-  EXPECT_DOUBLE_EQ(
-      DegradationEstimate(injector),
-      DegradationEstimate(injector.DimmServiceFactor(1),
-                          injector.UpiCapacityFactor()));
+  // The estimate is a pure function of the injector's state: the min of
+  // the worst active DIMM factor and the UPI factor, clamped to [0, 1].
+  // Admission in the engine and the service's degradation ladder both
+  // read this one number.
+  struct Case {
+    double dimm;  // socket 1's active window factor; 1.0 = no window
+    double upi;
+    double expected;
+  };
+  for (const Case& c : {Case{1.0, 1.0, 1.0}, Case{0.25, 1.0, 0.25},
+                        Case{1.0, 0.6, 0.6}, Case{0.25, 0.6, 0.25},
+                        Case{-0.5, 1.0, 0.0}, Case{1.0, 3.0, 1.0}}) {
+    FaultSpec spec;
+    spec.upi_capacity_factor = c.upi;
+    if (c.dimm < 1.0) {
+      ThrottleWindow window;
+      window.socket = 1;
+      window.start_seconds = 0.0;
+      window.end_seconds = 100.0;
+      window.service_factor = c.dimm;
+      spec.throttle_windows.push_back(window);
+    }
+    FaultInjector injector(spec);
+    injector.AdvanceTo(50.0);
+    EXPECT_DOUBLE_EQ(DegradationEstimate(injector), c.expected)
+        << "dimm " << c.dimm << " upi " << c.upi;
+  }
 }
 
 }  // namespace

@@ -616,12 +616,13 @@ TEST(LintLayering, TieringSharesTheGovernorTier) {
   LintFileContent("src/engine/fixture.cc",
                   "#include \"tiering/tier_manager.h\"\n", &engine);
   EXPECT_TRUE(engine.clean());
-  // governor -> tiering is the audited same-rank edge (the governor
-  // observes standing migration traffic): clean.
+  // governor -> tiering is NOT audited: the governor sees migrations only
+  // as the background records the engine forwards.
   Report governor;
   LintFileContent("src/governor/fixture.cc",
                   "#include \"tiering/tier_manager.h\"\n", &governor);
-  EXPECT_TRUE(governor.clean());
+  ASSERT_EQ(governor.diagnostics.size(), 1u);
+  EXPECT_EQ(governor.diagnostics[0].rule, "layering");
   // tiering -> governor is NOT audited: the loop exports traffic, it
   // never reads the governor's decisions.
   Report to_governor;

@@ -27,7 +27,7 @@ namespace {
 // sharing a rank are independent unless an explicit intra-tier edge is
 // declared below (the edge set must stay acyclic by inspection):
 // engine -> {exec, ssb, dash, qos} and fault -> core. The governor tier
-// sits between the model layers it samples (memsys, core, fault) and the
+// sits between the model layers it reads (memsys, core) and the
 // executors it actuates (exec, engine): it may read the model, never the
 // engine — the engine pulls decisions, the governor never pushes. The
 // durability tier shares the governor's rank: it builds on the core and
@@ -40,11 +40,11 @@ namespace {
 // The tiering tier (the extent-granular DRAM/PMEM/SSD placement loop)
 // shares the governor's rank and the same pull discipline: it reads the
 // device and model layers (SSD rates, tier bandwidths) and the core
-// placement structures, the engine pushes touches and pulls snapshots
-// from above, and the governor may observe tiering's standing migration
-// traffic (governor -> tiering is the one audited same-rank edge in that
-// tier) — but tiering must never include the governor, the executors, or
-// the engine.
+// placement structures, and the engine pushes touches and pulls
+// snapshots from above. Tiering and the governor never include each
+// other — the governor sees migrations only as the background
+// TrafficRecords the engine forwards — and tiering must never include
+// the executors or the engine.
 // The service tier (always-on query serving: workload generation, chaos
 // scheduling, graceful degradation, the discrete-event campaign loop)
 // sits above everything — it composes the engine, governor, qos and
@@ -70,7 +70,6 @@ const std::map<std::string, int>& LayerRanks() {
 const std::set<std::pair<std::string, std::string>>& IntraTierEdges() {
   static const std::set<std::pair<std::string, std::string>> kEdges = {
       {"fault", "core"},
-      {"governor", "tiering"},
       {"engine", "exec"},
       {"engine", "ssb"},
       {"engine", "dash"},
